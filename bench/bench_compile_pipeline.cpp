@@ -50,18 +50,18 @@ namespace {
 
 struct PipelineConfig {
   const char *Name;
-  HostToggle Async;
+  bool Async;
   unsigned Threads;
-  HostToggle Cache;
+  bool Cache;
 };
 
 const PipelineConfig Configs[] = {
-    {"sync", HostToggle::Off, 1, HostToggle::Off},
-    {"sync+cache", HostToggle::Off, 1, HostToggle::On},
-    {"async-1", HostToggle::On, 1, HostToggle::On},
-    {"async-2-default", HostToggle::On, 2, HostToggle::On},
-    {"async-4", HostToggle::On, 4, HostToggle::On},
-    {"async-4-nocache", HostToggle::On, 4, HostToggle::Off},
+    {"sync", false, 1, false},
+    {"sync+cache", false, 1, true},
+    {"async-1", true, 1, true},
+    {"async-2-default", true, 2, true},
+    {"async-4", true, 4, true},
+    {"async-4-nocache", true, 4, false},
 };
 constexpr size_t DefaultCfgIdx = 3; ///< async-2-default, the VM's default
 
@@ -252,9 +252,9 @@ int main(int argc, char **argv) {
     const RunMetrics &M = Best[I].Metrics;
     J.beginArrayObject();
     J.field("config", Configs[I].Name);
-    J.field("async", Configs[I].Async == HostToggle::On);
+    J.field("async", Configs[I].Async);
     J.field("threads", static_cast<int64_t>(Configs[I].Threads));
-    J.field("spec_cache", Configs[I].Cache == HostToggle::On);
+    J.field("spec_cache", Configs[I].Cache);
     J.field("activation_pause_us", Best[I].ActivationPauseSec * 1e6);
     J.field("total_wall_ms", Best[I].TotalWallSec * 1e3);
     J.field("special_compile_requests",

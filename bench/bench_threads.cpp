@@ -175,7 +175,8 @@ WarehouseRun runWarehouses(unsigned Threads, uint64_t Txns, bool Mutation,
   VMOptions Opts;
   Opts.EnableMutation = Mutation;
   Opts.MutatorThreads = Threads;
-  Opts.AuditConsistency = Audit ? HostToggle::On : HostToggle::Auto;
+  if (Audit)
+    Opts.AuditConsistency = true;
   VirtualMachine VM(P, Opts);
   if (Mutation)
     VM.setMutationPlan(&Plan);

@@ -10,7 +10,6 @@
 #include "compiler/Passes.h"
 #include "runtime/CompiledMethod.h"
 #include "support/Debug.h"
-#include "support/Env.h"
 
 #include <algorithm>
 
@@ -38,23 +37,6 @@ void CompilePipeline::configure(const Config &C) {
     for (unsigned I = 0; I < Cfg.Threads; ++I)
       Workers.emplace_back([this] { workerLoop(); });
   }
-}
-
-CompilePipeline::Config CompilePipeline::configFromEnv(Config Defaults) {
-  // All knobs come from the support/Env.h registry (one table, one parser;
-  // ranges like 1..64 compile threads live in the table too).
-  Config C = Defaults;
-  C.Async = env::boolOr("DCHM_ASYNC_COMPILE", C.Async);
-  C.Threads =
-      static_cast<unsigned>(env::intOr("DCHM_COMPILE_THREADS", C.Threads));
-  C.FaultEvery = static_cast<unsigned>(
-      env::intOr("DCHM_COMPILE_FAULT_EVERY", C.FaultEvery));
-  C.FaultPersist = env::boolOr("DCHM_COMPILE_FAULT_PERSIST", C.FaultPersist);
-  C.MaxAttempts = static_cast<unsigned>(
-      env::intOr("DCHM_COMPILE_MAX_ATTEMPTS", C.MaxAttempts));
-  C.DeadlineMs = static_cast<unsigned>(
-      env::intOr("DCHM_COMPILE_DEADLINE_MS", C.DeadlineMs));
-  return C;
 }
 
 void CompilePipeline::setFaultHook(FaultHook H) {

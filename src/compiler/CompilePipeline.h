@@ -98,10 +98,6 @@ public:
   bool async() const { return Cfg.Async; }
   unsigned threads() const { return Cfg.Threads; }
 
-  /// Environment override helper: reads DCHM_ASYNC_COMPILE (ON/OFF/1/0) and
-  /// DCHM_COMPILE_THREADS on top of the given defaults.
-  static Config configFromEnv(Config Defaults);
-
   /// Submits the optimization work for CM's body. The shell's modeled cost
   /// is already charged and its pointer already installable; this only
   /// schedules the host-side work. In sync mode (or for jobs with no

@@ -26,14 +26,8 @@ void OptCompiler::setPlan(const MutationPlan *Pl) {
   SpecCache.clear();
 }
 
-void OptCompiler::configure(bool Async, unsigned Threads,
+void OptCompiler::configure(const CompilePipeline::Config &C,
                             bool SpecializationCache) {
-  // Fault-tolerance knobs (retry limits, deadlines, fault injection) come
-  // from the environment; async/threads were already resolved by the caller
-  // through VMOptions, so they override whatever the env helper read.
-  CompilePipeline::Config C = CompilePipeline::configFromEnv({});
-  C.Async = Async;
-  C.Threads = Threads;
   Pipeline.configure(C);
   CacheEnabled = SpecializationCache;
 }

@@ -84,8 +84,9 @@ public:
   /// Configures background compilation and the specialization cache. The
   /// default is fully synchronous with the cache off — the seed behavior —
   /// so standalone OptCompiler users (tests, analysis tools) see code
-  /// immediately; the VM opts in per VMOptions / environment.
-  void configure(bool Async, unsigned Threads, bool SpecializationCache);
+  /// immediately; the VM hands in the configuration it resolved from
+  /// VMOptions and the environment. Never reads the environment itself.
+  void configure(const CompilePipeline::Config &C, bool SpecializationCache);
 
   /// Compiles the general (unspecialized) version at the given level.
   /// The returned object is owned by M; the caller installs it.

@@ -10,20 +10,48 @@
 #include "support/Debug.h"
 #include "support/Env.h"
 
+#include <algorithm>
 #include <thread>
 #include <unordered_set>
 
 namespace dchm {
 
 namespace {
-/// Resolves a HostToggle: Auto defers to the named environment variable
-/// (support/Env.h registry), falling back to Default when it is unset.
-bool resolveToggle(HostToggle T, const char *EnvVar, bool Default) {
-  if (T == HostToggle::On)
-    return true;
-  if (T == HostToggle::Off)
-    return false;
-  return env::boolOr(EnvVar, Default);
+/// Fills every unset host setting from its DCHM_* variable or, when that is
+/// unset too, the support/Env.h table default. Explicit values win.
+VMOptions resolveOptions(VMOptions O) {
+  if (!O.AsyncCompile)
+    O.AsyncCompile = env::boolValue("DCHM_ASYNC_COMPILE");
+  if (!O.CompileThreads)
+    O.CompileThreads =
+        static_cast<unsigned>(env::intValue("DCHM_COMPILE_THREADS"));
+  O.CompileThreads = std::max(1u, *O.CompileThreads);
+  if (!O.SpecializationCache)
+    O.SpecializationCache = env::boolValue("DCHM_SPEC_CACHE");
+  if (!O.AuditConsistency)
+    O.AuditConsistency = env::boolValue("DCHM_AUDIT");
+  if (!O.CodeBudgetBytes)
+    O.CodeBudgetBytes = static_cast<size_t>(env::intValue("DCHM_CODE_BUDGET"));
+  if (!O.MutatorThreads)
+    O.MutatorThreads = static_cast<unsigned>(env::intValue("DCHM_THREADS"));
+  O.MutatorThreads = std::max(1u, *O.MutatorThreads);
+  return O;
+}
+
+/// The compile pipeline's full configuration: the resolved VM options plus
+/// the fault-tolerance knobs, which exist only as environment variables.
+CompilePipeline::Config pipelineConfig(const VMOptions &O) {
+  CompilePipeline::Config C;
+  C.Async = *O.AsyncCompile;
+  C.Threads = *O.CompileThreads;
+  C.MaxAttempts =
+      static_cast<unsigned>(env::intValue("DCHM_COMPILE_MAX_ATTEMPTS"));
+  C.DeadlineMs =
+      static_cast<unsigned>(env::intValue("DCHM_COMPILE_DEADLINE_MS"));
+  C.FaultEvery =
+      static_cast<unsigned>(env::intValue("DCHM_COMPILE_FAULT_EVERY"));
+  C.FaultPersist = env::boolValue("DCHM_COMPILE_FAULT_PERSIST");
+  return C;
 }
 
 /// The safepoint slot of the current mutator thread, if runMutators bound
@@ -33,56 +61,32 @@ bool resolveToggle(HostToggle T, const char *EnvVar, bool Default) {
 thread_local SafepointSlot *TlsSlot = nullptr;
 } // namespace
 
-VirtualMachine::VirtualMachine(Program &P, const VMOptions &Opts)
-    : P(P), Opts(Opts), TheHeap(Opts.HeapBytes), Compiler(P),
-      Adaptive(P, Compiler, Opts.Adaptive), Mutation(P) {
+VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
+    : P(P), Opts(resolveOptions(Options)), TheHeap(Opts.HeapBytes),
+      Compiler(P), Adaptive(P, Compiler, Opts.Adaptive), Mutation(P) {
   DCHM_CHECK(P.isLinked(), "VirtualMachine requires a linked program");
   Compiler.inlinerConfig() = Opts.Inline;
-  // Background compilation and the specialization cache default on; the
-  // environment (DCHM_ASYNC_COMPILE / DCHM_COMPILE_THREADS / DCHM_SPEC_CACHE)
-  // overrides Auto settings, explicit VMOptions override everything (so the
-  // determinism harnesses can pin configurations).
-  bool Async = resolveToggle(Opts.AsyncCompile, "DCHM_ASYNC_COMPILE", true);
-  bool Cache =
-      resolveToggle(Opts.SpecializationCache, "DCHM_SPEC_CACHE", true);
-  unsigned Threads = Opts.CompileThreads;
-  if (Threads == 0)
-    Threads = static_cast<unsigned>(env::intOr("DCHM_COMPILE_THREADS", 2));
-  Compiler.configure(Async, Threads, Cache);
+  Compiler.configure(pipelineConfig(Opts), *Opts.SpecializationCache);
   Mutation.setCompiler(&Compiler);
   Mutation.setHeap(&TheHeap);
-  // Code/TIB budget for graceful degradation: explicit option wins, then
-  // DCHM_CODE_BUDGET (bytes), else unlimited.
-  size_t Budget = Opts.CodeBudgetBytes;
-  if (Budget == 0)
-    Budget = static_cast<size_t>(env::intOr("DCHM_CODE_BUDGET", 0));
-  Mutation.setCodeBudget(Budget);
-  // Mutator thread count: explicit option, then DCHM_THREADS, default 1.
-  NThreads = Opts.MutatorThreads;
-  if (NThreads == 0)
-    NThreads = static_cast<unsigned>(env::intOr("DCHM_THREADS", 1));
-  NThreads = std::max(1u, NThreads);
-  // Inline caches live in shared CompiledMethod objects; with concurrent
-  // mutators every site would be a cross-thread race, so N>1 forces them
-  // off (docs/threads.md).
-  bool ICs = Opts.InlineCaches && NThreads == 1;
+  Mutation.setCodeBudget(*Opts.CodeBudgetBytes);
+  unsigned NThreads = mutatorThreads();
   Interps.reserve(NThreads);
   for (unsigned T = 0; T < NThreads; ++T) {
-    Interps.push_back(std::make_unique<Interpreter>(
-        P, TheHeap, *this, Opts.Dispatch, ICs, Opts.FrameArena));
+    Interps.push_back(
+        std::make_unique<Interpreter>(P, TheHeap, *this, Opts.Dispatch));
     Interps.back()->setInlineSampling(Opts.Adaptive.SampleInterval == 1);
   }
   TheHeap.setRootProvider(this);
-  if (NThreads > 1) {
+  if (multiMutator()) {
     TheHeap.setConcurrent(true);
     TheHeap.setSafepointExecutor(
         [this](const std::function<void()> &Fn) { Safepoints.run(Fn); });
   }
-  AuditOn = resolveToggle(Opts.AuditConsistency, "DCHM_AUDIT", false);
 }
 
 void VirtualMachine::setAuditHook(AuditHook *H) {
-  if (!AuditOn && H)
+  if (!auditEnabled() && H)
     return;
   for (auto &I : Interps)
     I->setAuditHook(H);
@@ -90,7 +94,7 @@ void VirtualMachine::setAuditHook(AuditHook *H) {
 }
 
 void VirtualMachine::atSafepoint(const std::function<void()> &Fn) {
-  if (NThreads > 1)
+  if (multiMutator())
     Safepoints.run(Fn);
   else
     Fn(); // one mutator: any host call out of the interpreter is the world
@@ -163,15 +167,16 @@ Value VirtualMachine::call(MethodId M, const std::vector<Value> &Args) {
 
 Value VirtualMachine::callOn(unsigned T, MethodId M,
                              const std::vector<Value> &Args) {
-  DCHM_CHECK(T < NThreads, "callOn: no such mutator context");
+  DCHM_CHECK(T < Interps.size(), "callOn: no such mutator context");
   return Interps[T]->invoke(M, Args);
 }
 
 void VirtualMachine::runMutators(const std::function<void(unsigned)> &Body) {
-  if (NThreads == 1) {
+  if (!multiMutator()) {
     Body(0); // no threads, no protocol: the classic path
     return;
   }
+  const unsigned NThreads = mutatorThreads();
   // Heap caches are created up front from this thread so the cache registry
   // never changes while mutators run (it is only walked world-stopped).
   std::vector<Heap::ThreadCache *> Caches(NThreads);
@@ -258,7 +263,7 @@ RunMetrics VirtualMachine::metrics() {
   M.SpecialCompileRequests = Compiler.stats().SpecialCompileRequests;
   M.SpecialCacheHits = Compiler.stats().SpecialCacheHits;
   M.GcCount = TheHeap.stats().GcCount;
-  if (NThreads == 1) {
+  if (!multiMutator()) {
     M.OutputHash = Interps[0]->outputHash();
   } else {
     // Combined fingerprint: FNV-1a over the per-thread hashes in thread
@@ -281,7 +286,7 @@ RunMetrics VirtualMachine::metrics() {
 }
 
 CompiledMethod *VirtualMachine::ensureCompiled(MethodInfo &M) {
-  if (NThreads > 1) {
+  if (multiMutator()) {
     // Already-compiled is the overwhelmingly common case after warmup; the
     // plain read is safe because General is only written under a rendezvous
     // (while this thread is parked), and a stale-by-one-promotion body is
@@ -304,7 +309,7 @@ void VirtualMachine::waitForCode(CompiledMethod &CM) {
 }
 
 void VirtualMachine::onMethodEntry(MethodInfo &M) {
-  if (NThreads > 1) {
+  if (multiMutator()) {
     // Lock-free sampling; promotion (a dispatch-structure write) re-checks
     // and runs with the world stopped.
     if (Adaptive.sampleConcurrent(M))
@@ -315,7 +320,7 @@ void VirtualMachine::onMethodEntry(MethodInfo &M) {
 }
 
 void VirtualMachine::onBackedge(MethodInfo &M) {
-  if (NThreads > 1) {
+  if (multiMutator()) {
     if (Adaptive.sampleConcurrent(M))
       Safepoints.run([&] { Adaptive.promoteStopped(M); });
     return;
@@ -343,7 +348,7 @@ void VirtualMachine::onStaticStateStore(FieldInfo &F) {
   if (MutationActive) {
     // The static half of part I re-points shared dispatch structures
     // (TIB/JTOC code pointers): stop the world first when there is one.
-    if (NThreads > 1)
+    if (multiMutator())
       Safepoints.run([&] { Mutation.onStaticStateStore(F); });
     else
       Mutation.onStaticStateStore(F);

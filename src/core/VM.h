@@ -39,15 +39,18 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace dchm {
 
-/// Tri-state for host-side knobs: Auto defers to the environment variable
-/// (and its built-in default), On/Off force the setting for this VM.
-enum class HostToggle { Auto, On, Off };
-
 /// VM configuration for one run.
+///
+/// The host settings below are std::optional: unset means "ask the
+/// environment", resolved once by the VirtualMachine constructor through the
+/// support/Env.h knob table (which also holds each default). An explicit
+/// value beats its DCHM_* variable. VirtualMachine::options() returns the
+/// resolved copy, so every optional there holds the value that runs.
 struct VMOptions {
   /// Master switch for dynamic class hierarchy mutation. With it off the
   /// plan is ignored entirely — the baseline configuration of every
@@ -56,38 +59,33 @@ struct VMOptions {
   size_t HeapBytes = 50u << 20; ///< Jikes' default 50 MB heap
   AdaptiveConfig Adaptive;
   InlinerConfig Inline;
-  /// Interpreter fast-path knobs (docs/dispatch.md). These change host wall
-  /// time only; simulated cycle counts and program output are identical in
-  /// every combination.
+  /// Interpreter dispatch loop (docs/dispatch.md). Changes host wall time
+  /// only; simulated cycle counts and program output are identical in both
+  /// modes.
   DispatchMode Dispatch = DispatchMode::Default;
-  bool InlineCaches = true; ///< per-call-site mutation-safe inline caches
-  bool FrameArena = true;   ///< contiguous register arena vs per-frame files
   /// Background compilation knobs (docs/compile_pipeline.md). Like the
-  /// dispatch knobs these change host wall time (and host-side compile/code
+  /// dispatch mode these change host wall time (and host-side compile/code
   /// counters) only: simulated cycles, instruction counts, and output are
   /// identical in every combination.
-  HostToggle AsyncCompile = HostToggle::Auto; ///< DCHM_ASYNC_COMPILE, def. on
-  unsigned CompileThreads = 0; ///< 0 = DCHM_COMPILE_THREADS, default 2
-  HostToggle SpecializationCache = HostToggle::Auto; ///< DCHM_SPEC_CACHE, def. on
+  std::optional<bool> AsyncCompile;        ///< DCHM_ASYNC_COMPILE
+  std::optional<unsigned> CompileThreads;  ///< DCHM_COMPILE_THREADS
+  std::optional<bool> SpecializationCache; ///< DCHM_SPEC_CACHE
   /// Gates the runtime consistency auditor (testing/ConsistencyAuditor):
-  /// with the toggle off, setAuditHook() is a no-op, so harnesses can leave
-  /// the attachment code in place and flip only this option (or DCHM_AUDIT
-  /// in the environment; default off). Auditing never changes simulated
-  /// cycles, instruction counts, or output — it is host-side work only.
-  HostToggle AuditConsistency = HostToggle::Auto; ///< DCHM_AUDIT, def. off
+  /// when it resolves off, setAuditHook() is a no-op, so harnesses can leave
+  /// the attachment code in place and flip only this option (or DCHM_AUDIT).
+  /// Auditing never changes simulated cycles, instruction counts, or output
+  /// — it is host-side work only.
+  std::optional<bool> AuditConsistency; ///< DCHM_AUDIT
   /// Budget over specialized-code bytes + special-TIB bytes (graceful
-  /// degradation, docs/degradation.md). 0 defers to DCHM_CODE_BUDGET in the
-  /// environment; unset there too means unlimited. Under pressure the
+  /// degradation, docs/degradation.md); 0 = unlimited. Under pressure the
   /// mutation engine demotes the coldest hot states to general code.
-  size_t CodeBudgetBytes = 0;
-  /// Number of application (mutator) threads (docs/threads.md). 0 defers to
-  /// DCHM_THREADS in the environment (default 1). At 1 every code path is
-  /// the single-mutator path — bit-identical output, cycle counters and
-  /// fingerprints. At N>1 the safepoint rendezvous protocol activates,
-  /// each mutator context gets its own interpreter and heap allocation
-  /// buffer, and per-call-site inline caches are forced off (cache sites
-  /// live in shared CompiledMethod objects).
-  unsigned MutatorThreads = 0;
+  std::optional<size_t> CodeBudgetBytes; ///< DCHM_CODE_BUDGET
+  /// Number of application (mutator) threads (docs/threads.md), at least 1.
+  /// At 1 every code path is the single-mutator path — bit-identical
+  /// output, cycle counters and fingerprints. At N>1 the safepoint
+  /// rendezvous protocol activates and each mutator context gets its own
+  /// interpreter and heap allocation buffer.
+  std::optional<unsigned> MutatorThreads; ///< DCHM_THREADS
 };
 
 /// Everything the experiment harness reads after (or during) a run.
@@ -151,7 +149,7 @@ public:
   void setAuditHook(AuditHook *H);
 
   /// True when VMOptions::AuditConsistency (or DCHM_AUDIT) resolved to on.
-  bool auditEnabled() const { return AuditOn; }
+  bool auditEnabled() const { return *Opts.AuditConsistency; }
 
   /// Stop-the-world reverse of setMutationPlan: retires the installed plan
   /// (MutationManager::retirePlan), detaches it from the adaptive system
@@ -174,8 +172,8 @@ public:
 
   // --- Multi-mutator mode (docs/threads.md) --------------------------------
   /// Resolved mutator thread count (>= 1).
-  unsigned mutatorThreads() const { return NThreads; }
-  bool multiMutator() const { return NThreads > 1; }
+  unsigned mutatorThreads() const { return *Opts.MutatorThreads; }
+  bool multiMutator() const { return mutatorThreads() > 1; }
 
   /// Runs Body(t) for t in [0, mutatorThreads()): t=0 on the calling
   /// thread, the rest on freshly spawned threads, each bound to its own
@@ -225,6 +223,7 @@ public:
   OptCompiler &compiler() { return Compiler; }
   AdaptiveSystem &adaptive() { return Adaptive; }
   MutationManager &mutation() { return Mutation; }
+  /// The options this VM runs with: every host setting resolved.
   const VMOptions &options() const { return Opts; }
 
   // --- VMCallbacks (interpreter events) ------------------------------------
@@ -242,7 +241,7 @@ public:
 
 private:
   Program &P;
-  VMOptions Opts;
+  VMOptions Opts; ///< resolved: every optional host setting holds a value
   Heap TheHeap;
   OptCompiler Compiler;
   AdaptiveSystem Adaptive;
@@ -251,10 +250,8 @@ private:
   /// interpreter every existing API routes through.
   std::vector<std::unique_ptr<Interpreter>> Interps;
   SafepointManager Safepoints;
-  unsigned NThreads = 1; ///< resolved MutatorThreads / DCHM_THREADS
   StateObserver *Observer = nullptr;
   bool MutationActive = false;
-  bool AuditOn = false;
 };
 
 } // namespace dchm

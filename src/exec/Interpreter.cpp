@@ -52,8 +52,8 @@ inline bool isFusibleIntArith(Opcode Op) {
 } // namespace
 
 Interpreter::Interpreter(Program &P, Heap &H, VMCallbacks &CB,
-                         DispatchMode Mode, bool InlineCaches, bool FrameArena)
-    : P(P), H(H), CB(CB), UseICs(InlineCaches), UseArena(FrameArena) {
+                         DispatchMode Mode)
+    : P(P), H(H), CB(CB) {
   Frames.resize(MaxFrames);
   RegArena.resize(InitialArenaSlots);
 #if DCHM_HAVE_COMPUTED_GOTO
@@ -112,8 +112,7 @@ void Interpreter::enumerateRoots(std::vector<Object *> &Roots) {
     if (!F.Fn)
       continue;
     const auto &Types = F.Fn->RegTypes;
-    const Value *Regs =
-        UseArena ? RegArena.data() + F.RegBase : F.LegacyRegs.data();
+    const Value *Regs = RegArena.data() + F.RegBase;
     for (uint32_t R = 0; R < F.NumRegs; ++R)
       if (Types[R] == Type::Ref && Regs[R].R)
         Roots.push_back(Regs[R].R);
@@ -125,8 +124,7 @@ void Interpreter::collectActiveCtorReceivers(std::vector<Object *> &Out) const {
     const Frame &F = Frames[D];
     if (!F.Fn || !F.M || !F.M->Flags.IsCtor || F.NumRegs == 0)
       continue;
-    const Value *Regs =
-        UseArena ? RegArena.data() + F.RegBase : F.LegacyRegs.data();
+    const Value *Regs = RegArena.data() + F.RegBase;
     if (Regs[0].R)
       Out.push_back(Regs[0].R);
   }

@@ -17,16 +17,10 @@
 /// the IMT. The interpreter is also the GC's root provider (frame scan).
 ///
 /// The host-side fast path (docs/dispatch.md) is independent of the
-/// simulated cost accounting; every knob below changes only real wall
-/// time, never simulated cycles or program output:
-///
-///  - computed-goto threaded dispatch (DispatchMode) with fused handler
-///    pairs for dominant instruction sequences,
-///  - a contiguous bump-allocated register arena replacing per-frame
-///    heap-allocated register files,
-///  - per-call-site mutation-safe inline caches (runtime/InlineCache.h)
-///    keyed on the receiver's TIB pointer and guarded by the Program's
-///    code epoch.
+/// simulated cost accounting: computed-goto threaded dispatch (DispatchMode)
+/// with fused handler pairs for dominant instruction sequences changes only
+/// real wall time, never simulated cycles or program output. Registers live
+/// in one contiguous bump-allocated arena shared by all frames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,8 +46,6 @@ struct ExecStats {
   uint64_t VirtualCalls = 0;
   uint64_t InterfaceCalls = 0;
   uint64_t StatePatchHits = 0; ///< state-field assignments intercepted
-  uint64_t IcHits = 0;         ///< call sites resolved from an inline cache
-  uint64_t IcMisses = 0;       ///< call sites resolved via the slow path
 };
 
 /// How the interpreter's inner loop dispatches opcodes. Default resolves to
@@ -66,8 +58,7 @@ enum class DispatchMode : uint8_t { Default, Switch, Threaded };
 class Interpreter : public RootProvider {
 public:
   Interpreter(Program &P, Heap &H, VMCallbacks &CB,
-              DispatchMode Mode = DispatchMode::Default,
-              bool InlineCaches = true, bool FrameArena = true);
+              DispatchMode Mode = DispatchMode::Default);
 
   /// Invokes method M with the given arguments (receiver first for instance
   /// methods), compiling lazily as needed, and returns its result.
@@ -82,8 +73,6 @@ public:
 
   /// True when the inner loop runs on computed-goto threaded dispatch.
   bool threadedDispatch() const { return UseThreaded; }
-  bool inlineCachesEnabled() const { return UseICs; }
-  bool frameArenaEnabled() const { return UseArena; }
 
   /// Enables the inline hotness-sample fast path. Only valid when the
   /// adaptive system samples every entry/back-edge event (SampleInterval ==
@@ -136,15 +125,12 @@ private:
   static constexpr size_t InitialArenaSlots = 4096;
 
   /// One activation record. Registers live in the shared arena window
-  /// [RegBase, RegBase + NumRegs) unless the legacy per-frame mode is
-  /// active (LegacyRegs), which exists as the seed-equivalent baseline for
-  /// the dispatch microbenchmarks.
+  /// [RegBase, RegBase + NumRegs).
   struct Frame {
     const IRFunction *Fn = nullptr;
     const MethodInfo *M = nullptr;
     size_t RegBase = 0;
     uint32_t NumRegs = 0;
-    std::vector<Value> LegacyRegs;
   };
 
   Value execute(CompiledMethod *CM, const Value *Args, size_t NumArgs);
@@ -161,7 +147,7 @@ private:
   CompiledMethod *resolveAndEnsure(TIB *T, uint32_t Slot);
   /// Resolves an interface method against T's IMT (for external invoke()).
   CompiledMethod *resolveInterface(TIB *T, MethodId IfaceMethod);
-  /// Seed-path IMT resolution for a CallInterface site; adds the entry
+  /// IMT resolution for a CallInterface site; adds the entry
   /// kind's extra simulated cycles to ExtraCost.
   CompiledMethod *resolveInterfaceSite(TIB *T, uint32_t ImtSlot,
                                        MethodId IfaceMethod,
@@ -183,8 +169,6 @@ private:
   AuditHook *Audit = nullptr;
   SafepointSlot *Sp = nullptr;
   bool UseThreaded = false;
-  bool UseICs = true;
-  bool UseArena = true;
   bool InlineSampling = false;
   bool Profiling = false;
   std::vector<uint64_t> MethodCycles;

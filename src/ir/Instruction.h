@@ -32,9 +32,6 @@ using Reg = uint16_t;
 /// Sentinel meaning "no register" (e.g. void Ret, no destination).
 constexpr Reg NoReg = std::numeric_limits<Reg>::max();
 
-/// Sentinel meaning "no inline-cache slot assigned" (see Instruction::IcSlot).
-constexpr uint32_t NoIcSlot = std::numeric_limits<uint32_t>::max();
-
 /// One MiniVM IR instruction.
 ///
 /// Field usage by opcode family:
@@ -58,10 +55,6 @@ struct Instruction {
   /// Set by the guarded inliner on its slow-path call: this site must never
   /// be considered for inlining again (it would be re-guarded forever).
   bool NoInline = false;
-  /// Call opcodes only: index into the owning CompiledMethod's inline-cache
-  /// table, assigned when the compiled code is created. NoIcSlot in bytecode
-  /// bodies and any IR not installed as compiled code.
-  uint32_t IcSlot = NoIcSlot;
   std::vector<Reg> Args; ///< Call arguments; empty for non-calls.
 
   /// True if this instruction writes a register.

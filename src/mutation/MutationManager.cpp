@@ -71,11 +71,9 @@ void MutationManager::installPlan(const MutationPlan &Plan) {
     }
   }
 
-  // The IMT rewiring above (and the special-TIB creation) changed how the
-  // same call sites must dispatch: interface sites that cached a Direct
-  // code pointer would otherwise keep bypassing the object's current TIB.
-  // (The caller enforces the code budget after existing objects migrate, so
-  // audit hooks never observe a half-installed heap.)
+  // The IMT rewiring above (and the special-TIB creation) wrote dispatch
+  // structures. (The caller enforces the code budget after existing objects
+  // migrate, so audit hooks never observe a half-installed heap.)
   P.bumpCodeEpoch();
 }
 
@@ -138,8 +136,7 @@ void MutationManager::updateCodePointer(CompiledMethod *&SlotRef,
   SlotRef = To;
   Stats.CodePointerUpdates++;
   Stats.ExtraCycles += DispatchCost::PointerSwing;
-  // A TIB slot now routes differently (general <-> special code): any
-  // inline cache holding the previous pointer for this TIB is stale.
+  // A TIB slot now routes differently (general <-> special code).
   P.bumpCodeEpoch();
 }
 
@@ -400,9 +397,9 @@ uint64_t MutationManager::retirePlan(Heap &H) {
   Installed = nullptr;
   SwingIns.clear();
   Stats.PlanRetirements++;
-  // Every dispatch structure above changed shape: stale inline caches must
-  // miss from here on, and this epoch stamp is what gates the reclamation
-  // drain for the TIBs and bodies retired above.
+  // Every dispatch structure above changed shape; moving the epoch past the
+  // stamps of the TIBs and bodies retired above is what lets the
+  // reclamation drain free them.
   P.bumpCodeEpoch();
   noteTransition("retire: plan retired");
   return OnSpecial;

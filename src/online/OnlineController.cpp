@@ -136,12 +136,6 @@ void OnlineMutationController::activate() {
   // already-hot mutable methods so their specialized versions exist
   // (VirtualMachine::setMutationPlan handles all of it stop-the-world).
   VM.setMutationPlan(&Plan);
-  // Mid-run activation is the hardest case for the interpreter's inline
-  // caches: every warm call site predates the special TIBs. installPlan and
-  // the recompilation refresh above already bumped the code epoch; this
-  // final bump pins the invariant even if the plan rewired nothing (e.g. a
-  // plan with no mutable IMT slots and no already-hot methods).
-  P.bumpCodeEpoch();
   ActivationCycle = VM.totalCycles();
   LastDegradeCheck = ActivationCycle;
   LastMutationCycles = VM.mutation().stats().ExtraCycles;

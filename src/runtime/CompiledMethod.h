@@ -21,11 +21,9 @@
 
 #include "ir/Function.h"
 #include "ir/Ids.h"
-#include "runtime/InlineCache.h"
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 namespace dchm {
 
@@ -63,13 +61,6 @@ public:
     // instruction. The baseline-ish opt0 translation is less dense than
     // optimized code, mirroring Jikes' baseline-vs-opt code size ratio.
     CodeBytes = 32 + Code.Insts.size() * (OptLevel == 0 ? 14 : 10);
-    // Assign one inline-cache site per call instruction in this version's
-    // body. Sites belong to the compiled code, not the method: recompiling
-    // produces fresh (cold) sites, like a JIT emitting fresh cache stubs.
-    uint32_t NumSites = 0;
-    for (Instruction &I : Code.Insts)
-      I.IcSlot = isCall(I.Op) ? NumSites++ : NoIcSlot;
-    IcSites.resize(NumSites);
     ReadyFlag.store(true, std::memory_order_release);
   }
 
@@ -101,8 +92,6 @@ public:
   /// can reach this version.
   void releaseBody() {
     Code = IRFunction();
-    IcSites.clear();
-    IcSites.shrink_to_fit();
     BodyReleased = true;
   }
   bool bodyReleased() const { return BodyReleased; }
@@ -117,12 +106,6 @@ public:
   bool isInvalidated() const { return Invalidated; }
   void invalidate() { Invalidated = true; }
 
-  /// Inline-cache site for a call instruction (indexed by Instruction::
-  /// IcSlot). Mutated by the interpreter during execution; guarded against
-  /// dispatch-structure changes by the Program's code epoch.
-  InlineCacheSite &icSite(uint32_t Slot) { return IcSites[Slot]; }
-  size_t numIcSites() const { return IcSites.size(); }
-
 private:
   MethodInfo *Method;
   IRFunction Code;
@@ -135,7 +118,6 @@ private:
   bool Invalidated = false;
   bool BodyReleased = false;
   std::atomic<bool> ReadyFlag{false};
-  std::vector<InlineCacheSite> IcSites; ///< one per call site in Code
 };
 
 } // namespace dchm

@@ -468,7 +468,7 @@ VMError Program::tryLink() {
 
 void Program::installCode(MethodInfo &M, CompiledMethod *CM) {
   DCHM_CHECK(Linked, "installCode before link()");
-  // Every install rewrites dispatch structures: invalidate inline caches.
+  // Every install rewrites dispatch structures.
   bumpCodeEpoch();
   M.General = CM;
   if (M.Flags.IsStatic) {
@@ -556,10 +556,10 @@ void Program::retireCompiledBody(CompiledMethod *CM) {
 
 void Program::drainReclaimList(const std::unordered_set<const TIB *> &InUse) {
   // A retired entry is reclaimable once the code epoch has moved past its
-  // stamp (every dispatch structure was rewritten since, so no inline cache
-  // can still yield it) and, for TIBs, no heap object still points at it
-  // (partial-retire faults can strand objects on a retired TIB; freeing it
-  // then would leave dangling Object::Tib pointers).
+  // stamp (the dispatch structures that routed to it were rewritten since,
+  // so no dispatch can still yield it) and, for TIBs, no heap object still
+  // points at it (partial-retire faults can strand objects on a retired
+  // TIB; freeing it then would leave dangling Object::Tib pointers).
   for (size_t I = 0; I < RetiredTibs.size();) {
     if (RetiredTibs[I].Epoch < CodeEpoch &&
         InUse.find(RetiredTibs[I].T.get()) == InUse.end()) {

@@ -100,13 +100,14 @@ public:
     bumpCodeEpoch();
   }
 
-  // --- Dispatch-structure epoch (inline-cache invalidation) ----------------
+  // --- Dispatch-structure epoch (reclamation stamp) -------------------------
   /// Monotonic counter bumped on every write to a dispatch structure (TIB
   /// slot, JTOC entry, IMT entry): code installation, mutation code-pointer
-  /// routing, and IMT rewiring. Inline caches stamped with an older epoch
-  /// are stale and must re-resolve, so a cached target can never bypass a
-  /// freshly installed special (or general) code pointer. Starts at 1 so a
-  /// zero-initialized cache site is never spuriously valid.
+  /// routing, IMT rewiring, plan retirement, and state eviction. Retired
+  /// special TIBs and specialized bodies are stamped with the epoch current
+  /// at retirement, and drainReclaimList frees an entry only once the epoch
+  /// has moved past its stamp — i.e. after the dispatch structures that
+  /// could hand it out were rewritten.
   uint64_t codeEpoch() const {
     return CodeEpoch.load(std::memory_order_acquire);
   }
@@ -185,8 +186,8 @@ private:
   size_t ReclaimedTibs = 0;
   size_t ReclaimedBodies = 0;
 
-  /// Atomic: mutator threads stamp inline caches with the current epoch
-  /// while rendezvous closures bump it.
+  /// Atomic: the stop-the-world closures that bump and read it may run on
+  /// whichever mutator thread leads the rendezvous.
   std::atomic<uint64_t> CodeEpoch{1};
   bool Linked = false;
 };

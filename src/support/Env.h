@@ -7,7 +7,9 @@
 //
 // Every host-side environment knob the runtime reads lives in one table here,
 // with a shared parser, so adding a knob means adding a row instead of another
-// copy-pasted std::getenv block. `dchm_run --print-env` renders the table.
+// copy-pasted std::getenv block. The table is also the only place a knob's
+// default is written: VirtualMachine resolves every VMOptions setting left
+// unset through boolValue()/intValue(). `dchm_run --print-env` renders it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +25,9 @@ namespace env {
 
 enum class KnobType { Bool, Int };
 
-/// One DCHM_* environment variable: name, shape, default (as the string the
-/// --print-env listing shows), legal integer range, and a one-line doc.
+/// One DCHM_* environment variable: name, shape, default (parsed like an
+/// environment value and shown as-is by --print-env), legal integer range,
+/// and a one-line doc.
 struct Knob {
   const char *Name;
   KnobType Ty;
@@ -61,36 +64,38 @@ inline constexpr Knob Knobs[] = {
 inline constexpr size_t NumKnobs = sizeof(Knobs) / sizeof(Knobs[0]);
 
 /// Shared OFF spelling: "OFF", "off", "0" and "false" are false, anything
-/// else set is true (the historical resolveToggle semantics).
+/// else set is true.
 inline bool parseBool(const char *E) {
   return !(std::strcmp(E, "OFF") == 0 || std::strcmp(E, "off") == 0 ||
            std::strcmp(E, "0") == 0 || std::strcmp(E, "false") == 0);
 }
 
-inline const Knob *find(const char *Name) {
+/// The registered knob called Name. Asking for an unregistered name is a
+/// programming error and aborts.
+inline const Knob &knob(const char *Name) {
   for (const Knob &K : Knobs)
     if (std::strcmp(K.Name, Name) == 0)
-      return &K;
-  return nullptr;
+      return K;
+  std::abort();
 }
 
-/// Reads a Bool knob, falling back to Default when unset.
-inline bool boolOr(const char *Name, bool Default) {
-  if (const char *E = std::getenv(Name))
-    return parseBool(E);
-  return Default;
+/// A Bool knob's value: the environment's when set, else the table default.
+inline bool boolValue(const char *Name) {
+  const Knob &K = knob(Name);
+  const char *E = std::getenv(Name);
+  return parseBool(E ? E : K.Default);
 }
 
-/// Reads an Int knob; a value outside the registered [Min, Max] range is
-/// ignored (the default survives), matching the historical per-site parses.
-inline long long intOr(const char *Name, long long Default) {
-  const Knob *K = find(Name);
+/// An Int knob's value: the environment's when set and inside the
+/// registered [Min, Max] range, else the table default.
+inline long long intValue(const char *Name) {
+  const Knob &K = knob(Name);
   if (const char *E = std::getenv(Name)) {
     long long N = std::strtoll(E, nullptr, 10);
-    if (!K || (N >= K->Min && N <= K->Max))
+    if (N >= K.Min && N <= K.Max)
       return N;
   }
-  return Default;
+  return std::strtoll(K.Default, nullptr, 10);
 }
 
 /// Renders the registry (one knob per line) for `dchm_run --print-env`.

@@ -53,7 +53,7 @@ TEST(CompilePipeline, AsyncBodyMatchesSyncBody) {
   CounterFixture FxSync, FxAsync;
   OptCompiler Sync(*FxSync.P); // default: synchronous, no cache
   OptCompiler Async(*FxAsync.P);
-  Async.configure(/*Async=*/true, /*Threads=*/2, /*SpecializationCache=*/false);
+  Async.configure({.Async = true, .Threads = 2}, /*SpecializationCache=*/false);
 
   CompiledMethod *CS = Sync.compileGeneral(FxSync.P->method(FxSync.Bump), 2);
   EXPECT_TRUE(CS->ready()); // sync-created code is born ready
@@ -73,7 +73,7 @@ TEST(CompilePipeline, AsyncBodyMatchesSyncBody) {
 TEST(CompilePipeline, Opt0RunsInlineEvenWhenAsync) {
   CounterFixture Fx;
   OptCompiler OC(*Fx.P);
-  OC.configure(true, 2, false);
+  OC.configure({.Async = true, .Threads = 2}, false);
   // Opt0 is a verbatim translation with no pipeline to run off-thread; it
   // must be ready on return because the caller is about to execute it.
   CompiledMethod *CM = OC.compileGeneral(Fx.P->method(Fx.Get), 0);
@@ -84,7 +84,7 @@ TEST(CompilePipeline, Opt0RunsInlineEvenWhenAsync) {
 TEST(CompilePipeline, DrainLeavesNothingPending) {
   CounterFixture Fx;
   OptCompiler OC(*Fx.P);
-  OC.configure(true, 4, false);
+  OC.configure({.Async = true, .Threads = 4}, false);
   std::vector<CompiledMethod *> CMs;
   for (MethodId M : {Fx.Bump, Fx.Get, Fx.SetMode, Fx.StaticScale})
     CMs.push_back(OC.compileGeneral(Fx.P->method(M), 1));
@@ -94,26 +94,64 @@ TEST(CompilePipeline, DrainLeavesNothingPending) {
     EXPECT_TRUE(CM->ready());
 }
 
-TEST(CompilePipeline, ConfigFromEnvParsesToggles) {
-  CompilePipeline::Config Def;
-  Def.Async = true;
-  Def.Threads = 2;
+TEST(CompilePipeline, VmResolvesOptionOverEnvOverTableDefault) {
+  CounterFixture Fx;
+  const char *const Vars[] = {"DCHM_ASYNC_COMPILE", "DCHM_COMPILE_THREADS",
+                              "DCHM_SPEC_CACHE", "DCHM_CODE_BUDGET"};
+  for (const char *V : Vars)
+    unsetenv(V);
 
+  // Unset option, unset variable: the support/Env.h table default, and
+  // options() reports it.
+  {
+    VirtualMachine VM(*Fx.P, {});
+    const VMOptions &O = VM.options();
+    ASSERT_TRUE(O.AsyncCompile && O.CompileThreads && O.SpecializationCache &&
+                O.CodeBudgetBytes);
+    EXPECT_TRUE(*O.AsyncCompile);
+    EXPECT_EQ(*O.CompileThreads, 2u);
+    EXPECT_TRUE(*O.SpecializationCache);
+    EXPECT_EQ(*O.CodeBudgetBytes, 0u);
+    EXPECT_TRUE(VM.compiler().pipeline().async());
+    EXPECT_EQ(VM.compiler().pipeline().threads(), 2u);
+  }
+
+  // The environment beats the table default.
   setenv("DCHM_ASYNC_COMPILE", "OFF", 1);
   setenv("DCHM_COMPILE_THREADS", "4", 1);
-  CompilePipeline::Config C = CompilePipeline::configFromEnv(Def);
-  EXPECT_FALSE(C.Async);
-  EXPECT_EQ(C.Threads, 4u);
+  setenv("DCHM_SPEC_CACHE", "0", 1);
+  setenv("DCHM_CODE_BUDGET", "4096", 1);
+  {
+    VirtualMachine VM(*Fx.P, {});
+    const VMOptions &O = VM.options();
+    EXPECT_FALSE(*O.AsyncCompile);
+    EXPECT_EQ(*O.CompileThreads, 4u);
+    EXPECT_FALSE(*O.SpecializationCache);
+    EXPECT_EQ(*O.CodeBudgetBytes, 4096u);
+    EXPECT_FALSE(VM.compiler().pipeline().async());
+    EXPECT_EQ(VM.mutation().codeBudget(), 4096u);
+  }
 
-  setenv("DCHM_ASYNC_COMPILE", "1", 1);
-  C = CompilePipeline::configFromEnv(Def);
-  EXPECT_TRUE(C.Async);
+  // An explicit option beats the environment.
+  {
+    VMOptions Opts;
+    Opts.AsyncCompile = true;
+    Opts.CompileThreads = 1;
+    Opts.SpecializationCache = true;
+    Opts.CodeBudgetBytes = 0;
+    VirtualMachine VM(*Fx.P, Opts);
+    const VMOptions &O = VM.options();
+    EXPECT_TRUE(*O.AsyncCompile);
+    EXPECT_EQ(*O.CompileThreads, 1u);
+    EXPECT_TRUE(*O.SpecializationCache);
+    EXPECT_EQ(*O.CodeBudgetBytes, 0u);
+    EXPECT_TRUE(VM.compiler().pipeline().async());
+    EXPECT_EQ(VM.compiler().pipeline().threads(), 1u);
+    EXPECT_EQ(VM.mutation().codeBudget(), 0u);
+  }
 
-  unsetenv("DCHM_ASYNC_COMPILE");
-  unsetenv("DCHM_COMPILE_THREADS");
-  C = CompilePipeline::configFromEnv(Def);
-  EXPECT_TRUE(C.Async);
-  EXPECT_EQ(C.Threads, 2u);
+  for (const char *V : Vars)
+    unsetenv(V);
 }
 
 //===----------------------------------------------------------------------===//
@@ -123,7 +161,7 @@ TEST(CompilePipeline, ConfigFromEnvParsesToggles) {
 TEST(SpecCache, UnreadFieldDoesNotSplitTheCache) {
   CounterFixture Fx(/*WithStaticField=*/true);
   OptCompiler OC(*Fx.P);
-  OC.configure(false, 1, /*SpecializationCache=*/true);
+  OC.configure({}, /*SpecializationCache=*/true);
   OC.setPlan(&Fx.Plan);
   const MutableClassPlan &CP = Fx.Plan.Classes[0];
 
@@ -152,7 +190,7 @@ TEST(SpecCache, UnreadFieldDoesNotSplitTheCache) {
 TEST(SpecCache, InvalidatedEntriesAreNotServed) {
   CounterFixture Fx(/*WithStaticField=*/true);
   OptCompiler OC(*Fx.P);
-  OC.configure(false, 1, true);
+  OC.configure({}, true);
   OC.setPlan(&Fx.Plan);
   const MutableClassPlan &CP = Fx.Plan.Classes[0];
   MethodInfo &SS = Fx.P->method(Fx.StaticScale);
@@ -170,8 +208,8 @@ TEST(SpecCache, HitsChargeIdenticalModeledCycles) {
   // with the cache on must report the exact cycles of a run with it off.
   CounterFixture FxOn(true), FxOff(true);
   OptCompiler On(*FxOn.P), Off(*FxOff.P);
-  On.configure(false, 1, true);
-  Off.configure(false, 1, false);
+  On.configure({}, true);
+  Off.configure({}, false);
   On.setPlan(&FxOn.Plan);
   Off.setPlan(&FxOff.Plan);
 
@@ -196,9 +234,9 @@ TEST(SpecCache, EndToEndSharesStaticOnlyReader) {
   CounterFixture Fx(/*WithStaticField=*/true);
   VMOptions Opts;
   Opts.Adaptive.AcceleratedMutableHotness = true;
-  Opts.AsyncCompile = HostToggle::On;
+  Opts.AsyncCompile = true;
   Opts.CompileThreads = 2;
-  Opts.SpecializationCache = HostToggle::On;
+  Opts.SpecializationCache = true;
   VirtualMachine VM(*Fx.P, Opts);
   VM.setMutationPlan(&Fx.Plan);
   Object *O = Fx.makeCounter(VM, 0);
@@ -232,8 +270,8 @@ struct WorkloadResult {
 /// A mutation-heavy workload: two counters swinging through hot states 0/1
 /// and the cold state 2 while the adaptive system recompiles mid-loop, with
 /// virtual, interface, and static dispatch all on the path.
-WorkloadResult runCounterWorkload(HostToggle Async, unsigned Threads,
-                                  HostToggle Cache, int64_t Reps = 400) {
+WorkloadResult runCounterWorkload(bool Async, unsigned Threads, bool Cache,
+                                  int64_t Reps = 400) {
   CounterFixture Fx(/*WithStaticField=*/true);
   VMOptions Opts;
   Opts.Adaptive.Opt1Threshold = 20;
@@ -241,7 +279,7 @@ WorkloadResult runCounterWorkload(HostToggle Async, unsigned Threads,
   Opts.AsyncCompile = Async;
   Opts.CompileThreads = Threads;
   Opts.SpecializationCache = Cache;
-  Opts.AuditConsistency = HostToggle::On;
+  Opts.AuditConsistency = true;
   VirtualMachine VM(*Fx.P, Opts);
   VM.setMutationPlan(&Fx.Plan);
   ConsistencyAuditor Auditor(VM, /*Stride=*/16);
@@ -269,17 +307,17 @@ WorkloadResult runCounterWorkload(HostToggle Async, unsigned Threads,
 
 TEST(CompileDeterminism, BitIdenticalAcrossConfigs) {
   const WorkloadResult Base =
-      runCounterWorkload(HostToggle::Off, 1, HostToggle::Off);
+      runCounterWorkload(false, 1, false);
   struct Cfg {
-    HostToggle Async;
+    bool Async;
     unsigned Threads;
-    HostToggle Cache;
+    bool Cache;
   };
   const Cfg Cfgs[] = {
-      {HostToggle::Off, 1, HostToggle::On},
-      {HostToggle::On, 1, HostToggle::On},
-      {HostToggle::On, 4, HostToggle::On},
-      {HostToggle::On, 4, HostToggle::Off},
+      {false, 1, true},
+      {true, 1, true},
+      {true, 4, true},
+      {true, 4, false},
   };
   for (const Cfg &C : Cfgs) {
     WorkloadResult R = runCounterWorkload(C.Async, C.Threads, C.Cache);
@@ -299,7 +337,7 @@ TEST(CompileDeterminism, BitIdenticalAcrossConfigs) {
               Base.Metrics.SpecialCompileRequests);
     // ... while the cache may only shrink host-side code footprint.
     EXPECT_LE(R.Metrics.SpecialCodeBytes, Base.Metrics.SpecialCodeBytes);
-    if (C.Cache == HostToggle::On)
+    if (C.Cache)
       EXPECT_GT(R.Metrics.SpecialCacheHits, 0u);
     else
       EXPECT_EQ(R.Metrics.SpecialCacheHits, 0u);
@@ -317,10 +355,10 @@ TEST(CompileStress, AsyncCompileMutateDispatchStress) {
   // pool startup/shutdown is covered too; results must match the fully
   // synchronous schedule exactly.
   const WorkloadResult Base =
-      runCounterWorkload(HostToggle::Off, 1, HostToggle::Off, 600);
+      runCounterWorkload(false, 1, false, 600);
   for (int Round = 0; Round < 3; ++Round) {
     WorkloadResult R =
-        runCounterWorkload(HostToggle::On, 4, HostToggle::On, 600);
+        runCounterWorkload(true, 4, true, 600);
     EXPECT_EQ(R.Sum, Base.Sum);
     EXPECT_EQ(R.Metrics.OutputHash, Base.Metrics.OutputHash);
     EXPECT_EQ(R.Metrics.Insts, Base.Metrics.Insts);

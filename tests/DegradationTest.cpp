@@ -103,15 +103,15 @@ TEST(Retirement, ReinstallAfterRetireWorks) {
   EXPECT_EQ(get(Fx, VM, O2), Before + 100); // mode 1: +10 each
 }
 
-TEST(Retirement, StaleInlineCacheRetargetsAfterRetire) {
+TEST(Retirement, GeneralCodeRunsAfterRetire) {
   CounterFixture Fx;
   VirtualMachine VM(*Fx.P, {});
   VM.setMutationPlan(&Fx.Plan);
   LocalRootScope Pin(VM.heap());
   Object *O = Fx.makeCounter(VM, 0);
   Pin.add(O);
-  // Specialize bump for state 0, then warm the DriveBump call-site inline
-  // cache while the plan is active.
+  // Specialize bump for state 0 and run the DriveBump call site on it while
+  // the plan is active.
   makeHot(Fx, VM, O);
   VM.call(Fx.DriveBump, {valueR(O), valueI(100)});
   int64_t Total = get(Fx, VM, O); // 5000 + 100, all +1 in mode 0
@@ -119,12 +119,12 @@ TEST(Retirement, StaleInlineCacheRetargetsAfterRetire) {
 
   uint64_t EpochBefore = Fx.P->codeEpoch();
   ASSERT_TRUE(VM.retireMutationPlan());
-  // Retirement bumps the code epoch so the warmed cache entry misses...
+  // Retirement rewrote the dispatch structures and moved the code epoch
+  // past the retired TIBs' and bodies' reclamation stamps.
   EXPECT_GT(Fx.P->codeEpoch(), EpochBefore);
 
-  // ...which matters now: mode is no longer a state field, so this store
-  // fires no part I hook, and only the epoch check keeps the stale entry
-  // (general receiver TIB -> state-0 specialized code) from being reused.
+  // Mode is no longer a state field, so this store fires no part I hook;
+  // the same call site must still dispatch through the restored class TIB.
   VM.call(Fx.SetMode, {valueR(O), valueI(5)});
   VM.call(Fx.DriveBump, {valueR(O), valueI(50)});
   // Correct dispatch runs general code: mode 5 is cold, +100 per bump. The
@@ -171,14 +171,14 @@ TEST(Retirement, PrologueRoundTripIsFingerprintIdentical) {
   // must agree with itself across fresh vs round-trip, and with config 0.
   std::vector<VMOptions> Configs(4);
   Configs[0].Dispatch = DispatchMode::Switch;
-  Configs[0].AsyncCompile = HostToggle::Off;
+  Configs[0].AsyncCompile = false;
   Configs[1].Dispatch = DispatchMode::Threaded;
-  Configs[1].AsyncCompile = HostToggle::Off;
+  Configs[1].AsyncCompile = false;
   Configs[2].Dispatch = DispatchMode::Switch;
-  Configs[2].AsyncCompile = HostToggle::On;
+  Configs[2].AsyncCompile = true;
   Configs[2].CompileThreads = 2;
   Configs[3].Dispatch = DispatchMode::Threaded;
-  Configs[3].AsyncCompile = HostToggle::On;
+  Configs[3].AsyncCompile = true;
   Configs[3].CompileThreads = 4;
 
   std::string Reference = runFingerprint(Configs[0], /*RoundTrip=*/false);
@@ -219,7 +219,7 @@ TEST(Retirement, MidRunRetireReinstallKeepsOutput) {
   {
     CounterFixture Fx;
     VMOptions Opts;
-    Opts.AuditConsistency = HostToggle::On;
+    Opts.AuditConsistency = true;
     VirtualMachine VM(*Fx.P, Opts);
     VM.setMutationPlan(&Fx.Plan);
     ConsistencyAuditor Auditor(VM);
@@ -235,7 +235,7 @@ TEST(Retirement, MidRunRetireReinstallKeepsOutput) {
 TEST(Reclamation, StrandedObjectsBlockReclaimAndTripAuditor) {
   CounterFixture Fx;
   VMOptions Opts;
-  Opts.AuditConsistency = HostToggle::On;
+  Opts.AuditConsistency = true;
   VirtualMachine VM(*Fx.P, Opts);
   VM.setMutationPlan(&Fx.Plan);
   ConsistencyAuditor Auditor(VM);
@@ -277,7 +277,7 @@ TEST(Degradation, BudgetEvictsDownToFitAndStaysCorrect) {
   CounterFixture Fx;
   VMOptions Opts;
   Opts.CodeBudgetBytes = 1; // below any special TIB: everything must go
-  Opts.AuditConsistency = HostToggle::On;
+  Opts.AuditConsistency = true;
   VirtualMachine VM(*Fx.P, Opts);
   VM.setMutationPlan(&Fx.Plan);
   ConsistencyAuditor Auditor(VM);
@@ -289,7 +289,7 @@ TEST(Degradation, BudgetEvictsDownToFitAndStaysCorrect) {
   VM.call(Fx.DriveBump, {valueR(O), valueI(100)});
 
   EXPECT_GE(VM.mutation().stats().StateEvictions, 2u);
-  EXPECT_LE(VM.mutation().specialFootprintBytes(), Opts.CodeBudgetBytes);
+  EXPECT_LE(VM.mutation().specialFootprintBytes(), *Opts.CodeBudgetBytes);
   // Evicted states resolve through the class TIB; results are unchanged.
   EXPECT_EQ(get(Fx, VM, O), 5100);
   Auditor.auditNow("end of test");
@@ -298,7 +298,7 @@ TEST(Degradation, BudgetEvictsDownToFitAndStaysCorrect) {
 
 TEST(Degradation, UnlimitedBudgetNeverEvicts) {
   CounterFixture Fx;
-  VirtualMachine VM(*Fx.P, {}); // CodeBudgetBytes = 0 = unlimited
+  VirtualMachine VM(*Fx.P, {}); // DCHM_CODE_BUDGET default: unlimited
   VM.setMutationPlan(&Fx.Plan);
   LocalRootScope Pin(VM.heap());
   Object *O = Fx.makeCounter(VM, 0);
@@ -339,7 +339,7 @@ TEST(Degradation, ColdestStateEvictedFirst) {
 TEST(FaultTolerance, TransientFaultsRetryAndHeal) {
   CounterFixture Fx;
   VMOptions Opts;
-  Opts.AsyncCompile = HostToggle::On;
+  Opts.AsyncCompile = true;
   Opts.CompileThreads = 1;
   VirtualMachine VM(*Fx.P, Opts);
   VM.setMutationPlan(&Fx.Plan);
@@ -365,7 +365,7 @@ TEST(FaultTolerance, PersistentFaultQuarantinesWithoutWedging) {
   {
     CounterFixture Fx;
     VMOptions Opts;
-    Opts.AsyncCompile = HostToggle::Off;
+    Opts.AsyncCompile = false;
     VirtualMachine VM(*Fx.P, Opts);
     VM.setMutationPlan(&Fx.Plan);
     LocalRootScope Pin(VM.heap());
@@ -379,7 +379,7 @@ TEST(FaultTolerance, PersistentFaultQuarantinesWithoutWedging) {
 
   CounterFixture Fx;
   VMOptions Opts;
-  Opts.AsyncCompile = HostToggle::On;
+  Opts.AsyncCompile = true;
   Opts.CompileThreads = 1;
   VirtualMachine VM(*Fx.P, Opts);
   VM.setMutationPlan(&Fx.Plan);

@@ -292,7 +292,7 @@ TEST(Interp, DeepRecursionNearFrameLimitSucceeds) {
   // sum(n) = n + sum(n - 1); depth 500 sits just under MaxFrames (512) and
   // forces the register arena through several geometric growths (each frame
   // re-derives its register window after the nested call returns).
-  for (bool Arena : {false, true}) {
+  for (DispatchMode DM : {DispatchMode::Switch, DispatchMode::Threaded}) {
     Program P;
     ClassId C = P.defineClass("C");
     MethodId M = P.defineMethod(C, "sum", Type::I64, {Type::I64},
@@ -309,7 +309,7 @@ TEST(Interp, DeepRecursionNearFrameLimitSucceeds) {
     P.setBody(M, B.finalize());
     P.link();
     VMOptions Opts;
-    Opts.FrameArena = Arena;
+    Opts.Dispatch = DM;
     VirtualMachine VM(P, Opts);
     EXPECT_EQ(VM.call(M, {valueI(500)}).I, 500 * 501 / 2);
   }

@@ -326,49 +326,35 @@ TEST(MutationImt, InterfaceCallReachesSpecializedCode) {
   EXPECT_EQ(VM.call(Fx.Get, {valueR(O)}).I, Before + 10);
 }
 
-// --- Interleaved mutation / fast-path stress (docs/dispatch.md) ---------------
+// --- Interleaved mutation / dispatch stress (docs/dispatch.md) ----------------
 //
-// The inline caches key on the receiver's TIB pointer and on the Program's
-// code epoch. These tests interleave part I (object TIB swings on state
-// stores) and part II (special code installation on recompilation) with hot
-// cached call sites, across every dispatch configuration, and demand
-// bit-identical observable behavior: a single stale-cache dispatch would
-// change the printed totals and hence the output hash.
+// These tests interleave part I (object TIB swings on state stores) and part
+// II (special code installation on recompilation) with hot call sites, in
+// both dispatch modes, and demand bit-identical observable behavior: a
+// single stale dispatch would change the printed totals and hence the
+// output hash.
 
 namespace {
 struct StressOutcome {
   uint64_t Hash = 0;
   uint64_t Insts = 0;
-  uint64_t IcHits = 0;
-  uint64_t TibSwings = 0;
 };
 
-struct FastPathConfig {
-  DispatchMode DM;
-  bool ICs, Arena;
-};
-
-constexpr FastPathConfig FastPathConfigs[] = {
-    {DispatchMode::Switch, false, false}, // the seed interpreter
-    {DispatchMode::Switch, true, true},
-    {DispatchMode::Threaded, false, false},
-    {DispatchMode::Threaded, true, true},
-};
+constexpr DispatchMode DispatchModes[] = {DispatchMode::Switch,
+                                          DispatchMode::Threaded};
 
 /// Runs the interleaved scenario: two counters cycling hot(0) -> hot(1) ->
 /// cold(2) states while the same driveBump/driveIface call sites dispatch
 /// on both receivers, with promotion thresholds low enough that special
-/// code installs (and bumps the epoch) mid-stress.
-StressOutcome runInterleaved(const FastPathConfig &C, bool Mut) {
+/// code installs mid-stress.
+StressOutcome runInterleaved(DispatchMode DM, bool Mut) {
   CounterFixture Fx;
   VMOptions Opts;
   Opts.EnableMutation = Mut;
   Opts.Adaptive.Opt1Threshold = 40;
   Opts.Adaptive.Opt2Threshold = 160;
-  Opts.Dispatch = C.DM;
-  Opts.InlineCaches = C.ICs;
-  Opts.FrameArena = C.Arena;
-  Opts.AuditConsistency = HostToggle::On;
+  Opts.Dispatch = DM;
+  Opts.AuditConsistency = true;
   VirtualMachine VM(*Fx.P, Opts);
   VM.setMutationPlan(&Fx.Plan);
   ConsistencyAuditor Auditor(VM, /*Stride=*/16);
@@ -390,43 +376,38 @@ StressOutcome runInterleaved(const FastPathConfig &C, bool Mut) {
   Auditor.auditNow("end of stress run");
   EXPECT_GT(Auditor.auditsRun(), 0u);
   EXPECT_TRUE(Auditor.clean()) << Auditor.report();
+  if (Mut) {
+    EXPECT_GT(VM.mutation().stats().ObjectTibSwings, 0u);
+  }
   StressOutcome R;
   R.Hash = VM.interp().outputHash();
   R.Insts = VM.interp().stats().Insts;
-  R.IcHits = VM.interp().stats().IcHits;
-  R.TibSwings = VM.mutation().stats().ObjectTibSwings;
   return R;
 }
 } // namespace
 
 TEST(MutationStress, InterleavedTibSwapsNeverDispatchStale) {
   uint64_t RefHash = 0;
-  bool SawContention = false;
-  for (const FastPathConfig &C : FastPathConfigs) {
-    StressOutcome Off = runInterleaved(C, false);
-    StressOutcome On = runInterleaved(C, true);
+  for (DispatchMode DM : DispatchModes) {
+    StressOutcome Off = runInterleaved(DM, false);
+    StressOutcome On = runInterleaved(DM, true);
     // Mutation on vs off: identical printed totals.
     EXPECT_EQ(On.Hash, Off.Hash);
-    // Every dispatch configuration prints the same totals as every other.
+    // Both dispatch modes print the same totals.
     if (RefHash == 0)
       RefHash = Off.Hash;
     EXPECT_EQ(Off.Hash, RefHash);
     EXPECT_EQ(On.Hash, RefHash);
-    if (C.ICs && On.IcHits > 0 && On.TibSwings > 0)
-      SawContention = true;
   }
-  // The race was real: at least one configuration had warm caches while
-  // object TIBs were swinging underneath them.
-  EXPECT_TRUE(SawContention);
 }
 
 TEST(MutationStress, InterleavedRunsChargeIdenticalSimulatedCost) {
-  // For a fixed mutation setting, the fast-path knobs must not change the
+  // For a fixed mutation setting, the dispatch mode must not change the
   // simulated instruction count by even one instruction.
   for (bool Mut : {false, true}) {
     uint64_t BaseInsts = 0;
-    for (const FastPathConfig &C : FastPathConfigs) {
-      StressOutcome R = runInterleaved(C, Mut);
+    for (DispatchMode DM : DispatchModes) {
+      StressOutcome R = runInterleaved(DM, Mut);
       if (BaseInsts == 0)
         BaseInsts = R.Insts;
       EXPECT_EQ(R.Insts, BaseInsts) << "mutation=" << Mut;
@@ -434,19 +415,17 @@ TEST(MutationStress, InterleavedRunsChargeIdenticalSimulatedCost) {
   }
 }
 
-TEST(MutationStress, StaticStateFlipInvalidatesWarmStaticCaches) {
+TEST(MutationStress, StaticStateFlipRetargetsJtoc) {
   // staticScale()'s specialized body folds globalMode to the hot value 0
   // (returns 0); the general body reads the live slot. After the static
-  // state flips, a stale cached JTOC entry would keep returning 0 — the
-  // epoch bump from the code-pointer update must force a re-miss.
-  for (const FastPathConfig &C : FastPathConfigs) {
+  // state flips, part I must re-point the JTOC entry so the same warm
+  // CallStatic site reaches the general code, and back again.
+  for (DispatchMode DM : DispatchModes) {
     CounterFixture Fx{/*WithStaticField=*/true};
     VMOptions Opts;
     Opts.Adaptive.Opt1Threshold = 40;
     Opts.Adaptive.Opt2Threshold = 160;
-    Opts.Dispatch = C.DM;
-    Opts.InlineCaches = C.ICs;
-    Opts.FrameArena = C.Arena;
+    Opts.Dispatch = DM;
     VirtualMachine VM(*Fx.P, Opts);
     VM.setMutationPlan(&Fx.Plan);
     Object *O = Fx.makeCounter(VM, 0);
@@ -457,17 +436,17 @@ TEST(MutationStress, StaticStateFlipInvalidatesWarmStaticCaches) {
     // Warm the CallStatic site itself on the specialized entry.
     ASSERT_TRUE(Fx.P->staticEntry(Fx.StaticScale)->isSpecialized());
     EXPECT_EQ(VM.call(Fx.DriveStatic, {valueI(50)}).I, 0);
-    uint64_t Epoch = Fx.P->codeEpoch();
     // Flip the static state: part I reverts the JTOC to general code.
     FieldInfo &GF = Fx.P->field(Fx.GlobalMode);
     Fx.P->setStaticSlot(GF.Slot, valueI(9));
     VM.onStaticStateStore(GF);
-    EXPECT_GT(Fx.P->codeEpoch(), Epoch);
+    EXPECT_FALSE(Fx.P->staticEntry(Fx.StaticScale)->isSpecialized());
     // The same warm site must now reach the general code: 9 * 7 per call.
     EXPECT_EQ(VM.call(Fx.DriveStatic, {valueI(50)}).I, 50 * 63);
     // And back to the hot state: specialized again.
     Fx.P->setStaticSlot(GF.Slot, valueI(0));
     VM.onStaticStateStore(GF);
+    EXPECT_TRUE(Fx.P->staticEntry(Fx.StaticScale)->isSpecialized());
     EXPECT_EQ(VM.call(Fx.DriveStatic, {valueI(50)}).I, 0);
     EXPECT_GT(VM.mutation().stats().CodePointerUpdates, 0u);
   }

@@ -120,7 +120,7 @@ TEST(MultiMutator, RetireReinstallCyclesRaceMutatorEntry) {
   Opts.MutatorThreads = 4;
   Opts.Adaptive.Opt1Threshold = 8;
   Opts.Adaptive.Opt2Threshold = 64;
-  Opts.AuditConsistency = HostToggle::On;
+  Opts.AuditConsistency = true;
   VirtualMachine VM(*Fx.P, Opts);
   ConsistencyAuditor Auditor(VM, /*Stride=*/256);
   VM.setAuditHook(&Auditor);
@@ -159,11 +159,11 @@ TEST(MultiMutator, RendezvousWhileQuarantinePublishesHeldBody) {
   CounterFixture Fx;
   VMOptions Opts;
   Opts.MutatorThreads = 2;
-  Opts.AsyncCompile = HostToggle::On;
+  Opts.AsyncCompile = true;
   Opts.CompileThreads = 1;
   Opts.Adaptive.Opt1Threshold = 8;
   Opts.Adaptive.Opt2Threshold = 64;
-  Opts.AuditConsistency = HostToggle::On;
+  Opts.AuditConsistency = true;
   VirtualMachine VM(*Fx.P, Opts);
   ConsistencyAuditor Auditor(VM, /*Stride=*/256);
   VM.setAuditHook(&Auditor);
@@ -202,7 +202,7 @@ TEST(MultiMutator, RendezvousCompletesWhileMutatorBlockedInWaitFor) {
   CounterFixture Fx;
   VMOptions Opts;
   Opts.MutatorThreads = 2;
-  Opts.AsyncCompile = HostToggle::On;
+  Opts.AsyncCompile = true;
   Opts.CompileThreads = 1;
   Opts.Adaptive.Opt1Threshold = 8;
   Opts.Adaptive.Opt2Threshold = 1 << 28; // one promotion only
@@ -259,7 +259,7 @@ TEST(MultiMutator, PerThreadOutputHashesAreDeterministic) {
     Opts.MutatorThreads = N;
     Opts.Adaptive.Opt1Threshold = 8;
     Opts.Adaptive.Opt2Threshold = 64;
-    Opts.AuditConsistency = HostToggle::On;
+    Opts.AuditConsistency = true;
     VirtualMachine VM(*Fx.P, Opts);
     ConsistencyAuditor Auditor(VM, /*Stride=*/512);
     VM.setAuditHook(&Auditor);

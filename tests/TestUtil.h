@@ -64,7 +64,7 @@ struct CounterFixture {
   MethodId IfaceBump, CounterCtor, Bump, Get, SetMode, SubBump, StaticScale;
   /// Interpreted driver bodies: unlike VM.call (which resolves through
   /// invoke()), these execute real CallVirtual/CallInterface/CallStatic
-  /// instructions, so per-call-site inline caches are on the path.
+  /// instructions, so the interpreter's call-site dispatch is on the path.
   MethodId DriveBump, DriveIface, DriveStatic, Report;
   MutationPlan Plan;
 

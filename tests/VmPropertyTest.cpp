@@ -189,7 +189,7 @@ TEST_P(JtocSweep, CodePointerTracksStaticState) {
   VMOptions Opts;
   Opts.Adaptive.Opt1Threshold = 5;
   Opts.Adaptive.Opt2Threshold = 20;
-  Opts.AuditConsistency = HostToggle::On;
+  Opts.AuditConsistency = true;
   VirtualMachine VM(*Fx.P, Opts);
   VM.setMutationPlan(&Fx.Plan);
   ConsistencyAuditor Auditor(VM);
@@ -238,7 +238,7 @@ TEST_P(ImtSweep, InterfaceDispatchTracksHotStateSwings) {
     Opts.EnableMutation = Mutation;
     Opts.Adaptive.Opt1Threshold = 10;
     Opts.Adaptive.Opt2Threshold = 40;
-    Opts.AuditConsistency = HostToggle::On;
+    Opts.AuditConsistency = true;
     VirtualMachine VM(*Fx.P, Opts);
     VM.setMutationPlan(&Fx.Plan);
     ConsistencyAuditor Auditor(VM);

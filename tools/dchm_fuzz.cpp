@@ -64,21 +64,14 @@ struct HostConfig {
   bool Async = false;
   unsigned Threads = 1;
   bool Cache = true;
-  bool InlineCaches = true;
-  bool FrameArena = true;
 };
 
 const HostConfig SmokeMatrix[] = {
-    {"switch/sync/cache-off", DispatchMode::Switch, false, 1, false, true,
-     true},
-    {"threaded/sync/cache-on", DispatchMode::Threaded, false, 1, true, false,
-     false},
-    {"switch/async1/cache-on", DispatchMode::Switch, true, 1, true, true,
-     false},
-    {"threaded/async2/cache-off", DispatchMode::Threaded, true, 2, false,
-     false, true},
-    {"threaded/async4/cache-on", DispatchMode::Threaded, true, 4, true, true,
-     true},
+    {"switch/sync/cache-off", DispatchMode::Switch, false, 1, false},
+    {"threaded/sync/cache-on", DispatchMode::Threaded, false, 1, true},
+    {"switch/async1/cache-on", DispatchMode::Switch, true, 1, true},
+    {"threaded/async2/cache-off", DispatchMode::Threaded, true, 2, false},
+    {"threaded/async4/cache-on", DispatchMode::Threaded, true, 4, true},
 };
 
 std::vector<HostConfig> fullMatrix() {
@@ -94,7 +87,7 @@ std::vector<HostConfig> fullMatrix() {
                         "/async" + std::to_string(Workers) +
                         (Cache ? "/cache-on" : "/cache-off"));
         M.push_back({Names.back().c_str(), D, Workers != 0,
-                     Workers ? Workers : 1, Cache, true, true});
+                     Workers ? Workers : 1, Cache});
       }
   return M;
 }
@@ -152,12 +145,10 @@ RunOutcome runOne(const std::string &Source, const HostConfig &HC,
   if (Gen.Opt2)
     Opts.Adaptive.Opt2Threshold = Gen.Opt2;
   Opts.Dispatch = HC.Dispatch;
-  Opts.AsyncCompile = HC.Async ? HostToggle::On : HostToggle::Off;
+  Opts.AsyncCompile = HC.Async;
   Opts.CompileThreads = HC.Threads;
-  Opts.SpecializationCache = HC.Cache ? HostToggle::On : HostToggle::Off;
-  Opts.InlineCaches = HC.InlineCaches;
-  Opts.FrameArena = HC.FrameArena;
-  Opts.AuditConsistency = HostToggle::On;
+  Opts.SpecializationCache = HC.Cache;
+  Opts.AuditConsistency = true;
 
   VirtualMachine VM(P, Opts);
   if (Opts.EnableMutation)
@@ -359,7 +350,7 @@ ThreadedOutcome runThreaded(const std::string &Source, unsigned TN,
     Opts.Adaptive.Opt1Threshold = Gen.Opt1;
   if (Gen.Opt2)
     Opts.Adaptive.Opt2Threshold = Gen.Opt2;
-  Opts.AuditConsistency = HostToggle::On;
+  Opts.AuditConsistency = true;
   Opts.MutatorThreads = TN;
 
   VirtualMachine VM(P, Opts);

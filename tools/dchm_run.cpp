@@ -280,7 +280,7 @@ int cmdExec(const std::string &Path, const std::string &Entry,
   if (Gen.Opt2)
     Opts.Adaptive.Opt2Threshold = Gen.Opt2;
   if (AuditOn)
-    Opts.AuditConsistency = HostToggle::On;
+    Opts.AuditConsistency = true;
   VirtualMachine VM(P, Opts);
   if (Opts.EnableMutation)
     VM.setMutationPlan(&Gen.Plan);
