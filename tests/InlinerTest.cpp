@@ -216,7 +216,13 @@ struct TradeoffCase {
   unsigned ConstArgs;
   int K;
   bool ExpectInline;
+  /// Fills what would otherwise be padding. gtest names each case after the
+  /// raw bytes of its parameter, so leaving these bytes uninitialised made
+  /// the case names depend on stack contents; fixing them keeps every case
+  /// name stable from build to build.
+  uint8_t NameTag[3];
 };
+static_assert(sizeof(TradeoffCase) == 12, "TradeoffCase must have no padding");
 
 class TradeoffTest : public ::testing::TestWithParam<TradeoffCase> {};
 
@@ -284,13 +290,16 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, TradeoffTest,
     ::testing::Values(
         // M = 1 state field. Inline iff N > 1 + k.
-        TradeoffCase{0, 0, false}, TradeoffCase{1, 0, false},
-        TradeoffCase{2, 0, true}, TradeoffCase{3, 0, true},
-        TradeoffCase{2, 1, false}, TradeoffCase{3, 1, true},
+        TradeoffCase{0, 0, false, {0xDF, 0xE3, 0x34}},
+        TradeoffCase{1, 0, false, {0x00, 0x00, 0x00}},
+        TradeoffCase{2, 0, true, {0x53, 0x8B, 0x91}},
+        TradeoffCase{3, 0, true, {0xD8, 0xCD, 0x5D}},
+        TradeoffCase{2, 1, false, {0xFF, 0xFF, 0xFF}},
+        TradeoffCase{3, 1, true, {0x00, 0x00, 0x00}},
         // Very negative k: inlining always wins (paper's discussion).
-        TradeoffCase{0, -5, true},
+        TradeoffCase{0, -5, true, {0x4F, 0x84, 0x3A}},
         // Very positive k: specialization always wins.
-        TradeoffCase{3, 5, false}));
+        TradeoffCase{3, 5, false, {0x56, 0x00, 0x00}}));
 
 // --- OLC specialization inlining ---------------------------------------------
 
