@@ -36,9 +36,11 @@
 #include "BenchHarness.h"
 
 #include "core/VM.h"
+#include "support/Parse.h"
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -88,7 +90,7 @@ SalaryRun runSalary(Workload &W, const MutationPlan &Plan,
   W.driveScaled(VM, Scale);
 
   SalaryRun R;
-  R.M = VM.metrics(); // syncs background compilation first
+  R.M = VM.metrics();
   R.FootprintBytes = VM.mutation().specialFootprintBytes();
   if (RetireAtEnd) {
     uint64_t SwingsBefore = VM.mutation().stats().ObjectTibSwings;
@@ -192,11 +194,15 @@ int main(int argc, char **argv) {
   bool CheckOnly = false;
   for (int I = 1; I < argc; ++I) {
     if (std::strncmp(argv[I], "--scale=", 8) == 0)
-      Scale = std::atof(argv[I] + 8);
+      Scale = positiveRealFlag("--scale", argv[I] + 8, 1e6);
     else if (std::strncmp(argv[I], "--repeat=", 9) == 0)
-      Repeat = std::atoi(argv[I] + 9);
+      Repeat = static_cast<int>(intFlag("--repeat", argv[I] + 9, 1, INT_MAX));
     else if (std::strcmp(argv[I], "--check") == 0)
       CheckOnly = true;
+    else {
+      std::fprintf(stderr, "unknown flag %s\n", argv[I]);
+      return 1;
+    }
   }
   if (CheckOnly) {
     Repeat = std::min(Repeat, 2);

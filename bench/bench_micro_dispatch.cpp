@@ -25,11 +25,11 @@
 
 #include "core/VM.h"
 #include "ir/Builder.h"
+#include "support/Parse.h"
 #include "support/Timer.h"
 
-#include <cerrno>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -210,17 +210,6 @@ RunResult runConfig(const Config &Cfg, int64_t Iters) {
   return R;
 }
 
-/// Parses a positive decimal iteration count; false on anything else.
-bool parseIters(const char *S, int64_t &Out) {
-  char *End = nullptr;
-  errno = 0;
-  long long N = std::strtoll(S, &End, 10);
-  if (End == S || *End != '\0' || errno == ERANGE || N <= 0)
-    return false;
-  Out = N;
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -228,11 +217,7 @@ int main(int argc, char **argv) {
   bool CheckOnly = false;
   for (int I = 1; I < argc; ++I) {
     if (std::strncmp(argv[I], "--iters=", 8) == 0) {
-      if (!parseIters(argv[I] + 8, Iters)) {
-        std::fprintf(stderr, "bad --iters value '%s' (want a positive "
-                             "integer)\n", argv[I] + 8);
-        return 1;
-      }
+      Iters = intFlag("--iters", argv[I] + 8, 1, LLONG_MAX);
     } else if (std::strcmp(argv[I], "--check") == 0) {
       CheckOnly = true;
     } else {

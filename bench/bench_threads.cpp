@@ -6,7 +6,7 @@
 // Host-side throughput benchmark of the multi-mutator VM (docs/threads.md):
 // a jbb-style multi-warehouse run where every mutator thread drives its own
 // warehouse — a thread-confined TxLogger swung between hot states while
-// transactions accumulate — against one shared Program/Heap/CompilePipeline.
+// transactions accumulate — against one shared Program/Heap/compiler.
 //
 // For N in {1, 2, 4, 8} mutators, mutation off and on, the bench runs a
 // fixed per-warehouse transaction count and reports wall-clock transactions
@@ -34,9 +34,11 @@
 
 #include "asm/Assembler.h"
 #include "core/VM.h"
+#include "support/Parse.h"
 #include "support/Timer.h"
 #include "testing/ConsistencyAuditor.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -274,7 +276,7 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     if (A.rfind("--txns=", 0) == 0)
-      Txns = std::stoull(A.substr(7));
+      Txns = intFlag("--txns", Argv[I] + 7, 1, LLONG_MAX);
     else if (A == "--check")
       Check = true;
     else {

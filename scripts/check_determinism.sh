@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
-#===-- scripts/check_determinism.sh - Compile-pipeline determinism gate -----===#
+#===-- scripts/check_determinism.sh - Specialization-cache determinism gate ===#
 #
 # Part of DCHM, a reproduction of "Dynamic Class Hierarchy Mutation"
 # (Su & Lipasti, CGO 2006).
 #
 # Verifies the invariant of docs/compile_pipeline.md from the outside: the
 # program output and every simulated counter printed by `dchm_run run` must
-# be bit-identical across DCHM_ASYNC_COMPILE=ON/OFF and worker counts
-# {1, 4}, and — modulo host-side code-byte accounting — across the
+# be bit-identical — modulo host-side code-byte accounting — across the
 # specialization cache ON/OFF.
 #
 # Usage: scripts/check_determinism.sh [build-dir]
@@ -28,10 +27,9 @@ SCALE="${SCALE:-0.2}"
 FAIL=0
 
 # Wall time is the one legitimately nondeterministic line.
-run_cfg() { # async threads cache workload extra-flags...
-  local ASYNC="$1" THREADS="$2" CACHE="$3" W="$4"
-  shift 4
-  DCHM_ASYNC_COMPILE="$ASYNC" DCHM_COMPILE_THREADS="$THREADS" \
+run_cfg() { # cache workload extra-flags...
+  local CACHE="$1" W="$2"
+  shift 2
   DCHM_SPEC_CACHE="$CACHE" "$RUN" run "$W" --scale="$SCALE" "$@" |
     grep -v "wall time:"
 }
@@ -50,20 +48,11 @@ for W in $WORKLOADS; do
   for MODE in "" "--online"; do
     LABEL="$W${MODE:+ $MODE}"
 
-    # Async/threads sweep, cache fixed on: everything must match, including
-    # host-side code-byte accounting (async defers it, never changes it).
-    REF="$(run_cfg OFF 1 ON "$W" $MODE)"
-    for CFG in "ON 1" "ON 4"; do
-      set -- $CFG
-      OUT="$(run_cfg "$1" "$2" ON "$W" $MODE)"
-      check "$LABEL async=$1 threads=$2" "$REF" "$OUT"
-    done
-
-    # Cache sweep, synchronous: simulated counters and output must match;
-    # code bytes may legitimately shrink (deduplicated special bodies).
-    REF_NOBYTES="$(printf '%s\n' "$REF" | grep -v "code bytes:")"
-    OUT="$(run_cfg OFF 1 OFF "$W" $MODE | grep -v "code bytes:")"
-    check "$LABEL spec-cache off" "$REF_NOBYTES" "$OUT"
+    # Cache sweep: simulated counters and output must match; code bytes may
+    # legitimately shrink (deduplicated special bodies).
+    REF="$(run_cfg ON "$W" $MODE | grep -v "code bytes:")"
+    OUT="$(run_cfg OFF "$W" $MODE | grep -v "code bytes:")"
+    check "$LABEL spec-cache off" "$REF" "$OUT"
   done
 done
 

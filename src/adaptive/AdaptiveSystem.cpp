@@ -58,8 +58,7 @@ void AdaptiveSystem::refreshMutableMethods() {
   for (const MutableClassPlan &CP : Plan->Classes)
     for (MethodId MId : CP.MutableMethods) {
       MethodInfo &M = P.method(MId);
-      if (M.IsMutable && M.CurOptLevel >= 2 && M.Specials.empty() &&
-          !OC.pipeline().quarantined(M))
+      if (M.IsMutable && M.CurOptLevel >= 2 && M.Specials.empty())
         recompile(M, 2);
     }
 }
@@ -70,10 +69,6 @@ void AdaptiveSystem::maybePromote(MethodInfo &M) {
   bool WantOpt1 = M.CurOptLevel == 0 && M.SampleCount >= Cfg.Opt1Threshold;
   bool WantOpt2 = M.CurOptLevel == 1 && M.SampleCount >= Cfg.Opt2Threshold;
   if (!WantOpt1 && !WantOpt2)
-    return;
-  // A quarantined method exhausted its compile attempts; it stays on its
-  // current general code permanently instead of re-entering the pipeline.
-  if (OC.pipeline().quarantined(M))
     return;
   recompile(M, WantOpt1 ? 1 : 2);
 }

@@ -13,6 +13,7 @@
 #include "support/Debug.h"
 
 #include <cstdio>
+#include <vector>
 
 namespace dchm {
 
@@ -26,62 +27,34 @@ void OptCompiler::setPlan(const MutationPlan *Pl) {
   SpecCache.clear();
 }
 
-void OptCompiler::configure(const CompilePipeline::Config &C,
-                            bool SpecializationCache) {
-  Pipeline.configure(C);
-  CacheEnabled = SpecializationCache;
-}
-
-void OptCompiler::foldBytes(CompiledMethod *CM) {
-  Stats.TotalCodeBytes += CM->codeBytes();
-  if (CM->isSpecialized())
-    Stats.SpecialCodeBytes += CM->codeBytes();
-}
-
-void OptCompiler::sync() {
-  Pipeline.drain();
-  for (CompiledMethod *CM : PendingBytes)
-    foldBytes(CM);
-  PendingBytes.clear();
-}
-
 CompiledMethod *OptCompiler::finish(MethodInfo &M, IRFunction Code, int Level,
-                                    int StateIdx, CompilePriority Pr) {
+                                    int StateIdx) {
   // Compile cost scales with the unit size the optimizer actually processes
-  // (post-inlining instruction count). Charged here, at request time in
-  // program order — the pipeline's determinism hinge.
+  // (post-inlining instruction count), charged here in program order.
   size_t UnitSize = Code.Insts.size();
   uint64_t Cycles =
       StateIdx >= 0
           ? CompileCost::SpecialPerCompile + CompileCost::SpecialPerInst * UnitSize
           : CompileCost::PerCompile + CompileCost::perInst(Level) * UnitSize;
 
-  M.CompiledVersions.push_back(
-      std::make_unique<CompiledMethod>(M, Level, StateIdx, Cycles));
+  if (Level >= 1)
+    runOptPipeline(Code);
+  Pipeline.Stats.InlineRuns++;
+  M.CompiledVersions.push_back(std::make_unique<CompiledMethod>(
+      M, std::move(Code), Level, StateIdx, Cycles));
   CompiledMethod *CM = M.CompiledVersions.back().get();
-  // Budget accounting needs a size before the (possibly async) body exists;
-  // estimate from the request-time unit size with the finalizeCode density
-  // model so sync and async hosts charge identical budget bytes.
+  // The budget charge is estimated from the pre-optimization unit size with
+  // the codeBytes() density model; eviction decisions rank on it.
   CM->setBudgetBytes(32 + UnitSize * (Level == 0 ? 14 : 10));
 
   Stats.TotalCompileCycles += Cycles;
+  Stats.TotalCodeBytes += CM->codeBytes();
   if (StateIdx >= 0) {
     Stats.SpecialCompileCycles += Cycles;
     Stats.SpecialCompiles++;
+    Stats.SpecialCodeBytes += CM->codeBytes();
   } else {
     Stats.CompilesAtLevel[Level < 0 ? 0 : (Level > 2 ? 2 : Level)]++;
-  }
-
-  if (!Pipeline.async() || Level < 1) {
-    // Synchronous back half: opt passes now, body ready on return, bytes
-    // folded immediately (the seed-identical bookkeeping order).
-    if (Level >= 1)
-      runOptPipeline(Code);
-    CM->finalizeCode(std::move(Code));
-    foldBytes(CM);
-  } else {
-    PendingBytes.push_back(CM);
-    Pipeline.enqueue(CM, std::move(Code), Level, Pr);
   }
   return CM;
 }
@@ -97,8 +70,7 @@ CompiledMethod *OptCompiler::compileGeneral(MethodInfo &M, int Level) {
     Stats.Inlining.TradeoffRejections += IS.TradeoffRejections;
     Stats.Inlining.InstsAdded += IS.InstsAdded;
   }
-  CompiledMethod *CM =
-      finish(M, std::move(Code), Level, -1, CompilePriority::General);
+  CompiledMethod *CM = finish(M, std::move(Code), Level, -1);
   if (Level > M.CurOptLevel)
     M.CurOptLevel = Level;
   return CM;
@@ -149,9 +121,8 @@ CompiledMethod *OptCompiler::compileSpecial(MethodInfo &M, int Level,
     Inl.run(Code, M);
   }
   size_t UnitSize = Code.Insts.size();
-  CompiledMethod *CM = finish(M, std::move(Code), Level,
-                              static_cast<int>(StateIdx),
-                              CompilePriority::Special);
+  CompiledMethod *CM =
+      finish(M, std::move(Code), Level, static_cast<int>(StateIdx));
   if (CacheEnabled)
     SpecCache[Key] = {CM, UnitSize};
   return CM;

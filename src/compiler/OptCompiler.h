@@ -28,18 +28,14 @@
 
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace dchm {
 
 /// Cumulative compiler activity over a run.
 ///
 /// The cycle fields are part of the simulated machine and are charged
-/// deterministically at request time on the application thread, regardless
-/// of where (or whether yet) the host-side work ran: async mode and the
-/// specialization cache change wall time, compile counts, and code bytes,
-/// never cycles. The byte fields of in-flight async jobs are folded in by
-/// sync(); cycle fields are always current.
+/// deterministically at request time, in program order: the specialization
+/// cache changes wall time, compile counts, and code bytes, never cycles.
 struct CompilerStats {
   uint64_t TotalCompileCycles = 0;
   uint64_t SpecialCompileCycles = 0; ///< spent on specialized versions only
@@ -63,12 +59,10 @@ struct CompilerStats {
 
 /// Compiles MethodInfo bytecode into CompiledMethod artifacts.
 ///
-/// Compilation is split in two: the *front half* (bytecode copy,
-/// specialization, inlining, modeled-cost charging, shell creation) always
-/// runs synchronously on the calling thread, so everything the simulated
-/// machine can observe is fixed in program order; the *back half* (the
-/// optimization pipeline and body publication) runs on the CompilePipeline,
-/// possibly on a worker thread. See docs/compile_pipeline.md.
+/// Every compile runs to completion on the calling thread: bytecode copy,
+/// specialization, inlining, modeled-cost charging, the optimization
+/// pipeline, and the finished body all exist before compileGeneral /
+/// compileSpecial return. See docs/compile_pipeline.md.
 class OptCompiler {
 public:
   explicit OptCompiler(Program &P) : P(P) {}
@@ -81,12 +75,11 @@ public:
   /// specialized compilation). Invalidates the specialization cache.
   void setPlan(const MutationPlan *Pl);
 
-  /// Configures background compilation and the specialization cache. The
-  /// default is fully synchronous with the cache off — the seed behavior —
-  /// so standalone OptCompiler users (tests, analysis tools) see code
-  /// immediately; the VM hands in the configuration it resolved from
-  /// VMOptions and the environment. Never reads the environment itself.
-  void configure(const CompilePipeline::Config &C, bool SpecializationCache);
+  /// Turns the specialization cache on or off. Off by default — the seed
+  /// behavior — for standalone OptCompiler users (tests, analysis tools);
+  /// the VM hands in the value it resolved from VMOptions and the
+  /// environment. Never reads the environment itself.
+  void setSpecializationCache(bool On) { CacheEnabled = On; }
 
   /// Compiles the general (unspecialized) version at the given level.
   /// The returned object is owned by M; the caller installs it.
@@ -97,15 +90,10 @@ public:
   CompiledMethod *compileSpecial(MethodInfo &M, int Level,
                                  const MutableClassPlan &CP, size_t StateIdx);
 
-  /// Blocks until all background compilation has finished and folds the
-  /// deferred byte accounting into stats(). Call before reading code bodies
-  /// or byte counters; cycle counters never need it.
-  void sync();
-
-  /// Blocks until CM's body is published (no-op if it already is).
-  void waitFor(CompiledMethod &CM) { Pipeline.waitFor(CM); }
-
-  CompilePipeline &pipeline() { return Pipeline; }
+  /// No-op: bodies and byte counters are final when a compile returns.
+  /// Kept with pipeline() for perfbench/ (compiler/CompilePipeline.h).
+  void sync() {}
+  const CompilePipeline &pipeline() const { return Pipeline; }
 
   const CompilerStats &stats() const { return Stats; }
 
@@ -119,8 +107,7 @@ private:
   };
 
   CompiledMethod *finish(MethodInfo &M, IRFunction Code, int Level,
-                         int StateIdx, CompilePriority Pr);
-  void foldBytes(CompiledMethod *CM);
+                         int StateIdx);
 
   Program &P;
   InlinerConfig InlineCfg;
@@ -131,9 +118,6 @@ private:
   bool CacheEnabled = false;
   /// Content key (method, level, consumed bindings) -> shared special.
   std::unordered_map<std::string, CacheEntry> SpecCache;
-  /// Shells whose bodies are still in flight; byte accounting is folded by
-  /// sync() once the sizes exist. Application-thread only.
-  std::vector<CompiledMethod *> PendingBytes;
 };
 
 } // namespace dchm

@@ -20,12 +20,6 @@ namespace {
 /// Fills every unset host setting from its DCHM_* variable or, when that is
 /// unset too, the support/Env.h table default. Explicit values win.
 VMOptions resolveOptions(VMOptions O) {
-  if (!O.AsyncCompile)
-    O.AsyncCompile = env::boolValue("DCHM_ASYNC_COMPILE");
-  if (!O.CompileThreads)
-    O.CompileThreads =
-        static_cast<unsigned>(env::intValue("DCHM_COMPILE_THREADS"));
-  O.CompileThreads = std::max(1u, *O.CompileThreads);
   if (!O.SpecializationCache)
     O.SpecializationCache = env::boolValue("DCHM_SPEC_CACHE");
   if (!O.AuditConsistency)
@@ -37,28 +31,6 @@ VMOptions resolveOptions(VMOptions O) {
   O.MutatorThreads = std::max(1u, *O.MutatorThreads);
   return O;
 }
-
-/// The compile pipeline's full configuration: the resolved VM options plus
-/// the fault-tolerance knobs, which exist only as environment variables.
-CompilePipeline::Config pipelineConfig(const VMOptions &O) {
-  CompilePipeline::Config C;
-  C.Async = *O.AsyncCompile;
-  C.Threads = *O.CompileThreads;
-  C.MaxAttempts =
-      static_cast<unsigned>(env::intValue("DCHM_COMPILE_MAX_ATTEMPTS"));
-  C.DeadlineMs =
-      static_cast<unsigned>(env::intValue("DCHM_COMPILE_DEADLINE_MS"));
-  C.FaultEvery =
-      static_cast<unsigned>(env::intValue("DCHM_COMPILE_FAULT_EVERY"));
-  C.FaultPersist = env::boolValue("DCHM_COMPILE_FAULT_PERSIST");
-  return C;
-}
-
-/// The safepoint slot of the current mutator thread, if runMutators bound
-/// one. VMCallbacks carry no thread identity, so the blocked-scope wrappers
-/// (waitForCode) find their slot here. Null single-mutator and on host
-/// threads — all slot-dependent paths then compile down to the old code.
-thread_local SafepointSlot *TlsSlot = nullptr;
 } // namespace
 
 VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
@@ -66,8 +38,7 @@ VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
       Compiler(P), Adaptive(P, Compiler, Opts.Adaptive), Mutation(P) {
   DCHM_CHECK(P.isLinked(), "VirtualMachine requires a linked program");
   Compiler.inlinerConfig() = Opts.Inline;
-  Compiler.configure(pipelineConfig(Opts), *Opts.SpecializationCache);
-  Mutation.setCompiler(&Compiler);
+  Compiler.setSpecializationCache(*Opts.SpecializationCache);
   Mutation.setHeap(&TheHeap);
   Mutation.setCodeBudget(*Opts.CodeBudgetBytes);
   unsigned NThreads = mutatorThreads();
@@ -130,9 +101,6 @@ bool VirtualMachine::retireMutationPlan() {
   if (!MutationActive || !Mutation.plan())
     return false;
   atSafepoint([&] {
-    // Pending specialized shells must publish their bodies before they can
-    // be handed to reclamation — the drain must never race a finalizeCode.
-    Compiler.sync();
     Mutation.retirePlan(TheHeap);
     Adaptive.setPlan(nullptr);
     Adaptive.setRecompileListener(nullptr);
@@ -187,9 +155,7 @@ void VirtualMachine::runMutators(const std::function<void(unsigned)> &Body) {
     TheHeap.bindMutator(Caches[T]);
     SafepointSlot *Slot = Safepoints.registerThread();
     Interps[T]->setSafepointSlot(Slot);
-    TlsSlot = Slot;
     Body(T);
-    TlsSlot = nullptr;
     Interps[T]->setSafepointSlot(nullptr);
     // Fold this thread's allocation buffer with the world stopped, then
     // leave the protocol. Order matters: after unregisterThread this thread
@@ -240,8 +206,6 @@ uint64_t VirtualMachine::totalCycles() const {
 }
 
 RunMetrics VirtualMachine::metrics() {
-  // Finalize in-flight background compiles so byte counters are complete.
-  Compiler.sync();
   RunMetrics M;
   // Per-thread counters merge deterministically: contexts are summed in
   // thread-index order after the mutators joined.
@@ -298,14 +262,6 @@ CompiledMethod *VirtualMachine::ensureCompiled(MethodInfo &M) {
     return CM;
   }
   return Adaptive.ensureCompiled(M);
-}
-
-void VirtualMachine::waitForCode(CompiledMethod &CM) {
-  // A thread waiting on the compile pipeline counts as stopped for a
-  // rendezvous; the scope re-parks on exit if a leader still holds the
-  // world. No-op single-mutator.
-  SafepointBlockedScope Blocked(TlsSlot);
-  Compiler.waitFor(CM);
 }
 
 void VirtualMachine::onMethodEntry(MethodInfo &M) {

@@ -63,12 +63,10 @@ struct VMOptions {
   /// only; simulated cycle counts and program output are identical in both
   /// modes.
   DispatchMode Dispatch = DispatchMode::Default;
-  /// Background compilation knobs (docs/compile_pipeline.md). Like the
-  /// dispatch mode these change host wall time (and host-side compile/code
-  /// counters) only: simulated cycles, instruction counts, and output are
-  /// identical in every combination.
-  std::optional<bool> AsyncCompile;        ///< DCHM_ASYNC_COMPILE
-  std::optional<unsigned> CompileThreads;  ///< DCHM_COMPILE_THREADS
+  /// Content-keyed specialization cache (docs/compile_pipeline.md). Like
+  /// the dispatch mode it changes host wall time and host-side compile/code
+  /// counters only: simulated cycles, instruction counts, and output are
+  /// identical either way.
   std::optional<bool> SpecializationCache; ///< DCHM_SPEC_CACHE
   /// Gates the runtime consistency auditor (testing/ConsistencyAuditor):
   /// when it resolves off, setAuditHook() is a no-op, so harnesses can leave
@@ -206,13 +204,9 @@ public:
   Expected<Value> run(MethodId M, const std::vector<Value> &Args);
 
   /// Total simulated cycles so far: execution + compilation + GC +
-  /// mutation bookkeeping. The drivers use this as the clock. Safe mid-run
-  /// with background compilation: compile cycles are charged at request
-  /// time on this thread, never by workers.
+  /// mutation bookkeeping. The drivers use this as the clock.
   uint64_t totalCycles() const;
 
-  /// Drains background compilation first (compiler().sync()), so the byte
-  /// and code counters are final.
   RunMetrics metrics();
 
   Program &program() { return P; }
@@ -228,7 +222,6 @@ public:
 
   // --- VMCallbacks (interpreter events) ------------------------------------
   CompiledMethod *ensureCompiled(MethodInfo &M) override;
-  void waitForCode(CompiledMethod &CM) override;
   void onMethodEntry(MethodInfo &M) override;
   void onBackedge(MethodInfo &M) override;
   void onInstanceStateStore(Object *O, FieldInfo &F,

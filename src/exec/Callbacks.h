@@ -32,14 +32,6 @@ public:
   /// installed in its dispatch structures and return it.
   virtual CompiledMethod *ensureCompiled(MethodInfo &M) = 0;
 
-  /// The interpreter is about to execute CM but its body is still being
-  /// produced by a background compile (CompiledMethod::ready() is false).
-  /// Block until the body is published. Host-side only: the simulated
-  /// machine already charged this compile at request time, so the wait is
-  /// invisible to cycle counts and output. The default is for callback
-  /// implementations that never hand out pending code.
-  virtual void waitForCode(CompiledMethod &CM) { (void)CM; }
-
   /// Hotness sample on method entry (may recompile synchronously).
   virtual void onMethodEntry(MethodInfo &M) = 0;
 

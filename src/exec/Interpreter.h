@@ -84,9 +84,9 @@ public:
   void setInlineSampling(bool On) { InlineSampling = On; }
 
   /// Attaches a consistency-audit hook fired at the invocation-boundary
-  /// safepoint (right after the pending-compile check, where all dispatch
-  /// structures are quiescent). Null detaches. The hook must not modify
-  /// simulated state; see runtime/AuditHook.h.
+  /// safepoint (the top of the loop, where all dispatch structures are
+  /// quiescent). Null detaches. The hook must not modify simulated state;
+  /// see runtime/AuditHook.h.
   void setAuditHook(AuditHook *H) { Audit = H; }
 
   /// Attaches this interpreter (= this mutator thread) to its rendezvous

@@ -140,19 +140,6 @@ void MutationManager::updateCodePointer(CompiledMethod *&SlotRef,
   P.bumpCodeEpoch();
 }
 
-void MutationManager::boostPendingSpecials(const MutableClassPlan &CP,
-                                           size_t S) {
-  // Cheap gate: hasPending() is one relaxed load, so the common case (no
-  // background compiles in flight) costs nothing on the store-hook path.
-  if (!Compiler || !Compiler->pipeline().hasPending())
-    return;
-  for (MethodId MId : CP.MutableMethods) {
-    MethodInfo &M = P.method(MId);
-    if (S < M.Specials.size() && M.Specials[S])
-      Compiler->pipeline().boost(*M.Specials[S]);
-  }
-}
-
 void MutationManager::onInstanceStateStore(Object *O, FieldInfo &F) {
   // The receiver's *actual* class decides mutability: only instances of the
   // mutable class itself mutate (special code never propagates to
@@ -174,8 +161,6 @@ void MutationManager::onInstanceStateStore(Object *O, FieldInfo &F) {
     // pressure; the class TIB (general code) is its resting place.
     TIB *To = C->SpecialTibs[static_cast<size_t>(S)];
     swingObjectTib(O, To ? To : C->ClassTib);
-    if (To)
-      boostPendingSpecials(CP, static_cast<size_t>(S));
   } else {
     Stats.StateMisses++;
     swingObjectTib(O, C->ClassTib);
@@ -201,8 +186,6 @@ void MutationManager::onConstructorExit(Object *O, MethodInfo &Ctor) {
     SwingIns[static_cast<size_t>(C->MutableIndex)][static_cast<size_t>(S)]++;
     TIB *To = C->SpecialTibs[static_cast<size_t>(S)];
     swingObjectTib(O, To ? To : C->ClassTib);
-    if (To)
-      boostPendingSpecials(CP, static_cast<size_t>(S));
   } else {
     Stats.StateMisses++;
     swingObjectTib(O, C->ClassTib);
@@ -228,7 +211,6 @@ uint64_t MutationManager::migrateExistingObjects(Heap &H) {
       SwingIns[static_cast<size_t>(C->MutableIndex)][static_cast<size_t>(S)]++;
       if (TIB *To = C->SpecialTibs[static_cast<size_t>(S)]) {
         swingObjectTib(O, To);
-        boostPendingSpecials(CP, static_cast<size_t>(S));
         ++Migrated;
       }
     }

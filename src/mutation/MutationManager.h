@@ -113,11 +113,6 @@ public:
   /// degradation). Returns false when nothing is evictable.
   bool evictColdestState();
 
-  /// Wires in the compiler so part I can boost pending background compiles:
-  /// when an object swings into a hot state whose specialized code is still
-  /// in the pipeline, that compile jumps the queue (host-side latency only).
-  void setCompiler(OptCompiler *OC) { Compiler = OC; }
-
   const MutationPlan *plan() const { return Installed; }
 
   /// Attaches a consistency-audit hook notified after every part I/II
@@ -183,9 +178,6 @@ private:
   /// vector size is preserved so state indices stay stable) and its
   /// no-longer-referenced specialized bodies, and re-routes method pointers.
   bool evictState(size_t Idx, size_t S);
-  /// Jumps still-queued compiles of CP's specials for hot state S ahead of
-  /// the queue (an object is about to dispatch through them).
-  void boostPendingSpecials(const MutableClassPlan &CP, size_t S);
 
   /// Notifies the audit hook, if any, that one transition finished.
   void noteTransition(const char *Where) {
@@ -209,7 +201,6 @@ private:
 
   Program &P;
   const MutationPlan *Installed = nullptr;
-  OptCompiler *Compiler = nullptr;
   Heap *TheHeap = nullptr;
   AuditHook *Audit = nullptr;
   MutationDebugFlags Debug;

@@ -32,9 +32,8 @@ class AuditHook {
 public:
   virtual ~AuditHook() = default;
 
-  /// Called at the interpreter's invocation-boundary safepoint (the same
-  /// point that blocks on pending background compiles): all dispatch
-  /// structures are quiescent here. Fired on every method entry, so
+  /// Called at the interpreter's invocation-boundary safepoint: all
+  /// dispatch structures are quiescent here. Fired on every method entry, so
   /// implementations are expected to sample (see ConsistencyAuditor's
   /// stride).
   virtual void onSafepoint() = 0;

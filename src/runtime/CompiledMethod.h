@@ -22,50 +22,24 @@
 #include "ir/Function.h"
 #include "ir/Ids.h"
 
-#include <atomic>
 #include <cstdint>
 
 namespace dchm {
 
 struct MethodInfo;
 
-/// One compiled version of a method.
-///
-/// A CompiledMethod may be created as a *pending shell*: installable in
-/// dispatch structures immediately (its modeled compile cycles are already
-/// charged), while the host-side optimization work that produces the body
-/// runs on a CompilePipeline worker. finalizeCode() publishes the body with
-/// a release store on ReadyFlag; the interpreter checks ready() (acquire) at
-/// its invocation safepoint and blocks until the body lands. A sync-created
-/// CompiledMethod is born ready, so the check is a single always-true load.
+/// One compiled version of a method, constructed with its finished body.
 class CompiledMethod {
 public:
   CompiledMethod(MethodInfo &M, IRFunction CodeIn, int OptLevel,
                  int StateIndex, uint64_t CompileCycles)
-      : CompiledMethod(M, OptLevel, StateIndex, CompileCycles) {
-    finalizeCode(std::move(CodeIn));
-  }
-
-  /// Pending-shell constructor: no body yet; finalizeCode() must follow.
-  CompiledMethod(MethodInfo &M, int OptLevel, int StateIndex,
-                 uint64_t CompileCycles)
-      : Method(&M), OptLevel(OptLevel), StateIndex(StateIndex),
-        CompileCycles(CompileCycles) {}
-
-  /// Publishes the finished body. Called exactly once, either inline from
-  /// the sync constructor or from a pipeline worker thread; every other
-  /// thread observes the body only through a ready() acquire.
-  void finalizeCode(IRFunction CodeIn) {
-    Code = std::move(CodeIn);
-    // Modeled machine-code footprint: a fixed header plus bytes per emitted
-    // instruction. The baseline-ish opt0 translation is less dense than
-    // optimized code, mirroring Jikes' baseline-vs-opt code size ratio.
-    CodeBytes = 32 + Code.Insts.size() * (OptLevel == 0 ? 14 : 10);
-    ReadyFlag.store(true, std::memory_order_release);
-  }
-
-  /// True once the body is published. Pairs with finalizeCode()'s release.
-  bool ready() const { return ReadyFlag.load(std::memory_order_acquire); }
+      : Method(&M), Code(std::move(CodeIn)), OptLevel(OptLevel),
+        StateIndex(StateIndex), CompileCycles(CompileCycles),
+        // Modeled machine-code footprint: a fixed header plus bytes per
+        // emitted instruction. The baseline-ish opt0 translation is less
+        // dense than optimized code, mirroring Jikes' baseline-vs-opt code
+        // size ratio.
+        CodeBytes(32 + Code.Insts.size() * (OptLevel == 0 ? 14 : 10)) {}
 
   MethodInfo &method() const { return *Method; }
   const IRFunction &code() const { return Code; }
@@ -78,10 +52,9 @@ public:
   size_t codeBytes() const { return CodeBytes; }
   uint64_t compileCycles() const { return CompileCycles; }
 
-  /// Deterministic size estimate charged against the code budget at compile
-  /// *request* time (CodeBytes only exists once an async body finalizes, so
-  /// budget accounting cannot use it without diverging between sync and
-  /// async hosts). Set by the compiler when the shell is created.
+  /// Size charged against the code budget, estimated by the compiler from
+  /// the unit size before optimization. Budget eviction ranks on this
+  /// estimate, not on codeBytes().
   size_t budgetBytes() const { return BudgetBytes; }
   void setBudgetBytes(size_t N) { BudgetBytes = N; }
 
@@ -112,12 +85,11 @@ private:
   int OptLevel;
   int StateIndex;
   uint64_t CompileCycles;
-  size_t CodeBytes = 0;
+  size_t CodeBytes;
   size_t BudgetBytes = 0;
   unsigned ShareCount = 1;
   bool Invalidated = false;
   bool BodyReleased = false;
-  std::atomic<bool> ReadyFlag{false};
 };
 
 } // namespace dchm

@@ -580,11 +580,8 @@ void Program::drainReclaimList(const std::unordered_set<const TIB *> &InUse) {
   if (TibStranded)
     return;
   for (size_t I = 0; I < RetiredBodies.size();) {
-    CompiledMethod *CM = RetiredBodies[I].CM;
-    // A pending shell may still be in flight in the compile pipeline; leave
-    // it queued until finalizeCode publishes the body.
-    if (RetiredBodies[I].Epoch < CodeEpoch && CM->ready()) {
-      CM->releaseBody();
+    if (RetiredBodies[I].Epoch < CodeEpoch) {
+      RetiredBodies[I].CM->releaseBody();
       RetiredBodies[I] = RetiredBodies.back();
       RetiredBodies.pop_back();
       ++ReclaimedBodies;

@@ -59,8 +59,8 @@ public:
   /// Slow path: blocks until the leader releases the world.
   void park();
 
-  /// Marks this thread safe while it waits on a host primitive (compile
-  /// waitFor, thread join). A blocked thread counts as stopped for
+  /// Marks this thread safe while it waits on a host primitive (a lock or
+  /// a thread join). A blocked thread counts as stopped for
   /// rendezvous purposes; leaveBlocked() re-parks if a rendezvous is still
   /// active so the thread never runs guest code with the world stopped.
   void enterBlocked();

@@ -16,6 +16,8 @@
 #ifndef DCHM_SUPPORT_ENV_H
 #define DCHM_SUPPORT_ENV_H
 
+#include "support/Parse.h"
+
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -32,7 +34,8 @@ struct Knob {
   const char *Name;
   KnobType Ty;
   const char *Default;
-  long long Min; ///< Int knobs: values outside [Min, Max] are ignored
+  long long Min; ///< Int knobs: malformed values or ones outside
+                 ///< [Min, Max] are ignored
   long long Max;
   const char *Doc;
 };
@@ -43,22 +46,10 @@ inline constexpr Knob Knobs[] = {
      "number of mutator (application) threads the VM runs"},
     {"DCHM_AUDIT", KnobType::Bool, "off", 0, 0,
      "run the consistency auditor at safepoints and transitions"},
-    {"DCHM_ASYNC_COMPILE", KnobType::Bool, "on", 0, 0,
-     "compile on background threads instead of synchronously"},
-    {"DCHM_COMPILE_THREADS", KnobType::Int, "2", 1, 64,
-     "background compiler worker thread count"},
     {"DCHM_SPEC_CACHE", KnobType::Bool, "on", 0, 0,
      "content-keyed specialization cache for special-version compiles"},
     {"DCHM_CODE_BUDGET", KnobType::Int, "0", 1, (1ll << 62),
      "code/TIB byte budget for graceful degradation (0 = unlimited)"},
-    {"DCHM_COMPILE_FAULT_EVERY", KnobType::Int, "0", 0, (1ll << 62),
-     "inject a compile fault every N jobs (0 = never; testing only)"},
-    {"DCHM_COMPILE_FAULT_PERSIST", KnobType::Bool, "off", 0, 0,
-     "injected compile faults persist across retry attempts"},
-    {"DCHM_COMPILE_MAX_ATTEMPTS", KnobType::Int, "3", 1, 100,
-     "compile attempts before a method is quarantined"},
-    {"DCHM_COMPILE_DEADLINE_MS", KnobType::Int, "0", 0, (1ll << 62),
-     "per-job compile deadline in milliseconds (0 = none)"},
 };
 
 inline constexpr size_t NumKnobs = sizeof(Knobs) / sizeof(Knobs[0]);
@@ -86,15 +77,13 @@ inline bool boolValue(const char *Name) {
   return parseBool(E ? E : K.Default);
 }
 
-/// An Int knob's value: the environment's when set and inside the
-/// registered [Min, Max] range, else the table default.
+/// An Int knob's value: the environment's when it is a whole integer inside
+/// the registered [Min, Max] range ("4x" is not), else the table default.
 inline long long intValue(const char *Name) {
   const Knob &K = knob(Name);
-  if (const char *E = std::getenv(Name)) {
-    long long N = std::strtoll(E, nullptr, 10);
-    if (N >= K.Min && N <= K.Max)
-      return N;
-  }
+  long long N = 0;
+  if (parseInt(std::getenv(Name), K.Min, K.Max, N))
+    return N;
   return std::strtoll(K.Default, nullptr, 10);
 }
 

@@ -92,7 +92,6 @@ TEST(Adaptive, Opt1RunsThePipeline) {
     VM.call(Fx.Get, {valueR(O)});
   const MethodInfo &M = Fx.P->method(Fx.Get);
   ASSERT_EQ(M.CurOptLevel, 1);
-  VM.compiler().sync(); // async default: settle bodies before reading them
   // The opt0 version is a verbatim translation; opt1 at least as compact.
   ASSERT_GE(M.CompiledVersions.size(), 2u);
   EXPECT_EQ(M.CompiledVersions[0]->code().Insts.size(),

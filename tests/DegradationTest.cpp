@@ -8,9 +8,8 @@
 /// Tests for the graceful-degradation subsystem (docs/degradation.md): plan
 /// retirement as the stop-the-world reverse of installation, epoch-based
 /// reclamation of retired special TIBs and specialized bodies, the
-/// code/TIB budget with benefit-ranked state eviction, fault-tolerant
-/// background compilation with quarantine, and the recoverable VMError
-/// channel on input-validation and resource paths.
+/// code/TIB budget with benefit-ranked state eviction, and the recoverable
+/// VMError channel on input-validation and resource paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -167,19 +166,11 @@ std::string runFingerprint(const VMOptions &Opts, bool RoundTrip) {
 }
 
 TEST(Retirement, PrologueRoundTripIsFingerprintIdentical) {
-  // Both dispatch modes and async worker counts 0/2/4: every configuration
-  // must agree with itself across fresh vs round-trip, and with config 0.
-  std::vector<VMOptions> Configs(4);
+  // Both dispatch modes: every configuration must agree with itself across
+  // fresh vs round-trip, and with config 0.
+  std::vector<VMOptions> Configs(2);
   Configs[0].Dispatch = DispatchMode::Switch;
-  Configs[0].AsyncCompile = false;
   Configs[1].Dispatch = DispatchMode::Threaded;
-  Configs[1].AsyncCompile = false;
-  Configs[2].Dispatch = DispatchMode::Switch;
-  Configs[2].AsyncCompile = true;
-  Configs[2].CompileThreads = 2;
-  Configs[3].Dispatch = DispatchMode::Threaded;
-  Configs[3].AsyncCompile = true;
-  Configs[3].CompileThreads = 4;
 
   std::string Reference = runFingerprint(Configs[0], /*RoundTrip=*/false);
   for (size_t I = 0; I < Configs.size(); ++I) {
@@ -332,75 +323,6 @@ TEST(Degradation, ColdestStateEvictedFirst) {
   Object *O2 = Fx.makeCounter(VM, 1);
   Pin.add(O2);
   EXPECT_EQ(O2->Tib, C.ClassTib);
-}
-
-// --- Fault-tolerant compilation ----------------------------------------------
-
-TEST(FaultTolerance, TransientFaultsRetryAndHeal) {
-  CounterFixture Fx;
-  VMOptions Opts;
-  Opts.AsyncCompile = true;
-  Opts.CompileThreads = 1;
-  VirtualMachine VM(*Fx.P, Opts);
-  VM.setMutationPlan(&Fx.Plan);
-  // Fail every first attempt; the retry (attempt 1) succeeds.
-  VM.compiler().pipeline().setFaultHook(
-      [](const MethodInfo &, int, unsigned Attempt) { return Attempt == 0; });
-  LocalRootScope Pin(VM.heap());
-  Object *O = Fx.makeCounter(VM, 0);
-  Pin.add(O);
-  makeHot(Fx, VM, O);
-  RunMetrics M = VM.metrics(); // drains the pipeline
-  (void)M;
-  EXPECT_GT(VM.compiler().pipeline().stats().Retries, 0u);
-  EXPECT_EQ(VM.compiler().pipeline().quarantineCount(), 0u);
-  EXPECT_FALSE(VM.compiler().pipeline().quarantined(Fx.P->method(Fx.Bump)));
-  EXPECT_EQ(get(Fx, VM, O), 5000);
-}
-
-TEST(FaultTolerance, PersistentFaultQuarantinesWithoutWedging) {
-  // Baseline: same drive, no faults, synchronous.
-  int64_t Expected;
-  std::string ExpectedOut;
-  {
-    CounterFixture Fx;
-    VMOptions Opts;
-    Opts.AsyncCompile = false;
-    VirtualMachine VM(*Fx.P, Opts);
-    VM.setMutationPlan(&Fx.Plan);
-    LocalRootScope Pin(VM.heap());
-    Object *O = Fx.makeCounter(VM, 0);
-    Pin.add(O);
-    makeHot(Fx, VM, O);
-    VM.call(Fx.Report, {valueR(O)});
-    Expected = get(Fx, VM, O);
-    ExpectedOut = VM.interp().output();
-  }
-
-  CounterFixture Fx;
-  VMOptions Opts;
-  Opts.AsyncCompile = true;
-  Opts.CompileThreads = 1;
-  VirtualMachine VM(*Fx.P, Opts);
-  VM.setMutationPlan(&Fx.Plan);
-  // Every attempt fails: each job exhausts its attempts and the method is
-  // quarantined to general code. The held unoptimized body is published at
-  // quarantine time, so safepoint waiters (waitForCode) never wedge — the
-  // run completing at all is the property under test.
-  VM.compiler().pipeline().setFaultHook(
-      [](const MethodInfo &, int, unsigned) { return true; });
-  LocalRootScope Pin(VM.heap());
-  Object *O = Fx.makeCounter(VM, 0);
-  Pin.add(O);
-  makeHot(Fx, VM, O);
-  VM.call(Fx.Report, {valueR(O)});
-  RunMetrics M = VM.metrics();
-  (void)M;
-  EXPECT_GT(VM.compiler().pipeline().quarantineCount(), 0u);
-  EXPECT_GT(VM.compiler().pipeline().stats().FailedAttempts, 0u);
-  // Quarantined methods still produce correct results via general code.
-  EXPECT_EQ(get(Fx, VM, O), Expected);
-  EXPECT_EQ(VM.interp().output(), ExpectedOut);
 }
 
 // --- Recoverable errors ------------------------------------------------------

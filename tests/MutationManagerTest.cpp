@@ -154,7 +154,6 @@ TEST(MutationPartII, Opt2CompilesSpecialVersionsIntoSpecialTibs) {
   EXPECT_EQ(C.SpecialTibs[0]->Slots[M.VSlot], M.Specials[0]);
   EXPECT_EQ(C.SpecialTibs[1]->Slots[M.VSlot], M.Specials[1]);
   EXPECT_EQ(C.ClassTib->Slots[M.VSlot], M.General);
-  VM.compiler().sync(); // async default: settle bodies before reading them
   // The specialized body is smaller than the general one.
   EXPECT_LT(M.Specials[0]->code().Insts.size(),
             M.General->code().Insts.size());

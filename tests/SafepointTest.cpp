@@ -8,10 +8,8 @@
 /// \file
 /// Tests for the safepoint subsystem and the multi-mutator VM mode: the
 /// manager-level protocol (nested-request rejection, blocked-counts-as-
-/// stopped), rendezvous racing the compile pipeline's quarantine publishes,
-/// plan retire/re-install cycles racing mutator entry, a mutator blocked in
-/// waitFor while another leads a rendezvous, and per-thread determinism of
-/// the guest-visible output streams.
+/// stopped), plan retire/re-install cycles racing mutator entry, and
+/// per-thread determinism of the guest-visible output streams.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,9 +30,7 @@ using test::CounterFixture;
 
 namespace {
 
-void nap(int Us = 100) {
-  std::this_thread::sleep_for(std::chrono::microseconds(Us));
-}
+void nap() { std::this_thread::sleep_for(std::chrono::microseconds(100)); }
 
 //===----------------------------------------------------------------------===//
 // Manager-level protocol
@@ -81,7 +77,7 @@ TEST(SafepointProtocol, BlockedThreadCountsAsStopped) {
   SafepointManager M;
   std::atomic<bool> PeerBlocked{false};
   std::atomic<bool> Release{false};
-  // The peer sits in a host wait (the waitForCode shape) the whole time; it
+  // The peer sits in a host wait (a lock or join) the whole time; it
   // never polls, so the rendezvous below can only complete if Blocked
   // satisfies the leader.
   std::thread Peer([&] {
@@ -148,104 +144,6 @@ TEST(MultiMutator, RetireReinstallCyclesRaceMutatorEntry) {
   EXPECT_TRUE(Auditor.clean()) << Auditor.report();
   EXPECT_GT(VM.safepoints().rendezvousCount(), 0u);
   EXPECT_EQ(VM.safepoints().registered(), 0u); // everyone unregistered
-}
-
-TEST(MultiMutator, RendezvousWhileQuarantinePublishesHeldBody) {
-  // Every async compile attempt faults, so the single worker keeps driving
-  // jobs to quarantine — publishing held bodies — while mutators dispatch
-  // through the pending shells and one of them periodically stops the
-  // world. The rendezvous and the worker's publish are allowed to overlap;
-  // correctness of the guest results and a clean audit are the witnesses.
-  CounterFixture Fx;
-  VMOptions Opts;
-  Opts.MutatorThreads = 2;
-  Opts.AsyncCompile = true;
-  Opts.CompileThreads = 1;
-  Opts.Adaptive.Opt1Threshold = 8;
-  Opts.Adaptive.Opt2Threshold = 64;
-  Opts.AuditConsistency = true;
-  VirtualMachine VM(*Fx.P, Opts);
-  ConsistencyAuditor Auditor(VM, /*Stride=*/256);
-  VM.setAuditHook(&Auditor);
-  VM.setMutationPlan(&Fx.Plan);
-  VM.compiler().pipeline().setFaultHook(
-      [](const MethodInfo &, int, unsigned) { return true; });
-
-  LocalRootScope Pin(VM.heap());
-  for (unsigned T = 0; T < 2; ++T)
-    Pin.add(Fx.makeCounter(VM, T % 2));
-
-  std::atomic<uint64_t> ExplicitStops{0};
-  VM.runMutators([&](unsigned T) {
-    Object *O = Pin[T];
-    for (int R = 0; R < 30; ++R) {
-      VM.callOn(T, Fx.DriveBump, {valueR(O), valueI(20)});
-      if (T == 1 && R % 10 == 5)
-        VM.atSafepoint([&] { ExplicitStops++; });
-    }
-  });
-  VM.compiler().sync();
-
-  EXPECT_EQ(ExplicitStops.load(), 3u);
-  EXPECT_GT(VM.compiler().pipeline().quarantineCount(), 0u);
-  for (unsigned T = 0; T < 2; ++T)
-    EXPECT_EQ(VM.call(Fx.Get, {valueR(Pin[T])}).I, (T % 2) ? 6000 : 600);
-  EXPECT_TRUE(Auditor.clean()) << Auditor.report();
-}
-
-TEST(MultiMutator, RendezvousCompletesWhileMutatorBlockedInWaitFor) {
-  // Mutator 0 promotes Counter.bump, whose async compile is stalled by the
-  // fault hook, and blocks in waitForCode dispatching the pending shell.
-  // Mutator 1 then leads a rendezvous: it must complete while 0 is blocked
-  // (Blocked counts as stopped), and only afterwards is the compile
-  // released. A protocol that waited for 0 to poll would deadlock here.
-  CounterFixture Fx;
-  VMOptions Opts;
-  Opts.MutatorThreads = 2;
-  Opts.AsyncCompile = true;
-  Opts.CompileThreads = 1;
-  Opts.Adaptive.Opt1Threshold = 8;
-  Opts.Adaptive.Opt2Threshold = 1 << 28; // one promotion only
-  VirtualMachine VM(*Fx.P, Opts);
-
-  std::atomic<bool> CompileStarted{false};
-  std::atomic<bool> ReleaseCompile{false};
-  const MethodInfo *Bump = &Fx.P->method(Fx.Bump);
-  VM.compiler().pipeline().setFaultHook(
-      [&](const MethodInfo &M, int Level, unsigned) {
-        if (&M == Bump && Level >= 1) {
-          CompileStarted = true;
-          while (!ReleaseCompile.load(std::memory_order_relaxed))
-            nap();
-        }
-        return false; // never actually fault
-      });
-
-  LocalRootScope Pin(VM.heap());
-  Pin.add(Fx.makeCounter(VM, 0));
-
-  std::atomic<uint64_t> LeaderRan{0};
-  VM.runMutators([&](unsigned T) {
-    if (T == 0) {
-      VM.callOn(0, Fx.DriveBump, {valueR(Pin[0]), valueI(50)});
-      return;
-    }
-    // Host-side spinning must still poll, like any long host call-out on a
-    // mutator thread — a non-polling Running mutator would stall mutator
-    // 0's own promotion rendezvous.
-    SafepointSlot *S = VM.interp(1).safepointSlot();
-    while (!CompileStarted.load(std::memory_order_relaxed)) {
-      S->poll();
-      nap();
-    }
-    nap(5000); // give mutator 0 time to reach waitForCode
-    VM.atSafepoint([&] { LeaderRan++; });
-    ReleaseCompile = true;
-  });
-
-  EXPECT_EQ(LeaderRan.load(), 1u);
-  EXPECT_TRUE(CompileStarted.load());
-  EXPECT_EQ(VM.call(Fx.Get, {valueR(Pin[0])}).I, 50);
 }
 
 TEST(MultiMutator, PerThreadOutputHashesAreDeterministic) {

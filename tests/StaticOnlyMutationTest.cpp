@@ -151,7 +151,6 @@ TEST_F(StaticOnlyFixture, PrivateMethodMutatesThroughClassTib) {
   ASSERT_FALSE(M.Specials.empty());
   EXPECT_EQ(P.cls(C).ClassTib->Slots[M.VSlot], M.Specials[0]);
   EXPECT_EQ(VM.call(CallPriv, {valueR(O)}).I, 20);
-  VM.compiler().sync(); // async default: settle bodies before reading them
   // The specialized private body is branch-free.
   EXPECT_LT(M.Specials[0]->code().Insts.size(),
             M.General->code().Insts.size());

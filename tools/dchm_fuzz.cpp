@@ -5,8 +5,7 @@
 //
 // Differential fuzzer over generated MVM programs (testing/ProgramGen):
 // every program runs through a matrix of host configurations (dispatch
-// strategy x background-compile workers x specialization cache), with
-// mutation off and on, asserting
+// strategy x specialization cache), with mutation off and on, asserting
 //
 //  - bit-identical output and simulated cycle counters across every host
 //    configuration within a mutation group (the PR 2 determinism contract),
@@ -40,16 +39,23 @@
 //             [--inject-skip-code] [--inject-partial-retire]
 //             [--malformed=<n>]
 //
+// Counts must be positive integers; a malformed value exits 1 with a
+// diagnostic naming the flag. --full-matrix is accepted for old command
+// lines and runs the same (complete) matrix.
+//
 //===----------------------------------------------------------------------===//
 
 #include "asm/Assembler.h"
+#include "support/Parse.h"
 #include "testing/ConsistencyAuditor.h"
 #include "testing/ProgramGen.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,36 +67,17 @@ namespace {
 struct HostConfig {
   const char *Name;
   DispatchMode Dispatch;
-  bool Async = false;
-  unsigned Threads = 1;
   bool Cache = true;
 };
 
-const HostConfig SmokeMatrix[] = {
-    {"switch/sync/cache-off", DispatchMode::Switch, false, 1, false},
-    {"threaded/sync/cache-on", DispatchMode::Threaded, false, 1, true},
-    {"switch/async1/cache-on", DispatchMode::Switch, true, 1, true},
-    {"threaded/async2/cache-off", DispatchMode::Threaded, true, 2, false},
-    {"threaded/async4/cache-on", DispatchMode::Threaded, true, 4, true},
+/// Every host configuration: dispatch x specialization cache. [0] is the
+/// reference; [1] replays injection artifacts.
+const HostConfig Matrix[] = {
+    {"switch/cache-off", DispatchMode::Switch, false},
+    {"threaded/cache-on", DispatchMode::Threaded, true},
+    {"switch/cache-on", DispatchMode::Switch, true},
+    {"threaded/cache-off", DispatchMode::Threaded, false},
 };
-
-std::vector<HostConfig> fullMatrix() {
-  std::vector<HostConfig> M;
-  static std::vector<std::string> Names; // keep c_str()s alive
-  Names.clear();
-  Names.reserve(64);
-  for (DispatchMode D : {DispatchMode::Switch, DispatchMode::Threaded})
-    for (unsigned Workers : {0u, 1u, 2u, 4u})
-      for (bool Cache : {false, true}) {
-        Names.push_back(std::string(D == DispatchMode::Switch ? "switch"
-                                                              : "threaded") +
-                        "/async" + std::to_string(Workers) +
-                        (Cache ? "/cache-on" : "/cache-off"));
-        M.push_back({Names.back().c_str(), D, Workers != 0,
-                     Workers ? Workers : 1, Cache});
-      }
-  return M;
-}
 
 struct RunOutcome {
   bool Ok = false;
@@ -145,8 +132,6 @@ RunOutcome runOne(const std::string &Source, const HostConfig &HC,
   if (Gen.Opt2)
     Opts.Adaptive.Opt2Threshold = Gen.Opt2;
   Opts.Dispatch = HC.Dispatch;
-  Opts.AsyncCompile = HC.Async;
-  Opts.CompileThreads = HC.Threads;
   Opts.SpecializationCache = HC.Cache;
   Opts.AuditConsistency = true;
 
@@ -203,7 +188,7 @@ RunOutcome runOne(const std::string &Source, const HostConfig &HC,
 }
 
 /// The simulated-state fingerprint that must be bit-identical across host
-/// configurations (dispatch, workers, caches change wall time only).
+/// configurations (dispatch and the cache change wall time only).
 std::string fingerprint(const RunOutcome &O) {
   std::ostringstream S;
   S << "result=" << O.Result << " hash=" << O.M.OutputHash
@@ -466,20 +451,20 @@ int reportFailure(ProgramGen &G, uint64_t Seed, const std::string &Source,
 
 int main(int Argc, char **Argv) {
   uint64_t N = 50, SeedBase = 1, Stride = 4, Malformed = 0;
-  bool FullMatrix = false, ThreadsDim = false;
+  bool ThreadsDim = false;
   InjectFlags Inject;
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     if (A.rfind("--n=", 0) == 0)
-      N = std::stoull(A.substr(4));
+      N = intFlag("--n", Argv[I] + 4, 1, LLONG_MAX);
     else if (A.rfind("--seed=", 0) == 0)
-      SeedBase = std::stoull(A.substr(7));
+      SeedBase = intFlag("--seed", Argv[I] + 7, 0, LLONG_MAX);
     else if (A.rfind("--stride=", 0) == 0)
-      Stride = std::stoull(A.substr(9));
+      Stride = intFlag("--stride", Argv[I] + 9, 1, LLONG_MAX);
     else if (A.rfind("--malformed=", 0) == 0)
-      Malformed = std::stoull(A.substr(12));
+      Malformed = intFlag("--malformed", Argv[I] + 12, 1, LLONG_MAX);
     else if (A == "--full-matrix")
-      FullMatrix = true;
+      continue; // the one matrix is already complete; kept for old scripts
     else if (A == "--threads")
       ThreadsDim = true;
     else if (A == "--inject-skip-tib")
@@ -498,12 +483,6 @@ int main(int Argc, char **Argv) {
     return runMalformed(Malformed, SeedBase);
   if (ThreadsDim)
     return runThreadsDimension(N, SeedBase, Stride);
-
-  std::vector<HostConfig> Matrix;
-  if (FullMatrix)
-    Matrix = fullMatrix();
-  else
-    Matrix.assign(std::begin(SmokeMatrix), std::end(SmokeMatrix));
 
   uint64_t Runs = 0;
   for (uint64_t I = 0; I < N; ++I) {
@@ -528,7 +507,7 @@ int main(int Argc, char **Argv) {
       std::ifstream In(Path);
       std::stringstream Ss;
       Ss << In.rdbuf();
-      RunOutcome Broken = runOne(Ss.str(), SmokeMatrix[1], /*Mutate=*/true,
+      RunOutcome Broken = runOne(Ss.str(), Matrix[1], /*Mutate=*/true,
                                  Stride, Inject);
       ++Runs;
       if (!Broken.Ok) {
@@ -556,7 +535,7 @@ int main(int Argc, char **Argv) {
 
     std::vector<RunOutcome> Base(2); // [0] = mutation off, [1] = on
     for (int Mut = 0; Mut < 2; ++Mut) {
-      for (size_t C = 0; C < Matrix.size(); ++C) {
+      for (size_t C = 0; C < std::size(Matrix); ++C) {
         RunOutcome O = runOne(Source, Matrix[C], Mut == 1, Stride, {});
         ++Runs;
         std::string Why;
@@ -610,7 +589,7 @@ int main(int Argc, char **Argv) {
   std::printf("fuzz: %llu programs, %llu runs, %zu-config matrix%s: all "
               "consistent\n",
               static_cast<unsigned long long>(N),
-              static_cast<unsigned long long>(Runs), Matrix.size(),
+              static_cast<unsigned long long>(Runs), std::size(Matrix),
               Inject.any() ? " (fault injection)" : "");
   return 0;
 }

@@ -22,11 +22,13 @@
 #include "compiler/Specializer.h"
 #include "online/OnlineController.h"
 #include "support/Env.h"
+#include "support/Parse.h"
 #include "support/Timer.h"
 #include "testing/ConsistencyAuditor.h"
 #include "testing/ProgramGen.h"
 #include "workloads/Workload.h"
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -378,7 +380,8 @@ int main(int Argc, char **Argv) {
       else if (A == "--audit")
         AuditOn = true;
       else
-        MainArgs.push_back(std::stoll(A));
+        MainArgs.push_back(intFlag("entry argument", Argv[I], LLONG_MIN,
+                                   LLONG_MAX));
     }
     return cmdExec(Argv[2], Entry, MainArgs, Mutate, AuditOn);
   }
@@ -407,11 +410,12 @@ int main(int Argc, char **Argv) {
     else if (A == "--accelerated")
       Accelerated = true;
     else if (A.rfind("--scale=", 0) == 0)
-      Scale = std::stod(A.substr(8));
+      Scale = positiveRealFlag("--scale", Argv[I] + 8, 1e6);
     else if (A.rfind("--heap-mb=", 0) == 0)
-      HeapMb = static_cast<size_t>(std::stoul(A.substr(10)));
+      HeapMb = static_cast<size_t>(intFlag("--heap-mb", Argv[I] + 10, 1,
+                                           1ll << 20));
     else if (A.rfind("--state=", 0) == 0)
-      State = std::stoi(A.substr(8));
+      State = static_cast<int>(intFlag("--state", Argv[I] + 8, 0, INT_MAX));
     else if (A[0] != '-')
       Spec = A;
     else {
