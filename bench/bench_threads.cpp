@@ -16,10 +16,13 @@
 // reference in every configuration — the throughput numbers are only
 // admissible because the work is provably the same work.
 //
-// Results go to stdout and, machine-readable, to BENCH_threads.json. The
-// acceptance bar for the multi-mutator overhaul is >1.5x at 4 mutators;
-// the bench reports it only when the host has >= 4 hardware threads
-// (scaling is a property of the VM, not of a single-core CI container).
+// Results go to stdout and, machine-readable, to BENCH_threads.json in the
+// working directory. The acceptance bar for the multi-mutator overhaul is
+// >1.5x at 4 mutators with mutation on: the bench exits 1 below it. It
+// asserts the bar only when the host has >= 4 hardware threads (scaling is
+// a property of the VM, not of a single-core CI container); on a smaller
+// host it exits 77 after reporting, which ctest's bench_threads_scaling
+// counts as skipped.
 //
 // Flags: --txns=N   (transactions per warehouse, default 600000)
 //        --check    (CI mode: fingerprint equivalence assertions only —
@@ -50,6 +53,10 @@ using namespace dchm;
 using namespace dchm::bench;
 
 namespace {
+
+/// Exit status when the host is too small to check the scaling bar; the
+/// ctest of the bar maps it to "skipped" (SKIP_RETURN_CODE).
+constexpr int ExitScalingNotMeasured = 77;
 
 // The warehouse program. TxLogger is the mutable class: `mode` is the state
 // field, log() branches on it (so specialization folds the branch), and the
@@ -351,5 +358,5 @@ int main(int Argc, char **Argv) {
                 Scaling4On, HwThreads);
   }
   std::printf("(BENCH_threads.json written)\n");
-  return 0;
+  return ScalingMeasurable ? 0 : ExitScalingNotMeasured;
 }

@@ -21,22 +21,22 @@ CompiledMethod *AdaptiveSystem::ensureCompiled(MethodInfo &M) {
     // Figure 14: opt1 and opt2 code for mutable methods is generated
     // immediately after their opt0 code.
     recompile(M, 1);
-    recompile(M, 2);
+    recompile(M, TopOptLevel);
   }
   return M.General;
 }
 
-void AdaptiveSystem::onMethodEntry(MethodInfo &M) {
-  if (Cfg.SampleInterval > 1 && (++EventTick % Cfg.SampleInterval) != 0)
-    return;
-  M.SampleCount++;
-  maybePromote(M);
-}
-
-void AdaptiveSystem::onBackedge(MethodInfo &M) {
-  if (Cfg.SampleInterval > 1 && (++EventTick % Cfg.SampleInterval) != 0)
-    return;
-  M.SampleCount++;
+void AdaptiveSystem::sample(MethodInfo &M) {
+  // One mutator: no other thread touches either counter, so a relaxed load
+  // and store replace the locked read-modify-writes with the same values.
+  if (Cfg.SampleInterval > 1) {
+    uint64_t Tick = EventTick.load(std::memory_order_relaxed) + 1;
+    EventTick.store(Tick, std::memory_order_relaxed);
+    if (Tick % Cfg.SampleInterval != 0)
+      return;
+  }
+  M.SampleCount.store(M.SampleCount.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
   maybePromote(M);
 }
 
@@ -58,8 +58,8 @@ void AdaptiveSystem::refreshMutableMethods() {
   for (const MutableClassPlan &CP : Plan->Classes)
     for (MethodId MId : CP.MutableMethods) {
       MethodInfo &M = P.method(MId);
-      if (M.IsMutable && M.CurOptLevel >= 2 && M.Specials.empty())
-        recompile(M, 2);
+      if (M.IsMutable && M.CurOptLevel >= TopOptLevel && M.Specials.empty())
+        recompile(M, TopOptLevel);
     }
 }
 
@@ -70,7 +70,7 @@ void AdaptiveSystem::maybePromote(MethodInfo &M) {
   bool WantOpt2 = M.CurOptLevel == 1 && M.SampleCount >= Cfg.Opt2Threshold;
   if (!WantOpt1 && !WantOpt2)
     return;
-  recompile(M, WantOpt1 ? 1 : 2);
+  recompile(M, WantOpt1 ? 1 : TopOptLevel);
 }
 
 void AdaptiveSystem::recompile(MethodInfo &M, int Level) {
@@ -84,7 +84,7 @@ void AdaptiveSystem::recompile(MethodInfo &M, int Level) {
 
   // "When a method is compiled at a high optimization level, the specialized
   // versions are generated at the same time" — mutation occurs at opt2.
-  if (Level >= 2 && M.IsMutable && Plan) {
+  if (Level >= TopOptLevel && M.IsMutable && Plan) {
     const MutableClassPlan *CP = Plan->planFor(M.Owner);
     DCHM_CHECK(CP, "mutable method without a class plan");
     for (CompiledMethod *OldSpecial : M.Specials)

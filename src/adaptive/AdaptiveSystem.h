@@ -11,9 +11,12 @@
 /// back-edge samples accumulate per *method* (shared across its general and
 /// special compiled versions, so specialization does not dilute hotness —
 /// paper section 3.2.3); crossing the opt1/opt2 thresholds triggers a
-/// synchronous recompilation. Recompiling a mutable method at opt2 also
-/// generates every specialized version and notifies the mutation engine to
-/// run algorithm part II (Figure 5). The accelerated mode of Figure 14
+/// synchronous recompilation. Sampling ends at the top of the ladder
+/// (TopOptLevel): with SampleInterval == 1 the interpreter takes no sample
+/// for a top-tier method, since no decision ever reads its count again.
+/// Recompiling a mutable method at opt2 also generates every specialized
+/// version and notifies the mutation engine to run algorithm part II
+/// (Figure 5). The accelerated mode of Figure 14
 /// compiles mutable methods straight to opt2 right after opt0.
 ///
 //===----------------------------------------------------------------------===//
@@ -70,10 +73,9 @@ public:
   /// compiler, default level opt0" configuration of the paper) + install.
   CompiledMethod *ensureCompiled(MethodInfo &M);
 
-  /// Hotness sample on entry; may recompile synchronously.
-  void onMethodEntry(MethodInfo &M);
-  /// Hotness sample on a loop back edge.
-  void onBackedge(MethodInfo &M);
+  /// Single-mutator hotness sample on a method entry or loop back edge; may
+  /// recompile synchronously.
+  void sample(MethodInfo &M);
 
   /// Multi-mutator sampling split: the lock-free half of a sample. Bumps
   /// the decimation tick and the method's sample count with relaxed atomics
@@ -104,7 +106,8 @@ private:
   RecompileListener *Listener = nullptr;
   AdaptiveStats Stats;
   /// Atomic for the multi-mutator sampling pre-check; single-mutator runs
-  /// touch it from one thread only, preserving the exact decimation stream.
+  /// touch it from one thread only (relaxed load + store, no locked RMW),
+  /// preserving the exact decimation stream.
   std::atomic<uint64_t> EventTick{0};
   bool InRecompile = false;
 };

@@ -46,7 +46,7 @@ VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
   for (unsigned T = 0; T < NThreads; ++T) {
     Interps.push_back(
         std::make_unique<Interpreter>(P, TheHeap, *this, Opts.Dispatch));
-    Interps.back()->setInlineSampling(Opts.Adaptive.SampleInterval == 1);
+    Interps.back()->setSkipTopTierSamples(Opts.Adaptive.SampleInterval == 1);
   }
   TheHeap.setRootProvider(this);
   if (multiMutator()) {
@@ -272,7 +272,7 @@ void VirtualMachine::onMethodEntry(MethodInfo &M) {
       Safepoints.run([&] { Adaptive.promoteStopped(M); });
     return;
   }
-  Adaptive.onMethodEntry(M);
+  Adaptive.sample(M);
 }
 
 void VirtualMachine::onBackedge(MethodInfo &M) {
@@ -281,7 +281,7 @@ void VirtualMachine::onBackedge(MethodInfo &M) {
       Safepoints.run([&] { Adaptive.promoteStopped(M); });
     return;
   }
-  Adaptive.onBackedge(M);
+  Adaptive.sample(M);
 }
 
 void VirtualMachine::onInstanceStateStore(Object *O, FieldInfo &F,

@@ -18,9 +18,10 @@
 ///
 /// The host-side fast path (docs/dispatch.md) is independent of the
 /// simulated cost accounting: computed-goto threaded dispatch (DispatchMode)
-/// with fused handler pairs for dominant instruction sequences changes only
-/// real wall time, never simulated cycles or program output. Registers live
-/// in one contiguous bump-allocated arena shared by all frames.
+/// with one handler per binop and compare opcode and fused handler pairs
+/// for dominant instruction sequences changes only real wall time, never
+/// simulated cycles or program output. Registers live in one contiguous
+/// bump-allocated arena shared by all frames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,14 +75,16 @@ public:
   /// True when the inner loop runs on computed-goto threaded dispatch.
   bool threadedDispatch() const { return UseThreaded; }
 
-  /// Enables the inline hotness-sample fast path. Only valid when the
-  /// adaptive system samples every entry/back-edge event (SampleInterval ==
-  /// 1): in that regime a sample for a fully promoted method is exactly
-  /// MethodInfo::SampleCount++ — promotion is a no-op at the top opt level
-  /// and the decimation tick is untouched — so the interpreter takes the
-  /// increment inline instead of walking the callback chain on its two
-  /// hottest events.
-  void setInlineSampling(bool On) { InlineSampling = On; }
+  /// Stops sampling methods at the top of the ladder (TopOptLevel). Only
+  /// valid when the adaptive system samples every entry/back-edge event
+  /// (SampleInterval == 1): then a top-tier sample only bumps
+  /// MethodInfo::SampleCount, which nothing reads past opt1, and the
+  /// decimation tick is untouched. So the interpreter skips the callback
+  /// chain and the shared atomic counter on its two hottest events, at any
+  /// mutator count, without changing any simulated result. With a larger
+  /// interval every event ticks the global decimation counter, which
+  /// decides which *other* methods' events count, so it must stay off.
+  void setSkipTopTierSamples(bool On) { SkipTopTierSamples = On; }
 
   /// Attaches a consistency-audit hook fired at the invocation-boundary
   /// safepoint (the top of the loop, where all dispatch structures are
@@ -169,7 +172,7 @@ private:
   AuditHook *Audit = nullptr;
   SafepointSlot *Sp = nullptr;
   bool UseThreaded = false;
-  bool InlineSampling = false;
+  bool SkipTopTierSamples = false;
   bool Profiling = false;
   std::vector<uint64_t> MethodCycles;
   std::vector<uint64_t> MethodInvocations;

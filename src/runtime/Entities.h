@@ -32,6 +32,11 @@ namespace dchm {
 struct TIB;
 struct IMT;
 
+/// The top of the recompilation ladder (opt0 -> opt1 -> opt2): the level
+/// where specialized versions are generated and mutation happens. A method
+/// never leaves it, so its hotness is never consulted again.
+constexpr int TopOptLevel = 2;
+
 /// Java-style accessibility, consumed by the object-lifetime-constant
 /// analysis (a field that is private or package-scoped cannot be modified by
 /// classes outside its package; see paper section 4).
@@ -104,7 +109,9 @@ struct MethodInfo {
   /// Hotness samples, shared between the general and all special compiled
   /// methods so specialization does not dilute hotness (paper section 3.2.3).
   /// Relaxed increments from every mutator thread; exact totals are only
-  /// meaningful single-threaded or at a safepoint.
+  /// meaningful single-threaded or at a safepoint. Read only to promote out
+  /// of opt0 and opt1, so with SampleInterval == 1 the interpreter stops
+  /// counting once CurOptLevel reaches TopOptLevel and the count freezes.
   std::atomic<uint64_t> SampleCount{0};
   /// Marked by the mutation engine: this method is a mutable method of a
   /// mutable class (candidate for per-state specialization).

@@ -9,10 +9,40 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace dchm;
 using dchm::test::CounterFixture;
 
 namespace {
+
+/// Defines and links static C.loopy(n) = 0 + 1 + ... + (n-1): one entry
+/// and n loop back edges per call.
+MethodId defineLoopy(Program &P) {
+  ClassId C = P.defineClass("C");
+  MethodId Loopy = P.defineMethod(C, "loopy", Type::I64, {Type::I64},
+                                  {.IsStatic = true});
+  FunctionBuilder B("C.loopy", Type::I64);
+  Reg N = B.addArg(Type::I64);
+  Reg I = B.newReg(Type::I64);
+  Reg S = B.newReg(Type::I64);
+  Reg Zero = B.constI(0);
+  Reg One = B.constI(1);
+  B.move(I, Zero);
+  B.move(S, Zero);
+  auto LHead = B.makeLabel();
+  auto LDone = B.makeLabel();
+  B.bind(LHead);
+  B.cbz(B.cmp(Opcode::CmpLT, I, N), LDone);
+  B.move(S, B.add(S, I));
+  B.move(I, B.add(I, One));
+  B.br(LHead);
+  B.bind(LDone);
+  B.ret(S);
+  P.setBody(Loopy, B.finalize());
+  P.link();
+  return Loopy;
+}
 
 TEST(Adaptive, LazyOpt0OnFirstInvocation) {
   CounterFixture Fx;
@@ -48,30 +78,7 @@ TEST(Adaptive, BackedgesCountAsSamples) {
   // A method invoked once with a long loop still gets promoted (so the
   // NEXT invocation runs optimized code).
   Program P;
-  ClassId C = P.defineClass("C");
-  MethodId Loopy = P.defineMethod(C, "loopy", Type::I64, {Type::I64},
-                                  {.IsStatic = true});
-  {
-    FunctionBuilder B("C.loopy", Type::I64);
-    Reg N = B.addArg(Type::I64);
-    Reg I = B.newReg(Type::I64);
-    Reg S = B.newReg(Type::I64);
-    Reg Zero = B.constI(0);
-    Reg One = B.constI(1);
-    B.move(I, Zero);
-    B.move(S, Zero);
-    auto LHead = B.makeLabel();
-    auto LDone = B.makeLabel();
-    B.bind(LHead);
-    B.cbz(B.cmp(Opcode::CmpLT, I, N), LDone);
-    B.move(S, B.add(S, I));
-    B.move(I, B.add(I, One));
-    B.br(LHead);
-    B.bind(LDone);
-    B.ret(S);
-    P.setBody(Loopy, B.finalize());
-  }
-  P.link();
+  MethodId Loopy = defineLoopy(P);
   VMOptions Opts;
   Opts.Adaptive.Opt1Threshold = 100;
   Opts.Adaptive.Opt2Threshold = 1000000; // out of reach
@@ -79,6 +86,50 @@ TEST(Adaptive, BackedgesCountAsSamples) {
   VM.call(Loopy, {valueI(500)});
   EXPECT_EQ(P.method(Loopy).CurOptLevel, 1);
   EXPECT_GE(P.method(Loopy).SampleCount, 500u);
+}
+
+TEST(Adaptive, TopTierMethodTakesNoSamples) {
+  // With every event sampled (SampleInterval == 1), a method at the top of
+  // the ladder takes no samples on entry or back edge, on one mutator and
+  // on several: its count freezes where the last promotion left it.
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE("mutators: " + std::to_string(Threads));
+    Program P;
+    MethodId Loopy = defineLoopy(P);
+    VMOptions Opts;
+    Opts.Adaptive.Opt1Threshold = 50;
+    Opts.Adaptive.Opt2Threshold = 200;
+    Opts.MutatorThreads = Threads;
+    VirtualMachine VM(P, Opts);
+    // Classic phase: one call samples its way up the whole ladder; the
+    // back edges after the opt2 promotion take none.
+    EXPECT_EQ(VM.call(Loopy, {valueI(500)}).I, 124750);
+    const MethodInfo &M = P.method(Loopy);
+    ASSERT_EQ(M.CurOptLevel, TopOptLevel);
+    const uint64_t Frozen = M.SampleCount;
+    EXPECT_EQ(Frozen, Opts.Adaptive.Opt2Threshold);
+    VM.runMutators([&](unsigned T) {
+      for (int Rep = 0; Rep < 5; ++Rep)
+        EXPECT_EQ(VM.callOn(T, Loopy, {valueI(1000)}).I, 499500);
+    });
+    EXPECT_EQ(M.SampleCount, Frozen);
+  }
+}
+
+TEST(Adaptive, DecimatedSamplingCountsTopTierEvents) {
+  // With SampleInterval > 1 every event ticks the shared decimation counter,
+  // which decides which events of *other* methods become samples, so a
+  // top-tier method's events are still counted in full.
+  Program P;
+  MethodId Loopy = defineLoopy(P);
+  VMOptions Opts;
+  Opts.Adaptive.Opt1Threshold = 10;
+  Opts.Adaptive.Opt2Threshold = 40;
+  Opts.Adaptive.SampleInterval = 2;
+  VirtualMachine VM(P, Opts);
+  VM.call(Loopy, {valueI(500)}); // 501 events: every second one samples
+  EXPECT_EQ(P.method(Loopy).CurOptLevel, TopOptLevel);
+  EXPECT_EQ(P.method(Loopy).SampleCount, 250u);
 }
 
 TEST(Adaptive, Opt1RunsThePipeline) {

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 using namespace dchm;
 
 namespace {
@@ -266,15 +271,249 @@ TEST_F(DispatchFixture, DispatchConfigsAgreeOnResultsAndSimulatedCost) {
 }
 
 TEST_F(DispatchFixture, SampleCountSharedAcrossVersions) {
+  // The method keeps one cumulative sample count across its compiled
+  // versions (paper section 3.2.3) up to promotion to the top tier. From
+  // there on nothing reads it, so the general and the special versions
+  // running on it take no samples and the count stays frozen.
+  test::CounterFixture Fx;
   VMOptions Opts;
   Opts.Adaptive.Opt1Threshold = 10;
   Opts.Adaptive.Opt2Threshold = 20;
-  VirtualMachine VM(P, Opts);
-  Object *OA = make(VM, A, ACtor);
-  for (int I = 0; I < 30; ++I)
-    VM.call(DrvVirtual, {valueR(OA)});
-  // The method keeps one cumulative sample count (paper section 3.2.3).
-  EXPECT_GE(P.method(ATag).SampleCount, 30u);
+  VirtualMachine VM(*Fx.P, Opts);
+  VM.setMutationPlan(&Fx.Plan);
+  // Modes 0 and 1 are the plan's hot states; mode 2 keeps the class TIB.
+  Object *Objs[] = {Fx.makeCounter(VM, 0), Fx.makeCounter(VM, 1),
+                    Fx.makeCounter(VM, 2)};
+  const MethodInfo &M = Fx.P->method(Fx.Bump);
+  uint64_t Calls = 0;
+  while (M.CurOptLevel < TopOptLevel) {
+    ASSERT_LT(Calls, 100u) << "never promoted";
+    // bump() has no back edge: one call, one sample, whichever receiver.
+    VM.call(Fx.Bump, {valueR(Objs[Calls % 3])});
+    ++Calls;
+    EXPECT_EQ(M.SampleCount, Calls);
+  }
+  EXPECT_EQ(Calls, Opts.Adaptive.Opt2Threshold);
+  ASSERT_EQ(M.Specials.size(), 2u);
+  for (unsigned S = 0; S < 2; ++S)
+    ASSERT_EQ(Objs[S]->Tib->Slots[M.VSlot], M.Specials[S]);
+  EXPECT_EQ(Objs[2]->Tib->Slots[M.VSlot], M.General);
+  for (int I = 0; I < 90; ++I)
+    VM.call(Fx.Bump, {valueR(Objs[I % 3])});
+  EXPECT_EQ(M.SampleCount, Calls);
+}
+
+// --- Per-opcode threaded handlers -------------------------------------------
+
+/// The instruction shapes the threaded loop fuses (or deliberately leaves
+/// unfused) around a binop or compare.
+enum class OpShape {
+  Plain,      ///< op, then an unrelated instruction
+  Move,       ///< op + Move of the result
+  MoveBrBack, ///< op + Move + loop-closing Br (a back edge)
+  Ret,        ///< op + Ret of the result
+  CbnzFwd,    ///< compare + Cbnz to a later block
+  CbzFwd,     ///< compare + Cbz to a later block
+  CbnzBack,   ///< compare + Cbnz back to the loop head
+  CbzBack,    ///< compare + Cbz back to the loop head
+};
+
+const char *shapeName(OpShape S) {
+  static const char *const Names[] = {"Plain",   "Move",   "MoveBrBack",
+                                      "Ret",     "CbnzFwd", "CbzFwd",
+                                      "CbnzBack", "CbzBack"};
+  return Names[static_cast<int>(S)];
+}
+
+bool isFloatOperandOp(Opcode Op) {
+  switch (Op) {
+  case Opcode::FAdd:
+  case Opcode::FSub:
+  case Opcode::FMul:
+  case Opcode::FDiv:
+  case Opcode::FCmpEQ:
+  case Opcode::FCmpLT:
+  case Opcode::FCmpLE:
+    return true;
+  default:
+    return false;
+  }
+}
+
+bool isCompareOp(Opcode Op) {
+  return (Op >= Opcode::CmpEQ && Op <= Opcode::CmpGE) ||
+         (Op >= Opcode::FCmpEQ && Op <= Opcode::FCmpLE);
+}
+
+/// Builds static method `(a, b) -> r` running Op in shape S.
+IRFunction buildShape(Opcode Op, OpShape S) {
+  Type OperandTy = isFloatOperandOp(Op) ? Type::F64 : Type::I64;
+  bool FloatResult = OperandTy == Type::F64 && !isCompareOp(Op);
+  Type ResultTy = FloatResult ? Type::F64 : Type::I64;
+  auto Emit = [&](FunctionBuilder &B, Reg X, Reg Y) {
+    return isCompareOp(Op) ? B.cmp(Op, X, Y) : B.arith(Op, X, Y);
+  };
+  bool Branchy = S >= OpShape::CbnzFwd;
+  FunctionBuilder B(std::string(opcodeName(Op)) + "." + shapeName(S),
+                    Branchy ? Type::I64 : ResultTy);
+  Reg X = B.addArg(OperandTy);
+  Reg Y = B.addArg(OperandTy);
+  switch (S) {
+  case OpShape::Plain: {
+    Reg T = Emit(B, X, Y);
+    B.constI(0);
+    B.ret(T);
+    break;
+  }
+  case OpShape::Move: {
+    Reg V = B.newReg(ResultTy);
+    B.move(V, Emit(B, X, Y));
+    B.ret(V);
+    break;
+  }
+  case OpShape::MoveBrBack: {
+    // Three iterations; the body ends in op, Move, Br back to the head.
+    Reg V = B.newReg(ResultTy);
+    B.move(V, FloatResult ? B.constF(0.0) : B.constI(0));
+    Reg I = B.newReg(Type::I64);
+    B.move(I, B.constI(0));
+    Reg Three = B.constI(3);
+    Reg One = B.constI(1);
+    auto Head = B.makeLabel(), Done = B.makeLabel();
+    B.bind(Head);
+    B.cbz(B.cmp(Opcode::CmpLT, I, Three), Done);
+    B.move(I, B.add(I, One));
+    B.move(V, Emit(B, X, Y));
+    B.br(Head);
+    B.bind(Done);
+    B.ret(V);
+    break;
+  }
+  case OpShape::Ret:
+    B.ret(Emit(B, X, Y));
+    break;
+  case OpShape::CbnzFwd:
+  case OpShape::CbzFwd: {
+    auto Target = B.makeLabel();
+    Reg C = Emit(B, X, Y);
+    if (S == OpShape::CbnzFwd)
+      B.cbnz(C, Target);
+    else
+      B.cbz(C, Target);
+    B.ret(B.constI(10));
+    B.bind(Target);
+    B.ret(B.constI(20));
+    break;
+  }
+  case OpShape::CbnzBack:
+  case OpShape::CbzBack: {
+    // Up to three trips; each taken compare branch is a back edge. Returns
+    // the trip count.
+    Reg I = B.newReg(Type::I64);
+    B.move(I, B.constI(0));
+    Reg Three = B.constI(3);
+    Reg One = B.constI(1);
+    auto Head = B.makeLabel(), Done = B.makeLabel();
+    B.bind(Head);
+    B.move(I, B.add(I, One));
+    B.cbz(B.cmp(Opcode::CmpLT, I, Three), Done);
+    Reg C = Emit(B, X, Y);
+    if (S == OpShape::CbnzBack)
+      B.cbnz(C, Head);
+    else
+      B.cbz(C, Head);
+    B.bind(Done);
+    B.ret(I);
+    break;
+  }
+  }
+  return B.finalize();
+}
+
+TEST(ThreadedHandlers, EveryBinopAndCompareMatchesSwitchInEveryShape) {
+  const Opcode Ops[] = {
+      Opcode::Add,    Opcode::Sub,    Opcode::Mul,   Opcode::Div,
+      Opcode::Rem,    Opcode::And,    Opcode::Or,    Opcode::Xor,
+      Opcode::Shl,    Opcode::Shr,    Opcode::FAdd,  Opcode::FSub,
+      Opcode::FMul,   Opcode::FDiv,   Opcode::CmpEQ, Opcode::CmpNE,
+      Opcode::CmpLT,  Opcode::CmpLE,  Opcode::CmpGT, Opcode::CmpGE,
+      Opcode::FCmpEQ, Opcode::FCmpLT, Opcode::FCmpLE};
+  // Shift counts of 64 and above, wrapping arithmetic, and only non-zero
+  // divisors (Div/Rem trap on zero); all orderings for the compares.
+  const int64_t Big = std::numeric_limits<int64_t>::max();
+  const std::pair<int64_t, int64_t> IntArgs[] = {
+      {7, 3},  {-7, 3},   {3, 7},   {5, 5},  {-9, -2},
+      {1, 64}, {-3, 65},  {1, 127}, {5, -1}, {Big, 2},
+      {-Big - 1, 3}};
+  // NaN on either side and both, signed zeros, infinities.
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> FloatArgs[] = {
+      {1.5, 2.25}, {2.25, 1.5}, {3.0, 3.0},  {NaN, 1.0}, {1.0, NaN},
+      {NaN, NaN},  {-0.0, 0.0}, {Inf, -Inf}, {1.0, 0.0}};
+
+  Program P;
+  ClassId K = P.defineClass("K");
+  struct Case {
+    Opcode Op;
+    MethodId M;
+  };
+  std::vector<Case> Cases;
+  for (Opcode Op : Ops)
+    for (int SI = 0; SI <= static_cast<int>(OpShape::CbzBack); ++SI) {
+      OpShape S = static_cast<OpShape>(SI);
+      if (S >= OpShape::CbnzFwd && !isCompareOp(Op))
+        continue;
+      IRFunction F = buildShape(Op, S);
+      std::vector<Type> Params(F.RegTypes.begin(),
+                               F.RegTypes.begin() + F.NumArgs);
+      MethodId M = P.defineMethod(K, F.Name, F.RetTy, Params,
+                                  {.IsStatic = true});
+      P.setBody(M, std::move(F));
+      Cases.push_back({Op, M});
+    }
+  P.link();
+
+  struct Observed {
+    std::string What; ///< case and operand index, for failure messages
+    int64_t Bits;     ///< result register, bit for bit (NaN payloads too)
+    uint64_t Insts, Cycles;
+  };
+  auto Run = [&](DispatchMode DM) {
+    VMOptions Opts;
+    Opts.Adaptive.Opt1Threshold = 1u << 30; // every case runs its opt0 body
+    Opts.Dispatch = DM;
+    VirtualMachine VM(P, Opts);
+    EXPECT_EQ(VM.interp().threadedDispatch(), DM == DispatchMode::Threaded);
+    std::vector<Observed> Got;
+    for (const Case &C : Cases) {
+      std::vector<std::pair<Value, Value>> Args;
+      if (isFloatOperandOp(C.Op))
+        for (auto [X, Y] : FloatArgs)
+          Args.push_back({valueF(X), valueF(Y)});
+      else
+        for (auto [X, Y] : IntArgs)
+          Args.push_back({valueI(X), valueI(Y)});
+      for (size_t A = 0; A < Args.size(); ++A) {
+        ExecStats Before = VM.interp().stats();
+        Value R = VM.call(C.M, {Args[A].first, Args[A].second});
+        const ExecStats &After = VM.interp().stats();
+        Got.push_back({P.method(C.M).Name + " operands #" + std::to_string(A),
+                       R.I, After.Insts - Before.Insts,
+                       After.Cycles - Before.Cycles});
+      }
+    }
+    return Got;
+  };
+  std::vector<Observed> Base = Run(DispatchMode::Switch);
+  std::vector<Observed> Got = Run(DispatchMode::Threaded);
+  ASSERT_EQ(Got.size(), Base.size());
+  for (size_t I = 0; I < Got.size(); ++I) {
+    SCOPED_TRACE(Base[I].What);
+    EXPECT_EQ(Got[I].Bits, Base[I].Bits);
+    EXPECT_EQ(Got[I].Insts, Base[I].Insts);
+    EXPECT_EQ(Got[I].Cycles, Base[I].Cycles);
+  }
 }
 
 } // namespace
