@@ -9,6 +9,7 @@
 
 #include "compiler/Passes.h"
 #include "compiler/Specializer.h"
+#include "ir/Verifier.h"
 #include "runtime/CostModel.h"
 #include "support/Debug.h"
 
@@ -40,8 +41,24 @@ CompiledMethod *OptCompiler::finish(MethodInfo &M, IRFunction Code, int Level,
   if (Level >= 1)
     runOptPipeline(Code);
   Pipeline.Stats.InlineRuns++;
+  // Link verifies only bytecode. With the consistency auditor on, the
+  // optimized body is verified too. Decoding always checks what the
+  // threaded loop relies on: a Br/Ret at the end, branch targets in range.
+  auto Fail = [&](const std::string &Why) {
+    char State[32];
+    std::snprintf(State, sizeof(State), "special state %d", StateIdx);
+    reportFatalErrorf("compiled body of '%s.%s' (opt%d, %s) is malformed: %s",
+                      P.cls(M.Owner).Name.c_str(), M.Name.c_str(), Level,
+                      StateIdx >= 0 ? State : "general", Why.c_str());
+  };
+  if (VerifyBodies)
+    if (std::string Err = verifyFunction(Code); !Err.empty())
+      Fail(Err);
+  Expected<std::vector<DecodedInst>> Decoded = decodeBody(Code);
+  if (!Decoded)
+    Fail(Decoded.takeError().message());
   M.CompiledVersions.push_back(std::make_unique<CompiledMethod>(
-      M, std::move(Code), Level, StateIdx, Cycles));
+      M, std::move(Code), std::move(*Decoded), Level, StateIdx, Cycles));
   CompiledMethod *CM = M.CompiledVersions.back().get();
   // The budget charge is estimated from the pre-optimization unit size with
   // the codeBytes() density model; eviction decisions rank on it.

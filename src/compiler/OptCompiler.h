@@ -81,6 +81,11 @@ public:
   /// environment. Never reads the environment itself.
   void setSpecializationCache(bool On) { CacheEnabled = On; }
 
+  /// Runs the IR verifier on every finished (optimized) body and aborts
+  /// with a diagnostic naming the method, level and state on a violation.
+  /// Off by default; the VM turns it on with the consistency auditor.
+  void setVerifyBodies(bool On) { VerifyBodies = On; }
+
   /// Compiles the general (unspecialized) version at the given level.
   /// The returned object is owned by M; the caller installs it.
   CompiledMethod *compileGeneral(MethodInfo &M, int Level);
@@ -116,6 +121,7 @@ private:
   CompilerStats Stats;
   CompilePipeline Pipeline;
   bool CacheEnabled = false;
+  bool VerifyBodies = false;
   /// Content key (method, level, consumed bindings) -> shared special.
   std::unordered_map<std::string, CacheEntry> SpecCache;
 };

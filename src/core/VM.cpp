@@ -39,6 +39,7 @@ VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
   DCHM_CHECK(P.isLinked(), "VirtualMachine requires a linked program");
   Compiler.inlinerConfig() = Opts.Inline;
   Compiler.setSpecializationCache(*Opts.SpecializationCache);
+  Compiler.setVerifyBodies(*Opts.AuditConsistency);
   Mutation.setHeap(&TheHeap);
   Mutation.setCodeBudget(*Opts.CodeBudgetBytes);
   unsigned NThreads = mutatorThreads();

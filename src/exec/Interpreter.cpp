@@ -4,11 +4,12 @@
 // (Su & Lipasti, CGO 2006).
 //
 // The inner loop is written once (exec/InterpreterLoop.inc) and compiled
-// twice: executeLoopThreaded dispatches with computed goto (threaded
-// dispatch, one indirect branch per handler, plus fused fast paths for
-// dominant instruction pairs) and executeLoopSwitch with the portable
-// central switch. Both charge identical simulated cycles and produce
-// identical output; only host wall time differs. See docs/dispatch.md.
+// twice: executeLoopThreaded dispatches with computed goto over each body's
+// decoded form (one indirect branch per handler, fused groups decided once
+// per compiled body, see runtime/DecodedBody.h) and executeLoopSwitch with
+// the portable central switch over raw IR. Both charge identical simulated
+// cycles and produce identical output; only host wall time differs. See
+// docs/dispatch.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 
 #include "compiler/Eval.h"
 #include "runtime/CostModel.h"
+#include "runtime/DecodedBody.h"
 #include "support/Debug.h"
 
 #include <algorithm>
@@ -30,26 +32,6 @@
 #endif
 
 namespace dchm {
-
-namespace {
-/// Integer binops eligible for the threaded-mode fused fast paths: cheap,
-/// non-trapping ops whose handler is a plain evalBinop.
-inline bool isFusibleIntArith(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-    return true;
-  default:
-    return false;
-  }
-}
-} // namespace
 
 Interpreter::Interpreter(Program &P, Heap &H, VMCallbacks &CB,
                          DispatchMode Mode)

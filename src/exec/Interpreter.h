@@ -18,10 +18,11 @@
 ///
 /// The host-side fast path (docs/dispatch.md) is independent of the
 /// simulated cost accounting: computed-goto threaded dispatch (DispatchMode)
-/// with one handler per binop and compare opcode and fused handler pairs
-/// for dominant instruction sequences changes only real wall time, never
-/// simulated cycles or program output. Registers live in one contiguous
-/// bump-allocated arena shared by all frames.
+/// walks each body's decoded form (runtime/DecodedBody.h), built once per
+/// compiled method, where fused groups of dominant instruction sequences
+/// have their own handlers and are charged on dispatch. It changes only
+/// real wall time, never simulated cycles or program output. Registers live
+/// in one contiguous bump-allocated arena shared by all frames.
 ///
 //===----------------------------------------------------------------------===//
 

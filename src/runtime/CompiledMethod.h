@@ -21,20 +21,25 @@
 
 #include "ir/Function.h"
 #include "ir/Ids.h"
+#include "runtime/DecodedBody.h"
 
 #include <cstdint>
+#include <vector>
 
 namespace dchm {
 
 struct MethodInfo;
 
-/// One compiled version of a method, constructed with its finished body.
+/// One compiled version of a method, constructed with its finished body and
+/// that body's dispatch form (runtime/DecodedBody.h).
 class CompiledMethod {
 public:
-  CompiledMethod(MethodInfo &M, IRFunction CodeIn, int OptLevel,
+  CompiledMethod(MethodInfo &M, IRFunction CodeIn,
+                 std::vector<DecodedInst> DecodedIn, int OptLevel,
                  int StateIndex, uint64_t CompileCycles)
-      : Method(&M), Code(std::move(CodeIn)), OptLevel(OptLevel),
-        StateIndex(StateIndex), CompileCycles(CompileCycles),
+      : Method(&M), Code(std::move(CodeIn)), Decoded(std::move(DecodedIn)),
+        OptLevel(OptLevel), StateIndex(StateIndex),
+        CompileCycles(CompileCycles),
         // Modeled machine-code footprint: a fixed header plus bytes per
         // emitted instruction. The baseline-ish opt0 translation is less
         // dense than optimized code, mirroring Jikes' baseline-vs-opt code
@@ -43,6 +48,8 @@ public:
 
   MethodInfo &method() const { return *Method; }
   const IRFunction &code() const { return Code; }
+  /// Dispatch entries, index-parallel to code().Insts.
+  const std::vector<DecodedInst> &decoded() const { return Decoded; }
   int optLevel() const { return OptLevel; }
   /// Hot state this code is specialized for, or -1 for the general version.
   /// A cache-shared specialized version keeps the index it was first
@@ -58,13 +65,14 @@ public:
   size_t budgetBytes() const { return BudgetBytes; }
   void setBudgetBytes(size_t N) { BudgetBytes = N; }
 
-  /// Drops the body IR of a retired version (epoch-based reclamation after
-  /// plan retirement / budget eviction). The CompiledMethod object itself
+  /// Drops the body IR and dispatch form of a retired version (epoch-based
+  /// reclamation after plan retirement / budget eviction). The object itself
   /// stays allocated forever, Jikes-style; CodeBytes is kept so code-size
   /// metrics remain stable. Only legal once no dispatch structure or frame
   /// can reach this version.
   void releaseBody() {
     Code = IRFunction();
+    Decoded = std::vector<DecodedInst>();
     BodyReleased = true;
   }
   bool bodyReleased() const { return BodyReleased; }
@@ -82,6 +90,7 @@ public:
 private:
   MethodInfo *Method;
   IRFunction Code;
+  std::vector<DecodedInst> Decoded;
   int OptLevel;
   int StateIndex;
   uint64_t CompileCycles;

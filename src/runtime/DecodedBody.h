@@ -1,0 +1,94 @@
+//===-- runtime/DecodedBody.h - Threaded dispatch form ----------*- C++ -*-===//
+//
+// Part of DCHM, a reproduction of "Dynamic Class Hierarchy Mutation"
+// (Su & Lipasti, CGO 2006).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The form in which the threaded interpreter loop walks a compiled body,
+/// decoded once when the CompiledMethod is built. It is an array of 4-byte
+/// entries, index-parallel to IRFunction::Insts: entry I names the handler
+/// that runs when dispatch lands on instruction I, how many IR instructions
+/// that handler executes (a fused group of 1-3), and the sum of their
+/// per-opcode simulated cycles. The loop charges a whole group on dispatch;
+/// that is exact because a group always runs to completion. See
+/// docs/dispatch.md §1.
+///
+/// Handler ids below NumOpcodes are the single-instruction handlers (the id
+/// is the opcode). The fused forms follow, expanded from the opcode lists
+/// below, which the interpreter's label table expands in the same order.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef DCHM_RUNTIME_DECODEDBODY_H
+#define DCHM_RUNTIME_DECODEDBODY_H
+
+#include "ir/Function.h"
+#include "support/Error.h"
+
+#include <cstdint>
+#include <vector>
+
+namespace dchm {
+
+/// Integer arithmetic fused behind a ConstI: cheap, non-trapping ops.
+#define DCHM_CONST_ARITH_OPS(X)                                                \
+  X(Add) X(Sub) X(Mul) X(And) X(Or) X(Xor) X(Shl) X(Shr)
+/// Binops fused with a following Move (and Br) or Ret of their result.
+#define DCHM_FUSED_BINOPS(X)                                                   \
+  X(Add) X(Sub) X(Mul) X(Div) X(Rem) X(And) X(Or) X(Xor) X(Shl) X(Shr)         \
+  X(FAdd) X(FSub) X(FMul) X(FDiv) X(FCmpEQ) X(FCmpLT) X(FCmpLE)
+/// Integer compares fused with a following Cbnz/Cbz on their result.
+#define DCHM_BRANCH_CMPS(X)                                                    \
+  X(CmpEQ) X(CmpNE) X(CmpLT) X(CmpLE) X(CmpGT) X(CmpGE)
+
+/// Handler ids. Names spell the fused group in instruction order.
+enum class HandlerId : uint8_t {
+  LastOpcode = NumOpcodes - 1, ///< ids 0..LastOpcode: one instruction
+#define DCHM_X(OP) ConstI_##OP,
+  DCHM_CONST_ARITH_OPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) ConstI_##OP##_Move,
+  DCHM_CONST_ARITH_OPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) ConstI_##OP##_Ret,
+  DCHM_CONST_ARITH_OPS(DCHM_X)
+#undef DCHM_X
+  ConstI_Move,
+#define DCHM_X(OP) OP##_Move,
+  DCHM_FUSED_BINOPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) OP##_Move_Br,
+  DCHM_FUSED_BINOPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) OP##_Ret,
+  DCHM_FUSED_BINOPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) OP##_Cbnz,
+  DCHM_BRANCH_CMPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) OP##_Cbz,
+  DCHM_BRANCH_CMPS(DCHM_X)
+#undef DCHM_X
+  GetField_GetField,
+  GetField_Ret,
+  NumHandlers
+};
+
+/// One dispatch entry.
+struct DecodedInst {
+  uint8_t Handler; ///< HandlerId
+  uint8_t Count;   ///< IR instructions the handler executes (1-3)
+  uint16_t Cycles; ///< sum of their opcodeCycles
+};
+static_assert(sizeof(DecodedInst) == 4, "dispatch entries must stay compact");
+
+/// Decodes F into its dispatch form. Fails when F is empty, does not end in
+/// Br or Ret, or has a branch target outside the body: those checks are what
+/// let the threaded loop dispatch with no per-instruction bound check.
+Expected<std::vector<DecodedInst>> decodeBody(const IRFunction &F);
+
+} // namespace dchm
+
+#endif // DCHM_RUNTIME_DECODEDBODY_H

@@ -111,31 +111,6 @@ void Program::setBody(MethodId Id, IRFunction F) {
   M.HasBody = true;
 }
 
-ClassInfo &Program::cls(ClassId Id) {
-  DCHM_CHECK(Id < Classes.size(), "bad class id");
-  return Classes[Id];
-}
-const ClassInfo &Program::cls(ClassId Id) const {
-  DCHM_CHECK(Id < Classes.size(), "bad class id");
-  return Classes[Id];
-}
-FieldInfo &Program::field(FieldId Id) {
-  DCHM_CHECK(Id < Fields.size(), "bad field id");
-  return Fields[Id];
-}
-const FieldInfo &Program::field(FieldId Id) const {
-  DCHM_CHECK(Id < Fields.size(), "bad field id");
-  return Fields[Id];
-}
-MethodInfo &Program::method(MethodId Id) {
-  DCHM_CHECK(Id < Methods.size(), "bad method id");
-  return Methods[Id];
-}
-const MethodInfo &Program::method(MethodId Id) const {
-  DCHM_CHECK(Id < Methods.size(), "bad method id");
-  return Methods[Id];
-}
-
 ClassId Program::findClass(const std::string &Name) const {
   auto It = ClassByName.find(Name);
   return It == ClassByName.end() ? NoClassId : It->second;

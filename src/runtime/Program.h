@@ -23,6 +23,7 @@
 #include "runtime/Entities.h"
 #include "runtime/TIB.h"
 #include "runtime/Value.h"
+#include "support/Debug.h"
 #include "support/Error.h"
 
 #include <atomic>
@@ -68,12 +69,32 @@ public:
   bool isLinked() const { return Linked; }
 
   // --- Accessors -----------------------------------------------------------
-  ClassInfo &cls(ClassId Id);
-  const ClassInfo &cls(ClassId Id) const;
-  FieldInfo &field(FieldId Id);
-  const FieldInfo &field(FieldId Id) const;
-  MethodInfo &method(MethodId Id);
-  const MethodInfo &method(MethodId Id) const;
+  // Inline: the interpreter looks up a field on every putfield/putstatic
+  // and a method or class on every static, special call and allocation.
+  ClassInfo &cls(ClassId Id) {
+    DCHM_CHECK(Id < Classes.size(), "bad class id");
+    return Classes[Id];
+  }
+  const ClassInfo &cls(ClassId Id) const {
+    DCHM_CHECK(Id < Classes.size(), "bad class id");
+    return Classes[Id];
+  }
+  FieldInfo &field(FieldId Id) {
+    DCHM_CHECK(Id < Fields.size(), "bad field id");
+    return Fields[Id];
+  }
+  const FieldInfo &field(FieldId Id) const {
+    DCHM_CHECK(Id < Fields.size(), "bad field id");
+    return Fields[Id];
+  }
+  MethodInfo &method(MethodId Id) {
+    DCHM_CHECK(Id < Methods.size(), "bad method id");
+    return Methods[Id];
+  }
+  const MethodInfo &method(MethodId Id) const {
+    DCHM_CHECK(Id < Methods.size(), "bad method id");
+    return Methods[Id];
+  }
   size_t numClasses() const { return Classes.size(); }
   size_t numFields() const { return Fields.size(); }
   size_t numMethods() const { return Methods.size(); }

@@ -7,9 +7,16 @@
 
 #include "TestUtil.h"
 
+#include "compiler/Eval.h"
+#include "compiler/OptCompiler.h"
+#include "runtime/CostModel.h"
+#include "runtime/DecodedBody.h"
+
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -514,6 +521,388 @@ TEST(ThreadedHandlers, EveryBinopAndCompareMatchesSwitchInEveryShape) {
     EXPECT_EQ(Got[I].Insts, Base[I].Insts);
     EXPECT_EQ(Got[I].Cycles, Base[I].Cycles);
   }
+}
+
+// --- The decoded stream (runtime/DecodedBody.h) -----------------------------
+
+/// One way into a body whose fused group may be entered at any member: the
+/// expected result bits and per-call accounting.
+struct EntryPath {
+  int64_t Bits;
+  uint64_t Insts, Cycles, Samples;
+};
+
+/// A body with one fused group at GroupStart. Arguments are (S1, S2, X, Y),
+/// or (S1, S2, Obj) for the field-load groups, which read fields f = 11 and
+/// g = 4. S1 != 0 branches to the group's second instruction, S2 != 0 to its
+/// third. Paths[k] is the expectation when entering at member k.
+struct MidGroupCase {
+  IRFunction Body;
+  size_t GroupStart;
+  HandlerId Group;
+  std::vector<EntryPath> Paths;
+  Value X, Y; ///< unused by the field-load groups
+};
+
+/// The handler K places after Base in its HandlerId block.
+HandlerId nth(HandlerId Base, size_t K) {
+  return static_cast<HandlerId>(static_cast<size_t>(Base) + K);
+}
+
+/// Registers skipped by a mid-group entry stay zero, so paths that enter
+/// past the constant see 0 in its place.
+std::vector<MidGroupCase> buildMidGroupCases(FieldId FF, FieldId FG) {
+  std::vector<MidGroupCase> Cases;
+  const Value IX = valueI(5), IY = valueI(3);
+  const Value FX = valueF(1.5), FY = valueF(2.25);
+  // Arguments and the selector prologue: cbnz S2 (3-groups only), cbnz S1.
+  struct Entry {
+    FunctionBuilder B;
+    FunctionBuilder::Label L1, L2;
+    Entry(const std::string &Name, Type RetTy, Type XTy, bool Three,
+          bool TwoOperands = true)
+        : B(Name, RetTy), L1(B.makeLabel()), L2(B.makeLabel()) {
+      Reg S1 = B.addArg(Type::I64);
+      Reg S2 = B.addArg(Type::I64);
+      B.addArg(XTy);
+      if (TwoOperands)
+        B.addArg(XTy);
+      if (Three)
+        B.cbnz(S2, L2);
+      B.cbnz(S1, L1);
+    }
+  };
+  const Reg X = 2, Y = 3;
+
+  const Opcode ConstArith[] = {
+#define DCHM_X(OP) Opcode::OP,
+      DCHM_CONST_ARITH_OPS(DCHM_X)
+#undef DCHM_X
+  };
+  for (size_t K = 0; K < std::size(ConstArith); ++K) {
+    Opcode Op = ConstArith[K];
+    int64_t Full = evalBinop(Op, valueI(7), IX).I;
+    int64_t Skip = evalBinop(Op, valueI(0), IX).I;
+    uint64_t C = opcodeCycles(Op);
+    std::string N = opcodeName(Op);
+    {
+      // ConstI + op, then an unfusable ConstI before the Ret.
+      Entry E("ConstI_" + N, Type::I64, Type::I64, false);
+      Reg Kc = E.B.constI(7);
+      E.B.bind(E.L1);
+      Reg S = E.B.arith(Op, Kc, X);
+      E.B.constI(0);
+      E.B.ret(S);
+      Cases.push_back({E.B.finalize(), 1, nth(HandlerId::ConstI_Add, K),
+                       {{Full, 5, 5 + C, 1}, {Skip, 4, 4 + C, 1}}, IX, IY});
+    }
+    {
+      Entry E("ConstI_" + N + "_Move", Type::I64, Type::I64, true);
+      Reg V = E.B.newReg(Type::I64);
+      Reg Kc = E.B.constI(7);
+      E.B.bind(E.L1);
+      Reg S = E.B.arith(Op, Kc, X);
+      E.B.bind(E.L2);
+      E.B.move(V, S);
+      E.B.ret(V);
+      Cases.push_back({E.B.finalize(), 2, nth(HandlerId::ConstI_Add_Move, K),
+                       {{Full, 6, 6 + C, 1}, {Skip, 5, 5 + C, 1}, {0, 3, 4, 1}},
+                       IX, IY});
+    }
+    {
+      Entry E("ConstI_" + N + "_Ret", Type::I64, Type::I64, true);
+      Reg Kc = E.B.constI(7);
+      E.B.bind(E.L1);
+      Reg S = E.B.arith(Op, Kc, X);
+      E.B.bind(E.L2);
+      E.B.ret(S);
+      Cases.push_back({E.B.finalize(), 2, nth(HandlerId::ConstI_Add_Ret, K),
+                       {{Full, 5, 5 + C, 1}, {Skip, 4, 4 + C, 1}, {0, 2, 3, 1}},
+                       IX, IY});
+    }
+  }
+  {
+    Entry E("ConstI_Move", Type::I64, Type::I64, false);
+    Reg V = E.B.newReg(Type::I64);
+    Reg Kc = E.B.constI(7);
+    E.B.bind(E.L1);
+    E.B.move(V, Kc);
+    E.B.ret(V);
+    Cases.push_back({E.B.finalize(), 1, HandlerId::ConstI_Move,
+                     {{7, 4, 5, 1}, {0, 3, 4, 1}}, IX, IY});
+  }
+
+  const Opcode Binops[] = {
+#define DCHM_X(OP) Opcode::OP,
+      DCHM_FUSED_BINOPS(DCHM_X)
+#undef DCHM_X
+  };
+  for (size_t K = 0; K < std::size(Binops); ++K) {
+    Opcode Op = Binops[K];
+    bool FloatOps = isFloatOperandOp(Op);
+    Type OpTy = FloatOps ? Type::F64 : Type::I64;
+    Type ResTy = FloatOps && !isCompareOp(Op) ? Type::F64 : Type::I64;
+    Value VX = FloatOps ? FX : IX, VY = FloatOps ? FY : IY;
+    int64_t Full = evalBinop(Op, VX, VY).I;
+    uint64_t C = opcodeCycles(Op);
+    std::string N = opcodeName(Op);
+    auto Emit = [&](FunctionBuilder &B) {
+      return isCompareOp(Op) ? B.cmp(Op, X, Y) : B.arith(Op, X, Y);
+    };
+    {
+      Entry E(N + "_Move", ResTy, OpTy, false);
+      Reg V = E.B.newReg(ResTy);
+      Reg S = Emit(E.B);
+      E.B.bind(E.L1);
+      E.B.move(V, S);
+      E.B.ret(V);
+      Cases.push_back({E.B.finalize(), 1, nth(HandlerId::Add_Move, K),
+                       {{Full, 4, 4 + C, 1}, {0, 3, 4, 1}}, VX, VY});
+    }
+    {
+      // The Br closes a back edge to a Ret placed before the group; every
+      // path takes it once, so each samples the entry and one back edge.
+      Entry E(N + "_Move_Br", ResTy, OpTy, true);
+      Reg V = E.B.newReg(ResTy);
+      auto Group = E.B.makeLabel(), Exit = E.B.makeLabel();
+      E.B.br(Group);
+      E.B.bind(Exit);
+      E.B.ret(V);
+      E.B.bind(Group);
+      Reg S = Emit(E.B);
+      E.B.bind(E.L1);
+      E.B.move(V, S);
+      E.B.bind(E.L2);
+      E.B.br(Exit);
+      Cases.push_back({E.B.finalize(), 4, nth(HandlerId::Add_Move_Br, K),
+                       {{Full, 7, 7 + C, 2}, {0, 5, 6, 2}, {0, 3, 4, 2}},
+                       VX, VY});
+    }
+    {
+      Entry E(N + "_Ret", ResTy, OpTy, false);
+      Reg S = Emit(E.B);
+      E.B.bind(E.L1);
+      E.B.ret(S);
+      Cases.push_back({E.B.finalize(), 1, nth(HandlerId::Add_Ret, K),
+                       {{Full, 3, 3 + C, 1}, {0, 2, 3, 1}}, VX, VY});
+    }
+  }
+
+  const Opcode Cmps[] = {
+#define DCHM_X(OP) Opcode::OP,
+      DCHM_BRANCH_CMPS(DCHM_X)
+#undef DCHM_X
+  };
+  for (size_t K = 0; K < std::size(Cmps); ++K)
+    for (bool Cbnz : {true, false}) {
+      Opcode Op = Cmps[K];
+      std::string N = std::string(opcodeName(Op)) + (Cbnz ? "_Cbnz" : "_Cbz");
+      bool Taken = (evalBinop(Op, IX, IY).I != 0) == Cbnz;
+      // Entering at the branch sees a zero compare result.
+      bool TakenAtBranch = !Cbnz;
+      Entry E(N, Type::I64, Type::I64, false);
+      auto Target = E.B.makeLabel();
+      Reg Cmp = E.B.cmp(Op, X, Y);
+      E.B.bind(E.L1);
+      if (Cbnz)
+        E.B.cbnz(Cmp, Target);
+      else
+        E.B.cbz(Cmp, Target);
+      E.B.ret(E.B.constI(10));
+      E.B.bind(Target);
+      E.B.ret(E.B.constI(20));
+      Cases.push_back(
+          {E.B.finalize(), 1,
+           nth(Cbnz ? HandlerId::CmpEQ_Cbnz : HandlerId::CmpEQ_Cbz, K),
+           {{Taken ? 20 : 10, 5, 6, 1}, {TakenAtBranch ? 20 : 10, 4, 5, 1}},
+           IX, IY});
+    }
+
+  {
+    Entry E("GetField_GetField", Type::I64, Type::Ref, false, false);
+    Reg A = E.B.getField(X, FF, Type::I64);
+    E.B.bind(E.L1);
+    Reg G = E.B.getField(X, FG, Type::I64);
+    E.B.ret(E.B.add(A, G));
+    Cases.push_back({E.B.finalize(), 1, HandlerId::GetField_GetField,
+                     {{11 + 4, 5, 8, 1}, {4, 4, 6, 1}}, {}, {}});
+  }
+  {
+    Entry E("GetField_Ret", Type::I64, Type::Ref, false, false);
+    Reg A = E.B.getField(X, FF, Type::I64);
+    E.B.bind(E.L1);
+    E.B.ret(A);
+    Cases.push_back({E.B.finalize(), 1, HandlerId::GetField_Ret,
+                     {{11, 3, 5, 1}, {0, 2, 3, 1}}, {}, {}});
+  }
+  return Cases;
+}
+
+TEST(DecodedStream, BranchIntoEveryFusedGroupMatchesSwitchAndPins) {
+  Program P;
+  ClassId K = P.defineClass("K");
+  FieldId FF = P.defineField(K, "f", Type::I64, false);
+  FieldId FG = P.defineField(K, "g", Type::I64, false);
+  std::vector<MidGroupCase> Cases = buildMidGroupCases(FF, FG);
+  std::vector<MethodId> Ids;
+  for (MidGroupCase &C : Cases) {
+    std::vector<Type> Params(C.Body.RegTypes.begin(),
+                             C.Body.RegTypes.begin() + C.Body.NumArgs);
+    MethodId M =
+        P.defineMethod(K, C.Body.Name, C.Body.RetTy, Params,
+                       {.IsStatic = true});
+    P.setBody(M, C.Body);
+    Ids.push_back(M);
+  }
+  P.link();
+
+  auto Run = [&](DispatchMode DM) {
+    VMOptions Opts;
+    Opts.Adaptive.Opt1Threshold = 1u << 30; // every case runs its opt0 body
+    Opts.Dispatch = DM;
+    VirtualMachine VM(P, Opts);
+    ClassInfo &CI = P.cls(K);
+    Object *O = VM.heap().allocateInstance(CI, CI.ClassTib);
+    O->set(P.field(FF).Slot, valueI(11));
+    O->set(P.field(FG).Slot, valueI(4));
+    std::vector<EntryPath> Got;
+    for (size_t I = 0; I < Cases.size(); ++I) {
+      const MidGroupCase &C = Cases[I];
+      bool FieldCase = C.Body.NumArgs == 3;
+      for (size_t Entry = 0; Entry < C.Paths.size(); ++Entry) {
+        std::vector<Value> Args = {valueI(Entry == 1), valueI(Entry == 2)};
+        if (FieldCase) {
+          Args.push_back(valueR(O));
+        } else {
+          Args.push_back(C.X);
+          Args.push_back(C.Y);
+        }
+        ExecStats Before = VM.interp().stats();
+        uint64_t Samples0 = P.method(Ids[I]).SampleCount;
+        Value R = VM.call(Ids[I], Args);
+        const ExecStats &After = VM.interp().stats();
+        Got.push_back({R.I, After.Insts - Before.Insts,
+                       After.Cycles - Before.Cycles,
+                       P.method(Ids[I]).SampleCount - Samples0});
+      }
+      // The paths above ran the fused handler under test.
+      const CompiledMethod *CM = P.staticEntry(Ids[I]);
+      EXPECT_EQ(CM->decoded()[C.GroupStart].Handler,
+                static_cast<uint8_t>(C.Group))
+          << C.Body.Name;
+      EXPECT_EQ(CM->decoded()[C.GroupStart].Count, C.Paths.size())
+          << C.Body.Name;
+    }
+    return Got;
+  };
+  std::vector<EntryPath> Base = Run(DispatchMode::Switch);
+  std::vector<EntryPath> Got = Run(DispatchMode::Threaded);
+  ASSERT_EQ(Got.size(), Base.size());
+  size_t Row = 0;
+  for (const MidGroupCase &C : Cases)
+    for (size_t Entry = 0; Entry < C.Paths.size(); ++Entry, ++Row) {
+      SCOPED_TRACE(C.Body.Name + " entered at member " + std::to_string(Entry));
+      const EntryPath &Want = C.Paths[Entry];
+      for (const EntryPath *Have : {&Base[Row], &Got[Row]}) {
+        EXPECT_EQ(Have->Bits, Want.Bits);
+        EXPECT_EQ(Have->Insts, Want.Insts);
+        EXPECT_EQ(Have->Cycles, Want.Cycles);
+        EXPECT_EQ(Have->Samples, Want.Samples);
+      }
+    }
+}
+
+/// A minimal well-formed body: `ret 0`.
+IRFunction retZero() {
+  FunctionBuilder B("F", Type::I64);
+  B.ret(B.constI(0));
+  return B.finalize();
+}
+
+TEST(DecodedStream, RejectsBodyNotEndingInBrOrRet) {
+  IRFunction F = retZero();
+  ASSERT_TRUE(decodeBody(F));
+  F.Insts.pop_back(); // ends in ConstI now
+  Expected<std::vector<DecodedInst>> D = decodeBody(F);
+  ASSERT_FALSE(D);
+  EXPECT_NE(D.takeError().message().find("does not end in br or ret"),
+            std::string::npos);
+  F.Insts.clear();
+  EXPECT_FALSE(decodeBody(F));
+}
+
+TEST(DecodedStream, RejectsBranchTargetOutsideBody) {
+  FunctionBuilder B("F", Type::I64);
+  Reg X = B.addArg(Type::I64);
+  auto L = B.makeLabel();
+  B.cbnz(X, L);
+  B.bind(L);
+  B.ret(X);
+  IRFunction F = B.finalize();
+  ASSERT_TRUE(decodeBody(F));
+  F.Insts[0].Imm = static_cast<int64_t>(F.Insts.size()); // one past the end
+  Expected<std::vector<DecodedInst>> D = decodeBody(F);
+  ASSERT_FALSE(D);
+  EXPECT_NE(D.takeError().message().find("outside the body"),
+            std::string::npos);
+  F.Insts[0].Imm = -1;
+  EXPECT_FALSE(decodeBody(F));
+}
+
+TEST(DecodedStream, ReleaseBodyDropsDecodedArray) {
+  Program P;
+  ClassId K = P.defineClass("K");
+  MethodId M = P.defineMethod(K, "f", Type::I64, {}, {.IsStatic = true});
+  P.setBody(M, retZero());
+  P.link();
+  OptCompiler Compiler(P);
+  CompiledMethod *CM = Compiler.compileGeneral(P.method(M), 0);
+  ASSERT_EQ(CM->decoded().size(), CM->code().Insts.size());
+  EXPECT_EQ(CM->decoded()[0].Handler, static_cast<uint8_t>(Opcode::ConstI));
+  CM->releaseBody();
+  EXPECT_TRUE(CM->code().Insts.empty());
+  EXPECT_TRUE(CM->decoded().empty());
+  EXPECT_EQ(CM->decoded().capacity(), 0u);
+}
+
+// Bodies are verified at link; these tamper with a linked method's bytecode
+// to stand in for an optimizer that emits a malformed body.
+TEST(DecodedStreamDeath, AuditedCompileVerifiesTheFinishedBody) {
+  Program P;
+  ClassId K = P.defineClass("K");
+  MethodId M = P.defineMethod(K, "f", Type::I64, {Type::I64},
+                              {.IsStatic = true});
+  FunctionBuilder B("K.f", Type::I64);
+  Reg X = B.addArg(Type::I64);
+  B.ret(B.add(X, B.constI(1)));
+  P.setBody(M, B.finalize());
+  P.link();
+  P.method(M).Bytecode.Insts[0].Dst = X; // writes an argument register
+  OptCompiler Quiet(P);
+  EXPECT_NE(Quiet.compileGeneral(P.method(M), 0), nullptr); // default: off
+  OptCompiler Audited(P);
+  Audited.setVerifyBodies(true);
+  EXPECT_DEATH(Audited.compileGeneral(P.method(M), 0),
+               "compiled body of 'K.f' \\(opt0, general\\) is malformed: "
+               "K.f: inst 0: writes an argument register");
+}
+
+TEST(DecodedStreamDeath, CompileRejectsBranchOutsideTheBody) {
+  Program P;
+  ClassId K = P.defineClass("K");
+  MethodId M = P.defineMethod(K, "f", Type::I64, {}, {.IsStatic = true});
+  FunctionBuilder B("K.f", Type::I64);
+  auto L = B.makeLabel();
+  B.br(L);
+  B.bind(L);
+  B.ret(B.constI(0));
+  P.setBody(M, B.finalize());
+  P.link();
+  P.method(M).Bytecode.Insts[0].Imm = 3;
+  OptCompiler C(P);
+  EXPECT_DEATH(C.compileGeneral(P.method(M), 0),
+               "compiled body of 'K.f' \\(opt0, general\\) is malformed: "
+               "K.f: branch at 0 targets 3, outside the body of 3");
 }
 
 } // namespace
