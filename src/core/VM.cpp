@@ -45,8 +45,7 @@ VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
   unsigned NThreads = mutatorThreads();
   Interps.reserve(NThreads);
   for (unsigned T = 0; T < NThreads; ++T) {
-    Interps.push_back(
-        std::make_unique<Interpreter>(P, TheHeap, *this, Opts.Dispatch));
+    Interps.push_back(std::make_unique<Interpreter>(P, TheHeap, *this));
     Interps.back()->setSkipTopTierSamples(Opts.Adaptive.SampleInterval == 1);
   }
   TheHeap.setRootProvider(this);

@@ -59,14 +59,10 @@ struct VMOptions {
   size_t HeapBytes = 50u << 20; ///< Jikes' default 50 MB heap
   AdaptiveConfig Adaptive;
   InlinerConfig Inline;
-  /// Interpreter dispatch loop (docs/dispatch.md). Changes host wall time
-  /// only; simulated cycle counts and program output are identical in both
-  /// modes.
-  DispatchMode Dispatch = DispatchMode::Default;
-  /// Content-keyed specialization cache (docs/compile_pipeline.md). Like
-  /// the dispatch mode it changes host wall time and host-side compile/code
-  /// counters only: simulated cycles, instruction counts, and output are
-  /// identical either way.
+  /// Content-keyed specialization cache (docs/compile_pipeline.md). It
+  /// changes host wall time and host-side compile/code counters only:
+  /// simulated cycles, instruction counts, and output are identical either
+  /// way.
   std::optional<bool> SpecializationCache; ///< DCHM_SPEC_CACHE
   /// Gates the runtime consistency auditor (testing/ConsistencyAuditor):
   /// when it resolves off, setAuditHook() is a no-op, so harnesses can leave

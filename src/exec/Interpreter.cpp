@@ -3,13 +3,17 @@
 // Part of DCHM, a reproduction of "Dynamic Class Hierarchy Mutation"
 // (Su & Lipasti, CGO 2006).
 //
-// The inner loop is written once (exec/InterpreterLoop.inc) and compiled
-// twice: executeLoopThreaded dispatches with computed goto over each body's
-// decoded form (one indirect branch per handler, fused groups decided once
-// per compiled body, see runtime/DecodedBody.h) and executeLoopSwitch with
-// the portable central switch over raw IR. Both charge identical simulated
-// cycles and produce identical output; only host wall time differs. See
-// docs/dispatch.md.
+// The inner loop, executeLoop, dispatches with computed goto over each
+// body's decoded form (runtime/DecodedBody.h): one indirect branch per
+// handler, fused groups decided once per compiled body and charged on
+// dispatch. Each entry names a handler for one instruction or for a fused
+// group of two or three, and carries the group's instruction count and
+// summed cycles. A group always runs to completion (its only early exits are
+// fatal aborts), so charging it up front is exact; entries stay
+// index-parallel to the IR, so a branch into the middle of a group lands on
+// that instruction's own entry. Decoding checked once that the body ends in
+// Br/Ret and that every branch target is in range, so the loop has no
+// per-dispatch bound check. See docs/dispatch.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,33 +27,12 @@
 #include <algorithm>
 #include <cstdio>
 
-// Computed goto is a GNU extension available on GCC and Clang; elsewhere the
-// threaded instantiation falls back to the switch loop.
-#if defined(__GNUC__) || defined(__clang__)
-#define DCHM_HAVE_COMPUTED_GOTO 1
-#else
-#define DCHM_HAVE_COMPUTED_GOTO 0
-#endif
-
 namespace dchm {
 
-Interpreter::Interpreter(Program &P, Heap &H, VMCallbacks &CB,
-                         DispatchMode Mode)
+Interpreter::Interpreter(Program &P, Heap &H, VMCallbacks &CB)
     : P(P), H(H), CB(CB) {
   Frames.resize(MaxFrames);
   RegArena.resize(InitialArenaSlots);
-#if DCHM_HAVE_COMPUTED_GOTO
-#ifdef DCHM_THREADED_DISPATCH
-  constexpr bool DefaultThreaded = true;
-#else
-  constexpr bool DefaultThreaded = false;
-#endif
-  UseThreaded = Mode == DispatchMode::Threaded ||
-                (Mode == DispatchMode::Default && DefaultThreaded);
-#else
-  (void)Mode;
-  UseThreaded = false;
-#endif
 }
 
 void Interpreter::setProfiling(bool On) {
@@ -192,41 +175,524 @@ Value Interpreter::invoke(MethodId Mid, const std::vector<Value> &Args) {
       }
     }
   }
-  Value Result = execute(CM, Args.data(), Args.size());
+  Value Result = executeLoop(CM, Args.data(), Args.size());
   if (M.Flags.IsCtor && !Args.empty())
     CB.onConstructorExit(Args[0].R, M);
   return Result;
 }
 
-Value Interpreter::execute(CompiledMethod *CM, const Value *Args,
-                           size_t NumArgs) {
-  if (UseThreaded)
-    return executeLoopThreaded(CM, Args, NumArgs);
-  return executeLoopSwitch(CM, Args, NumArgs);
-}
+/// Charges the group at D and jumps to its handler.
+#define VM_DISPATCH()                                                          \
+  do {                                                                         \
+    NInsts += D->Count;                                                        \
+    C += D->Cycles;                                                            \
+    goto *JumpTab[D->Handler];                                                 \
+  } while (0)
 
-// The shared inner-loop body, compiled once per dispatch strategy. Keeping
-// the copies as separate functions (not a template over the flag) matters:
-// see the header comment of InterpreterLoop.inc.
-#define DCHM_LOOP_THREADED 0
-#define DCHM_LOOP_NAME executeLoopSwitch
-#include "exec/InterpreterLoop.inc"
-#undef DCHM_LOOP_THREADED
-#undef DCHM_LOOP_NAME
+/// Advances past a group of K instructions and dispatches the next entry.
+#define VM_SKIP(K)                                                             \
+  do {                                                                         \
+    Ip += (K);                                                                 \
+    D += (K);                                                                  \
+    VM_DISPATCH();                                                             \
+  } while (0)
 
-#if DCHM_HAVE_COMPUTED_GOTO
-#define DCHM_LOOP_THREADED 1
-#define DCHM_LOOP_NAME executeLoopThreaded
-#include "exec/InterpreterLoop.inc"
-#undef DCHM_LOOP_THREADED
-#undef DCHM_LOOP_NAME
-#else
-// Without computed goto the constructor never selects threaded mode; keep
-// the symbol defined for the header's sake.
-Value Interpreter::executeLoopThreaded(CompiledMethod *CM, const Value *Args,
-                                       size_t NumArgs) {
-  return executeLoopSwitch(CM, Args, NumArgs);
-}
+#define VM_NEXT() VM_SKIP(1)
+
+/// Takes the branch instruction BI: a target at or before BI is a back
+/// edge. Decoding guaranteed the target is inside the body.
+#define VM_BRANCH(BI)                                                          \
+  do {                                                                         \
+    const size_t Tgt_ = static_cast<size_t>((BI).Imm);                         \
+    if (Insts + Tgt_ <= &(BI))                                                 \
+      NoteBackedge();                                                          \
+    Ip = Insts + Tgt_;                                                         \
+    D = Dec + Tgt_;                                                            \
+    VM_DISPATCH();                                                             \
+  } while (0)
+
+// Crossjumping and global CSE would merge the replicated indirect branches
+// back into one dispatch site, forfeiting the per-handler branch prediction
+// that threaded dispatch exists to buy (the GCC manual makes the same
+// recommendation for computed-goto interpreters).
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-crossjumping", "no-gcse")))
 #endif
+Value Interpreter::executeLoop(CompiledMethod *CM, const Value *Args,
+                               size_t NumArgs) {
+  // Consistency-audit checkpoint at the invocation boundary: dispatch
+  // structures are quiescent here. Nested calls enter here directly (not
+  // via invoke()), which is why the check lives at the top of the loop
+  // body. The hook is read-only (runtime/AuditHook.h), so audited and
+  // unaudited runs stay bit-identical in simulated state.
+  if (Audit)
+    Audit->onSafepoint();
+  DCHM_CHECK(!CM->bodyReleased(), "invoking a released compiled body");
+  const IRFunction &Fn = CM->code();
+  MethodInfo &M = CM->method();
+  if (Depth >= MaxFrames)
+    reportFatalErrorf("VM stack overflow invoking '%s': frame depth %zu "
+                      "reached the MaxFrames limit (%zu)",
+                      Fn.Name.c_str(), Depth, MaxFrames);
+  Frame &F = Frames[Depth++];
+  F.Fn = &Fn;
+  F.M = &M;
+  const uint32_t NumRegs = static_cast<uint32_t>(Fn.RegTypes.size());
+  F.NumRegs = NumRegs;
+  // Carve this frame's register window out of the contiguous arena. The
+  // slab only ever grows here, so raw register pointers stay valid for the
+  // whole handler run and are re-derived after nested invocations.
+  F.RegBase = ArenaTop;
+  if (ArenaTop + NumRegs > RegArena.size())
+    RegArena.resize(std::max(RegArena.size() * 2, ArenaTop + NumRegs));
+  ArenaTop += NumRegs;
+  Value *R = RegArena.data() + F.RegBase;
+  DCHM_CHECK(NumArgs == Fn.NumArgs, "execute arg count mismatch");
+  // Args never alias the arena: callers pass host-stack or std::vector
+  // storage (ArgBufCall's Buf, invoke()'s argument vector).
+  std::copy_n(Args, NumArgs, R);
+  std::fill_n(R + NumArgs, NumRegs - NumArgs, zeroValue());
+
+  /// A method at the top of the ladder takes no hotness sample when every
+  /// event counts (see setSkipTopTierSamples()): nothing reads its count
+  /// again, so skipping the shared counter is bit-identical. The level is
+  /// re-read per event because a back edge may promote mid-invocation.
+  auto TakesSample = [&] {
+    return !SkipTopTierSamples ||
+           M.CurOptLevel.load(std::memory_order_relaxed) < TopOptLevel;
+  };
+
+  Stats.Invocations++;
+  if (TakesSample())
+    CB.onMethodEntry(M);
+  if (Profiling)
+    MethodInvocations[M.Id]++;
+
+  uint64_t C = 0;      // local cycle accumulator, flushed on return
+  uint64_t NInsts = 0; // local instruction counter, flushed on return
+  Value Ret = zeroValue();
+  const Instruction *const Insts = Fn.Insts.data();
+  const Instruction *Ip = Insts;
+  const DecodedInst *const Dec = CM->decoded().data();
+  const DecodedInst *D = Dec;
+
+  /// Calls Target with the arguments of call instruction I, read from the
+  /// registers at Regs. The register base is a parameter, not a capture,
+  /// so R can live in a host register across the whole loop; every caller
+  /// re-derives R afterwards, since the nested invocation may have grown
+  /// the arena.
+  auto ArgBufCall = [this](const Value *Regs, const Instruction &I,
+                           CompiledMethod *Target) {
+    Value Buf[MaxArgs];
+    DCHM_CHECK(I.Args.size() <= MaxArgs, "too many call arguments");
+    for (size_t A = 0; A < I.Args.size(); ++A)
+      Buf[A] = Regs[I.Args[A]];
+    Value RV = executeLoop(Target, Buf, I.Args.size());
+    // "At the end of the constructors for a mutable class" (Figure 4): the
+    // ctor-exit trigger of the distributed mutation algorithm.
+    if (Target->method().Flags.IsCtor)
+      CB.onConstructorExit(Buf[0].R, Target->method());
+    return RV;
+  };
+
+  /// Hotness sample on a loop back edge. A top-tier method takes none, which
+  /// keeps both the callback chain and the shared counter off the
+  /// interpreter's hottest edge.
+  auto NoteBackedge = [&] {
+    // Multi-mutator rendezvous poll: backedges are where a loop-bound
+    // mutator reaches its safepoint. One relaxed load when a slot is set.
+    if (Sp)
+      Sp->poll();
+    if (TakesSample())
+      CB.onBackedge(M);
+  };
+
+  // Label-address table in HandlerId order: first one handler per opcode
+  // (every binop and compare has its own; the unop family shares a label),
+  // then one per fused group.
+  static const void *const JumpTab[] = {
+      &&L_ConstI, &&L_ConstF, &&L_ConstNull, &&L_Move,
+      &&L_Add, &&L_Sub, &&L_Mul, &&L_Div, &&L_Rem,
+      &&L_And, &&L_Or, &&L_Xor, &&L_Shl, &&L_Shr,
+      &&L_Unop, // Neg
+      &&L_FAdd, &&L_FSub, &&L_FMul, &&L_FDiv,
+      &&L_Unop, // FNeg
+      &&L_CmpEQ, &&L_CmpNE, &&L_CmpLT, &&L_CmpLE, &&L_CmpGT, &&L_CmpGE,
+      &&L_FCmpEQ, &&L_FCmpLT, &&L_FCmpLE,
+      &&L_Unop, &&L_Unop, // I2F F2I
+      &&L_Br, &&L_Cbnz, &&L_Cbz, &&L_Ret,
+      &&L_New, &&L_NewArray, &&L_ALoad, &&L_AStore, &&L_ALen,
+      &&L_GetField, &&L_PutField, &&L_GetStatic, &&L_PutStatic,
+      &&L_CallStatic, &&L_CallVirtual, &&L_CallSpecial, &&L_CallInterface,
+      &&L_InstanceOf, &&L_CheckCast, &&L_ClassEq, &&L_Print,
+#define DCHM_X(OP) &&L_ConstI_##OP,
+      DCHM_CONST_ARITH_OPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) &&L_ConstI_##OP##_Move,
+      DCHM_CONST_ARITH_OPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) &&L_ConstI_##OP##_Ret,
+      DCHM_CONST_ARITH_OPS(DCHM_X)
+#undef DCHM_X
+      &&L_ConstI_Move,
+#define DCHM_X(OP) &&L_##OP##_Move,
+      DCHM_FUSED_BINOPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) &&L_##OP##_Move_Br,
+      DCHM_FUSED_BINOPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) &&L_##OP##_Ret,
+      DCHM_FUSED_BINOPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) &&L_##OP##_Cbnz,
+      DCHM_BRANCH_CMPS(DCHM_X)
+#undef DCHM_X
+#define DCHM_X(OP) &&L_##OP##_Cbz,
+      DCHM_BRANCH_CMPS(DCHM_X)
+#undef DCHM_X
+      &&L_GetField_GetField, &&L_GetField_Ret,
+  };
+  static_assert(sizeof(JumpTab) / sizeof(JumpTab[0]) ==
+                    static_cast<unsigned>(HandlerId::NumHandlers),
+                "jump table out of sync with HandlerId");
+
+  // Multi-mutator rendezvous poll at the invocation boundary. It sits
+  // *after* the frame push and argument copy — a parked thread's arguments
+  // are then rooted through its frame registers, so a leader's GC closure
+  // cannot sweep them — and covers nested calls, which enter this loop body
+  // directly. Null slot (single-mutator mode) costs one predictable branch.
+  if (Sp)
+    Sp->poll();
+
+  VM_DISPATCH();
+
+L_ConstI: {
+  R[Ip->Dst] = valueI(Ip->Imm);
+  VM_NEXT();
+}
+L_ConstF: {
+  R[Ip->Dst] = valueF(Ip->FImm);
+  VM_NEXT();
+}
+L_ConstNull: {
+  R[Ip->Dst] = valueR(nullptr);
+  VM_NEXT();
+}
+L_Move: {
+  R[Ip->Dst] = R[Ip->A];
+  VM_NEXT();
+}
+// One handler per binop and compare opcode, and one per fused group
+// (runtime/DecodedBody.h). Each evaluates with a constant opcode, so
+// evalBinop's switch folds to the one operation, and ends in its own
+// dispatch branch. Handlers read the operands of the instructions of their
+// group (Ip[1], Ip[2]) but never inspect them to choose a path: decoding
+// chose the handler. The group was charged on dispatch. A group ending in
+// Ret skips writing the result register, which is dead once the frame
+// returns.
+
+// ConstI + an integer binop (which need not read the constant), alone or
+// followed by a Move or Ret of the binop's result.
+#define DCHM_CONST_ARITH_HANDLERS(OP)                                          \
+  L_ConstI_##OP : {                                                            \
+    R[Ip->Dst] = valueI(Ip->Imm);                                              \
+    R[Ip[1].Dst] = evalBinop(Opcode::OP, R[Ip[1].A], R[Ip[1].B]);              \
+    VM_SKIP(2);                                                                \
+  }                                                                            \
+  L_ConstI_##OP##_Move : {                                                     \
+    R[Ip->Dst] = valueI(Ip->Imm);                                              \
+    Value V = evalBinop(Opcode::OP, R[Ip[1].A], R[Ip[1].B]);                   \
+    R[Ip[1].Dst] = V;                                                          \
+    R[Ip[2].Dst] = V;                                                          \
+    VM_SKIP(3);                                                                \
+  }                                                                            \
+  L_ConstI_##OP##_Ret : {                                                      \
+    R[Ip->Dst] = valueI(Ip->Imm);                                              \
+    Ret = evalBinop(Opcode::OP, R[Ip[1].A], R[Ip[1].B]);                       \
+    goto done;                                                                 \
+  }
+
+// A binop alone; + Move of its result (the FunctionBuilder loop-variable
+// idiom `move(X, binop(...))`); + Move + Br (closing the loop); + Ret.
+#define DCHM_BINOP_HANDLERS(OP)                                                \
+  L_##OP : {                                                                   \
+    R[Ip->Dst] = evalBinop(Opcode::OP, R[Ip->A], R[Ip->B]);                    \
+    VM_NEXT();                                                                 \
+  }                                                                            \
+  L_##OP##_Move : {                                                            \
+    Value V = evalBinop(Opcode::OP, R[Ip->A], R[Ip->B]);                       \
+    R[Ip->Dst] = V;                                                            \
+    R[Ip[1].Dst] = V;                                                          \
+    VM_SKIP(2);                                                                \
+  }                                                                            \
+  L_##OP##_Move_Br : {                                                         \
+    Value V = evalBinop(Opcode::OP, R[Ip->A], R[Ip->B]);                       \
+    R[Ip->Dst] = V;                                                            \
+    R[Ip[1].Dst] = V;                                                          \
+    VM_BRANCH(Ip[2]);                                                          \
+  }                                                                            \
+  L_##OP##_Ret : {                                                             \
+    Ret = evalBinop(Opcode::OP, R[Ip->A], R[Ip->B]);                           \
+    goto done;                                                                 \
+  }
+
+// An integer compare alone, or + a conditional branch on its result (the
+// dominant pair of every counted loop). The register is still written, so
+// later reads of the compare result stay correct.
+#define DCHM_INTCMP_HANDLERS(OP)                                               \
+  L_##OP : {                                                                   \
+    R[Ip->Dst] = evalBinop(Opcode::OP, R[Ip->A], R[Ip->B]);                    \
+    VM_NEXT();                                                                 \
+  }                                                                            \
+  L_##OP##_Cbnz : {                                                            \
+    Value V = evalBinop(Opcode::OP, R[Ip->A], R[Ip->B]);                       \
+    R[Ip->Dst] = V;                                                            \
+    if (V.I != 0)                                                              \
+      VM_BRANCH(Ip[1]);                                                        \
+    VM_SKIP(2);                                                                \
+  }                                                                            \
+  L_##OP##_Cbz : {                                                             \
+    Value V = evalBinop(Opcode::OP, R[Ip->A], R[Ip->B]);                       \
+    R[Ip->Dst] = V;                                                            \
+    if (V.I == 0)                                                              \
+      VM_BRANCH(Ip[1]);                                                        \
+    VM_SKIP(2);                                                                \
+  }
+
+DCHM_CONST_ARITH_OPS(DCHM_CONST_ARITH_HANDLERS)
+DCHM_FUSED_BINOPS(DCHM_BINOP_HANDLERS)
+DCHM_BRANCH_CMPS(DCHM_INTCMP_HANDLERS)
+#undef DCHM_CONST_ARITH_HANDLERS
+#undef DCHM_BINOP_HANDLERS
+#undef DCHM_INTCMP_HANDLERS
+
+L_ConstI_Move: {
+  Value V = valueI(Ip->Imm);
+  R[Ip->Dst] = V;
+  R[Ip[1].Dst] = V;
+  VM_SKIP(2);
+}
+// Back-to-back field loads (method prologues reading several fields of
+// `this`); the second may load through the first's result.
+L_GetField_GetField: {
+  Object *O = R[Ip->A].R;
+  DCHM_CHECK(O, "null pointer in getfield");
+  R[Ip->Dst] = O->get(Ip->Aux);
+  Object *O2 = R[Ip[1].A].R;
+  DCHM_CHECK(O2, "null pointer in getfield");
+  R[Ip[1].Dst] = O2->get(Ip[1].Aux);
+  VM_SKIP(2);
+}
+// The accessor idiom GetField + Ret.
+L_GetField_Ret: {
+  Object *O = R[Ip->A].R;
+  DCHM_CHECK(O, "null pointer in getfield");
+  Ret = O->get(Ip->Aux);
+  goto done;
+}
+L_Unop: {
+  R[Ip->Dst] = evalUnop(Ip->Op, R[Ip->A]);
+  VM_NEXT();
+}
+
+L_Br: {
+  VM_BRANCH(*Ip);
+}
+L_Cbnz: {
+  if (R[Ip->A].I != 0)
+    VM_BRANCH(*Ip);
+  VM_NEXT();
+}
+L_Cbz: {
+  if (R[Ip->A].I == 0)
+    VM_BRANCH(*Ip);
+  VM_NEXT();
+}
+L_Ret: {
+  if (Ip->A != NoReg)
+    Ret = R[Ip->A];
+  goto done;
+}
+
+L_New: {
+  ClassInfo &Cls = P.cls(static_cast<ClassId>(Ip->Imm));
+  R[Ip->Dst] = valueR(H.allocateInstance(Cls, Cls.ClassTib));
+  VM_NEXT();
+}
+L_NewArray: {
+  R[Ip->Dst] = valueR(H.allocateArray(Ip->Ty, R[Ip->A].I));
+  VM_NEXT();
+}
+L_ALoad: {
+  Object *Arr = R[Ip->A].R;
+  DCHM_CHECK(Arr && Arr->IsArray, "aload on non-array");
+  int64_t Idx = R[Ip->B].I;
+  DCHM_CHECK(Idx >= 0 && Idx < Arr->NumSlots, "array index out of bounds");
+  R[Ip->Dst] = Arr->get(static_cast<uint32_t>(Idx));
+  VM_NEXT();
+}
+L_AStore: {
+  Object *Arr = R[Ip->A].R;
+  DCHM_CHECK(Arr && Arr->IsArray, "astore on non-array");
+  int64_t Idx = R[Ip->B].I;
+  DCHM_CHECK(Idx >= 0 && Idx < Arr->NumSlots, "array index out of bounds");
+  Arr->set(static_cast<uint32_t>(Idx), R[Ip->C]);
+  VM_NEXT();
+}
+L_ALen: {
+  Object *Arr = R[Ip->A].R;
+  DCHM_CHECK(Arr && Arr->IsArray, "alen on non-array");
+  R[Ip->Dst] = valueI(Arr->NumSlots);
+  VM_NEXT();
+}
+
+L_GetField: {
+  Object *O = R[Ip->A].R;
+  DCHM_CHECK(O, "null pointer in getfield");
+  R[Ip->Dst] = O->get(Ip->Aux);
+  VM_NEXT();
+}
+L_PutField: {
+  Object *O = R[Ip->A].R;
+  DCHM_CHECK(O, "null pointer in putfield");
+  O->set(Ip->Aux, R[Ip->B]);
+  FieldInfo &Fld = P.field(static_cast<FieldId>(Ip->Imm));
+  if (Fld.IsStateField) {
+    // Patch code inserted at state-field assignments (algorithm part I).
+    // Stores a constructor makes to its own object are deferred to the
+    // constructor-exit action (Figure 4 patches "assignments in a
+    // non-constructor method" plus the end of constructors).
+    bool DuringCtor = M.Flags.IsCtor && O == R[0].R;
+    if (!DuringCtor) {
+      C += DispatchCost::StateFieldPatchBase;
+      Stats.StatePatchHits++;
+    }
+    CB.onInstanceStateStore(O, Fld, DuringCtor);
+  }
+  VM_NEXT();
+}
+L_GetStatic: {
+  R[Ip->Dst] = P.getStaticSlot(Ip->Aux);
+  VM_NEXT();
+}
+L_PutStatic: {
+  P.setStaticSlot(Ip->Aux, R[Ip->A]);
+  FieldInfo &Fld = P.field(static_cast<FieldId>(Ip->Imm));
+  if (Fld.IsStateField) {
+    C += DispatchCost::StateFieldPatchBase;
+    Stats.StatePatchHits++;
+    CB.onStaticStateStore(Fld);
+  }
+  VM_NEXT();
+}
+
+L_CallStatic: {
+  C += DispatchCost::StaticCall;
+  MethodInfo &Callee = P.method(static_cast<MethodId>(Ip->Imm));
+  CompiledMethod *Target = P.staticEntry(Callee.Id);
+  if (!Target)
+    Target = CB.ensureCompiled(Callee);
+  Value RV = ArgBufCall(R, *Ip, Target);
+  R = RegArena.data() + F.RegBase;
+  if (Ip->Dst != NoReg)
+    R[Ip->Dst] = RV;
+  VM_NEXT();
+}
+L_CallVirtual: {
+  C += DispatchCost::VirtualCall;
+  Stats.VirtualCalls++;
+  Object *Recv = R[Ip->Args[0]].R;
+  DCHM_CHECK(Recv && Recv->Tib, "null receiver in callvirtual");
+  CompiledMethod *Target = resolveAndEnsure(Recv->Tib, Ip->Aux);
+  Value RV = ArgBufCall(R, *Ip, Target);
+  R = RegArena.data() + F.RegBase;
+  if (Ip->Dst != NoReg)
+    R[Ip->Dst] = RV;
+  VM_NEXT();
+}
+L_CallSpecial: {
+  // Static binding through the *declaring class* TIB (invokespecial):
+  // object state never affects this dispatch, but a static-only mutable
+  // class may have specialized its class TIB entry itself.
+  C += DispatchCost::SpecialCall;
+  DCHM_CHECK(R[Ip->Args[0]].R, "null receiver in callspecial");
+  MethodInfo &Callee = P.method(static_cast<MethodId>(Ip->Imm));
+  TIB *DeclTib = P.cls(Callee.Owner).ClassTib;
+  CompiledMethod *Target = DeclTib->Slots[Ip->Aux];
+  if (!Target) {
+    CB.ensureCompiled(Callee);
+    Target = DeclTib->Slots[Ip->Aux];
+    DCHM_CHECK(Target, "compile broker did not install code");
+  }
+  Value RV = ArgBufCall(R, *Ip, Target);
+  R = RegArena.data() + F.RegBase;
+  if (Ip->Dst != NoReg)
+    R[Ip->Dst] = RV;
+  VM_NEXT();
+}
+L_CallInterface: {
+  C += DispatchCost::InterfaceCall;
+  Stats.InterfaceCalls++;
+  Object *Recv = R[Ip->Args[0]].R;
+  DCHM_CHECK(Recv && Recv->Tib, "null receiver in callinterface");
+  uint64_t Extra = 0;
+  CompiledMethod *Target = resolveInterfaceSite(
+      Recv->Tib, Ip->Aux, static_cast<MethodId>(Ip->Imm), Extra);
+  C += Extra;
+  DCHM_CHECK(Target, "interface dispatch found no code");
+  Value RV = ArgBufCall(R, *Ip, Target);
+  R = RegArena.data() + F.RegBase;
+  if (Ip->Dst != NoReg)
+    R[Ip->Dst] = RV;
+  VM_NEXT();
+}
+
+L_InstanceOf: {
+  // Type test via the TIB's type-information entry, never TIB identity
+  // (special TIBs share the class's type info; paper section 3.2.3).
+  Object *O = R[Ip->A].R;
+  bool Is = O && !O->IsArray &&
+            P.isSubtype(O->Tib->Cls->Id, static_cast<ClassId>(Ip->Imm));
+  R[Ip->Dst] = valueI(Is);
+  VM_NEXT();
+}
+L_ClassEq: {
+  // Exact-class guard (guarded inlining): type-information entry, so
+  // special TIBs compare equal to their class.
+  Object *O = R[Ip->A].R;
+  R[Ip->Dst] = valueI(O && !O->IsArray &&
+                      O->Tib->Cls->Id == static_cast<ClassId>(Ip->Imm));
+  VM_NEXT();
+}
+L_CheckCast: {
+  Object *O = R[Ip->A].R;
+  if (O) {
+    DCHM_CHECK(!O->IsArray, "checkcast on array");
+    DCHM_CHECK(P.isSubtype(O->Tib->Cls->Id, static_cast<ClassId>(Ip->Imm)),
+               "ClassCastException");
+  }
+  VM_NEXT();
+}
+
+L_Print: {
+  printValue(*Ip, R[Ip->A]);
+  VM_NEXT();
+}
+
+done:
+  Stats.Cycles += C;
+  Stats.Insts += NInsts;
+  if (Profiling)
+    MethodCycles[M.Id] += C;
+  ArenaTop = F.RegBase;
+  F.Fn = nullptr;
+  --Depth;
+  return Ret;
+}
+
+#undef VM_DISPATCH
+#undef VM_NEXT
+#undef VM_BRANCH
+#undef VM_SKIP
 
 } // namespace dchm

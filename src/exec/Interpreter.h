@@ -17,12 +17,13 @@
 /// the IMT. The interpreter is also the GC's root provider (frame scan).
 ///
 /// The host-side fast path (docs/dispatch.md) is independent of the
-/// simulated cost accounting: computed-goto threaded dispatch (DispatchMode)
-/// walks each body's decoded form (runtime/DecodedBody.h), built once per
-/// compiled method, where fused groups of dominant instruction sequences
-/// have their own handlers and are charged on dispatch. It changes only
-/// real wall time, never simulated cycles or program output. Registers live
-/// in one contiguous bump-allocated arena shared by all frames.
+/// simulated cost accounting: the one inner loop dispatches with computed
+/// goto over each body's decoded form (runtime/DecodedBody.h), built once
+/// per compiled method, where fused groups of dominant instruction
+/// sequences have their own handlers and are charged on dispatch. It
+/// changes only real wall time, never simulated cycles or program output.
+/// Registers live in one contiguous bump-allocated arena shared by all
+/// frames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,17 +51,10 @@ struct ExecStats {
   uint64_t StatePatchHits = 0; ///< state-field assignments intercepted
 };
 
-/// How the interpreter's inner loop dispatches opcodes. Default resolves to
-/// Threaded when the build enables DCHM_THREADED_DISPATCH and the compiler
-/// supports computed goto, otherwise to the portable Switch loop. Both
-/// modes produce identical output and identical simulated cycle counts.
-enum class DispatchMode : uint8_t { Default, Switch, Threaded };
-
 /// Executes compiled methods against a Program and Heap.
 class Interpreter : public RootProvider {
 public:
-  Interpreter(Program &P, Heap &H, VMCallbacks &CB,
-              DispatchMode Mode = DispatchMode::Default);
+  Interpreter(Program &P, Heap &H, VMCallbacks &CB);
 
   /// Invokes method M with the given arguments (receiver first for instance
   /// methods), compiling lazily as needed, and returns its result.
@@ -73,8 +67,9 @@ public:
   /// reclamation list of retired TIBs and specialized bodies.
   size_t liveFrames() const { return Depth; }
 
-  /// True when the inner loop runs on computed-goto threaded dispatch.
-  bool threadedDispatch() const { return UseThreaded; }
+  /// Always true: the inner loop is computed-goto threaded dispatch. Kept
+  /// for run manifests that record it.
+  bool threadedDispatch() const { return true; }
 
   /// Stops sampling methods at the top of the ladder (TopOptLevel). Only
   /// valid when the adaptive system samples every entry/back-edge event
@@ -137,17 +132,9 @@ private:
     uint32_t NumRegs = 0;
   };
 
-  Value execute(CompiledMethod *CM, const Value *Args, size_t NumArgs);
-  /// The two compilations of the shared inner-loop body
-  /// (exec/InterpreterLoop.inc). They are separate functions, not a
-  /// template over the dispatch flag, so the switch copy is compiled with
-  /// no address-taken labels at all: a `&&label` table anywhere in a
-  /// function pins every labelled block and costs the pure-switch loop
-  /// measurable straight-line speed.
-  Value executeLoopSwitch(CompiledMethod *CM, const Value *Args,
-                          size_t NumArgs);
-  Value executeLoopThreaded(CompiledMethod *CM, const Value *Args,
-                            size_t NumArgs);
+  /// The inner loop: runs CM on a fresh frame and returns its result.
+  /// Nested calls re-enter it directly.
+  Value executeLoop(CompiledMethod *CM, const Value *Args, size_t NumArgs);
   CompiledMethod *resolveAndEnsure(TIB *T, uint32_t Slot);
   /// Resolves an interface method against T's IMT (for external invoke()).
   CompiledMethod *resolveInterface(TIB *T, MethodId IfaceMethod);
@@ -172,7 +159,6 @@ private:
   size_t ArenaTop = 0;
   AuditHook *Audit = nullptr;
   SafepointSlot *Sp = nullptr;
-  bool UseThreaded = false;
   bool SkipTopTierSamples = false;
   bool Profiling = false;
   std::vector<uint64_t> MethodCycles;

@@ -166,18 +166,10 @@ std::string runFingerprint(const VMOptions &Opts, bool RoundTrip) {
 }
 
 TEST(Retirement, PrologueRoundTripIsFingerprintIdentical) {
-  // Both dispatch modes: every configuration must agree with itself across
-  // fresh vs round-trip, and with config 0.
-  std::vector<VMOptions> Configs(2);
-  Configs[0].Dispatch = DispatchMode::Switch;
-  Configs[1].Dispatch = DispatchMode::Threaded;
-
-  std::string Reference = runFingerprint(Configs[0], /*RoundTrip=*/false);
-  for (size_t I = 0; I < Configs.size(); ++I) {
-    EXPECT_EQ(runFingerprint(Configs[I], false), Reference) << "config " << I;
-    EXPECT_EQ(runFingerprint(Configs[I], true), Reference)
-        << "round-trip config " << I;
-  }
+  // Install, retire, re-install before any object exists must leave every
+  // simulated counter where plain installation puts it.
+  EXPECT_EQ(runFingerprint({}, /*RoundTrip=*/true),
+            runFingerprint({}, /*RoundTrip=*/false));
 }
 
 TEST(Retirement, MidRunRetireReinstallKeepsOutput) {

@@ -292,27 +292,23 @@ TEST(Interp, DeepRecursionNearFrameLimitSucceeds) {
   // sum(n) = n + sum(n - 1); depth 500 sits just under MaxFrames (512) and
   // forces the register arena through several geometric growths (each frame
   // re-derives its register window after the nested call returns).
-  for (DispatchMode DM : {DispatchMode::Switch, DispatchMode::Threaded}) {
-    Program P;
-    ClassId C = P.defineClass("C");
-    MethodId M = P.defineMethod(C, "sum", Type::I64, {Type::I64},
-                                {.IsStatic = true});
-    FunctionBuilder B("C.sum", Type::I64);
-    Reg N = B.addArg(Type::I64);
-    auto Rec = B.makeLabel();
-    B.cbnz(N, Rec);
-    B.ret(B.constI(0));
-    B.bind(Rec);
-    Reg One = B.constI(1);
-    Reg Rest = B.callStatic(M, {B.sub(N, One)}, Type::I64);
-    B.ret(B.add(N, Rest));
-    P.setBody(M, B.finalize());
-    P.link();
-    VMOptions Opts;
-    Opts.Dispatch = DM;
-    VirtualMachine VM(P, Opts);
-    EXPECT_EQ(VM.call(M, {valueI(500)}).I, 500 * 501 / 2);
-  }
+  Program P;
+  ClassId C = P.defineClass("C");
+  MethodId M = P.defineMethod(C, "sum", Type::I64, {Type::I64},
+                              {.IsStatic = true});
+  FunctionBuilder B("C.sum", Type::I64);
+  Reg N = B.addArg(Type::I64);
+  auto Rec = B.makeLabel();
+  B.cbnz(N, Rec);
+  B.ret(B.constI(0));
+  B.bind(Rec);
+  Reg One = B.constI(1);
+  Reg Rest = B.callStatic(M, {B.sub(N, One)}, Type::I64);
+  B.ret(B.add(N, Rest));
+  P.setBody(M, B.finalize());
+  P.link();
+  VirtualMachine VM(P, {});
+  EXPECT_EQ(VM.call(M, {valueI(500)}).I, 500 * 501 / 2);
 }
 
 } // namespace

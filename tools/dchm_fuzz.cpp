@@ -4,11 +4,11 @@
 // (Su & Lipasti, CGO 2006).
 //
 // Differential fuzzer over generated MVM programs (testing/ProgramGen):
-// every program runs through a matrix of host configurations (dispatch
-// strategy x specialization cache), with mutation off and on, asserting
+// every program runs with the specialization cache off and on, each with
+// mutation off and on, asserting
 //
-//  - bit-identical output and simulated cycle counters across every host
-//    configuration within a mutation group (the PR 2 determinism contract),
+//  - bit-identical output and simulated cycle counters across the two cache
+//    settings within a mutation group (the determinism contract),
 //  - identical program output with mutation off and on (the paper's
 //    transparency guarantee), and
 //  - zero consistency-auditor violations in every run.
@@ -35,13 +35,11 @@
 // consistency auditor must stay clean in every run (docs/threads.md).
 //
 //   dchm_fuzz [--n=<programs>] [--seed=<base>] [--stride=<k>]
-//             [--full-matrix] [--threads] [--inject-skip-tib]
-//             [--inject-skip-code] [--inject-partial-retire]
-//             [--malformed=<n>]
+//             [--threads] [--inject-skip-tib] [--inject-skip-code]
+//             [--inject-partial-retire] [--malformed=<n>]
 //
-// Counts must be positive integers; a malformed value exits 1 with a
-// diagnostic naming the flag. --full-matrix is accepted for old command
-// lines and runs the same (complete) matrix.
+// Counts must be positive integers; a malformed value, like an unknown
+// flag, exits 1 with a diagnostic naming it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,17 +64,14 @@ namespace {
 
 struct HostConfig {
   const char *Name;
-  DispatchMode Dispatch;
-  bool Cache = true;
+  bool Cache;
 };
 
-/// Every host configuration: dispatch x specialization cache. [0] is the
-/// reference; [1] replays injection artifacts.
+/// Every host configuration: the specialization cache off and on. [0] is
+/// the reference; [1] replays injection artifacts.
 const HostConfig Matrix[] = {
-    {"switch/cache-off", DispatchMode::Switch, false},
-    {"threaded/cache-on", DispatchMode::Threaded, true},
-    {"switch/cache-on", DispatchMode::Switch, true},
-    {"threaded/cache-off", DispatchMode::Threaded, false},
+    {"cache-off", false},
+    {"cache-on", true},
 };
 
 struct RunOutcome {
@@ -131,7 +126,6 @@ RunOutcome runOne(const std::string &Source, const HostConfig &HC,
     Opts.Adaptive.Opt1Threshold = Gen.Opt1;
   if (Gen.Opt2)
     Opts.Adaptive.Opt2Threshold = Gen.Opt2;
-  Opts.Dispatch = HC.Dispatch;
   Opts.SpecializationCache = HC.Cache;
   Opts.AuditConsistency = true;
 
@@ -188,7 +182,7 @@ RunOutcome runOne(const std::string &Source, const HostConfig &HC,
 }
 
 /// The simulated-state fingerprint that must be bit-identical across host
-/// configurations (dispatch and the cache change wall time only).
+/// configurations (the cache changes wall time only).
 std::string fingerprint(const RunOutcome &O) {
   std::ostringstream S;
   S << "result=" << O.Result << " hash=" << O.M.OutputHash
@@ -463,8 +457,6 @@ int main(int Argc, char **Argv) {
       Stride = intFlag("--stride", Argv[I] + 9, 1, LLONG_MAX);
     else if (A.rfind("--malformed=", 0) == 0)
       Malformed = intFlag("--malformed", Argv[I] + 12, 1, LLONG_MAX);
-    else if (A == "--full-matrix")
-      continue; // the one matrix is already complete; kept for old scripts
     else if (A == "--threads")
       ThreadsDim = true;
     else if (A == "--inject-skip-tib")
