@@ -107,7 +107,7 @@ SalaryRun runSalary(Workload &W, const MutationPlan &Plan,
   return R;
 }
 
-/// Two hot screen states for the jbb-like run (as in bench_compile_pipeline):
+/// Two hot screen states for the jbb-like run:
 /// both instance-dependent, so both are budget-evictable.
 MutationPlan makeScreenPlan(Program &P) {
   ProgramIds Ids(P);

@@ -18,16 +18,6 @@
 
 namespace dchm {
 
-void OptCompiler::setOlcDatabase(const OlcDatabase *Db) {
-  Olc = Db;
-  SpecCache.clear();
-}
-
-void OptCompiler::setPlan(const MutationPlan *Pl) {
-  Plan = Pl;
-  SpecCache.clear();
-}
-
 CompiledMethod *OptCompiler::finish(MethodInfo &M, IRFunction Code, int Level,
                                     int StateIdx) {
   // Compile cost scales with the unit size the optimizer actually processes
@@ -98,51 +88,13 @@ CompiledMethod *OptCompiler::compileSpecial(MethodInfo &M, int Level,
                                             size_t StateIdx) {
   DCHM_CHECK(M.HasBody, "compiling a method without a body");
   IRFunction Code = M.Bytecode;
-  std::vector<ConsumedBinding> Consumed;
-  specializeForState(Code, M, CP, StateIdx,
-                     CacheEnabled ? &Consumed : nullptr);
+  specializeForState(Code, M, CP, StateIdx);
   Stats.SpecialCompileRequests++;
-
-  std::string Key;
-  if (CacheEnabled) {
-    // Content key: method + level + exactly the bindings the body consumed.
-    // Fields the method never reads are excluded, so hot states that are
-    // indistinguishable to this method collide — which is the point.
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "m%u|l%d", M.Id, Level);
-    Key = Buf;
-    for (const ConsumedBinding &B : Consumed) {
-      std::snprintf(Buf, sizeof(Buf), "|f%u:%llx", B.Field,
-                    static_cast<unsigned long long>(B.Bits));
-      Key += Buf;
-    }
-    auto It = SpecCache.find(Key);
-    if (It != SpecCache.end() && !It->second.CM->isInvalidated()) {
-      // Identical consumed bindings mean an identical specialized body and
-      // (since plan, OLC, and inliner config are fixed for the run)
-      // identical post-inlining size, so charging from the cached unit size
-      // reproduces a recompile's cycles bit-for-bit.
-      uint64_t Cycles = CompileCost::SpecialPerCompile +
-                        CompileCost::SpecialPerInst * It->second.UnitSize;
-      Stats.TotalCompileCycles += Cycles;
-      Stats.SpecialCompileCycles += Cycles;
-      Stats.SpecialCacheHits++;
-      Stats.SpecialCyclesSharedWork += Cycles;
-      It->second.CM->addShare();
-      return It->second.CM;
-    }
-  }
-
   if (Level >= 2) {
     Inliner Inl(P, InlineCfg, Olc, Plan);
     Inl.run(Code, M);
   }
-  size_t UnitSize = Code.Insts.size();
-  CompiledMethod *CM =
-      finish(M, std::move(Code), Level, static_cast<int>(StateIdx));
-  if (CacheEnabled)
-    SpecCache[Key] = {CM, UnitSize};
-  return CM;
+  return finish(M, std::move(Code), Level, static_cast<int>(StateIdx));
 }
 
 } // namespace dchm

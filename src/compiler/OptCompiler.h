@@ -26,34 +26,23 @@
 #include "runtime/CompiledMethod.h"
 #include "runtime/Program.h"
 
-#include <string>
-#include <unordered_map>
-
 namespace dchm {
 
 /// Cumulative compiler activity over a run.
 ///
 /// The cycle fields are part of the simulated machine and are charged
-/// deterministically at request time, in program order: the specialization
-/// cache changes wall time, compile counts, and code bytes, never cycles.
+/// deterministically at request time, in program order.
 struct CompilerStats {
   uint64_t TotalCompileCycles = 0;
   uint64_t SpecialCompileCycles = 0; ///< spent on specialized versions only
   size_t TotalCodeBytes = 0;         ///< all compiled code ever generated
   size_t SpecialCodeBytes = 0;       ///< specialized versions only
   unsigned CompilesAtLevel[3] = {0, 0, 0};
-  unsigned SpecialCompiles = 0; ///< specialized bodies actually compiled
-  /// Specialized versions requested (compiles + cache hits). With the cache
-  /// off this equals SpecialCompiles.
+  unsigned SpecialCompiles = 0; ///< specialized bodies compiled
+  /// Kept for perfbench/: always equals SpecialCompiles.
   unsigned SpecialCompileRequests = 0;
-  /// Requests served by the content-keyed specialization cache: another hot
-  /// state was indistinguishable to the method, so its CompiledMethod is
-  /// shared across Specials slots.
+  /// Kept for perfbench/: always 0.
   unsigned SpecialCacheHits = 0;
-  /// Counterfactual: modeled cycles a hit *would* have cost to recompile.
-  /// Diagnostic only — the same cycles are still charged on hits so that
-  /// simulated time is bit-identical with the cache off.
-  uint64_t SpecialCyclesSharedWork = 0;
   InlineStats Inlining;
 };
 
@@ -69,17 +58,10 @@ public:
 
   InlinerConfig &inlinerConfig() { return InlineCfg; }
   /// Wires in OLC analysis results (enables specialization inlining).
-  /// Invalidates the specialization cache: inlining decisions feed it.
-  void setOlcDatabase(const OlcDatabase *Db);
+  void setOlcDatabase(const OlcDatabase *Db) { Olc = Db; }
   /// Wires in the mutation plan (enables the trade-off heuristic and
-  /// specialized compilation). Invalidates the specialization cache.
-  void setPlan(const MutationPlan *Pl);
-
-  /// Turns the specialization cache on or off. Off by default — the seed
-  /// behavior — for standalone OptCompiler users (tests, analysis tools);
-  /// the VM hands in the value it resolved from VMOptions and the
-  /// environment. Never reads the environment itself.
-  void setSpecializationCache(bool On) { CacheEnabled = On; }
+  /// specialized compilation).
+  void setPlan(const MutationPlan *Pl) { Plan = Pl; }
 
   /// Runs the IR verifier on every finished (optimized) body and aborts
   /// with a diagnostic naming the method, level and state on a violation.
@@ -90,8 +72,8 @@ public:
   /// The returned object is owned by M; the caller installs it.
   CompiledMethod *compileGeneral(MethodInfo &M, int Level);
 
-  /// Compiles the version specialized for hot state StateIdx of CP, or
-  /// returns a cache-shared version another hot state already produced.
+  /// Compiles the version specialized for hot state StateIdx of CP. Each
+  /// call produces a new body owned by M; no two states share one.
   CompiledMethod *compileSpecial(MethodInfo &M, int Level,
                                  const MutableClassPlan &CP, size_t StateIdx);
 
@@ -103,14 +85,6 @@ public:
   const CompilerStats &stats() const { return Stats; }
 
 private:
-  /// A specialization the cache can serve again: the compiled body plus the
-  /// unit size its modeled cost was computed from (hits must charge the
-  /// exact cycles a recompile would have).
-  struct CacheEntry {
-    CompiledMethod *CM = nullptr;
-    size_t UnitSize = 0;
-  };
-
   CompiledMethod *finish(MethodInfo &M, IRFunction Code, int Level,
                          int StateIdx);
 
@@ -120,10 +94,7 @@ private:
   const MutationPlan *Plan = nullptr;
   CompilerStats Stats;
   CompilePipeline Pipeline;
-  bool CacheEnabled = false;
   bool VerifyBodies = false;
-  /// Content key (method, level, consumed bindings) -> shared special.
-  std::unordered_map<std::string, CacheEntry> SpecCache;
 };
 
 } // namespace dchm

@@ -9,8 +9,6 @@
 
 #include "support/Debug.h"
 
-#include <algorithm>
-
 namespace dchm {
 
 namespace {
@@ -53,8 +51,7 @@ bool readsReceiver(const Instruction &I, const MethodInfo &M) {
 } // namespace
 
 unsigned specializeForState(IRFunction &F, const MethodInfo &M,
-                            const MutableClassPlan &Plan, size_t StateIdx,
-                            std::vector<ConsumedBinding> *Consumed) {
+                            const MutableClassPlan &Plan, size_t StateIdx) {
   DCHM_CHECK(StateIdx < Plan.HotStates.size(), "bad hot state index");
   unsigned Folded = 0;
   for (Instruction &I : F.Insts) {
@@ -78,18 +75,7 @@ unsigned specializeForState(IRFunction &F, const MethodInfo &M,
       I.Op = Opcode::ConstF;
       I.FImm = V.F;
     }
-    if (Consumed)
-      Consumed->push_back(
-          {FId, static_cast<uint64_t>(V.I)}); // F64 aliases the same bits
     ++Folded;
-  }
-  if (Consumed) {
-    std::sort(Consumed->begin(), Consumed->end(),
-              [](const ConsumedBinding &A, const ConsumedBinding &B) {
-                return A.Field < B.Field;
-              });
-    Consumed->erase(std::unique(Consumed->begin(), Consumed->end()),
-                    Consumed->end());
   }
   return Folded;
 }

@@ -23,35 +23,15 @@
 #include "mutation/MutationPlan.h"
 #include "runtime/Program.h"
 
-#include <vector>
-
 namespace dchm {
-
-/// One state binding the specializer actually consumed: the field and the
-/// bit pattern of the constant folded for it (I64 value or F64 bits). The
-/// sorted, deduplicated list of these is the content key of the
-/// specialization cache: it names exactly the part of a hot state a given
-/// method's specialized body can depend on, so two hot states that differ
-/// only in fields the method never reads produce identical signatures — and
-/// identical specialized code.
-struct ConsumedBinding {
-  FieldId Field;
-  uint64_t Bits;
-  bool operator==(const ConsumedBinding &O) const {
-    return Field == O.Field && Bits == O.Bits;
-  }
-};
 
 /// Rewrites state-field reads in F (the bytecode of method M) to the
 /// constants of hot state StateIdx of Plan. Instance state fields are only
 /// folded when loaded from the receiver (`this`, register 0): the special
 /// TIB encodes the *receiver's* state, nothing is known about other objects.
 /// Static state fields fold everywhere. Returns the number of loads folded.
-/// When Consumed is non-null, the folded (field, value) bindings are
-/// appended to it, deduplicated and sorted by field id.
 unsigned specializeForState(IRFunction &F, const MethodInfo &M,
-                            const MutableClassPlan &Plan, size_t StateIdx,
-                            std::vector<ConsumedBinding> *Consumed = nullptr);
+                            const MutableClassPlan &Plan, size_t StateIdx);
 
 /// Number of state-field reads in F that specializeForState would fold —
 /// the "M" of the paper's N > M + k inline-vs-specialize trade-off.

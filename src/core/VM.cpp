@@ -20,8 +20,6 @@ namespace {
 /// Fills every unset host setting from its DCHM_* variable or, when that is
 /// unset too, the support/Env.h table default. Explicit values win.
 VMOptions resolveOptions(VMOptions O) {
-  if (!O.SpecializationCache)
-    O.SpecializationCache = env::boolValue("DCHM_SPEC_CACHE");
   if (!O.AuditConsistency)
     O.AuditConsistency = env::boolValue("DCHM_AUDIT");
   if (!O.CodeBudgetBytes)
@@ -38,7 +36,6 @@ VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
       Compiler(P), Adaptive(P, Compiler, Opts.Adaptive), Mutation(P) {
   DCHM_CHECK(P.isLinked(), "VirtualMachine requires a linked program");
   Compiler.inlinerConfig() = Opts.Inline;
-  Compiler.setSpecializationCache(*Opts.SpecializationCache);
   Compiler.setVerifyBodies(*Opts.AuditConsistency);
   Mutation.setHeap(&TheHeap);
   Mutation.setCodeBudget(*Opts.CodeBudgetBytes);
@@ -224,8 +221,6 @@ RunMetrics VirtualMachine::metrics() {
   M.ClassTibBytes = P.classTibBytes();
   M.SpecialTibBytes = P.specialTibBytes();
   M.SpecialCompiles = Compiler.stats().SpecialCompiles;
-  M.SpecialCompileRequests = Compiler.stats().SpecialCompileRequests;
-  M.SpecialCacheHits = Compiler.stats().SpecialCacheHits;
   M.GcCount = TheHeap.stats().GcCount;
   if (!multiMutator()) {
     M.OutputHash = Interps[0]->outputHash();

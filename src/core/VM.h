@@ -59,11 +59,6 @@ struct VMOptions {
   size_t HeapBytes = 50u << 20; ///< Jikes' default 50 MB heap
   AdaptiveConfig Adaptive;
   InlinerConfig Inline;
-  /// Content-keyed specialization cache (docs/compile_pipeline.md). It
-  /// changes host wall time and host-side compile/code counters only:
-  /// simulated cycles, instruction counts, and output are identical either
-  /// way.
-  std::optional<bool> SpecializationCache; ///< DCHM_SPEC_CACHE
   /// Gates the runtime consistency auditor (testing/ConsistencyAuditor):
   /// when it resolves off, setAuditHook() is a no-op, so harnesses can leave
   /// the attachment code in place and flip only this option (or DCHM_AUDIT).
@@ -94,9 +89,7 @@ struct RunMetrics {
   size_t SpecialCodeBytes = 0;
   size_t ClassTibBytes = 0;
   size_t SpecialTibBytes = 0;
-  unsigned SpecialCompiles = 0;        ///< specialized bodies compiled
-  unsigned SpecialCompileRequests = 0; ///< compiles + specialization-cache hits
-  unsigned SpecialCacheHits = 0;
+  unsigned SpecialCompiles = 0; ///< specialized bodies compiled
   uint64_t GcCount = 0;
   uint64_t Insts = 0;
   uint64_t Invocations = 0;

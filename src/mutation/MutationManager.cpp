@@ -11,7 +11,6 @@
 #include "support/Debug.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace dchm {
 
@@ -325,9 +324,6 @@ uint64_t MutationManager::retirePlan(Heap &H) {
   // Phase 2: restore every dispatch structure to its pre-install shape.
   for (const MutableClassPlan &CP : Installed->Classes) {
     ClassInfo &C = P.cls(CP.Cls);
-    // The content-keyed specialization cache can share one body across
-    // several hot states of a method; retire each distinct body once.
-    std::unordered_set<CompiledMethod *> Retired;
     for (MethodId MId : CP.MutableMethods) {
       MethodInfo &M = P.method(MId);
       if (M.Flags.IsStatic) {
@@ -344,7 +340,7 @@ uint64_t MutationManager::retirePlan(Heap &H) {
           updateCodePointer(C.ClassTib->Slots[M.VSlot], M.General);
       }
       for (CompiledMethod *SP : M.Specials)
-        if (SP && Retired.insert(SP).second) {
+        if (SP) {
           SP->invalidate();
           P.retireCompiledBody(SP);
         }
@@ -411,16 +407,8 @@ bool MutationManager::evictState(size_t Idx, size_t S) {
       continue;
     CompiledMethod *SP = M.Specials[S];
     M.Specials[S] = nullptr;
-    // The specialization cache can alias one body across states; only
-    // retire it when no other state of this method still routes to it.
-    bool StillUsed = false;
-    for (CompiledMethod *Other : M.Specials)
-      if (Other == SP)
-        StillUsed = true;
-    if (!StillUsed) {
-      SP->invalidate();
-      P.retireCompiledBody(SP);
-    }
+    SP->invalidate();
+    P.retireCompiledBody(SP);
     // Re-route: a static method's JTOC entry may have pointed at the body
     // we just dropped.
     refreshMethodPointers(CP, M);
@@ -436,7 +424,6 @@ size_t MutationManager::specialFootprintBytes() const {
   if (!Installed)
     return 0;
   size_t Bytes = 0;
-  std::unordered_set<const CompiledMethod *> Seen;
   for (const MutableClassPlan &CP : Installed->Classes) {
     const ClassInfo &C = P.cls(CP.Cls);
     for (const TIB *ST : C.SpecialTibs)
@@ -444,7 +431,7 @@ size_t MutationManager::specialFootprintBytes() const {
         Bytes += ST->sizeBytes();
     for (MethodId MId : CP.MutableMethods)
       for (const CompiledMethod *SP : P.method(MId).Specials)
-        if (SP && Seen.insert(SP).second)
+        if (SP)
           Bytes += SP->budgetBytes();
   }
   return Bytes;

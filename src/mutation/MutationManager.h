@@ -104,7 +104,7 @@ public:
   void setCodeBudget(size_t Bytes) { CodeBudgetBytes = Bytes; }
   size_t codeBudget() const { return CodeBudgetBytes; }
   /// Current specialized footprint: live special-TIB bytes plus the
-  /// deterministic budget bytes of every distinct specialized body.
+  /// deterministic budget bytes of every specialized body.
   size_t specialFootprintBytes() const;
   /// Evicts benefit-ranked-coldest hot states until the footprint fits the
   /// budget (no-op when unlimited). Returns the number of evictions.

@@ -52,8 +52,7 @@ public:
   const std::vector<DecodedInst> &decoded() const { return Decoded; }
   int optLevel() const { return OptLevel; }
   /// Hot state this code is specialized for, or -1 for the general version.
-  /// A cache-shared specialized version keeps the index it was first
-  /// compiled for; routing goes by Specials slot / TIB, never this field.
+  /// A specialized version sits in exactly one slot, Specials[stateIndex()].
   int stateIndex() const { return StateIndex; }
   bool isSpecialized() const { return StateIndex >= 0; }
   size_t codeBytes() const { return CodeBytes; }
@@ -77,11 +76,6 @@ public:
   }
   bool bodyReleased() const { return BodyReleased; }
 
-  /// Number of Specials slots this version serves: 1, or more when the
-  /// specialization cache found hot states indistinguishable to the method.
-  unsigned shareCount() const { return ShareCount; }
-  void addShare() { ++ShareCount; }
-
   /// Invalidation marker (the replaced version stays allocated because
   /// active frames may still execute it, as in Jikes).
   bool isInvalidated() const { return Invalidated; }
@@ -96,7 +90,6 @@ private:
   uint64_t CompileCycles;
   size_t CodeBytes;
   size_t BudgetBytes = 0;
-  unsigned ShareCount = 1;
   bool Invalidated = false;
   bool BodyReleased = false;
 };

@@ -46,8 +46,6 @@ inline constexpr Knob Knobs[] = {
      "number of mutator (application) threads the VM runs"},
     {"DCHM_AUDIT", KnobType::Bool, "off", 0, 0,
      "run the consistency auditor at safepoints and transitions"},
-    {"DCHM_SPEC_CACHE", KnobType::Bool, "on", 0, 0,
-     "content-keyed specialization cache for special-version compiles"},
     {"DCHM_CODE_BUDGET", KnobType::Int, "0", 1, (1ll << 62),
      "code/TIB byte budget for graceful degradation (0 = unlimited)"},
 };

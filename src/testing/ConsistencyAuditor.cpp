@@ -96,6 +96,7 @@ void ConsistencyAuditor::auditStopped(const char *Trigger) {
   auditTibs();
   auditJtoc();
   auditImts();
+  auditSpecials();
 }
 
 void ConsistencyAuditor::auditHeap(const std::vector<Object *> &UnderCtor) {
@@ -313,6 +314,31 @@ void ConsistencyAuditor::auditImts() {
         }
         break;
       }
+    }
+  }
+}
+
+void ConsistencyAuditor::auditSpecials() {
+  Program &P = VM.program();
+  for (size_t MId = 0; MId < P.numMethods(); ++MId) {
+    const MethodInfo &M = P.method(static_cast<MethodId>(MId));
+    for (size_t S = 0; S < M.Specials.size(); ++S) {
+      const CompiledMethod *SP = M.Specials[S];
+      if (!SP)
+        continue; // state evicted under the code budget
+      std::string Where = P.cls(M.Owner).Name + "." + M.Name +
+                          " Specials[" + std::to_string(S) + "]";
+      if (SP->stateIndex() != static_cast<int>(S))
+        addViolation("specials.state-index",
+                     Where + " holds a body compiled for state " +
+                         std::to_string(SP->stateIndex()));
+      if (SP->isInvalidated())
+        addViolation("specials.invalidated",
+                     Where + " holds an invalidated body");
+      if (std::find(M.Specials.begin(), M.Specials.begin() + S, SP) !=
+          M.Specials.begin() + S)
+        addViolation("specials.aliased",
+                     Where + " shares its body with an earlier slot");
     }
   }
 }

@@ -21,7 +21,9 @@
 ///    current static field state;
 ///  - IMT entries route interface calls to the same code virtual dispatch
 ///    would pick (mutable classes must have no Direct entries left);
-///  - subclasses of mutable classes saw general-code propagation only.
+///  - subclasses of mutable classes saw general-code propagation only;
+///  - each specialized body sits in exactly one Specials slot, the one for
+///    the state it was compiled for, and is not invalidated there.
 ///
 /// The auditor is strictly read-only with respect to simulated state: it
 /// never charges cycles, never compiles, and never touches a TIB, so an
@@ -123,6 +125,7 @@ private:
   void auditTibs();
   void auditJtoc();
   void auditImts();
+  void auditSpecials();
 
   VirtualMachine &VM;
   uint64_t Stride;

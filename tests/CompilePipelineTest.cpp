@@ -1,4 +1,4 @@
-//===-- tests/CompilePipelineTest.cpp - Compiler settings, spec cache ---------===//
+//===-- tests/CompilePipelineTest.cpp - Compiler settings and determinism ----===//
 //
 // Part of DCHM, a reproduction of "Dynamic Class Hierarchy Mutation"
 // (Su & Lipasti, CGO 2006).
@@ -6,11 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the compiler's host settings and the content-keyed
-/// specialization cache: VMOptions resolution through the environment
-/// table, cache sharing across hot states that a method cannot
-/// distinguish, and bit-identical simulated metrics with the cache off and
-/// on.
+/// Tests for the compiler's host settings and ownership of specialized
+/// bodies: VMOptions resolution through the environment table, one body
+/// per Specials slot (checked by the consistency auditor), and
+/// bit-identical simulated metrics with the auditor off and on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +33,7 @@ namespace {
 
 TEST(CompilePipeline, VmResolvesOptionOverEnvOverTableDefault) {
   CounterFixture Fx;
-  const char *const Vars[] = {"DCHM_SPEC_CACHE", "DCHM_CODE_BUDGET",
+  const char *const Vars[] = {"DCHM_AUDIT", "DCHM_CODE_BUDGET",
                               "DCHM_THREADS"};
   for (const char *V : Vars)
     unsetenv(V);
@@ -44,36 +43,46 @@ TEST(CompilePipeline, VmResolvesOptionOverEnvOverTableDefault) {
   {
     VirtualMachine VM(*Fx.P, {});
     const VMOptions &O = VM.options();
-    ASSERT_TRUE(O.SpecializationCache && O.CodeBudgetBytes &&
-                O.MutatorThreads);
-    EXPECT_TRUE(*O.SpecializationCache);
+    ASSERT_TRUE(O.AuditConsistency && O.CodeBudgetBytes && O.MutatorThreads);
+    EXPECT_FALSE(*O.AuditConsistency);
     EXPECT_EQ(*O.CodeBudgetBytes, 0u);
     EXPECT_EQ(*O.MutatorThreads, 1u);
   }
 
   // The environment beats the table default; a malformed integer ("4x")
-  // is ignored, not read as its numeric prefix.
-  setenv("DCHM_SPEC_CACHE", "0", 1);
+  // is ignored, not read as its numeric prefix. "0" is one of the off
+  // spellings.
+  setenv("DCHM_AUDIT", "0", 1);
   setenv("DCHM_CODE_BUDGET", "4096", 1);
   setenv("DCHM_THREADS", "4x", 1);
   {
     VirtualMachine VM(*Fx.P, {});
     const VMOptions &O = VM.options();
-    EXPECT_FALSE(*O.SpecializationCache);
+    EXPECT_FALSE(*O.AuditConsistency);
+    EXPECT_FALSE(VM.auditEnabled());
     EXPECT_EQ(*O.CodeBudgetBytes, 4096u);
     EXPECT_EQ(VM.mutation().codeBudget(), 4096u);
     EXPECT_EQ(*O.MutatorThreads, 1u);
     EXPECT_FALSE(VM.multiMutator());
   }
 
+  // Any other set value turns a bool knob on.
+  setenv("DCHM_AUDIT", "on", 1);
+  {
+    VirtualMachine VM(*Fx.P, {});
+    EXPECT_TRUE(*VM.options().AuditConsistency);
+    EXPECT_TRUE(VM.auditEnabled());
+  }
+
   // An explicit option beats the environment.
   {
     VMOptions Opts;
-    Opts.SpecializationCache = true;
+    Opts.AuditConsistency = false;
     Opts.CodeBudgetBytes = 0;
     VirtualMachine VM(*Fx.P, Opts);
     const VMOptions &O = VM.options();
-    EXPECT_TRUE(*O.SpecializationCache);
+    EXPECT_FALSE(*O.AuditConsistency);
+    EXPECT_FALSE(VM.auditEnabled());
     EXPECT_EQ(*O.CodeBudgetBytes, 0u);
     EXPECT_EQ(VM.mutation().codeBudget(), 0u);
   }
@@ -83,103 +92,41 @@ TEST(CompilePipeline, VmResolvesOptionOverEnvOverTableDefault) {
 }
 
 //===----------------------------------------------------------------------===//
-// Content-keyed specialization cache
+// One specialized body per hot state
 //===----------------------------------------------------------------------===//
 
-TEST(SpecCache, UnreadFieldDoesNotSplitTheCache) {
-  CounterFixture Fx(/*WithStaticField=*/true);
-  OptCompiler OC(*Fx.P);
-  OC.setSpecializationCache(true);
-  OC.setPlan(&Fx.Plan);
-  const MutableClassPlan &CP = Fx.Plan.Classes[0];
-
-  // staticScale reads only globalMode, which both hot states pin to 0: the
-  // states are indistinguishable to it, so the cache must hand back the
-  // same CompiledMethod.
-  MethodInfo &SS = Fx.P->method(Fx.StaticScale);
-  CompiledMethod *S0 = OC.compileSpecial(SS, 2, CP, 0);
-  CompiledMethod *S1 = OC.compileSpecial(SS, 2, CP, 1);
-  EXPECT_EQ(S0, S1);
-  EXPECT_EQ(S0->shareCount(), 2u);
-
-  // bump folds mode, which the hot states disagree on: distinct bodies.
-  MethodInfo &B = Fx.P->method(Fx.Bump);
-  CompiledMethod *B0 = OC.compileSpecial(B, 2, CP, 0);
-  CompiledMethod *B1 = OC.compileSpecial(B, 2, CP, 1);
-  EXPECT_NE(B0, B1);
-  EXPECT_EQ(B0->shareCount(), 1u);
-
-  EXPECT_EQ(OC.stats().SpecialCompileRequests, 4u);
-  EXPECT_EQ(OC.stats().SpecialCompiles, 3u);
-  EXPECT_EQ(OC.stats().SpecialCacheHits, 1u);
-  EXPECT_GT(OC.stats().SpecialCyclesSharedWork, 0u);
-}
-
-TEST(SpecCache, InvalidatedEntriesAreNotServed) {
-  CounterFixture Fx(/*WithStaticField=*/true);
-  OptCompiler OC(*Fx.P);
-  OC.setSpecializationCache(true);
-  OC.setPlan(&Fx.Plan);
-  const MutableClassPlan &CP = Fx.Plan.Classes[0];
-  MethodInfo &SS = Fx.P->method(Fx.StaticScale);
-
-  CompiledMethod *S0 = OC.compileSpecial(SS, 2, CP, 0);
-  S0->invalidate();
-  CompiledMethod *S1 = OC.compileSpecial(SS, 2, CP, 1);
-  EXPECT_NE(S0, S1); // stale code must not be resurrected
-  EXPECT_EQ(OC.stats().SpecialCacheHits, 0u);
-  EXPECT_EQ(OC.stats().SpecialCompiles, 2u);
-}
-
-TEST(SpecCache, HitsChargeIdenticalModeledCycles) {
-  // The cache trades host work and code bytes, never simulated time: a run
-  // with the cache on must report the exact cycles of a run with it off.
-  CounterFixture FxOn(true), FxOff(true);
-  OptCompiler On(*FxOn.P), Off(*FxOff.P);
-  On.setSpecializationCache(true);
-  On.setPlan(&FxOn.Plan);
-  Off.setPlan(&FxOff.Plan);
-
-  for (size_t S = 0; S < 2; ++S) {
-    On.compileSpecial(FxOn.P->method(FxOn.StaticScale), 2,
-                      FxOn.Plan.Classes[0], S);
-    Off.compileSpecial(FxOff.P->method(FxOff.StaticScale), 2,
-                       FxOff.Plan.Classes[0], S);
-  }
-  EXPECT_EQ(On.stats().SpecialCacheHits, 1u);
-  EXPECT_EQ(Off.stats().SpecialCacheHits, 0u);
-  EXPECT_EQ(On.stats().SpecialCompileCycles, Off.stats().SpecialCompileCycles);
-  EXPECT_EQ(On.stats().TotalCompileCycles, Off.stats().TotalCompileCycles);
-  // ... but it does save real code bytes.
-  EXPECT_LT(On.stats().SpecialCodeBytes, Off.stats().SpecialCodeBytes);
-}
-
-TEST(SpecCache, EndToEndSharesStaticOnlyReader) {
-  // Through the full VM: accelerated hotness compiles the mutable methods
-  // at opt2 on first call, producing one special per hot state. staticScale
-  // cannot tell the states apart, so its Specials slots alias one body.
+TEST(SpecialsOwnership, AuditorFlagsAliasedSlots) {
+  // Accelerated hotness compiles bump at opt2 on its first call, one
+  // special per hot state. Every slot owns its own body, so the auditor is
+  // clean; aliasing two slots by hand must be reported.
   CounterFixture Fx(/*WithStaticField=*/true);
   VMOptions Opts;
   Opts.Adaptive.AcceleratedMutableHotness = true;
-  Opts.SpecializationCache = true;
   VirtualMachine VM(*Fx.P, Opts);
   VM.setMutationPlan(&Fx.Plan);
   Object *O = Fx.makeCounter(VM, 0);
   VM.call(Fx.Bump, {valueR(O)});
-  VM.call(Fx.StaticScale, {});
 
-  const MethodInfo &SS = Fx.P->method(Fx.StaticScale);
-  ASSERT_EQ(SS.Specials.size(), 2u);
-  EXPECT_EQ(SS.Specials[0], SS.Specials[1]);
-  EXPECT_EQ(SS.Specials[0]->shareCount(), 2u);
-
-  const MethodInfo &B = Fx.P->method(Fx.Bump);
+  MethodInfo &B = Fx.P->method(Fx.Bump);
   ASSERT_EQ(B.Specials.size(), 2u);
+  ASSERT_TRUE(B.Specials[0] && B.Specials[1]);
   EXPECT_NE(B.Specials[0], B.Specials[1]);
+  const CompilerStats &CS = VM.compiler().stats();
+  EXPECT_EQ(CS.SpecialCompileRequests, CS.SpecialCompiles);
+  EXPECT_EQ(CS.SpecialCacheHits, 0u);
 
-  RunMetrics M = VM.metrics();
-  EXPECT_EQ(M.SpecialCacheHits, 1u);
-  EXPECT_EQ(M.SpecialCompileRequests, M.SpecialCompiles + M.SpecialCacheHits);
+  ConsistencyAuditor Auditor(VM);
+  Auditor.auditNow("before aliasing");
+  EXPECT_TRUE(Auditor.clean()) << Auditor.report();
+
+  CompiledMethod *Own = B.Specials[1];
+  B.Specials[1] = B.Specials[0];
+  Auditor.auditNow("after aliasing");
+  B.Specials[1] = Own;
+  bool Aliased = false;
+  for (const AuditViolation &V : Auditor.violations())
+    Aliased |= V.Check == "specials.aliased";
+  EXPECT_TRUE(Aliased) << Auditor.report();
 }
 
 //===----------------------------------------------------------------------===//
@@ -193,15 +140,15 @@ struct WorkloadResult {
 
 /// A mutation-heavy workload: two counters swinging through hot states 0/1
 /// and the cold state 2 while the adaptive system recompiles mid-loop, with
-/// virtual, interface, and static dispatch all on the path.
-WorkloadResult runCounterWorkload(bool Cache) {
+/// virtual, interface, and static dispatch all on the path. The auditor is
+/// attached either way; with Audit off, setAuditHook is a no-op.
+WorkloadResult runCounterWorkload(bool Audit) {
   const int64_t Reps = 400;
   CounterFixture Fx(/*WithStaticField=*/true);
   VMOptions Opts;
   Opts.Adaptive.Opt1Threshold = 20;
   Opts.Adaptive.Opt2Threshold = 200;
-  Opts.SpecializationCache = Cache;
-  Opts.AuditConsistency = true;
+  Opts.AuditConsistency = Audit;
   VirtualMachine VM(*Fx.P, Opts);
   VM.setMutationPlan(&Fx.Plan);
   ConsistencyAuditor Auditor(VM, /*Stride=*/16);
@@ -220,17 +167,22 @@ WorkloadResult runCounterWorkload(bool Cache) {
   VM.call(Fx.Report, {valueR(B)});
   R.Sum += VM.call(Fx.Get, {valueR(A)}).I;
   R.Sum += VM.call(Fx.Get, {valueR(B)}).I;
-  Auditor.auditNow("end of workload");
-  EXPECT_GT(Auditor.auditsRun(), 0u);
-  EXPECT_TRUE(Auditor.clean()) << Auditor.report();
+  if (Audit) {
+    Auditor.auditNow("end of workload");
+    EXPECT_GT(Auditor.safepointsSeen(), 0u);
+    EXPECT_TRUE(Auditor.clean()) << Auditor.report();
+  } else {
+    EXPECT_EQ(Auditor.auditsRun(), 0u);
+  }
   R.Metrics = VM.metrics();
   return R;
 }
 
 TEST(CompileDeterminism, BitIdenticalAcrossConfigs) {
-  const WorkloadResult Base = runCounterWorkload(/*Cache=*/false);
-  const WorkloadResult R = runCounterWorkload(/*Cache=*/true);
-  // Everything the simulated machine observes is identical...
+  // The VMOptions::AuditConsistency contract: auditing (and the body
+  // verification it turns on) is host-side work only.
+  const WorkloadResult Base = runCounterWorkload(/*Audit=*/false);
+  const WorkloadResult R = runCounterWorkload(/*Audit=*/true);
   EXPECT_EQ(R.Sum, Base.Sum);
   EXPECT_EQ(R.Metrics.OutputHash, Base.Metrics.OutputHash);
   EXPECT_EQ(R.Metrics.Insts, Base.Metrics.Insts);
@@ -241,12 +193,10 @@ TEST(CompileDeterminism, BitIdenticalAcrossConfigs) {
   EXPECT_EQ(R.Metrics.MutationCycles, Base.Metrics.MutationCycles);
   EXPECT_EQ(R.Metrics.GcCycles, Base.Metrics.GcCycles);
   EXPECT_EQ(R.Metrics.TotalCycles, Base.Metrics.TotalCycles);
-  EXPECT_EQ(R.Metrics.SpecialCompileRequests,
-            Base.Metrics.SpecialCompileRequests);
-  // ... while the cache may only shrink host-side code footprint.
-  EXPECT_EQ(Base.Metrics.SpecialCacheHits, 0u);
-  EXPECT_GT(R.Metrics.SpecialCacheHits, 0u);
-  EXPECT_LE(R.Metrics.SpecialCodeBytes, Base.Metrics.SpecialCodeBytes);
+  EXPECT_EQ(R.Metrics.CodeBytes, Base.Metrics.CodeBytes);
+  EXPECT_EQ(R.Metrics.SpecialCodeBytes, Base.Metrics.SpecialCodeBytes);
+  EXPECT_EQ(R.Metrics.SpecialCompiles, Base.Metrics.SpecialCompiles);
+  EXPECT_GT(R.Metrics.SpecialCompiles, 0u);
 }
 
 } // namespace

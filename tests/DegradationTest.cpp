@@ -161,7 +161,7 @@ std::string runFingerprint(const VMOptions &Opts, bool RoundTrip) {
     << " mut=" << M.MutationCycles << " total=" << M.TotalCycles
     << " swings=" << M.Mutation.ObjectTibSwings
     << " repoints=" << M.Mutation.CodePointerUpdates
-    << " requests=" << M.SpecialCompileRequests;
+    << " specials=" << M.SpecialCompiles;
   return S.str();
 }
 

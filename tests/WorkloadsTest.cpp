@@ -75,6 +75,18 @@ TEST_P(WorkloadParity, DeterministicAcrossRuns) {
   EXPECT_EQ(A.Output, B.Output);
   EXPECT_EQ(A.Metrics.TotalCycles, B.Metrics.TotalCycles);
   EXPECT_EQ(A.Metrics.Insts, B.Metrics.Insts);
+
+  // Mutation on, with the offline plan and OLC: the same repeat-run
+  // determinism, code bytes included.
+  OfflineConfig Cfg;
+  Cfg.HotStateMinFraction = 0.05;
+  OfflineResult R = runOfflinePipeline(W, Cfg);
+  WorkloadRun MA = runOnce(W, true, &R.Plan, 0.1);
+  WorkloadRun MB = runOnce(W, true, &R.Plan, 0.1);
+  EXPECT_EQ(MA.Output, MB.Output);
+  EXPECT_EQ(MA.Metrics.TotalCycles, MB.Metrics.TotalCycles);
+  EXPECT_EQ(MA.Metrics.Insts, MB.Metrics.Insts);
+  EXPECT_EQ(MA.Metrics.CodeBytes, MB.Metrics.CodeBytes);
 }
 
 const char *const WorkloadNames[] = {"SalaryDB",   "SimLogic", "CSVToXML",

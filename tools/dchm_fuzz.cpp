@@ -4,13 +4,10 @@
 // (Su & Lipasti, CGO 2006).
 //
 // Differential fuzzer over generated MVM programs (testing/ProgramGen):
-// every program runs with the specialization cache off and on, each with
-// mutation off and on, asserting
+// every program runs with mutation off and on, asserting
 //
-//  - bit-identical output and simulated cycle counters across the two cache
-//    settings within a mutation group (the determinism contract),
-//  - identical program output with mutation off and on (the paper's
-//    transparency guarantee), and
+//  - identical program output and result with mutation off and on (the
+//    paper's transparency guarantee), and
 //  - zero consistency-auditor violations in every run.
 //
 // Segmented programs (#!segments directive) are driven one segment at a
@@ -53,7 +50,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,18 +57,6 @@
 using namespace dchm;
 
 namespace {
-
-struct HostConfig {
-  const char *Name;
-  bool Cache;
-};
-
-/// Every host configuration: the specialization cache off and on. [0] is
-/// the reference; [1] replays injection artifacts.
-const HostConfig Matrix[] = {
-    {"cache-off", false},
-    {"cache-on", true},
-};
 
 struct RunOutcome {
   bool Ok = false;
@@ -97,8 +81,8 @@ struct InjectFlags {
   }
 };
 
-RunOutcome runOne(const std::string &Source, const HostConfig &HC,
-                  bool Mutate, uint64_t Stride, InjectFlags Inject) {
+RunOutcome runOne(const std::string &Source, bool Mutate, uint64_t Stride,
+                  InjectFlags Inject) {
   RunOutcome Out;
   AssemblyResult R = assembleProgram(Source);
   if (!R.ok()) {
@@ -126,7 +110,6 @@ RunOutcome runOne(const std::string &Source, const HostConfig &HC,
     Opts.Adaptive.Opt1Threshold = Gen.Opt1;
   if (Gen.Opt2)
     Opts.Adaptive.Opt2Threshold = Gen.Opt2;
-  Opts.SpecializationCache = HC.Cache;
   Opts.AuditConsistency = true;
 
   VirtualMachine VM(P, Opts);
@@ -179,22 +162,6 @@ RunOutcome runOne(const std::string &Source, const HostConfig &HC,
   Out.AuditReport = Auditor.report();
   Out.Ok = true;
   return Out;
-}
-
-/// The simulated-state fingerprint that must be bit-identical across host
-/// configurations (the cache changes wall time only).
-std::string fingerprint(const RunOutcome &O) {
-  std::ostringstream S;
-  S << "result=" << O.Result << " hash=" << O.M.OutputHash
-    << " insts=" << O.M.Insts << " invocations=" << O.M.Invocations
-    << " exec=" << O.M.ExecCycles << " compile=" << O.M.CompileCycles
-    << " special=" << O.M.SpecialCompileCycles << " gc=" << O.M.GcCycles
-    << " gcN=" << O.M.GcCount << " mut=" << O.M.MutationCycles
-    << " total=" << O.M.TotalCycles
-    << " swings=" << O.M.Mutation.ObjectTibSwings
-    << " repoints=" << O.M.Mutation.CodePointerUpdates
-    << " requests=" << O.M.SpecialCompileRequests;
-  return S.str();
 }
 
 void writeArtifact(const std::string &Path, const std::string &Source) {
@@ -499,8 +466,7 @@ int main(int Argc, char **Argv) {
       std::ifstream In(Path);
       std::stringstream Ss;
       Ss << In.rdbuf();
-      RunOutcome Broken = runOne(Ss.str(), Matrix[1], /*Mutate=*/true,
-                                 Stride, Inject);
+      RunOutcome Broken = runOne(Ss.str(), /*Mutate=*/true, Stride, Inject);
       ++Runs;
       if (!Broken.Ok) {
         std::fprintf(stderr, "FAIL seed=%llu: %s\n",
@@ -527,61 +493,43 @@ int main(int Argc, char **Argv) {
 
     std::vector<RunOutcome> Base(2); // [0] = mutation off, [1] = on
     for (int Mut = 0; Mut < 2; ++Mut) {
-      for (size_t C = 0; C < std::size(Matrix); ++C) {
-        RunOutcome O = runOne(Source, Matrix[C], Mut == 1, Stride, {});
-        ++Runs;
-        std::string Why;
-        if (!O.Ok)
-          Why = O.Error;
-        else if (O.Violations)
-          Why = "auditor violations (" + std::string(Matrix[C].Name) +
-                ", mutation " + (Mut ? "on" : "off") + "):\n" + O.AuditReport;
-        else if (C == 0)
-          Base[Mut] = O;
-        else if (fingerprint(O) != fingerprint(Base[Mut]) ||
-                 O.Output != Base[Mut].Output)
-          Why = "divergence vs " + std::string(Matrix[0].Name) +
-                " (mutation " + (Mut ? "on" : "off") + ", " +
-                Matrix[C].Name + "):\n  base: " + fingerprint(Base[Mut]) +
-                "\n  this: " + fingerprint(O);
-        if (!Why.empty()) {
-          const HostConfig &HC = Matrix[C];
-          bool M1 = Mut == 1;
-          return reportFailure(
-              G, Seed, Source, Why, [&](const std::string &S) {
-                RunOutcome A = runOne(S, Matrix[0], M1, Stride, {});
-                RunOutcome B = runOne(S, HC, M1, Stride, {});
-                if (!A.Ok || !B.Ok)
-                  return true; // still broken (now at assembly/setup)
-                if (A.Violations || B.Violations)
-                  return true;
-                return fingerprint(A) != fingerprint(B) ||
-                       A.Output != B.Output;
-              });
-        }
+      Base[Mut] = runOne(Source, Mut == 1, Stride, {});
+      ++Runs;
+      const RunOutcome &O = Base[Mut];
+      std::string Why;
+      if (!O.Ok)
+        Why = O.Error;
+      else if (O.Violations)
+        Why = std::string("auditor violations (mutation ") +
+              (Mut ? "on" : "off") + "):\n" + O.AuditReport;
+      if (!Why.empty()) {
+        bool M1 = Mut == 1;
+        return reportFailure(G, Seed, Source, Why,
+                             [&](const std::string &S) {
+                               RunOutcome A = runOne(S, M1, Stride, {});
+                               return !A.Ok || A.Violations != 0;
+                             });
       }
     }
     // Transparency: mutation must not change what the program computes.
-    if (Base[0].Ok && Base[1].Ok &&
-        (Base[0].Output != Base[1].Output ||
-         Base[0].Result != Base[1].Result)) {
+    if (Base[0].Output != Base[1].Output || Base[0].Result != Base[1].Result) {
       return reportFailure(
           G, Seed, Source,
           "mutation changed program output:\n  off: " + Base[0].Output +
               "\n  on:  " + Base[1].Output,
           [&](const std::string &S) {
-            RunOutcome A = runOne(S, Matrix[0], false, Stride, {});
-            RunOutcome B = runOne(S, Matrix[0], true, Stride, {});
+            RunOutcome A = runOne(S, false, Stride, {});
+            RunOutcome B = runOne(S, true, Stride, {});
             if (!A.Ok || !B.Ok)
               return true;
             return A.Output != B.Output || A.Result != B.Result;
           });
     }
   }
-  std::printf("fuzz: %llu programs, %llu runs, %zu-config matrix%s: all "
-              "consistent\n",
+  std::printf("fuzz: %llu programs, %llu runs, %s: all consistent\n",
               static_cast<unsigned long long>(N),
-              static_cast<unsigned long long>(Runs), std::size(Matrix),
-              Inject.any() ? " (fault injection)" : "");
+              static_cast<unsigned long long>(Runs),
+              Inject.any() ? "fault injection, mutation on"
+                           : "1 config x mutation off/on");
   return 0;
 }
