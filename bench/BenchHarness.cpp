@@ -7,9 +7,6 @@
 
 #include "BenchHarness.h"
 
-#include "support/Debug.h"
-#include "support/Timer.h"
-
 #include <cstdio>
 
 namespace dchm {
@@ -122,55 +119,6 @@ size_t heapBytesFor(const std::string &WorkloadName) {
   if (WorkloadName == "SPECjbb2005")
     return 24u << 20; // paper: 384 MB, scaled 1:16
   return 50u << 20;   // the Jikes default heap used by the small apps
-}
-
-Comparison compareRuns(Workload &W, double Scale) {
-  Comparison C;
-  C.Name = W.name();
-
-  // Offline pipeline (Figure 3): hot methods -> state fields -> hot states.
-  OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
-  OfflineResult R = runOfflinePipeline(W, Cfg);
-  C.Plan = std::move(R.Plan);
-
-  size_t Heap = heapBytesFor(C.Name);
-
-  {
-    auto P = W.buildProgram();
-    VMOptions Opts;
-    Opts.EnableMutation = false;
-    Opts.HeapBytes = Heap;
-    VirtualMachine VM(*P, Opts);
-    Timer T;
-    W.driveScaled(VM, Scale);
-    C.WallBase = T.seconds();
-    C.Base = VM.metrics();
-  }
-  {
-    auto P = W.buildProgram();
-    VMOptions Opts;
-    Opts.EnableMutation = true;
-    Opts.HeapBytes = Heap;
-    VirtualMachine VM(*P, Opts);
-    VM.setMutationPlan(&C.Plan);
-    C.Olc = analyzeObjectLifetimeConstants(*P, C.Plan);
-    VM.setOlcDatabase(&C.Olc);
-    Timer T;
-    W.driveScaled(VM, Scale);
-    C.WallMut = T.seconds();
-    C.Mut = VM.metrics();
-  }
-  DCHM_CHECK(C.Base.OutputHash == C.Mut.OutputHash,
-             "mutation changed program output");
-  return C;
-}
-
-std::vector<Comparison> compareAll(double Scale) {
-  std::vector<Comparison> Out;
-  for (auto &W : makeAllWorkloads())
-    Out.push_back(compareRuns(*W, Scale));
-  return Out;
 }
 
 void printHeader(const char *Figure, const char *Caption) {

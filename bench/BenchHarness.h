@@ -6,59 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared harness for the per-figure benchmark binaries: runs a workload's
-/// full offline pipeline (Figure 3), then a baseline run (mutation off) and
-/// a mutated run (plan + OLC database installed) on fresh Program instances,
-/// and returns both metric sets. Heap budgets follow the paper's per-
-/// benchmark heap sizes, scaled 1:16 with the scaled-down workloads
-/// (128 MB -> 8 MB for SPECjbb2000, 384 MB -> 24 MB for SPECjbb2005,
-/// 50 MB -> 50 MB default: the small applications never pressure it).
+/// Shared pieces of the benchmark binaries: the header each one prints, a
+/// JSON writer for their BENCH_*.json artifacts, and the per-workload heap
+/// budgets. Heap budgets follow the paper's per-benchmark heap sizes,
+/// scaled 1:16 with the scaled-down workloads (128 MB -> 8 MB for
+/// SPECjbb2000, 384 MB -> 24 MB for SPECjbb2005, 50 MB -> 50 MB default:
+/// the small applications never pressure it).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DCHM_BENCH_BENCHHARNESS_H
 #define DCHM_BENCH_BENCHHARNESS_H
 
-#include "analysis/OlcAnalysis.h"
-#include "workloads/Workload.h"
-
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace dchm {
 namespace bench {
-
-/// Result of one baseline-vs-mutation comparison.
-struct Comparison {
-  std::string Name;
-  RunMetrics Base;
-  RunMetrics Mut;
-  double WallBase = 0.0;
-  double WallMut = 0.0;
-  MutationPlan Plan;
-  OlcDatabase Olc;
-
-  double speedupPercent() const {
-    return 100.0 * (static_cast<double>(Base.TotalCycles) /
-                        static_cast<double>(Mut.TotalCycles) -
-                    1.0);
-  }
-  double codeSizeIncreasePercent() const {
-    return 100.0 * (static_cast<double>(Mut.CodeBytes) /
-                        static_cast<double>(Base.CodeBytes) -
-                    1.0);
-  }
-  double compileTimeIncreasePercent() const {
-    return 100.0 * (static_cast<double>(Mut.CompileCycles) /
-                        static_cast<double>(Base.CompileCycles) -
-                    1.0);
-  }
-  /// Compile cycles as a fraction of the baseline run (the numbers above
-  /// the bars in the paper's Figure 11).
-  double compileFractionPercent() const {
-    return 100.0 * static_cast<double>(Base.CompileCycles) /
-           static_cast<double>(Base.TotalCycles);
-  }
-};
 
 /// Minimal JSON emitter for the machine-readable BENCH_*.json artifacts the
 /// benchmark binaries write next to their human-readable tables. Handles
@@ -92,12 +57,6 @@ private:
 
 /// Heap budget used for a workload (paper heaps scaled 1:16 for the jbbs).
 size_t heapBytesFor(const std::string &WorkloadName);
-
-/// Derives the plan offline, then runs baseline and mutated full-scale runs.
-Comparison compareRuns(Workload &W, double Scale = 1.0);
-
-/// Runs all seven Table 1 workloads through compareRuns.
-std::vector<Comparison> compareAll(double Scale = 1.0);
 
 /// Prints the standard header naming the figure being regenerated.
 void printHeader(const char *Figure, const char *Caption);

@@ -35,9 +35,11 @@
 
 #include "BenchHarness.h"
 
+#include "analysis/OlcAnalysis.h"
 #include "core/VM.h"
 #include "support/Parse.h"
 #include "support/Timer.h"
+#include "workloads/Workload.h"
 
 #include <algorithm>
 #include <climits>

@@ -40,6 +40,7 @@
 #include "support/Parse.h"
 #include "support/Timer.h"
 #include "testing/ConsistencyAuditor.h"
+#include "workloads/Workload.h"
 
 #include <climits>
 #include <cstdio>

@@ -1,15 +1,9 @@
 #!/bin/sh
-# Regenerates every table and figure of the paper and the repo's recorded
-# outputs (test_output.txt, bench_output.txt).
+# Builds the repository, runs the test suite, then regenerates every table
+# and figure of the paper (the same stdout as tests/data/figures.golden).
 set -e
 cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build
-ctest --test-dir build 2>&1 | tee test_output.txt
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  case "$b" in *.a) continue;; esac
-  echo "==== $(basename "$b") ===="
-  "$b"
-  echo
-done 2>&1 | tee bench_output.txt
+ctest --test-dir build --output-on-failure
+build/bench/dchm_figures

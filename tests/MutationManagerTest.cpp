@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "runtime/CostModel.h"
 #include "testing/ConsistencyAuditor.h"
 
 #include <gtest/gtest.h>
@@ -28,6 +29,15 @@ void makeHot(CounterFixture &Fx, VirtualMachine &VM, Object *O,
              int Calls = 5000) {
   for (int I = 0; I < Calls; ++I)
     VM.call(Fx.Bump, {valueR(O)});
+}
+
+/// A SubCounter in mode M: SubCounter extends Counter but is not
+/// itself mutable (Figure 6), so its IMT slots stay direct.
+Object *makeSubCounter(CounterFixture &Fx, VirtualMachine &VM, int64_t M) {
+  ClassInfo &Sub = Fx.P->cls(Fx.SubCounter);
+  Object *O = VM.heap().allocateInstance(Sub, Sub.ClassTib);
+  VM.call(Fx.P->findMethod(Fx.SubCounter, "<init>"), {valueR(O), valueI(M)});
+  return O;
 }
 
 TEST(MutationInstall, CreatesOneSpecialTibPerHotState) {
@@ -126,11 +136,8 @@ TEST(MutationPartI, SubclassInstancesNeverMutate) {
   CounterFixture Fx;
   VirtualMachine VM(*Fx.P, {});
   VM.setMutationPlan(&Fx.Plan);
-  // SubCounter extends Counter but is not itself mutable (Figure 6).
-  ClassInfo &Sub = Fx.P->cls(Fx.SubCounter);
-  Object *O = VM.heap().allocateInstance(Sub, Sub.ClassTib);
-  MethodId SubCtor = Fx.P->findMethod(Fx.SubCounter, "<init>");
-  VM.call(SubCtor, {valueR(O), valueI(0)}); // mode 0 = hot for Counter
+  Object *O = makeSubCounter(Fx, VM, 0); // mode 0 = hot for Counter
+  const ClassInfo &Sub = Fx.P->cls(Fx.SubCounter);
   EXPECT_EQ(O->Tib, Sub.ClassTib);
   // Writing the state field on the subclass instance also does nothing.
   VM.call(Fx.SetMode, {valueR(O), valueI(1)});
@@ -434,6 +441,119 @@ TEST(MutationStress, StaticStateFlipRetargetsJtoc) {
   EXPECT_TRUE(Fx.P->staticEntry(Fx.StaticScale)->isSpecialized());
   EXPECT_EQ(VM.call(Fx.DriveStatic, {valueI(50)}).I, 0);
   EXPECT_GT(VM.mutation().stats().CodePointerUpdates, 0u);
+}
+
+// --- Cost model: the cycle charges behind the paper's overhead claims ------
+// Measured on real call sites and stores, so a charge added, dropped or
+// moved anywhere on the path shows up here.
+
+/// Cycles F charges to execution and mutation (compiles and GC excluded).
+template <typename Fn> uint64_t cyclesOf(VirtualMachine &VM, Fn &&F) {
+  auto Now = [&] {
+    return VM.interp().stats().Cycles + VM.mutation().stats().ExtraCycles;
+  };
+  uint64_t Before = Now();
+  F();
+  return Now() - Before;
+}
+
+/// Per-call cost of Caller's call site on O, minus the callee's body: N
+/// more loop iterations, less N direct invocations (which charge no
+/// dispatch).
+uint64_t callSiteCycles(CounterFixture &Fx, VirtualMachine &VM,
+                        MethodId Caller, Object *O) {
+  constexpr int N = 100;
+  auto Loop = [&](int Iters) {
+    return cyclesOf(VM, [&] { VM.call(Caller, {valueR(O), valueI(Iters)}); });
+  };
+  uint64_t Iterations = Loop(2 * N) - Loop(N);
+  uint64_t Bodies = cyclesOf(VM, [&] {
+    for (int I = 0; I < N; ++I)
+      VM.call(Fx.Bump, {valueR(O)});
+  });
+  EXPECT_EQ((Iterations - Bodies) % N, 0u);
+  return (Iterations - Bodies) / N;
+}
+
+TEST(MutationCostModel, SpecialTibVirtualCallCostsTheSameAsClassTib) {
+  static_assert(DispatchCost::VirtualCall == 13);
+  CounterFixture Fx;
+  VirtualMachine VM(*Fx.P, {});
+  VM.setMutationPlan(&Fx.Plan);
+  Object *Hot = Fx.makeCounter(VM, 1);
+  Object *Cold = Fx.makeCounter(VM, 5);
+  Object *Sub = makeSubCounter(Fx, VM, 5);
+  for (Object *O : {Hot, Cold, Sub}) {
+    makeHot(Fx, VM, O, 6000);
+    VM.call(Fx.DriveBump, {valueR(O), valueI(6000)});
+    VM.call(Fx.DriveIface, {valueR(O), valueI(6000)});
+  }
+  const ClassInfo &C = Fx.P->cls(Fx.Counter);
+  ASSERT_EQ(Hot->Tib, C.SpecialTibs[1]);
+  ASSERT_EQ(Cold->Tib, C.ClassTib);
+
+  uint64_t HotSite = callSiteCycles(Fx, VM, Fx.DriveBump, Hot);
+  EXPECT_EQ(HotSite, callSiteCycles(Fx, VM, Fx.DriveBump, Cold));
+  // The site's loop overhead is the interface loop's; what is left is the
+  // dispatch charge itself (Sub's IMT slot is direct: no extra load).
+  EXPECT_EQ(HotSite - DispatchCost::VirtualCall,
+            callSiteCycles(Fx, VM, Fx.DriveIface, Sub) -
+                DispatchCost::InterfaceCall);
+  // A hot-state call is cheaper only because its specialized body is.
+  auto Body = [&](Object *O) {
+    return cyclesOf(VM, [&] { VM.call(Fx.Bump, {valueR(O)}); });
+  };
+  EXPECT_LT(Body(Hot), Body(Cold));
+}
+
+TEST(MutationCostModel, StateFieldStoreChargesPatchCodeAndSwing) {
+  static_assert(DispatchCost::StateFieldPatchBase == 6 &&
+                DispatchCost::StateFieldPatchPerField == 3 &&
+                DispatchCost::PointerSwing == 2);
+  auto StoreCycles = [](bool Mutation, int64_t From, int64_t To) {
+    CounterFixture Fx;
+    VMOptions Opts;
+    Opts.EnableMutation = Mutation;
+    VirtualMachine VM(*Fx.P, Opts);
+    VM.setMutationPlan(&Fx.Plan);
+    Object *O = Fx.makeCounter(VM, From);
+    VM.call(Fx.SetMode, {valueR(O), valueI(From)}); // compile setMode
+    return cyclesOf(VM, [&] { VM.call(Fx.SetMode, {valueR(O), valueI(To)}); });
+  };
+  // Counter has one instance state field (mode).
+  const uint64_t Patch = DispatchCost::StateFieldPatchBase +
+                         DispatchCost::StateFieldPatchPerField * 1;
+  const uint64_t Swing = DispatchCost::PointerSwing;
+  // Same hot state, and cold to cold: the TIB pointer stays put.
+  EXPECT_EQ(StoreCycles(true, 1, 1), StoreCycles(false, 1, 1) + Patch);
+  EXPECT_EQ(StoreCycles(true, 9, 7), StoreCycles(false, 9, 7) + Patch);
+  // Hot to hot, hot to cold, cold to hot: one swing each.
+  EXPECT_EQ(StoreCycles(true, 1, 0), StoreCycles(false, 1, 0) + Patch + Swing);
+  EXPECT_EQ(StoreCycles(true, 1, 9), StoreCycles(false, 1, 9) + Patch + Swing);
+  EXPECT_EQ(StoreCycles(true, 9, 0), StoreCycles(false, 9, 0) + Patch + Swing);
+}
+
+TEST(MutationCostModel, TibOffsetImtSlotCostsOneExtraLoad) {
+  static_assert(DispatchCost::ImtMutableExtraLoad == 2);
+  CounterFixture Fx;
+  VirtualMachine VM(*Fx.P, {});
+  VM.setMutationPlan(&Fx.Plan);
+  // Mode 5 is cold, so both receivers run bump()'s general code; only the
+  // IMT slot kind differs.
+  Object *Cold = Fx.makeCounter(VM, 5);
+  Object *Sub = makeSubCounter(Fx, VM, 5);
+  uint32_t Slot = Fx.IfaceBump % NumImtSlots;
+  ASSERT_EQ(Fx.P->cls(Fx.Counter).Imt->Slots[Slot].K,
+            ImtEntry::Kind::TibOffset);
+  ASSERT_EQ(Fx.P->cls(Fx.SubCounter).Imt->Slots[Slot].K,
+            ImtEntry::Kind::Direct);
+  for (Object *O : {Cold, Sub}) {
+    makeHot(Fx, VM, O, 6000);
+    VM.call(Fx.DriveIface, {valueR(O), valueI(6000)});
+  }
+  EXPECT_EQ(callSiteCycles(Fx, VM, Fx.DriveIface, Cold),
+            callSiteCycles(Fx, VM, Fx.DriveIface, Sub) +
+                DispatchCost::ImtMutableExtraLoad);
 }
 
 TEST(MutationStats, TibSpaceGrowsOnlyWithSpecialTibs) {
