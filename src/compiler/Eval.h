@@ -38,9 +38,9 @@ inline bool canFoldBinop(Opcode Op, Value A, Value B) {
   }
 }
 
-/// Evaluates a binary operation. Shifts mask their count to 6 bits; integer
-/// overflow wraps (two's complement), matching Java semantics closely enough
-/// for the modeled workloads.
+/// Evaluates a binary operation with Java's rules: shifts mask their count
+/// to 6 bits, integer overflow wraps (two's complement), so INT64_MIN / -1
+/// is INT64_MIN and INT64_MIN % -1 is 0. A zero divisor aborts.
 inline Value evalBinop(Opcode Op, Value A, Value B) {
   auto WrapAdd = [](int64_t X, int64_t Y) {
     return static_cast<int64_t>(static_cast<uint64_t>(X) +
@@ -57,9 +57,14 @@ inline Value evalBinop(Opcode Op, Value A, Value B) {
                                        static_cast<uint64_t>(B.I)));
   case Opcode::Div:
     DCHM_CHECK(B.I != 0, "division by zero");
+    // x / -1 is a wrapping negation; the host's INT64_MIN / -1 traps.
+    if (B.I == -1)
+      return valueI(static_cast<int64_t>(0 - static_cast<uint64_t>(A.I)));
     return valueI(A.I / B.I);
   case Opcode::Rem:
     DCHM_CHECK(B.I != 0, "remainder by zero");
+    if (B.I == -1)
+      return valueI(0);
     return valueI(A.I % B.I);
   case Opcode::And:
     return valueI(A.I & B.I);
@@ -135,6 +140,19 @@ inline bool isBinop(Opcode Op) {
   }
 }
 
+/// Java's double-to-long conversion: truncates toward zero, saturates out
+/// of range values (±inf included) and maps NaN to 0. A bare cast is
+/// undefined for all three.
+inline int64_t f2iSaturating(double D) {
+  if (D != D)
+    return 0;
+  if (D >= 9223372036854775808.0) // 2^63
+    return std::numeric_limits<int64_t>::max();
+  if (D <= -9223372036854775808.0)
+    return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(D);
+}
+
 /// Evaluates a unary operation (Neg/FNeg/I2F/F2I).
 inline Value evalUnop(Opcode Op, Value A) {
   switch (Op) {
@@ -145,7 +163,7 @@ inline Value evalUnop(Opcode Op, Value A) {
   case Opcode::I2F:
     return valueF(static_cast<double>(A.I));
   case Opcode::F2I:
-    return valueI(static_cast<int64_t>(A.F));
+    return valueI(f2iSaturating(A.F));
   default:
     DCHM_UNREACHABLE("not a unary operation");
   }

@@ -32,8 +32,9 @@ VMOptions resolveOptions(VMOptions O) {
 } // namespace
 
 VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
-    : P(P), Opts(resolveOptions(Options)), TheHeap(Opts.HeapBytes),
-      Compiler(P), Adaptive(P, Compiler, Opts.Adaptive), Mutation(P) {
+    : P(P), Opts(resolveOptions(Options)),
+      TheHeap(Opts.HeapBytes, *Opts.MutatorThreads), Compiler(P),
+      Adaptive(P, Compiler, Opts.Adaptive), Mutation(P) {
   DCHM_CHECK(P.isLinked(), "VirtualMachine requires a linked program");
   Compiler.inlinerConfig() = Opts.Inline;
   Compiler.setVerifyBodies(*Opts.AuditConsistency);
@@ -42,15 +43,12 @@ VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
   unsigned NThreads = mutatorThreads();
   Interps.reserve(NThreads);
   for (unsigned T = 0; T < NThreads; ++T) {
-    Interps.push_back(std::make_unique<Interpreter>(P, TheHeap, *this));
+    Interps.push_back(std::make_unique<Interpreter>(P, TheHeap, *this, T));
     Interps.back()->setSkipTopTierSamples(Opts.Adaptive.SampleInterval == 1);
   }
   TheHeap.setRootProvider(this);
-  if (multiMutator()) {
-    TheHeap.setConcurrent(true);
-    TheHeap.setSafepointExecutor(
-        [this](const std::function<void()> &Fn) { Safepoints.run(Fn); });
-  }
+  TheHeap.setSafepointExecutor(
+      [this](const std::function<void()> &Fn) { atSafepoint(Fn); });
 }
 
 void VirtualMachine::setAuditHook(AuditHook *H) {
@@ -142,23 +140,11 @@ void VirtualMachine::runMutators(const std::function<void(unsigned)> &Body) {
     return;
   }
   const unsigned NThreads = mutatorThreads();
-  // Heap caches are created up front from this thread so the cache registry
-  // never changes while mutators run (it is only walked world-stopped).
-  std::vector<Heap::ThreadCache *> Caches(NThreads);
-  for (unsigned T = 0; T < NThreads; ++T)
-    Caches[T] = TheHeap.registerMutator();
-
   auto Mutator = [&](unsigned T) {
-    TheHeap.bindMutator(Caches[T]);
     SafepointSlot *Slot = Safepoints.registerThread();
     Interps[T]->setSafepointSlot(Slot);
     Body(T);
     Interps[T]->setSafepointSlot(nullptr);
-    // Fold this thread's allocation buffer with the world stopped, then
-    // leave the protocol. Order matters: after unregisterThread this thread
-    // no longer polls, so it must not touch anything shared — it only
-    // joins/exits — or a leader would wait on it forever.
-    Safepoints.run([&] { TheHeap.unregisterMutator(Caches[T]); });
     Safepoints.unregisterThread(Slot);
   };
 

@@ -163,10 +163,10 @@ public:
   bool multiMutator() const { return mutatorThreads() > 1; }
 
   /// Runs Body(t) for t in [0, mutatorThreads()): t=0 on the calling
-  /// thread, the rest on freshly spawned threads, each bound to its own
-  /// interpreter, heap allocation buffer, and safepoint slot. Returns after
-  /// every mutator finished and folded its thread-local state. With one
-  /// mutator this is exactly Body(0) — no threads, no protocol.
+  /// thread, the rest on freshly spawned threads, each running its own
+  /// interpreter (which allocates through its own heap buffer) on its own
+  /// safepoint slot. Returns after every mutator finished. With one mutator
+  /// this is exactly Body(0) — no threads, no protocol.
   ///
   /// Reference arguments passed to callOn() from inside Body must be rooted
   /// host-side (LocalRootScope registered before runMutators): the callee

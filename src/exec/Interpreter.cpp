@@ -29,8 +29,8 @@
 
 namespace dchm {
 
-Interpreter::Interpreter(Program &P, Heap &H, VMCallbacks &CB)
-    : P(P), H(H), CB(CB) {
+Interpreter::Interpreter(Program &P, Heap &H, VMCallbacks &CB, unsigned Ctx)
+    : P(P), H(H), CB(CB), Ctx(Ctx) {
   Frames.resize(MaxFrames);
   RegArena.resize(InitialArenaSlots);
 }
@@ -516,11 +516,11 @@ L_Ret: {
 
 L_New: {
   ClassInfo &Cls = P.cls(static_cast<ClassId>(Ip->Imm));
-  R[Ip->Dst] = valueR(H.allocateInstance(Cls, Cls.ClassTib));
+  R[Ip->Dst] = valueR(H.allocateInstance(Cls, Cls.ClassTib, Ctx));
   VM_NEXT();
 }
 L_NewArray: {
-  R[Ip->Dst] = valueR(H.allocateArray(Ip->Ty, R[Ip->A].I));
+  R[Ip->Dst] = valueR(H.allocateArray(Ip->Ty, R[Ip->A].I, Ctx));
   VM_NEXT();
 }
 L_ALoad: {

@@ -54,7 +54,9 @@ struct ExecStats {
 /// Executes compiled methods against a Program and Heap.
 class Interpreter : public RootProvider {
 public:
-  Interpreter(Program &P, Heap &H, VMCallbacks &CB);
+  /// Ctx is the mutator context this interpreter runs: it allocates
+  /// through heap buffer Ctx.
+  Interpreter(Program &P, Heap &H, VMCallbacks &CB, unsigned Ctx);
 
   /// Invokes method M with the given arguments (receiver first for instance
   /// methods), compiling lazily as needed, and returns its result.
@@ -149,6 +151,7 @@ private:
   Program &P;
   Heap &H;
   VMCallbacks &CB;
+  unsigned Ctx;
   ExecStats Stats;
   std::vector<Frame> Frames; ///< pooled frame stack; Depth frames live
   size_t Depth = 0;

@@ -66,7 +66,7 @@ enum class Opcode : uint8_t {
 
   // Conversions.
   I2F, ///< Dst(f64) = (double)A
-  F2I, ///< Dst(i64) = (int64)A, truncating
+  F2I, ///< Dst(i64) = (int64)A, truncating; saturates, NaN -> 0
 
   // Control flow. Branch targets are instruction indices in Imm.
   Br,   ///< goto Imm

@@ -25,18 +25,14 @@ constexpr uint64_t GcMarkCyclesPerObject = 24;
 constexpr uint64_t GcSweepCyclesPerObject = 6;
 } // namespace
 
-namespace {
-/// The cache the current thread allocates through, if any. Validated against
-/// the owning heap so multiple heaps (tests) never cross wires.
-thread_local Heap::ThreadCache *TlsCache = nullptr;
-} // namespace
-
-Heap::Heap(size_t BudgetBytes) : Budget(BudgetBytes) {
+Heap::Heap(size_t BudgetBytes, unsigned Contexts)
+    : Budget(BudgetBytes), Buffers(Contexts) {
   DCHM_CHECK(Budget >= 4096, "heap budget too small");
+  DCHM_CHECK(Contexts >= 1, "heap needs an allocation buffer");
 }
 
 Heap::~Heap() {
-  foldCaches();
+  foldBuffers();
   Object *O = AllObjects;
   while (O) {
     Object *Next = O->NextAlloc;
@@ -45,55 +41,28 @@ Heap::~Heap() {
   }
 }
 
-void Heap::setConcurrent(bool On) {
-  Concurrent = On;
-  UsedApprox.store(Stats.UsedBytes, std::memory_order_relaxed);
-}
-
-Heap::ThreadCache *Heap::registerMutator() {
-  Caches.push_back(std::make_unique<ThreadCache>());
-  Caches.back()->Owner = this;
-  return Caches.back().get();
-}
-
-void Heap::bindMutator(ThreadCache *C) { TlsCache = C; }
-
-void Heap::unregisterMutator(ThreadCache *C) {
-  if (TlsCache == C)
-    TlsCache = nullptr;
-  // Splice the cache's objects and counters into the global state, then
-  // drop the slot. World-stopped: nothing else walks Caches concurrently.
-  if (C->Head) {
-    *C->TailLink = AllObjects;
-    AllObjects = C->Head;
+void Heap::foldBuffers() {
+  for (AllocBuffer &B : Buffers) {
+    if (!B.Head)
+      continue;
+    *B.TailLink = AllObjects;
+    AllObjects = B.Head;
+    B.Head = nullptr;
+    B.TailLink = nullptr;
   }
-  Stats.UsedBytes += C->UsedBytes;
-  Stats.BytesAllocated += C->BytesAllocated;
-  Stats.ObjectsAllocated += C->ObjectsAllocated;
-  Stats.PeakBytes = std::max(Stats.PeakBytes, Stats.UsedBytes);
-  for (size_t I = 0; I < Caches.size(); ++I)
-    if (Caches[I].get() == C) {
-      Caches.erase(Caches.begin() + static_cast<long>(I));
-      break;
-    }
 }
 
-void Heap::foldCaches() {
-  for (auto &C : Caches) {
-    if (C->Head) {
-      *C->TailLink = AllObjects;
-      AllObjects = C->Head;
-      C->Head = nullptr;
-      C->TailLink = nullptr;
-    }
-    Stats.UsedBytes += C->UsedBytes;
-    Stats.BytesAllocated += C->BytesAllocated;
-    Stats.ObjectsAllocated += C->ObjectsAllocated;
-    C->UsedBytes = 0;
-    C->BytesAllocated = 0;
-    C->ObjectsAllocated = 0;
+HeapStats Heap::stats() const {
+  HeapStats S;
+  S.GcCount = GcCount;
+  S.GcCycles = GcCycles;
+  for (const AllocBuffer &B : Buffers) {
+    S.BytesAllocated += B.BytesAllocated.load(std::memory_order_relaxed);
+    S.ObjectsAllocated += B.ObjectsAllocated.load(std::memory_order_relaxed);
   }
-  Stats.PeakBytes = std::max(Stats.PeakBytes, Stats.UsedBytes);
+  S.UsedBytes = UsedBytes.load(std::memory_order_relaxed);
+  S.PeakBytes = PeakBytes.load(std::memory_order_relaxed);
+  return S;
 }
 
 void Heap::recordBudgetError(size_t Used, size_t Requested) {
@@ -108,88 +77,64 @@ void Heap::recordBudgetError(size_t Used, size_t Requested) {
   BudgetErr = VMError::error(Buf);
 }
 
-Object *Heap::allocateRaw(uint32_t NumSlots) {
+Object *Heap::allocateRaw(uint32_t NumSlots, unsigned Ctx) {
   size_t Bytes = Object::allocBytes(NumSlots);
-  if (Concurrent)
-    return allocateRawConcurrent(NumSlots, Bytes);
-  if (Stats.UsedBytes + Bytes > Budget && Roots)
-    collectStopped();
-  // Soft budget: proceed even when the collection did not free enough (the
-  // run stays deterministic; cycles for the attempted GC were charged), but
-  // record the overrun as a sticky recoverable error the embedder can
-  // surface instead of silently pretending the heap fit.
-  if (Stats.UsedBytes + Bytes > Budget)
-    recordBudgetError(Stats.UsedBytes, Bytes);
-  void *Mem = ::operator new(Bytes);
-  Object *O = new (Mem) Object();
-  O->NumSlots = NumSlots;
-  O->NextAlloc = AllObjects;
-  AllObjects = O;
-  Stats.UsedBytes += Bytes;
-  Stats.PeakBytes = std::max(Stats.PeakBytes, Stats.UsedBytes);
-  Stats.BytesAllocated += Bytes;
-  Stats.ObjectsAllocated++;
-  for (uint32_t I = 0; I < NumSlots; ++I)
-    O->slots()[I] = zeroValue();
-  return O;
-}
-
-Object *Heap::allocateRawConcurrent(uint32_t NumSlots, size_t Bytes) {
-  ThreadCache *TC =
-      (TlsCache && TlsCache->Owner == this) ? TlsCache : nullptr;
-  // Budget trigger on the approximate watermark: one GC rendezvous at a
-  // time; the closure re-checks so a thread that lost the race to a
-  // just-finished collection does not immediately run another.
-  if (UsedApprox.load(std::memory_order_relaxed) + Bytes > Budget && Roots &&
-      SafeExec)
+  auto OverBudget = [&] {
+    return UsedBytes.load(std::memory_order_relaxed) + Bytes > Budget;
+  };
+  // Over budget: collect with the world stopped. The closure re-checks, so
+  // a thread that lost the race to a just-finished collection does not run
+  // another. Soft budget: allocation proceeds even when the collection did
+  // not free enough (the run stays deterministic; cycles for the attempted
+  // GC were charged), but the overrun is recorded as a sticky recoverable
+  // error the embedder can surface instead of silently pretending the heap
+  // fit.
+  if (OverBudget())
     SafeExec([&] {
-      if (UsedApprox.load(std::memory_order_relaxed) + Bytes > Budget)
+      if (OverBudget() && Roots)
         collectStopped();
+      if (OverBudget())
+        recordBudgetError(UsedBytes.load(std::memory_order_relaxed), Bytes);
     });
-  if (UsedApprox.load(std::memory_order_relaxed) + Bytes > Budget) {
-    std::lock_guard<std::mutex> L(SlowMu);
-    recordBudgetError(UsedApprox.load(std::memory_order_relaxed), Bytes);
-  }
   void *Mem = ::operator new(Bytes);
   Object *O = new (Mem) Object();
   O->NumSlots = NumSlots;
   for (uint32_t I = 0; I < NumSlots; ++I)
     O->slots()[I] = zeroValue();
-  if (TC) {
-    O->NextAlloc = TC->Head;
-    if (!TC->Head)
-      TC->TailLink = &O->NextAlloc;
-    TC->Head = O;
-    TC->UsedBytes += Bytes;
-    TC->BytesAllocated += Bytes;
-    TC->ObjectsAllocated++;
-  } else {
-    // Host thread without a cache (setup code before the mutators spawn,
-    // or a test): fall back to the global list under the slow-path lock.
-    std::lock_guard<std::mutex> L(SlowMu);
-    O->NextAlloc = AllObjects;
-    AllObjects = O;
-    Stats.UsedBytes += Bytes;
-    Stats.PeakBytes = std::max(Stats.PeakBytes, Stats.UsedBytes);
-    Stats.BytesAllocated += Bytes;
-    Stats.ObjectsAllocated++;
+  // One thread at a time owns a buffer, so its counters need no atomic
+  // read-modify-write; the shared watermark does.
+  AllocBuffer &B = Buffers[Ctx];
+  O->NextAlloc = B.Head;
+  if (!B.Head)
+    B.TailLink = &O->NextAlloc;
+  B.Head = O;
+  B.BytesAllocated.store(
+      B.BytesAllocated.load(std::memory_order_relaxed) + Bytes,
+      std::memory_order_relaxed);
+  B.ObjectsAllocated.store(
+      B.ObjectsAllocated.load(std::memory_order_relaxed) + 1,
+      std::memory_order_relaxed);
+  size_t Used = UsedBytes.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
+  size_t Peak = PeakBytes.load(std::memory_order_relaxed);
+  while (Used > Peak &&
+         !PeakBytes.compare_exchange_weak(Peak, Used,
+                                          std::memory_order_relaxed)) {
   }
-  UsedApprox.fetch_add(Bytes, std::memory_order_relaxed);
   return O;
 }
 
-Object *Heap::allocateInstance(const ClassInfo &C, TIB *Tib) {
+Object *Heap::allocateInstance(const ClassInfo &C, TIB *Tib, unsigned Ctx) {
   DCHM_CHECK(Tib != nullptr, "instance needs a TIB");
-  Object *O = allocateRaw(static_cast<uint32_t>(C.SlotTypes.size()));
+  Object *O = allocateRaw(static_cast<uint32_t>(C.SlotTypes.size()), Ctx);
   O->Tib = Tib;
   O->IsArray = false;
   return O;
 }
 
-Object *Heap::allocateArray(Type ElemTy, int64_t Len) {
+Object *Heap::allocateArray(Type ElemTy, int64_t Len, unsigned Ctx) {
   DCHM_CHECK(Len >= 0, "negative array length");
   DCHM_CHECK(Len <= 0x7FFFFFFF, "array too large");
-  Object *O = allocateRaw(static_cast<uint32_t>(Len));
+  Object *O = allocateRaw(static_cast<uint32_t>(Len), Ctx);
   O->Tib = nullptr;
   O->IsArray = true;
   O->ElemTy = ElemTy;
@@ -204,19 +149,13 @@ void Heap::mark(Object *O, std::vector<Object *> &Work) {
 }
 
 void Heap::collect() {
-  // Concurrent mode: the world must stop before roots are enumerated and
-  // caches folded; route through the VM-installed rendezvous executor.
-  if (Concurrent && SafeExec) {
-    SafeExec([this] { collectStopped(); });
-    return;
-  }
-  collectStopped();
+  SafeExec([this] { collectStopped(); });
 }
 
 void Heap::collectStopped() {
   DCHM_CHECK(Roots, "collect() without a root provider");
-  foldCaches();
-  Stats.GcCount++;
+  foldBuffers();
+  ++GcCount;
   uint64_t Marked = 0, Swept = 0;
 
   std::vector<Object *> Work;
@@ -243,6 +182,7 @@ void Heap::collectStopped() {
         mark(O->slots()[I].R, Work);
   }
 
+  size_t Freed = 0;
   Object **Link = &AllObjects;
   while (*Link) {
     Object *O = *Link;
@@ -252,14 +192,14 @@ void Heap::collectStopped() {
       continue;
     }
     *Link = O->NextAlloc;
-    Stats.UsedBytes -= Object::allocBytes(O->NumSlots);
+    Freed += Object::allocBytes(O->NumSlots);
     ::operator delete(static_cast<void *>(O));
     ++Swept;
   }
 
-  Stats.GcCycles += GcPauseCycles + GcMarkCyclesPerObject * Marked +
-                    GcSweepCyclesPerObject * Swept;
-  UsedApprox.store(Stats.UsedBytes, std::memory_order_relaxed);
+  UsedBytes.fetch_sub(Freed, std::memory_order_relaxed);
+  GcCycles += GcPauseCycles + GcMarkCyclesPerObject * Marked +
+              GcSweepCyclesPerObject * Swept;
 }
 
 } // namespace dchm

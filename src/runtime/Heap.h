@@ -29,8 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 namespace dchm {
@@ -54,10 +52,12 @@ struct HeapStats {
   size_t PeakBytes = 0;
 };
 
-/// Bounded mark-sweep heap.
+/// Bounded mark-sweep heap with one allocation buffer per mutator context.
 class Heap {
 public:
-  explicit Heap(size_t BudgetBytes);
+  /// Contexts is the number of mutator contexts, one allocation buffer
+  /// each; the VM passes its mutator thread count.
+  explicit Heap(size_t BudgetBytes, unsigned Contexts = 1);
   ~Heap();
   Heap(const Heap &) = delete;
   Heap &operator=(const Heap &) = delete;
@@ -80,65 +80,41 @@ public:
 
   /// Allocates an instance of C with zeroed fields and the given TIB
   /// (normally C's class TIB; a constructor-exit mutation may re-point it).
-  Object *allocateInstance(const ClassInfo &C, TIB *Tib);
+  /// Ctx names the allocating mutator context: interpreter T passes T,
+  /// host-side callers use context 0. Two threads must never allocate
+  /// through one context at the same time.
+  Object *allocateInstance(const ClassInfo &C, TIB *Tib, unsigned Ctx = 0);
 
   /// Allocates an array of Len elements of ElemTy, zero-initialized.
-  Object *allocateArray(Type ElemTy, int64_t Len);
+  Object *allocateArray(Type ElemTy, int64_t Len, unsigned Ctx = 0);
 
-  /// Forces a collection (also triggered automatically by allocation). In
-  /// concurrent mode the collection is routed through the safepoint
-  /// executor so it runs with every mutator stopped.
+  /// Forces a collection (also triggered automatically by allocation),
+  /// through the safepoint executor so it runs with every mutator stopped.
   void collect();
 
-  // --- Multi-mutator support ----------------------------------------------
-  /// Per-mutator-thread allocation buffer. Objects are linked onto a
-  /// thread-local list with thread-local byte accounting; both fold into
-  /// the global list/stats at safepoints (GC, unregister), so the hot
-  /// allocation path takes no lock.
-  struct ThreadCache {
-    Heap *Owner = nullptr;
-    Object *Head = nullptr;     ///< newest-first local allocation list
-    Object **TailLink = nullptr; ///< &oldest->NextAlloc, for O(1) splicing
-    uint64_t BytesAllocated = 0;
-    uint64_t ObjectsAllocated = 0;
-    size_t UsedBytes = 0;
-  };
-
-  /// Runs whole-heap work (GC) with the world stopped; wired by the VM to
-  /// the safepoint rendezvous in multi-mutator mode.
+  /// Runs whole-heap work (GC) with the world stopped. The default is a
+  /// plain call; the VM routes it through its safepoint rendezvous, which
+  /// is itself a plain call with one mutator.
   using SafepointExecutor =
       std::function<void(const std::function<void()> &)>;
   void setSafepointExecutor(SafepointExecutor E) { SafeExec = std::move(E); }
 
-  /// Enables the concurrent allocation path (per-thread buffers + atomic
-  /// budget accounting + GC through the safepoint executor). Single-mutator
-  /// runs never call this; their allocator is byte-identical to before.
-  void setConcurrent(bool On);
-  bool concurrent() const { return Concurrent; }
-
-  /// Creates a cache slot for one mutator thread. Call from the host thread
-  /// before the mutators start (or with the world stopped).
-  ThreadCache *registerMutator();
-  /// Binds the calling thread to its cache; subsequent allocations on this
-  /// thread go through it lock-free.
-  void bindMutator(ThreadCache *C);
-  /// Folds and removes a cache. Must run with the world stopped (the VM
-  /// wraps this in a rendezvous closure at mutator exit).
-  void unregisterMutator(ThreadCache *C);
-
-  /// Visits every allocated object (live or not-yet-collected garbage).
-  /// Used by the online value profiler's heap census; a stop-the-world
-  /// walk, like a collection without the sweep. In concurrent mode this is
-  /// only safe at a safepoint (caches are walked unsynchronized).
+  /// Visits every allocated object (live or not-yet-collected garbage),
+  /// newest first within each buffer. Used by the online value profiler's
+  /// heap census; a stop-the-world walk, like a collection without the
+  /// sweep. With more than one mutator it is only safe at a safepoint (the
+  /// buffers are walked unsynchronized).
   void forEachObject(const std::function<void(Object *)> &Fn) const {
+    for (const AllocBuffer &B : Buffers)
+      for (Object *O = B.Head; O; O = O->NextAlloc)
+        Fn(O);
     for (Object *O = AllObjects; O; O = O->NextAlloc)
       Fn(O);
-    for (const auto &C : Caches)
-      for (Object *O = C->Head; O; O = O->NextAlloc)
-        Fn(O);
   }
 
-  const HeapStats &stats() const { return Stats; }
+  /// A snapshot of the counters. Any thread may call it; a collection
+  /// changes GcCount and GcCycles only with the world stopped.
+  HeapStats stats() const;
   size_t budgetBytes() const { return Budget; }
 
   /// Sticky recoverable error recorded the first time an allocation is
@@ -150,30 +126,40 @@ public:
   void clearBudgetError() { BudgetErr = VMError(); }
 
 private:
-  Object *allocateRaw(uint32_t NumSlots);
-  Object *allocateRawConcurrent(uint32_t NumSlots, size_t Bytes);
-  /// The collection proper; caller guarantees the world is stopped (trivially
-  /// true single-mutator).
+  /// One mutator context's allocation buffer: the objects it allocated
+  /// since the last collection (newest first) and its lifetime allocation
+  /// counts. Only its own context writes it; a collection splices the list
+  /// into AllObjects with the world stopped. The counters are atomics so
+  /// stats() can sum them from any thread; alignas keeps two contexts'
+  /// counters off one cache line.
+  struct alignas(64) AllocBuffer {
+    Object *Head = nullptr;
+    Object **TailLink = nullptr; ///< &oldest->NextAlloc, for O(1) splicing
+    std::atomic<uint64_t> BytesAllocated{0};
+    std::atomic<uint64_t> ObjectsAllocated{0};
+  };
+
+  Object *allocateRaw(uint32_t NumSlots, unsigned Ctx);
+  /// The collection proper; the caller guarantees the world is stopped.
   void collectStopped();
-  void foldCaches();
+  /// Splices every buffer's list into AllObjects (world stopped).
+  void foldBuffers();
   void recordBudgetError(size_t Used, size_t Requested);
   void mark(Object *O, std::vector<Object *> &Work);
 
   size_t Budget;
   RootProvider *Roots = nullptr;
   std::vector<RootProvider *> ExtraRoots;
-  Object *AllObjects = nullptr;
-  HeapStats Stats;
-  VMError BudgetErr;
-
-  // Multi-mutator state. Quiescent (empty/false) in single-mutator runs.
-  bool Concurrent = false;
-  SafepointExecutor SafeExec;
-  std::vector<std::unique_ptr<ThreadCache>> Caches;
-  /// Approximate live-byte watermark for the concurrent budget trigger:
-  /// bumped on every allocation, re-synced to exact UsedBytes at each GC.
-  std::atomic<size_t> UsedApprox{0};
-  std::mutex SlowMu; ///< guards BudgetErr and unbuffered-thread allocation
+  std::vector<AllocBuffer> Buffers;
+  Object *AllObjects = nullptr; ///< objects older than the last collection
+  /// The live-bytes watermark the GC trigger reads: bumped by every
+  /// allocation, lowered by each sweep. Exact at any mutator count.
+  std::atomic<size_t> UsedBytes{0};
+  std::atomic<size_t> PeakBytes{0};
+  uint64_t GcCount = 0;  ///< written world-stopped
+  uint64_t GcCycles = 0; ///< written world-stopped
+  VMError BudgetErr;     ///< written world-stopped
+  SafepointExecutor SafeExec = [](const std::function<void()> &Fn) { Fn(); };
 };
 
 /// RAII root registration for objects held in host (C++) storage: anything

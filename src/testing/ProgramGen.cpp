@@ -8,6 +8,7 @@
 #include "testing/ProgramGen.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 namespace dchm {
@@ -67,6 +68,17 @@ void ProgramGen::generateFamily(GenFamily &F) {
     F.HotInstance.push_back(std::move(Tuple));
     F.HotStatic.push_back(SV);
   }
+}
+
+void ProgramGen::generateArith(GenFamily &F) {
+  F.HasArith = R.nextBool(0.6);
+  uint64_t Roll = R.nextBelow(10);
+  F.ArithDividend = Roll < 4   ? std::numeric_limits<int64_t>::min()
+                    : Roll < 5 ? std::numeric_limits<int64_t>::max()
+                               : R.nextInRange(-1000, 1000);
+  F.ArithShift = R.nextInRange(0, 2);
+  F.ArithBias = R.nextInRange(0, 3);
+  F.ArithInf = R.nextBool(0.5);
 }
 
 void ProgramGen::generateOps() {
@@ -247,6 +259,9 @@ std::string ProgramGen::generate() {
   // Likewise drawn after everything else: a seed's main() is byte-identical
   // to pre-tmain corpora.
   generateThreadOps();
+  // And the edge arithmetic last of all, so every other draw is unchanged.
+  for (GenFamily &F : Model.Families)
+    generateArith(F);
   return render();
 }
 
@@ -343,6 +358,24 @@ void ProgramGen::renderFamily(std::string &S, size_t FamIdx) const {
     if (F.HasLim) {
       S += "    %l = getfield %this, " + CN + ".lim\n";
       S += "    %x = add %x, %l\n";
+    }
+    if (F.HasArith) {
+      S += "    %ao = consti 1\n";
+      S += "    %dv = or %m, %ao\n";
+      S += "    %dk = consti " + itos(2 * F.ArithShift) + "\n";
+      S += "    %dv = sub %dv, %dk\n";
+      S += "    %dd = consti " + itos(F.ArithDividend) + "\n";
+      S += "    %dq = div %dd, %dv\n";
+      S += "    %x = add %x, %dq\n";
+      S += "    %dr = rem %dd, %dv\n";
+      S += "    %x = add %x, %dr\n";
+      S += "    %fm = i2f %m\n";
+      S += "    %fb = constf " + itos(F.ArithBias) + "\n";
+      S += "    %fn = fsub %fm, %fb\n";
+      S += F.ArithInf ? "    %fs = constf 0.0\n    %fq = fdiv %fn, %fs\n"
+                      : "    %fs = constf 4e18\n    %fq = fmul %fn, %fs\n";
+      S += "    %fi = f2i %fq\n";
+      S += "    %x = add %x, %fi\n";
     }
     for (int Arm = 0; Arm < 3; ++Arm) {
       S += "    %c" + itos(Arm) + " = consti " + itos(Arm) + "\n";
@@ -683,7 +716,7 @@ std::string ProgramGen::minimize(
       bool *Flags[] = {&F.HasSub,         &F.ImplementsWide,
                        &F.ImplementsWork, &F.HasLim,
                        &F.GetMutable,     &F.ScaleMutable,
-                       &F.HasMode2};
+                       &F.HasMode2,       &F.HasArith};
       for (bool *Flag : Flags) {
         if (!*Flag)
           continue;

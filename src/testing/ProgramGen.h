@@ -67,6 +67,18 @@ struct GenFamily {
   std::vector<int64_t> TickAdd;    ///< per-arm constants (arms 0..2 + default)
   std::vector<int64_t> SubTickAdd; ///< override's per-arm constants
   int64_t SubGetBias = 0;
+  /// tick() also adds Java-edge arithmetic on mode to its contribution:
+  /// ArithDividend div and rem (mode | 1) - 2 * ArithShift, an odd and so
+  /// non-zero divisor (-1 for some modes when ArithShift is 1 or 2), and
+  /// f2i of (mode - ArithBias) divided by 0.0 when ArithInf (±inf, or NaN
+  /// at mode == ArithBias) or else scaled by 4e18 (past INT64_MAX from
+  /// |mode - ArithBias| = 3). Specialized bodies see mode as a constant, so
+  /// mutation off vs on compares the interpreter with the constant folder.
+  bool HasArith = false;
+  int64_t ArithDividend = 0;
+  int64_t ArithShift = 0;
+  int64_t ArithBias = 0;
+  bool ArithInf = false;
   /// Hot-state tuples: [mode (, mode2)] instance part, [gmode] static part.
   std::vector<std::vector<int64_t>> HotInstance;
   std::vector<int64_t> HotStatic; ///< aligned with HotInstance when static
@@ -164,6 +176,7 @@ public:
 
 private:
   void generateFamily(GenFamily &F);
+  void generateArith(GenFamily &F);
   void generateOps();
   void generateThreadOps();
   void renderFamily(std::string &S, size_t FamIdx) const;

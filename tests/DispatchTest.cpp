@@ -678,13 +678,14 @@ TEST(ThreadedHandlers, EveryBinopAndCompareMatchesEvalInEveryShape) {
       Opcode::FMul,   Opcode::FDiv,   Opcode::CmpEQ, Opcode::CmpNE,
       Opcode::CmpLT,  Opcode::CmpLE,  Opcode::CmpGT, Opcode::CmpGE,
       Opcode::FCmpEQ, Opcode::FCmpLT, Opcode::FCmpLE};
-  // Shift counts of 64 and above, wrapping arithmetic, and only non-zero
-  // divisors (Div/Rem trap on zero); all orderings for the compares.
+  // Shift counts of 64 and above, wrapping arithmetic (INT64_MIN / -1
+  // included), and only non-zero divisors (Div/Rem trap on zero); all
+  // orderings for the compares.
   const int64_t Big = std::numeric_limits<int64_t>::max();
   const std::pair<int64_t, int64_t> IntArgs[] = {
       {7, 3},  {-7, 3},   {3, 7},   {5, 5},  {-9, -2},
       {1, 64}, {-3, 65},  {1, 127}, {5, -1}, {Big, 2},
-      {-Big - 1, 3}};
+      {-Big - 1, 3}, {-Big - 1, -1}};
   // NaN on either side and both, signed zeros, infinities.
   const double NaN = std::numeric_limits<double>::quiet_NaN();
   const double Inf = std::numeric_limits<double>::infinity();

@@ -37,6 +37,31 @@ TEST(Eval, WrappingMatchesTwosComplement) {
   EXPECT_EQ(evalBinop(Opcode::Sub, valueI(Min), valueI(1)).I, Max);
   EXPECT_EQ(evalBinop(Opcode::Mul, valueI(Max), valueI(2)).I, -2);
   EXPECT_EQ(evalUnop(Opcode::Neg, valueI(Min)).I, Min); // -INT64_MIN wraps
+  // Java's rule, where the host's division traps.
+  EXPECT_EQ(evalBinop(Opcode::Div, valueI(Min), valueI(-1)).I, Min);
+  EXPECT_EQ(evalBinop(Opcode::Rem, valueI(Min), valueI(-1)).I, 0);
+  EXPECT_EQ(evalBinop(Opcode::Div, valueI(7), valueI(-1)).I, -7);
+  EXPECT_EQ(evalBinop(Opcode::Rem, valueI(7), valueI(-1)).I, 0);
+}
+
+TEST(Eval, F2ISaturatesAndMapsNaNToZero) {
+  int64_t Min = std::numeric_limits<int64_t>::min();
+  int64_t Max = std::numeric_limits<int64_t>::max();
+  double Inf = std::numeric_limits<double>::infinity();
+  double NaN = std::numeric_limits<double>::quiet_NaN();
+  auto F2I = [](double D) { return evalUnop(Opcode::F2I, valueF(D)).I; };
+  EXPECT_EQ(F2I(NaN), 0);
+  EXPECT_EQ(F2I(-NaN), 0);
+  EXPECT_EQ(F2I(Inf), Max);
+  EXPECT_EQ(F2I(-Inf), Min);
+  EXPECT_EQ(F2I(1e19), Max);
+  EXPECT_EQ(F2I(-1e19), Min);
+  EXPECT_EQ(F2I(9223372036854775808.0), Max);  // 2^63
+  EXPECT_EQ(F2I(-9223372036854775808.0), Min);  // -2^63, in range
+  EXPECT_EQ(F2I(9223372036854774784.0), 9223372036854774784); // largest < 2^63
+  EXPECT_EQ(F2I(2.9), 2);
+  EXPECT_EQ(F2I(-2.9), -2);
+  EXPECT_EQ(F2I(-0.0), 0);
 }
 
 TEST(Eval, ShiftMasking) {

@@ -8,12 +8,14 @@
 /// \file
 /// Tests for the safepoint subsystem and the multi-mutator VM mode: the
 /// manager-level protocol (nested-request rejection, blocked-counts-as-
-/// stopped), plan retire/re-install cycles racing mutator entry, and
-/// per-thread determinism of the guest-visible output streams.
+/// stopped), plan retire/re-install cycles racing mutator entry,
+/// per-thread determinism of the guest-visible output streams, and the one
+/// heap allocator collecting under N mutators.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "asm/Assembler.h"
 #include "core/VM.h"
 #include "runtime/Safepoint.h"
 #include "testing/ConsistencyAuditor.h"
@@ -199,6 +201,101 @@ TEST(MultiMutator, PerThreadOutputHashesAreDeterministic) {
   EXPECT_EQ(A, B); // run-to-run stability, merged hash included
   for (unsigned T = 0; T < 4; ++T)
     EXPECT_EQ(A[T], Ref[T % 2]); // and each stream matches its solo run
+}
+
+TEST(MultiMutator, AllocatingMutatorsShareOneCollectingHeap) {
+  // Every mutator runs the same allocating op in a heap small enough that
+  // collections, triggered from any context, fold every context's buffer
+  // mid-run. A ring of 16 arrays survives each collection and feeds the
+  // checksum, so a lost or freed live object changes the output.
+  const char *Src = R"(
+    class Node {
+      field val: i64
+      ctor <init>(%v: i64) {
+        putfield %this, Node.val, %v
+        ret
+      }
+    }
+    class Main {
+      method churn(%n: i64) -> i64 static {
+        %zero = consti 0
+        %one = consti 1
+        %three = consti 3
+        %eight = consti 8
+        %sixteen = consti 16
+        %keep = newarray ref, %sixteen
+        %i = consti 0
+      @fill:
+        %f = cmplt %i, %sixteen
+        cbz %f, @filled
+        %a = newarray i64, %eight
+        astore ref, %keep, %i, %a
+        %i = add %i, %one
+        br @fill
+      @filled:
+        %sum = consti 0
+        %i = consti 0
+      @head:
+        %t = cmplt %i, %n
+        cbz %t, @done
+        %slot = rem %i, %sixteen
+        %old = aload ref, %keep, %slot
+        %v = aload i64, %old, %three
+        %sum = add %sum, %v
+        %o = new Node
+        callspecial Node.<init>(%o, %i)
+        %w = getfield %o, Node.val
+        %a = newarray i64, %eight
+        astore i64, %a, %three, %w
+        astore ref, %keep, %slot, %a
+        %i = add %i, %one
+        br @head
+      @done:
+        print %sum
+        ret %sum
+      }
+    }
+  )";
+  struct Outcome {
+    std::vector<int64_t> Results;
+    std::vector<uint64_t> Hashes;
+    HeapStats Heap;
+  };
+  auto Run = [&](unsigned N) {
+    AssemblyResult AR = assembleProgram(Src);
+    EXPECT_TRUE(AR.ok()) << AR.Error;
+    Outcome Out;
+    if (!AR.ok())
+      return Out;
+    MethodId Churn = AR.P->findMethod(AR.P->findClass("Main"), "churn");
+    VMOptions Opts;
+    Opts.MutatorThreads = N;
+    Opts.HeapBytes = 64u << 10;
+    VirtualMachine VM(*AR.P, Opts);
+    Out.Results.resize(N);
+    VM.runMutators([&](unsigned T) {
+      Out.Results[T] = VM.callOn(T, Churn, {valueI(4000)}).I;
+    });
+    for (unsigned T = 0; T < N; ++T)
+      Out.Hashes.push_back(VM.interp(T).outputHash());
+    Out.Heap = VM.heap().stats();
+    EXPECT_FALSE(VM.heap().budgetError()) << VM.heap().budgetError().message();
+    return Out;
+  };
+
+  Outcome One = Run(1);
+  Outcome Four = Run(4);
+  ASSERT_EQ(One.Results.size(), 1u);
+  ASSERT_EQ(Four.Results.size(), 4u);
+  EXPECT_EQ(One.Results[0], 3984 * 3983 / 2); // sum of i - 16, i in [16, n)
+  EXPECT_GT(One.Heap.GcCount, 0u);
+  EXPECT_GT(Four.Heap.GcCount, 0u);
+  for (unsigned T = 0; T < 4; ++T) {
+    EXPECT_EQ(Four.Results[T], One.Results[0]) << "mutator " << T;
+    EXPECT_EQ(Four.Hashes[T], One.Hashes[0]) << "mutator " << T;
+  }
+  EXPECT_EQ(Four.Heap.ObjectsAllocated, 4 * One.Heap.ObjectsAllocated);
+  EXPECT_EQ(Four.Heap.BytesAllocated, 4 * One.Heap.BytesAllocated);
 }
 
 TEST(MultiMutator, SingleMutatorRunMutatorsIsTheClassicPath) {
