@@ -14,7 +14,7 @@
 // plan is retired with the heap populated and every special compiled,
 // and we record the stop-the-world pause (host wall time), the simulated
 // mutation cycles it charged, the objects swung back to class TIBs, and
-// what epoch-based reclamation then recovered.
+// what reclamation at a quiescent point then recovered.
 //
 // Part B measures the *code/TIB budget* on SalaryDB (offline-derived
 // plan) and a SPECjbb2000-like run (shared-screen plan). An unlimited run

@@ -185,14 +185,12 @@ WarehouseRun runWarehouses(unsigned Threads, uint64_t Txns, bool Mutation,
   VMOptions Opts;
   Opts.EnableMutation = Mutation;
   Opts.MutatorThreads = Threads;
-  if (Audit)
-    Opts.AuditConsistency = true;
   VirtualMachine VM(P, Opts);
-  if (Mutation)
-    VM.setMutationPlan(&Plan);
   ConsistencyAuditor Auditor(VM);
   if (Audit)
     VM.setAuditHook(&Auditor);
+  if (Mutation)
+    VM.setMutationPlan(&Plan);
 
   ProgramIds Ids(P);
   MethodId Main = Ids.method("Warehouse", "main");

@@ -8,7 +8,6 @@
 #include "core/VM.h"
 
 #include "support/Debug.h"
-#include "support/Env.h"
 
 #include <algorithm>
 #include <thread>
@@ -17,29 +16,21 @@
 namespace dchm {
 
 namespace {
-/// Fills every unset host setting from its DCHM_* variable or, when that is
-/// unset too, the support/Env.h table default. Explicit values win.
-VMOptions resolveOptions(VMOptions O) {
-  if (!O.AuditConsistency)
-    O.AuditConsistency = env::boolValue("DCHM_AUDIT");
-  if (!O.CodeBudgetBytes)
-    O.CodeBudgetBytes = static_cast<size_t>(env::intValue("DCHM_CODE_BUDGET"));
-  if (!O.MutatorThreads)
-    O.MutatorThreads = static_cast<unsigned>(env::intValue("DCHM_THREADS"));
-  O.MutatorThreads = std::max(1u, *O.MutatorThreads);
+/// The VM treats 0 mutator threads as 1.
+VMOptions withAtLeastOneMutator(VMOptions O) {
+  O.MutatorThreads = std::max(1u, O.MutatorThreads);
   return O;
 }
 } // namespace
 
 VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
-    : P(P), Opts(resolveOptions(Options)),
-      TheHeap(Opts.HeapBytes, *Opts.MutatorThreads), Compiler(P),
+    : P(P), Opts(withAtLeastOneMutator(Options)),
+      TheHeap(Opts.HeapBytes, Opts.MutatorThreads), Compiler(P),
       Adaptive(P, Compiler, Opts.Adaptive), Mutation(P) {
   DCHM_CHECK(P.isLinked(), "VirtualMachine requires a linked program");
   Compiler.inlinerConfig() = Opts.Inline;
-  Compiler.setVerifyBodies(*Opts.AuditConsistency);
   Mutation.setHeap(&TheHeap);
-  Mutation.setCodeBudget(*Opts.CodeBudgetBytes);
+  Mutation.setCodeBudget(Opts.CodeBudgetBytes);
   unsigned NThreads = mutatorThreads();
   Interps.reserve(NThreads);
   for (unsigned T = 0; T < NThreads; ++T) {
@@ -52,8 +43,7 @@ VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
 }
 
 void VirtualMachine::setAuditHook(AuditHook *H) {
-  if (!auditEnabled() && H)
-    return;
+  Compiler.setVerifyBodies(H != nullptr);
   for (auto &I : Interps)
     I->setAuditHook(H);
   Mutation.setAuditHook(H);
@@ -108,7 +98,7 @@ bool VirtualMachine::retireMutationPlan() {
 
 void VirtualMachine::reclaimRetired() {
   atSafepoint([&] {
-    // Epoch-based safety: with a live frame on any mutator, a return
+    // Quiescence: with a live frame on any mutator, a return
     // address may still point into a retired body; wait for the next
     // quiescent call. A parked mutator mid-invocation keeps its frames, so
     // this naturally defers until every context is at top level.

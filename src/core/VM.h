@@ -39,18 +39,11 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace dchm {
 
-/// VM configuration for one run.
-///
-/// The host settings below are std::optional: unset means "ask the
-/// environment", resolved once by the VirtualMachine constructor through the
-/// support/Env.h knob table (which also holds each default). An explicit
-/// value beats its DCHM_* variable. VirtualMachine::options() returns the
-/// resolved copy, so every optional there holds the value that runs.
+/// VM configuration for one run, fixed when the VirtualMachine is built.
 struct VMOptions {
   /// Master switch for dynamic class hierarchy mutation. With it off the
   /// plan is ignored entirely — the baseline configuration of every
@@ -59,22 +52,16 @@ struct VMOptions {
   size_t HeapBytes = 50u << 20; ///< Jikes' default 50 MB heap
   AdaptiveConfig Adaptive;
   InlinerConfig Inline;
-  /// Gates the runtime consistency auditor (testing/ConsistencyAuditor):
-  /// when it resolves off, setAuditHook() is a no-op, so harnesses can leave
-  /// the attachment code in place and flip only this option (or DCHM_AUDIT).
-  /// Auditing never changes simulated cycles, instruction counts, or output
-  /// — it is host-side work only.
-  std::optional<bool> AuditConsistency; ///< DCHM_AUDIT
   /// Budget over specialized-code bytes + special-TIB bytes (graceful
   /// degradation, docs/degradation.md); 0 = unlimited. Under pressure the
   /// mutation engine demotes the coldest hot states to general code.
-  std::optional<size_t> CodeBudgetBytes; ///< DCHM_CODE_BUDGET
-  /// Number of application (mutator) threads (docs/threads.md), at least 1.
-  /// At 1 every code path is the single-mutator path — bit-identical
+  size_t CodeBudgetBytes = 0;
+  /// Number of application (mutator) threads (docs/threads.md); 0 runs as
+  /// 1. At 1 every code path is the single-mutator path — bit-identical
   /// output, cycle counters and fingerprints. At N>1 the safepoint
   /// rendezvous protocol activates and each mutator context gets its own
   /// interpreter and heap allocation buffer.
-  std::optional<unsigned> MutatorThreads; ///< DCHM_THREADS
+  unsigned MutatorThreads = 1;
 };
 
 /// Everything the experiment harness reads after (or during) a run.
@@ -129,28 +116,26 @@ public:
   void setStateObserver(StateObserver *Obs) { Observer = Obs; }
 
   /// Attaches a consistency-audit hook (normally a ConsistencyAuditor from
-  /// the testing library) to the interpreter's safepoint and the mutation
-  /// engine's transition points. Gated by VMOptions::AuditConsistency /
-  /// DCHM_AUDIT: when auditing is disabled this is a no-op, so callers can
-  /// attach unconditionally. Pass null to detach.
+  /// the testing library) to every interpreter's safepoint and the mutation
+  /// engine's transition points, and makes the compiler verify each body it
+  /// finishes. Attaching is how a run audits, so attach before the first
+  /// call or plan install; only bodies compiled afterwards are verified.
+  /// Auditing never changes simulated cycles, instruction counts, or output
+  /// — it is host-side work only. Pass null to detach.
   void setAuditHook(AuditHook *H);
-
-  /// True when VMOptions::AuditConsistency (or DCHM_AUDIT) resolved to on.
-  bool auditEnabled() const { return *Opts.AuditConsistency; }
 
   /// Stop-the-world reverse of setMutationPlan: retires the installed plan
   /// (MutationManager::retirePlan), detaches it from the adaptive system
-  /// and the compiler, and drains the epoch-based reclamation list if no
-  /// interpreter frame is live. Afterwards setMutationPlan can install a
-  /// new plan (or the same one) again. Returns false when no plan is
-  /// active.
+  /// and the compiler, and drains the reclamation list if no interpreter
+  /// frame is live. Afterwards setMutationPlan can install a new plan (or
+  /// the same one) again. Returns false when no plan is active.
   bool retireMutationPlan();
 
   /// Drains the Program's reclamation list of retired special TIBs and
   /// specialized bodies, but only at a quiescent point: no live interpreter
-  /// frames, and only entries retired before the current code epoch whose
-  /// TIBs no heap object references (stranded objects keep their TIB alive
-  /// rather than dangling). Safe to call any time; no-op when unsafe.
+  /// frames, and only TIBs no heap object references (stranded objects keep
+  /// their TIB alive rather than dangling). Safe to call any time; no-op
+  /// when unsafe.
   void reclaimRetired();
 
   /// Invokes a method (receiver first for instance methods) on mutator
@@ -158,8 +143,8 @@ public:
   Value call(MethodId M, const std::vector<Value> &Args);
 
   // --- Multi-mutator mode (docs/threads.md) --------------------------------
-  /// Resolved mutator thread count (>= 1).
-  unsigned mutatorThreads() const { return *Opts.MutatorThreads; }
+  /// Mutator thread count (>= 1).
+  unsigned mutatorThreads() const { return Opts.MutatorThreads; }
   bool multiMutator() const { return mutatorThreads() > 1; }
 
   /// Runs Body(t) for t in [0, mutatorThreads()): t=0 on the calling
@@ -206,7 +191,7 @@ public:
   OptCompiler &compiler() { return Compiler; }
   AdaptiveSystem &adaptive() { return Adaptive; }
   MutationManager &mutation() { return Mutation; }
-  /// The options this VM runs with: every host setting resolved.
+  /// The options this VM runs with (MutatorThreads raised to at least 1).
   const VMOptions &options() const { return Opts; }
 
   // --- VMCallbacks (interpreter events) ------------------------------------
@@ -223,7 +208,7 @@ public:
 
 private:
   Program &P;
-  VMOptions Opts; ///< resolved: every optional host setting holds a value
+  VMOptions Opts;
   Heap TheHeap;
   OptCompiler Compiler;
   AdaptiveSystem Adaptive;

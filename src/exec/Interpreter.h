@@ -65,7 +65,7 @@ public:
   const ExecStats &stats() const { return Stats; }
 
   /// Number of live activation records. Zero means no return address can
-  /// point into compiled code — the safe point for draining the epoch-based
+  /// point into compiled code — the quiescent point for draining the
   /// reclamation list of retired TIBs and specialized bodies.
   size_t liveFrames() const { return Depth; }
 
@@ -95,7 +95,6 @@ public:
   /// boundaries and backedges and parks when a leader holds the world.
   /// Null (the single-mutator default) compiles the polls away to nothing.
   void setSafepointSlot(SafepointSlot *S) { Sp = S; }
-  SafepointSlot *safepointSlot() const { return Sp; }
 
   /// Appends the receiver of every constructor frame currently on the
   /// stack. The consistency auditor exempts these objects from the strict

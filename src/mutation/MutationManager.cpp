@@ -70,10 +70,8 @@ void MutationManager::installPlan(const MutationPlan &Plan) {
     }
   }
 
-  // The IMT rewiring above (and the special-TIB creation) wrote dispatch
-  // structures. (The caller enforces the code budget after existing objects
-  // migrate, so audit hooks never observe a half-installed heap.)
-  P.bumpCodeEpoch();
+  // The caller enforces the code budget after existing objects migrate, so
+  // audit hooks never observe a half-installed heap.
 }
 
 int MutationManager::matchInstanceState(const MutableClassPlan &CP,
@@ -135,8 +133,6 @@ void MutationManager::updateCodePointer(CompiledMethod *&SlotRef,
   SlotRef = To;
   Stats.CodePointerUpdates++;
   Stats.ExtraCycles += DispatchCost::PointerSwing;
-  // A TIB slot now routes differently (general <-> special code).
-  P.bumpCodeEpoch();
 }
 
 void MutationManager::onInstanceStateStore(Object *O, FieldInfo &F) {
@@ -375,10 +371,6 @@ uint64_t MutationManager::retirePlan(Heap &H) {
   Installed = nullptr;
   SwingIns.clear();
   Stats.PlanRetirements++;
-  // Every dispatch structure above changed shape; moving the epoch past the
-  // stamps of the TIBs and bodies retired above is what lets the
-  // reclamation drain free them.
-  P.bumpCodeEpoch();
   noteTransition("retire: plan retired");
   return OnSpecial;
 }
@@ -414,7 +406,6 @@ bool MutationManager::evictState(size_t Idx, size_t S) {
     refreshMethodPointers(CP, M);
   }
   P.retireSpecialTib(ST);
-  P.bumpCodeEpoch();
   Stats.StateEvictions++;
   noteTransition("degrade: state evicted");
   return true;

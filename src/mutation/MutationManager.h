@@ -88,9 +88,8 @@ public:
   /// special TIB back to its class TIB, restores general code pointers in
   /// class TIBs and the JTOC, un-rewires IMT slots back to Direct entries,
   /// unmarks state fields and mutable methods, hands the special TIBs and
-  /// specialized bodies to the Program's epoch-based reclamation list, and
-  /// bumps the code epoch past their retirement stamp. After this
-  /// the hierarchy is exactly as if no plan had ever been installed, and a
+  /// specialized bodies to the Program's reclamation list. After this the
+  /// hierarchy is exactly as if no plan had ever been installed, and a
   /// new plan (or the same one) can be installed again. Returns the number
   /// of objects that sat on special TIBs (counted even when the
   /// SkipRetireSwing fault leaves them stranded).

@@ -64,10 +64,10 @@ public:
   size_t budgetBytes() const { return BudgetBytes; }
   void setBudgetBytes(size_t N) { BudgetBytes = N; }
 
-  /// Drops the body IR and dispatch form of a retired version (epoch-based
-  /// reclamation after plan retirement / budget eviction). The object itself
-  /// stays allocated forever, Jikes-style; CodeBytes is kept so code-size
-  /// metrics remain stable. Only legal once no dispatch structure or frame
+  /// Drops the body IR and dispatch form of a retired version (reclamation
+  /// at a quiescent point after plan retirement / budget eviction). The
+  /// object itself stays allocated forever, Jikes-style; CodeBytes is kept
+  /// so code-size metrics remain stable. Only legal once no dispatch structure or frame
   /// can reach this version.
   void releaseBody() {
     Code = IRFunction();

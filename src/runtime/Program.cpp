@@ -443,8 +443,6 @@ VMError Program::tryLink() {
 
 void Program::installCode(MethodInfo &M, CompiledMethod *CM) {
   DCHM_CHECK(Linked, "installCode before link()");
-  // Every install rewrites dispatch structures.
-  bumpCodeEpoch();
   M.General = CM;
   if (M.Flags.IsStatic) {
     // "The replacement occurs in the JTOC if the method is static."
@@ -516,7 +514,7 @@ void Program::retireSpecialTib(TIB *T) {
   DCHM_CHECK(T && T->isSpecial(), "retireSpecialTib needs a special TIB");
   for (auto It = OwnedTibs.begin(); It != OwnedTibs.end(); ++It) {
     if (It->get() == T) {
-      RetiredTibs.push_back({std::move(*It), CodeEpoch});
+      RetiredTibs.push_back(std::move(*It));
       OwnedTibs.erase(It);
       return;
     }
@@ -526,44 +524,32 @@ void Program::retireSpecialTib(TIB *T) {
 
 void Program::retireCompiledBody(CompiledMethod *CM) {
   DCHM_CHECK(CM, "retireCompiledBody(null)");
-  RetiredBodies.push_back({CM, CodeEpoch});
+  RetiredBodies.push_back(CM);
 }
 
 void Program::drainReclaimList(const std::unordered_set<const TIB *> &InUse) {
-  // A retired entry is reclaimable once the code epoch has moved past its
-  // stamp (the dispatch structures that routed to it were rewritten since,
-  // so no dispatch can still yield it) and, for TIBs, no heap object still
-  // points at it (partial-retire faults can strand objects on a retired
-  // TIB; freeing it then would leave dangling Object::Tib pointers).
+  // A retired TIB is reclaimable once no heap object still points at it
+  // (partial-retire faults can strand objects on a retired TIB; freeing it
+  // then would leave dangling Object::Tib pointers). The retiring closure
+  // already rewrote every dispatch structure that routed to it.
   for (size_t I = 0; I < RetiredTibs.size();) {
-    if (RetiredTibs[I].Epoch < CodeEpoch &&
-        InUse.find(RetiredTibs[I].T.get()) == InUse.end()) {
-      RetiredTibs[I] = std::move(RetiredTibs.back());
-      RetiredTibs.pop_back();
-      ++ReclaimedTibs;
-    } else {
+    if (InUse.count(RetiredTibs[I].get())) {
       ++I;
+      continue;
     }
+    RetiredTibs[I] = std::move(RetiredTibs.back());
+    RetiredTibs.pop_back();
+    ++ReclaimedTibs;
   }
   // Bodies are only safe to release once no retired TIB is heap-referenced
   // at all: a stranded object (partial-retire fault) can still dispatch
   // through its retired TIB's slots straight into any retired body.
-  bool TibStranded = false;
-  for (const RetiredTib &RT : RetiredTibs)
-    if (InUse.count(RT.T.get()))
-      TibStranded = true;
-  if (TibStranded)
+  if (!RetiredTibs.empty())
     return;
-  for (size_t I = 0; I < RetiredBodies.size();) {
-    if (RetiredBodies[I].Epoch < CodeEpoch) {
-      RetiredBodies[I].CM->releaseBody();
-      RetiredBodies[I] = RetiredBodies.back();
-      RetiredBodies.pop_back();
-      ++ReclaimedBodies;
-    } else {
-      ++I;
-    }
-  }
+  for (CompiledMethod *CM : RetiredBodies)
+    CM->releaseBody();
+  ReclaimedBodies += RetiredBodies.size();
+  RetiredBodies.clear();
 }
 
 } // namespace dchm

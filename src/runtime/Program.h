@@ -26,7 +26,6 @@
 #include "support/Debug.h"
 #include "support/Error.h"
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <string>
@@ -118,21 +117,7 @@ public:
   CompiledMethod *staticEntry(MethodId M) const { return StaticEntries[M]; }
   void setStaticEntry(MethodId M, CompiledMethod *CM) {
     StaticEntries[M] = CM;
-    bumpCodeEpoch();
   }
-
-  // --- Dispatch-structure epoch (reclamation stamp) -------------------------
-  /// Monotonic counter bumped on every write to a dispatch structure (TIB
-  /// slot, JTOC entry, IMT entry): code installation, mutation code-pointer
-  /// routing, IMT rewiring, plan retirement, and state eviction. Retired
-  /// special TIBs and specialized bodies are stamped with the epoch current
-  /// at retirement, and drainReclaimList frees an entry only once the epoch
-  /// has moved past its stamp — i.e. after the dispatch structures that
-  /// could hand it out were rewritten.
-  uint64_t codeEpoch() const {
-    return CodeEpoch.load(std::memory_order_acquire);
-  }
-  void bumpCodeEpoch() { CodeEpoch.fetch_add(1, std::memory_order_release); }
 
   // --- Code installation (Jikes default semantics) -------------------------
   /// Installs CM as the current general compiled code of M: JTOC entry for
@@ -151,20 +136,19 @@ public:
   size_t classTibBytes() const;
   size_t specialTibBytes() const;
 
-  // --- Epoch-based reclamation (plan retirement / eviction) ----------------
-  /// Moves a special TIB created by createSpecialTib onto the retired list,
-  /// stamped with the current code epoch. The TIB stops counting toward
-  /// specialTibBytes() immediately but stays allocated until
-  /// drainReclaimList proves no stale reference can reach it.
+  // --- Reclamation at a quiescent point (plan retirement / eviction) -------
+  /// Moves a special TIB created by createSpecialTib onto the retired list.
+  /// The TIB stops counting toward specialTibBytes() immediately but stays
+  /// allocated until drainReclaimList proves no stale reference can reach
+  /// it.
   void retireSpecialTib(TIB *T);
   /// Queues a specialized compiled body for release (the CompiledMethod
   /// object itself stays owned by its MethodInfo forever, Jikes-style; only
   /// the body IR is dropped).
   void retireCompiledBody(CompiledMethod *CM);
-  /// Frees retired TIBs whose epoch stamp predates the current code epoch
-  /// and that no live object still points at (InUse = TIBs reachable from
-  /// the heap), and releases retired bodies once finalized. Call only when
-  /// no interpreter frame is live.
+  /// Frees retired TIBs that no live object still points at (InUse = TIBs
+  /// reachable from the heap), and releases retired bodies once no retired
+  /// TIB is left. Call only when no interpreter frame is live.
   void drainReclaimList(const std::unordered_set<const TIB *> &InUse);
   size_t retiredTibCount() const { return RetiredTibs.size(); }
   size_t reclaimedTibCount() const { return ReclaimedTibs; }
@@ -192,24 +176,12 @@ private:
   std::vector<std::unique_ptr<TIB>> OwnedTibs;
   std::vector<std::unique_ptr<IMT>> OwnedImts;
 
-  /// Retired-but-not-yet-reclaimed special TIBs / specialized bodies, each
-  /// stamped with the code epoch at retirement time.
-  struct RetiredTib {
-    std::unique_ptr<TIB> T;
-    uint64_t Epoch;
-  };
-  struct RetiredBody {
-    CompiledMethod *CM;
-    uint64_t Epoch;
-  };
-  std::vector<RetiredTib> RetiredTibs;
-  std::vector<RetiredBody> RetiredBodies;
+  /// Retired-but-not-yet-reclaimed special TIBs / specialized bodies.
+  std::vector<std::unique_ptr<TIB>> RetiredTibs;
+  std::vector<CompiledMethod *> RetiredBodies;
   size_t ReclaimedTibs = 0;
   size_t ReclaimedBodies = 0;
 
-  /// Atomic: the stop-the-world closures that bump and read it may run on
-  /// whichever mutator thread leads the rendezvous.
-  std::atomic<uint64_t> CodeEpoch{1};
   bool Linked = false;
 };
 

@@ -7,8 +7,6 @@
 
 #include "runtime/Safepoint.h"
 
-#include "support/Debug.h"
-
 #include <algorithm>
 
 namespace dchm {
@@ -32,25 +30,6 @@ void SafepointSlot::park() {
   St = State::Running;
 }
 
-void SafepointSlot::enterBlocked() {
-  SafepointManager &M = *Mgr;
-  std::lock_guard<std::mutex> L(M.Mu);
-  St = State::Blocked;
-  M.ParkCv.notify_all();
-}
-
-void SafepointSlot::leaveBlocked() {
-  SafepointManager &M = *Mgr;
-  std::unique_lock<std::mutex> L(M.Mu);
-  // Re-check the poll flag before running guest code again: a rendezvous
-  // that counted this thread as Blocked may still be holding the world.
-  // The leader's own slot never has its flag raised, so a leader passing
-  // through a blocked scope inside its closure falls straight through.
-  M.ResumeCv.wait(L,
-                  [&] { return !PollFlag.load(std::memory_order_relaxed); });
-  St = State::Running;
-}
-
 //===----------------------------------------------------------------------===//
 // SafepointManager
 //===----------------------------------------------------------------------===//
@@ -61,7 +40,6 @@ SafepointSlot *SafepointManager::registerThread() {
   LeaderCv.wait(L, [&] { return !Active; });
   auto *S = new SafepointSlot();
   S->Mgr = this;
-  S->Index = static_cast<unsigned>(Slots.size());
   S->Tid = std::this_thread::get_id();
   Slots.push_back(S);
   return S;
@@ -70,8 +48,7 @@ SafepointSlot *SafepointManager::registerThread() {
 void SafepointManager::unregisterThread(SafepointSlot *S) {
   std::lock_guard<std::mutex> L(Mu);
   // Vanishing satisfies a leader currently waiting for this thread: the
-  // caller guarantees it touches nothing shared after unregistering (the
-  // VM folds the thread's heap cache under a rendezvous first).
+  // caller guarantees it touches nothing shared after unregistering.
   Slots.erase(std::remove(Slots.begin(), Slots.end(), S), Slots.end());
   delete S;
   ParkCv.notify_all();
@@ -92,18 +69,27 @@ bool SafepointManager::allOthersStopped(const SafepointSlot *Leader) const {
   return true;
 }
 
-void SafepointManager::beginLocked(std::unique_lock<std::mutex> &L,
-                                   SafepointSlot *Self) {
+void SafepointManager::run(const std::function<void()> &Fn) {
+  std::unique_lock<std::mutex> L(Mu);
+  std::thread::id Me = std::this_thread::get_id();
+  if (Active && LeaderThread == Me) {
+    // Re-entrant request from inside a closure: the world is already
+    // stopped by this thread, so the nested closure runs inline.
+    L.unlock();
+    Fn();
+    return;
+  }
   // Queue for leadership. While queued, this mutator counts as stopped —
   // otherwise two threads requesting a rendezvous would deadlock, each
   // waiting for the other to park.
+  SafepointSlot *Self = selfLocked();
   if (Self) {
     Self->St = SafepointSlot::State::Blocked;
     ParkCv.notify_all();
   }
   LeaderCv.wait(L, [&] { return !Active; });
   Active = true;
-  LeaderThread = std::this_thread::get_id();
+  LeaderThread = Me;
   Rendezvous.fetch_add(1, std::memory_order_relaxed);
   for (SafepointSlot *S : Slots)
     if (S != Self)
@@ -111,52 +97,15 @@ void SafepointManager::beginLocked(std::unique_lock<std::mutex> &L,
   ParkCv.wait(L, [&] { return allOthersStopped(Self); });
   if (Self)
     Self->St = SafepointSlot::State::Running; // the leader runs the closure
-}
-
-void SafepointManager::endLocked(std::unique_lock<std::mutex> &L) {
-  (void)L;
-  DCHM_CHECK(Active, "endRendezvous without an open rendezvous");
+  L.unlock();
+  Fn();
+  L.lock();
   for (SafepointSlot *S : Slots)
     S->PollFlag.store(false, std::memory_order_relaxed);
   Active = false;
   LeaderThread = std::thread::id();
   ResumeCv.notify_all();
   LeaderCv.notify_all();
-}
-
-void SafepointManager::run(const std::function<void()> &Fn) {
-  {
-    std::unique_lock<std::mutex> L(Mu);
-    if (Active && LeaderThread == std::this_thread::get_id()) {
-      // Re-entrant request from inside a closure: the world is already
-      // stopped by this thread, so the nested closure runs inline.
-      L.unlock();
-      Fn();
-      return;
-    }
-    beginLocked(L, selfLocked());
-  }
-  Fn();
-  std::unique_lock<std::mutex> L(Mu);
-  endLocked(L);
-}
-
-bool SafepointManager::beginRendezvous() {
-  std::unique_lock<std::mutex> L(Mu);
-  if (Active && LeaderThread == std::this_thread::get_id())
-    return false; // nested explicit request: rejected, not queued
-  beginLocked(L, selfLocked());
-  return true;
-}
-
-void SafepointManager::endRendezvous() {
-  std::unique_lock<std::mutex> L(Mu);
-  endLocked(L);
-}
-
-bool SafepointManager::currentThreadLeads() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Active && LeaderThread == std::this_thread::get_id();
 }
 
 size_t SafepointManager::registered() const {

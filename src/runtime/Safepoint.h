@@ -15,13 +15,13 @@
 //     (one relaxed load on the fast path);
 //   * a thread that wants the world stopped becomes the *leader*: it raises
 //     every other slot's flag, waits until each peer is parked at its poll
-//     site (or blocked in a host wait, which counts as safe), runs a closure,
-//     and releases the world.
+//     site (or queued for leadership itself, which counts as safe), runs a
+//     closure, and releases the world.
 //
 // Leadership is exclusive and queued; a parked mutator can be the next
-// leader. The closure runs with every other registered thread either parked
-// or blocked, so it may walk the heap, swing dispatch structures and free
-// code with single-threaded reasoning.
+// leader. The closure runs with every other registered thread stopped, so
+// it may walk the heap, swing dispatch structures and free code with
+// single-threaded reasoning.
 //
 //===----------------------------------------------------------------------===//
 
@@ -59,44 +59,17 @@ public:
   /// Slow path: blocks until the leader releases the world.
   void park();
 
-  /// Marks this thread safe while it waits on a host primitive (a lock or
-  /// a thread join). A blocked thread counts as stopped for
-  /// rendezvous purposes; leaveBlocked() re-parks if a rendezvous is still
-  /// active so the thread never runs guest code with the world stopped.
-  void enterBlocked();
-  void leaveBlocked();
-
-  unsigned threadIndex() const { return Index; }
-
 private:
   friend class SafepointManager;
 
+  /// Blocked: queued for leadership in SafepointManager::run. It counts as
+  /// stopped, so two concurrent requesters never wait for each other.
   enum class State : uint8_t { Running, Parked, Blocked };
 
   SafepointManager *Mgr = nullptr;
-  unsigned Index = 0;
   std::thread::id Tid;       ///< registering thread; identifies the leader
   std::atomic<bool> PollFlag{false};
   State St = State::Running; ///< guarded by the manager's mutex
-};
-
-/// RAII guard for host waits: marks the slot Blocked for the scope. Null
-/// slot (single-mutator mode) is a no-op.
-class SafepointBlockedScope {
-public:
-  explicit SafepointBlockedScope(SafepointSlot *S) : Slot(S) {
-    if (Slot)
-      Slot->enterBlocked();
-  }
-  ~SafepointBlockedScope() {
-    if (Slot)
-      Slot->leaveBlocked();
-  }
-  SafepointBlockedScope(const SafepointBlockedScope &) = delete;
-  SafepointBlockedScope &operator=(const SafepointBlockedScope &) = delete;
-
-private:
-  SafepointSlot *Slot;
 };
 
 /// The thread registry plus the request/park/resume rendezvous.
@@ -114,21 +87,11 @@ public:
   /// is re-notified. The slot pointer is dead after this returns.
   void unregisterThread(SafepointSlot *S);
 
-  /// Runs Fn with every *other* registered mutator parked or blocked.
-  /// Callable from a registered mutator (which becomes the leader), from an
-  /// unregistered host thread, and — re-entrantly — from inside a running
-  /// closure (Fn then executes inline; the world is already stopped).
+  /// Runs Fn with every *other* registered mutator stopped. Callable from a
+  /// registered mutator (which becomes the leader), from an unregistered
+  /// host thread, and — re-entrantly — from inside a running closure (Fn
+  /// then executes inline; the world is already stopped).
   void run(const std::function<void()> &Fn);
-
-  /// Explicit begin/end form used by tests. beginRendezvous() returns false
-  /// — the nested-request rejection — when the calling thread already leads
-  /// an open rendezvous; run() instead treats that case as re-entrant.
-  bool beginRendezvous();
-  void endRendezvous();
-
-  /// True while a closure is running with the world stopped and the calling
-  /// thread is the leader.
-  bool currentThreadLeads() const;
 
   /// Number of currently registered mutator threads.
   size_t registered() const;
@@ -142,8 +105,6 @@ private:
   friend class SafepointSlot;
 
   bool allOthersStopped(const SafepointSlot *Leader) const;
-  void beginLocked(std::unique_lock<std::mutex> &L, SafepointSlot *Self);
-  void endLocked(std::unique_lock<std::mutex> &L);
   SafepointSlot *selfLocked() const;
 
   mutable std::mutex Mu;

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Strict number parsing for command-line flags and DCHM_* variables. The
-/// whole string must be one base-10 number inside the caller's range:
-/// "4x", "", " 4" and out-of-range values are errors, never a silently
-/// accepted prefix or a wrapped value. The *Flag front ends print a
+/// Strict number parsing for command-line flags. The whole string must be
+/// one base-10 number inside the caller's range: "4x", "", " 4" and
+/// out-of-range values are errors, never a silently accepted prefix or a
+/// wrapped value. The *Flag front ends print a
 /// diagnostic naming the flag and exit with status 1, the tools' convention
 /// for bad input.
 ///

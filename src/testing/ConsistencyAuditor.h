@@ -54,7 +54,7 @@ struct AuditViolation {
 
 /// Walks heap + dispatch structures at safepoints and after mutation
 /// transitions, recording invariant violations. Attach with
-/// VM.setAuditHook(&Auditor) (gated by VMOptions::AuditConsistency).
+/// VM.setAuditHook(&Auditor) before the first call or plan install.
 ///
 /// Thread safety (multi-mutator mode): the tick/audit/violation counters are
 /// atomic so any mutator may hit onSafepoint concurrently, and the audit walk

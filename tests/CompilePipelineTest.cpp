@@ -6,10 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the compiler's host settings and ownership of specialized
-/// bodies: VMOptions resolution through the environment table, one body
-/// per Specials slot (checked by the consistency auditor), and
-/// bit-identical simulated metrics with the auditor off and on.
+/// Tests for the compiler's ownership of specialized bodies: one body per
+/// Specials slot (checked by the consistency auditor), and bit-identical
+/// simulated metrics with no auditor and with one attached.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,76 +19,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <optional>
 
 using namespace dchm;
 using test::CounterFixture;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Host settings
-//===----------------------------------------------------------------------===//
-
-TEST(CompilePipeline, VmResolvesOptionOverEnvOverTableDefault) {
-  CounterFixture Fx;
-  const char *const Vars[] = {"DCHM_AUDIT", "DCHM_CODE_BUDGET",
-                              "DCHM_THREADS"};
-  for (const char *V : Vars)
-    unsetenv(V);
-
-  // Unset option, unset variable: the support/Env.h table default, and
-  // options() reports it.
-  {
-    VirtualMachine VM(*Fx.P, {});
-    const VMOptions &O = VM.options();
-    ASSERT_TRUE(O.AuditConsistency && O.CodeBudgetBytes && O.MutatorThreads);
-    EXPECT_FALSE(*O.AuditConsistency);
-    EXPECT_EQ(*O.CodeBudgetBytes, 0u);
-    EXPECT_EQ(*O.MutatorThreads, 1u);
-  }
-
-  // The environment beats the table default; a malformed integer ("4x")
-  // is ignored, not read as its numeric prefix. "0" is one of the off
-  // spellings.
-  setenv("DCHM_AUDIT", "0", 1);
-  setenv("DCHM_CODE_BUDGET", "4096", 1);
-  setenv("DCHM_THREADS", "4x", 1);
-  {
-    VirtualMachine VM(*Fx.P, {});
-    const VMOptions &O = VM.options();
-    EXPECT_FALSE(*O.AuditConsistency);
-    EXPECT_FALSE(VM.auditEnabled());
-    EXPECT_EQ(*O.CodeBudgetBytes, 4096u);
-    EXPECT_EQ(VM.mutation().codeBudget(), 4096u);
-    EXPECT_EQ(*O.MutatorThreads, 1u);
-    EXPECT_FALSE(VM.multiMutator());
-  }
-
-  // Any other set value turns a bool knob on.
-  setenv("DCHM_AUDIT", "on", 1);
-  {
-    VirtualMachine VM(*Fx.P, {});
-    EXPECT_TRUE(*VM.options().AuditConsistency);
-    EXPECT_TRUE(VM.auditEnabled());
-  }
-
-  // An explicit option beats the environment.
-  {
-    VMOptions Opts;
-    Opts.AuditConsistency = false;
-    Opts.CodeBudgetBytes = 0;
-    VirtualMachine VM(*Fx.P, Opts);
-    const VMOptions &O = VM.options();
-    EXPECT_FALSE(*O.AuditConsistency);
-    EXPECT_FALSE(VM.auditEnabled());
-    EXPECT_EQ(*O.CodeBudgetBytes, 0u);
-    EXPECT_EQ(VM.mutation().codeBudget(), 0u);
-  }
-
-  for (const char *V : Vars)
-    unsetenv(V);
-}
 
 //===----------------------------------------------------------------------===//
 // One specialized body per hot state
@@ -140,19 +75,22 @@ struct WorkloadResult {
 
 /// A mutation-heavy workload: two counters swinging through hot states 0/1
 /// and the cold state 2 while the adaptive system recompiles mid-loop, with
-/// virtual, interface, and static dispatch all on the path. The auditor is
-/// attached either way; with Audit off, setAuditHook is a no-op.
+/// virtual, interface, and static dispatch all on the path. With Audit an
+/// auditor at stride 16 is attached before the plan installs; without it
+/// no hook exists.
 WorkloadResult runCounterWorkload(bool Audit) {
   const int64_t Reps = 400;
   CounterFixture Fx(/*WithStaticField=*/true);
   VMOptions Opts;
   Opts.Adaptive.Opt1Threshold = 20;
   Opts.Adaptive.Opt2Threshold = 200;
-  Opts.AuditConsistency = Audit;
   VirtualMachine VM(*Fx.P, Opts);
+  std::optional<ConsistencyAuditor> Auditor;
+  if (Audit) {
+    Auditor.emplace(VM, /*Stride=*/16);
+    VM.setAuditHook(&*Auditor);
+  }
   VM.setMutationPlan(&Fx.Plan);
-  ConsistencyAuditor Auditor(VM, /*Stride=*/16);
-  VM.setAuditHook(&Auditor);
 
   Object *A = Fx.makeCounter(VM, 0);
   Object *B = Fx.makeCounter(VM, 1);
@@ -167,20 +105,18 @@ WorkloadResult runCounterWorkload(bool Audit) {
   VM.call(Fx.Report, {valueR(B)});
   R.Sum += VM.call(Fx.Get, {valueR(A)}).I;
   R.Sum += VM.call(Fx.Get, {valueR(B)}).I;
-  if (Audit) {
-    Auditor.auditNow("end of workload");
-    EXPECT_GT(Auditor.safepointsSeen(), 0u);
-    EXPECT_TRUE(Auditor.clean()) << Auditor.report();
-  } else {
-    EXPECT_EQ(Auditor.auditsRun(), 0u);
+  if (Auditor) {
+    Auditor->auditNow("end of workload");
+    EXPECT_GT(Auditor->safepointsSeen(), 0u);
+    EXPECT_TRUE(Auditor->clean()) << Auditor->report();
   }
   R.Metrics = VM.metrics();
   return R;
 }
 
 TEST(CompileDeterminism, BitIdenticalAcrossConfigs) {
-  // The VMOptions::AuditConsistency contract: auditing (and the body
-  // verification it turns on) is host-side work only.
+  // Attaching an auditor (and the body verification it turns on) is
+  // host-side work only.
   const WorkloadResult Base = runCounterWorkload(/*Audit=*/false);
   const WorkloadResult R = runCounterWorkload(/*Audit=*/true);
   EXPECT_EQ(R.Sum, Base.Sum);

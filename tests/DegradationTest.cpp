@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Tests for the graceful-degradation subsystem (docs/degradation.md): plan
-/// retirement as the stop-the-world reverse of installation, epoch-based
-/// reclamation of retired special TIBs and specialized bodies, the
+/// retirement as the stop-the-world reverse of installation, reclamation at
+/// a quiescent point of retired special TIBs and specialized bodies, the
 /// code/TIB budget with benefit-ranked state eviction, and the recoverable
 /// VMError channel on input-validation and resource paths.
 ///
@@ -64,7 +64,7 @@ TEST(Retirement, RestoresPristineHierarchy) {
   EXPECT_EQ(VM.mutation().stats().PlanRetirements, 1u);
   EXPECT_EQ(VM.mutation().plan(), nullptr);
   // Nothing references the retired TIBs and no frame is live, so the
-  // epoch-based reclamation list drained on the spot.
+  // reclamation list drained on the spot.
   EXPECT_EQ(Fx.P->retiredTibCount(), 0u);
   EXPECT_GE(Fx.P->reclaimedTibCount(), 2u);
   // Retiring twice is a recoverable no-op.
@@ -116,11 +116,7 @@ TEST(Retirement, GeneralCodeRunsAfterRetire) {
   int64_t Total = get(Fx, VM, O); // 5000 + 100, all +1 in mode 0
   ASSERT_EQ(Total, 5100);
 
-  uint64_t EpochBefore = Fx.P->codeEpoch();
   ASSERT_TRUE(VM.retireMutationPlan());
-  // Retirement rewrote the dispatch structures and moved the code epoch
-  // past the retired TIBs' and bodies' reclamation stamps.
-  EXPECT_GT(Fx.P->codeEpoch(), EpochBefore);
 
   // Mode is no longer a state field, so this store fires no part I hook;
   // the same call site must still dispatch through the restored class TIB.
@@ -201,28 +197,24 @@ TEST(Retirement, MidRunRetireReinstallKeepsOutput) {
   }
   {
     CounterFixture Fx;
-    VMOptions Opts;
-    Opts.AuditConsistency = true;
-    VirtualMachine VM(*Fx.P, Opts);
-    VM.setMutationPlan(&Fx.Plan);
+    VirtualMachine VM(*Fx.P, {});
     ConsistencyAuditor Auditor(VM);
     VM.setAuditHook(&Auditor);
+    VM.setMutationPlan(&Fx.Plan);
     EXPECT_EQ(Drive(Fx, VM, true), Baseline);
     Auditor.auditNow("end of test");
     EXPECT_TRUE(Auditor.clean()) << Auditor.report();
   }
 }
 
-// --- Epoch-based reclamation -------------------------------------------------
+// --- Reclamation at a quiescent point ----------------------------------------
 
 TEST(Reclamation, StrandedObjectsBlockReclaimAndTripAuditor) {
   CounterFixture Fx;
-  VMOptions Opts;
-  Opts.AuditConsistency = true;
-  VirtualMachine VM(*Fx.P, Opts);
-  VM.setMutationPlan(&Fx.Plan);
+  VirtualMachine VM(*Fx.P, {});
   ConsistencyAuditor Auditor(VM);
   VM.setAuditHook(&Auditor);
+  VM.setMutationPlan(&Fx.Plan);
   LocalRootScope Pin(VM.heap());
   Object *O = Fx.makeCounter(VM, 0);
   Pin.add(O);
@@ -260,11 +252,10 @@ TEST(Degradation, BudgetEvictsDownToFitAndStaysCorrect) {
   CounterFixture Fx;
   VMOptions Opts;
   Opts.CodeBudgetBytes = 1; // below any special TIB: everything must go
-  Opts.AuditConsistency = true;
   VirtualMachine VM(*Fx.P, Opts);
-  VM.setMutationPlan(&Fx.Plan);
   ConsistencyAuditor Auditor(VM);
   VM.setAuditHook(&Auditor);
+  VM.setMutationPlan(&Fx.Plan);
   LocalRootScope Pin(VM.heap());
   Object *O = Fx.makeCounter(VM, 0);
   Pin.add(O);
@@ -272,7 +263,7 @@ TEST(Degradation, BudgetEvictsDownToFitAndStaysCorrect) {
   VM.call(Fx.DriveBump, {valueR(O), valueI(100)});
 
   EXPECT_GE(VM.mutation().stats().StateEvictions, 2u);
-  EXPECT_LE(VM.mutation().specialFootprintBytes(), *Opts.CodeBudgetBytes);
+  EXPECT_LE(VM.mutation().specialFootprintBytes(), Opts.CodeBudgetBytes);
   // Evicted states resolve through the class TIB; results are unchanged.
   EXPECT_EQ(get(Fx, VM, O), 5100);
   Auditor.auditNow("end of test");
@@ -281,7 +272,7 @@ TEST(Degradation, BudgetEvictsDownToFitAndStaysCorrect) {
 
 TEST(Degradation, UnlimitedBudgetNeverEvicts) {
   CounterFixture Fx;
-  VirtualMachine VM(*Fx.P, {}); // DCHM_CODE_BUDGET default: unlimited
+  VirtualMachine VM(*Fx.P, {}); // CodeBudgetBytes default: unlimited
   VM.setMutationPlan(&Fx.Plan);
   LocalRootScope Pin(VM.heap());
   Object *O = Fx.makeCounter(VM, 0);

@@ -221,23 +221,21 @@ TEST_F(DispatchFixture, RecompilationReplacesCode) {
   EXPECT_EQ(VM.call(DrvVirtual, {valueR(OA)}).I, 1);
 }
 
-// --- Dispatch-structure epoch and pinned dispatch cost (docs/dispatch.md) ----
+// --- Recompilation and pinned dispatch cost (docs/dispatch.md) ---------------
 
-TEST_F(DispatchFixture, RecompilationBumpsEpochAndInvalidatesCaches) {
+TEST_F(DispatchFixture, RecompilationInvalidatesReplacedVersions) {
   VMOptions Opts;
   Opts.Adaptive.Opt1Threshold = 10;
   Opts.Adaptive.Opt2Threshold = 50;
   VirtualMachine VM(P, Opts);
   Object *OA = make(VM, A, ACtor);
-  uint64_t Epoch0 = P.codeEpoch();
   for (int I = 0; I < 200; ++I)
     ASSERT_EQ(VM.call(DrvVirtual, {valueR(OA)}).I, 1);
-  // Promotions patched TIB slots, so every dispatch-structure write moved
-  // the code epoch; every replaced version is invalidated and the next call
-  // resolves straight to the newest general code through the TIB.
+  // Promotions patched TIB slots: every replaced version is invalidated and
+  // the next call resolves straight to the newest general code through the
+  // TIB.
   const MethodInfo &M = P.method(ATag);
   EXPECT_EQ(M.CurOptLevel, 2);
-  EXPECT_GT(P.codeEpoch(), Epoch0);
   for (const auto &CM : M.CompiledVersions)
     EXPECT_EQ(CM->isInvalidated(), CM.get() != M.General);
   EXPECT_EQ(P.cls(A).ClassTib->Slots[M.VSlot], M.General);

@@ -356,11 +356,10 @@ StressOutcome runInterleaved(bool Mut) {
   Opts.EnableMutation = Mut;
   Opts.Adaptive.Opt1Threshold = 40;
   Opts.Adaptive.Opt2Threshold = 160;
-  Opts.AuditConsistency = true;
   VirtualMachine VM(*Fx.P, Opts);
-  VM.setMutationPlan(&Fx.Plan);
   ConsistencyAuditor Auditor(VM, /*Stride=*/16);
   VM.setAuditHook(&Auditor);
+  VM.setMutationPlan(&Fx.Plan);
   Object *O = Fx.makeCounter(VM, 0);
   Object *Q = Fx.makeCounter(VM, 1);
   for (int Round = 0; Round < 30; ++Round) {

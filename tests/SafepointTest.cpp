@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Tests for the safepoint subsystem and the multi-mutator VM mode: the
-/// manager-level protocol (nested-request rejection, blocked-counts-as-
-/// stopped), plan retire/re-install cycles racing mutator entry,
+/// manager-level protocol (a nested request runs inline, concurrent
+/// requesters both lead), plan retire/re-install cycles racing mutator entry,
 /// per-thread determinism of the guest-visible output streams, and the one
 /// heap allocator collecting under N mutators.
 ///
@@ -38,7 +38,7 @@ void nap() { std::this_thread::sleep_for(std::chrono::microseconds(100)); }
 // Manager-level protocol
 //===----------------------------------------------------------------------===//
 
-TEST(SafepointProtocol, NestedExplicitRequestIsRejected) {
+TEST(SafepointProtocol, NestedRunExecutesInline) {
   SafepointManager M;
   std::atomic<bool> Stop{false};
   // A peer mutator that does nothing but poll, like an interpreter at its
@@ -55,19 +55,17 @@ TEST(SafepointProtocol, NestedExplicitRequestIsRejected) {
   while (M.registered() < 2)
     nap();
 
-  ASSERT_TRUE(M.beginRendezvous());
-  EXPECT_TRUE(M.currentThreadLeads());
-  // The explicit form rejects a nested request outright...
-  EXPECT_FALSE(M.beginRendezvous());
-  EXPECT_TRUE(M.currentThreadLeads()); // ... without disturbing the open one
-  // ... while run() treats the same situation as re-entrant and inlines.
-  bool Ran = false;
-  M.run([&] { Ran = true; });
-  EXPECT_TRUE(Ran);
-  EXPECT_TRUE(M.currentThreadLeads());
-  M.endRendezvous();
-  EXPECT_FALSE(M.currentThreadLeads());
-  EXPECT_EQ(M.rendezvousCount(), 1u); // the nested forms granted no leadership
+  // A request from inside the closure must not queue behind its own open
+  // rendezvous: it runs inline, on this thread, with the world still
+  // stopped.
+  std::vector<int> Order;
+  M.run([&] {
+    Order.push_back(1);
+    M.run([&] { Order.push_back(2); });
+    Order.push_back(3);
+  });
+  EXPECT_EQ(Order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(M.rendezvousCount(), 1u); // the nested run granted no leadership
 
   Stop = true;
   Peer.join();
@@ -75,32 +73,34 @@ TEST(SafepointProtocol, NestedExplicitRequestIsRejected) {
   EXPECT_EQ(M.registered(), 0u);
 }
 
-TEST(SafepointProtocol, BlockedThreadCountsAsStopped) {
+TEST(SafepointProtocol, ConcurrentRequestersBothLead) {
+  // Two registered mutators request the world at once, and neither polls
+  // before its request. The first leader sees its peer stopped only
+  // because a requester queued for leadership counts as stopped; otherwise
+  // each would wait for the other forever.
   SafepointManager M;
-  std::atomic<bool> PeerBlocked{false};
-  std::atomic<bool> Release{false};
-  // The peer sits in a host wait (a lock or join) the whole time; it
-  // never polls, so the rendezvous below can only complete if Blocked
-  // satisfies the leader.
-  std::thread Peer([&] {
+  std::atomic<unsigned> Ready{0};
+  std::atomic<unsigned> Ran{0};
+  auto Requester = [&] {
     SafepointSlot *S = M.registerThread();
-    {
-      SafepointBlockedScope Scope(S);
-      PeerBlocked = true;
-      while (!Release.load(std::memory_order_relaxed))
-        nap();
+    ++Ready;
+    while (Ready.load() < 2)
+      nap();
+    M.run([&] { ++Ran; });
+    // Keep polling so the other requester's rendezvous can park this one.
+    while (Ran.load() < 2) {
+      S->poll();
+      nap();
     }
     M.unregisterThread(S);
-  });
-  while (!PeerBlocked.load())
-    nap();
-  // From an unregistered host thread (the VM's construction-time GC shape).
-  bool Ran = false;
-  M.run([&] { Ran = true; });
-  EXPECT_TRUE(Ran);
-  EXPECT_EQ(M.rendezvousCount(), 1u);
-  Release = true;
-  Peer.join();
+  };
+  std::thread A(Requester);
+  std::thread B(Requester);
+  A.join();
+  B.join();
+  EXPECT_EQ(Ran.load(), 2u);
+  EXPECT_EQ(M.rendezvousCount(), 2u);
+  EXPECT_EQ(M.registered(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -118,7 +118,6 @@ TEST(MultiMutator, RetireReinstallCyclesRaceMutatorEntry) {
   Opts.MutatorThreads = 4;
   Opts.Adaptive.Opt1Threshold = 8;
   Opts.Adaptive.Opt2Threshold = 64;
-  Opts.AuditConsistency = true;
   VirtualMachine VM(*Fx.P, Opts);
   ConsistencyAuditor Auditor(VM, /*Stride=*/256);
   VM.setAuditHook(&Auditor);
@@ -159,7 +158,6 @@ TEST(MultiMutator, PerThreadOutputHashesAreDeterministic) {
     Opts.MutatorThreads = N;
     Opts.Adaptive.Opt1Threshold = 8;
     Opts.Adaptive.Opt2Threshold = 64;
-    Opts.AuditConsistency = true;
     VirtualMachine VM(*Fx.P, Opts);
     ConsistencyAuditor Auditor(VM, /*Stride=*/512);
     VM.setAuditHook(&Auditor);

@@ -189,12 +189,10 @@ TEST_P(JtocSweep, CodePointerTracksStaticState) {
   VMOptions Opts;
   Opts.Adaptive.Opt1Threshold = 5;
   Opts.Adaptive.Opt2Threshold = 20;
-  Opts.AuditConsistency = true;
   VirtualMachine VM(*Fx.P, Opts);
-  VM.setMutationPlan(&Fx.Plan);
   ConsistencyAuditor Auditor(VM);
   VM.setAuditHook(&Auditor);
-  ASSERT_TRUE(VM.auditEnabled());
+  VM.setMutationPlan(&Fx.Plan);
   FieldInfo &GF = Fx.P->field(Fx.GlobalMode);
   const MethodInfo &M = Fx.P->method(Fx.StaticScale);
   Rng R(GetParam());
@@ -238,11 +236,10 @@ TEST_P(ImtSweep, InterfaceDispatchTracksHotStateSwings) {
     Opts.EnableMutation = Mutation;
     Opts.Adaptive.Opt1Threshold = 10;
     Opts.Adaptive.Opt2Threshold = 40;
-    Opts.AuditConsistency = true;
     VirtualMachine VM(*Fx.P, Opts);
-    VM.setMutationPlan(&Fx.Plan);
     ConsistencyAuditor Auditor(VM);
     VM.setAuditHook(&Auditor);
+    VM.setMutationPlan(&Fx.Plan);
     Rng R(Seed);
     LocalRootScope Objs(VM.heap());
     for (int I = 0; I < 6; ++I)

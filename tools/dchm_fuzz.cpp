@@ -110,17 +110,16 @@ RunOutcome runOne(const std::string &Source, bool Mutate, uint64_t Stride,
     Opts.Adaptive.Opt1Threshold = Gen.Opt1;
   if (Gen.Opt2)
     Opts.Adaptive.Opt2Threshold = Gen.Opt2;
-  Opts.AuditConsistency = true;
 
   VirtualMachine VM(P, Opts);
+  ConsistencyAuditor Auditor(VM, Stride);
+  VM.setAuditHook(&Auditor);
   if (Opts.EnableMutation)
     VM.setMutationPlan(&Gen.Plan);
   VM.mutation().debugFlags().SkipTibSwing = Inject.SkipTibSwing;
   VM.mutation().debugFlags().SkipCodePointerUpdate =
       Inject.SkipCodePointerUpdate;
   VM.mutation().debugFlags().SkipRetireSwing = Inject.SkipRetireSwing;
-  ConsistencyAuditor Auditor(VM, Stride);
-  VM.setAuditHook(&Auditor);
 
   Value Result = valueI(0);
   if (Gen.Segments > 1) {
@@ -296,14 +295,13 @@ ThreadedOutcome runThreaded(const std::string &Source, unsigned TN,
     Opts.Adaptive.Opt1Threshold = Gen.Opt1;
   if (Gen.Opt2)
     Opts.Adaptive.Opt2Threshold = Gen.Opt2;
-  Opts.AuditConsistency = true;
   Opts.MutatorThreads = TN;
 
   VirtualMachine VM(P, Opts);
-  if (Opts.EnableMutation)
-    VM.setMutationPlan(&Gen.Plan);
   ConsistencyAuditor Auditor(VM, Stride);
   VM.setAuditHook(&Auditor);
+  if (Opts.EnableMutation)
+    VM.setMutationPlan(&Gen.Plan);
 
   // Phase 1 — the classic workload on context 0, before any mutator thread
   // exists: swings states, compiles specials, sets the statics tmain may

@@ -12,7 +12,6 @@
 //                           [--heap-mb=<n>] [--accelerated]
 //   dchm_run plan <workload>
 //   dchm_run disasm <workload> <Class.method> [--state=<k>]
-//   dchm_run --print-env
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +20,6 @@
 #include "compiler/Passes.h"
 #include "compiler/Specializer.h"
 #include "online/OnlineController.h"
-#include "support/Env.h"
 #include "support/Parse.h"
 #include "support/Timer.h"
 #include "testing/ConsistencyAuditor.h"
@@ -281,14 +279,12 @@ int cmdExec(const std::string &Path, const std::string &Entry,
     Opts.Adaptive.Opt1Threshold = Gen.Opt1;
   if (Gen.Opt2)
     Opts.Adaptive.Opt2Threshold = Gen.Opt2;
-  if (AuditOn)
-    Opts.AuditConsistency = true;
   VirtualMachine VM(P, Opts);
-  if (Opts.EnableMutation)
-    VM.setMutationPlan(&Gen.Plan);
   ConsistencyAuditor Auditor(VM);
   if (AuditOn)
     VM.setAuditHook(&Auditor);
+  if (Opts.EnableMutation)
+    VM.setMutationPlan(&Gen.Plan);
   Value Result = valueI(0);
   if (Mutate && Gen.Segments > 1 && Args.empty()) {
     // Segmented artifact: replay the fuzzer's harness exactly — drive the
@@ -352,17 +348,12 @@ int main(int Argc, char **Argv) {
                  "       dchm_run plan <workload>\n"
                  "       dchm_run disasm <workload> <Class.method> [--state=<k>]\n"
                  "       dchm_run exec <file.mvm> [--entry=Class.method]\n"
-                 "                [--mutate] [--audit] [int args...]\n"
-                 "       dchm_run --print-env\n");
+                 "                [--mutate] [--audit] [int args...]\n");
     return 1;
   }
   std::string Cmd = Argv[1];
   if (Cmd == "list")
     return cmdList();
-  if (Cmd == "--print-env" || Cmd == "print-env") {
-    std::printf("%s", env::printTable().c_str());
-    return 0;
-  }
   if (Cmd == "exec") {
     if (Argc < 3) {
       std::fprintf(stderr, "exec needs a .mvm file\n");
