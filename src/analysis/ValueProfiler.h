@@ -61,9 +61,11 @@ public:
     uint64_t Samples = 0;
   };
 
-  /// Heap census: samples every live instance of a candidate class. The
-  /// online pipeline uses this to see objects whose state was set before
-  /// the profiling window opened (store sampling alone misses them).
+  /// Heap census: samples every allocated instance of a candidate class,
+  /// live or garbage not yet collected (Heap::forEachObject does not
+  /// mark). The online pipeline uses this to see objects whose state was
+  /// set before the profiling window opened (store sampling alone misses
+  /// them).
   void censusHeap(const Heap &H);
 
   /// Returns, per class, the value tuples covering at least MinFraction of

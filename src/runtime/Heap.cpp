@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <new>
 
+#include <sys/mman.h>
+
 namespace dchm {
 
 namespace {
@@ -23,6 +25,40 @@ namespace {
 constexpr uint64_t GcPauseCycles = 20000;
 constexpr uint64_t GcMarkCyclesPerObject = 24;
 constexpr uint64_t GcSweepCyclesPerObject = 6;
+
+/// Objects of at least this size (four 4 KiB pages) get their own private
+/// anonymous mapping, whose pages read as zero without a fill (see Heap.h).
+/// One whose mapping fails (ENOMEM, vm.max_map_count) takes the small-object
+/// path: ::operator new and a zero fill.
+constexpr size_t LargeObjectBytes = 16 << 10;
+
+Object *newObject(size_t Bytes, uint32_t NumSlots) {
+  if (Bytes >= LargeObjectBytes) {
+    void *Mem = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (Mem != MAP_FAILED) {
+      Object *O = new (Mem) Object();
+      O->Mapped = 1;
+      return O;
+    }
+  }
+  Object *O = new (::operator new(Bytes)) Object();
+  for (uint32_t I = 0; I < NumSlots; ++I)
+    O->slots()[I] = zeroValue();
+  return O;
+}
+
+void freeObject(Object *O) {
+  if (!O->Mapped) {
+    ::operator delete(static_cast<void *>(O));
+    return;
+  }
+  size_t Bytes = Object::allocBytes(O->NumSlots);
+  // Unmapping the middle of a merged mapping splits it, which fails at
+  // vm.max_map_count; then at least hand the pages back.
+  if (::munmap(O, Bytes) != 0)
+    ::madvise(O, Bytes, MADV_DONTNEED);
+}
 } // namespace
 
 Heap::Heap(size_t BudgetBytes, unsigned Contexts)
@@ -36,7 +72,7 @@ Heap::~Heap() {
   Object *O = AllObjects;
   while (O) {
     Object *Next = O->NextAlloc;
-    ::operator delete(static_cast<void *>(O));
+    freeObject(O);
     O = Next;
   }
 }
@@ -96,11 +132,8 @@ Object *Heap::allocateRaw(uint32_t NumSlots, unsigned Ctx) {
       if (OverBudget())
         recordBudgetError(UsedBytes.load(std::memory_order_relaxed), Bytes);
     });
-  void *Mem = ::operator new(Bytes);
-  Object *O = new (Mem) Object();
+  Object *O = newObject(Bytes, NumSlots);
   O->NumSlots = NumSlots;
-  for (uint32_t I = 0; I < NumSlots; ++I)
-    O->slots()[I] = zeroValue();
   // One thread at a time owns a buffer, so its counters need no atomic
   // read-modify-write; the shared watermark does.
   AllocBuffer &B = Buffers[Ctx];
@@ -193,7 +226,7 @@ void Heap::collectStopped() {
     }
     *Link = O->NextAlloc;
     Freed += Object::allocBytes(O->NumSlots);
-    ::operator delete(static_cast<void *>(O));
+    freeObject(O);
     ++Swept;
   }
 

@@ -15,6 +15,14 @@
 /// simulated cycles, which is what gives the SPECjbb2005 variant its extra
 /// memory pressure relative to SPECjbb2000 (Figure 9's 1.9% vs 4.5%).
 ///
+/// Host memory is separate from the simulated budget. Small objects come
+/// from ::operator new and are zero-filled. An object of 16 KiB or more
+/// lives in its own anonymous mapping, like Jikes' large-object space: it
+/// is not zero-filled, and it is unmapped when swept. Its pages hold no
+/// host memory until the guest writes them, so host RSS follows the pages
+/// written, not the bytes the budget charges (Object::allocBytes either
+/// way).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DCHM_RUNTIME_HEAP_H

@@ -34,7 +34,11 @@ struct Object {
   Object *NextAlloc = nullptr;
   /// Instance: number of field slots. Array: element count.
   uint32_t NumSlots = 0;
-  uint8_t Mark = 0;
+  uint8_t Mark : 1 = 0;
+  /// Set when the heap gave this object its own anonymous mapping (large
+  /// objects); clear when it came from ::operator new. Tells the sweep how
+  /// to free it.
+  uint8_t Mapped : 1 = 0;
   bool IsArray = false;
   /// Set by the VM when the outermost constructor for this object exits
   /// (the point where algorithm part I first classifies it). The
@@ -57,6 +61,9 @@ struct Object {
     return sizeof(Object) + static_cast<size_t>(NSlots) * sizeof(Value);
   }
 };
+
+static_assert(sizeof(Object) == 24, "the simulated heap accounts 24-byte "
+                                    "headers (Object::allocBytes)");
 
 } // namespace dchm
 

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 using namespace dchm;
 
 namespace {
@@ -133,6 +136,94 @@ TEST_F(HeapFixture, StatsAccumulate) {
   EXPECT_EQ(H.stats().ObjectsAllocated, N0 + 2);
   EXPECT_GT(H.stats().BytesAllocated, 0u);
   EXPECT_GE(H.stats().PeakBytes, H.stats().UsedBytes);
+}
+
+//===----------------------------------------------------------------------===//
+// Large objects: 16 KiB or more, each in its own anonymous mapping
+//===----------------------------------------------------------------------===//
+
+/// 4096 elements: 32 KiB of slots plus the header, nine pages.
+constexpr uint32_t LargeLen = 4096;
+
+TEST_F(HeapFixture, LargeArrayReadsZeroInEverySlot) {
+  Object *Small = H.allocateArray(Type::F64, 8);
+  Object *A = H.allocateArray(Type::F64, LargeLen);
+  EXPECT_FALSE(Small->Mapped);
+  EXPECT_TRUE(A->Mapped);
+  EXPECT_TRUE(A->IsArray);
+  EXPECT_EQ(A->NumSlots, LargeLen);
+  for (uint32_t I = 0; I < LargeLen; ++I)
+    ASSERT_EQ(A->get(I).I, 0) << "slot " << I;
+}
+
+TEST_F(HeapFixture, LargeArrayReadsZeroAfterCollectionFreedAWrittenOne) {
+  size_t Before = H.stats().UsedBytes;
+  Object *Old = H.allocateArray(Type::F64, LargeLen);
+  for (uint32_t I = 0; I < LargeLen; ++I)
+    Old->set(I, valueF(1.5 + I));
+  H.collect(); // Old is unreachable
+  EXPECT_EQ(H.stats().UsedBytes, Before);
+  Object *A = H.allocateArray(Type::F64, LargeLen);
+  for (uint32_t I = 0; I < LargeLen; ++I)
+    ASSERT_EQ(A->get(I).I, 0) << "slot " << I;
+}
+
+TEST_F(HeapFixture, LargeArrayPagesAreNotResidentUntilWritten) {
+  const size_t Page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  Object *A = H.allocateArray(Type::F64, LargeLen);
+  ASSERT_TRUE(A->Mapped);
+  ASSERT_EQ(reinterpret_cast<uintptr_t>(A) % Page, 0u);
+  const size_t Pages = (Object::allocBytes(LargeLen) + Page - 1) / Page;
+  ASSERT_GE(Pages, 4u);
+  std::vector<unsigned char> Resident(Pages);
+  ASSERT_EQ(::mincore(A, Pages * Page, Resident.data()), 0);
+  // The first page holds the header the heap wrote; no other page has been
+  // touched.
+  for (size_t I = 1; I < Pages; ++I)
+    EXPECT_EQ(Resident[I] & 1, 0) << "page " << I;
+  A->set(LargeLen - 1, valueF(2.0));
+  ASSERT_EQ(::mincore(A, Pages * Page, Resident.data()), 0);
+  EXPECT_EQ(Resident[Pages - 1] & 1, 1);
+  EXPECT_EQ(Resident[Pages / 2] & 1, 0);
+}
+
+TEST_F(HeapFixture, LargeRefArrayIsTracedAndFreedWhenUnreachable) {
+  size_t Before = H.stats().UsedBytes;
+  Object *Arr = H.allocateArray(Type::Ref, LargeLen);
+  ASSERT_TRUE(Arr->Mapped);
+  Roots.Objects.push_back(Arr);
+  Object *First = makeCounter();
+  Object *Last = makeCounter();
+  First->set(1, valueI(11));
+  Last->set(1, valueI(22));
+  Arr->set(0, valueR(First));
+  Arr->set(LargeLen - 1, valueR(Last));
+  size_t Live = H.stats().UsedBytes;
+  for (int I = 0; I < 50; ++I)
+    makeCounter();
+  H.collect();
+  // Only the garbage went: the array and both referents were marked.
+  EXPECT_EQ(H.stats().UsedBytes, Live);
+  EXPECT_EQ(Arr->get(0).R, First);
+  EXPECT_EQ(Arr->get(LargeLen - 1).R, Last);
+  EXPECT_EQ(First->get(1).I, 11);
+  EXPECT_EQ(Last->get(1).I, 22);
+
+  Roots.Objects.clear();
+  H.collect();
+  EXPECT_EQ(H.stats().UsedBytes, Before);
+}
+
+TEST_F(HeapFixture, LargeArrayIsChargedItsAllocBytes) {
+  HeapStats S0 = H.stats();
+  ASSERT_EQ(S0.PeakBytes, 0u);
+  H.allocateArray(Type::I64, LargeLen);
+  HeapStats S1 = H.stats();
+  const size_t Bytes = Object::allocBytes(LargeLen);
+  EXPECT_EQ(S1.BytesAllocated - S0.BytesAllocated, Bytes);
+  EXPECT_EQ(S1.ObjectsAllocated - S0.ObjectsAllocated, 1u);
+  EXPECT_EQ(S1.UsedBytes - S0.UsedBytes, Bytes);
+  EXPECT_EQ(S1.PeakBytes, Bytes);
 }
 
 TEST(Heap, CyclicGarbageIsCollected) {

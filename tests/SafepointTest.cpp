@@ -10,7 +10,7 @@
 /// manager-level protocol (a nested request runs inline, concurrent
 /// requesters both lead), plan retire/re-install cycles racing mutator entry,
 /// per-thread determinism of the guest-visible output streams, and the one
-/// heap allocator collecting under N mutators.
+/// heap allocator collecting small and large objects under N mutators.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -201,6 +201,39 @@ TEST(MultiMutator, PerThreadOutputHashesAreDeterministic) {
     EXPECT_EQ(A[T], Ref[T % 2]); // and each stream matches its solo run
 }
 
+/// What runChurn observed: each mutator's result and output hash, and the
+/// heap's counters at the end.
+struct ChurnOutcome {
+  std::vector<int64_t> Results;
+  std::vector<uint64_t> Hashes;
+  HeapStats Heap;
+};
+
+/// Assembles Src and runs Main.churn(Arg) on each of N mutators of a fresh
+/// VM with a HeapBytes heap, which must never exceed its budget.
+ChurnOutcome runChurn(const char *Src, unsigned N, int64_t Arg,
+                      size_t HeapBytes) {
+  AssemblyResult AR = assembleProgram(Src);
+  EXPECT_TRUE(AR.ok()) << AR.Error;
+  ChurnOutcome Out;
+  if (!AR.ok())
+    return Out;
+  MethodId Churn = AR.P->findMethod(AR.P->findClass("Main"), "churn");
+  VMOptions Opts;
+  Opts.MutatorThreads = N;
+  Opts.HeapBytes = HeapBytes;
+  VirtualMachine VM(*AR.P, Opts);
+  Out.Results.resize(N);
+  VM.runMutators([&](unsigned T) {
+    Out.Results[T] = VM.callOn(T, Churn, {valueI(Arg)}).I;
+  });
+  for (unsigned T = 0; T < N; ++T)
+    Out.Hashes.push_back(VM.interp(T).outputHash());
+  Out.Heap = VM.heap().stats();
+  EXPECT_FALSE(VM.heap().budgetError()) << VM.heap().budgetError().message();
+  return Out;
+}
+
 TEST(MultiMutator, AllocatingMutatorsShareOneCollectingHeap) {
   // Every mutator runs the same allocating op in a heap small enough that
   // collections, triggered from any context, fold every context's buffer
@@ -254,35 +287,8 @@ TEST(MultiMutator, AllocatingMutatorsShareOneCollectingHeap) {
       }
     }
   )";
-  struct Outcome {
-    std::vector<int64_t> Results;
-    std::vector<uint64_t> Hashes;
-    HeapStats Heap;
-  };
-  auto Run = [&](unsigned N) {
-    AssemblyResult AR = assembleProgram(Src);
-    EXPECT_TRUE(AR.ok()) << AR.Error;
-    Outcome Out;
-    if (!AR.ok())
-      return Out;
-    MethodId Churn = AR.P->findMethod(AR.P->findClass("Main"), "churn");
-    VMOptions Opts;
-    Opts.MutatorThreads = N;
-    Opts.HeapBytes = 64u << 10;
-    VirtualMachine VM(*AR.P, Opts);
-    Out.Results.resize(N);
-    VM.runMutators([&](unsigned T) {
-      Out.Results[T] = VM.callOn(T, Churn, {valueI(4000)}).I;
-    });
-    for (unsigned T = 0; T < N; ++T)
-      Out.Hashes.push_back(VM.interp(T).outputHash());
-    Out.Heap = VM.heap().stats();
-    EXPECT_FALSE(VM.heap().budgetError()) << VM.heap().budgetError().message();
-    return Out;
-  };
-
-  Outcome One = Run(1);
-  Outcome Four = Run(4);
+  ChurnOutcome One = runChurn(Src, 1, 4000, 64u << 10);
+  ChurnOutcome Four = runChurn(Src, 4, 4000, 64u << 10);
   ASSERT_EQ(One.Results.size(), 1u);
   ASSERT_EQ(Four.Results.size(), 4u);
   EXPECT_EQ(One.Results[0], 3984 * 3983 / 2); // sum of i - 16, i in [16, n)
@@ -293,6 +299,68 @@ TEST(MultiMutator, AllocatingMutatorsShareOneCollectingHeap) {
     EXPECT_EQ(Four.Hashes[T], One.Hashes[0]) << "mutator " << T;
   }
   EXPECT_EQ(Four.Heap.ObjectsAllocated, 4 * One.Heap.ObjectsAllocated);
+  EXPECT_EQ(Four.Heap.BytesAllocated, 4 * One.Heap.BytesAllocated);
+}
+
+TEST(MultiMutator, MutatorsChurningLargeArraysShareOneCollectingHeap) {
+  // Every mutator churns 2048-slot arrays (16 KiB + header, so each gets
+  // its own mapping) in a heap that holds only a few dozen of them, so
+  // collections sweep large objects out of every context's buffer. A ring
+  // of 8 survives each collection and feeds the checksum through its last
+  // slot; each fresh array's middle slot is added too, so an array that
+  // did not start zeroed changes the output.
+  const char *Src = R"(
+    class Main {
+      method churn(%n: i64) -> i64 static {
+        %one = consti 1
+        %eight = consti 8
+        %len = consti 2048
+        %mid = consti 1024
+        %last = consti 2047
+        %keep = newarray ref, %eight
+        %i = consti 0
+      @fill:
+        %f = cmplt %i, %eight
+        cbz %f, @filled
+        %a = newarray i64, %len
+        astore ref, %keep, %i, %a
+        %i = add %i, %one
+        br @fill
+      @filled:
+        %sum = consti 0
+        %i = consti 0
+      @head:
+        %t = cmplt %i, %n
+        cbz %t, @done
+        %slot = rem %i, %eight
+        %old = aload ref, %keep, %slot
+        %v = aload i64, %old, %last
+        %sum = add %sum, %v
+        %a = newarray i64, %len
+        %z = aload i64, %a, %mid
+        %sum = add %sum, %z
+        astore i64, %a, %mid, %i
+        astore i64, %a, %last, %i
+        astore ref, %keep, %slot, %a
+        %i = add %i, %one
+        br @head
+      @done:
+        print %sum
+        ret %sum
+      }
+    }
+  )";
+  ChurnOutcome One = runChurn(Src, 1, 400, 1u << 20);
+  ChurnOutcome Four = runChurn(Src, 4, 400, 1u << 20);
+  ASSERT_EQ(One.Results.size(), 1u);
+  ASSERT_EQ(Four.Results.size(), 4u);
+  EXPECT_EQ(One.Results[0], 392 * 391 / 2); // sum of i - 8, i in [8, n)
+  EXPECT_GT(One.Heap.GcCount, 0u);
+  EXPECT_GT(Four.Heap.GcCount, 0u);
+  for (unsigned T = 0; T < 4; ++T) {
+    EXPECT_EQ(Four.Results[T], One.Results[0]) << "mutator " << T;
+    EXPECT_EQ(Four.Hashes[T], One.Hashes[0]) << "mutator " << T;
+  }
   EXPECT_EQ(Four.Heap.BytesAllocated, 4 * One.Heap.BytesAllocated);
 }
 

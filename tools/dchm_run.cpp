@@ -33,6 +33,8 @@
 #include <cstring>
 #include <string>
 
+#include <sys/resource.h>
+
 using namespace dchm;
 
 namespace {
@@ -74,6 +76,12 @@ void printMetrics(const RunMetrics &M, double WallSec) {
               static_cast<unsigned long long>(M.Insts),
               static_cast<unsigned long long>(M.Invocations));
   std::printf("  wall time:         %.3f s\n", WallSec);
+  // ru_maxrss is in kB on Linux. It also counts the launching process's
+  // resident set at fork, which survives exec; a shell adds little.
+  rusage Usage{};
+  getrusage(RUSAGE_SELF, &Usage);
+  std::printf("  peak host RSS:     %.1f MB\n",
+              static_cast<double>(Usage.ru_maxrss) / 1024.0);
 }
 
 int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
