@@ -219,7 +219,6 @@ int main(int argc, char **argv) {
   // --- Part A: retirement on SalaryDB --------------------------------------
   auto Salary = makeSalaryDb();
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   OfflineResult Off = runOfflinePipeline(*Salary, Cfg);
   OlcDatabase Olc;
   {

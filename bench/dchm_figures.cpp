@@ -130,7 +130,6 @@ struct Comparison {
 /// and with mutation.
 Comparison compareRuns(Workload &W) {
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   Comparison C{&W, W.name(), runOfflinePipeline(W, Cfg).Plan, {}, {}};
   C.Base = runFull(W, C.Plan, Baseline);
   C.Mut = runFull(W, C.Plan, FullSystem, &C.OlcFields);

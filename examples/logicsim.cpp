@@ -24,7 +24,6 @@ int main() {
   auto W = makeSimLogic();
 
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   OfflineResult R = runOfflinePipeline(*W, Cfg);
 
   auto P = W->buildProgram();

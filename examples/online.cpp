@@ -28,7 +28,6 @@ int main() {
   VirtualMachine VM(*P, {});
 
   OnlineMutationController::Config Cfg;
-  Cfg.Analysis.HotStateMinFraction = 0.05;
   Cfg.HotProfileCycles = 1'500'000;
   Cfg.ValueProfileCycles = 1'500'000;
   OnlineMutationController Ctl(VM, Cfg);

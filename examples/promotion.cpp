@@ -29,7 +29,6 @@ int main() {
   // Reuse the SalaryDB program; derive its plan automatically.
   auto W = makeSalaryDb();
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   OfflineResult R = runOfflinePipeline(*W, Cfg);
 
   auto P = W->buildProgram();

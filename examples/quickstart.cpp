@@ -30,7 +30,6 @@ int main() {
   // 2. Offline step (paper Figure 3): profile for hot methods, score state
   //    fields with EQ 1, mine hot states with the value profiler.
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   OfflineResult Offline = runOfflinePipeline(*W, Cfg);
   {
     auto P = W->buildProgram();

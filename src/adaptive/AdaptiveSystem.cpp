@@ -26,21 +26,7 @@ CompiledMethod *AdaptiveSystem::ensureCompiled(MethodInfo &M) {
   return M.General;
 }
 
-void AdaptiveSystem::sample(MethodInfo &M) {
-  // One mutator: no other thread touches either counter, so a relaxed load
-  // and store replace the locked read-modify-writes with the same values.
-  if (Cfg.SampleInterval > 1) {
-    uint64_t Tick = EventTick.load(std::memory_order_relaxed) + 1;
-    EventTick.store(Tick, std::memory_order_relaxed);
-    if (Tick % Cfg.SampleInterval != 0)
-      return;
-  }
-  M.SampleCount.store(M.SampleCount.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
-  maybePromote(M);
-}
-
-bool AdaptiveSystem::sampleConcurrent(MethodInfo &M) {
+bool AdaptiveSystem::sample(MethodInfo &M) {
   if (Cfg.SampleInterval > 1 &&
       (EventTick.fetch_add(1, std::memory_order_relaxed) + 1) %
               Cfg.SampleInterval !=
@@ -63,7 +49,7 @@ void AdaptiveSystem::refreshMutableMethods() {
     }
 }
 
-void AdaptiveSystem::maybePromote(MethodInfo &M) {
+void AdaptiveSystem::promote(MethodInfo &M) {
   if (InRecompile)
     return; // no nested recompilation from compile-time sampling
   bool WantOpt1 = M.CurOptLevel == 0 && M.SampleCount >= Cfg.Opt1Threshold;

@@ -73,19 +73,15 @@ public:
   /// compiler, default level opt0" configuration of the paper) + install.
   CompiledMethod *ensureCompiled(MethodInfo &M);
 
-  /// Single-mutator hotness sample on a method entry or loop back edge; may
-  /// recompile synchronously.
-  void sample(MethodInfo &M);
-
-  /// Multi-mutator sampling split: the lock-free half of a sample. Bumps
-  /// the decimation tick and the method's sample count with relaxed atomics
-  /// and returns true when the counts suggest a promotion — the caller then
-  /// re-runs the decision under a rendezvous via promoteStopped(), which
-  /// re-checks everything with the world stopped (the pre-check may be
-  /// stale; promoteStopped() is the arbiter).
-  bool sampleConcurrent(MethodInfo &M);
-  /// The promotion half: call only with the world stopped.
-  void promoteStopped(MethodInfo &M) { maybePromote(M); }
+  /// Hotness sample on a method entry or loop back edge, safe on any
+  /// mutator: bumps the decimation tick and the method's sample count with
+  /// relaxed atomics and returns true when the counts suggest a promotion.
+  /// The caller then stops the world and calls promote(), which re-checks
+  /// everything (the pre-check may be stale; promote() is the arbiter).
+  bool sample(MethodInfo &M);
+  /// Recompiles M when its samples crossed a threshold. Call only with the
+  /// world stopped.
+  void promote(MethodInfo &M);
 
   /// For plans installed mid-run (the online pipeline): mutable methods that
   /// already reached a high opt level were compiled before the plan existed
@@ -96,7 +92,6 @@ public:
   const AdaptiveStats &stats() const { return Stats; }
 
 private:
-  void maybePromote(MethodInfo &M);
   void recompile(MethodInfo &M, int Level);
 
   Program &P;
@@ -105,9 +100,8 @@ private:
   const MutationPlan *Plan = nullptr;
   RecompileListener *Listener = nullptr;
   AdaptiveStats Stats;
-  /// Atomic for the multi-mutator sampling pre-check; single-mutator runs
-  /// touch it from one thread only (relaxed load + store, no locked RMW),
-  /// preserving the exact decimation stream.
+  /// Atomic: every mutator samples. At one mutator the increments come in
+  /// program order, so the decimation stream is exact.
   std::atomic<uint64_t> EventTick{0};
   bool InRecompile = false;
 };

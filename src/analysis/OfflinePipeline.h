@@ -48,7 +48,7 @@ public:
 struct OfflineConfig {
   StateFieldConfig StateFields;
   size_t MaxFieldsPerClass = 3;
-  double HotStateMinFraction = 0.10;
+  double HotStateMinFraction = 0.05;
   size_t MaxHotStates = 8;
   /// Minimum hotness for a method to become a *mutable method*.
   double MutableMethodHotness = 0.002;

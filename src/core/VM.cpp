@@ -221,38 +221,27 @@ RunMetrics VirtualMachine::metrics() {
 }
 
 CompiledMethod *VirtualMachine::ensureCompiled(MethodInfo &M) {
-  if (multiMutator()) {
-    // Already-compiled is the overwhelmingly common case after warmup; the
-    // plain read is safe because General is only written under a rendezvous
-    // (while this thread is parked), and a stale-by-one-promotion body is
-    // legitimate code to run (frames keep executing replaced bodies anyway).
-    if (CompiledMethod *CM = M.General)
-      return CM;
-    CompiledMethod *CM = nullptr;
-    Safepoints.run([&] { CM = Adaptive.ensureCompiled(M); });
+  // Already-compiled is the overwhelmingly common case after warmup; the
+  // plain read is safe because General is only written with the world
+  // stopped (while this thread is parked), and a stale-by-one-promotion body
+  // is legitimate code to run (frames keep executing replaced bodies anyway).
+  if (CompiledMethod *CM = M.General)
     return CM;
-  }
-  return Adaptive.ensureCompiled(M);
+  CompiledMethod *CM = nullptr;
+  atSafepoint([&] { CM = Adaptive.ensureCompiled(M); });
+  return CM;
 }
 
 void VirtualMachine::onMethodEntry(MethodInfo &M) {
-  if (multiMutator()) {
-    // Lock-free sampling; promotion (a dispatch-structure write) re-checks
-    // and runs with the world stopped.
-    if (Adaptive.sampleConcurrent(M))
-      Safepoints.run([&] { Adaptive.promoteStopped(M); });
-    return;
-  }
-  Adaptive.sample(M);
+  // Lock-free sampling; promotion (a dispatch-structure write) re-checks
+  // and runs with the world stopped.
+  if (Adaptive.sample(M))
+    atSafepoint([&] { Adaptive.promote(M); });
 }
 
 void VirtualMachine::onBackedge(MethodInfo &M) {
-  if (multiMutator()) {
-    if (Adaptive.sampleConcurrent(M))
-      Safepoints.run([&] { Adaptive.promoteStopped(M); });
-    return;
-  }
-  Adaptive.sample(M);
+  if (Adaptive.sample(M))
+    atSafepoint([&] { Adaptive.promote(M); });
 }
 
 void VirtualMachine::onInstanceStateStore(Object *O, FieldInfo &F,
@@ -272,14 +261,10 @@ void VirtualMachine::onInstanceStateStore(Object *O, FieldInfo &F,
 }
 
 void VirtualMachine::onStaticStateStore(FieldInfo &F) {
-  if (MutationActive) {
-    // The static half of part I re-points shared dispatch structures
-    // (TIB/JTOC code pointers): stop the world first when there is one.
-    if (multiMutator())
-      Safepoints.run([&] { Mutation.onStaticStateStore(F); });
-    else
-      Mutation.onStaticStateStore(F);
-  }
+  // The static half of part I re-points shared dispatch structures
+  // (TIB/JTOC code pointers): stop the world first.
+  if (MutationActive)
+    atSafepoint([&] { Mutation.onStaticStateStore(F); });
   if (Observer)
     Observer->observeStaticStore(F);
 }

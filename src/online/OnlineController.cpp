@@ -13,6 +13,15 @@
 
 namespace dchm {
 
+namespace {
+/// Simulated cycles between graceful-degradation checks once Active.
+constexpr uint64_t DegradeCheckCycles = 500'000;
+/// Degrade when mutation bookkeeping exceeds this fraction of the simulated
+/// cycles spent in the check window (state churn: the plan's hot states no
+/// longer match the program's behavior).
+constexpr double ChurnFraction = 0.25;
+} // namespace
+
 OnlineMutationController::OnlineMutationController(VirtualMachine &VM,
                                                    Config Cfg)
     : VM(VM), Cfg(Cfg) {
@@ -49,7 +58,7 @@ void OnlineMutationController::pollDegradation() {
     return;
   }
   uint64_t Now = VM.totalCycles();
-  if (Now - LastDegradeCheck < Cfg.DegradeCheckCycles)
+  if (Now - LastDegradeCheck < DegradeCheckCycles)
     return;
   uint64_t WindowTotal = Now - LastDegradeCheck;
   uint64_t Mut = MM.stats().ExtraCycles;
@@ -67,7 +76,7 @@ void OnlineMutationController::pollDegradation() {
   // thrashing between states; demote the coldest state to stem the swings.
   if (WindowTotal > 0 &&
       static_cast<double>(WindowMut) >
-          Cfg.ChurnFraction * static_cast<double>(WindowTotal))
+          ChurnFraction * static_cast<double>(WindowTotal))
     Degraded = MM.evictColdestState() || Degraded;
   CurPhase = Degraded ? Phase::Degrading : Phase::Active;
 }
@@ -126,10 +135,10 @@ void OnlineMutationController::activate() {
     CurPhase = Phase::Inert;
     return;
   }
-  if (Cfg.DeriveOlc) {
-    Olc = analyzeObjectLifetimeConstants(P, Plan);
-    VM.setOlcDatabase(&Olc);
-  }
+  // The OLC database enables specialization inlining for methods compiled
+  // from here on.
+  Olc = analyzeObjectLifetimeConstants(P, Plan);
+  VM.setOlcDatabase(&Olc);
   // Mid-run installation: creates the special TIBs, marks mutable methods,
   // rewires IMT slots, migrates objects constructed before activation onto
   // the special TIBs matching their current state, and recompiles

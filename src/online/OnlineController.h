@@ -56,15 +56,6 @@ public:
     uint64_t ValueProfileCycles = 2'000'000;
     /// Analysis thresholds (shared with the offline pipeline).
     OfflineConfig Analysis;
-    /// Also run the OLC analysis at activation (enables specialization
-    /// inlining for methods compiled after that point).
-    bool DeriveOlc = true;
-    /// Simulated cycles between graceful-degradation checks once Active.
-    uint64_t DegradeCheckCycles = 500'000;
-    /// Degrade when mutation bookkeeping exceeds this fraction of the
-    /// simulated cycles spent in the check window (state churn: the plan's
-    /// hot states no longer match the program's behavior).
-    double ChurnFraction = 0.25;
   };
 
   /// Degrading is Active under pressure: the code/TIB budget was exceeded

@@ -1,0 +1,163 @@
+//===-- testing/MvmRun.cpp - One run of a .mvm program ------------------------===//
+//
+// Part of DCHM, a reproduction of "Dynamic Class Hierarchy Mutation"
+// (Su & Lipasti, CGO 2006).
+//
+//===----------------------------------------------------------------------===//
+
+#include "testing/MvmRun.h"
+
+#include "asm/Assembler.h"
+#include "testing/ConsistencyAuditor.h"
+#include "testing/ProgramGen.h"
+
+#include <memory>
+
+namespace dchm {
+
+namespace {
+
+MethodId findEntry(const Program &P, const std::string &Entry) {
+  if (auto Dot = Entry.find('.'); Dot != std::string::npos) {
+    ClassId C = P.findClass(Entry.substr(0, Dot));
+    return C != NoClassId ? P.findMethod(C, Entry.substr(Dot + 1))
+                          : NoMethodId;
+  }
+  MethodId M = NoMethodId;
+  for (size_t C = 0; C < P.numClasses() && M == NoMethodId; ++C)
+    M = P.findMethod(static_cast<ClassId>(C), Entry);
+  return M;
+}
+
+} // namespace
+
+MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
+  MvmRunResult Out;
+  AssemblyResult R = assembleProgram(Source);
+  if (!R.ok()) {
+    Out.Error = R.Error;
+    return Out;
+  }
+  Program &P = *R.P;
+  GenPlanInfo Gen;
+  if (!ProgramGen::parsePlanDirectives(Source, P, Gen, Out.Error))
+    return Out;
+
+  MethodId Entry = findEntry(P, Cfg.Entry);
+  if (Entry == NoMethodId) {
+    Out.Error = "no entry method '" + Cfg.Entry + "'";
+    return Out;
+  }
+  const MethodInfo &EntryInfo = P.method(Entry);
+  if (!EntryInfo.Flags.IsStatic) {
+    Out.Error = "entry method must be static";
+    return Out;
+  }
+  if (Cfg.Args.size() != EntryInfo.ParamTys.size()) {
+    Out.Error = "entry expects " + std::to_string(EntryInfo.ParamTys.size()) +
+                " argument(s), got " + std::to_string(Cfg.Args.size());
+    return Out;
+  }
+  Out.ResultType = EntryInfo.RetTy;
+  std::vector<Value> Args;
+  for (int64_t A : Cfg.Args)
+    Args.push_back(valueI(A));
+
+  // The driver: Entry alone, Main.main's segments, or Main.main then
+  // Main.tmain. Resolved before the VM exists so a missing method is a
+  // diagnostic, not a half-run.
+  ClassId MainCls = P.findClass("Main");
+  auto MainMethod = [&](const std::string &Name) {
+    return MainCls != NoClassId ? P.findMethod(MainCls, Name) : NoMethodId;
+  };
+  MethodId TEntry = NoMethodId;
+  std::vector<MethodId> Segs;
+  if (Cfg.TmainMutators) {
+    TEntry = MainMethod("tmain");
+    if (TEntry == NoMethodId) {
+      Out.Error = "no Main.tmain";
+      return Out;
+    }
+  } else if (Gen.Segments > 1 && Entry == MainMethod("main")) {
+    for (int K = 0; K < Gen.Segments; ++K) {
+      Segs.push_back(MainMethod("seg" + std::to_string(K)));
+      if (Segs.back() == NoMethodId) {
+        Out.Error = "no Main.seg" + std::to_string(K) +
+                    " for #!segments replay";
+        return Out;
+      }
+    }
+  }
+
+  VMOptions Opts;
+  Opts.EnableMutation = Cfg.Mutate && !Gen.Plan.empty();
+  if (Gen.Opt1)
+    Opts.Adaptive.Opt1Threshold = Gen.Opt1;
+  if (Gen.Opt2)
+    Opts.Adaptive.Opt2Threshold = Gen.Opt2;
+  Opts.MutatorThreads = Cfg.TmainMutators ? Cfg.TmainMutators : 1;
+  VirtualMachine VM(P, Opts);
+  std::unique_ptr<ConsistencyAuditor> Auditor;
+  if (Cfg.AuditStride) {
+    Auditor = std::make_unique<ConsistencyAuditor>(VM, Cfg.AuditStride);
+    VM.setAuditHook(Auditor.get());
+  }
+  if (Opts.EnableMutation)
+    VM.setMutationPlan(&Gen.Plan);
+  VM.mutation().debugFlags() = Cfg.Faults; // the install itself runs clean
+
+  auto Run = [&](MethodId M, const std::vector<Value> &A) {
+    Expected<Value> V = VM.run(M, A);
+    if (!V) {
+      Out.Error = V.takeError().message();
+      return false;
+    }
+    Out.Result = *V;
+    return true;
+  };
+  if (Segs.empty()) {
+    if (!Run(Entry, Args))
+      return Out;
+  }
+  for (size_t K = 0; K < Segs.size(); ++K) {
+    // Segments communicate through Main statics, so this is
+    // output-identical to main().
+    if (!Run(Segs[K], {}))
+      return Out;
+    if (!Opts.EnableMutation)
+      continue;
+    if (static_cast<int>(K) == Gen.RetireAfter) {
+      VM.heap().forEachObject([&](Object *O) {
+        if (!O->IsArray && O->Tib && O->Tib->isSpecial())
+          ++Out.OnSpecialAtRetire;
+      });
+      VM.retireMutationPlan();
+    }
+    if (static_cast<int>(K) == Gen.ReinstallAfter)
+      VM.setMutationPlan(&Gen.Plan); // re-install migrates live objects
+  }
+  if (TEntry != NoMethodId) {
+    // Main.main ran on context 0 before any mutator thread existed; each
+    // hash covers Main.tmain alone.
+    for (unsigned T = 0; T < Cfg.TmainMutators; ++T)
+      VM.interp(T).clearOutput();
+    VM.runMutators([&](unsigned T) { VM.callOn(T, TEntry, {}); });
+    if (VM.heap().budgetError()) {
+      Out.Error = VM.heap().budgetError().message();
+      return Out;
+    }
+    for (unsigned T = 0; T < Cfg.TmainMutators; ++T)
+      Out.ThreadHashes.push_back(VM.interp(T).outputHash());
+  }
+
+  if (Auditor) {
+    Auditor->auditNow("end of run"); // final pass after the last transition
+    Out.Violations = Auditor->violationCount();
+    Out.AuditReport = Auditor->report();
+  }
+  Out.Metrics = VM.metrics();
+  Out.Output = VM.interp().output();
+  return Out;
+}
+
+} // namespace dchm

@@ -1,0 +1,83 @@
+//===-- testing/MvmRun.h - One run of a .mvm program -----------*- C++ -*-===//
+//
+// Part of DCHM, a reproduction of "Dynamic Class Hierarchy Mutation"
+// (Su & Lipasti, CGO 2006).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The one definition of how a `.mvm` program runs. The differential
+/// fuzzer (tools/dchm_fuzz), its shrinker, its fault-injection and
+/// multi-mutator modes, and the replay command `dchm_run exec` all call
+/// runMvm, so a replay runs exactly what the failing run ran.
+///
+/// A run assembles the source, parses its `#!` directives (ProgramGen)
+/// whether or not it mutates, applies `#!adaptive`, attaches the
+/// consistency auditor before the plan install, and then drives one of:
+///
+///  - the entry method once on context 0;
+///  - for `Main.main` of a `#!segments` program, `Main.seg0..n-1` one at a
+///    time, retiring the plan and re-installing it at the directive's
+///    boundaries (mutation off drives the same segments);
+///  - `Main.main` on context 0, then `Main.tmain` on N concurrent mutators
+///    (docs/threads.md).
+///
+/// Every failure is a diagnostic in MvmRunResult::Error, never an abort.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef DCHM_TESTING_MVMRUN_H
+#define DCHM_TESTING_MVMRUN_H
+
+#include "core/VM.h"
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+namespace dchm {
+
+/// The choices a caller makes about one run.
+struct MvmRunConfig {
+  /// Install the file's `#!mutable` / `#!hot` plan (when it is non-empty).
+  bool Mutate = false;
+  /// Static entry method: `Class.method`, or a bare name resolved to the
+  /// first class defining it.
+  std::string Entry = "Main.main";
+  std::vector<int64_t> Args;
+  /// 0 runs Entry. N > 0 runs Entry on context 0, clears every output
+  /// stream, then runs `Main.tmain` on N concurrent mutators.
+  unsigned TmainMutators = 0;
+  /// Audit every Nth safepoint and every mutation transition with a
+  /// ConsistencyAuditor, plus once at the end; 0 runs without one.
+  uint64_t AuditStride = 0;
+  /// Fault to inject into the mutation engine.
+  MutationDebugFlags Faults;
+};
+
+/// What one run produced.
+struct MvmRunResult {
+  /// Empty on success; otherwise the diagnostic that stopped the run.
+  std::string Error;
+  /// Context 0's output (its `Main.tmain` stream with TmainMutators > 0).
+  std::string Output;
+  Value Result = valueI(0); ///< Entry's (or the last segment's) result
+  Type ResultType = Type::Void;
+  /// Per-mutator output hashes of the `Main.tmain` phase.
+  std::vector<uint64_t> ThreadHashes;
+  RunMetrics Metrics;
+  uint64_t Violations = 0;
+  std::string AuditReport; ///< empty without an auditor
+  /// Objects on special TIBs when the segmented driver retired the plan
+  /// (0 when it never did). A skipped retirement swing strands only these.
+  uint64_t OnSpecialAtRetire = 0;
+
+  bool ok() const { return Error.empty(); }
+};
+
+/// Runs one `.mvm` program as Cfg says.
+MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg);
+
+} // namespace dchm
+
+#endif // DCHM_TESTING_MVMRUN_H

@@ -466,7 +466,6 @@ TEST(OlcAnalysis, ScopedToMutableClasses) {
 TEST(OfflinePipeline, DerivesSalaryDbPlan) {
   auto W = makeSalaryDb();
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   OfflineResult R = runOfflinePipeline(*W, Cfg);
   ASSERT_EQ(R.Plan.Classes.size(), 1u);
   const MutableClassPlan &CP = R.Plan.Classes[0];
@@ -482,7 +481,6 @@ TEST(OfflinePipeline, DerivesSalaryDbPlan) {
 TEST(OfflinePipeline, FindsDisplayScreenInJbb) {
   auto W = makeJbb(JbbVariant::Jbb2000);
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   OfflineResult R = runOfflinePipeline(*W, Cfg);
   auto P = W->buildProgram();
   const MutableClassPlan *Screen = nullptr;
@@ -499,6 +497,7 @@ TEST(OfflinePipeline, FindsDisplayScreenInJbb) {
 TEST(OfflinePipeline, ProfileIsDeterministic) {
   auto W = makeCsvToXml();
   OfflineConfig Cfg;
+  Cfg.HotStateMinFraction = 0.10; // the threshold this test assumes
   OfflineResult R1 = runOfflinePipeline(*W, Cfg);
   OfflineResult R2 = runOfflinePipeline(*W, Cfg);
   ASSERT_EQ(R1.Plan.Classes.size(), R2.Plan.Classes.size());

@@ -45,7 +45,6 @@ OnlineRun runSalaryDbOnline(OnlineMutationController::Config Cfg,
 
 TEST(OnlineController, ReachesActivePhaseAndDerivesThePlan) {
   OnlineMutationController::Config Cfg;
-  Cfg.Analysis.HotStateMinFraction = 0.05;
   OnlineRun R = runSalaryDbOnline(Cfg);
   EXPECT_EQ(R.FinalPhase, OnlineMutationController::Phase::Active);
   ASSERT_EQ(R.Plan.Classes.size(), 1u);
@@ -55,7 +54,6 @@ TEST(OnlineController, ReachesActivePhaseAndDerivesThePlan) {
 
 TEST(OnlineController, MutationGoesLiveMidRun) {
   OnlineMutationController::Config Cfg;
-  Cfg.Analysis.HotStateMinFraction = 0.05;
   OnlineRun R = runSalaryDbOnline(Cfg);
   // Specialized code was generated and objects migrated to special TIBs
   // after activation.
@@ -66,7 +64,6 @@ TEST(OnlineController, MutationGoesLiveMidRun) {
 
 TEST(OnlineController, OutputMatchesOfflineAndBaseline) {
   OnlineMutationController::Config Cfg;
-  Cfg.Analysis.HotStateMinFraction = 0.05;
   OnlineRun Online = runSalaryDbOnline(Cfg);
 
   auto W = makeSalaryDb();
@@ -85,7 +82,6 @@ TEST(OnlineController, OutputMatchesOfflineAndBaseline) {
 
 TEST(OnlineController, OnlineBeatsBaselineAfterActivation) {
   OnlineMutationController::Config Cfg;
-  Cfg.Analysis.HotStateMinFraction = 0.05;
   Cfg.HotProfileCycles = 1'000'000;
   Cfg.ValueProfileCycles = 1'000'000;
   OnlineRun Online = runSalaryDbOnline(Cfg, 800);
@@ -135,6 +131,7 @@ TEST(OnlineController, StandsDownWhenNothingIsMutable) {
   P.link();
   VirtualMachine VM(P, {});
   OnlineMutationController::Config Cfg;
+  Cfg.Analysis.HotStateMinFraction = 0.10; // the threshold this test assumes
   Cfg.HotProfileCycles = 100'000;
   Cfg.ValueProfileCycles = 100'000;
   OnlineMutationController Ctl(VM, Cfg);
@@ -151,12 +148,10 @@ TEST(OnlineController, PlanMatchesOfflinePipeline) {
   // The online-derived plan should agree with the offline pipeline on the
   // mutable class, its state field, and the hot-state set.
   OnlineMutationController::Config OnCfg;
-  OnCfg.Analysis.HotStateMinFraction = 0.05;
   OnlineRun Online = runSalaryDbOnline(OnCfg);
 
   auto W = makeSalaryDb();
   OfflineConfig OffCfg;
-  OffCfg.HotStateMinFraction = 0.05;
   OfflineResult Off = runOfflinePipeline(*W, OffCfg);
 
   ASSERT_EQ(Online.Plan.Classes.size(), Off.Plan.Classes.size());

@@ -48,7 +48,6 @@ TEST_P(WorkloadParity, MutationPreservesOutput) {
   auto All = makeAllWorkloads();
   Workload &W = *All[static_cast<size_t>(GetParam())];
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   OfflineResult R = runOfflinePipeline(W, Cfg);
   WorkloadRun Base = runOnce(W, false, nullptr);
   WorkloadRun Mut = runOnce(W, true, &R.Plan);
@@ -61,7 +60,6 @@ TEST_P(WorkloadParity, MutationFindsAPlan) {
   auto All = makeAllWorkloads();
   Workload &W = *All[static_cast<size_t>(GetParam())];
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   OfflineResult R = runOfflinePipeline(W, Cfg);
   EXPECT_FALSE(R.Plan.Classes.empty()) << W.name();
   EXPECT_GE(R.Plan.numHotStates(), 1u);
@@ -79,7 +77,6 @@ TEST_P(WorkloadParity, DeterministicAcrossRuns) {
   // Mutation on, with the offline plan and OLC: the same repeat-run
   // determinism, code bytes included.
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   OfflineResult R = runOfflinePipeline(W, Cfg);
   WorkloadRun MA = runOnce(W, true, &R.Plan, 0.1);
   WorkloadRun MB = runOnce(W, true, &R.Plan, 0.1);
@@ -103,7 +100,6 @@ INSTANTIATE_TEST_SUITE_P(AllSeven, WorkloadParity, ::testing::Range(0, 7),
 TEST(WorkloadSpeedup, SalaryDbGainsAreLarge) {
   auto W = makeSalaryDb();
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   OfflineResult R = runOfflinePipeline(*W, Cfg);
   WorkloadRun Base = runOnce(*W, false, nullptr, 1.0);
   WorkloadRun Mut = runOnce(*W, true, &R.Plan, 1.0);
@@ -118,7 +114,6 @@ TEST(WorkloadSpeedup, EveryBenchmarkGains) {
   auto All = makeAllWorkloads();
   for (auto &W : All) {
     OfflineConfig Cfg;
-    Cfg.HotStateMinFraction = 0.05;
     OfflineResult R = runOfflinePipeline(*W, Cfg);
     WorkloadRun Base = runOnce(*W, false, nullptr, 1.0);
     WorkloadRun Mut = runOnce(*W, true, &R.Plan, 1.0);
@@ -132,7 +127,6 @@ TEST(WorkloadOverheads, CodeSizeIncreaseIsBounded) {
   auto All = makeAllWorkloads();
   for (auto &W : All) {
     OfflineConfig Cfg;
-    Cfg.HotStateMinFraction = 0.05;
     OfflineResult R = runOfflinePipeline(*W, Cfg);
     WorkloadRun Base = runOnce(*W, false, nullptr, 1.0);
     WorkloadRun Mut = runOnce(*W, true, &R.Plan, 1.0);
@@ -149,7 +143,6 @@ TEST(WorkloadOverheads, TibSpaceIsBytesScale) {
   auto All = makeAllWorkloads();
   for (auto &W : All) {
     OfflineConfig Cfg;
-    Cfg.HotStateMinFraction = 0.05;
     OfflineResult R = runOfflinePipeline(*W, Cfg);
     WorkloadRun Mut = runOnce(*W, true, &R.Plan, 0.3);
     EXPECT_LE(Mut.Metrics.SpecialTibBytes, 2048u) << W->name();
@@ -164,7 +157,6 @@ TEST(JbbWindows, MutationGainGrowsIntoSteadyState) {
   // line up between the two runs.
   auto W = makeJbb(JbbVariant::Jbb2000);
   OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
   OfflineResult R = runOfflinePipeline(*W, Cfg);
   auto Run = [&](bool Mutation) {
     auto P = W->buildProgram();

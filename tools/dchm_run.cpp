@@ -4,26 +4,27 @@
 // (Su & Lipasti, CGO 2006).
 //
 // A command-line driver for the library: list the Table 1 workloads, run any
-// of them with mutation on/off/online, dump the derived mutation plan, or
-// disassemble a method's bytecode and its compiled versions.
+// of them with mutation on/off/online, dump the derived mutation plan,
+// disassemble a method's bytecode and its compiled versions, or run a .mvm
+// file the way dchm_fuzz does.
 //
 //   dchm_run list
 //   dchm_run run <workload> [--no-mutation] [--online] [--scale=<f>]
 //                           [--heap-mb=<n>] [--accelerated]
 //   dchm_run plan <workload>
 //   dchm_run disasm <workload> <Class.method> [--state=<k>]
+//   dchm_run exec <file.mvm> [--entry=Class.method] [--mutate] [--audit]
+//                            [int args...]
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/OlcAnalysis.h"
-#include "asm/Assembler.h"
 #include "compiler/Passes.h"
 #include "compiler/Specializer.h"
 #include "online/OnlineController.h"
 #include "support/Parse.h"
 #include "support/Timer.h"
-#include "testing/ConsistencyAuditor.h"
-#include "testing/ProgramGen.h"
+#include "testing/MvmRun.h"
 #include "workloads/Workload.h"
 
 #include <climits>
@@ -97,52 +98,49 @@ int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
   OlcDatabase Olc;
   std::unique_ptr<OnlineMutationController> Ctl;
   if (Mutation && Online) {
-    OnlineMutationController::Config Cfg;
-    Cfg.Analysis.HotStateMinFraction = 0.05;
-    Ctl = std::make_unique<OnlineMutationController>(VM, Cfg);
+    Ctl = std::make_unique<OnlineMutationController>(
+        VM, OnlineMutationController::Config{});
     std::printf("running %s with ONLINE mutation (poll-driven)...\n",
                 W.name().c_str());
+  } else if (Mutation) {
+    OfflineResult R = runOfflinePipeline(W, OfflineConfig{});
+    Plan = std::move(R.Plan);
+    VM.setMutationPlan(&Plan);
+    Olc = analyzeObjectLifetimeConstants(*P, Plan);
+    VM.setOlcDatabase(&Olc);
+    std::printf("running %s with mutation (plan: %zu classes, %zu hot "
+                "states, %zu OLC entries)...\n",
+                W.name().c_str(), Plan.Classes.size(), Plan.numHotStates(),
+                Olc.Entries.size());
+  } else {
+    std::printf("running %s without mutation...\n", W.name().c_str());
+  }
+  Timer T;
+  if (Online) {
     // The generic driver has no poll points; emulate them by splitting the
-    // run into profile-scale slices.
+    // run into profile-scale slices, with or without a controller to poll,
+    // so --online output compares across --no-mutation.
     for (int Slice = 0; Slice < 10; ++Slice) {
       W.driveScaled(VM, Scale / 10.0);
-      Ctl->poll();
+      if (Ctl)
+        Ctl->poll();
     }
+  } else {
+    W.driveScaled(VM, Scale);
+  }
+  double WallSec = T.seconds();
+  if (Ctl)
     std::printf("final phase: %s\n",
                 Ctl->phase() == OnlineMutationController::Phase::Active
                     ? "active"
                     : "not activated");
-  } else {
-    if (Mutation) {
-      OfflineConfig Cfg;
-      Cfg.HotStateMinFraction = 0.05;
-      OfflineResult R = runOfflinePipeline(W, Cfg);
-      Plan = std::move(R.Plan);
-      VM.setMutationPlan(&Plan);
-      Olc = analyzeObjectLifetimeConstants(*P, Plan);
-      VM.setOlcDatabase(&Olc);
-      std::printf("running %s with mutation (plan: %zu classes, %zu hot "
-                  "states, %zu OLC entries)...\n",
-                  W.name().c_str(), Plan.Classes.size(), Plan.numHotStates(),
-                  Olc.Entries.size());
-    } else {
-      std::printf("running %s without mutation...\n", W.name().c_str());
-    }
-    Timer T;
-    W.driveScaled(VM, Scale);
-    printMetrics(VM.metrics(), T.seconds());
-    std::printf("  program output:    %s\n", VM.interp().output().c_str());
-    return 0;
-  }
-  printMetrics(VM.metrics(), 0.0);
+  printMetrics(VM.metrics(), WallSec);
   std::printf("  program output:    %s\n", VM.interp().output().c_str());
   return 0;
 }
 
 int cmdPlan(Workload &W) {
-  OfflineConfig Cfg;
-  Cfg.HotStateMinFraction = 0.05;
-  OfflineResult R = runOfflinePipeline(W, Cfg);
+  OfflineResult R = runOfflinePipeline(W, OfflineConfig{});
   auto P = W.buildProgram();
   std::printf("mutation plan for %s:\n", W.name().c_str());
   for (const MutableClassPlan &CP : R.Plan.Classes) {
@@ -207,9 +205,7 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
   runOptPipeline(Opt);
   std::printf("after the opt pipeline:\n%s\n", Opt.toString().c_str());
   if (State >= 0) {
-    OfflineConfig Cfg;
-    Cfg.HotStateMinFraction = 0.05;
-    OfflineResult R = runOfflinePipeline(W, Cfg);
+    OfflineResult R = runOfflinePipeline(W, OfflineConfig{});
     const MutableClassPlan *CP = R.Plan.planFor(MI.Owner);
     if (!CP || static_cast<size_t>(State) >= CP->HotStates.size()) {
       std::fprintf(stderr, "no hot state %d for this class\n", State);
@@ -226,15 +222,13 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
 
 } // namespace
 
-/// exec: assemble a .mvm file and invoke a static entry method. With
-/// --mutate the file's #! plan directives (testing/ProgramGen) are parsed
-/// and installed; with --audit a ConsistencyAuditor rides along and the run
-/// fails on any invariant violation — together these replay fuzzer
-/// artifacts byte-for-byte (docs/fuzzing.md). Segmented artifacts
-/// (#!segments) replay the retire / re-install harness. All failure paths
-/// are recoverable diagnostics (exit 1), never aborts.
-int cmdExec(const std::string &Path, const std::string &Entry,
-            const std::vector<int64_t> &MainArgs, bool Mutate, bool AuditOn) {
+/// exec: run a .mvm file through the harness dchm_fuzz uses
+/// (testing/MvmRun), so fuzzer artifacts replay byte-for-byte
+/// (docs/fuzzing.md): `#!adaptive` and `#!segments` always apply, --mutate
+/// installs the `#!` plan, and --audit attaches a ConsistencyAuditor and
+/// fails the run on any invariant violation. All failure paths are
+/// recoverable diagnostics (exit 1), never aborts.
+int cmdExec(const std::string &Path, const MvmRunConfig &Cfg) {
   std::ifstream In(Path);
   if (!In) {
     std::fprintf(stderr, "cannot open %s\n", Path.c_str());
@@ -242,109 +236,21 @@ int cmdExec(const std::string &Path, const std::string &Entry,
   }
   std::stringstream Ss;
   Ss << In.rdbuf();
-  AssemblyResult R = assembleProgram(Ss.str());
+  MvmRunResult R = runMvm(Ss.str(), Cfg);
   if (!R.ok()) {
     std::fprintf(stderr, "%s: %s\n", Path.c_str(), R.Error.c_str());
     return 1;
   }
-  Program &P = *R.P;
-  MethodId M = NoMethodId;
-  if (auto Dot = Entry.find('.'); Dot != std::string::npos) {
-    ClassId C = P.findClass(Entry.substr(0, Dot));
-    if (C != NoClassId)
-      M = P.findMethod(C, Entry.substr(Dot + 1));
-  } else {
-    for (size_t C = 0; C < P.numClasses() && M == NoMethodId; ++C)
-      M = P.findMethod(static_cast<ClassId>(C), Entry);
-  }
-  if (M == NoMethodId) {
-    std::fprintf(stderr, "no entry method '%s'\n", Entry.c_str());
-    return 1;
-  }
-  if (!P.method(M).Flags.IsStatic) {
-    std::fprintf(stderr, "entry method must be static\n");
-    return 1;
-  }
-  std::vector<Value> Args;
-  for (int64_t A : MainArgs)
-    Args.push_back(valueI(A));
-  if (Args.size() != P.method(M).ParamTys.size()) {
-    std::fprintf(stderr, "entry expects %zu argument(s), got %zu\n",
-                 P.method(M).ParamTys.size(), Args.size());
-    return 1;
-  }
-  GenPlanInfo Gen;
-  if (Mutate) {
-    std::string Err;
-    if (!ProgramGen::parsePlanDirectives(Ss.str(), P, Gen, Err)) {
-      std::fprintf(stderr, "%s: %s\n", Path.c_str(), Err.c_str());
-      return 1;
-    }
-  }
-  VMOptions Opts;
-  Opts.EnableMutation = Mutate && !Gen.Plan.empty();
-  if (Gen.Opt1)
-    Opts.Adaptive.Opt1Threshold = Gen.Opt1;
-  if (Gen.Opt2)
-    Opts.Adaptive.Opt2Threshold = Gen.Opt2;
-  VirtualMachine VM(P, Opts);
-  ConsistencyAuditor Auditor(VM);
-  if (AuditOn)
-    VM.setAuditHook(&Auditor);
-  if (Opts.EnableMutation)
-    VM.setMutationPlan(&Gen.Plan);
-  Value Result = valueI(0);
-  if (Mutate && Gen.Segments > 1 && Args.empty()) {
-    // Segmented artifact: replay the fuzzer's harness exactly — drive the
-    // segments one at a time, retiring the plan and re-installing it at the
-    // #!segments boundaries instead of calling main().
-    ClassId MainCls = P.findClass("Main");
-    for (int K = 0; K < Gen.Segments; ++K) {
-      MethodId Seg = MainCls != NoClassId
-                         ? P.findMethod(MainCls, "seg" + std::to_string(K))
-                         : NoMethodId;
-      if (Seg == NoMethodId) {
-        std::fprintf(stderr, "%s: no Main.seg%d for #!segments replay\n",
-                     Path.c_str(), K);
-        return 1;
-      }
-      Expected<Value> V = VM.run(Seg, {});
-      if (!V) {
-        std::fprintf(stderr, "%s: %s\n", Path.c_str(),
-                     V.takeError().message().c_str());
-        return 1;
-      }
-      Result = *V;
-      if (!Opts.EnableMutation)
-        continue;
-      if (K == Gen.RetireAfter)
-        VM.retireMutationPlan();
-      if (K == Gen.ReinstallAfter)
-        VM.setMutationPlan(&Gen.Plan); // re-install migrates live objects
-    }
-  } else {
-    Expected<Value> V = VM.run(M, Args);
-    if (!V) {
-      std::fprintf(stderr, "%s: %s\n", Path.c_str(),
-                   V.takeError().message().c_str());
-      return 1;
-    }
-    Result = *V;
-  }
-  if (!VM.interp().output().empty())
-    std::printf("output: %s\n", VM.interp().output().c_str());
-  if (P.method(M).RetTy == Type::I64)
-    std::printf("result: %lld\n", static_cast<long long>(Result.I));
-  else if (P.method(M).RetTy == Type::F64)
-    std::printf("result: %g\n", Result.F);
+  if (!R.Output.empty())
+    std::printf("output: %s\n", R.Output.c_str());
+  if (R.ResultType == Type::I64)
+    std::printf("result: %lld\n", static_cast<long long>(R.Result.I));
+  else if (R.ResultType == Type::F64)
+    std::printf("result: %g\n", R.Result.F);
   std::printf("cycles: %llu\n",
-              static_cast<unsigned long long>(VM.totalCycles()));
-  if (AuditOn) {
-    std::printf("%s", Auditor.report().c_str());
-    if (!Auditor.clean())
-      return 1;
-  }
-  return 0;
+              static_cast<unsigned long long>(R.Metrics.TotalCycles));
+  std::printf("%s", R.AuditReport.c_str());
+  return R.Violations ? 1 : 0;
 }
 
 int main(int Argc, char **Argv) {
@@ -367,22 +273,21 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "exec needs a .mvm file\n");
       return 1;
     }
-    std::string Entry = "main";
-    std::vector<int64_t> MainArgs;
-    bool Mutate = false, AuditOn = false;
+    MvmRunConfig Cfg;
+    Cfg.Entry = "main";
     for (int I = 3; I < Argc; ++I) {
       std::string A = Argv[I];
       if (A.rfind("--entry=", 0) == 0)
-        Entry = A.substr(8);
+        Cfg.Entry = A.substr(8);
       else if (A == "--mutate")
-        Mutate = true;
+        Cfg.Mutate = true;
       else if (A == "--audit")
-        AuditOn = true;
+        Cfg.AuditStride = 1;
       else
-        MainArgs.push_back(intFlag("entry argument", Argv[I], LLONG_MIN,
+        Cfg.Args.push_back(intFlag("entry argument", Argv[I], LLONG_MIN,
                                    LLONG_MAX));
     }
-    return cmdExec(Argv[2], Entry, MainArgs, Mutate, AuditOn);
+    return cmdExec(Argv[2], Cfg);
   }
   if (Argc < 3) {
     std::fprintf(stderr, "%s needs a workload name (try 'list')\n",
