@@ -39,6 +39,7 @@ bool AdaptiveSystem::sample(MethodInfo &M) {
 }
 
 void AdaptiveSystem::refreshMutableMethods() {
+  const MutationPlan *Plan = P.mutationPlan();
   if (!Plan)
     return;
   for (const MutableClassPlan &CP : Plan->Classes)
@@ -70,6 +71,7 @@ void AdaptiveSystem::recompile(MethodInfo &M, int Level) {
 
   // "When a method is compiled at a high optimization level, the specialized
   // versions are generated at the same time" — mutation occurs at opt2.
+  const MutationPlan *Plan = P.mutationPlan();
   if (Level >= TopOptLevel && M.IsMutable && Plan) {
     const MutableClassPlan *CP = Plan->planFor(M.Owner);
     DCHM_CHECK(CP, "mutable method without a class plan");
@@ -87,8 +89,7 @@ void AdaptiveSystem::recompile(MethodInfo &M, int Level) {
         continue;
       M.Specials[S] = OC.compileSpecial(M, Level, *CP, S);
     }
-    if (Listener)
-      Listener->onMutableMethodRecompiled(M);
+    Listener.onMutableMethodRecompiled(M);
   }
   InRecompile = false;
 }

@@ -63,11 +63,11 @@ struct AdaptiveStats {
 /// The recompilation ladder.
 class AdaptiveSystem {
 public:
-  AdaptiveSystem(Program &P, OptCompiler &OC, AdaptiveConfig Cfg)
-      : P(P), OC(OC), Cfg(Cfg) {}
-
-  void setPlan(const MutationPlan *Pl) { Plan = Pl; }
-  void setRecompileListener(RecompileListener *L) { Listener = L; }
+  /// Listener hears of every opt2 recompile of a mutable method of the
+  /// plan installed on P (Program::mutationPlan).
+  AdaptiveSystem(Program &P, OptCompiler &OC, AdaptiveConfig Cfg,
+                 RecompileListener &Listener)
+      : P(P), OC(OC), Cfg(Cfg), Listener(Listener) {}
 
   /// Lazy first compile at opt0 (the "initial compiler is the optimization
   /// compiler, default level opt0" configuration of the paper) + install.
@@ -97,8 +97,7 @@ private:
   Program &P;
   OptCompiler &OC;
   AdaptiveConfig Cfg;
-  const MutationPlan *Plan = nullptr;
-  RecompileListener *Listener = nullptr;
+  RecompileListener &Listener;
   AdaptiveStats Stats;
   /// Atomic: every mutator samples. At one mutator the increments come in
   /// program order, so the decimation stream is exact.

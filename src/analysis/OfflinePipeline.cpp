@@ -29,7 +29,7 @@ OfflineResult runOfflinePipeline(ProgramSource &Source,
   }
 
   // --- Static analysis: EQ 1 state-field scoring. --------------------------
-  R.Candidates = analyzeStateFields(*P1, R.Profile, Cfg.StateFields);
+  R.Candidates = analyzeStateFields(*P1, R.Profile);
   if (R.Candidates.empty())
     return R;
 
@@ -38,7 +38,7 @@ OfflineResult runOfflinePipeline(ProgramSource &Source,
   DCHM_CHECK(P2->numMethods() == P1->numMethods() &&
                  P2->numFields() == P1->numFields(),
              "ProgramSource is not deterministic");
-  ValueProfiler VP(*P2, R.Candidates, Cfg.MaxFieldsPerClass);
+  ValueProfiler VP(*P2, R.Candidates);
   VP.prepare();
   {
     VMOptions Opts;
@@ -47,15 +47,14 @@ OfflineResult runOfflinePipeline(ProgramSource &Source,
     VM.setStateObserver(&VP);
     Source.driveProfile(VM);
   }
-  auto Mined = VP.mine(Cfg.HotStateMinFraction, Cfg.MaxHotStates);
-  R.Plan = assembleMutationPlan(*P1, R.Profile, Mined, Cfg);
+  auto Mined = VP.mine(Cfg.HotStateMinFraction, MaxHotStates);
+  R.Plan = assembleMutationPlan(*P1, R.Profile, Mined);
   return R;
 }
 
 MutationPlan assembleMutationPlan(
     const Program &P, const HotMethodProfile &Profile,
-    const std::vector<ValueProfiler::ClassStates> &Mined,
-    const OfflineConfig &Cfg) {
+    const std::vector<ValueProfiler::ClassStates> &Mined) {
   MutationPlan Plan;
   for (const ValueProfiler::ClassStates &CS : Mined) {
     MutableClassPlan CP;
@@ -77,7 +76,7 @@ MutationPlan assembleMutationPlan(
       const MethodInfo &M = P.method(MId);
       if (!M.HasBody || M.Flags.IsCtor)
         continue;
-      if (Profile.hotness(MId) < Cfg.MutableMethodHotness)
+      if (Profile.hotness(MId) < MutableMethodHotness)
         continue;
       bool ReadsState = false;
       for (const Instruction &I : M.Bytecode.Insts) {

@@ -44,14 +44,15 @@ public:
   virtual void driveProfile(VirtualMachine &VM) = 0;
 };
 
+/// At most this many hot states per mutable class (heaviest first).
+constexpr size_t MaxHotStates = 8;
+/// Minimum hotness for a method to become a *mutable method*.
+constexpr double MutableMethodHotness = 0.002;
+
 /// Pipeline tunables.
 struct OfflineConfig {
-  StateFieldConfig StateFields;
-  size_t MaxFieldsPerClass = 3;
+  /// Minimum share of a class's value samples a hot state must cover.
   double HotStateMinFraction = 0.05;
-  size_t MaxHotStates = 8;
-  /// Minimum hotness for a method to become a *mutable method*.
-  double MutableMethodHotness = 0.002;
 };
 
 /// Pipeline artifacts (the plan plus the intermediate results, for tools
@@ -71,8 +72,7 @@ OfflineResult runOfflinePipeline(ProgramSource &Source,
 /// MutationPlan (hot state tuples + the mutable methods that read them).
 MutationPlan assembleMutationPlan(
     const Program &P, const HotMethodProfile &Profile,
-    const std::vector<ValueProfiler::ClassStates> &Mined,
-    const OfflineConfig &Cfg);
+    const std::vector<ValueProfiler::ClassStates> &Mined);
 
 } // namespace dchm
 

@@ -77,8 +77,7 @@ bool storedConstant(const IRFunction &F, Reg ValueReg, int64_t &Bits) {
 } // namespace
 
 std::vector<ClassStateFields>
-analyzeStateFields(const Program &P, const HotMethodProfile &Prof,
-                   const StateFieldConfig &Cfg) {
+analyzeStateFields(const Program &P, const HotMethodProfile &Prof) {
   // Score accumulation is global per field; attribution to classes happens
   // afterwards (a field declared by a parent can be the state field of a
   // hot derived class, like grade on SalaryEmployee).
@@ -97,7 +96,7 @@ analyzeStateFields(const Program &P, const HotMethodProfile &Prof,
       const Instruction &Inst = F.Insts[I];
       if (Inst.Op == Opcode::GetField || Inst.Op == Opcode::GetStatic) {
         // A use only matters in a hot function (assumption 2).
-        if (H < Cfg.HotMethodThreshold)
+        if (H < HotMethodThreshold)
           continue;
         FieldId Fld = static_cast<FieldId>(Inst.Imm);
         if (P.field(Fld).Ty == Type::Ref)
@@ -144,7 +143,7 @@ analyzeStateFields(const Program &P, const HotMethodProfile &Prof,
       continue;
     bool HasHotMethod = false;
     for (MethodId MId : C.Methods)
-      if (Prof.hotness(MId) >= Cfg.HotMethodThreshold)
+      if (Prof.hotness(MId) >= HotMethodThreshold)
         HasHotMethod = true;
     if (!HasHotMethod)
       continue;
@@ -160,9 +159,10 @@ analyzeStateFields(const Program &P, const HotMethodProfile &Prof,
         continue;
       // EQ 1, with the relaxation: same-constant assignments in hot
       // functions do not count against the field.
-      double Penalty = S.AllAssignSameConst ? 0.0 : Cfg.R * S.Assignments;
+      double Penalty =
+          S.AllAssignSameConst ? 0.0 : AssignmentPenaltyR * S.Assignments;
       double V = S.BranchUses - Penalty;
-      if (V >= Cfg.FieldScoreThreshold)
+      if (V >= FieldScoreThreshold)
         CSF.Candidates.push_back({Fld, V});
     }
     if (CSF.Candidates.empty())

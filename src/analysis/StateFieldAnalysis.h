@@ -14,7 +14,7 @@
 /// where the first sum ranges over the field's uses in branch conditions
 /// (Li = loop nesting level of the branch, Hi = hotness of the enclosing
 /// function) and the second over its assignments (lj, hj likewise; R is a
-/// tunable weight). Assignments that always store the same constant in a
+/// fixed weight). Assignments that always store the same constant in a
 /// hot function are exempt from the penalty (the paper's relaxation).
 ///
 //===----------------------------------------------------------------------===//
@@ -29,12 +29,12 @@
 
 namespace dchm {
 
-/// Tunables of the EQ 1 scoring.
-struct StateFieldConfig {
-  double R = 2.0;                  ///< assignment penalty weight
-  double HotMethodThreshold = 0.01; ///< hotness for a method to count as hot
-  double FieldScoreThreshold = 0.005; ///< minimum V to accept a field
-};
+/// EQ 1's assignment penalty weight R.
+constexpr double AssignmentPenaltyR = 2.0;
+/// Hotness from which a method counts as hot.
+constexpr double HotMethodThreshold = 0.01;
+/// Minimum V for a field to become a candidate.
+constexpr double FieldScoreThreshold = 0.005;
 
 /// A scored candidate state field.
 struct StateFieldCandidate {
@@ -53,8 +53,7 @@ struct ClassStateFields {
 /// its parents, instance or static) whose score clears the threshold,
 /// highest score first.
 std::vector<ClassStateFields>
-analyzeStateFields(const Program &P, const HotMethodProfile &Prof,
-                   const StateFieldConfig &Cfg);
+analyzeStateFields(const Program &P, const HotMethodProfile &Prof);
 
 } // namespace dchm
 

@@ -12,8 +12,7 @@
 namespace dchm {
 
 ValueProfiler::ValueProfiler(Program &P,
-                             const std::vector<ClassStateFields> &Candidates,
-                             size_t MaxFieldsPerClass)
+                             const std::vector<ClassStateFields> &Candidates)
     : P(P) {
   for (const ClassStateFields &CSF : Candidates) {
     PerClass PC;

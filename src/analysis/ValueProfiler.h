@@ -31,10 +31,12 @@ namespace dchm {
 /// Samples state-field value tuples during a profiling run.
 class ValueProfiler : public StateObserver {
 public:
-  /// Takes the candidate fields from the EQ 1 analysis; at most
-  /// MaxFieldsPerClass (highest score first) are profiled per class.
-  ValueProfiler(Program &P, const std::vector<ClassStateFields> &Candidates,
-                size_t MaxFieldsPerClass = 3);
+  /// At most this many candidate fields (highest score first) are
+  /// profiled per class.
+  static constexpr size_t MaxFieldsPerClass = 3;
+
+  /// Takes the candidate fields from the EQ 1 analysis.
+  ValueProfiler(Program &P, const std::vector<ClassStateFields> &Candidates);
 
   /// Marks the candidate fields IsStateField on the Program so the
   /// interpreter fires store events. Call before driving the VM.

@@ -182,9 +182,9 @@ bool Inliner::shouldInline(const IRFunction &F, const Instruction &Call,
   // OLC substitutions make the callee cheaper after folding; credit them
   // against the size bound (paper: OLCs "lower the inlining cost of a
   // method when the inlining decision is being made").
-  size_t Credit = OlcE ? OlcE->Constants.size() * Cfg.OlcSizeCredit : 0;
+  size_t Credit = OlcE ? OlcE->Constants.size() * OlcSizeCredit : 0;
   size_t Effective = Size > Credit ? Size - Credit : 0;
-  if (Effective > Cfg.MaxCalleeInsts)
+  if (Effective > MaxCalleeInsts)
     return false;
   if (Size > Budget)
     return false;
@@ -393,9 +393,9 @@ unsigned Inliner::spliceCall(IRFunction &F, size_t CallIdx,
 
 InlineStats Inliner::run(IRFunction &F, const MethodInfo &Root) {
   InlineStats Stats;
-  unsigned Budget = Cfg.MaxFunctionGrowth;
+  unsigned Budget = MaxFunctionGrowth;
   // Depth rounds: round D inlines calls exposed by round D-1's splices.
-  for (unsigned Depth = 0; Depth < Cfg.MaxDepth; ++Depth) {
+  for (unsigned Depth = 0; Depth < MaxDepth; ++Depth) {
     bool AnyThisRound = false;
     for (size_t I = 0; I < F.Insts.size(); ++I) {
       if (!isCall(F.Insts[I].Op) || F.Insts[I].NoInline)

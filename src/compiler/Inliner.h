@@ -34,21 +34,15 @@
 
 namespace dchm {
 
-/// Tunables for the inliner (paper defaults in comments).
+/// Tunables for the inliner.
 struct InlinerConfig {
-  unsigned MaxCalleeInsts = 36;     ///< callee bytecode size bound
-  unsigned MaxDepth = 3;            ///< inlining depth bound
-  unsigned MaxFunctionGrowth = 400; ///< total instructions added per root
-  int TradeoffK = 0;                ///< k of the N > M + k heuristic
+  int TradeoffK = 0; ///< k of the N > M + k heuristic
   bool EnableSpecializationInlining = true;
   /// Jikes-style guarded inlining for polymorphic virtual calls: inline the
   /// statically-named target under an exact-class test, with the original
   /// virtual call as the slow path. Off by default (the paper's system
   /// relies on specialization instead; this exists for the ablation study).
   bool EnableGuardedInlining = false;
-  /// OLC presence lowers the modeled inlining cost of a callee: each OLC
-  /// substitution credits this many instructions against the size bound.
-  unsigned OlcSizeCredit = 2;
 };
 
 /// Per-run inlining statistics (Figure 10/11 inputs).
@@ -63,6 +57,16 @@ struct InlineStats {
 /// Inlines call sites of F (the body of Root) in place.
 class Inliner {
 public:
+  /// Callee bytecode size bound (Jikes' static size heuristic).
+  static constexpr unsigned MaxCalleeInsts = 36;
+  /// Inlining depth bound.
+  static constexpr unsigned MaxDepth = 3;
+  /// Total instructions added per root.
+  static constexpr unsigned MaxFunctionGrowth = 400;
+  /// OLC presence lowers the modeled inlining cost of a callee: each OLC
+  /// substitution credits this many instructions against the size bound.
+  static constexpr unsigned OlcSizeCredit = 2;
+
   Inliner(Program &P, const InlinerConfig &Cfg, const OlcDatabase *Olc,
           const MutationPlan *Plan);
 

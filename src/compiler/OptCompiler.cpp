@@ -70,7 +70,7 @@ CompiledMethod *OptCompiler::compileGeneral(MethodInfo &M, int Level) {
   DCHM_CHECK(M.HasBody, "compiling a method without a body");
   IRFunction Code = M.Bytecode;
   if (Level >= 2) {
-    Inliner Inl(P, InlineCfg, Olc, Plan);
+    Inliner Inl(P, InlineCfg, Olc, P.mutationPlan());
     InlineStats IS = Inl.run(Code, M);
     Stats.Inlining.SitesInlined += IS.SitesInlined;
     Stats.Inlining.SpecializationInlines += IS.SpecializationInlines;
@@ -91,7 +91,7 @@ CompiledMethod *OptCompiler::compileSpecial(MethodInfo &M, int Level,
   specializeForState(Code, M, CP, StateIdx);
   Stats.SpecialCompileRequests++;
   if (Level >= 2) {
-    Inliner Inl(P, InlineCfg, Olc, Plan);
+    Inliner Inl(P, InlineCfg, Olc, P.mutationPlan());
     Inl.run(Code, M);
   }
   return finish(M, std::move(Code), Level, static_cast<int>(StateIdx));

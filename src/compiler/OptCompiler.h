@@ -57,11 +57,9 @@ public:
   explicit OptCompiler(Program &P) : P(P) {}
 
   InlinerConfig &inlinerConfig() { return InlineCfg; }
-  /// Wires in OLC analysis results (enables specialization inlining).
+  /// Wires in OLC analysis results (enables specialization inlining). The
+  /// inliner's trade-off heuristic reads the plan installed on the Program.
   void setOlcDatabase(const OlcDatabase *Db) { Olc = Db; }
-  /// Wires in the mutation plan (enables the trade-off heuristic and
-  /// specialized compilation).
-  void setPlan(const MutationPlan *Pl) { Plan = Pl; }
 
   /// Runs the IR verifier on every finished (optimized) body and aborts
   /// with a diagnostic naming the method, level and state on a violation.
@@ -91,7 +89,6 @@ private:
   Program &P;
   InlinerConfig InlineCfg;
   const OlcDatabase *Olc = nullptr;
-  const MutationPlan *Plan = nullptr;
   CompilerStats Stats;
   CompilePipeline Pipeline;
   bool VerifyBodies = false;

@@ -26,11 +26,12 @@ VMOptions withAtLeastOneMutator(VMOptions O) {
 VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
     : P(P), Opts(withAtLeastOneMutator(Options)),
       TheHeap(Opts.HeapBytes, Opts.MutatorThreads), Compiler(P),
-      Adaptive(P, Compiler, Opts.Adaptive), Mutation(P) {
+      Mutation(P, TheHeap, Opts.CodeBudgetBytes),
+      Adaptive(P, Compiler, Opts.Adaptive, Mutation) {
   DCHM_CHECK(P.isLinked(), "VirtualMachine requires a linked program");
+  // The plan lives on the Program, so a Program serves one mutating VM.
+  DCHM_CHECK(!P.mutationPlan(), "program already carries an installed plan");
   Compiler.inlinerConfig() = Opts.Inline;
-  Mutation.setHeap(&TheHeap);
-  Mutation.setCodeBudget(Opts.CodeBudgetBytes);
   unsigned NThreads = mutatorThreads();
   Interps.reserve(NThreads);
   for (unsigned T = 0; T < NThreads; ++T) {
@@ -62,15 +63,11 @@ void VirtualMachine::setMutationPlan(const MutationPlan *Plan) {
     return;
   atSafepoint([&] {
     Mutation.installPlan(*Plan);
-    Adaptive.setPlan(Plan);
-    Adaptive.setRecompileListener(&Mutation);
-    Compiler.setPlan(Plan);
-    MutationActive = true;
     // Installation is stop-the-world and includes re-classing objects that
     // already exist (mid-run activation or re-install after retirement). It
     // must happen before the budget check and the recompilation refresh so
     // their audit notifications never observe a half-installed heap.
-    Mutation.migrateExistingObjects(TheHeap);
+    Mutation.migrateExistingObjects();
     Mutation.enforceBudget();
     // Online installation: methods that got hot before the plan existed need
     // their specialized versions generated now.
@@ -83,14 +80,10 @@ void VirtualMachine::setOlcDatabase(const OlcDatabase *Db) {
 }
 
 bool VirtualMachine::retireMutationPlan() {
-  if (!MutationActive || !Mutation.plan())
+  if (!P.mutationPlan())
     return false;
   atSafepoint([&] {
-    Mutation.retirePlan(TheHeap);
-    Adaptive.setPlan(nullptr);
-    Adaptive.setRecompileListener(nullptr);
-    Compiler.setPlan(nullptr);
-    MutationActive = false;
+    Mutation.retirePlan();
     reclaimRetired(); // re-entrant atSafepoint: runs inline
   });
   return true;
@@ -254,7 +247,7 @@ void VirtualMachine::onInstanceStateStore(Object *O, FieldInfo &F,
   // Part I's instance half runs concurrently in multi-mutator mode: it
   // touches only the receiver (thread-confined by the guest threading
   // contract, docs/threads.md) plus atomic counters.
-  if (MutationActive)
+  if (P.mutationPlan())
     Mutation.onInstanceStateStore(O, F);
   if (Observer)
     Observer->observeInstanceStore(O, F);
@@ -263,7 +256,7 @@ void VirtualMachine::onInstanceStateStore(Object *O, FieldInfo &F,
 void VirtualMachine::onStaticStateStore(FieldInfo &F) {
   // The static half of part I re-points shared dispatch structures
   // (TIB/JTOC code pointers): stop the world first.
-  if (MutationActive)
+  if (P.mutationPlan())
     atSafepoint([&] { Mutation.onStaticStateStore(F); });
   if (Observer)
     Observer->observeStaticStore(F);
@@ -274,7 +267,7 @@ void VirtualMachine::onConstructorExit(Object *O, MethodInfo &Ctor) {
   // classified the object, the strict TIB-matches-state invariant applies.
   if (O)
     O->CtorDone = true;
-  if (MutationActive)
+  if (P.mutationPlan())
     Mutation.onConstructorExit(O, Ctor);
   if (Observer)
     Observer->observeConstructorExit(O, Ctor);

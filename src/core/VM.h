@@ -103,8 +103,9 @@ class VirtualMachine : public VMCallbacks, public RootProvider {
 public:
   VirtualMachine(Program &P, const VMOptions &Opts);
 
-  /// Installs the mutation plan (marks state fields, creates special TIBs).
-  /// Ignored when mutation is disabled. The plan must outlive the VM.
+  /// Installs the mutation plan on the Program (records it, marks state
+  /// fields, creates special TIBs). Ignored when mutation is disabled. The
+  /// plan must outlive the VM.
   void setMutationPlan(const MutationPlan *Plan);
 
   /// Wires OLC analysis results into the compiler (specialization inlining).
@@ -125,9 +126,9 @@ public:
   void setAuditHook(AuditHook *H);
 
   /// Stop-the-world reverse of setMutationPlan: retires the installed plan
-  /// (MutationManager::retirePlan), detaches it from the adaptive system
-  /// and the compiler, and drains the reclamation list if no interpreter
-  /// frame is live. Afterwards setMutationPlan can install a new plan (or
+  /// (MutationManager::retirePlan, which clears Program::mutationPlan, the
+  /// one record of it every layer reads) and drains the reclamation list if
+  /// no interpreter frame is live. Afterwards setMutationPlan can install a new plan (or
   /// the same one) again. Returns false when no plan is active.
   bool retireMutationPlan();
 
@@ -211,14 +212,13 @@ private:
   VMOptions Opts;
   Heap TheHeap;
   OptCompiler Compiler;
-  AdaptiveSystem Adaptive;
   MutationManager Mutation;
+  AdaptiveSystem Adaptive;
   /// One interpreter per mutator context; [0] is the classic single-mutator
   /// interpreter every existing API routes through.
   std::vector<std::unique_ptr<Interpreter>> Interps;
   SafepointManager Safepoints;
   StateObserver *Observer = nullptr;
-  bool MutationActive = false;
 };
 
 } // namespace dchm

@@ -15,18 +15,17 @@
 namespace dchm {
 
 void MutationManager::installPlan(const MutationPlan &Plan) {
-  DCHM_CHECK(!Installed, "mutation plan installed twice");
+  DCHM_CHECK(!P.mutationPlan(), "mutation plan installed twice");
   DCHM_CHECK(P.isLinked(), "install plan after linking");
-  Installed = &Plan;
-  SwingIns.clear();
-  SwingIns.resize(Plan.Classes.size());
+  P.setMutationPlan(&Plan);
+  SwingIns.assign(Plan.Classes.size(), {});
 
   for (size_t Idx = 0; Idx < Plan.Classes.size(); ++Idx) {
     const MutableClassPlan &CP = Plan.Classes[Idx];
     ClassInfo &C = P.cls(CP.Cls);
     DCHM_CHECK(C.MutableIndex < 0, "class appears twice in the plan");
     C.MutableIndex = static_cast<int>(Idx);
-    SwingIns[Idx] = std::vector<std::atomic<uint64_t>>(CP.HotStates.size());
+    SwingIns[Idx].resize(CP.HotStates.size());
 
     for (FieldId F : CP.InstanceStateFields) {
       DCHM_CHECK(!P.field(F).IsStatic, "instance state field is static");
@@ -135,80 +134,73 @@ void MutationManager::updateCodePointer(CompiledMethod *&SlotRef,
   Stats.ExtraCycles += DispatchCost::PointerSwing;
 }
 
-void MutationManager::onInstanceStateStore(Object *O, FieldInfo &F) {
-  // The receiver's *actual* class decides mutability: only instances of the
+CompiledMethod *&MutationManager::homeSlot(MethodInfo &M) {
+  return M.Flags.IsStatic ? P.staticEntrySlot(M.Id)
+                          : P.cls(M.Owner).ClassTib->Slots[M.VSlot];
+}
+
+const MutableClassPlan *
+MutationManager::instancePlanOf(const Object *O) const {
+  // The object's *actual* class decides mutability: only instances of the
   // mutable class itself mutate (special code never propagates to
   // subclasses; Figure 6).
-  ClassInfo *C = O->Tib->Cls;
+  const ClassInfo *C = O->Tib->Cls;
   if (C->MutableIndex < 0)
-    return;
-  const MutableClassPlan &CP = Installed->Classes[C->MutableIndex];
-  if (!CP.dependsOnInstanceFields())
-    return;
-  if (std::find(CP.InstanceStateFields.begin(), CP.InstanceStateFields.end(),
-                F.Id) == CP.InstanceStateFields.end())
-    return;
+    return nullptr;
+  const MutableClassPlan &CP = P.mutationPlan()->Classes[C->MutableIndex];
+  return CP.dependsOnInstanceFields() ? &CP : nullptr;
+}
+
+bool MutationManager::reclassify(Object *O, const MutableClassPlan &CP,
+                                 bool CountMiss) {
+  ClassInfo &C = *O->Tib->Cls;
+  TIB *To = C.ClassTib;
   int S = matchInstanceState(CP, O);
   if (S >= 0) {
     Stats.StateMatches++;
-    SwingIns[static_cast<size_t>(C->MutableIndex)][static_cast<size_t>(S)]++;
+    SwingIns[static_cast<size_t>(C.MutableIndex)][static_cast<size_t>(S)]++;
     // A null slot means this hot state was evicted under code-budget
     // pressure; the class TIB (general code) is its resting place.
-    TIB *To = C->SpecialTibs[static_cast<size_t>(S)];
-    swingObjectTib(O, To ? To : C->ClassTib);
-  } else {
+    if (TIB *ST = C.SpecialTibs[static_cast<size_t>(S)])
+      To = ST;
+  } else if (CountMiss) {
     Stats.StateMisses++;
-    swingObjectTib(O, C->ClassTib);
   }
+  swingObjectTib(O, To);
+  return To != C.ClassTib;
+}
+
+void MutationManager::onInstanceStateStore(Object *O, FieldInfo &F) {
+  const MutableClassPlan *CP = instancePlanOf(O);
+  if (!CP || std::find(CP->InstanceStateFields.begin(),
+                       CP->InstanceStateFields.end(),
+                       F.Id) == CP->InstanceStateFields.end())
+    return;
+  reclassify(O, *CP, /*CountMiss=*/true);
   noteTransition("part I: instance state store");
 }
 
-void MutationManager::onConstructorExit(Object *O, MethodInfo &Ctor) {
-  if (!Installed || !O)
-    return;
-  ClassInfo *C = O->Tib->Cls;
-  if (C->MutableIndex < 0)
-    return;
-  const MutableClassPlan &CP = Installed->Classes[C->MutableIndex];
+void MutationManager::onConstructorExit(Object *O, MethodInfo &) {
   // "At the end of the constructors for a mutable class: if the object's
   // state is dependent on any instance field..." (Figure 4).
-  if (!CP.dependsOnInstanceFields())
+  const MutableClassPlan *CP = O ? instancePlanOf(O) : nullptr;
+  if (!CP)
     return;
   Stats.ExtraCycles += DispatchCost::StateFieldPatchBase;
-  int S = matchInstanceState(CP, O);
-  if (S >= 0) {
-    Stats.StateMatches++;
-    SwingIns[static_cast<size_t>(C->MutableIndex)][static_cast<size_t>(S)]++;
-    TIB *To = C->SpecialTibs[static_cast<size_t>(S)];
-    swingObjectTib(O, To ? To : C->ClassTib);
-  } else {
-    Stats.StateMisses++;
-    swingObjectTib(O, C->ClassTib);
-  }
+  reclassify(O, *CP, /*CountMiss=*/true);
   noteTransition("part I: constructor exit");
 }
 
-uint64_t MutationManager::migrateExistingObjects(Heap &H) {
-  DCHM_CHECK(Installed, "migrate without a plan");
+uint64_t MutationManager::migrateExistingObjects() {
+  DCHM_CHECK(P.mutationPlan(), "migrate without a plan");
   uint64_t Migrated = 0;
   H.forEachObject([&](Object *O) {
-    if (O->IsArray || !O->Tib)
+    if (O->IsArray || !O->Tib || O->Tib->isSpecial())
       return;
-    ClassInfo *C = O->Tib->Cls;
-    if (C->MutableIndex < 0 || O->Tib->isSpecial())
-      return;
-    const MutableClassPlan &CP = Installed->Classes[C->MutableIndex];
-    if (!CP.dependsOnInstanceFields())
-      return;
-    int S = matchInstanceState(CP, O);
-    if (S >= 0) {
-      Stats.StateMatches++;
-      SwingIns[static_cast<size_t>(C->MutableIndex)][static_cast<size_t>(S)]++;
-      if (TIB *To = C->SpecialTibs[static_cast<size_t>(S)]) {
-        swingObjectTib(O, To);
-        ++Migrated;
-      }
-    }
+    // A miss leaves the object where it is, on its class TIB, and is not
+    // counted: no state field was stored.
+    if (const MutableClassPlan *CP = instancePlanOf(O))
+      Migrated += reclassify(O, *CP, /*CountMiss=*/false);
   });
   noteTransition("online: object migration");
   return Migrated;
@@ -216,62 +208,44 @@ uint64_t MutationManager::migrateExistingObjects(Heap &H) {
 
 void MutationManager::refreshMethodPointers(const MutableClassPlan &CP,
                                             MethodInfo &M) {
-  ClassInfo &C = P.cls(CP.Cls);
   if (M.Specials.empty())
     return; // not yet opt2-compiled; nothing to route
+  // The special code of hot state S when S >= 0 and its body exists (an
+  // evicted state has none), the general code otherwise.
+  auto CodeFor = [&](int S) {
+    CompiledMethod *SP = S >= 0 ? M.Specials[static_cast<size_t>(S)] : nullptr;
+    return SP ? SP : M.General;
+  };
 
-  if (M.Flags.IsStatic) {
-    // Static methods can only use static fields; their pointer lives in the
-    // JTOC.
-    int S = anyStaticMatch(CP);
-    CompiledMethod *Want =
-        (S >= 0 && M.Specials[static_cast<size_t>(S)])
-            ? M.Specials[static_cast<size_t>(S)]
-            : M.General;
-    CompiledMethod *Cur = P.staticEntry(M.Id);
-    if (Debug.SkipCodePointerUpdate)
-      return; // injected fault: leave the stale JTOC entry in place
-    if (Cur != Want) {
-      P.setStaticEntry(M.Id, Want);
-      Stats.CodePointerUpdates++;
-      Stats.ExtraCycles += DispatchCost::PointerSwing;
-    }
+  // A static method (its pointer lives in the JTOC; it can only read static
+  // fields) and a method of a static-only mutable class (the class TIB
+  // itself is specialized; also how private instance methods mutate, since
+  // invokespecial binds through the declaring class TIB) have one pointer,
+  // routed by whichever hot state the static fields match.
+  if (M.Flags.IsStatic || !CP.dependsOnInstanceFields()) {
+    updateCodePointer(homeSlot(M), CodeFor(anyStaticMatch(CP)));
     return;
   }
 
-  if (CP.dependsOnInstanceFields()) {
-    // Each special TIB holds special code iff the static part of its hot
-    // state matches the current static field values; otherwise it must hold
-    // the general code. The class TIB always holds general code.
-    for (size_t S = 0; S < CP.HotStates.size(); ++S) {
-      TIB *ST = C.SpecialTibs[S];
-      if (!ST)
-        continue; // evicted hot state: no TIB left to route code into
-      CompiledMethod *Want = (staticPartMatches(CP, S) && M.Specials[S])
-                                 ? M.Specials[S]
-                                 : M.General;
-      updateCodePointer(ST->Slots[M.VSlot], Want);
-    }
-    updateCodePointer(C.ClassTib->Slots[M.VSlot], M.General);
-    return;
-  }
-
-  // Static-only mutable class: the class TIB itself is specialized. This is
-  // also how private instance methods get mutated (invokespecial binds
-  // through the declaring class TIB).
-  int S = anyStaticMatch(CP);
-  CompiledMethod *Want = (S >= 0 && M.Specials[static_cast<size_t>(S)])
-                             ? M.Specials[static_cast<size_t>(S)]
-                             : M.General;
-  updateCodePointer(C.ClassTib->Slots[M.VSlot], Want);
+  // Each special TIB holds special code iff the static part of its hot
+  // state matches the current static field values; otherwise it must hold
+  // the general code. The class TIB always holds general code.
+  ClassInfo &C = P.cls(CP.Cls);
+  for (size_t S = 0; S < CP.HotStates.size(); ++S)
+    if (TIB *ST = C.SpecialTibs[S]) // null: evicted, no TIB to route into
+      updateCodePointer(ST->Slots[M.VSlot],
+                        CodeFor(staticPartMatches(CP, S) ? static_cast<int>(S)
+                                                         : -1));
+  updateCodePointer(homeSlot(M), M.General);
 }
 
 void MutationManager::onStaticStateStore(FieldInfo &F) {
-  if (!Installed)
+  const MutationPlan *Plan = P.mutationPlan();
+  if (!Plan)
     return;
   // "For each assignment of a static state field: foreach mutable classes
   // whose states are dependent on this static field ..." (Figure 4).
-  for (const MutableClassPlan &CP : Installed->Classes) {
+  for (const MutableClassPlan &CP : Plan->Classes) {
     if (std::find(CP.StaticStateFields.begin(), CP.StaticStateFields.end(),
                   F.Id) == CP.StaticStateFields.end())
       continue;
@@ -288,8 +262,9 @@ void MutationManager::onStaticStateStore(FieldInfo &F) {
 }
 
 void MutationManager::onMutableMethodRecompiled(MethodInfo &M) {
-  DCHM_CHECK(Installed, "recompile notification without a plan");
-  const MutableClassPlan *CP = Installed->planFor(M.Owner);
+  const MutationPlan *Plan = P.mutationPlan();
+  DCHM_CHECK(Plan, "recompile notification without a plan");
+  const MutableClassPlan *CP = Plan->planFor(M.Owner);
   DCHM_CHECK(CP, "mutable method without a class plan");
   // The installer already placed the new general code in the class TIB, the
   // special TIBs, and non-overriding subclasses (general code only — "the
@@ -302,8 +277,9 @@ void MutationManager::onMutableMethodRecompiled(MethodInfo &M) {
   enforceBudget();
 }
 
-uint64_t MutationManager::retirePlan(Heap &H) {
-  DCHM_CHECK(Installed, "retirePlan without an installed plan");
+uint64_t MutationManager::retirePlan() {
+  const MutationPlan *Plan = P.mutationPlan();
+  DCHM_CHECK(Plan, "retirePlan without an installed plan");
 
   // Stop-the-world phase 1: swing every object sitting on a special TIB
   // back to its class TIB, so no dispatch can reach a retired structure.
@@ -318,28 +294,17 @@ uint64_t MutationManager::retirePlan(Heap &H) {
   });
 
   // Phase 2: restore every dispatch structure to its pre-install shape.
-  for (const MutableClassPlan &CP : Installed->Classes) {
+  for (const MutableClassPlan &CP : Plan->Classes) {
     ClassInfo &C = P.cls(CP.Cls);
     for (MethodId MId : CP.MutableMethods) {
       MethodInfo &M = P.method(MId);
-      if (M.Flags.IsStatic) {
-        if (M.General && P.staticEntry(M.Id) != M.General &&
-            !Debug.SkipCodePointerUpdate) {
-          P.setStaticEntry(M.Id, M.General);
-          Stats.CodePointerUpdates++;
-          Stats.ExtraCycles += DispatchCost::PointerSwing;
-        }
-      } else if (!CP.dependsOnInstanceFields()) {
-        // Static-only classes specialize the class TIB itself; put the
-        // general code back.
-        if (M.General)
-          updateCodePointer(C.ClassTib->Slots[M.VSlot], M.General);
-      }
+      // The one pointer of a static method or of a static-only class's
+      // method may hold special code; put the general code back.
+      if ((M.Flags.IsStatic || !CP.dependsOnInstanceFields()) && M.General)
+        updateCodePointer(homeSlot(M), M.General);
       for (CompiledMethod *SP : M.Specials)
-        if (SP) {
-          SP->invalidate();
+        if (SP)
           P.retireCompiledBody(SP);
-        }
       M.Specials.clear();
       M.IsMutable = false;
     }
@@ -368,7 +333,7 @@ uint64_t MutationManager::retirePlan(Heap &H) {
     C.MutableIndex = -1;
   }
 
-  Installed = nullptr;
+  P.setMutationPlan(nullptr);
   SwingIns.clear();
   Stats.PlanRetirements++;
   noteTransition("retire: plan retired");
@@ -376,7 +341,7 @@ uint64_t MutationManager::retirePlan(Heap &H) {
 }
 
 bool MutationManager::evictState(size_t Idx, size_t S) {
-  const MutableClassPlan &CP = Installed->Classes[Idx];
+  const MutableClassPlan &CP = P.mutationPlan()->Classes[Idx];
   if (!CP.dependsOnInstanceFields())
     return false; // static-only classes own no special TIBs to demote
   ClassInfo &C = P.cls(CP.Cls);
@@ -385,11 +350,10 @@ bool MutationManager::evictState(size_t Idx, size_t S) {
     return false; // already evicted
   // Swing residents home to the class TIB (general code) before the TIB
   // goes on the reclamation list, so it is unreachable from the heap.
-  if (TheHeap)
-    TheHeap->forEachObject([&](Object *O) {
-      if (!O->IsArray && O->Tib == ST)
-        swingObjectTib(O, C.ClassTib);
-    });
+  H.forEachObject([&](Object *O) {
+    if (!O->IsArray && O->Tib == ST)
+      swingObjectTib(O, C.ClassTib);
+  });
   // Null the slot first (vector size is preserved so state indices stay
   // stable); refreshMethodPointers then skips this state.
   C.SpecialTibs[S] = nullptr;
@@ -399,7 +363,6 @@ bool MutationManager::evictState(size_t Idx, size_t S) {
       continue;
     CompiledMethod *SP = M.Specials[S];
     M.Specials[S] = nullptr;
-    SP->invalidate();
     P.retireCompiledBody(SP);
     // Re-route: a static method's JTOC entry may have pointed at the body
     // we just dropped.
@@ -412,10 +375,11 @@ bool MutationManager::evictState(size_t Idx, size_t S) {
 }
 
 size_t MutationManager::specialFootprintBytes() const {
-  if (!Installed)
+  const MutationPlan *Plan = P.mutationPlan();
+  if (!Plan)
     return 0;
   size_t Bytes = 0;
-  for (const MutableClassPlan &CP : Installed->Classes) {
+  for (const MutableClassPlan &CP : Plan->Classes) {
     const ClassInfo &C = P.cls(CP.Cls);
     for (const TIB *ST : C.SpecialTibs)
       if (ST)
@@ -429,7 +393,7 @@ size_t MutationManager::specialFootprintBytes() const {
 }
 
 uint64_t MutationManager::enforceBudget() {
-  if (!CodeBudgetBytes || !Installed)
+  if (!CodeBudgetBytes || !P.mutationPlan())
     return 0;
   uint64_t Evicted = 0;
   while (specialFootprintBytes() > CodeBudgetBytes) {
@@ -441,7 +405,8 @@ uint64_t MutationManager::enforceBudget() {
 }
 
 bool MutationManager::evictColdestState() {
-  if (!Installed)
+  const MutationPlan *Plan = P.mutationPlan();
+  if (!Plan)
     return false;
   // Benefit-ranked: the state with the fewest part I swing-ins bought the
   // least specialization benefit. First-wins tie-break keeps the choice
@@ -449,8 +414,8 @@ bool MutationManager::evictColdestState() {
   size_t BestIdx = 0, BestS = 0;
   uint64_t BestCount = 0;
   bool Found = false;
-  for (size_t Idx = 0; Idx < Installed->Classes.size(); ++Idx) {
-    const MutableClassPlan &CP = Installed->Classes[Idx];
+  for (size_t Idx = 0; Idx < Plan->Classes.size(); ++Idx) {
+    const MutableClassPlan &CP = Plan->Classes[Idx];
     if (!CP.dependsOnInstanceFields())
       continue;
     const ClassInfo &C = P.cls(CP.Cls);

@@ -39,18 +39,40 @@
 #include "runtime/Object.h"
 #include "runtime/Program.h"
 
+#include <atomic>
+#include <cstdint>
+
 namespace dchm {
+
+/// A count any mutator may bump (the instance half of part I runs
+/// concurrently on every mutator thread). A copy reads it, exactly at N=1
+/// or with the world stopped.
+class SharedCounter {
+public:
+  SharedCounter() = default;
+  SharedCounter(const SharedCounter &O) : V(O.V.load()) {}
+  SharedCounter &operator=(const SharedCounter &O) {
+    V = O.V.load();
+    return *this;
+  }
+  operator uint64_t() const { return V; }
+  void operator+=(uint64_t N) { V += N; }
+  void operator++(int) { V++; }
+
+private:
+  std::atomic<uint64_t> V{0};
+};
 
 /// Mutation activity counters (Figure 12's TIB accounting comes from the
 /// Program; these feed the overhead discussion).
 struct MutationStats {
-  uint64_t ObjectTibSwings = 0;    ///< object TIB pointer re-points
-  uint64_t CodePointerUpdates = 0; ///< TIB/JTOC code pointer re-points
-  uint64_t StateMatches = 0;       ///< part I checks that matched a hot state
-  uint64_t StateMisses = 0;        ///< part I checks that matched nothing
-  uint64_t ExtraCycles = 0;        ///< simulated cost of all of the above
-  uint64_t PlanRetirements = 0;    ///< retirePlan() runs
-  uint64_t StateEvictions = 0;     ///< hot states demoted to general code
+  SharedCounter ObjectTibSwings;    ///< object TIB pointer re-points
+  SharedCounter CodePointerUpdates; ///< TIB/JTOC code pointer re-points
+  SharedCounter StateMatches;       ///< part I checks that matched a hot state
+  SharedCounter StateMisses;        ///< part I checks that matched nothing
+  SharedCounter ExtraCycles;        ///< simulated cost of all of the above
+  SharedCounter PlanRetirements;    ///< retirePlan() runs
+  SharedCounter StateEvictions;     ///< hot states demoted to general code
 };
 
 /// Fault-injection switches for the consistency auditor's self-test: each
@@ -74,34 +96,35 @@ struct MutationDebugFlags {
   bool SkipRetireSwing = false;
 };
 
-/// Runtime engine for dynamic class hierarchy mutation.
+/// Runtime engine for dynamic class hierarchy mutation. The installed plan
+/// lives on the Program (Program::mutationPlan); the engine keeps only the
+/// per-state swing-in counts its eviction ranking reads.
 class MutationManager : public RecompileListener {
 public:
-  explicit MutationManager(Program &P) : P(P) {}
+  /// H is the heap whose objects part I re-classes; CodeBudgetBytes bounds
+  /// specialized-code bytes + special-TIB bytes (graceful degradation,
+  /// docs/degradation.md), 0 = unlimited.
+  MutationManager(Program &P, Heap &H, size_t CodeBudgetBytes)
+      : P(P), H(H), CodeBudgetBytes(CodeBudgetBytes) {}
 
-  /// Installs the plan: marks state fields and mutable methods, creates the
-  /// special TIBs, and rewires mutable classes' IMT slots. Must run before
-  /// execution starts (the paper feeds the plan to the JVM at startup).
+  /// Installs the plan: records it on the Program, marks state fields and
+  /// mutable methods, creates the special TIBs, and rewires mutable
+  /// classes' IMT slots. The plan must outlive its installation.
   void installPlan(const MutationPlan &Plan);
 
   /// Stop-the-world reverse of installPlan: swings every object on a
   /// special TIB back to its class TIB, restores general code pointers in
   /// class TIBs and the JTOC, un-rewires IMT slots back to Direct entries,
   /// unmarks state fields and mutable methods, hands the special TIBs and
-  /// specialized bodies to the Program's reclamation list. After this the
-  /// hierarchy is exactly as if no plan had ever been installed, and a
-  /// new plan (or the same one) can be installed again. Returns the number
-  /// of objects that sat on special TIBs (counted even when the
-  /// SkipRetireSwing fault leaves them stranded).
-  uint64_t retirePlan(Heap &H);
+  /// specialized bodies to the Program's reclamation list, and clears the
+  /// Program's plan. After this the hierarchy is exactly as if no plan had
+  /// ever been installed, and a new plan (or the same one) can be
+  /// installed again. Returns the number of objects that sat on special
+  /// TIBs (counted even when the SkipRetireSwing fault leaves them
+  /// stranded).
+  uint64_t retirePlan();
 
   // --- Code/TIB budget (graceful degradation) ------------------------------
-  /// Wires in the heap so per-state eviction can swing residents off the
-  /// TIB being retired (retirePlan takes the heap explicitly).
-  void setHeap(Heap *H) { TheHeap = H; }
-  /// Budget over specialized-code bytes + special-TIB bytes; 0 = unlimited.
-  void setCodeBudget(size_t Bytes) { CodeBudgetBytes = Bytes; }
-  size_t codeBudget() const { return CodeBudgetBytes; }
   /// Current specialized footprint: live special-TIB bytes plus the
   /// deterministic budget bytes of every specialized body.
   size_t specialFootprintBytes() const;
@@ -112,11 +135,9 @@ public:
   /// degradation). Returns false when nothing is evictable.
   bool evictColdestState();
 
-  const MutationPlan *plan() const { return Installed; }
-
   /// Attaches a consistency-audit hook notified after every part I/II
   /// transition (null detaches). See runtime/AuditHook.h.
-  void setAuditHook(AuditHook *H) { Audit = H; }
+  void setAuditHook(AuditHook *Hook) { Audit = Hook; }
 
   /// Fault-injection switches (see MutationDebugFlags). Mutable on purpose:
   /// the fuzz harness flips them mid-run to prove the auditor catches the
@@ -135,29 +156,24 @@ public:
   /// the collector's object walk (the paper avoids a pointer registry
   /// because the Jikes GC moves objects; a walk at a safepoint is safe).
   /// Returns the number of objects migrated to special TIBs.
-  uint64_t migrateExistingObjects(Heap &H);
+  uint64_t migrateExistingObjects();
 
   // --- Algorithm part II (RecompileListener) --------------------------------
   void onMutableMethodRecompiled(MethodInfo &M) override;
 
-  /// Snapshot of the activity counters. By value: the internal counters are
-  /// atomics (part I instance triggers run concurrently on every mutator
-  /// thread), so callers get a plain consistent-enough copy. Exact totals
-  /// at N=1 or with the world stopped.
-  MutationStats stats() const {
-    MutationStats S;
-    S.ObjectTibSwings = Stats.ObjectTibSwings.load(std::memory_order_relaxed);
-    S.CodePointerUpdates =
-        Stats.CodePointerUpdates.load(std::memory_order_relaxed);
-    S.StateMatches = Stats.StateMatches.load(std::memory_order_relaxed);
-    S.StateMisses = Stats.StateMisses.load(std::memory_order_relaxed);
-    S.ExtraCycles = Stats.ExtraCycles.load(std::memory_order_relaxed);
-    S.PlanRetirements = Stats.PlanRetirements.load(std::memory_order_relaxed);
-    S.StateEvictions = Stats.StateEvictions.load(std::memory_order_relaxed);
-    return S;
-  }
+  /// Snapshot of the activity counters (see SharedCounter).
+  MutationStats stats() const { return Stats; }
 
 private:
+  /// The plan entry of O's class when that class is mutable on instance
+  /// state fields (the only classes whose objects part I re-classes).
+  const MutableClassPlan *instancePlanOf(const Object *O) const;
+  /// Part I's one re-classing step (Figure 4): charges the state check,
+  /// counts a match (and, with CountMiss, a miss), and points O at the
+  /// special TIB of the matching hot state, or at the class TIB when none
+  /// matches or the state was evicted. Returns true when O's chosen TIB
+  /// is special.
+  bool reclassify(Object *O, const MutableClassPlan &CP, bool CountMiss);
   /// Index of the hot state whose *instance* part matches O's current field
   /// values, or -1.
   int matchInstanceState(const MutableClassPlan &CP, Object *O);
@@ -170,7 +186,11 @@ private:
   /// according to the current static state (the common core of part II and
   /// the static branch of part I).
   void refreshMethodPointers(const MutableClassPlan &CP, MethodInfo &M);
+  /// The slot M's general code lives in: its JTOC entry when static,
+  /// otherwise its slot in the declaring class TIB.
+  CompiledMethod *&homeSlot(MethodInfo &M);
   void swingObjectTib(Object *O, TIB *To);
+  /// The one code-pointer write, for TIB slots and JTOC entries alike.
   void updateCodePointer(CompiledMethod *&SlotRef, CompiledMethod *To);
   /// Demotes hot state S of plan entry Idx to general code: swings its
   /// residents to the class TIB, retires its special TIB (slot goes null;
@@ -184,31 +204,16 @@ private:
       Audit->onMutationTransition(Where);
   }
 
-  /// MutationStats with atomic fields: the instance-state half of part I
-  /// runs concurrently on every mutator thread (it touches only the
-  /// receiver object plus these counters), while everything that writes a
-  /// shared dispatch structure runs under a rendezvous.
-  struct AtomicMutationStats {
-    std::atomic<uint64_t> ObjectTibSwings{0};
-    std::atomic<uint64_t> CodePointerUpdates{0};
-    std::atomic<uint64_t> StateMatches{0};
-    std::atomic<uint64_t> StateMisses{0};
-    std::atomic<uint64_t> ExtraCycles{0};
-    std::atomic<uint64_t> PlanRetirements{0};
-    std::atomic<uint64_t> StateEvictions{0};
-  };
-
   Program &P;
-  const MutationPlan *Installed = nullptr;
-  Heap *TheHeap = nullptr;
+  Heap &H;
+  const size_t CodeBudgetBytes; ///< 0 = unlimited
   AuditHook *Audit = nullptr;
   MutationDebugFlags Debug;
-  AtomicMutationStats Stats;
-  size_t CodeBudgetBytes = 0; ///< 0 = unlimited
+  MutationStats Stats;
   /// Benefit signal for eviction ranking: per (plan entry, hot state)
   /// count of part I swings *into* the state. Simulated-deterministic at
-  /// N=1; atomic because concurrent mutators bump it in part I.
-  std::vector<std::vector<std::atomic<uint64_t>>> SwingIns;
+  /// N=1; concurrent mutators bump it in part I.
+  std::vector<std::vector<SharedCounter>> SwingIns;
 };
 
 } // namespace dchm

@@ -53,7 +53,7 @@ void OnlineMutationController::poll() {
 
 void OnlineMutationController::pollDegradation() {
   MutationManager &MM = VM.mutation();
-  if (!MM.plan()) { // retired out from under us: nothing left to degrade
+  if (!VM.program().mutationPlan()) { // retired out from under us
     CurPhase = Phase::Inert;
     return;
   }
@@ -66,19 +66,15 @@ void OnlineMutationController::pollDegradation() {
   LastDegradeCheck = Now;
   LastMutationCycles = Mut;
 
-  bool Degraded = false;
-  // Pressure: specialized footprint over the configured code/TIB budget.
-  // (The part II hooks also enforce this synchronously; the poll catches
-  // budgets tightened after install and swing-driven footprint growth.)
-  if (MM.codeBudget() && MM.specialFootprintBytes() > MM.codeBudget())
-    Degraded = MM.enforceBudget() > 0;
   // Churn: mutation bookkeeping dominating the window means objects are
   // thrashing between states; demote the coldest state to stem the swings.
-  if (WindowTotal > 0 &&
-      static_cast<double>(WindowMut) >
-          ChurnFraction * static_cast<double>(WindowTotal))
-    Degraded = MM.evictColdestState() || Degraded;
-  CurPhase = Degraded ? Phase::Degrading : Phase::Active;
+  // (The code budget needs no poll: the specialized footprint grows only at
+  // plan install and part II recompiles, and both end in enforceBudget.)
+  bool Churn = WindowTotal > 0 &&
+               static_cast<double>(WindowMut) >
+                   ChurnFraction * static_cast<double>(WindowTotal);
+  CurPhase = Churn && MM.evictColdestState() ? Phase::Degrading
+                                             : Phase::Active;
 }
 
 void OnlineMutationController::finishHotProfiling() {
@@ -90,7 +86,7 @@ void OnlineMutationController::finishHotProfiling() {
 
   // Lightweight static analysis over the bytecode (EQ 1). Bytecode is
   // retained by every MethodInfo, so this works as well online as offline.
-  Candidates = analyzeStateFields(P, Profile, Cfg.Analysis.StateFields);
+  Candidates = analyzeStateFields(P, Profile);
   if (Candidates.empty()) {
     CurPhase = Phase::Inert; // nothing worth mutating; stand down
     return;
@@ -98,8 +94,7 @@ void OnlineMutationController::finishHotProfiling() {
 
   // Mark candidate fields and start sampling their joint values through
   // the same interpreter hooks algorithm part I will use later.
-  VP = std::make_unique<ValueProfiler>(P, Candidates,
-                                       Cfg.Analysis.MaxFieldsPerClass);
+  VP = std::make_unique<ValueProfiler>(P, Candidates);
   VP->prepare();
   VM.setStateObserver(VP.get());
   CurPhase = Phase::ValueProfiling;
@@ -113,9 +108,8 @@ void OnlineMutationController::activate() {
   // window opened (e.g. a database populated at startup) would otherwise
   // be invisible to store sampling.
   VP->censusHeap(VM.heap());
-  auto Mined = VP->mine(Cfg.Analysis.HotStateMinFraction,
-                        Cfg.Analysis.MaxHotStates);
-  Plan = assembleMutationPlan(P, Profile, Mined, Cfg.Analysis);
+  auto Mined = VP->mine(Cfg.Analysis.HotStateMinFraction, MaxHotStates);
+  Plan = assembleMutationPlan(P, Profile, Mined);
 
   // Candidate fields that did not make the plan keep no patch code: clear
   // their state-field marks (installPlan re-marks the plan's fields). One

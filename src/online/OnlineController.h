@@ -58,10 +58,11 @@ public:
     OfflineConfig Analysis;
   };
 
-  /// Degrading is Active under pressure: the code/TIB budget was exceeded
-  /// or mutation churn dominated the last window, and the coldest hot
-  /// states are being demoted to general code. The controller returns to
-  /// Active when a check window passes without an eviction.
+  /// Degrading is Active under churn: mutation bookkeeping dominated the
+  /// last check window and the coldest hot state was demoted to general
+  /// code. The controller returns to Active when a check window passes
+  /// without an eviction. (The code/TIB budget is enforced where the
+  /// footprint grows: at plan install and at part II recompiles.)
   enum class Phase { HotProfiling, ValueProfiling, Active, Degrading, Inert };
 
   /// The controller must outlive the VM's use of the derived plan.

@@ -524,6 +524,7 @@ void Program::retireSpecialTib(TIB *T) {
 
 void Program::retireCompiledBody(CompiledMethod *CM) {
   DCHM_CHECK(CM, "retireCompiledBody(null)");
+  CM->invalidate();
   RetiredBodies.push_back(CM);
 }
 

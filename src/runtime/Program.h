@@ -35,6 +35,8 @@
 
 namespace dchm {
 
+struct MutationPlan;
+
 /// The class universe plus its linked runtime structures (TIBs, JTOC).
 class Program {
 public:
@@ -115,9 +117,15 @@ public:
 
   /// JTOC compiled-code entry for a static method (null = not yet compiled).
   CompiledMethod *staticEntry(MethodId M) const { return StaticEntries[M]; }
-  void setStaticEntry(MethodId M, CompiledMethod *CM) {
-    StaticEntries[M] = CM;
-  }
+  /// The same entry as a writable slot, for the mutation engine's re-points.
+  CompiledMethod *&staticEntrySlot(MethodId M) { return StaticEntries[M]; }
+
+  /// The installed mutation plan (null when none), the one record of it
+  /// that every layer reads; its per-entity marks live on the entities
+  /// (IsStateField, IsMutable, MutableIndex, SpecialTibs). Written only by
+  /// MutationManager::installPlan and retirePlan.
+  const MutationPlan *mutationPlan() const { return Plan; }
+  void setMutationPlan(const MutationPlan *Pl) { Plan = Pl; }
 
   // --- Code installation (Jikes default semantics) -------------------------
   /// Installs CM as the current general compiled code of M: JTOC entry for
@@ -142,9 +150,9 @@ public:
   /// allocated until drainReclaimList proves no stale reference can reach
   /// it.
   void retireSpecialTib(TIB *T);
-  /// Queues a specialized compiled body for release (the CompiledMethod
-  /// object itself stays owned by its MethodInfo forever, Jikes-style; only
-  /// the body IR is dropped).
+  /// Invalidates a specialized compiled body and queues it for release (the
+  /// CompiledMethod object itself stays owned by its MethodInfo forever,
+  /// Jikes-style; only the body IR is dropped).
   void retireCompiledBody(CompiledMethod *CM);
   /// Frees retired TIBs that no live object still points at (InUse = TIBs
   /// reachable from the heap), and releases retired bodies once no retired
@@ -172,6 +180,7 @@ private:
   std::vector<Value> StaticSlots;
   std::vector<Type> StaticSlotTypes;
   std::vector<CompiledMethod *> StaticEntries;
+  const MutationPlan *Plan = nullptr;
 
   std::vector<std::unique_ptr<TIB>> OwnedTibs;
   std::vector<std::unique_ptr<IMT>> OwnedImts;

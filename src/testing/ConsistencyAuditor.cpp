@@ -100,7 +100,7 @@ void ConsistencyAuditor::auditStopped(const char *Trigger) {
 }
 
 void ConsistencyAuditor::auditHeap(const std::vector<Object *> &UnderCtor) {
-  const MutationPlan *Plan = VM.mutation().plan();
+  const MutationPlan *Plan = VM.program().mutationPlan();
   VM.heap().forEachObject([&](Object *O) {
     if (O->IsArray)
       return;
@@ -164,7 +164,7 @@ void ConsistencyAuditor::auditHeap(const std::vector<Object *> &UnderCtor) {
 
 void ConsistencyAuditor::auditTibs() {
   Program &P = VM.program();
-  const MutationPlan *Plan = VM.mutation().plan();
+  const MutationPlan *Plan = VM.program().mutationPlan();
   for (size_t CId = 0; CId < P.numClasses(); ++CId) {
     ClassInfo &C = P.cls(static_cast<ClassId>(CId));
     if (C.IsInterface || !C.ClassTib)
@@ -236,7 +236,7 @@ void ConsistencyAuditor::auditTibs() {
 
 void ConsistencyAuditor::auditJtoc() {
   Program &P = VM.program();
-  const MutationPlan *Plan = VM.mutation().plan();
+  const MutationPlan *Plan = VM.program().mutationPlan();
   for (size_t MId = 0; MId < P.numMethods(); ++MId) {
     const MethodInfo &M = P.method(static_cast<MethodId>(MId));
     if (!M.Flags.IsStatic)

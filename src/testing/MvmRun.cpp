@@ -12,6 +12,7 @@
 #include "testing/ProgramGen.h"
 
 #include <memory>
+#include <sstream>
 
 namespace dchm {
 
@@ -158,6 +159,40 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
   Out.Metrics = VM.metrics();
   Out.Output = VM.interp().output();
   return Out;
+}
+
+std::string MvmRunResult::failure(const std::string &What) const {
+  if (!ok())
+    return Error;
+  if (Violations)
+    return "auditor violations (" + What + "):\n" + AuditReport;
+  return "";
+}
+
+bool hasThreadsDirective(const std::string &Source) {
+  std::istringstream In(Source);
+  for (std::string Line; std::getline(In, Line);)
+    if (Line == "#!threads")
+      return true;
+  return false;
+}
+
+std::string threadsFailure(const std::string &Source, MvmRunConfig Cfg,
+                           std::vector<MvmRunResult> &Runs) {
+  for (unsigned TN : {1u, 2u, 4u}) {
+    Cfg.TmainMutators = TN;
+    Runs.push_back(runMvm(Source, Cfg));
+    const MvmRunResult &O = Runs.back();
+    std::string Why = O.failure(
+        TN == 1 ? "1 mutator" : std::to_string(TN) + " mutators");
+    if (!Why.empty())
+      return Why;
+    for (unsigned T = 0; T < TN; ++T)
+      if (O.ThreadHashes[T] != Runs.front().ThreadHashes[0])
+        return "mutator " + std::to_string(T) + " of " + std::to_string(TN) +
+               " diverged from the single-mutator tmain stream";
+  }
+  return "";
 }
 
 } // namespace dchm

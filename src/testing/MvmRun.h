@@ -9,7 +9,8 @@
 /// The one definition of how a `.mvm` program runs. The differential
 /// fuzzer (tools/dchm_fuzz), its shrinker, its fault-injection and
 /// multi-mutator modes, and the replay command `dchm_run exec` all call
-/// runMvm, so a replay runs exactly what the failing run ran.
+/// runMvm, and the multi-mutator oracle (threadsFailure) lives here too, so
+/// a replay runs exactly what the failing run ran.
 ///
 /// A run assembles the source, parses its `#!` directives (ProgramGen)
 /// whether or not it mutates, applies `#!adaptive`, attaches the
@@ -73,10 +74,25 @@ struct MvmRunResult {
   uint64_t OnSpecialAtRetire = 0;
 
   bool ok() const { return Error.empty(); }
+  /// Why this run fails an oracle's per-run checks (it stopped with an
+  /// error, or the auditor found violations; What names the run), or "".
+  std::string failure(const std::string &What) const;
 };
 
 /// Runs one `.mvm` program as Cfg says.
 MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg);
+
+/// True when Source carries a `#!threads` line, the mark `dchm_fuzz
+/// --threads` puts on its artifacts: such a file replays through
+/// threadsFailure.
+bool hasThreadsDirective(const std::string &Source);
+
+/// The multi-mutator oracle: runs Cfg with `Main.tmain` on 1, 2 and 4
+/// mutators. Every run must pass its per-run checks, and every mutator's
+/// output hash must equal the 1-mutator stream. Returns why Source fails
+/// ("" when it passes); Runs receives the runs made, in order.
+std::string threadsFailure(const std::string &Source, MvmRunConfig Cfg,
+                           std::vector<MvmRunResult> &Runs);
 
 } // namespace dchm
 

@@ -765,7 +765,9 @@ bool ProgramGen::parsePlanDirectives(const std::string &Source, Program &P,
   std::istringstream In(Source);
   std::string Line;
   while (std::getline(In, Line)) {
-    if (Line.rfind("#!", 0) != 0)
+    // `#!threads` selects `dchm_run exec`'s replay mode (see
+    // hasThreadsDirective in testing/MvmRun.h); it carries no plan data.
+    if (Line.rfind("#!", 0) != 0 || Line == "#!threads")
       continue;
     std::istringstream LS(Line.substr(2));
     std::string Kind;

@@ -167,8 +167,8 @@ public:
   /// Renders just the `#!` plan directives for the current model.
   std::string renderDirectives() const;
 
-  /// Parses the `#!adaptive` / `#!mutable` / `#!hot` comment directives of
-  /// Source against an assembled-and-linked Program, resolving class,
+  /// Parses the `#!adaptive` / `#!segments` / `#!threads` / `#!mutable` /
+  /// `#!hot` comment directives of Source against an assembled-and-linked Program, resolving class,
   /// field, and method names. Returns false (with Err set) on malformed
   /// directives or names the program does not define.
   static bool parsePlanDirectives(const std::string &Source, Program &P,

@@ -34,7 +34,7 @@ HotMethodProfile profileWith(const Program &P,
 TEST(StateFieldAnalysis, BranchUseInHotMethodScores) {
   CounterFixture Fx;
   HotMethodProfile Prof = profileWith(*Fx.P, {{Fx.Bump, 0.8}});
-  auto Res = analyzeStateFields(*Fx.P, Prof, {});
+  auto Res = analyzeStateFields(*Fx.P, Prof);
   // Counter declares the hot bump(); mode is used in its branches.
   bool FoundMode = false;
   for (const ClassStateFields &C : Res) {
@@ -52,14 +52,14 @@ TEST(StateFieldAnalysis, BranchUseInHotMethodScores) {
 TEST(StateFieldAnalysis, ColdMethodsYieldNoCandidates) {
   CounterFixture Fx;
   HotMethodProfile Prof = profileWith(*Fx.P, {}); // nothing hot
-  auto Res = analyzeStateFields(*Fx.P, Prof, {});
+  auto Res = analyzeStateFields(*Fx.P, Prof);
   EXPECT_TRUE(Res.empty());
 }
 
 TEST(StateFieldAnalysis, NonBranchFieldDoesNotScore) {
   CounterFixture Fx;
   HotMethodProfile Prof = profileWith(*Fx.P, {{Fx.Bump, 0.8}, {Fx.Get, 0.2}});
-  auto Res = analyzeStateFields(*Fx.P, Prof, {});
+  auto Res = analyzeStateFields(*Fx.P, Prof);
   // `total` is read and written in hot methods but never feeds a branch:
   // its assignments in the hot bump() should keep it out.
   for (const ClassStateFields &C : Res)
@@ -69,7 +69,7 @@ TEST(StateFieldAnalysis, NonBranchFieldDoesNotScore) {
 
 TEST(StateFieldAnalysis, HotAssignmentPenaltyKnocksFieldOut) {
   // A field used in branches but also reassigned (non-constant) in the same
-  // hot method fails EQ 1 with a reasonable R.
+  // hot method fails EQ 1: the penalty R * 0.9 outweighs the branch use 0.9.
   Program P;
   ClassId C = P.defineClass("C");
   FieldId F = P.defineField(C, "f", Type::I64, false);
@@ -88,9 +88,8 @@ TEST(StateFieldAnalysis, HotAssignmentPenaltyKnocksFieldOut) {
   }
   P.link();
   HotMethodProfile Prof = profileWith(P, {{M, 0.9}});
-  StateFieldConfig Cfg;
-  Cfg.R = 2.0;
-  auto Res = analyzeStateFields(P, Prof, Cfg);
+  static_assert(AssignmentPenaltyR > 1.0);
+  auto Res = analyzeStateFields(P, Prof);
   for (const ClassStateFields &CS : Res)
     for (const StateFieldCandidate &Cand : CS.Candidates)
       EXPECT_NE(Cand.Field, F);
@@ -98,7 +97,8 @@ TEST(StateFieldAnalysis, HotAssignmentPenaltyKnocksFieldOut) {
 
 TEST(StateFieldAnalysis, SameConstantAssignmentIsExempt) {
   // The paper's relaxation: a field always assigned the same constant in a
-  // hot function keeps its score.
+  // hot function keeps its score. Without it the penalty R * 0.9 would
+  // outweigh the branch use 0.9 and knock the field out.
   Program P;
   ClassId C = P.defineClass("C");
   FieldId F = P.defineField(C, "f", Type::I64, false);
@@ -117,9 +117,8 @@ TEST(StateFieldAnalysis, SameConstantAssignmentIsExempt) {
   }
   P.link();
   HotMethodProfile Prof = profileWith(P, {{M, 0.9}});
-  StateFieldConfig Cfg;
-  Cfg.R = 100.0; // would annihilate any penalized field
-  auto Res = analyzeStateFields(P, Prof, Cfg);
+  static_assert(AssignmentPenaltyR > 1.0);
+  auto Res = analyzeStateFields(P, Prof);
   bool Found = false;
   for (const ClassStateFields &CS : Res)
     for (const StateFieldCandidate &Cand : CS.Candidates)
@@ -172,7 +171,7 @@ TEST(StateFieldAnalysis, LoopNestingBoostsScore) {
   auto [PFlat, IdsFlat] = Build(false);
   auto Score = [&](Program &P, MethodId M, FieldId F) {
     HotMethodProfile Prof = profileWith(P, {{M, 0.5}});
-    auto Res = analyzeStateFields(P, Prof, {});
+    auto Res = analyzeStateFields(P, Prof);
     for (auto &CS : Res)
       for (auto &Cand : CS.Candidates)
         if (Cand.Field == F)

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
 using namespace dchm;
@@ -62,7 +63,7 @@ TEST(Retirement, RestoresPristineHierarchy) {
   for (const ImtEntry &E : C.Imt->Slots)
     EXPECT_NE(E.K, ImtEntry::Kind::TibOffset); // un-rewired to Direct
   EXPECT_EQ(VM.mutation().stats().PlanRetirements, 1u);
-  EXPECT_EQ(VM.mutation().plan(), nullptr);
+  EXPECT_EQ(VM.program().mutationPlan(), nullptr);
   // Nothing references the retired TIBs and no frame is live, so the
   // reclamation list drained on the spot.
   EXPECT_EQ(Fx.P->retiredTibCount(), 0u);
@@ -100,6 +101,77 @@ TEST(Retirement, ReinstallAfterRetireWorks) {
   int64_t Before = get(Fx, VM, O2);
   VM.call(Fx.DriveBump, {valueR(O2), valueI(10)});
   EXPECT_EQ(get(Fx, VM, O2), Before + 100); // mode 1: +10 each
+}
+
+TEST(Retirement, ReinstallWithDifferentPlan) {
+  // Counters of modes 0 and 1 run under the fixture plan (hot states
+  // {0, 1}) until bump reaches opt1; the plan is retired and one with hot
+  // state {1} alone installed; then bump gets hot enough for opt2. Every
+  // layer must follow the new plan. A mutation-off VM making the same calls
+  // is the oracle.
+  auto Drive = [](CounterFixture &Fx, VirtualMachine &VM,
+                  const std::function<void()> &Swap,
+                  const std::function<void(Object *, Object *)> &Check) {
+    LocalRootScope Pin(VM.heap());
+    Object *O0 = Fx.makeCounter(VM, 0);
+    Pin.add(O0);
+    Object *O1 = Fx.makeCounter(VM, 1);
+    Pin.add(O1);
+    VM.call(Fx.DriveBump, {valueR(O0), valueI(1000)});
+    Swap();
+    makeHot(Fx, VM, O1);
+    Check(O0, O1);
+    VM.call(Fx.DriveBump, {valueR(O0), valueI(100)});
+    VM.call(Fx.DriveIface, {valueR(O1), valueI(100)});
+    VM.call(Fx.Report, {valueR(O0)});
+    VM.call(Fx.Report, {valueR(O1)});
+    return VM.interp().output();
+  };
+
+  std::string Baseline;
+  {
+    CounterFixture Fx;
+    VMOptions Opts;
+    Opts.EnableMutation = false;
+    VirtualMachine VM(*Fx.P, Opts);
+    Baseline = Drive(Fx, VM, [] {}, [](Object *, Object *) {});
+  }
+
+  CounterFixture Fx;
+  MutationPlan OnlyMode1 = Fx.Plan;
+  std::vector<HotState> &States = OnlyMode1.Classes[0].HotStates;
+  States.erase(States.begin());
+  VirtualMachine VM(*Fx.P, {});
+  ConsistencyAuditor Auditor(VM);
+  VM.setAuditHook(&Auditor);
+  VM.setMutationPlan(&Fx.Plan);
+  const ClassInfo &C = Fx.P->cls(Fx.Counter);
+  const MethodInfo &Bump = Fx.P->method(Fx.Bump);
+  std::string Out = Drive(
+      Fx, VM,
+      [&] {
+        ASSERT_EQ(Bump.CurOptLevel.load(), 1);
+        ASSERT_TRUE(VM.retireMutationPlan());
+        VM.setMutationPlan(&OnlyMode1);
+      },
+      [&](Object *O0, Object *O1) {
+        EXPECT_EQ(VM.program().mutationPlan(), &OnlyMode1);
+        ASSERT_EQ(Bump.CurOptLevel.load(), TopOptLevel);
+        ASSERT_EQ(C.SpecialTibs.size(), 1u);
+        ASSERT_EQ(Bump.Specials.size(), 1u);
+        const CompiledMethod *SP = Bump.Specials[0];
+        ASSERT_NE(SP, nullptr);
+        EXPECT_EQ(SP->stateIndex(), 0);
+        // Mode 1 is the new plan's state 0: O1 dispatches to its body.
+        // Mode 0 is no hot state any more: O0 runs general code.
+        EXPECT_EQ(O1->Tib, C.SpecialTibs[0]);
+        EXPECT_EQ(C.SpecialTibs[0]->Slots[Bump.VSlot], SP);
+        EXPECT_EQ(O0->Tib, C.ClassTib);
+        EXPECT_EQ(C.ClassTib->Slots[Bump.VSlot], Bump.General);
+      });
+  EXPECT_EQ(Out, Baseline);
+  Auditor.auditNow("end of test");
+  EXPECT_TRUE(Auditor.clean()) << Auditor.report();
 }
 
 TEST(Retirement, GeneralCodeRunsAfterRetire) {

@@ -115,11 +115,37 @@ TEST_F(InlineFixture, InlinesEffectivelyFinalVirtual) {
 }
 
 TEST_F(InlineFixture, SizeBoundRejectsLargeCallee) {
-  InlinerConfig Cfg;
-  Cfg.MaxCalleeInsts = 1;
-  InlineStats S = runInliner(CallerStatic, Cfg);
-  EXPECT_EQ(S.SitesInlined, 0u);
-  EXPECT_EQ(countCalls(P.method(CallerStatic).Bytecode), 1u);
+  // A callee at the size bound inlines; one instruction more does not.
+  for (unsigned Size : {Inliner::MaxCalleeInsts, Inliner::MaxCalleeInsts + 1}) {
+    Program P2;
+    ClassId D = P2.defineClass("D");
+    MethodId H = P2.defineMethod(D, "h", Type::I64, {Type::I64},
+                                 {.IsStatic = true});
+    {
+      FunctionBuilder B("D.h", Type::I64);
+      Reg X = B.addArg(Type::I64);
+      Reg Acc = B.newReg(Type::I64);
+      for (unsigned I = 1; I < Size; ++I)
+        B.move(Acc, X);
+      B.ret(Acc);
+      P2.setBody(H, B.finalize());
+    }
+    MethodId Caller = P2.defineMethod(D, "caller", Type::I64, {Type::I64},
+                                      {.IsStatic = true});
+    {
+      FunctionBuilder B("D.caller", Type::I64);
+      Reg X = B.addArg(Type::I64);
+      B.ret(B.callStatic(H, {X}, Type::I64));
+      P2.setBody(Caller, B.finalize());
+    }
+    P2.link();
+    ASSERT_EQ(P2.method(H).Bytecode.Insts.size(), Size);
+    Inliner Inl(P2, {}, nullptr, nullptr);
+    InlineStats S = Inl.run(P2.method(Caller).Bytecode, P2.method(Caller));
+    bool Fits = Size <= Inliner::MaxCalleeInsts;
+    EXPECT_EQ(S.SitesInlined, Fits ? 1u : 0u) << "callee of " << Size;
+    EXPECT_EQ(countCalls(P2.method(Caller).Bytecode), Fits ? 0u : 1u);
+  }
 }
 
 TEST_F(InlineFixture, RecursionIsNotInlinedForever) {
@@ -131,7 +157,9 @@ TEST_F(InlineFixture, RecursionIsNotInlinedForever) {
 }
 
 TEST_F(InlineFixture, GrowthBudgetCapsTotalInlining) {
-  // A caller with many call sites: the growth budget must stop inlining.
+  // A caller with twice the call sites of a 20-instruction callee that the
+  // growth budget admits: the budget must stop inlining.
+  constexpr unsigned Sites = 2 * Inliner::MaxFunctionGrowth / 20;
   Program P2;
   ClassId D = P2.defineClass("D");
   MethodId H = P2.defineMethod(D, "h", Type::I64, {Type::I64},
@@ -139,7 +167,7 @@ TEST_F(InlineFixture, GrowthBudgetCapsTotalInlining) {
   {
     FunctionBuilder B("D.h", Type::I64);
     Reg X = B.addArg(Type::I64);
-    // ~20 instructions of filler.
+    // 20 instructions.
     Reg Acc = B.newReg(Type::I64);
     B.move(Acc, X);
     for (int I = 0; I < 9; ++I)
@@ -154,19 +182,19 @@ TEST_F(InlineFixture, GrowthBudgetCapsTotalInlining) {
     Reg X = B.addArg(Type::I64);
     Reg Acc = B.newReg(Type::I64);
     B.move(Acc, X);
-    for (int I = 0; I < 20; ++I)
+    for (unsigned I = 0; I < Sites; ++I)
       B.move(Acc, B.add(Acc, B.callStatic(H, {Acc}, Type::I64)));
     B.ret(Acc);
     P2.setBody(Caller, B.finalize());
   }
   P2.link();
-  InlinerConfig Cfg;
-  Cfg.MaxFunctionGrowth = 60; // only a few sites fit
-  Inliner Inl(P2, Cfg, nullptr, nullptr);
+  ASSERT_EQ(P2.method(H).Bytecode.Insts.size(), 20u);
+  Inliner Inl(P2, {}, nullptr, nullptr);
   InlineStats S = Inl.run(P2.method(Caller).Bytecode, P2.method(Caller));
   EXPECT_GT(S.SitesInlined, 0u);
-  EXPECT_LT(S.SitesInlined, 20u);
-  EXPECT_LE(S.InstsAdded, 60u + 25u); // budget plus one callee of slack
+  EXPECT_LT(S.SitesInlined, Sites);
+  // Budget plus one callee of slack.
+  EXPECT_LE(S.InstsAdded, Inliner::MaxFunctionGrowth + 25u);
 }
 
 TEST_F(InlineFixture, PolymorphicVirtualIsNotInlined) {

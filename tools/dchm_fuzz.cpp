@@ -18,7 +18,8 @@
 // Every run goes through testing/MvmRun, the harness `dchm_run exec`
 // replays with. Failures serialize the offending program to
 // fuzz-fail-<seed>.mvm, shrink it with the greedy delta-minimizer, and
-// print a replay line (`dchm_run exec`, or the seed for --threads).
+// print a `dchm_run exec` replay line (a --threads artifact carries a
+// `#!threads` directive, so exec replays it through the threads oracle).
 // Injection modes (--inject-skip-tib / --inject-skip-code /
 // --inject-partial-retire) flip one MutationDebugFlags fault on and require
 // the auditor to catch the break, replaying from the serialized artifact to
@@ -47,6 +48,7 @@
 #include "testing/MvmRun.h"
 #include "testing/ProgramGen.h"
 
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <fstream>
@@ -147,113 +149,53 @@ int runMalformed(uint64_t N, uint64_t SeedBase) {
   return 0;
 }
 
-/// Why O fails the oracle's per-run checks ("" when it passes).
-std::string runFailure(const MvmRunResult &O, const std::string &What) {
-  if (!O.ok())
-    return O.Error;
-  if (O.Violations)
-    return "auditor violations (" + What + "):\n" + O.AuditReport;
-  return "";
-}
-
-/// The differential oracle: Source with mutation off and on, auditor
-/// attached, same output and result. Returns why it fails ("" = passes).
-std::string differentialFailure(const std::string &Source, uint64_t Stride,
-                                uint64_t &Runs) {
-  MvmRunResult Base[2]; // [0] = mutation off, [1] = on
-  for (int Mut = 0; Mut < 2; ++Mut) {
-    MvmRunConfig Cfg;
-    Cfg.Mutate = Mut == 1;
-    Cfg.AuditStride = Stride;
-    Base[Mut] = runMvm(Source, Cfg);
-    ++Runs;
-    std::string Why =
-        runFailure(Base[Mut], Mut ? "mutation on" : "mutation off");
+/// The differential oracle: Cfg with mutation off and on, same output and
+/// result. Returns why it fails ("" = passes); Runs receives the runs made.
+std::string differentialFailure(const std::string &Source, MvmRunConfig Cfg,
+                                std::vector<MvmRunResult> &Runs) {
+  for (bool Mut : {false, true}) {
+    Cfg.Mutate = Mut;
+    Runs.push_back(runMvm(Source, Cfg));
+    std::string Why = Runs.back().failure(Mut ? "mutation on" : "mutation off");
     if (!Why.empty())
       return Why;
   }
   // Transparency: mutation must not change what the program computes.
-  if (Base[0].Output != Base[1].Output || Base[0].Result.I != Base[1].Result.I)
-    return "mutation changed program output:\n  off: " + Base[0].Output +
-           "\n  on:  " + Base[1].Output;
-  return "";
-}
-
-/// The --threads oracle: Main.tmain on 1, 2 and 4 mutators with mutation
-/// on, every per-thread hash equal to the single-mutator stream, auditor
-/// clean. Returns why it fails ("" = passes).
-std::string threadsFailure(const std::string &Source, uint64_t Stride,
-                           uint64_t &Runs) {
-  uint64_t Ref = 0;
-  for (unsigned TN : {1u, 2u, 4u}) {
-    MvmRunConfig Cfg;
-    Cfg.Mutate = true;
-    Cfg.TmainMutators = TN;
-    Cfg.AuditStride = Stride;
-    MvmRunResult O = runMvm(Source, Cfg);
-    ++Runs;
-    std::string Why = runFailure(
-        O, TN == 1 ? "1 mutator" : std::to_string(TN) + " mutators");
-    if (!Why.empty())
-      return Why;
-    if (TN == 1)
-      Ref = O.ThreadHashes[0];
-    for (unsigned T = 0; T < TN; ++T)
-      if (O.ThreadHashes[T] != Ref)
-        return "mutator " + std::to_string(T) + " of " + std::to_string(TN) +
-               " diverged from the single-mutator tmain stream";
-  }
+  const MvmRunResult &Off = Runs[0], &On = Runs[1];
+  if (Off.Output != On.Output || Off.Result.I != On.Result.I)
+    return "mutation changed program output:\n  off: " + Off.Output +
+           "\n  on:  " + On.Output;
   return "";
 }
 
 /// Writes the failing program and its minimization and prints how to replay
 /// them. The shrinker keeps a removal when the program still fails the same
-/// oracle.
+/// oracle. A --threads artifact carries `#!threads`, so the one `dchm_run
+/// exec` replay line runs it through the threads oracle.
 int reportFailure(ProgramGen &G, uint64_t Seed, const std::string &Source,
-                  const std::string &Why, bool Threads, uint64_t Stride) {
+                  const std::string &Why, bool Threads,
+                  const MvmRunConfig &Cfg) {
+  auto Artifact = [&](std::string S) {
+    if (Threads)
+      S.insert(std::min(S.find("#!"), S.size()), "#!threads\n");
+    return S;
+  };
   std::string Path = "fuzz-fail-" + std::to_string(Seed) + ".mvm";
-  writeArtifact(Path, Source);
+  writeArtifact(Path, Artifact(Source));
   std::fprintf(stderr, "FAIL seed=%llu: %s\n  artifact: %s\n",
                static_cast<unsigned long long>(Seed), Why.c_str(),
                Path.c_str());
   auto Oracle = Threads ? threadsFailure : differentialFailure;
   std::string Min = G.minimize([&](const std::string &S) {
-    uint64_t Ignored = 0;
-    return !Oracle(S, Stride, Ignored).empty();
+    std::vector<MvmRunResult> Ignored;
+    return !Oracle(S, Cfg, Ignored).empty();
   });
   std::string MinPath = "fuzz-fail-" + std::to_string(Seed) + ".min.mvm";
-  writeArtifact(MinPath, Min);
+  writeArtifact(MinPath, Artifact(Min));
   std::fprintf(stderr, "  minimized: %s\n", MinPath.c_str());
-  // exec runs one mutator and never Main.tmain, so a --threads failure
-  // replays through its seed.
-  if (Threads)
-    std::fprintf(stderr, "  replay: dchm_fuzz --threads --n=1 --seed=%llu\n",
-                 static_cast<unsigned long long>(Seed));
-  else
-    std::fprintf(stderr,
-                 "  replay: dchm_run exec %s --entry=Main.main --mutate "
-                 "--audit\n",
-                 MinPath.c_str());
+  std::fprintf(stderr, "  replay: dchm_run exec %s --mutate --audit\n",
+               MinPath.c_str());
   return 1;
-}
-
-/// --threads mode: per-thread hash equivalence against the single-mutator
-/// reference at 2 and 4 mutators, auditor clean throughout.
-int runThreadsDimension(uint64_t N, uint64_t SeedBase, uint64_t Stride) {
-  uint64_t Runs = 0;
-  for (uint64_t I = 0; I < N; ++I) {
-    uint64_t Seed = SeedBase + I;
-    ProgramGen G(Seed);
-    std::string Source = G.generate();
-    std::string Why = threadsFailure(Source, Stride, Runs);
-    if (!Why.empty())
-      return reportFailure(G, Seed, Source, Why, /*Threads=*/true, Stride);
-  }
-  std::printf("fuzz: %llu programs, %llu runs, threads dimension {1,2,4}: "
-              "all per-thread streams deterministic, auditor clean\n",
-              static_cast<unsigned long long>(N),
-              static_cast<unsigned long long>(Runs));
-  return 0;
 }
 
 } // namespace
@@ -288,11 +230,14 @@ int main(int Argc, char **Argv) {
 
   if (Malformed)
     return runMalformed(Malformed, SeedBase);
-  if (ThreadsDim)
-    return runThreadsDimension(N, SeedBase, Stride);
 
-  const bool Inject = Faults.SkipTibSwing || Faults.SkipCodePointerUpdate ||
-                      Faults.SkipRetireSwing;
+  // --threads ignores the injection flags.
+  const bool Inject = !ThreadsDim && (Faults.SkipTibSwing ||
+                                      Faults.SkipCodePointerUpdate ||
+                                      Faults.SkipRetireSwing);
+  MvmRunConfig Cfg;
+  Cfg.Mutate = true;
+  Cfg.AuditStride = Stride;
   uint64_t Runs = 0;
   for (uint64_t I = 0; I < N; ++I) {
     uint64_t Seed = SeedBase + I;
@@ -316,11 +261,9 @@ int main(int Argc, char **Argv) {
       std::ifstream In(Path);
       std::stringstream Ss;
       Ss << In.rdbuf();
-      MvmRunConfig Cfg;
-      Cfg.Mutate = true;
-      Cfg.AuditStride = Stride;
-      Cfg.Faults = Faults;
-      MvmRunResult Broken = runMvm(Ss.str(), Cfg);
+      MvmRunConfig Broke = Cfg;
+      Broke.Faults = Faults;
+      MvmRunResult Broken = runMvm(Ss.str(), Broke);
       ++Runs;
       if (!Broken.ok()) {
         std::fprintf(stderr, "FAIL seed=%llu: %s\n",
@@ -345,14 +288,19 @@ int main(int Argc, char **Argv) {
       continue;
     }
 
-    std::string Why = differentialFailure(Source, Stride, Runs);
+    std::vector<MvmRunResult> Made;
+    std::string Why = ThreadsDim ? threadsFailure(Source, Cfg, Made)
+                                 : differentialFailure(Source, Cfg, Made);
+    Runs += Made.size();
     if (!Why.empty())
-      return reportFailure(G, Seed, Source, Why, /*Threads=*/false, Stride);
+      return reportFailure(G, Seed, Source, Why, ThreadsDim, Cfg);
   }
-  std::printf("fuzz: %llu programs, %llu runs, %s: all consistent\n",
+  std::printf("fuzz: %llu programs, %llu runs, %s\n",
               static_cast<unsigned long long>(N),
               static_cast<unsigned long long>(Runs),
-              Inject ? "fault injection, mutation on"
-                     : "1 config x mutation off/on");
+              ThreadsDim ? "threads dimension {1,2,4}: all per-thread streams "
+                           "deterministic, auditor clean"
+              : Inject   ? "fault injection, mutation on: all consistent"
+                         : "1 config x mutation off/on: all consistent");
   return 0;
 }

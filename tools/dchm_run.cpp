@@ -226,8 +226,10 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
 /// (testing/MvmRun), so fuzzer artifacts replay byte-for-byte
 /// (docs/fuzzing.md): `#!adaptive` and `#!segments` always apply, --mutate
 /// installs the `#!` plan, and --audit attaches a ConsistencyAuditor and
-/// fails the run on any invariant violation. All failure paths are
-/// recoverable diagnostics (exit 1), never aborts.
+/// fails the run on any invariant violation. A file carrying `#!threads`
+/// runs the fuzzer's threads oracle instead (Main.tmain on 1, 2 and 4
+/// mutators must agree) and prints its 1-mutator run. All failure paths
+/// are recoverable diagnostics (exit 1), never aborts.
 int cmdExec(const std::string &Path, const MvmRunConfig &Cfg) {
   std::ifstream In(Path);
   if (!In) {
@@ -236,11 +238,19 @@ int cmdExec(const std::string &Path, const MvmRunConfig &Cfg) {
   }
   std::stringstream Ss;
   Ss << In.rdbuf();
-  MvmRunResult R = runMvm(Ss.str(), Cfg);
-  if (!R.ok()) {
-    std::fprintf(stderr, "%s: %s\n", Path.c_str(), R.Error.c_str());
+  std::vector<MvmRunResult> Runs;
+  std::string Why;
+  if (hasThreadsDirective(Ss.str())) {
+    Why = threadsFailure(Ss.str(), Cfg, Runs);
+  } else {
+    Runs.push_back(runMvm(Ss.str(), Cfg));
+    Why = Runs[0].Error;
+  }
+  if (!Why.empty()) {
+    std::fprintf(stderr, "%s: %s\n", Path.c_str(), Why.c_str());
     return 1;
   }
+  const MvmRunResult &R = Runs[0];
   if (!R.Output.empty())
     std::printf("output: %s\n", R.Output.c_str());
   if (R.ResultType == Type::I64)
