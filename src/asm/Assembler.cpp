@@ -620,21 +620,6 @@ private:
     FunctionBuilder &B = *C.B;
     auto Bind = [&](Reg R) { bindDst(C, Dst, R); };
 
-    static const std::map<std::string, Opcode> Binops = {
-        {"add", Opcode::Add},       {"sub", Opcode::Sub},
-        {"mul", Opcode::Mul},       {"div", Opcode::Div},
-        {"rem", Opcode::Rem},       {"and", Opcode::And},
-        {"or", Opcode::Or},         {"xor", Opcode::Xor},
-        {"shl", Opcode::Shl},       {"shr", Opcode::Shr},
-        {"fadd", Opcode::FAdd},     {"fsub", Opcode::FSub},
-        {"fmul", Opcode::FMul},     {"fdiv", Opcode::FDiv}};
-    static const std::map<std::string, Opcode> Cmps = {
-        {"cmpeq", Opcode::CmpEQ},   {"cmpne", Opcode::CmpNE},
-        {"cmplt", Opcode::CmpLT},   {"cmple", Opcode::CmpLE},
-        {"cmpgt", Opcode::CmpGT},   {"cmpge", Opcode::CmpGE},
-        {"fcmpeq", Opcode::FCmpEQ}, {"fcmplt", Opcode::FCmpLT},
-        {"fcmple", Opcode::FCmpLE}};
-
     if (N == "consti") {
       Token V = bexpect(C, Tok::Int, "an integer");
       if (!failed())
@@ -649,26 +634,18 @@ private:
         error(V, "expected a number");
     } else if (N == "constnull") {
       Bind(B.constNull());
-    } else if (auto It = Binops.find(N); It != Binops.end()) {
-      Reg A = readReg(C);
-      bexpect(C, Tok::Comma, "','");
-      Reg Bv = readReg(C);
-      if (!failed())
-        Bind(B.arith(It->second, A, Bv));
-    } else if (auto It2 = Cmps.find(N); It2 != Cmps.end()) {
-      Reg A = readReg(C);
-      bexpect(C, Tok::Comma, "','");
-      Reg Bv = readReg(C);
-      if (!failed())
-        Bind(B.cmp(It2->second, A, Bv));
-    } else if (N == "neg") {
-      Bind(B.neg(readReg(C)));
-    } else if (N == "fneg") {
-      Bind(B.fneg(readReg(C)));
-    } else if (N == "i2f") {
-      Bind(B.i2f(readReg(C)));
-    } else if (N == "f2i") {
-      Bind(B.f2i(readReg(C)));
+    } else if (auto TOp = opcodeFromMnemonic(N);
+               TOp && opcodeInfo(*TOp).Family != OpFamily::Other) {
+      // A binop, compare or unop: the opcode table spells it.
+      if (opcodeInfo(*TOp).Family == OpFamily::Unop) {
+        Bind(B.unop(*TOp, readReg(C)));
+      } else {
+        Reg A = readReg(C);
+        bexpect(C, Tok::Comma, "','");
+        Reg Bv = readReg(C);
+        if (!failed())
+          Bind(B.arith(*TOp, A, Bv));
+      }
     } else if (N == "move") {
       Reg Src = readReg(C);
       if (!failed())

@@ -108,36 +108,11 @@ inline Value evalBinop(Opcode Op, Value A, Value B) {
   }
 }
 
-/// True if the opcode is a binary operation evalBinop understands.
+/// True if the opcode is a binary operation evalBinop understands: a binop
+/// or compare of the opcode table.
 inline bool isBinop(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Rem:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-  case Opcode::FDiv:
-  case Opcode::CmpEQ:
-  case Opcode::CmpNE:
-  case Opcode::CmpLT:
-  case Opcode::CmpLE:
-  case Opcode::CmpGT:
-  case Opcode::CmpGE:
-  case Opcode::FCmpEQ:
-  case Opcode::FCmpLT:
-  case Opcode::FCmpLE:
-    return true;
-  default:
-    return false;
-  }
+  OpFamily F = opcodeInfo(Op).Family;
+  return F == OpFamily::Binop || F == OpFamily::Compare;
 }
 
 /// Java's double-to-long conversion: truncates toward zero, saturates out
@@ -169,9 +144,9 @@ inline Value evalUnop(Opcode Op, Value A) {
   }
 }
 
+/// True if the opcode is a unary operation evalUnop understands.
 inline bool isUnop(Opcode Op) {
-  return Op == Opcode::Neg || Op == Opcode::FNeg || Op == Opcode::I2F ||
-         Op == Opcode::F2I;
+  return opcodeInfo(Op).Family == OpFamily::Unop;
 }
 
 } // namespace dchm

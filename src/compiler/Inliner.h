@@ -52,6 +52,15 @@ struct InlineStats {
   unsigned GuardedInlines = 0;        ///< class-test-guarded inlines
   unsigned TradeoffRejections = 0;    ///< sites left to specialization
   unsigned InstsAdded = 0;
+
+  InlineStats &operator+=(const InlineStats &O) {
+    SitesInlined += O.SitesInlined;
+    SpecializationInlines += O.SpecializationInlines;
+    GuardedInlines += O.GuardedInlines;
+    TradeoffRejections += O.TradeoffRejections;
+    InstsAdded += O.InstsAdded;
+    return *this;
+  }
 };
 
 /// Inlines call sites of F (the body of Root) in place.

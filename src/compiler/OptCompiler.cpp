@@ -71,11 +71,7 @@ CompiledMethod *OptCompiler::compileGeneral(MethodInfo &M, int Level) {
   IRFunction Code = M.Bytecode;
   if (Level >= 2) {
     Inliner Inl(P, InlineCfg, Olc, P.mutationPlan());
-    InlineStats IS = Inl.run(Code, M);
-    Stats.Inlining.SitesInlined += IS.SitesInlined;
-    Stats.Inlining.SpecializationInlines += IS.SpecializationInlines;
-    Stats.Inlining.TradeoffRejections += IS.TradeoffRejections;
-    Stats.Inlining.InstsAdded += IS.InstsAdded;
+    Stats.Inlining += Inl.run(Code, M);
   }
   CompiledMethod *CM = finish(M, std::move(Code), Level, -1);
   if (Level > M.CurOptLevel)

@@ -307,24 +307,14 @@ Value Interpreter::executeLoop(CompiledMethod *CM, const Value *Args,
       CB.onBackedge(M);
   };
 
-  // Label-address table in HandlerId order: first one handler per opcode
-  // (every binop and compare has its own; the unop family shares a label),
-  // then one per fused group.
+  // Label-address table in HandlerId order: first one handler per opcode,
+  // expanded from the opcode table (every binop and compare has its own
+  // handler; the unop family's four labels sit on one), then one per fused
+  // group.
   static const void *const JumpTab[] = {
-      &&L_ConstI, &&L_ConstF, &&L_ConstNull, &&L_Move,
-      &&L_Add, &&L_Sub, &&L_Mul, &&L_Div, &&L_Rem,
-      &&L_And, &&L_Or, &&L_Xor, &&L_Shl, &&L_Shr,
-      &&L_Unop, // Neg
-      &&L_FAdd, &&L_FSub, &&L_FMul, &&L_FDiv,
-      &&L_Unop, // FNeg
-      &&L_CmpEQ, &&L_CmpNE, &&L_CmpLT, &&L_CmpLE, &&L_CmpGT, &&L_CmpGE,
-      &&L_FCmpEQ, &&L_FCmpLT, &&L_FCmpLE,
-      &&L_Unop, &&L_Unop, // I2F F2I
-      &&L_Br, &&L_Cbnz, &&L_Cbz, &&L_Ret,
-      &&L_New, &&L_NewArray, &&L_ALoad, &&L_AStore, &&L_ALen,
-      &&L_GetField, &&L_PutField, &&L_GetStatic, &&L_PutStatic,
-      &&L_CallStatic, &&L_CallVirtual, &&L_CallSpecial, &&L_CallInterface,
-      &&L_InstanceOf, &&L_CheckCast, &&L_ClassEq, &&L_Print,
+#define DCHM_X(Name, ...) &&L_##Name,
+      DCHM_OPCODES(DCHM_X)
+#undef DCHM_X
 #define DCHM_X(OP) &&L_ConstI_##OP,
       DCHM_CONST_ARITH_OPS(DCHM_X)
 #undef DCHM_X
@@ -490,7 +480,10 @@ L_GetField_Ret: {
   Ret = O->get(Ip->Aux);
   goto done;
 }
-L_Unop: {
+L_Neg:
+L_FNeg:
+L_I2F:
+L_F2I: {
   R[Ip->Dst] = evalUnop(Ip->Op, R[Ip->A]);
   VM_NEXT();
 }

@@ -91,57 +91,26 @@ void FunctionBuilder::move(Reg Dst, Reg Src) {
 }
 
 Reg FunctionBuilder::arith(Opcode Op, Reg A, Reg B) {
-  bool IsFloat = Op == Opcode::FAdd || Op == Opcode::FSub ||
-                 Op == Opcode::FMul || Op == Opcode::FDiv;
-  Reg Dst = newReg(IsFloat ? Type::F64 : Type::I64);
+  const OpcodeInfo &Info = opcodeInfo(Op);
+  DCHM_CHECK(Info.Family == OpFamily::Binop || Info.Family == OpFamily::Compare,
+             "arith needs a binop or compare opcode");
+  Reg Dst = newReg(Info.Result);
   Instruction &I = emit(Op);
-  I.Ty = IsFloat ? Type::F64 : Type::I64;
+  I.Ty = Info.Result;
   I.Dst = Dst;
   I.A = A;
   I.B = B;
   return Dst;
 }
 
-Reg FunctionBuilder::neg(Reg A) {
-  Reg Dst = newReg(Type::I64);
-  Instruction &I = emit(Opcode::Neg);
-  I.Dst = Dst;
-  I.A = A;
-  return Dst;
-}
-
-Reg FunctionBuilder::fneg(Reg A) {
-  Reg Dst = newReg(Type::F64);
-  Instruction &I = emit(Opcode::FNeg);
-  I.Ty = Type::F64;
-  I.Dst = Dst;
-  I.A = A;
-  return Dst;
-}
-
-Reg FunctionBuilder::i2f(Reg A) {
-  Reg Dst = newReg(Type::F64);
-  Instruction &I = emit(Opcode::I2F);
-  I.Ty = Type::F64;
-  I.Dst = Dst;
-  I.A = A;
-  return Dst;
-}
-
-Reg FunctionBuilder::f2i(Reg A) {
-  Reg Dst = newReg(Type::I64);
-  Instruction &I = emit(Opcode::F2I);
-  I.Dst = Dst;
-  I.A = A;
-  return Dst;
-}
-
-Reg FunctionBuilder::cmp(Opcode Op, Reg A, Reg B) {
-  Reg Dst = newReg(Type::I64);
+Reg FunctionBuilder::unop(Opcode Op, Reg A) {
+  const OpcodeInfo &Info = opcodeInfo(Op);
+  DCHM_CHECK(Info.Family == OpFamily::Unop, "unop needs a unop opcode");
+  Reg Dst = newReg(Info.Result);
   Instruction &I = emit(Op);
+  I.Ty = Info.Result;
   I.Dst = Dst;
   I.A = A;
-  I.B = B;
   return Dst;
 }
 

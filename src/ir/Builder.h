@@ -52,7 +52,8 @@ public:
   void move(Reg Dst, Reg Src);
 
   // --- Arithmetic / logic ---------------------------------------------------
-  Reg arith(Opcode Op, Reg A, Reg B); ///< Binary int/float op by opcode.
+  /// Binop or compare by opcode; the result type is the opcode table's.
+  Reg arith(Opcode Op, Reg A, Reg B);
   Reg add(Reg A, Reg B) { return arith(Opcode::Add, A, B); }
   Reg sub(Reg A, Reg B) { return arith(Opcode::Sub, A, B); }
   Reg mul(Reg A, Reg B) { return arith(Opcode::Mul, A, B); }
@@ -67,13 +68,15 @@ public:
   Reg fsub(Reg A, Reg B) { return arith(Opcode::FSub, A, B); }
   Reg fmul(Reg A, Reg B) { return arith(Opcode::FMul, A, B); }
   Reg fdiv(Reg A, Reg B) { return arith(Opcode::FDiv, A, B); }
-  Reg neg(Reg A);
-  Reg fneg(Reg A);
-  Reg i2f(Reg A);
-  Reg f2i(Reg A);
+  /// Unop by opcode; the result type is the opcode table's.
+  Reg unop(Opcode Op, Reg A);
+  Reg neg(Reg A) { return unop(Opcode::Neg, A); }
+  Reg fneg(Reg A) { return unop(Opcode::FNeg, A); }
+  Reg i2f(Reg A) { return unop(Opcode::I2F, A); }
+  Reg f2i(Reg A) { return unop(Opcode::F2I, A); }
 
   /// Comparison producing 0/1; Op must be one of the Cmp*/FCmp* opcodes.
-  Reg cmp(Opcode Op, Reg A, Reg B);
+  Reg cmp(Opcode Op, Reg A, Reg B) { return arith(Op, A, B); }
 
   // --- Control flow ---------------------------------------------------------
   void br(Label L);

@@ -34,8 +34,9 @@ constexpr Reg NoReg = std::numeric_limits<Reg>::max();
 
 /// One MiniVM IR instruction.
 ///
-/// Field usage by opcode family:
-///  - arithmetic/compare: Dst, A, B (Neg/FNeg/Move/conversions use A only)
+/// Field usage by opcode family (the families, and their result and operand
+/// types, are columns of the opcode table DCHM_OPCODES in ir/Opcode.h):
+///  - binop/compare: Dst, A, B; unop (Neg/FNeg/I2F/F2I) and Move: Dst, A
 ///  - ConstI: Dst, Imm; ConstF: Dst, FImm
 ///  - branches: Imm = target instruction index; Cbnz/Cbz also read A
 ///  - field ops: Imm = FieldId, Aux = resolved slot; A = object, B = value

@@ -7,161 +7,13 @@
 
 #include "ir/Opcode.h"
 
-#include "support/Debug.h"
-
 namespace dchm {
 
-const char *opcodeName(Opcode Op) {
-  switch (Op) {
-  case Opcode::ConstI:
-    return "consti";
-  case Opcode::ConstF:
-    return "constf";
-  case Opcode::ConstNull:
-    return "constnull";
-  case Opcode::Move:
-    return "move";
-  case Opcode::Add:
-    return "add";
-  case Opcode::Sub:
-    return "sub";
-  case Opcode::Mul:
-    return "mul";
-  case Opcode::Div:
-    return "div";
-  case Opcode::Rem:
-    return "rem";
-  case Opcode::And:
-    return "and";
-  case Opcode::Or:
-    return "or";
-  case Opcode::Xor:
-    return "xor";
-  case Opcode::Shl:
-    return "shl";
-  case Opcode::Shr:
-    return "shr";
-  case Opcode::Neg:
-    return "neg";
-  case Opcode::FAdd:
-    return "fadd";
-  case Opcode::FSub:
-    return "fsub";
-  case Opcode::FMul:
-    return "fmul";
-  case Opcode::FDiv:
-    return "fdiv";
-  case Opcode::FNeg:
-    return "fneg";
-  case Opcode::CmpEQ:
-    return "cmpeq";
-  case Opcode::CmpNE:
-    return "cmpne";
-  case Opcode::CmpLT:
-    return "cmplt";
-  case Opcode::CmpLE:
-    return "cmple";
-  case Opcode::CmpGT:
-    return "cmpgt";
-  case Opcode::CmpGE:
-    return "cmpge";
-  case Opcode::FCmpEQ:
-    return "fcmpeq";
-  case Opcode::FCmpLT:
-    return "fcmplt";
-  case Opcode::FCmpLE:
-    return "fcmple";
-  case Opcode::I2F:
-    return "i2f";
-  case Opcode::F2I:
-    return "f2i";
-  case Opcode::Br:
-    return "br";
-  case Opcode::Cbnz:
-    return "cbnz";
-  case Opcode::Cbz:
-    return "cbz";
-  case Opcode::Ret:
-    return "ret";
-  case Opcode::New:
-    return "new";
-  case Opcode::NewArray:
-    return "newarray";
-  case Opcode::ALoad:
-    return "aload";
-  case Opcode::AStore:
-    return "astore";
-  case Opcode::ALen:
-    return "alen";
-  case Opcode::GetField:
-    return "getfield";
-  case Opcode::PutField:
-    return "putfield";
-  case Opcode::GetStatic:
-    return "getstatic";
-  case Opcode::PutStatic:
-    return "putstatic";
-  case Opcode::CallStatic:
-    return "callstatic";
-  case Opcode::CallVirtual:
-    return "callvirtual";
-  case Opcode::CallSpecial:
-    return "callspecial";
-  case Opcode::CallInterface:
-    return "callinterface";
-  case Opcode::InstanceOf:
-    return "instanceof";
-  case Opcode::CheckCast:
-    return "checkcast";
-  case Opcode::ClassEq:
-    return "classeq";
-  case Opcode::Print:
-    return "print";
-  }
-  DCHM_UNREACHABLE("unknown opcode");
-}
-
-bool isRemovableWhenDead(Opcode Op) {
-  switch (Op) {
-  case Opcode::ConstI:
-  case Opcode::ConstF:
-  case Opcode::ConstNull:
-  case Opcode::Move:
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Neg:
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-  case Opcode::FDiv:
-  case Opcode::FNeg:
-  case Opcode::CmpEQ:
-  case Opcode::CmpNE:
-  case Opcode::CmpLT:
-  case Opcode::CmpLE:
-  case Opcode::CmpGT:
-  case Opcode::CmpGE:
-  case Opcode::FCmpEQ:
-  case Opcode::FCmpLT:
-  case Opcode::FCmpLE:
-  case Opcode::I2F:
-  case Opcode::F2I:
-  case Opcode::GetField:
-  case Opcode::GetStatic:
-  case Opcode::ALoad:
-  case Opcode::ALen:
-  case Opcode::InstanceOf:
-  case Opcode::ClassEq:
-    return true;
-  default:
-    return false;
-  }
+std::optional<Opcode> opcodeFromMnemonic(std::string_view Mnemonic) {
+  for (unsigned I = 0; I < NumOpcodes; ++I)
+    if (Mnemonic == OpcodeInfos[I].Mnemonic)
+      return static_cast<Opcode>(I);
+  return std::nullopt;
 }
 
 } // namespace dchm

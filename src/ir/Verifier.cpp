@@ -89,57 +89,6 @@ std::string verifyFunction(const IRFunction &F) {
       if (!C.failed() && F.RegTypes[Inst.Dst] != F.RegTypes[Inst.A])
         C.fail(I, "move between different types");
       break;
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::Div:
-    case Opcode::Rem:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::Shl:
-    case Opcode::Shr:
-    case Opcode::CmpEQ:
-    case Opcode::CmpNE:
-    case Opcode::CmpLT:
-    case Opcode::CmpLE:
-    case Opcode::CmpGT:
-    case Opcode::CmpGE:
-      C.reg(I, Inst.Dst, Type::I64, "dst");
-      C.reg(I, Inst.A, Type::I64, "a");
-      C.reg(I, Inst.B, Type::I64, "b");
-      break;
-    case Opcode::Neg:
-      C.reg(I, Inst.Dst, Type::I64, "dst");
-      C.reg(I, Inst.A, Type::I64, "a");
-      break;
-    case Opcode::FAdd:
-    case Opcode::FSub:
-    case Opcode::FMul:
-    case Opcode::FDiv:
-      C.reg(I, Inst.Dst, Type::F64, "dst");
-      C.reg(I, Inst.A, Type::F64, "a");
-      C.reg(I, Inst.B, Type::F64, "b");
-      break;
-    case Opcode::FNeg:
-      C.reg(I, Inst.Dst, Type::F64, "dst");
-      C.reg(I, Inst.A, Type::F64, "a");
-      break;
-    case Opcode::FCmpEQ:
-    case Opcode::FCmpLT:
-    case Opcode::FCmpLE:
-      C.reg(I, Inst.Dst, Type::I64, "dst");
-      C.reg(I, Inst.A, Type::F64, "a");
-      C.reg(I, Inst.B, Type::F64, "b");
-      break;
-    case Opcode::I2F:
-      C.reg(I, Inst.Dst, Type::F64, "dst");
-      C.reg(I, Inst.A, Type::I64, "a");
-      break;
-    case Opcode::F2I:
-      C.reg(I, Inst.Dst, Type::I64, "dst");
-      C.reg(I, Inst.A, Type::F64, "a");
-      break;
     case Opcode::Br:
       if (static_cast<size_t>(Inst.Imm) >= F.Insts.size())
         C.fail(I, "branch target out of range");
@@ -220,6 +169,15 @@ std::string verifyFunction(const IRFunction &F) {
     case Opcode::Print:
       C.regAnyType(I, Inst.A);
       break;
+    default: {
+      // Binops, compares and unops: the opcode table's types.
+      const OpcodeInfo &Info = opcodeInfo(Inst.Op);
+      C.reg(I, Inst.Dst, Info.Result, "dst");
+      C.reg(I, Inst.A, Info.Operand, "a");
+      if (Info.Family != OpFamily::Unop)
+        C.reg(I, Inst.B, Info.Operand, "b");
+      break;
+    }
     }
   }
   return C.takeError();

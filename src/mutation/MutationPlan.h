@@ -56,7 +56,6 @@ struct MutableClassPlan {
   std::vector<MethodId> MutableMethods;
 
   bool dependsOnInstanceFields() const { return !InstanceStateFields.empty(); }
-  bool dependsOnStaticFields() const { return !StaticStateFields.empty(); }
 };
 
 /// A full mutation plan for a program.

@@ -33,102 +33,9 @@ namespace dchm {
 /// throughput figures.
 constexpr uint64_t CyclesPerSecond = 100'000'000;
 
-namespace detail {
-/// Per-opcode execution cost by exhaustive switch; the public opcodeCycles
-/// reads the table precomputed from this at compile time (the lookup sits on
-/// the interpreter's per-instruction fetch path).
-constexpr uint64_t opcodeCyclesSwitch(Opcode Op) {
-  switch (Op) {
-  case Opcode::ConstI:
-  case Opcode::ConstF:
-  case Opcode::ConstNull:
-  case Opcode::Move:
-    return 1;
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Neg:
-    return 1;
-  case Opcode::Mul:
-    return 3;
-  case Opcode::Div:
-  case Opcode::Rem:
-    return 20;
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FNeg:
-    return 2;
-  case Opcode::FMul:
-    return 4;
-  case Opcode::FDiv:
-    return 20;
-  case Opcode::CmpEQ:
-  case Opcode::CmpNE:
-  case Opcode::CmpLT:
-  case Opcode::CmpLE:
-  case Opcode::CmpGT:
-  case Opcode::CmpGE:
-  case Opcode::FCmpEQ:
-  case Opcode::FCmpLT:
-  case Opcode::FCmpLE:
-    return 1;
-  case Opcode::I2F:
-  case Opcode::F2I:
-    return 2;
-  case Opcode::Br:
-  case Opcode::Cbnz:
-  case Opcode::Cbz:
-    return 1;
-  case Opcode::Ret:
-    return 2;
-  case Opcode::New:
-    return 40; // allocation path: size lookup, bump, zeroing amortized
-  case Opcode::NewArray:
-    return 40;
-  case Opcode::ALoad:
-  case Opcode::AStore:
-    return 2; // includes bounds check
-  case Opcode::ALen:
-    return 1;
-  case Opcode::GetField:
-  case Opcode::PutField:
-  case Opcode::GetStatic:
-  case Opcode::PutStatic:
-    return 2;
-  case Opcode::CallStatic:
-  case Opcode::CallSpecial:
-  case Opcode::CallVirtual:
-  case Opcode::CallInterface:
-    return 0; // charged via the dispatch costs below
-  case Opcode::InstanceOf:
-  case Opcode::CheckCast:
-    return 4;
-  case Opcode::ClassEq:
-    return 2; // TIB load + id compare (the guard of a guarded inline)
-  case Opcode::Print:
-    return 10;
-  }
-  return 1;
-}
-
-struct OpcodeCycleTable {
-  uint64_t Cycles[NumOpcodes] = {};
-  constexpr OpcodeCycleTable() {
-    for (unsigned I = 0; I < NumOpcodes; ++I)
-      Cycles[I] = opcodeCyclesSwitch(static_cast<Opcode>(I));
-  }
-};
-inline constexpr OpcodeCycleTable CycleTable{};
-} // namespace detail
-
-/// Per-opcode execution cost in cycles (dispatch overheads excluded).
-inline uint64_t opcodeCycles(Opcode Op) {
-  return detail::CycleTable.Cycles[static_cast<unsigned>(Op)];
-}
+/// Per-opcode execution cost in cycles (dispatch overheads excluded): the
+/// cycles column of the opcode table (ir/Opcode.h).
+inline uint64_t opcodeCycles(Opcode Op) { return opcodeInfo(Op).Cycles; }
 
 /// Call and dispatch overheads (frame setup + the dispatch loads).
 struct DispatchCost {

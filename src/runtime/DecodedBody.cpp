@@ -9,7 +9,6 @@
 
 #include "runtime/CostModel.h"
 
-#include <algorithm>
 #include <limits>
 #include <string>
 #include <utility>
@@ -19,13 +18,8 @@ namespace dchm {
 namespace {
 
 // A group is at most three instructions; its cycle sum must fit the entry.
-constexpr uint64_t maxOpcodeCycles() {
-  uint64_t Max = 0;
-  for (uint64_t C : detail::CycleTable.Cycles)
-    Max = std::max(Max, C);
-  return Max;
-}
-static_assert(3 * maxOpcodeCycles() <= std::numeric_limits<uint16_t>::max(),
+static_assert(3 * std::numeric_limits<decltype(OpcodeInfo::Cycles)>::max() <=
+                  std::numeric_limits<decltype(DecodedInst::Cycles)>::max(),
               "a fused group's cycles must fit DecodedInst::Cycles");
 
 #define DCHM_X(OP) Opcode::OP,

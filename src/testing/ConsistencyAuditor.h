@@ -68,8 +68,6 @@ public:
   explicit ConsistencyAuditor(VirtualMachine &VM, uint64_t Stride = 1)
       : VM(VM), Stride(Stride ? Stride : 1) {}
 
-  void setStride(uint64_t N) { Stride = N ? N : 1; }
-
   // --- AuditHook -----------------------------------------------------------
   void onSafepoint() override {
     if ((SafepointTick.fetch_add(1, std::memory_order_relaxed) + 1) % Stride ==
@@ -128,7 +126,7 @@ private:
   void auditSpecials();
 
   VirtualMachine &VM;
-  uint64_t Stride;
+  const uint64_t Stride;
   std::atomic<uint64_t> SafepointTick{0};
   std::atomic<uint64_t> Audits{0};
   std::atomic<uint64_t> TotalViolations{0};

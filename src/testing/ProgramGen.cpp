@@ -288,13 +288,20 @@ std::string ProgramGen::renderDirectives() const {
     S += "#!mutable " + CN + " instance=" + Inst + " static=" + Stat +
          " methods=" + Methods + "\n";
     for (size_t HS = 0; HS < F.HotInstance.size(); ++HS) {
-      std::string IV;
-      for (size_t I = 0; I < F.HotInstance[HS].size(); ++I)
-        IV += (I ? "," : "") + itos(F.HotInstance[HS][I]);
+      const std::vector<int64_t> &IV = F.HotInstance[HS];
+      S += "#!hot ";
+      S += CN;
+      S += ' ';
       if (IV.empty())
-        IV = "-";
-      std::string SV = F.HasStaticState ? itos(F.HotStatic[HS]) : "-";
-      S += "#!hot " + CN + " " + IV + " : " + SV + "\n";
+        S += '-';
+      for (size_t I = 0; I < IV.size(); ++I) {
+        if (I)
+          S += ',';
+        S += itos(IV[I]);
+      }
+      S += " : ";
+      S += F.HasStaticState ? itos(F.HotStatic[HS]) : "-";
+      S += '\n';
     }
   }
   return S;
@@ -725,7 +732,7 @@ std::string ProgramGen::minimize(
         if (Flag == &F.HasMode2 && !F.StaticOnlyPlan)
           for (auto &T : F.HotInstance)
             if (T.size() > 1)
-              T.resize(1);
+              T.erase(T.begin() + 1, T.end());
         if (Flag == &F.HasSub) {
           F.SubOverridesTick = F.SubOverridesGet = false;
         }

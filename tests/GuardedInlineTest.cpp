@@ -127,6 +127,26 @@ TEST(GuardedInline, FastAndSlowPathsBothCorrect) {
   EXPECT_EQ(VM.call(Fx.Caller, {valueR(OB)}).I, 12);
 }
 
+TEST(GuardedInline, VMMetricsCountGuardedInlines) {
+  // The opt2 recompile's inliner counts reach the VM's run metrics.
+  PolyFixture Fx;
+  VMOptions Opts;
+  Opts.Inline.EnableGuardedInlining = true;
+  Opts.Adaptive.Opt1Threshold = 2;
+  Opts.Adaptive.Opt2Threshold = 4;
+  VirtualMachine VM(Fx.P, Opts);
+  Object *OA = Fx.make(VM, Fx.A, Fx.ACtor);
+  Object *OB = Fx.make(VM, Fx.B, Fx.BCtor);
+  for (int I = 0; I < 8; ++I) {
+    EXPECT_EQ(VM.call(Fx.Caller, {valueR(OA)}).I, 11);
+    EXPECT_EQ(VM.call(Fx.Caller, {valueR(OB)}).I, 12);
+  }
+  ASSERT_EQ(Fx.P.method(Fx.Caller).CurOptLevel.load(), 2);
+  EXPECT_GT(VM.metrics().Inlining.GuardedInlines, 0u);
+  EXPECT_EQ(VM.metrics().Inlining.GuardedInlines,
+            VM.compiler().stats().Inlining.GuardedInlines);
+}
+
 TEST(GuardedInline, GuardSeesThroughSpecialTibs) {
   // The exact-class guard must use the type-information entry: a mutated
   // object (special TIB) of the predicted class still takes the fast path,
