@@ -113,14 +113,6 @@ bool JsonWriter::writeFile(const std::string &Path) const {
   return true;
 }
 
-size_t heapBytesFor(const std::string &WorkloadName) {
-  if (WorkloadName == "SPECjbb2000")
-    return 8u << 20; // paper: 128 MB, scaled 1:16
-  if (WorkloadName == "SPECjbb2005")
-    return 24u << 20; // paper: 384 MB, scaled 1:16
-  return 50u << 20;   // the Jikes default heap used by the small apps
-}
-
 void printHeader(const char *Figure, const char *Caption) {
   std::printf("=== DCHM reproduction: %s ===\n", Figure);
   std::printf("%s\n", Caption);

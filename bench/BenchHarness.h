@@ -6,19 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared pieces of the benchmark binaries: the header each one prints, a
-/// JSON writer for their BENCH_*.json artifacts, and the per-workload heap
-/// budgets. Heap budgets follow the paper's per-benchmark heap sizes,
-/// scaled 1:16 with the scaled-down workloads (128 MB -> 8 MB for
-/// SPECjbb2000, 384 MB -> 24 MB for SPECjbb2005, 50 MB -> 50 MB default:
-/// the small applications never pressure it).
+/// Shared pieces of the benchmark binaries: the header each one prints and
+/// a JSON writer for their BENCH_*.json artifacts.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DCHM_BENCH_BENCHHARNESS_H
 #define DCHM_BENCH_BENCHHARNESS_H
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -54,9 +49,6 @@ private:
   std::string Out;
   bool NeedComma = false;
 };
-
-/// Heap budget used for a workload (paper heaps scaled 1:16 for the jbbs).
-size_t heapBytesFor(const std::string &WorkloadName);
 
 /// Prints the standard header naming the figure being regenerated.
 void printHeader(const char *Figure, const char *Caption);

@@ -35,8 +35,6 @@
 
 #include "BenchHarness.h"
 
-#include "analysis/OlcAnalysis.h"
-#include "core/VM.h"
 #include "support/Parse.h"
 #include "support/Timer.h"
 #include "workloads/Workload.h"
@@ -75,16 +73,12 @@ struct SalaryRun {
   uint64_t ReclaimedBodies = 0;
 };
 
-SalaryRun runSalary(Workload &W, const MutationPlan &Plan,
-                    const OlcDatabase &Olc, double Scale, size_t Budget,
-                    bool RoundTrip, bool RetireAtEnd) {
-  auto P = W.buildProgram();
-  VMOptions Opts;
-  Opts.HeapBytes = heapBytesFor(W.name());
+SalaryRun runSalary(Workload &W, const MutationPlan &Plan, double Scale,
+                    size_t Budget, bool RoundTrip, bool RetireAtEnd) {
+  VMOptions Opts = W.vmOptions();
   Opts.CodeBudgetBytes = Budget;
-  VirtualMachine VM(*P, Opts);
-  VM.setMutationPlan(&Plan);
-  VM.setOlcDatabase(&Olc);
+  WorkloadRun Run(W, Opts, &Plan);
+  VirtualMachine &VM = Run.vm();
   if (RoundTrip) {
     VM.retireMutationPlan();
     VM.setMutationPlan(&Plan);
@@ -103,8 +97,8 @@ SalaryRun runSalary(Workload &W, const MutationPlan &Plan,
     R.ObjectsSwungBack = VM.mutation().stats().ObjectTibSwings - SwingsBefore;
     R.RetireMutationCycles = VM.metrics().MutationCycles - MutBefore;
     VM.reclaimRetired();
-    R.ReclaimedTibs = P->reclaimedTibCount();
-    R.ReclaimedBodies = P->reclaimedBodyCount();
+    R.ReclaimedTibs = Run.program().reclaimedTibCount();
+    R.ReclaimedBodies = Run.program().reclaimedBodyCount();
   }
   return R;
 }
@@ -136,21 +130,15 @@ struct BudgetPoint {
   bool Fits = true;
 };
 
-RunMetrics runJbb(Workload &W, double Scale, size_t Budget,
-                  size_t &FootprintOut) {
-  auto P = W.buildProgram();
-  // Resolve the plan against this run's own Program instance.
-  MutationPlan Plan = makeScreenPlan(*P);
-  VMOptions Opts;
-  Opts.HeapBytes = heapBytesFor(W.name());
+RunMetrics runJbb(Workload &W, const MutationPlan &Plan, double Scale,
+                  size_t Budget, size_t &FootprintOut) {
+  VMOptions Opts = W.vmOptions();
   Opts.Adaptive.AcceleratedMutableHotness = true;
   Opts.CodeBudgetBytes = Budget;
-  VirtualMachine VM(*P, Opts);
-  VM.setMutationPlan(&Plan);
-  W.driveScaled(VM, Scale);
-  RunMetrics M = VM.metrics();
-  FootprintOut = VM.mutation().specialFootprintBytes();
-  return M;
+  WorkloadRun Run(W, Opts, &Plan);
+  W.driveScaled(Run.vm(), Scale);
+  FootprintOut = Run.vm().mutation().specialFootprintBytes();
+  return Run.vm().metrics();
 }
 
 /// Budget points at 100%, 50%, and 25% of the unlimited footprint.
@@ -220,16 +208,8 @@ int main(int argc, char **argv) {
   auto Salary = makeSalaryDb();
   OfflineConfig Cfg;
   OfflineResult Off = runOfflinePipeline(*Salary, Cfg);
-  OlcDatabase Olc;
-  {
-    auto P = Salary->buildProgram();
-    Olc = analyzeObjectLifetimeConstants(*P, Off.Plan);
-  }
-
-  SalaryRun Ref =
-      runSalary(*Salary, Off.Plan, Olc, Scale, 0, false, false);
-  SalaryRun Trip =
-      runSalary(*Salary, Off.Plan, Olc, Scale, 0, true, false);
+  SalaryRun Ref = runSalary(*Salary, Off.Plan, Scale, 0, false, false);
+  SalaryRun Trip = runSalary(*Salary, Off.Plan, Scale, 0, true, false);
   std::printf("SalaryDB, scale %.2f:\n", Scale);
   if (!sameSimulatedRun(Ref.M, Trip.M)) {
     std::printf("  MISMATCH: install/retire/re-install prologue round trip "
@@ -243,8 +223,7 @@ int main(int argc, char **argv) {
 
   SalaryRun Warm;
   for (int R = 0; R < Repeat; ++R) {
-    SalaryRun Res =
-        runSalary(*Salary, Off.Plan, Olc, Scale, 0, false, true);
+    SalaryRun Res = runSalary(*Salary, Off.Plan, Scale, 0, false, true);
     if (R == 0 || Res.RetirePauseSec < Warm.RetirePauseSec)
       Warm = Res;
   }
@@ -264,8 +243,7 @@ int main(int argc, char **argv) {
   // --- Part B: code/TIB budget ladder --------------------------------------
   std::vector<BudgetPoint> SalaryPts = budgetLadder(Ref.FootprintBytes);
   for (BudgetPoint &P : SalaryPts) {
-    SalaryRun R = runSalary(*Salary, Off.Plan, Olc, Scale, P.Budget, false,
-                            false);
+    SalaryRun R = runSalary(*Salary, Off.Plan, Scale, P.Budget, false, false);
     P.M = R.M;
     P.FootprintBytes = R.FootprintBytes;
     P.Fits = P.Budget == 0 || P.FootprintBytes <= P.Budget;
@@ -277,14 +255,17 @@ int main(int argc, char **argv) {
   printBudgetTable(Title, SalaryPts, Ok);
 
   auto Jbb = makeJbb(JbbVariant::Jbb2000);
+  // Workload programs build deterministically, so ids resolved on one
+  // instance hold on every run's own.
+  MutationPlan ScreenPlan = makeScreenPlan(*Jbb->buildProgram());
   size_t JbbFree = 0;
-  RunMetrics JbbRef = runJbb(*Jbb, JbbScale, 0, JbbFree);
+  RunMetrics JbbRef = runJbb(*Jbb, ScreenPlan, JbbScale, 0, JbbFree);
   std::vector<BudgetPoint> JbbPts = budgetLadder(JbbFree);
   JbbPts[0].M = JbbRef;
   JbbPts[0].FootprintBytes = JbbFree;
   for (size_t I = 1; I < JbbPts.size(); ++I) {
     size_t F = 0;
-    JbbPts[I].M = runJbb(*Jbb, JbbScale, JbbPts[I].Budget, F);
+    JbbPts[I].M = runJbb(*Jbb, ScreenPlan, JbbScale, JbbPts[I].Budget, F);
     JbbPts[I].FootprintBytes = F;
     JbbPts[I].Fits = F <= JbbPts[I].Budget;
   }

@@ -18,7 +18,6 @@
 
 #include "BenchHarness.h"
 
-#include "analysis/OlcAnalysis.h"
 #include "workloads/Workload.h"
 
 #include <algorithm>
@@ -54,54 +53,45 @@ double percentOver(double New, double Old) {
 /// One VM configuration: the mechanisms a run turns on.
 struct RunConfig {
   const char *Label;
-  bool Mutation, SpecInlining, UseOlc, Accelerated;
+  bool Mutation, SpecInlining, Accelerated;
   int TradeoffK;
   bool GuardedInlining = false;
 };
 
 /// The ablation rows. Row 0 is every figure's baseline and row 1 every
-/// figure's mutated run, so the ablation reuses those runs.
+/// figure's mutated run, so the ablation reuses those runs. The inliner
+/// reads the OLC database only for specialization inlining, so turning
+/// that off also takes the OLC database out.
 const RunConfig Configs[] = {
-    {"baseline (no mutation)", false, false, false, false, 0},
-    {"full system", true, true, true, false, 0},
-    {"no OLC database", true, true, false, false, 0},
-    {"no specialization inlining", true, false, false, false, 0},
-    {"accelerated hotness", true, true, true, true, 0},
-    {"trade-off k = -2 (inline-happy)", true, true, true, false, -2},
-    {"trade-off k = +8 (specialize-happy)", true, true, true, false, 8},
-    {"with guarded inlining", true, true, true, false, 0, true},
+    {"baseline (no mutation)", false, false, false, 0},
+    {"full system", true, true, false, 0},
+    {"no OLC / specialization inlining", true, false, false, 0},
+    {"accelerated hotness", true, true, true, 0},
+    {"trade-off k = -2 (inline-happy)", true, true, false, -2},
+    {"trade-off k = +8 (specialize-happy)", true, true, false, 8},
+    {"with guarded inlining", true, true, false, 0, true},
 };
 const RunConfig &Baseline = Configs[0];
 const RunConfig &FullSystem = Configs[1];
-const RunConfig &Accelerated = Configs[4];
+const RunConfig &Accelerated = Configs[3];
 
-/// Runs Drive on a fresh program of W configured by A, with Plan and (if A
-/// asks) its OLC database installed. Returns the number of OLC fields.
-/// SampleInterval > 1 is the sparse, Jikes-timer-like sampling of the
-/// warehouse figures, which lets hotness detection span warehouses.
+/// Runs Drive on a WorkloadRun of W configured by A, with Plan installed
+/// when A mutates. Returns the number of OLC fields. SampleInterval > 1 is
+/// the sparse, Jikes-timer-like sampling of the warehouse figures, which
+/// lets hotness detection span warehouses.
 template <typename DriveFn>
 size_t runWith(Workload &W, const MutationPlan &Plan, const RunConfig &A,
                uint64_t SampleInterval, DriveFn Drive) {
-  auto P = W.buildProgram();
-  VMOptions Opts;
+  VMOptions Opts = W.vmOptions();
   Opts.EnableMutation = A.Mutation;
-  Opts.HeapBytes = bench::heapBytesFor(W.name());
   Opts.Inline.EnableSpecializationInlining = A.SpecInlining;
   Opts.Inline.TradeoffK = A.TradeoffK;
   Opts.Inline.EnableGuardedInlining = A.GuardedInlining;
   Opts.Adaptive.AcceleratedMutableHotness = A.Accelerated;
   Opts.Adaptive.SampleInterval = SampleInterval;
-  VirtualMachine VM(*P, Opts);
-  OlcDatabase Db;
-  if (A.Mutation) {
-    VM.setMutationPlan(&Plan);
-    if (A.UseOlc) {
-      Db = analyzeObjectLifetimeConstants(*P, Plan);
-      VM.setOlcDatabase(&Db);
-    }
-  }
-  Drive(VM);
-  return Db.Entries.size();
+  WorkloadRun Run(W, Opts, &Plan);
+  Drive(Run.vm());
+  return Run.olc().Entries.size();
 }
 
 /// A full-scale run of W under A.

@@ -10,8 +10,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/OfflinePipeline.h"
-#include "analysis/OlcAnalysis.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
@@ -54,22 +52,16 @@ int main() {
   }
 
   auto Run = [&](bool Mutation) {
-    auto Prog = W->buildProgram();
-    VMOptions Opts;
+    VMOptions Opts = W->vmOptions();
     Opts.EnableMutation = Mutation;
-    VirtualMachine VM(*Prog, Opts);
-    OlcDatabase Db;
-    if (Mutation) {
-      VM.setMutationPlan(&R.Plan);
-      Db = analyzeObjectLifetimeConstants(*Prog, R.Plan);
-      VM.setOlcDatabase(&Db);
-    }
-    W->drive(VM);
+    WorkloadRun Sim(*W, Opts, &R.Plan);
+    W->drive(Sim.vm());
+    uint64_t Cycles = Sim.vm().metrics().TotalCycles;
     std::printf("  %-9s %12llu cycles, net checksum %s\n",
                 Mutation ? "mutated:" : "baseline:",
-                static_cast<unsigned long long>(VM.metrics().TotalCycles),
-                VM.interp().output().c_str());
-    return VM.metrics().TotalCycles;
+                static_cast<unsigned long long>(Cycles),
+                Sim.vm().interp().output().c_str());
+    return Cycles;
   };
 
   std::printf("\nsimulating (each gate's eval() dispatches through its "

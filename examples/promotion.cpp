@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/VM.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
@@ -31,17 +30,17 @@ int main() {
   OfflineConfig Cfg;
   OfflineResult R = runOfflinePipeline(*W, Cfg);
 
-  auto P = W->buildProgram();
-  VMOptions Opts;
+  VMOptions Opts = W->vmOptions();
   Opts.Adaptive.AcceleratedMutableHotness = true;
-  VirtualMachine VM(*P, Opts);
-  VM.setMutationPlan(&R.Plan);
+  WorkloadRun Run(*W, Opts, &R.Plan);
+  VirtualMachine &VM = Run.vm();
+  Program &P = Run.program();
 
-  ClassId SalaryEmp = P->findClass("SalaryEmployee");
-  MethodId Ctor = P->findMethod(SalaryEmp, "<init>");
-  MethodId Raise = P->findMethod(SalaryEmp, "raise");
-  FieldId Grade = P->findField(SalaryEmp, "grade");
-  ClassInfo &C = P->cls(SalaryEmp);
+  ClassId SalaryEmp = P.findClass("SalaryEmployee");
+  MethodId Ctor = P.findMethod(SalaryEmp, "<init>");
+  MethodId Raise = P.findMethod(SalaryEmp, "raise");
+  FieldId Grade = P.findField(SalaryEmp, "grade");
+  ClassInfo &C = P.cls(SalaryEmp);
 
   // Hire 12 employees at grade 0.
   std::vector<Object *> Staff;
@@ -78,15 +77,15 @@ int main() {
       VM.call(Raise, {valueR(E)});
     // Promote a third of the staff by one grade (state transition!).
     for (size_t I = 0; I < Staff.size(); I += 3) {
-      int64_t G = Staff[I]->get(P->field(Grade).Slot).I;
+      int64_t G = Staff[I]->get(P.field(Grade).Slot).I;
       // Writing the state field through the interpreter fires part I of
       // the distributed mutation algorithm.
-      MethodId SetG = P->findMethod(SalaryEmp, "setGrade");
+      MethodId SetG = P.findMethod(SalaryEmp, "setGrade");
       if (SetG == NoMethodId) {
         // SalaryDB has no setter; emulate the store + hook like the
         // interpreter would for `emp.grade = g + 1`.
-        Staff[I]->set(P->field(Grade).Slot, valueI(G + 1));
-        VM.mutation().onInstanceStateStore(Staff[I], P->field(Grade));
+        Staff[I]->set(P.field(Grade).Slot, valueI(G + 1));
+        VM.mutation().onInstanceStateStore(Staff[I], P.field(Grade));
       }
     }
     char Label[64];

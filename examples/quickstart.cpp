@@ -10,8 +10,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/OfflinePipeline.h"
-#include "analysis/OlcAnalysis.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
@@ -50,25 +48,22 @@ int main() {
   // 3. Baseline run: mutation disabled.
   RunMetrics Base;
   {
-    auto P = W->buildProgram();
-    VMOptions Opts;
+    VMOptions Opts = W->vmOptions();
     Opts.EnableMutation = false;
-    VirtualMachine VM(*P, Opts);
-    W->drive(VM);
-    Base = VM.metrics();
+    WorkloadRun Run(*W, Opts);
+    W->drive(Run.vm());
+    Base = Run.vm().metrics();
     std::printf("\nbaseline:  %12llu cycles (output: %s)\n",
                 static_cast<unsigned long long>(Base.TotalCycles),
-                VM.interp().output().c_str());
+                Run.vm().interp().output().c_str());
   }
 
-  // 4. Mutated run: install the plan (and OLC results) and run again.
+  // 4. Mutated run: the same recipe with the plan installed (and its
+  //    object-lifetime constants attached).
   RunMetrics Mut;
   {
-    auto P = W->buildProgram();
-    VirtualMachine VM(*P, {});
-    VM.setMutationPlan(&Offline.Plan);
-    OlcDatabase Olc = analyzeObjectLifetimeConstants(*P, Offline.Plan);
-    VM.setOlcDatabase(&Olc);
+    WorkloadRun Run(*W, W->vmOptions(), &Offline.Plan);
+    VirtualMachine &VM = Run.vm();
     W->drive(VM);
     Mut = VM.metrics();
     std::printf("mutated:   %12llu cycles (output: %s)\n",

@@ -195,7 +195,7 @@ bool Inliner::shouldInline(const IRFunction &F, const Instruction &Call,
     const MutableClassPlan *CP = Plan->planFor(Callee.Owner);
     if (CP) {
       unsigned N = countConstantArgs(F, Call);
-      unsigned M = countSpecializableReads(Callee.Bytecode, Callee, *CP);
+      unsigned M = countSpecializableReads(Callee.Bytecode, *CP);
       if (static_cast<int>(N) <= static_cast<int>(M) + Cfg.TradeoffK) {
         Stats.TradeoffRejections++;
         return false;

@@ -84,7 +84,7 @@ CompiledMethod *OptCompiler::compileSpecial(MethodInfo &M, int Level,
                                             size_t StateIdx) {
   DCHM_CHECK(M.HasBody, "compiling a method without a body");
   IRFunction Code = M.Bytecode;
-  specializeForState(Code, M, CP, StateIdx);
+  specializeForState(Code, CP, StateIdx);
   Stats.SpecialCompileRequests++;
   if (Level >= 2) {
     Inliner Inl(P, InlineCfg, Olc, P.mutationPlan());

@@ -54,9 +54,9 @@ struct CompilerStats {
 /// compileSpecial return. See docs/compile_pipeline.md.
 class OptCompiler {
 public:
-  explicit OptCompiler(Program &P) : P(P) {}
+  explicit OptCompiler(Program &P, const InlinerConfig &Inline = {})
+      : P(P), InlineCfg(Inline) {}
 
-  InlinerConfig &inlinerConfig() { return InlineCfg; }
   /// Wires in OLC analysis results (enables specialization inlining). The
   /// inliner's trade-off heuristic reads the plan installed on the Program.
   void setOlcDatabase(const OlcDatabase *Db) { Olc = Db; }
@@ -87,7 +87,7 @@ private:
                          int StateIdx);
 
   Program &P;
-  InlinerConfig InlineCfg;
+  const InlinerConfig InlineCfg;
   const OlcDatabase *Olc = nullptr;
   CompilerStats Stats;
   CompilePipeline Pipeline;

@@ -86,6 +86,13 @@ Lat transfer(const Instruction &I, const State &S) {
 /// instruction of the register's type.
 bool materializable(Type Ty) { return Ty == Type::I64 || Ty == Type::F64; }
 
+/// Whether Inst may go once its result is dead: the table's purity, plus a
+/// getfield off the receiver, which cannot trap.
+bool removableWhenDead(const IRFunction &F, const Instruction &Inst) {
+  return isRemovableWhenDead(Inst.Op) ||
+         (Inst.Op == Opcode::GetField && F.HasReceiver && Inst.A == 0);
+}
+
 } // namespace
 
 void eraseDeadInstructions(IRFunction &F, const std::vector<bool> &Dead) {
@@ -417,7 +424,7 @@ bool runDeadCodeElimination(IRFunction &F) {
     if (!G.isReachable(G.blockOfInst(static_cast<uint32_t>(I))))
       continue;
     const Instruction &Inst = F.Insts[I];
-    if (!isRemovableWhenDead(Inst.Op) || isBranch(Inst.Op))
+    if (!removableWhenDead(F, Inst) || isBranch(Inst.Op))
       Keep[I] = true;
   }
   Keep[N - 1] = true;

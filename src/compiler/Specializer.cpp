@@ -39,19 +39,17 @@ bool isStateFieldRead(const Instruction &I) {
   return I.Op == Opcode::GetField || I.Op == Opcode::GetStatic;
 }
 
-/// True when a GetField reads off the receiver. Argument registers are
-/// immutable (enforced by the verifier), so register 0 of an instance
-/// method is always `this`.
-bool readsReceiver(const Instruction &I, const MethodInfo &M) {
+/// True when a GetField reads off the receiver (IRFunction::HasReceiver).
+bool readsReceiver(const Instruction &I, const IRFunction &F) {
   if (I.Op != Opcode::GetField)
     return true; // GetStatic: receiver irrelevant
-  return !M.Flags.IsStatic && I.A == 0;
+  return F.HasReceiver && I.A == 0;
 }
 
 } // namespace
 
-unsigned specializeForState(IRFunction &F, const MethodInfo &M,
-                            const MutableClassPlan &Plan, size_t StateIdx) {
+unsigned specializeForState(IRFunction &F, const MutableClassPlan &Plan,
+                            size_t StateIdx) {
   DCHM_CHECK(StateIdx < Plan.HotStates.size(), "bad hot state index");
   unsigned Folded = 0;
   for (Instruction &I : F.Insts) {
@@ -59,7 +57,7 @@ unsigned specializeForState(IRFunction &F, const MethodInfo &M,
       continue;
     FieldId FId = static_cast<FieldId>(I.Imm);
     Value V;
-    if (!lookupBinding(Plan, StateIdx, FId, readsReceiver(I, M), V))
+    if (!lookupBinding(Plan, StateIdx, FId, readsReceiver(I, F), V))
       continue;
     DCHM_CHECK(I.Ty == Type::I64 || I.Ty == Type::F64,
                "state fields must be primitive");
@@ -80,7 +78,7 @@ unsigned specializeForState(IRFunction &F, const MethodInfo &M,
   return Folded;
 }
 
-unsigned countSpecializableReads(const IRFunction &F, const MethodInfo &M,
+unsigned countSpecializableReads(const IRFunction &F,
                                  const MutableClassPlan &Plan) {
   if (Plan.HotStates.empty())
     return 0;
@@ -90,7 +88,7 @@ unsigned countSpecializableReads(const IRFunction &F, const MethodInfo &M,
       continue;
     Value V;
     if (lookupBinding(Plan, 0, static_cast<FieldId>(I.Imm),
-                      readsReceiver(I, M), V))
+                      readsReceiver(I, F), V))
       ++Count;
   }
   return Count;

@@ -25,17 +25,18 @@
 
 namespace dchm {
 
-/// Rewrites state-field reads in F (the bytecode of method M) to the
+/// Rewrites state-field reads in F (a mutable method's bytecode) to the
 /// constants of hot state StateIdx of Plan. Instance state fields are only
-/// folded when loaded from the receiver (`this`, register 0): the special
-/// TIB encodes the *receiver's* state, nothing is known about other objects.
-/// Static state fields fold everywhere. Returns the number of loads folded.
-unsigned specializeForState(IRFunction &F, const MethodInfo &M,
-                            const MutableClassPlan &Plan, size_t StateIdx);
+/// folded when loaded from the receiver (`this`, register 0 of a body with
+/// IRFunction::HasReceiver): the special TIB encodes the *receiver's*
+/// state, nothing is known about other objects. Static state fields fold
+/// everywhere. Returns the number of loads folded.
+unsigned specializeForState(IRFunction &F, const MutableClassPlan &Plan,
+                            size_t StateIdx);
 
 /// Number of state-field reads in F that specializeForState would fold —
 /// the "M" of the paper's N > M + k inline-vs-specialize trade-off.
-unsigned countSpecializableReads(const IRFunction &F, const MethodInfo &M,
+unsigned countSpecializableReads(const IRFunction &F,
                                  const MutableClassPlan &Plan);
 
 } // namespace dchm

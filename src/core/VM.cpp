@@ -25,13 +25,12 @@ VMOptions withAtLeastOneMutator(VMOptions O) {
 
 VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
     : P(P), Opts(withAtLeastOneMutator(Options)),
-      TheHeap(Opts.HeapBytes, Opts.MutatorThreads), Compiler(P),
+      TheHeap(Opts.HeapBytes, Opts.MutatorThreads), Compiler(P, Opts.Inline),
       Mutation(P, TheHeap, Opts.CodeBudgetBytes),
       Adaptive(P, Compiler, Opts.Adaptive, Mutation) {
   DCHM_CHECK(P.isLinked(), "VirtualMachine requires a linked program");
   // The plan lives on the Program, so a Program serves one mutating VM.
   DCHM_CHECK(!P.mutationPlan(), "program already carries an installed plan");
-  Compiler.inlinerConfig() = Opts.Inline;
   unsigned NThreads = mutatorThreads();
   Interps.reserve(NThreads);
   for (unsigned T = 0; T < NThreads; ++T) {

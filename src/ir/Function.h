@@ -29,9 +29,12 @@ struct IRFunction {
   Type RetTy = Type::Void;
   /// Number of leading registers that are arguments (receiver first for
   /// instance methods). Argument registers are never reassigned by
-  /// FunctionBuilder-produced code; the Specializer relies on register 0
-  /// (`this`) being immutable.
+  /// FunctionBuilder-produced code (the verifier enforces it).
   uint16_t NumArgs = 0;
+  /// Register 0 holds the receiver (`this`) of an instance method, so it
+  /// is never null: the Specializer folds state-field reads off it, and DCE
+  /// deletes a dead getfield off it. Set by Program::setBody.
+  bool HasReceiver = false;
   /// Types of all registers, arguments included.
   std::vector<Type> RegTypes;
   std::vector<Instruction> Insts;

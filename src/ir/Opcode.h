@@ -42,11 +42,14 @@ enum class OpFamily : uint8_t { Binop, Compare, Unop, Other };
 ///   X(Name, Mnemonic, Cycles, Family, Result, Operand, RemovableWhenDead)
 /// Cycles is the simulated execution cost, dispatch overheads excluded
 /// (runtime/CostModel.h). Result and Operand are Void outside the typed
-/// families. RemovableWhenDead: no side effect, so a dead result may be
-/// deleted. Div/Rem are impure because they can trap; loads from fields,
-/// array loads, and ALen are pure-but-trapping (null deref) and are treated
-/// as removable when dead, matching what an aggressive JIT proves with
-/// null-check elimination.
+/// families. RemovableWhenDead: no side effect and no trap, so a dead
+/// result may be deleted. Div, Rem, GetField, ALoad and ALen can trap
+/// (division by zero, a null base, an index out of bounds), and a trap must
+/// happen whether or not its value is used: otherwise a specialized body,
+/// whose use of the value was folded away, would run past a fault the
+/// general body stops at. DCE still deletes a dead GetField off the
+/// receiver of an instance method, which the call has already null-checked
+/// (IRFunction::HasReceiver).
 // clang-format off
 #define DCHM_OPCODES(X)                                                        \
   /* Constants and moves. ConstI: Dst = Imm (i64); ConstF: Dst = FImm (f64);*/ \
@@ -103,14 +106,14 @@ enum class OpFamily : uint8_t { Binop, Compare, Unop, Other };
   X(New,           "new",           40, Other,   Void, Void, false)            \
   X(NewArray,      "newarray",      40, Other,   Void, Void, false)            \
   /* ALoad/AStore: includes bounds check */                                    \
-  X(ALoad,         "aload",         2,  Other,   Void, Void, true)             \
+  X(ALoad,         "aload",         2,  Other,   Void, Void, false)            \
   X(AStore,        "astore",        2,  Other,   Void, Void, false)            \
-  X(ALen,          "alen",          1,  Other,   Void, Void, true)             \
+  X(ALen,          "alen",          1,  Other,   Void, Void, false)            \
   /* Field access. Imm = FieldId; Aux = resolved slot (filled by the */        \
   /* linker). GetField: Dst = A.field(Imm); PutField: A.field(Imm) = B; */     \
   /* GetStatic: Dst = static field Imm; PutStatic: static field Imm = A. */    \
   /* PutField/PutStatic are the mutation hooks (algorithm part I). */          \
-  X(GetField,      "getfield",      2,  Other,   Void, Void, true)             \
+  X(GetField,      "getfield",      2,  Other,   Void, Void, false)            \
   X(PutField,      "putfield",      2,  Other,   Void, Void, false)            \
   X(GetStatic,     "getstatic",     2,  Other,   Void, Void, true)             \
   X(PutStatic,     "putstatic",     2,  Other,   Void, Void, false)            \

@@ -108,6 +108,7 @@ void Program::setBody(MethodId Id, IRFunction F) {
   MethodInfo &M = method(Id);
   DCHM_CHECK(!M.Flags.IsAbstract, "abstract method cannot have a body");
   M.Bytecode = std::move(F);
+  M.Bytecode.HasReceiver = !M.Flags.IsStatic;
   M.HasBody = true;
 }
 

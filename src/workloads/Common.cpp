@@ -7,9 +7,20 @@
 
 #include "workloads/Workload.h"
 
+#include "analysis/OlcAnalysis.h"
 #include "support/Debug.h"
 
 namespace dchm {
+
+WorkloadRun::WorkloadRun(Workload &W, const VMOptions &Opts,
+                         const MutationPlan *Plan)
+    : P(W.buildProgram()), VM(*P, Opts) {
+  if (!Opts.EnableMutation || !Plan)
+    return;
+  VM.setMutationPlan(Plan);
+  Olc = analyzeObjectLifetimeConstants(*P, *Plan);
+  VM.setOlcDatabase(&Olc);
+}
 
 ClassId ProgramIds::cls(const std::string &Name) const {
   ClassId C = P.findClass(Name);

@@ -40,7 +40,9 @@ namespace {
 
 class JbbImpl final : public JbbWorkload {
 public:
-  explicit JbbImpl(JbbVariant V) : Variant(V) {}
+  explicit JbbImpl(JbbVariant V) : Variant(V) {
+    HeapBytes = V == JbbVariant::Jbb2000 ? 8u << 20 : 24u << 20;
+  }
 
   std::string name() const override {
     return Variant == JbbVariant::Jbb2000 ? "SPECjbb2000" : "SPECjbb2005";

@@ -10,6 +10,8 @@
 /// MiniVM IR programs. Every workload can rebuild its Program from scratch
 /// deterministically (so profiling runs, baseline runs, and mutation runs
 /// never share compiled state) and can drive a run at a configurable scale.
+/// WorkloadRun is the one recipe that deploys a workload: a fresh Program,
+/// a VM over it, and (with mutation on) the plan and its OLC database.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +43,17 @@ public:
   /// Full-scale run.
   void drive(VirtualMachine &VM) { driveScaled(VM, 1.0); }
 
+  /// The options a run of this workload starts from: the VM defaults with
+  /// the workload's heap budget. The budgets follow the paper's heaps,
+  /// scaled 1:16 for the SPECjbb pair with the scaled-down programs
+  /// (128 MB -> 8 MB, 384 MB -> 24 MB); the small applications keep Jikes'
+  /// default 50 MB, which they never pressure.
+  VMOptions vmOptions() const {
+    VMOptions O;
+    O.HeapBytes = HeapBytes;
+    return O;
+  }
+
   // --- ProgramSource ---------------------------------------------------------
   std::unique_ptr<Program> buildProgram() override {
     auto P = std::make_unique<Program>();
@@ -58,6 +71,29 @@ protected:
 
   /// Fraction of the full run used for offline profiling.
   double ProfileScale = 0.2;
+  /// Heap budget of a run (vmOptions); profiling runs keep the VM default.
+  size_t HeapBytes = VMOptions().HeapBytes;
+};
+
+/// One deployment of a workload, the paper's Figure 3 recipe: a fresh
+/// Program of W and a VM over it with Opts; with Opts.EnableMutation and a
+/// non-null Plan, the plan is installed and its object-lifetime-constant
+/// database attached. The run owns Program, OLC database and VM and
+/// destroys the VM first; Plan must outlive it. The caller drives the VM.
+class WorkloadRun {
+public:
+  WorkloadRun(Workload &W, const VMOptions &Opts,
+              const MutationPlan *Plan = nullptr);
+
+  VirtualMachine &vm() { return VM; }
+  Program &program() { return *P; }
+  /// The attached OLC database (empty without an installed plan).
+  const OlcDatabase &olc() const { return Olc; }
+
+private:
+  std::unique_ptr<Program> P;
+  OlcDatabase Olc;
+  VirtualMachine VM; // declared last: destroyed first
 };
 
 /// Convenience name-based resolution for drivers and tests (aborts on

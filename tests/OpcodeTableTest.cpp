@@ -73,10 +73,10 @@ constexpr PinnedRow Pinned[] = {
     {Opcode::Ret, "ret", 2, false, OpFamily::Other},
     {Opcode::New, "new", 40, false, OpFamily::Other},
     {Opcode::NewArray, "newarray", 40, false, OpFamily::Other},
-    {Opcode::ALoad, "aload", 2, true, OpFamily::Other},
+    {Opcode::ALoad, "aload", 2, false, OpFamily::Other},
     {Opcode::AStore, "astore", 2, false, OpFamily::Other},
-    {Opcode::ALen, "alen", 1, true, OpFamily::Other},
-    {Opcode::GetField, "getfield", 2, true, OpFamily::Other},
+    {Opcode::ALen, "alen", 1, false, OpFamily::Other},
+    {Opcode::GetField, "getfield", 2, false, OpFamily::Other},
     {Opcode::PutField, "putfield", 2, false, OpFamily::Other},
     {Opcode::GetStatic, "getstatic", 2, true, OpFamily::Other},
     {Opcode::PutStatic, "putstatic", 2, false, OpFamily::Other},

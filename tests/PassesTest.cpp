@@ -172,13 +172,31 @@ TEST(Dce, KeepsSideEffects) {
 }
 
 TEST(Dce, RemovesDeadFieldLoad) {
+  // Off the receiver: the call null-checked it, so the load cannot trap.
   FunctionBuilder B("f", Type::Void);
-  Reg O = B.addArg(Type::Ref);
-  B.getField(O, 0, Type::I64); // dead load
+  Reg This = B.addArg(Type::Ref);
+  B.getField(This, 0, Type::I64); // dead load
   B.retVoid();
   IRFunction F = B.finalize();
+  F.HasReceiver = true;
   runDeadCodeElimination(F);
   EXPECT_EQ(countOp(F, Opcode::GetField), 0u);
+}
+
+TEST(Dce, KeepsDeadFieldLoadOffNonReceiverRef) {
+  // Off a ref argument that may be null: the load's trap is behaviour, so
+  // it stays though its value is dead.
+  FunctionBuilder B("f", Type::Void);
+  Reg This = B.addArg(Type::Ref);
+  Reg Other = B.addArg(Type::Ref);
+  B.getField(This, 0, Type::I64);  // dead, removable
+  B.getField(Other, 0, Type::I64); // dead, may trap
+  B.retVoid();
+  IRFunction F = B.finalize();
+  F.HasReceiver = true;
+  runDeadCodeElimination(F);
+  ASSERT_EQ(countOp(F, Opcode::GetField), 1u);
+  EXPECT_EQ(F.Insts[0].A, Other);
 }
 
 TEST(Dce, RemovesUnreachableCode) {

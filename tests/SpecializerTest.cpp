@@ -30,7 +30,7 @@ struct SpecFixture : ::testing::Test {
 
 TEST_F(SpecFixture, FoldsReceiverStateFieldLoad) {
   IRFunction F = Fx.P->method(Fx.Bump).Bytecode;
-  unsigned Folded = specializeForState(F, Fx.P->method(Fx.Bump), plan(), 0);
+  unsigned Folded = specializeForState(F, plan(), 0);
   EXPECT_GE(Folded, 1u);
   // The mode load is gone; a ConstI 0 replaced it.
   for (const Instruction &I : F.Insts) {
@@ -43,7 +43,7 @@ TEST_F(SpecFixture, FoldsReceiverStateFieldLoad) {
 TEST_F(SpecFixture, PipelineCollapsesSpecializedChain) {
   IRFunction F = Fx.P->method(Fx.Bump).Bytecode;
   size_t Before = F.Insts.size();
-  specializeForState(F, Fx.P->method(Fx.Bump), plan(), 1); // mode == 1
+  specializeForState(F, plan(), 1); // mode == 1
   runOptPipeline(F);
   EXPECT_LT(F.Insts.size(), Before);
   EXPECT_EQ(countOp(F, Opcode::Cbnz), 0u); // branch chain folded away
@@ -57,8 +57,7 @@ TEST_F(SpecFixture, PipelineCollapsesSpecializedChain) {
 
 TEST_F(SpecFixture, StaticStateFieldsFoldEverywhere) {
   IRFunction F = Fx.P->method(Fx.StaticScale).Bytecode;
-  unsigned Folded =
-      specializeForState(F, Fx.P->method(Fx.StaticScale), plan(), 0);
+  unsigned Folded = specializeForState(F, plan(), 0);
   EXPECT_EQ(Folded, 1u);
   EXPECT_EQ(countOp(F, Opcode::GetStatic), 0u);
   runOptPipeline(F);
@@ -74,7 +73,6 @@ TEST_F(SpecFixture, StaticStateFieldsFoldEverywhere) {
 TEST_F(SpecFixture, NonReceiverLoadIsNotFolded) {
   // A method loading the state field off *another* object must keep the
   // load: the special TIB only encodes the receiver's state.
-  Program &P = *Fx.P;
   IRFunction F = [&] {
     FunctionBuilder B("other", Type::I64);
     B.addArg(Type::Ref);          // this
@@ -83,8 +81,8 @@ TEST_F(SpecFixture, NonReceiverLoadIsNotFolded) {
     B.ret(V);
     return B.finalize();
   }();
-  // Treat it as a body of Bump's method record for receiver typing.
-  unsigned Folded = specializeForState(F, P.method(Fx.Bump), plan(), 0);
+  F.HasReceiver = true; // an instance method body: register 0 is `this`
+  unsigned Folded = specializeForState(F, plan(), 0);
   EXPECT_EQ(Folded, 0u);
   EXPECT_EQ(countOp(F, Opcode::GetField), 1u);
 }
@@ -92,9 +90,9 @@ TEST_F(SpecFixture, NonReceiverLoadIsNotFolded) {
 TEST_F(SpecFixture, CountSpecializableReadsMatchesM) {
   const MethodInfo &M = Fx.P->method(Fx.Bump);
   // bump() reads `mode` once.
-  EXPECT_EQ(countSpecializableReads(M.Bytecode, M, plan()), 1u);
+  EXPECT_EQ(countSpecializableReads(M.Bytecode, plan()), 1u);
   const MethodInfo &S = Fx.P->method(Fx.StaticScale);
-  EXPECT_EQ(countSpecializableReads(S.Bytecode, S, plan()), 1u);
+  EXPECT_EQ(countSpecializableReads(S.Bytecode, plan()), 1u);
 }
 
 TEST_F(SpecFixture, SpecializedCodeBehavesLikeGeneralInState) {
@@ -148,7 +146,7 @@ TEST_F(SpecFixture, FloatStateValuesFoldToConstF) {
   CP.MutableMethods = {Apply};
 
   IRFunction F = P.method(Apply).Bytecode;
-  EXPECT_EQ(specializeForState(F, P.method(Apply), CP, 0), 1u);
+  EXPECT_EQ(specializeForState(F, CP, 0), 1u);
   bool FoundConstF = false;
   for (const Instruction &I : F.Insts)
     if (I.Op == Opcode::ConstF && I.FImm == 1.5)

@@ -12,7 +12,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "analysis/OlcAnalysis.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -21,25 +20,18 @@ using namespace dchm;
 
 namespace {
 
-struct WorkloadRun {
+struct RunResult {
   RunMetrics Metrics;
   std::string Output;
 };
 
-WorkloadRun runOnce(Workload &W, bool Mutation, const MutationPlan *Plan,
-                    double Scale = 0.3) {
-  auto P = W.buildProgram();
-  VMOptions Opts;
+RunResult runOnce(Workload &W, bool Mutation, const MutationPlan *Plan,
+                  double Scale = 0.3) {
+  VMOptions Opts = W.vmOptions();
   Opts.EnableMutation = Mutation;
-  VirtualMachine VM(*P, Opts);
-  OlcDatabase Db;
-  if (Mutation && Plan) {
-    VM.setMutationPlan(Plan);
-    Db = analyzeObjectLifetimeConstants(*P, *Plan);
-    VM.setOlcDatabase(&Db);
-  }
-  W.driveScaled(VM, Scale);
-  return {VM.metrics(), VM.interp().output()};
+  WorkloadRun Run(W, Opts, Plan);
+  W.driveScaled(Run.vm(), Scale);
+  return {Run.vm().metrics(), Run.vm().interp().output()};
 }
 
 class WorkloadParity : public ::testing::TestWithParam<int> {};
@@ -49,8 +41,8 @@ TEST_P(WorkloadParity, MutationPreservesOutput) {
   Workload &W = *All[static_cast<size_t>(GetParam())];
   OfflineConfig Cfg;
   OfflineResult R = runOfflinePipeline(W, Cfg);
-  WorkloadRun Base = runOnce(W, false, nullptr);
-  WorkloadRun Mut = runOnce(W, true, &R.Plan);
+  RunResult Base = runOnce(W, false, nullptr);
+  RunResult Mut = runOnce(W, true, &R.Plan);
   EXPECT_EQ(Base.Output, Mut.Output) << W.name();
   EXPECT_EQ(Base.Metrics.OutputHash, Mut.Metrics.OutputHash);
   EXPECT_FALSE(Base.Output.empty()) << "workload produced no output";
@@ -68,8 +60,8 @@ TEST_P(WorkloadParity, MutationFindsAPlan) {
 TEST_P(WorkloadParity, DeterministicAcrossRuns) {
   auto All = makeAllWorkloads();
   Workload &W = *All[static_cast<size_t>(GetParam())];
-  WorkloadRun A = runOnce(W, false, nullptr, 0.1);
-  WorkloadRun B = runOnce(W, false, nullptr, 0.1);
+  RunResult A = runOnce(W, false, nullptr, 0.1);
+  RunResult B = runOnce(W, false, nullptr, 0.1);
   EXPECT_EQ(A.Output, B.Output);
   EXPECT_EQ(A.Metrics.TotalCycles, B.Metrics.TotalCycles);
   EXPECT_EQ(A.Metrics.Insts, B.Metrics.Insts);
@@ -78,8 +70,8 @@ TEST_P(WorkloadParity, DeterministicAcrossRuns) {
   // determinism, code bytes included.
   OfflineConfig Cfg;
   OfflineResult R = runOfflinePipeline(W, Cfg);
-  WorkloadRun MA = runOnce(W, true, &R.Plan, 0.1);
-  WorkloadRun MB = runOnce(W, true, &R.Plan, 0.1);
+  RunResult MA = runOnce(W, true, &R.Plan, 0.1);
+  RunResult MB = runOnce(W, true, &R.Plan, 0.1);
   EXPECT_EQ(MA.Output, MB.Output);
   EXPECT_EQ(MA.Metrics.TotalCycles, MB.Metrics.TotalCycles);
   EXPECT_EQ(MA.Metrics.Insts, MB.Metrics.Insts);
@@ -101,8 +93,8 @@ TEST(WorkloadSpeedup, SalaryDbGainsAreLarge) {
   auto W = makeSalaryDb();
   OfflineConfig Cfg;
   OfflineResult R = runOfflinePipeline(*W, Cfg);
-  WorkloadRun Base = runOnce(*W, false, nullptr, 1.0);
-  WorkloadRun Mut = runOnce(*W, true, &R.Plan, 1.0);
+  RunResult Base = runOnce(*W, false, nullptr, 1.0);
+  RunResult Mut = runOnce(*W, true, &R.Plan, 1.0);
   double Speedup = static_cast<double>(Base.Metrics.TotalCycles) /
                    static_cast<double>(Mut.Metrics.TotalCycles);
   EXPECT_GT(Speedup, 1.15) << "paper reports 31.4%";
@@ -115,8 +107,8 @@ TEST(WorkloadSpeedup, EveryBenchmarkGains) {
   for (auto &W : All) {
     OfflineConfig Cfg;
     OfflineResult R = runOfflinePipeline(*W, Cfg);
-    WorkloadRun Base = runOnce(*W, false, nullptr, 1.0);
-    WorkloadRun Mut = runOnce(*W, true, &R.Plan, 1.0);
+    RunResult Base = runOnce(*W, false, nullptr, 1.0);
+    RunResult Mut = runOnce(*W, true, &R.Plan, 1.0);
     EXPECT_LT(Mut.Metrics.TotalCycles, Base.Metrics.TotalCycles) << W->name();
   }
 }
@@ -128,8 +120,8 @@ TEST(WorkloadOverheads, CodeSizeIncreaseIsBounded) {
   for (auto &W : All) {
     OfflineConfig Cfg;
     OfflineResult R = runOfflinePipeline(*W, Cfg);
-    WorkloadRun Base = runOnce(*W, false, nullptr, 1.0);
-    WorkloadRun Mut = runOnce(*W, true, &R.Plan, 1.0);
+    RunResult Base = runOnce(*W, false, nullptr, 1.0);
+    RunResult Mut = runOnce(*W, true, &R.Plan, 1.0);
     double Inc = static_cast<double>(Mut.Metrics.CodeBytes) /
                      static_cast<double>(Base.Metrics.CodeBytes) -
                  1.0;
@@ -144,7 +136,7 @@ TEST(WorkloadOverheads, TibSpaceIsBytesScale) {
   for (auto &W : All) {
     OfflineConfig Cfg;
     OfflineResult R = runOfflinePipeline(*W, Cfg);
-    WorkloadRun Mut = runOnce(*W, true, &R.Plan, 0.3);
+    RunResult Mut = runOnce(*W, true, &R.Plan, 0.3);
     EXPECT_LE(Mut.Metrics.SpecialTibBytes, 2048u) << W->name();
   }
 }
@@ -159,19 +151,12 @@ TEST(JbbWindows, MutationGainGrowsIntoSteadyState) {
   OfflineConfig Cfg;
   OfflineResult R = runOfflinePipeline(*W, Cfg);
   auto Run = [&](bool Mutation) {
-    auto P = W->buildProgram();
-    VMOptions Opts;
+    VMOptions Opts = W->vmOptions();
     Opts.EnableMutation = Mutation;
     Opts.Adaptive.SampleInterval = 70; // sparse, Jikes-timer-like sampling
-    VirtualMachine VM(*P, Opts);
-    OlcDatabase Db;
-    if (Mutation) {
-      VM.setMutationPlan(&R.Plan);
-      Db = analyzeObjectLifetimeConstants(*P, R.Plan);
-      VM.setOlcDatabase(&Db);
-    }
-    W->initVm(VM);
-    return W->runWarehouseWindows(VM, 6, 3'000'000, 0);
+    WorkloadRun Jbb(*W, Opts, &R.Plan);
+    W->initVm(Jbb.vm());
+    return W->runWarehouseWindows(Jbb.vm(), 6, 3'000'000, 0);
   };
   auto Base = Run(false);
   auto Mut = Run(true);

@@ -87,15 +87,17 @@ void printMetrics(const RunMetrics &M, double WallSec) {
 
 int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
            size_t HeapMb, bool Accelerated) {
-  auto P = W.buildProgram();
-  VMOptions Opts;
+  VMOptions Opts = W.vmOptions();
   Opts.EnableMutation = Mutation;
-  Opts.HeapBytes = HeapMb << 20;
+  if (HeapMb)
+    Opts.HeapBytes = HeapMb << 20;
   Opts.Adaptive.AcceleratedMutableHotness = Accelerated;
-  VirtualMachine VM(*P, Opts);
-
   MutationPlan Plan;
-  OlcDatabase Olc;
+  if (Mutation && !Online)
+    Plan = runOfflinePipeline(W, OfflineConfig{}).Plan;
+  WorkloadRun Run(W, Opts, Online ? nullptr : &Plan);
+  VirtualMachine &VM = Run.vm();
+
   std::unique_ptr<OnlineMutationController> Ctl;
   if (Mutation && Online) {
     Ctl = std::make_unique<OnlineMutationController>(
@@ -103,15 +105,10 @@ int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
     std::printf("running %s with ONLINE mutation (poll-driven)...\n",
                 W.name().c_str());
   } else if (Mutation) {
-    OfflineResult R = runOfflinePipeline(W, OfflineConfig{});
-    Plan = std::move(R.Plan);
-    VM.setMutationPlan(&Plan);
-    Olc = analyzeObjectLifetimeConstants(*P, Plan);
-    VM.setOlcDatabase(&Olc);
     std::printf("running %s with mutation (plan: %zu classes, %zu hot "
                 "states, %zu OLC entries)...\n",
                 W.name().c_str(), Plan.Classes.size(), Plan.numHotStates(),
-                Olc.Entries.size());
+                Run.olc().Entries.size());
   } else {
     std::printf("running %s without mutation...\n", W.name().c_str());
   }
@@ -212,7 +209,7 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
       return 1;
     }
     IRFunction Spec2 = MI.Bytecode;
-    specializeForState(Spec2, MI, *CP, static_cast<size_t>(State));
+    specializeForState(Spec2, *CP, static_cast<size_t>(State));
     runOptPipeline(Spec2);
     std::printf("specialized for hot state %d:\n%s\n", State,
                 Spec2.toString().c_str());
@@ -312,7 +309,7 @@ int main(int Argc, char **Argv) {
 
   bool Mutation = true, Online = false, Accelerated = false;
   double Scale = 1.0;
-  size_t HeapMb = 50;
+  size_t HeapMb = 0; // the workload's own heap budget
   int State = -1;
   std::string Spec;
   for (int I = 3; I < Argc; ++I) {
