@@ -14,38 +14,6 @@ namespace dchm {
 
 namespace {
 
-/// Unique defining instruction of R in F, or SIZE_MAX.
-size_t uniqueDefOf(const IRFunction &F, Reg R) {
-  size_t Def = SIZE_MAX;
-  for (size_t I = 0; I < F.Insts.size(); ++I) {
-    if (F.Insts[I].hasDst() && F.Insts[I].Dst == R) {
-      if (Def != SIZE_MAX)
-        return SIZE_MAX;
-      Def = I;
-    }
-  }
-  return Def;
-}
-
-/// Constant stored by value register R in F (unique Const def), as bits.
-bool constStored(const IRFunction &F, Reg R, Value &Out, Type &Ty) {
-  size_t Def = uniqueDefOf(F, R);
-  if (Def == SIZE_MAX)
-    return false;
-  const Instruction &D = F.Insts[Def];
-  if (D.Op == Opcode::ConstI) {
-    Out = valueI(D.Imm);
-    Ty = Type::I64;
-    return true;
-  }
-  if (D.Op == Opcode::ConstF) {
-    Out = valueF(D.FImm);
-    Ty = Type::F64;
-    return true;
-  }
-  return false;
-}
-
 /// <field, constructor> -> constant value (step 1 tuples).
 using CtorTuples = std::map<std::pair<FieldId, MethodId>, Value>;
 
@@ -152,13 +120,12 @@ OlcDatabase analyzeObjectLifetimeConstants(const Program &P,
           continue;
         if (StoreCount[F] != 1)
           continue;
-        Value V;
-        Type Ty;
-        if (!constStored(M.Bytecode, I.B, V, Ty))
+        std::optional<int64_t> Bits = uniqueConstDefBits(M.Bytecode, I.B);
+        if (!Bits)
           continue;
         if (assignedOutsideCtors(P, F))
           continue;
-        Tuples[{F, MId}] = V;
+        Tuples[{F, MId}] = valueI(*Bits);
       }
     }
   }
@@ -189,12 +156,12 @@ OlcDatabase analyzeObjectLifetimeConstants(const Program &P,
           continue;
         AnyAssign = true;
         // "Always assigned by new using the same constructor."
-        size_t Def = uniqueDefOf(F, Inst.B);
-        if (Def == SIZE_MAX || F.Insts[Def].Op != Opcode::New) {
+        std::optional<size_t> Def = uniqueDef(F, Inst.B);
+        if (!Def || F.Insts[*Def].Op != Opcode::New) {
           Valid = false;
           break;
         }
-        ClassId NewCls = static_cast<ClassId>(F.Insts[Def].Imm);
+        ClassId NewCls = static_cast<ClassId>(F.Insts[*Def].Imm);
         // Find the single constructor call on the freshly built object.
         MethodId Ctor = NoMethodId;
         unsigned CtorCalls = 0;

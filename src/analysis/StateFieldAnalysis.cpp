@@ -48,32 +48,6 @@ void taintClosure(const IRFunction &F, size_t LoadIdx,
   }
 }
 
-/// The constant stored by an assignment, when the stored register has a
-/// unique Const definition. Returns false otherwise.
-bool storedConstant(const IRFunction &F, Reg ValueReg, int64_t &Bits) {
-  int Defs = 0;
-  size_t DefIdx = 0;
-  for (size_t I = 0; I < F.Insts.size(); ++I) {
-    if (F.Insts[I].hasDst() && F.Insts[I].Dst == ValueReg) {
-      ++Defs;
-      DefIdx = I;
-    }
-  }
-  if (Defs != 1)
-    return false;
-  const Instruction &Def = F.Insts[DefIdx];
-  if (Def.Op == Opcode::ConstI) {
-    Bits = Def.Imm;
-    return true;
-  }
-  if (Def.Op == Opcode::ConstF) {
-    Value V = valueF(Def.FImm);
-    Bits = V.I;
-    return true;
-  }
-  return false;
-}
-
 } // namespace
 
 std::vector<ClassStateFields>
@@ -118,12 +92,11 @@ analyzeStateFields(const Program &P, const HotMethodProfile &Prof) {
         double Lj = 1.0 + G.loopDepthOfInst(static_cast<uint32_t>(I));
         S.Assignments += Lj * H;
         Reg ValueReg = Inst.Op == Opcode::PutField ? Inst.B : Inst.A;
-        int64_t Bits;
-        if (storedConstant(F, ValueReg, Bits)) {
+        if (std::optional<int64_t> Bits = uniqueConstDefBits(F, ValueReg)) {
           if (!S.HaveConst) {
             S.HaveConst = true;
-            S.ConstBits = Bits;
-          } else if (S.ConstBits != Bits) {
+            S.ConstBits = *Bits;
+          } else if (S.ConstBits != *Bits) {
             S.AllAssignSameConst = false;
           }
         } else {

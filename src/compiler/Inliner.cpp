@@ -17,30 +17,15 @@ namespace dchm {
 
 namespace {
 
-/// Register defined exactly once in F by instruction *DefIdx; NoReg-safe.
-/// Returns true and sets DefIdx when R has a unique defining instruction.
-bool uniqueDef(const IRFunction &F, Reg R, size_t &DefIdx) {
-  bool Found = false;
-  for (size_t I = 0; I < F.Insts.size(); ++I) {
-    if (F.Insts[I].hasDst() && F.Insts[I].Dst == R) {
-      if (Found)
-        return false;
-      Found = true;
-      DefIdx = I;
-    }
-  }
-  return Found;
-}
-
 /// Number of call arguments whose value is a compile-time constant at the
 /// site (unique Const definition) — the "N" of the trade-off heuristic.
 unsigned countConstantArgs(const IRFunction &F, const Instruction &Call) {
   unsigned N = 0;
   for (Reg R : Call.Args) {
-    size_t Def;
-    if (!uniqueDef(F, R, Def))
+    std::optional<size_t> Def = uniqueDef(F, R);
+    if (!Def)
       continue;
-    Opcode Op = F.Insts[Def].Op;
+    Opcode Op = F.Insts[*Def].Op;
     if (Op == Opcode::ConstI || Op == Opcode::ConstF ||
         Op == Opcode::ConstNull)
       ++N;
@@ -57,8 +42,8 @@ std::vector<bool> regsNeedingInit(const IRFunction &Callee) {
   std::vector<bool> NeedsInit(Callee.RegTypes.size(), false);
   CFG G(Callee);
   for (Reg R = Callee.NumArgs; R < Callee.RegTypes.size(); ++R) {
-    size_t DefIdx = 0;
-    if (!uniqueDef(Callee, R, DefIdx)) {
+    std::optional<size_t> DefIdx = uniqueDef(Callee, R);
+    if (!DefIdx) {
       // Zero or multiple defs: conservatively initialize (zero defs means
       // any use reads the implicit zero; multiple defs are hard to prove).
       for (const Instruction &I : Callee.Insts) {
@@ -71,7 +56,7 @@ std::vector<bool> regsNeedingInit(const IRFunction &Callee) {
       }
       continue;
     }
-    uint32_t DefBlock = G.blockOfInst(static_cast<uint32_t>(DefIdx));
+    uint32_t DefBlock = G.blockOfInst(static_cast<uint32_t>(*DefIdx));
     for (size_t I = 0; I < Callee.Insts.size(); ++I) {
       const Instruction &Inst = Callee.Insts[I];
       bool Uses = Inst.A == R || Inst.B == R || Inst.C == R ||
@@ -80,7 +65,7 @@ std::vector<bool> regsNeedingInit(const IRFunction &Callee) {
       if (!Uses)
         continue;
       uint32_t UseBlock = G.blockOfInst(static_cast<uint32_t>(I));
-      bool Dominated = DefBlock == UseBlock ? DefIdx < I
+      bool Dominated = DefBlock == UseBlock ? *DefIdx < I
                                             : G.dominates(DefBlock, UseBlock);
       if (!Dominated) {
         NeedsInit[R] = true;
@@ -122,9 +107,8 @@ const MethodInfo *Inliner::resolveExactTarget(const IRFunction &F,
     if (Cfg.EnableSpecializationInlining && Olc && !Call.Args.empty() &&
         !Root.Flags.IsStatic) {
       Reg Recv = Call.Args[0];
-      size_t Def;
-      if (uniqueDef(F, Recv, Def)) {
-        const Instruction &DefInst = F.Insts[Def];
+      if (std::optional<size_t> Def = uniqueDef(F, Recv)) {
+        const Instruction &DefInst = F.Insts[*Def];
         if (DefInst.Op == Opcode::GetField && DefInst.A == 0) {
           const OlcEntry *E =
               Olc->forRefField(static_cast<FieldId>(DefInst.Imm));

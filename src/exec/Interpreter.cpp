@@ -8,12 +8,13 @@
 // handler, fused groups decided once per compiled body and charged on
 // dispatch. Each entry names a handler for one instruction or for a fused
 // group of two or three, and carries the group's instruction count and
-// summed cycles. A group always runs to completion (its only early exits are
-// fatal aborts), so charging it up front is exact; entries stay
-// index-parallel to the IR, so a branch into the middle of a group lands on
-// that instruction's own entry. Decoding checked once that the body ends in
-// Br/Ret and that every branch target is in range, so the loop has no
-// per-dispatch bound check. See docs/dispatch.md.
+// summed cycles. No member of a group can trap or return and only the last
+// may branch, so a group that starts runs all of its members and charging
+// it up front is exact by construction; entries stay index-parallel to the
+// IR, so a branch into the middle of a group lands on that instruction's
+// own entry. Decoding checked once that the body ends in Br/Ret and that
+// every branch target is in range, so the loop has no per-dispatch bound
+// check. See docs/dispatch.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -283,8 +284,8 @@ Value Interpreter::executeLoop(CompiledMethod *CM, const Value *Args,
   /// the arena.
   auto ArgBufCall = [this](const Value *Regs, const Instruction &I,
                            CompiledMethod *Target) {
-    Value Buf[MaxArgs];
-    DCHM_CHECK(I.Args.size() <= MaxArgs, "too many call arguments");
+    Value Buf[MaxCallArgs];
+    DCHM_CHECK(I.Args.size() <= MaxCallArgs, "too many call arguments");
     for (size_t A = 0; A < I.Args.size(); ++A)
       Buf[A] = Regs[I.Args[A]];
     Value RV = executeLoop(Target, Buf, I.Args.size());
@@ -318,20 +319,10 @@ Value Interpreter::executeLoop(CompiledMethod *CM, const Value *Args,
 #define DCHM_X(OP) &&L_ConstI_##OP,
       DCHM_CONST_ARITH_OPS(DCHM_X)
 #undef DCHM_X
-#define DCHM_X(OP) &&L_ConstI_##OP##_Move,
-      DCHM_CONST_ARITH_OPS(DCHM_X)
-#undef DCHM_X
-#define DCHM_X(OP) &&L_ConstI_##OP##_Ret,
-      DCHM_CONST_ARITH_OPS(DCHM_X)
-#undef DCHM_X
-      &&L_ConstI_Move,
 #define DCHM_X(OP) &&L_##OP##_Move,
       DCHM_FUSED_BINOPS(DCHM_X)
 #undef DCHM_X
 #define DCHM_X(OP) &&L_##OP##_Move_Br,
-      DCHM_FUSED_BINOPS(DCHM_X)
-#undef DCHM_X
-#define DCHM_X(OP) &&L_##OP##_Ret,
       DCHM_FUSED_BINOPS(DCHM_X)
 #undef DCHM_X
 #define DCHM_X(OP) &&L_##OP##_Cbnz,
@@ -340,7 +331,7 @@ Value Interpreter::executeLoop(CompiledMethod *CM, const Value *Args,
 #define DCHM_X(OP) &&L_##OP##_Cbz,
       DCHM_BRANCH_CMPS(DCHM_X)
 #undef DCHM_X
-      &&L_GetField_GetField, &&L_GetField_Ret,
+      &&L_GetField_GetField,
   };
   static_assert(sizeof(JumpTab) / sizeof(JumpTab[0]) ==
                     static_cast<unsigned>(HandlerId::NumHandlers),
@@ -377,33 +368,19 @@ L_Move: {
 // evalBinop's switch folds to the one operation, and ends in its own
 // dispatch branch. Handlers read the operands of the instructions of their
 // group (Ip[1], Ip[2]) but never inspect them to choose a path: decoding
-// chose the handler. The group was charged on dispatch. A group ending in
-// Ret skips writing the result register, which is dead once the frame
-// returns.
+// chose the handler. The group was charged on dispatch, and no member of it
+// can trap or return, so every member runs.
 
-// ConstI + an integer binop (which need not read the constant), alone or
-// followed by a Move or Ret of the binop's result.
+// ConstI + an integer binop, which need not read the constant.
 #define DCHM_CONST_ARITH_HANDLERS(OP)                                          \
   L_ConstI_##OP : {                                                            \
     R[Ip->Dst] = valueI(Ip->Imm);                                              \
     R[Ip[1].Dst] = evalBinop(Opcode::OP, R[Ip[1].A], R[Ip[1].B]);              \
     VM_SKIP(2);                                                                \
-  }                                                                            \
-  L_ConstI_##OP##_Move : {                                                     \
-    R[Ip->Dst] = valueI(Ip->Imm);                                              \
-    Value V = evalBinop(Opcode::OP, R[Ip[1].A], R[Ip[1].B]);                   \
-    R[Ip[1].Dst] = V;                                                          \
-    R[Ip[2].Dst] = V;                                                          \
-    VM_SKIP(3);                                                                \
-  }                                                                            \
-  L_ConstI_##OP##_Ret : {                                                      \
-    R[Ip->Dst] = valueI(Ip->Imm);                                              \
-    Ret = evalBinop(Opcode::OP, R[Ip[1].A], R[Ip[1].B]);                       \
-    goto done;                                                                 \
   }
 
 // A binop alone; + Move of its result (the FunctionBuilder loop-variable
-// idiom `move(X, binop(...))`); + Move + Br (closing the loop); + Ret.
+// idiom `move(X, binop(...))`); + Move + Br (closing the loop).
 #define DCHM_BINOP_HANDLERS(OP)                                                \
   L_##OP : {                                                                   \
     R[Ip->Dst] = evalBinop(Opcode::OP, R[Ip->A], R[Ip->B]);                    \
@@ -420,10 +397,6 @@ L_Move: {
     R[Ip->Dst] = V;                                                            \
     R[Ip[1].Dst] = V;                                                          \
     VM_BRANCH(Ip[2]);                                                          \
-  }                                                                            \
-  L_##OP##_Ret : {                                                             \
-    Ret = evalBinop(Opcode::OP, R[Ip->A], R[Ip->B]);                           \
-    goto done;                                                                 \
   }
 
 // An integer compare alone, or + a conditional branch on its result (the
@@ -456,29 +429,23 @@ DCHM_BRANCH_CMPS(DCHM_INTCMP_HANDLERS)
 #undef DCHM_BINOP_HANDLERS
 #undef DCHM_INTCMP_HANDLERS
 
-L_ConstI_Move: {
-  Value V = valueI(Ip->Imm);
-  R[Ip->Dst] = V;
-  R[Ip[1].Dst] = V;
-  VM_SKIP(2);
+// Div and Rem trap on a zero divisor, so they never join a group.
+L_Div: {
+  R[Ip->Dst] = evalBinop(Opcode::Div, R[Ip->A], R[Ip->B]);
+  VM_NEXT();
 }
-// Back-to-back field loads (method prologues reading several fields of
-// `this`); the second may load through the first's result.
+L_Rem: {
+  R[Ip->Dst] = evalBinop(Opcode::Rem, R[Ip->A], R[Ip->B]);
+  VM_NEXT();
+}
+// Back-to-back field loads off the receiver (method prologues reading
+// several fields of `this`). The call null-checked the receiver, and no
+// instruction writes an argument register, so neither load can trap.
 L_GetField_GetField: {
-  Object *O = R[Ip->A].R;
-  DCHM_CHECK(O, "null pointer in getfield");
-  R[Ip->Dst] = O->get(Ip->Aux);
-  Object *O2 = R[Ip[1].A].R;
-  DCHM_CHECK(O2, "null pointer in getfield");
-  R[Ip[1].Dst] = O2->get(Ip[1].Aux);
+  Object *This = R[0].R;
+  R[Ip->Dst] = This->get(Ip->Aux);
+  R[Ip[1].Dst] = This->get(Ip[1].Aux);
   VM_SKIP(2);
-}
-// The accessor idiom GetField + Ret.
-L_GetField_Ret: {
-  Object *O = R[Ip->A].R;
-  DCHM_CHECK(O, "null pointer in getfield");
-  Ret = O->get(Ip->Aux);
-  goto done;
 }
 L_Neg:
 L_FNeg:

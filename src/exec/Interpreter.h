@@ -120,7 +120,6 @@ public:
   void enumerateRoots(std::vector<Object *> &Roots) override;
 
 private:
-  static constexpr size_t MaxArgs = 16;
   static constexpr size_t MaxFrames = 512;
   static constexpr size_t InitialArenaSlots = 4096;
 

@@ -18,6 +18,8 @@
 
 #include "ir/Instruction.h"
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,14 @@ struct IRFunction {
   /// Render the function as text for debugging and golden tests.
   std::string toString() const;
 };
+
+/// Index of the only instruction in F that writes R; none when no
+/// instruction or more than one does.
+std::optional<size_t> uniqueDef(const IRFunction &F, Reg R);
+
+/// The bits of the constant R holds when its only definition is a ConstI or
+/// a ConstF (a double's bit pattern).
+std::optional<int64_t> uniqueConstDefBits(const IRFunction &F, Reg R);
 
 } // namespace dchm
 

@@ -20,6 +20,7 @@
 #include "ir/Opcode.h"
 #include "ir/Type.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -31,6 +32,11 @@ using Reg = uint16_t;
 
 /// Sentinel meaning "no register" (e.g. void Ret, no destination).
 constexpr Reg NoReg = std::numeric_limits<Reg>::max();
+
+/// Most arguments one call instruction may pass, receiver included. Link
+/// rejects a longer call; the interpreter passes arguments in a buffer of
+/// this size.
+constexpr size_t MaxCallArgs = 16;
 
 /// One MiniVM IR instruction.
 ///

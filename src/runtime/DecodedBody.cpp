@@ -40,11 +40,12 @@ uint8_t plus(HandlerId Base, int K) {
   return static_cast<uint8_t>(static_cast<int>(Base) + K);
 }
 
-/// The handler and group length for dispatch landing on Insts[I]. The rules
-/// read only opcodes and register numbers, never run-time values, so
-/// deciding them once per body is exact.
-std::pair<uint8_t, uint8_t> classify(const std::vector<Instruction> &Insts,
-                                     size_t I) {
+/// The handler and group length for dispatch landing on F.Insts[I]. The
+/// rules read only opcodes and register numbers, never run-time values, so
+/// deciding them once per body is exact. Every member they group cannot
+/// trap or return, and only the last may branch.
+std::pair<uint8_t, uint8_t> classify(const IRFunction &F, size_t I) {
+  const std::vector<Instruction> &Insts = F.Insts;
   const Instruction &In = Insts[I];
   const Instruction *Nx = I + 1 < Insts.size() ? &Insts[I + 1] : nullptr;
   const Instruction *Nx2 = I + 2 < Insts.size() ? &Insts[I + 2] : nullptr;
@@ -55,32 +56,25 @@ std::pair<uint8_t, uint8_t> classify(const std::vector<Instruction> &Insts,
   auto Uses = [](const Instruction *Use, Opcode Op, const Instruction &Def) {
     return Use && Use->Op == Op && Use->A == Def.Dst;
   };
+  // A field load off the receiver, which the call has null-checked.
+  auto ReceiverLoad = [&F](const Instruction &Ld) {
+    return Ld.Op == Opcode::GetField && F.HasReceiver && Ld.A == 0;
+  };
 
   if (In.Op == Opcode::ConstI) {
-    // A constant feeding an integer binop (the binop need not read it),
-    // with an optional Move or Ret of the binop's result; or a constant
-    // copied into a loop variable.
-    if (int K = indexIn(ConstArithOps, Nx->Op); K >= 0) {
-      if (Uses(Nx2, Opcode::Move, *Nx))
-        return {plus(HandlerId::ConstI_Add_Move, K), 3};
-      if (Uses(Nx2, Opcode::Ret, *Nx))
-        return {plus(HandlerId::ConstI_Add_Ret, K), 3};
+    // A constant feeding an integer binop (which need not read it).
+    if (int K = indexIn(ConstArithOps, Nx->Op); K >= 0)
       return {plus(HandlerId::ConstI_Add, K), 2};
-    }
-    if (Uses(Nx, Opcode::Move, In))
-      return {static_cast<uint8_t>(HandlerId::ConstI_Move), 2};
     return Single;
   }
   if (int K = indexIn(FusedBinops, In.Op); K >= 0) {
     // The builder's loop-variable idiom `move(X, binop(...))`, optionally
-    // closing the loop with a Br; or returning the result.
+    // closing the loop with a Br.
     if (Uses(Nx, Opcode::Move, In)) {
       if (Nx2 && Nx2->Op == Opcode::Br)
         return {plus(HandlerId::Add_Move_Br, K), 3};
       return {plus(HandlerId::Add_Move, K), 2};
     }
-    if (Uses(Nx, Opcode::Ret, In))
-      return {plus(HandlerId::Add_Ret, K), 2};
     return Single;
   }
   if (int K = indexIn(BranchCmps, In.Op); K >= 0) {
@@ -91,13 +85,9 @@ std::pair<uint8_t, uint8_t> classify(const std::vector<Instruction> &Insts,
       return {plus(HandlerId::CmpEQ_Cbz, K), 2};
     return Single;
   }
-  if (In.Op == Opcode::GetField) {
-    // Prologues loading several fields, and the accessor idiom.
-    if (Nx->Op == Opcode::GetField)
-      return {static_cast<uint8_t>(HandlerId::GetField_GetField), 2};
-    if (Uses(Nx, Opcode::Ret, In))
-      return {static_cast<uint8_t>(HandlerId::GetField_Ret), 2};
-  }
+  // Method prologues loading several fields of `this`.
+  if (ReceiverLoad(In) && ReceiverLoad(*Nx))
+    return {static_cast<uint8_t>(HandlerId::GetField_GetField), 2};
   return Single;
 }
 
@@ -120,7 +110,7 @@ Expected<std::vector<DecodedInst>> decodeBody(const IRFunction &F) {
 
   std::vector<DecodedInst> Out(Insts.size());
   for (size_t I = 0; I < Insts.size(); ++I) {
-    auto [Handler, Count] = classify(Insts, I);
+    auto [Handler, Count] = classify(F, I);
     uint64_t Cycles = 0;
     for (size_t J = I; J < I + Count; ++J)
       Cycles += opcodeCycles(Insts[J].Op);

@@ -11,9 +11,10 @@
 /// entries, index-parallel to IRFunction::Insts: entry I names the handler
 /// that runs when dispatch lands on instruction I, how many IR instructions
 /// that handler executes (a fused group of 1-3), and the sum of their
-/// per-opcode simulated cycles. The loop charges a whole group on dispatch;
-/// that is exact because a group always runs to completion. See
-/// docs/dispatch.md §1.
+/// per-opcode simulated cycles. The loop charges a whole group on dispatch.
+/// That is exact by construction: no member of a group can trap or return,
+/// and only the last may branch, so a group that starts always runs all of
+/// its members. See docs/dispatch.md §1.
 ///
 /// Handler ids below NumOpcodes are the single-instruction handlers (the id
 /// is the opcode). The fused forms follow, expanded from the opcode lists
@@ -35,9 +36,10 @@ namespace dchm {
 /// Integer arithmetic fused behind a ConstI: cheap, non-trapping ops.
 #define DCHM_CONST_ARITH_OPS(X)                                                \
   X(Add) X(Sub) X(Mul) X(And) X(Or) X(Xor) X(Shl) X(Shr)
-/// Binops fused with a following Move (and Br) or Ret of their result.
+/// Binops fused with a following Move (and Br) of their result: every binop
+/// and float compare except Div and Rem, which trap on a zero divisor.
 #define DCHM_FUSED_BINOPS(X)                                                   \
-  X(Add) X(Sub) X(Mul) X(Div) X(Rem) X(And) X(Or) X(Xor) X(Shl) X(Shr)         \
+  X(Add) X(Sub) X(Mul) X(And) X(Or) X(Xor) X(Shl) X(Shr)                       \
   X(FAdd) X(FSub) X(FMul) X(FDiv) X(FCmpEQ) X(FCmpLT) X(FCmpLE)
 /// Integer compares fused with a following Cbnz/Cbz on their result.
 #define DCHM_BRANCH_CMPS(X)                                                    \
@@ -49,20 +51,10 @@ enum class HandlerId : uint8_t {
 #define DCHM_X(OP) ConstI_##OP,
   DCHM_CONST_ARITH_OPS(DCHM_X)
 #undef DCHM_X
-#define DCHM_X(OP) ConstI_##OP##_Move,
-  DCHM_CONST_ARITH_OPS(DCHM_X)
-#undef DCHM_X
-#define DCHM_X(OP) ConstI_##OP##_Ret,
-  DCHM_CONST_ARITH_OPS(DCHM_X)
-#undef DCHM_X
-  ConstI_Move,
 #define DCHM_X(OP) OP##_Move,
   DCHM_FUSED_BINOPS(DCHM_X)
 #undef DCHM_X
 #define DCHM_X(OP) OP##_Move_Br,
-  DCHM_FUSED_BINOPS(DCHM_X)
-#undef DCHM_X
-#define DCHM_X(OP) OP##_Ret,
   DCHM_FUSED_BINOPS(DCHM_X)
 #undef DCHM_X
 #define DCHM_X(OP) OP##_Cbnz,
@@ -71,8 +63,7 @@ enum class HandlerId : uint8_t {
 #define DCHM_X(OP) OP##_Cbz,
   DCHM_BRANCH_CMPS(DCHM_X)
 #undef DCHM_X
-  GetField_GetField,
-  GetField_Ret,
+  GetField_GetField, ///< two loads off the receiver, which is never null
   NumHandlers
 };
 

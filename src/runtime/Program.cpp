@@ -358,6 +358,10 @@ VMError Program::resolveBodies() {
         const MethodInfo &Callee = Methods[static_cast<MethodId>(I.Imm)];
         if (I.Args.size() != Callee.numArgsWithReceiver())
           return linkError(M.Name + ": wrong argument count calling " + Callee.Name);
+        if (I.Args.size() > MaxCallArgs)
+          return linkError(M.Name + ": too many arguments calling " +
+                           Callee.Name + " (" + std::to_string(I.Args.size()) +
+                           ", limit " + std::to_string(MaxCallArgs) + ")");
         if (I.Ty != Callee.RetTy)
           return linkError(M.Name + ": return type mismatch calling " + Callee.Name);
         size_t ParamBase = Callee.Flags.IsStatic ? 0 : 1;

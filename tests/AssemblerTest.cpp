@@ -328,6 +328,39 @@ TEST(AssemblerErrors, DuplicateClass) {
   EXPECT_NE(R.Error.find("duplicate"), std::string::npos);
 }
 
+/// A program whose main calls a static method of N parameters, returning the
+/// sum of its arguments 1..N.
+std::string wideCallProgram(int N) {
+  std::string Params, Args, Body = "    %s = consti 0\n";
+  for (int I = 0; I < N; ++I) {
+    std::string K = std::to_string(I);
+    Params += (I ? ", %p" : "%p") + K + ": i64";
+    Args += (I ? ", %a" : "%a") + K;
+    Body += "    %s = add %s, %p" + K + "\n";
+  }
+  std::string Consts;
+  for (int I = 0; I < N; ++I)
+    Consts += "    %a" + std::to_string(I) + " = consti " +
+              std::to_string(I + 1) + "\n";
+  return "class Main {\n  method wide(" + Params + ") -> i64 static {\n" +
+         Body + "    ret %s\n  }\n  method main() -> i64 static {\n" +
+         Consts + "    %r = callstatic Main.wide(" + Args +
+         ")\n    ret %r\n  }\n}\n";
+}
+
+TEST(AssemblerErrors, CallArgumentLimitIsALinkError) {
+  // MaxCallArgs arguments link and run; one more is a diagnostic, where
+  // the interpreter's call helper would otherwise abort.
+  auto Ok = assembleProgram(wideCallProgram(MaxCallArgs));
+  ASSERT_TRUE(Ok.ok()) << Ok.Error;
+  EXPECT_EQ(runMain(*Ok.P), 16 * 17 / 2);
+  auto Wide = assembleProgram(wideCallProgram(MaxCallArgs + 1));
+  EXPECT_FALSE(Wide.ok());
+  EXPECT_NE(Wide.Error.find("too many arguments calling wide (17, limit 16)"),
+            std::string::npos)
+      << Wide.Error;
+}
+
 TEST(AssemblerErrors, CtorWithReturnType) {
   auto R = assembleProgram(R"(
     class A {

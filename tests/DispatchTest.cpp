@@ -477,7 +477,9 @@ bool inOpList(Opcode Op, std::initializer_list<Opcode> Ops) {
 }
 
 /// How many instructions the decoder groups with Op in shape S: the
-/// expectation that makes the fused shape exercise a fused handler.
+/// expectation that makes the fused shape exercise a fused handler, and
+/// that keeps the shapes that never fuse (Div, Rem, anything + Ret) on
+/// single-instruction entries.
 size_t groupSize(Opcode Op, OpShape S) {
 #define DCHM_X(OP) Opcode::OP,
   bool FusedBinop = inOpList(Op, {DCHM_FUSED_BINOPS(DCHM_X)});
@@ -485,11 +487,11 @@ size_t groupSize(Opcode Op, OpShape S) {
 #undef DCHM_X
   switch (S) {
   case OpShape::Move:
-  case OpShape::Ret:
     return FusedBinop ? 2 : 1;
   case OpShape::MoveBrBack:
     return FusedBinop ? 3 : 1;
   case OpShape::Plain:
+  case OpShape::Ret: // a Ret never joins a group
     return 1;
   default:
     return BranchCmp ? 2 : 1;
@@ -765,15 +767,17 @@ struct EntryPath {
 };
 
 /// A body with one fused group at GroupStart. Arguments are (S1, S2, X, Y),
-/// or (S1, S2, Obj) for the field-load groups, which read fields f = 11 and
-/// g = 4. S1 != 0 branches to the group's second instruction, S2 != 0 to its
-/// third. Paths[k] is the expectation when entering at member k.
+/// or (Obj, S1, S2) for the field-load group, an instance method on Obj
+/// that reads its fields f = 11 and g = 4. S1 != 0 branches to the group's
+/// second instruction, S2 != 0 to its third. Paths[k] is the expectation
+/// when entering at member k.
 struct MidGroupCase {
   IRFunction Body;
   size_t GroupStart;
   HandlerId Group;
   std::vector<EntryPath> Paths;
-  Value X, Y; ///< unused by the field-load groups
+  Value X, Y; ///< unused by the field-load group
+  bool OnReceiver = false; ///< the field-load group's instance method
 };
 
 /// The handler K places after Base in its HandlerId block.
@@ -791,14 +795,12 @@ std::vector<MidGroupCase> buildMidGroupCases(FieldId FF, FieldId FG) {
   struct Entry {
     FunctionBuilder B;
     FunctionBuilder::Label L1, L2;
-    Entry(const std::string &Name, Type RetTy, Type XTy, bool Three,
-          bool TwoOperands = true)
+    Entry(const std::string &Name, Type RetTy, Type XTy, bool Three)
         : B(Name, RetTy), L1(B.makeLabel()), L2(B.makeLabel()) {
       Reg S1 = B.addArg(Type::I64);
       Reg S2 = B.addArg(Type::I64);
       B.addArg(XTy);
-      if (TwoOperands)
-        B.addArg(XTy);
+      B.addArg(XTy);
       if (Three)
         B.cbnz(S2, L2);
       B.cbnz(S1, L1);
@@ -817,51 +819,15 @@ std::vector<MidGroupCase> buildMidGroupCases(FieldId FF, FieldId FG) {
     int64_t Skip = evalBinop(Op, valueI(0), IX).I;
     uint64_t C = opcodeCycles(Op);
     std::string N = opcodeName(Op);
-    {
-      // ConstI + op, then an unfusable ConstI before the Ret.
-      Entry E("ConstI_" + N, Type::I64, Type::I64, false);
-      Reg Kc = E.B.constI(7);
-      E.B.bind(E.L1);
-      Reg S = E.B.arith(Op, Kc, X);
-      E.B.constI(0);
-      E.B.ret(S);
-      Cases.push_back({E.B.finalize(), 1, nth(HandlerId::ConstI_Add, K),
-                       {{Full, 5, 5 + C, 1}, {Skip, 4, 4 + C, 1}}, IX, IY});
-    }
-    {
-      Entry E("ConstI_" + N + "_Move", Type::I64, Type::I64, true);
-      Reg V = E.B.newReg(Type::I64);
-      Reg Kc = E.B.constI(7);
-      E.B.bind(E.L1);
-      Reg S = E.B.arith(Op, Kc, X);
-      E.B.bind(E.L2);
-      E.B.move(V, S);
-      E.B.ret(V);
-      Cases.push_back({E.B.finalize(), 2, nth(HandlerId::ConstI_Add_Move, K),
-                       {{Full, 6, 6 + C, 1}, {Skip, 5, 5 + C, 1}, {0, 3, 4, 1}},
-                       IX, IY});
-    }
-    {
-      Entry E("ConstI_" + N + "_Ret", Type::I64, Type::I64, true);
-      Reg Kc = E.B.constI(7);
-      E.B.bind(E.L1);
-      Reg S = E.B.arith(Op, Kc, X);
-      E.B.bind(E.L2);
-      E.B.ret(S);
-      Cases.push_back({E.B.finalize(), 2, nth(HandlerId::ConstI_Add_Ret, K),
-                       {{Full, 5, 5 + C, 1}, {Skip, 4, 4 + C, 1}, {0, 2, 3, 1}},
-                       IX, IY});
-    }
-  }
-  {
-    Entry E("ConstI_Move", Type::I64, Type::I64, false);
-    Reg V = E.B.newReg(Type::I64);
+    // ConstI + op, then an unfusable ConstI before the Ret.
+    Entry E("ConstI_" + N, Type::I64, Type::I64, false);
     Reg Kc = E.B.constI(7);
     E.B.bind(E.L1);
-    E.B.move(V, Kc);
-    E.B.ret(V);
-    Cases.push_back({E.B.finalize(), 1, HandlerId::ConstI_Move,
-                     {{7, 4, 5, 1}, {0, 3, 4, 1}}, IX, IY});
+    Reg S = E.B.arith(Op, Kc, X);
+    E.B.constI(0);
+    E.B.ret(S);
+    Cases.push_back({E.B.finalize(), 1, nth(HandlerId::ConstI_Add, K),
+                     {{Full, 5, 5 + C, 1}, {Skip, 4, 4 + C, 1}}, IX, IY});
   }
 
   const Opcode Binops[] = {
@@ -910,14 +876,6 @@ std::vector<MidGroupCase> buildMidGroupCases(FieldId FF, FieldId FG) {
                        {{Full, 7, 7 + C, 2}, {0, 5, 6, 2}, {0, 3, 4, 2}},
                        VX, VY});
     }
-    {
-      Entry E(N + "_Ret", ResTy, OpTy, false);
-      Reg S = Emit(E.B);
-      E.B.bind(E.L1);
-      E.B.ret(S);
-      Cases.push_back({E.B.finalize(), 1, nth(HandlerId::Add_Ret, K),
-                       {{Full, 3, 3 + C, 1}, {0, 2, 3, 1}}, VX, VY});
-    }
   }
 
   const Opcode Cmps[] = {
@@ -951,21 +909,20 @@ std::vector<MidGroupCase> buildMidGroupCases(FieldId FF, FieldId FG) {
     }
 
   {
-    Entry E("GetField_GetField", Type::I64, Type::Ref, false, false);
-    Reg A = E.B.getField(X, FF, Type::I64);
-    E.B.bind(E.L1);
-    Reg G = E.B.getField(X, FG, Type::I64);
-    E.B.ret(E.B.add(A, G));
-    Cases.push_back({E.B.finalize(), 1, HandlerId::GetField_GetField,
-                     {{11 + 4, 5, 8, 1}, {4, 4, 6, 1}}, {}, {}});
-  }
-  {
-    Entry E("GetField_Ret", Type::I64, Type::Ref, false, false);
-    Reg A = E.B.getField(X, FF, Type::I64);
-    E.B.bind(E.L1);
-    E.B.ret(A);
-    Cases.push_back({E.B.finalize(), 1, HandlerId::GetField_Ret,
-                     {{11, 3, 5, 1}, {0, 2, 3, 1}}, {}, {}});
+    // Both loads read the receiver, which the call null-checked; the same
+    // pair off any other register would not fuse.
+    FunctionBuilder B("GetField_GetField", Type::I64);
+    Reg This = B.addArg(Type::Ref);
+    Reg S1 = B.addArg(Type::I64);
+    B.addArg(Type::I64);
+    auto L1 = B.makeLabel();
+    B.cbnz(S1, L1);
+    Reg A = B.getField(This, FF, Type::I64);
+    B.bind(L1);
+    Reg G = B.getField(This, FG, Type::I64);
+    B.ret(B.add(A, G));
+    Cases.push_back({B.finalize(), 1, HandlerId::GetField_GetField,
+                     {{11 + 4, 5, 8, 1}, {4, 4, 6, 1}}, {}, {}, true});
   }
   return Cases;
 }
@@ -978,11 +935,12 @@ TEST(DecodedStream, BranchIntoEveryFusedGroupMatchesPins) {
   std::vector<MidGroupCase> Cases = buildMidGroupCases(FF, FG);
   std::vector<MethodId> Ids;
   for (MidGroupCase &C : Cases) {
-    std::vector<Type> Params(C.Body.RegTypes.begin(),
+    // The receiver is not among a method's declared parameters.
+    std::vector<Type> Params(C.Body.RegTypes.begin() + C.OnReceiver,
                              C.Body.RegTypes.begin() + C.Body.NumArgs);
-    MethodId M =
-        P.defineMethod(K, C.Body.Name, C.Body.RetTy, Params,
-                       {.IsStatic = true});
+    MethodId M = P.defineMethod(K, C.Body.Name, C.Body.RetTy, Params,
+                                {.IsStatic = !C.OnReceiver,
+                                 .IsPrivate = C.OnReceiver});
     P.setBody(M, C.Body);
     Ids.push_back(M);
   }
@@ -997,12 +955,11 @@ TEST(DecodedStream, BranchIntoEveryFusedGroupMatchesPins) {
   O->set(P.field(FG).Slot, valueI(4));
   for (size_t I = 0; I < Cases.size(); ++I) {
     const MidGroupCase &C = Cases[I];
-    bool FieldCase = C.Body.NumArgs == 3;
     for (size_t Entry = 0; Entry < C.Paths.size(); ++Entry) {
       SCOPED_TRACE(C.Body.Name + " entered at member " + std::to_string(Entry));
       std::vector<Value> Args = {valueI(Entry == 1), valueI(Entry == 2)};
-      if (FieldCase) {
-        Args.push_back(valueR(O));
+      if (C.OnReceiver) {
+        Args.insert(Args.begin(), valueR(O));
       } else {
         Args.push_back(C.X);
         Args.push_back(C.Y);
@@ -1018,13 +975,78 @@ TEST(DecodedStream, BranchIntoEveryFusedGroupMatchesPins) {
       EXPECT_EQ(P.method(Ids[I]).SampleCount - Samples0, Want.Samples);
     }
     // The paths above ran the fused handler under test.
-    const CompiledMethod *CM = P.staticEntry(Ids[I]);
+    const CompiledMethod *CM = P.method(Ids[I]).General;
     EXPECT_EQ(CM->decoded()[C.GroupStart].Handler,
               static_cast<uint8_t>(C.Group))
         << C.Body.Name;
     EXPECT_EQ(CM->decoded()[C.GroupStart].Count, C.Paths.size())
         << C.Body.Name;
   }
+}
+
+/// True when In may sit in a fused group, last or not: no member may trap
+/// or return, and only the last may branch. A field load off the receiver
+/// of an instance method cannot trap (the call null-checked the receiver,
+/// and no instruction writes an argument register); every other opcode the
+/// opcode table does not mark removable-when-dead can trap or return.
+bool mayJoinGroup(const IRFunction &F, const Instruction &In, bool Last) {
+  if (isBranch(In.Op))
+    return Last;
+  if (In.Op == Opcode::GetField)
+    return F.HasReceiver && In.A == 0;
+  return isRemovableWhenDead(In.Op);
+}
+
+TEST(DecodedStream, NoGroupCanTrapReturnOrBranchBeforeItsEnd) {
+  // Every sequence of three opcodes, then a Ret, so that a trapping or
+  // returning member lands in every fusable position (GetField;GetField;
+  // Ret, Div;Move;Br, ConstI;Add;Ret, Add;Ret, ...). Two wirings: a chain
+  // where each instruction reads the one before it, which meets every
+  // "reads the leader's result" rule, and every instruction reading
+  // register 0 of an instance method, the receiver.
+  IRFunction F;
+  F.Name = "shapes";
+  F.NumArgs = 1;
+  F.RegTypes.assign(5, Type::I64);
+  size_t Groups = 0, Bad = 0;
+  for (bool OnReceiver : {false, true}) {
+    F.HasReceiver = OnReceiver;
+    for (unsigned Op0 = 0; Op0 < NumOpcodes; ++Op0)
+      for (unsigned Op1 = 0; Op1 < NumOpcodes; ++Op1)
+        for (unsigned Op2 = 0; Op2 < NumOpcodes; ++Op2) {
+          F.Insts.clear();
+          for (unsigned Op : {Op0, Op1, Op2}) {
+            Instruction In{};
+            In.Op = static_cast<Opcode>(Op);
+            In.A = In.B = OnReceiver ? 0 : static_cast<Reg>(F.Insts.size());
+            In.Dst = static_cast<Reg>(F.Insts.size() + 1);
+            F.Insts.push_back(In); // a branch targets instruction 0
+          }
+          Instruction Ret{};
+          Ret.Op = Opcode::Ret;
+          Ret.A = 3;
+          F.Insts.push_back(Ret);
+          Expected<std::vector<DecodedInst>> Dec = decodeBody(F);
+          ASSERT_TRUE(Dec);
+          for (size_t I = 0; I < F.Insts.size(); ++I) {
+            size_t Count = (*Dec)[I].Count;
+            if (Count == 1)
+              continue;
+            ++Groups;
+            for (size_t J = I; J < I + Count; ++J)
+              if (!mayJoinGroup(F, F.Insts[J], J + 1 == I + Count) &&
+                  ++Bad <= 10)
+                ADD_FAILURE() << opcodeName(F.Insts[0].Op) << ";"
+                              << opcodeName(F.Insts[1].Op) << ";"
+                              << opcodeName(F.Insts[2].Op) << ";ret"
+                              << (OnReceiver ? " off the receiver" : "")
+                              << ": a group at " << I << " holds "
+                              << opcodeName(F.Insts[J].Op) << " at " << J;
+          }
+        }
+  }
+  EXPECT_EQ(Bad, 0u);
+  EXPECT_GT(Groups, 0u);
 }
 
 /// A minimal well-formed body: `ret 0`.
