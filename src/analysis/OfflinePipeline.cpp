@@ -7,8 +7,6 @@
 
 #include "analysis/OfflinePipeline.h"
 
-#include "support/Debug.h"
-
 #include <algorithm>
 
 namespace dchm {
@@ -16,39 +14,34 @@ namespace dchm {
 OfflineResult runOfflinePipeline(ProgramSource &Source,
                                  const OfflineConfig &Cfg) {
   OfflineResult R;
+  std::unique_ptr<Program> P = Source.buildProgram();
 
-  // --- Run 1: hot methods (the VTune stand-in). ---------------------------
-  std::unique_ptr<Program> P1 = Source.buildProgram();
+  // One drive serves both profiling steps: the hot-method profile (the
+  // VTune stand-in) and the value profile of every field EQ 1 could pick,
+  // observed for free so the cycle attribution is that of an unobserved
+  // run.
+  std::vector<FieldId> Observed = branchTestedFields(*P);
+  for (FieldId F : Observed)
+    P->field(F).IsObserved = true;
+  ValueProfiler VP(*P, Observed);
   {
     VMOptions Opts;
     Opts.EnableMutation = false;
-    VirtualMachine VM(*P1, Opts);
+    VirtualMachine VM(*P, Opts);
     VM.interp().setProfiling(true);
+    VM.setStateObserver(&VP);
     Source.driveProfile(VM);
-    R.Profile = HotMethodProfile::fromInterpreter(VM.interp(), *P1);
+    R.Profile = HotMethodProfile::fromInterpreter(VM.interp(), *P);
   }
 
   // --- Static analysis: EQ 1 state-field scoring. --------------------------
-  R.Candidates = analyzeStateFields(*P1, R.Profile);
+  R.Candidates = analyzeStateFields(*P, R.Profile);
   if (R.Candidates.empty())
     return R;
 
-  // --- Run 2: joint value profiling of the candidate fields. ---------------
-  std::unique_ptr<Program> P2 = Source.buildProgram();
-  DCHM_CHECK(P2->numMethods() == P1->numMethods() &&
-                 P2->numFields() == P1->numFields(),
-             "ProgramSource is not deterministic");
-  ValueProfiler VP(*P2, R.Candidates);
-  VP.prepare();
-  {
-    VMOptions Opts;
-    Opts.EnableMutation = false;
-    VirtualMachine VM(*P2, Opts);
-    VM.setStateObserver(&VP);
-    Source.driveProfile(VM);
-  }
-  auto Mined = VP.mine(Cfg.HotStateMinFraction, MaxHotStates);
-  R.Plan = assembleMutationPlan(*P1, R.Profile, Mined);
+  // --- Hot states: the value profile projected onto the candidates. --------
+  R.Mined = VP.mine(R.Candidates, Cfg.HotStateMinFraction, MaxHotStates);
+  R.Plan = assembleMutationPlan(*P, R.Profile, R.Mined);
   return R;
 }
 

@@ -8,12 +8,19 @@
 /// \file
 /// Glues the offline steps of Figure 3 into one pipeline:
 ///
-///   identify a list of hot methods        (profiling run #1)
+///   identify a list of hot methods        (the profiling run)
 ///   -> derive state fields for hot classes (EQ 1 static analysis)
-///   -> find hot states for hot classes     (value-profiling run #2)
+///   -> find hot states for hot classes     (value profile of the same run)
 ///   -> hot state information               (the MutationPlan)
 ///
-/// The pipeline builds fresh Program instances through a ProgramSource so
+/// The paper profiles twice (VTune, then an instrumented Jikes run). The
+/// program is deterministic and mutation is off, so the second run would
+/// repeat the first; instead the one run also records the value profile of
+/// every field EQ 1 could pick (branchTestedFields), and the profile is
+/// projected onto the fields EQ 1 does pick afterwards. The artifacts are
+/// those of the two-run pipeline.
+///
+/// The pipeline builds a fresh Program through a ProgramSource so
 /// profiling never contaminates the measured run; entity ids are stable
 /// because the source builds the identical program each time.
 ///
@@ -32,13 +39,14 @@
 
 namespace dchm {
 
-/// Builds identical Program instances and drives profiling runs on them.
+/// Builds identical Program instances and drives a profiling run on one.
 /// Implemented by every workload.
 class ProgramSource {
 public:
   virtual ~ProgramSource() = default;
   /// Builds a fresh, linked Program. Must be deterministic: repeated calls
-  /// produce identical entity ids.
+  /// produce identical entity ids, so a plan derived on one Program
+  /// applies to the next.
   virtual std::unique_ptr<Program> buildProgram() = 0;
   /// Drives a profiling-scale run (a fraction of the full workload).
   virtual void driveProfile(VirtualMachine &VM) = 0;
@@ -61,6 +69,8 @@ struct OfflineResult {
   MutationPlan Plan;
   HotMethodProfile Profile;
   std::vector<ClassStateFields> Candidates;
+  /// The candidates' hot states, mined from the value profile.
+  std::vector<ValueProfiler::ClassStates> Mined;
 };
 
 /// Runs the full offline pipeline.

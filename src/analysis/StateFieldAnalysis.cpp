@@ -27,11 +27,25 @@ struct FieldScore {
   int64_t ConstBits = 0;
 };
 
-/// Registers transitively derived from a field load, used to connect loads
-/// to the branch conditions they feed. One forward pass is enough for
-/// builder-produced code (compare chains are emitted after the load).
-void taintClosure(const IRFunction &F, size_t LoadIdx,
-                  std::vector<bool> &Tainted) {
+/// The primitive field loaded at Insts[I], or NoFieldId when Insts[I] is
+/// not a GetField/GetStatic of a primitive field (states are primitive
+/// values).
+FieldId primitiveLoadAt(const Program &P, const IRFunction &F, size_t I) {
+  const Instruction &Inst = F.Insts[I];
+  if (Inst.Op != Opcode::GetField && Inst.Op != Opcode::GetStatic)
+    return NoFieldId;
+  FieldId Fld = static_cast<FieldId>(Inst.Imm);
+  return P.field(Fld).Ty == Type::Ref ? NoFieldId : Fld;
+}
+
+/// Calls Use(J) for each Cbz/Cbnz at index J > LoadIdx that tests a
+/// register derived from the value loaded at LoadIdx, in index order. The
+/// derived registers are closed over one forward pass from the load, which
+/// is enough for builder-produced code (compare chains are emitted after
+/// the load).
+template <typename UseFn>
+void forEachFedBranch(const IRFunction &F, size_t LoadIdx,
+                      std::vector<bool> &Tainted, UseFn Use) {
   Tainted.assign(F.RegTypes.size(), false);
   Tainted[F.Insts[LoadIdx].Dst] = true;
   for (size_t I = LoadIdx + 1; I < F.Insts.size(); ++I) {
@@ -46,9 +60,36 @@ void taintClosure(const IRFunction &F, size_t LoadIdx,
     else if (Tainted[Inst.Dst] && Inst.Op != Opcode::Move)
       Tainted[Inst.Dst] = false; // redefined from untainted sources
   }
+  for (size_t J = LoadIdx + 1; J < F.Insts.size(); ++J) {
+    const Instruction &Br = F.Insts[J];
+    if ((Br.Op == Opcode::Cbnz || Br.Op == Opcode::Cbz) && Tainted[Br.A])
+      Use(J);
+  }
 }
 
 } // namespace
+
+std::vector<FieldId> branchTestedFields(const Program &P) {
+  std::vector<bool> Tested(P.numFields(), false);
+  std::vector<bool> Tainted;
+  for (size_t MIdx = 0; MIdx < P.numMethods(); ++MIdx) {
+    const MethodInfo &M = P.method(static_cast<MethodId>(MIdx));
+    if (!M.HasBody)
+      continue;
+    const IRFunction &F = M.Bytecode;
+    for (size_t I = 0; I < F.Insts.size(); ++I) {
+      FieldId Fld = primitiveLoadAt(P, F, I);
+      if (Fld == NoFieldId || Tested[Fld])
+        continue;
+      forEachFedBranch(F, I, Tainted, [&](size_t) { Tested[Fld] = true; });
+    }
+  }
+  std::vector<FieldId> Out;
+  for (size_t Fld = 0; Fld < Tested.size(); ++Fld)
+    if (Tested[Fld])
+      Out.push_back(static_cast<FieldId>(Fld));
+  return Out;
+}
 
 std::vector<ClassStateFields>
 analyzeStateFields(const Program &P, const HotMethodProfile &Prof) {
@@ -72,18 +113,13 @@ analyzeStateFields(const Program &P, const HotMethodProfile &Prof) {
         // A use only matters in a hot function (assumption 2).
         if (H < HotMethodThreshold)
           continue;
-        FieldId Fld = static_cast<FieldId>(Inst.Imm);
-        if (P.field(Fld).Ty == Type::Ref)
-          continue; // states are primitive values
-        taintClosure(F, I, Tainted);
-        for (size_t J = I + 1; J < F.Insts.size(); ++J) {
-          const Instruction &Br = F.Insts[J];
-          if ((Br.Op == Opcode::Cbnz || Br.Op == Opcode::Cbz) &&
-              Tainted[Br.A]) {
-            double Li = 1.0 + G.loopDepthOfInst(static_cast<uint32_t>(J));
-            Scores[Fld].BranchUses += Li * H;
-          }
-        }
+        FieldId Fld = primitiveLoadAt(P, F, I);
+        if (Fld == NoFieldId)
+          continue;
+        forEachFedBranch(F, I, Tainted, [&](size_t J) {
+          double Li = 1.0 + G.loopDepthOfInst(static_cast<uint32_t>(J));
+          Scores[Fld].BranchUses += Li * H;
+        });
       } else if (Inst.Op == Opcode::PutField || Inst.Op == Opcode::PutStatic) {
         FieldId Fld = static_cast<FieldId>(Inst.Imm);
         if (P.field(Fld).Ty == Type::Ref)

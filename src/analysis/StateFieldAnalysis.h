@@ -55,6 +55,12 @@ struct ClassStateFields {
 std::vector<ClassStateFields>
 analyzeStateFields(const Program &P, const HotMethodProfile &Prof);
 
+/// EQ 1's branch-use scan with hotness ignored: every primitive field with
+/// a load that feeds a conditional branch in any method, in id order. A
+/// superset of the fields any profile can make candidates, so a run that
+/// observes these fields has seen the events of whatever EQ 1 picks.
+std::vector<FieldId> branchTestedFields(const Program &P);
+
 } // namespace dchm
 
 #endif // DCHM_ANALYSIS_STATEFIELDANALYSIS_H

@@ -9,10 +9,23 @@
 /// The second offline profiling step of Figure 3: "the Jikes RVM is
 /// augmented to generate the possible values for each field and the
 /// distribution of the values of a field over time". The ValueProfiler
-/// marks the candidate state fields on its Program instance so the
-/// interpreter reports their stores, samples the *joint* value tuple of a
-/// class's candidate fields at every store and constructor exit, and mines
-/// the tuples whose sample share clears a threshold — the hot states.
+/// records, for a set of observed fields, a histogram of state events: per
+/// exact class, event (constructor exit or heap census, store to an
+/// instance field, store to a static field) and the values of the class's
+/// observed fields at that moment. mine() projects the histogram onto each
+/// class's EQ 1 candidates, which may be chosen after the run, and keeps
+/// the joint value tuples whose sample share clears a threshold: the hot
+/// states.
+///
+/// The offline pipeline observes a superset of every possible candidate
+/// (branchTestedFields, marked IsObserved, which charges nothing) during
+/// its one hot-method run; the online controller observes exactly its
+/// candidates, marked as state fields. Either way the projection counts
+/// what a run observing exactly the candidates would sample: constructor
+/// exits and census entries always, an instance store when its field is
+/// one of any class's profiled fields, and a static store only for a class
+/// whose profiled fields are all static and include the stored one.
+/// Stores a constructor makes to its own object are not events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,24 +41,34 @@
 
 namespace dchm {
 
-/// Samples state-field value tuples during a profiling run.
+/// Records state events of observed fields during a profiling run.
 class ValueProfiler : public StateObserver {
 public:
   /// At most this many candidate fields (highest score first) are
   /// profiled per class.
   static constexpr size_t MaxFieldsPerClass = 3;
 
-  /// Takes the candidate fields from the EQ 1 analysis.
-  ValueProfiler(Program &P, const std::vector<ClassStateFields> &Candidates);
+  /// The fields mine() profiles: each class's top MaxFieldsPerClass
+  /// candidates, in id order without duplicates.
+  static std::vector<FieldId>
+  profiledFields(const std::vector<ClassStateFields> &Candidates);
 
-  /// Marks the candidate fields IsStateField on the Program so the
-  /// interpreter fires store events. Call before driving the VM.
-  void prepare();
+  /// Records the events of Observed. The interpreter reports a field's
+  /// stores only when the field is marked (IsObserved or IsStateField);
+  /// marking is the caller's, before driving the VM.
+  ValueProfiler(const Program &P, const std::vector<FieldId> &Observed);
 
   // --- StateObserver --------------------------------------------------------
   void observeInstanceStore(Object *O, FieldInfo &F) override;
   void observeStaticStore(FieldInfo &F) override;
   void observeConstructorExit(Object *O, MethodInfo &Ctor) override;
+
+  /// Heap census: samples every allocated instance of a class with
+  /// observed fields, live or garbage not yet collected
+  /// (Heap::forEachObject does not mark). The online pipeline uses this to
+  /// see objects whose state was set before the profiling window opened
+  /// (store sampling alone misses them).
+  void censusHeap(const Heap &H);
 
   /// One mined hot state: the joint field values and their sample share.
   struct MinedState {
@@ -63,32 +86,37 @@ public:
     uint64_t Samples = 0;
   };
 
-  /// Heap census: samples every allocated instance of a candidate class,
-  /// live or garbage not yet collected (Heap::forEachObject does not
-  /// mark). The online pipeline uses this to see objects whose state was
-  /// set before the profiling window opened (store sampling alone misses
-  /// them).
-  void censusHeap(const Heap &H);
-
-  /// Returns, per class, the value tuples covering at least MinFraction of
-  /// the class's samples (at most MaxStates, heaviest first).
-  std::vector<ClassStates> mine(double MinFraction, size_t MaxStates) const;
+  /// Returns, per candidate class, the value tuples of its top
+  /// MaxFieldsPerClass candidates covering at least MinFraction of the
+  /// class's samples (at most MaxStates, heaviest first). Every profiled
+  /// field must have been observed.
+  std::vector<ClassStates>
+  mine(const std::vector<ClassStateFields> &Candidates, double MinFraction,
+       size_t MaxStates) const;
 
 private:
-  struct PerClass {
-    ClassId Cls = NoClassId;
-    std::vector<FieldId> InstanceFields; ///< score order
-    std::vector<FieldId> StaticFields;
-    std::map<std::vector<int64_t>, uint64_t> Histogram;
-    uint64_t Samples = 0;
+  /// Key code of a constructor-exit or census event; a store's key code is
+  /// the stored field's id.
+  static constexpr int64_t Snapshot = -1;
+
+  /// A class with observed fields (declared or inherited): its histogram.
+  struct ClassLog {
+    std::vector<FieldId> InstanceFields; ///< id order
+    std::vector<FieldId> StaticFields;   ///< id order
+    /// Key: event code, then the instance then the static field values.
+    std::map<std::vector<int64_t>, uint64_t> Events;
   };
 
-  PerClass *classEntry(ClassId C);
-  void sampleObject(Object *O, PerClass &PC);
-  void sampleStaticOnly(PerClass &PC);
+  void record(Object *O, int64_t Code);
 
-  Program &P;
-  std::vector<PerClass> Classes;
+  const Program &P;
+  std::vector<int> LogOf; ///< by ClassId: index into Logs, or -1
+  std::vector<ClassLog> Logs;
+  /// Static stores, keyed by the stored field's id, then the values of
+  /// every observed static field.
+  std::vector<FieldId> StaticFields;
+  std::map<std::vector<int64_t>, uint64_t> StaticStores;
+  std::vector<int64_t> KeyBuf; ///< scratch, reused by every event
 };
 
 } // namespace dchm

@@ -246,7 +246,7 @@ void VirtualMachine::onInstanceStateStore(Object *O, FieldInfo &F,
   // Part I's instance half runs concurrently in multi-mutator mode: it
   // touches only the receiver (thread-confined by the guest threading
   // contract, docs/threads.md) plus atomic counters.
-  if (P.mutationPlan())
+  if (F.IsStateField && P.mutationPlan())
     Mutation.onInstanceStateStore(O, F);
   if (Observer)
     Observer->observeInstanceStore(O, F);
@@ -254,8 +254,9 @@ void VirtualMachine::onInstanceStateStore(Object *O, FieldInfo &F,
 
 void VirtualMachine::onStaticStateStore(FieldInfo &F) {
   // The static half of part I re-points shared dispatch structures
-  // (TIB/JTOC code pointers): stop the world first.
-  if (P.mutationPlan())
+  // (TIB/JTOC code pointers): stop the world first. A store that is only
+  // observed never stops it.
+  if (F.IsStateField && P.mutationPlan())
     atSafepoint([&] { Mutation.onStaticStateStore(F); });
   if (Observer)
     Observer->observeStaticStore(F);

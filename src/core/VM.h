@@ -86,9 +86,9 @@ struct RunMetrics {
   InlineStats Inlining;
 };
 
-/// Passive observer of state-field events, used by the offline value
-/// profiler (Figure 3's "find hot states" step): it sees the same triggers
-/// the mutation engine would, without mutating anything.
+/// Passive observer of state-field events, used by the value profiler
+/// (Figure 3's "find hot states" step): it sees the triggers the mutation
+/// engine would see for the fields it observes, without mutating anything.
 class StateObserver {
 public:
   virtual ~StateObserver() = default;
@@ -111,9 +111,10 @@ public:
   /// Wires OLC analysis results into the compiler (specialization inlining).
   void setOlcDatabase(const OlcDatabase *Db);
 
-  /// Attaches a value-profiling observer. Fields must have IsStateField set
-  /// for the interpreter to report their stores (the profiler marks its
-  /// candidate fields on its own Program instance).
+  /// Attaches a value-profiling observer. The interpreter reports stores
+  /// only to fields marked IsStateField (charged as patch code: the online
+  /// controller's candidates) or IsObserved (free: the offline pipeline's
+  /// branch-tested fields); constructor exits are always reported.
   void setStateObserver(StateObserver *Obs) { Observer = Obs; }
 
   /// Attaches a consistency-audit hook (normally a ConsistencyAuditor from

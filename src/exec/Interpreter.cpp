@@ -528,6 +528,9 @@ L_PutField: {
       Stats.StatePatchHits++;
     }
     CB.onInstanceStateStore(O, Fld, DuringCtor);
+  } else if (Fld.IsObserved) {
+    // Value profiling only: reported like a state store, charged nothing.
+    CB.onInstanceStateStore(O, Fld, M.Flags.IsCtor && O == R[0].R);
   }
   VM_NEXT();
 }
@@ -541,6 +544,8 @@ L_PutStatic: {
   if (Fld.IsStateField) {
     C += DispatchCost::StateFieldPatchBase;
     Stats.StatePatchHits++;
+    CB.onStaticStateStore(Fld);
+  } else if (Fld.IsObserved) {
     CB.onStaticStateStore(Fld);
   }
   VM_NEXT();
@@ -563,7 +568,9 @@ L_CallVirtual: {
   Stats.VirtualCalls++;
   Object *Recv = R[Ip->Args[0]].R;
   DCHM_CHECK(Recv && Recv->Tib, "null receiver in callvirtual");
-  CompiledMethod *Target = resolveAndEnsure(Recv->Tib, Ip->Aux);
+  CompiledMethod *Target = Recv->Tib->Slots[Ip->Aux];
+  if (!Target)
+    Target = resolveAndEnsure(Recv->Tib, Ip->Aux);
   Value RV = ArgBufCall(R, *Ip, Target);
   R = RegArena.data() + F.RegBase;
   if (Ip->Dst != NoReg)

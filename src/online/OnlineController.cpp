@@ -94,8 +94,10 @@ void OnlineMutationController::finishHotProfiling() {
 
   // Mark candidate fields and start sampling their joint values through
   // the same interpreter hooks algorithm part I will use later.
-  VP = std::make_unique<ValueProfiler>(P, Candidates);
-  VP->prepare();
+  std::vector<FieldId> Profiled = ValueProfiler::profiledFields(Candidates);
+  for (FieldId F : Profiled)
+    P.field(F).IsStateField = true;
+  VP = std::make_unique<ValueProfiler>(P, Profiled);
   VM.setStateObserver(VP.get());
   CurPhase = Phase::ValueProfiling;
   PhaseStartCycles = VM.totalCycles();
@@ -108,7 +110,8 @@ void OnlineMutationController::activate() {
   // window opened (e.g. a database populated at startup) would otherwise
   // be invisible to store sampling.
   VP->censusHeap(VM.heap());
-  auto Mined = VP->mine(Cfg.Analysis.HotStateMinFraction, MaxHotStates);
+  auto Mined =
+      VP->mine(Candidates, Cfg.Analysis.HotStateMinFraction, MaxHotStates);
   Plan = assembleMutationPlan(P, Profile, Mined);
 
   // Candidate fields that did not make the plan keep no patch code: clear

@@ -56,6 +56,12 @@ struct FieldInfo {
   /// checks this flag to fire the distributed mutation algorithm (part I).
   bool IsStateField = false;
 
+  /// Set by the offline pipeline on the fields its value profiler records
+  /// (analysis/OfflinePipeline.cpp). The PutField/PutStatic fast path
+  /// reports their stores like a state field's, but charges nothing: an
+  /// observed run keeps the simulated cycles of an unobserved one.
+  bool IsObserved = false;
+
   /// Instance fields: slot index in the object. Static fields: JTOC slot.
   uint32_t Slot = 0;
 };

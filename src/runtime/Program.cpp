@@ -45,6 +45,7 @@ ClassId Program::defineClass(const std::string &Name, ClassId Super,
   C.Super = Super;
   C.Package = Package;
   Classes.push_back(std::move(C));
+  ClassById.push_back(&Classes.back());
   ClassByName.emplace(Name, Classes.back().Id);
   return Classes.back().Id;
 }
@@ -77,6 +78,7 @@ FieldId Program::defineField(ClassId Owner, const std::string &Name, Type Ty,
   F.IsStatic = IsStatic;
   F.Acc = Acc;
   Fields.push_back(std::move(F));
+  FieldById.push_back(&Fields.back());
   Classes[Owner].Fields.push_back(Fields.back().Id);
   return Fields.back().Id;
 }
@@ -93,6 +95,7 @@ MethodId Program::defineMethod(ClassId Owner, const std::string &Name,
   }
   // Built in place: MethodInfo carries atomic counters and cannot be moved.
   MethodInfo &M = Methods.emplace_back();
+  MethodById.push_back(&M);
   M.Id = static_cast<MethodId>(Methods.size() - 1);
   M.Owner = Owner;
   M.Name = Name;
@@ -300,22 +303,26 @@ void Program::createTibs() {
 }
 
 VMError Program::resolveBodies() {
+  // Diagnostics name methods as Class.method: bare names repeat across
+  // classes.
+  auto Q = [this](const MethodInfo &X) {
+    return Classes[X.Owner].Name + "." + X.Name;
+  };
   for (MethodInfo &M : Methods) {
     if (M.Flags.IsAbstract) {
       if (M.HasBody)
-        return linkError("abstract method " + M.Name + " has a body");
+        return linkError("abstract method " + Q(M) + " has a body");
       continue;
     }
     if (!M.HasBody)
-      return linkError("method " + Classes[M.Owner].Name + "." + M.Name +
-                " has no body");
+      return linkError("method " + Q(M) + " has no body");
     std::string Err = verifyFunction(M.Bytecode);
     if (!Err.empty())
       return linkError("verifier: " + Err);
     if (M.Bytecode.NumArgs != M.numArgsWithReceiver())
-      return linkError("method " + M.Name + ": body argument count mismatch");
+      return linkError("method " + Q(M) + ": body argument count mismatch");
     if (M.Bytecode.RetTy != M.RetTy)
-      return linkError("method " + M.Name + ": body return type mismatch");
+      return linkError("method " + Q(M) + ": body return type mismatch");
 
     for (size_t Idx = 0; Idx < M.Bytecode.Insts.size(); ++Idx) {
       Instruction &I = M.Bytecode.Insts[Idx];
@@ -323,29 +330,29 @@ VMError Program::resolveBodies() {
       case Opcode::GetField:
       case Opcode::PutField: {
         if (static_cast<size_t>(I.Imm) >= Fields.size())
-          return linkError(M.Name + ": bad field id");
+          return linkError(Q(M) + ": bad field id");
         const FieldInfo &F = Fields[static_cast<FieldId>(I.Imm)];
         if (F.IsStatic)
-          return linkError(M.Name + ": instance access to static field " + F.Name);
+          return linkError(Q(M) + ": instance access to static field " + F.Name);
         if (I.Op == Opcode::GetField && I.Ty != F.Ty)
-          return linkError(M.Name + ": getfield type mismatch on " + F.Name);
+          return linkError(Q(M) + ": getfield type mismatch on " + F.Name);
         if (I.Op == Opcode::PutField &&
             M.Bytecode.RegTypes[I.B] != F.Ty)
-          return linkError(M.Name + ": putfield type mismatch on " + F.Name);
+          return linkError(Q(M) + ": putfield type mismatch on " + F.Name);
         I.Aux = F.Slot;
         break;
       }
       case Opcode::GetStatic:
       case Opcode::PutStatic: {
         if (static_cast<size_t>(I.Imm) >= Fields.size())
-          return linkError(M.Name + ": bad field id");
+          return linkError(Q(M) + ": bad field id");
         const FieldInfo &F = Fields[static_cast<FieldId>(I.Imm)];
         if (!F.IsStatic)
-          return linkError(M.Name + ": static access to instance field " + F.Name);
+          return linkError(Q(M) + ": static access to instance field " + F.Name);
         if (I.Op == Opcode::GetStatic && I.Ty != F.Ty)
-          return linkError(M.Name + ": getstatic type mismatch on " + F.Name);
+          return linkError(Q(M) + ": getstatic type mismatch on " + F.Name);
         if (I.Op == Opcode::PutStatic && M.Bytecode.RegTypes[I.A] != F.Ty)
-          return linkError(M.Name + ": putstatic type mismatch on " + F.Name);
+          return linkError(Q(M) + ": putstatic type mismatch on " + F.Name);
         I.Aux = F.Slot;
         break;
       }
@@ -354,48 +361,48 @@ VMError Program::resolveBodies() {
       case Opcode::CallSpecial:
       case Opcode::CallInterface: {
         if (static_cast<size_t>(I.Imm) >= Methods.size())
-          return linkError(M.Name + ": bad method id");
+          return linkError(Q(M) + ": bad method id");
         const MethodInfo &Callee = Methods[static_cast<MethodId>(I.Imm)];
         if (I.Args.size() != Callee.numArgsWithReceiver())
-          return linkError(M.Name + ": wrong argument count calling " + Callee.Name);
+          return linkError(Q(M) + ": wrong argument count calling " + Q(Callee));
         if (I.Args.size() > MaxCallArgs)
-          return linkError(M.Name + ": too many arguments calling " +
-                           Callee.Name + " (" + std::to_string(I.Args.size()) +
+          return linkError(Q(M) + ": too many arguments calling " +
+                           Q(Callee) + " (" + std::to_string(I.Args.size()) +
                            ", limit " + std::to_string(MaxCallArgs) + ")");
         if (I.Ty != Callee.RetTy)
-          return linkError(M.Name + ": return type mismatch calling " + Callee.Name);
+          return linkError(Q(M) + ": return type mismatch calling " + Q(Callee));
         size_t ParamBase = Callee.Flags.IsStatic ? 0 : 1;
         for (size_t P = 0; P < Callee.ParamTys.size(); ++P)
           if (M.Bytecode.RegTypes[I.Args[ParamBase + P]] != Callee.ParamTys[P])
-            return linkError(M.Name + ": argument type mismatch calling " +
-                      Callee.Name);
+            return linkError(Q(M) + ": argument type mismatch calling " +
+                      Q(Callee));
         switch (I.Op) {
         case Opcode::CallStatic:
           if (!Callee.Flags.IsStatic)
-            return linkError(M.Name + ": callstatic to instance method " +
-                      Callee.Name);
+            return linkError(Q(M) + ": callstatic to instance method " +
+                      Q(Callee));
           break;
         case Opcode::CallVirtual:
           if (!Callee.isVirtualDispatch())
-            return linkError(M.Name + ": callvirtual needs a virtual method, got " +
-                      Callee.Name);
+            return linkError(Q(M) + ": callvirtual needs a virtual method, got " +
+                      Q(Callee));
           if (Classes[Callee.Owner].IsInterface)
-            return linkError(M.Name + ": callvirtual to interface method " +
-                      Callee.Name + " (use callinterface)");
+            return linkError(Q(M) + ": callvirtual to interface method " +
+                      Q(Callee) + " (use callinterface)");
           I.Aux = Callee.VSlot;
           break;
         case Opcode::CallSpecial:
           if (Callee.Flags.IsStatic)
-            return linkError(M.Name + ": callspecial to static method " +
-                      Callee.Name);
+            return linkError(Q(M) + ": callspecial to static method " +
+                      Q(Callee));
           if (Classes[Callee.Owner].IsInterface)
-            return linkError(M.Name + ": callspecial to interface method");
+            return linkError(Q(M) + ": callspecial to interface method");
           I.Aux = Callee.VSlot;
           break;
         case Opcode::CallInterface:
           if (!Classes[Callee.Owner].IsInterface)
-            return linkError(M.Name + ": callinterface to class method " +
-                      Callee.Name);
+            return linkError(Q(M) + ": callinterface to class method " +
+                      Q(Callee));
           I.Aux = static_cast<uint32_t>(Callee.Id % NumImtSlots);
           break;
         default:
@@ -405,16 +412,16 @@ VMError Program::resolveBodies() {
       }
       case Opcode::New: {
         if (static_cast<size_t>(I.Imm) >= Classes.size())
-          return linkError(M.Name + ": bad class id in new");
+          return linkError(Q(M) + ": bad class id in new");
         if (Classes[static_cast<ClassId>(I.Imm)].IsInterface)
-          return linkError(M.Name + ": cannot instantiate interface");
+          return linkError(Q(M) + ": cannot instantiate interface");
         break;
       }
       case Opcode::InstanceOf:
       case Opcode::CheckCast:
       case Opcode::ClassEq:
         if (static_cast<size_t>(I.Imm) >= Classes.size())
-          return linkError(M.Name + ": bad class id in type test");
+          return linkError(Q(M) + ": bad class id in type test");
         break;
       default:
         break;

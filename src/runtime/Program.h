@@ -70,31 +70,32 @@ public:
   bool isLinked() const { return Linked; }
 
   // --- Accessors -----------------------------------------------------------
-  // Inline: the interpreter looks up a field on every putfield/putstatic
-  // and a method or class on every static, special call and allocation.
+  // Inline, one load each: the interpreter looks up a field on every
+  // putfield/putstatic and a method or class on every static, special call
+  // and allocation.
   ClassInfo &cls(ClassId Id) {
-    DCHM_CHECK(Id < Classes.size(), "bad class id");
-    return Classes[Id];
+    DCHM_CHECK(Id < ClassById.size(), "bad class id");
+    return *ClassById[Id];
   }
   const ClassInfo &cls(ClassId Id) const {
-    DCHM_CHECK(Id < Classes.size(), "bad class id");
-    return Classes[Id];
+    DCHM_CHECK(Id < ClassById.size(), "bad class id");
+    return *ClassById[Id];
   }
   FieldInfo &field(FieldId Id) {
-    DCHM_CHECK(Id < Fields.size(), "bad field id");
-    return Fields[Id];
+    DCHM_CHECK(Id < FieldById.size(), "bad field id");
+    return *FieldById[Id];
   }
   const FieldInfo &field(FieldId Id) const {
-    DCHM_CHECK(Id < Fields.size(), "bad field id");
-    return Fields[Id];
+    DCHM_CHECK(Id < FieldById.size(), "bad field id");
+    return *FieldById[Id];
   }
   MethodInfo &method(MethodId Id) {
-    DCHM_CHECK(Id < Methods.size(), "bad method id");
-    return Methods[Id];
+    DCHM_CHECK(Id < MethodById.size(), "bad method id");
+    return *MethodById[Id];
   }
   const MethodInfo &method(MethodId Id) const {
-    DCHM_CHECK(Id < Methods.size(), "bad method id");
-    return Methods[Id];
+    DCHM_CHECK(Id < MethodById.size(), "bad method id");
+    return *MethodById[Id];
   }
   size_t numClasses() const { return Classes.size(); }
   size_t numFields() const { return Fields.size(); }
@@ -175,6 +176,11 @@ private:
   std::deque<ClassInfo> Classes;
   std::deque<FieldInfo> Fields;
   std::deque<MethodInfo> Methods;
+  /// The same entities by id. The deques keep addresses stable as they
+  /// grow; indexing a vector is one load where a deque divides into blocks.
+  std::vector<ClassInfo *> ClassById;
+  std::vector<FieldInfo *> FieldById;
+  std::vector<MethodInfo *> MethodById;
   std::unordered_map<std::string, ClassId> ClassByName;
 
   std::vector<Value> StaticSlots;

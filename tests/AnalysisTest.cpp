@@ -31,6 +31,16 @@ HotMethodProfile profileWith(const Program &P,
   return Prof;
 }
 
+/// A value profiler recording the candidates' profiled fields, marked
+/// IsObserved the way the offline pipeline marks what it records.
+std::unique_ptr<ValueProfiler>
+observeCandidates(Program &P, const std::vector<ClassStateFields> &Cands) {
+  std::vector<FieldId> Fields = ValueProfiler::profiledFields(Cands);
+  for (FieldId F : Fields)
+    P.field(F).IsObserved = true;
+  return std::make_unique<ValueProfiler>(P, Fields);
+}
+
 TEST(StateFieldAnalysis, BranchUseInHotMethodScores) {
   CounterFixture Fx;
   HotMethodProfile Prof = profileWith(*Fx.P, {{Fx.Bump, 0.8}});
@@ -189,14 +199,14 @@ TEST(ValueProfiler, MinesJointHotStates) {
   std::vector<ClassStateFields> Cands(1);
   Cands[0].Cls = Fx.Counter;
   Cands[0].Candidates = {{Fx.Mode, 1.0}};
-  ValueProfiler VP(*Fx.P, Cands);
-  VP.prepare();
-  EXPECT_TRUE(Fx.P->field(Fx.Mode).IsStateField);
+  auto VP = observeCandidates(*Fx.P, Cands);
+  EXPECT_TRUE(Fx.P->field(Fx.Mode).IsObserved);
+  EXPECT_FALSE(Fx.P->field(Fx.Mode).IsStateField);
 
   VMOptions Opts;
   Opts.EnableMutation = false;
   VirtualMachine VM(*Fx.P, Opts);
-  VM.setStateObserver(&VP);
+  VM.setStateObserver(VP.get());
   // 6 counters in mode 0, 3 in mode 1, 1 in mode 7.
   for (int I = 0; I < 6; ++I)
     Fx.makeCounter(VM, 0);
@@ -204,7 +214,7 @@ TEST(ValueProfiler, MinesJointHotStates) {
     Fx.makeCounter(VM, 1);
   Fx.makeCounter(VM, 7);
 
-  auto Mined = VP.mine(0.15, 8);
+  auto Mined = VP->mine(Cands, 0.15, 8);
   ASSERT_EQ(Mined.size(), 1u);
   ASSERT_EQ(Mined[0].Hot.size(), 2u); // mode 7 is below 15%
   EXPECT_EQ(Mined[0].Hot[0].InstanceVals[0].I, 0);
@@ -217,15 +227,14 @@ TEST(ValueProfiler, MaxStatesCapApplies) {
   std::vector<ClassStateFields> Cands(1);
   Cands[0].Cls = Fx.Counter;
   Cands[0].Candidates = {{Fx.Mode, 1.0}};
-  ValueProfiler VP(*Fx.P, Cands);
-  VP.prepare();
+  auto VP = observeCandidates(*Fx.P, Cands);
   VMOptions Opts;
   Opts.EnableMutation = false;
   VirtualMachine VM(*Fx.P, Opts);
-  VM.setStateObserver(&VP);
+  VM.setStateObserver(VP.get());
   for (int M = 0; M < 6; ++M)
     Fx.makeCounter(VM, M); // six equally common states
-  auto Mined = VP.mine(0.01, 3);
+  auto Mined = VP->mine(Cands, 0.01, 3);
   ASSERT_EQ(Mined.size(), 1u);
   EXPECT_EQ(Mined[0].Hot.size(), 3u);
 }
@@ -235,16 +244,15 @@ TEST(ValueProfiler, RuntimeTransitionsAreSampled) {
   std::vector<ClassStateFields> Cands(1);
   Cands[0].Cls = Fx.Counter;
   Cands[0].Candidates = {{Fx.Mode, 1.0}};
-  ValueProfiler VP(*Fx.P, Cands);
-  VP.prepare();
+  auto VP = observeCandidates(*Fx.P, Cands);
   VMOptions Opts;
   Opts.EnableMutation = false;
   VirtualMachine VM(*Fx.P, Opts);
-  VM.setStateObserver(&VP);
+  VM.setStateObserver(VP.get());
   Object *O = Fx.makeCounter(VM, 0);
   for (int I = 0; I < 20; ++I)
     VM.call(Fx.SetMode, {valueR(O), valueI(3)}); // run-time variant behavior
-  auto Mined = VP.mine(0.5, 4);
+  auto Mined = VP->mine(Cands, 0.5, 4);
   ASSERT_EQ(Mined.size(), 1u);
   EXPECT_EQ(Mined[0].Hot[0].InstanceVals[0].I, 3);
 }

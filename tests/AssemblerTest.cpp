@@ -356,7 +356,8 @@ TEST(AssemblerErrors, CallArgumentLimitIsALinkError) {
   EXPECT_EQ(runMain(*Ok.P), 16 * 17 / 2);
   auto Wide = assembleProgram(wideCallProgram(MaxCallArgs + 1));
   EXPECT_FALSE(Wide.ok());
-  EXPECT_NE(Wide.Error.find("too many arguments calling wide (17, limit 16)"),
+  EXPECT_NE(Wide.Error.find(
+                "Main.main: too many arguments calling Main.wide (17, limit 16)"),
             std::string::npos)
       << Wide.Error;
 }
