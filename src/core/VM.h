@@ -60,7 +60,7 @@ struct VMOptions {
   /// 1. At 1 every code path is the single-mutator path — bit-identical
   /// output, cycle counters and fingerprints. At N>1 the safepoint
   /// rendezvous protocol activates and each mutator context gets its own
-  /// interpreter and heap allocation buffer.
+  /// interpreter and current heap blocks.
   unsigned MutatorThreads = 1;
 };
 
@@ -151,7 +151,7 @@ public:
 
   /// Runs Body(t) for t in [0, mutatorThreads()): t=0 on the calling
   /// thread, the rest on freshly spawned threads, each running its own
-  /// interpreter (which allocates through its own heap buffer) on its own
+  /// interpreter (which allocates from its own heap blocks) on its own
   /// safepoint slot. Returns after every mutator finished. With one mutator
   /// this is exactly Body(0) — no threads, no protocol.
   ///

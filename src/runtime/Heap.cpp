@@ -10,9 +10,19 @@
 #include "support/Debug.h"
 
 #include <cstdio>
+#include <iterator>
 #include <new>
 
 #include <sys/mman.h>
+
+// Without AddressSanitizer these macros evaluate their arguments and do
+// nothing.
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#define ASAN_UNPOISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#endif
 
 namespace dchm {
 
@@ -26,21 +36,54 @@ constexpr uint64_t GcPauseCycles = 20000;
 constexpr uint64_t GcMarkCyclesPerObject = 24;
 constexpr uint64_t GcSweepCyclesPerObject = 6;
 
-/// Objects of at least this size (four 4 KiB pages) get their own private
-/// anonymous mapping, whose pages read as zero without a fill (see Heap.h).
-/// One whose mapping fails (ENOMEM, vm.max_map_count) takes the small-object
-/// path: ::operator new and a zero fill.
+/// Objects of at least this many host bytes (four 4 KiB pages) get their
+/// own private anonymous mapping, whose pages read as zero without a fill
+/// (see Heap.h). One whose mapping fails (ENOMEM, vm.max_map_count) comes
+/// from ::operator new with a zero fill instead.
 constexpr size_t LargeObjectBytes = 16 << 10;
 
-Object *newObject(size_t Bytes, uint32_t NumSlots) {
-  if (Bytes >= LargeObjectBytes) {
-    void *Mem = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (Mem != MAP_FAILED) {
-      Object *O = new (Mem) Object();
-      O->Mapped = 1;
-      return O;
-    }
+/// Small-object blocks: BlockBytes each, carved in order from ChunkBytes
+/// mappings. A block is page-aligned and holds at least one slot of the
+/// largest class.
+constexpr uint32_t BlockBytes = 16 << 10;
+constexpr size_t ChunkBytes = 1 << 20;
+
+/// Slot bytes per size class. Up to 1 KiB: 8-byte steps to 64, which fit
+/// the common instances exactly (the 16-byte header plus 0-6 slots), then
+/// four classes per doubling. Above 1 KiB a class is the largest multiple
+/// of 8 that packs k slots into a block, for k = 15 down to 1: any size
+/// between two of them fits the same number of slots per block, so these
+/// waste the least block space.
+constexpr uint32_t ClassBytes[] = {
+    16,   24,   32,   40,   48,   56,   64,   80,   96,   112,
+    128,  160,  192,  224,  256,  320,  384,  448,  512,  640,
+    768,  896,  1024, 1088, 1168, 1256, 1360, 1488, 1632, 1816,
+    2048, 2336, 2728, 3272, 4096, 5456, 8192, 16384};
+static_assert(std::size(ClassBytes) == Heap::NumSizeClasses);
+static_assert(ClassBytes[0] == sizeof(Object));
+static_assert(ClassBytes[Heap::NumSizeClasses - 1] >= LargeObjectBytes - 8 &&
+              ClassBytes[Heap::NumSizeClasses - 1] <= BlockBytes);
+
+/// The size class of every host size under LargeObjectBytes, indexed by
+/// bytes / 8 (host sizes are multiples of 8).
+constexpr auto ClassOf = [] {
+  std::array<uint8_t, LargeObjectBytes / 8> T{};
+  unsigned C = 0;
+  for (size_t I = 0; I < T.size(); ++I) {
+    while (ClassBytes[C] < I * 8)
+      ++C;
+    T[I] = static_cast<uint8_t>(C);
+  }
+  return T;
+}();
+
+Object *newLargeObject(size_t Bytes, uint32_t NumSlots) {
+  void *Mem = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (Mem != MAP_FAILED) {
+    Object *O = new (Mem) Object();
+    O->Mapped = 1;
+    return O;
   }
   Object *O = new (::operator new(Bytes)) Object();
   for (uint32_t I = 0; I < NumSlots; ++I)
@@ -48,12 +91,12 @@ Object *newObject(size_t Bytes, uint32_t NumSlots) {
   return O;
 }
 
-void freeObject(Object *O) {
+void freeLargeObject(Object *O) {
   if (!O->Mapped) {
     ::operator delete(static_cast<void *>(O));
     return;
   }
-  size_t Bytes = Object::allocBytes(O->NumSlots);
+  size_t Bytes = Object::hostBytes(O->NumSlots);
   // Unmapping the middle of a merged mapping splits it, which fails at
   // vm.max_map_count; then at least hand the pages back.
   if (::munmap(O, Bytes) != 0)
@@ -62,39 +105,47 @@ void freeObject(Object *O) {
 } // namespace
 
 Heap::Heap(size_t BudgetBytes, unsigned Contexts)
-    : Budget(BudgetBytes), Buffers(Contexts) {
+    : Budget(BudgetBytes), Contexts(Contexts) {
   DCHM_CHECK(Budget >= 4096, "heap budget too small");
-  DCHM_CHECK(Contexts >= 1, "heap needs an allocation buffer");
+  DCHM_CHECK(Contexts >= 1, "heap needs a mutator context");
 }
 
 Heap::~Heap() {
-  foldBuffers();
-  Object *O = AllObjects;
-  while (O) {
-    Object *Next = O->NextAlloc;
-    freeObject(O);
-    O = Next;
+  for (const Context &C : Contexts)
+    for (Object *O : C.Large)
+      freeLargeObject(O);
+  for (char *Chunk : Chunks) {
+    ASAN_UNPOISON_MEMORY_REGION(Chunk, ChunkBytes);
+    ::munmap(Chunk, ChunkBytes);
   }
 }
 
-void Heap::foldBuffers() {
-  for (AllocBuffer &B : Buffers) {
-    if (!B.Head)
-      continue;
-    *B.TailLink = AllObjects;
-    AllObjects = B.Head;
-    B.Head = nullptr;
-    B.TailLink = nullptr;
-  }
+template <typename F> void Heap::forEachSlot(const Block &B, F &&Fn) {
+  if (B.Class == NoClass)
+    return;
+  const uint32_t Size = ClassBytes[B.Class];
+  for (uint32_t Off = 0; Off < B.Top; Off += Size)
+    Fn(reinterpret_cast<Object *>(B.Base + Off));
+}
+
+void Heap::forEachObject(const std::function<void(Object *)> &Fn) const {
+  for (const Block &B : Blocks)
+    forEachSlot(B, [&](Object *O) {
+      if (!O->Free)
+        Fn(O);
+    });
+  for (const Context &C : Contexts)
+    for (Object *O : C.Large)
+      Fn(O);
 }
 
 HeapStats Heap::stats() const {
   HeapStats S;
   S.GcCount = GcCount;
   S.GcCycles = GcCycles;
-  for (const AllocBuffer &B : Buffers) {
-    S.BytesAllocated += B.BytesAllocated.load(std::memory_order_relaxed);
-    S.ObjectsAllocated += B.ObjectsAllocated.load(std::memory_order_relaxed);
+  for (const Context &C : Contexts) {
+    S.BytesAllocated += C.BytesAllocated.load(std::memory_order_relaxed);
+    S.ObjectsAllocated += C.ObjectsAllocated.load(std::memory_order_relaxed);
   }
   S.UsedBytes = UsedBytes.load(std::memory_order_relaxed);
   S.PeakBytes = PeakBytes.load(std::memory_order_relaxed);
@@ -132,20 +183,32 @@ Object *Heap::allocateRaw(uint32_t NumSlots, unsigned Ctx) {
       if (OverBudget())
         recordBudgetError(UsedBytes.load(std::memory_order_relaxed), Bytes);
     });
-  Object *O = newObject(Bytes, NumSlots);
+  Context &C = Contexts[Ctx];
+  const size_t Host = Object::hostBytes(NumSlots);
+  Object *O;
+  if (Host < LargeObjectBytes) {
+    // Under AddressSanitizer only the object's own bytes are addressable:
+    // the slot's tail stays poisoned, and a swept slot is poisoned past its
+    // header (sweep), so a stale pointer faults where it is used.
+    const unsigned Class = ClassOf[Host / 8];
+    char *Slot = reinterpret_cast<char *>(allocateSmall(Class, C));
+    ASAN_UNPOISON_MEMORY_REGION(Slot, Host);
+    ASAN_POISON_MEMORY_REGION(Slot + Host, ClassBytes[Class] - Host);
+    O = new (Slot) Object();
+    for (uint32_t I = 0; I < NumSlots; ++I)
+      O->slots()[I] = zeroValue();
+  } else {
+    O = newLargeObject(Host, NumSlots);
+    C.Large.push_back(O);
+  }
   O->NumSlots = NumSlots;
-  // One thread at a time owns a buffer, so its counters need no atomic
+  // One thread at a time owns a context, so its counters need no atomic
   // read-modify-write; the shared watermark does.
-  AllocBuffer &B = Buffers[Ctx];
-  O->NextAlloc = B.Head;
-  if (!B.Head)
-    B.TailLink = &O->NextAlloc;
-  B.Head = O;
-  B.BytesAllocated.store(
-      B.BytesAllocated.load(std::memory_order_relaxed) + Bytes,
+  C.BytesAllocated.store(
+      C.BytesAllocated.load(std::memory_order_relaxed) + Bytes,
       std::memory_order_relaxed);
-  B.ObjectsAllocated.store(
-      B.ObjectsAllocated.load(std::memory_order_relaxed) + 1,
+  C.ObjectsAllocated.store(
+      C.ObjectsAllocated.load(std::memory_order_relaxed) + 1,
       std::memory_order_relaxed);
   size_t Used = UsedBytes.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
   size_t Peak = PeakBytes.load(std::memory_order_relaxed);
@@ -154,6 +217,52 @@ Object *Heap::allocateRaw(uint32_t NumSlots, unsigned Ctx) {
                                           std::memory_order_relaxed)) {
   }
   return O;
+}
+
+Object *Heap::allocateSmall(unsigned Class, Context &C) {
+  for (;;) {
+    if (Block *B = C.Current[Class]) {
+      if (Object *O = B->FreeList) {
+        B->FreeList = O->NextFree;
+        return O;
+      }
+      if (B->Top + ClassBytes[Class] <= BlockBytes) {
+        Object *O = reinterpret_cast<Object *>(B->Base + B->Top);
+        B->Top += ClassBytes[Class];
+        return O;
+      }
+    }
+    // Full: it stays in Blocks for the sweep; take another.
+    C.Current[Class] = takeBlock(Class);
+  }
+}
+
+Heap::Block *Heap::takeBlock(unsigned Class) {
+  std::lock_guard<std::mutex> Lock(BlockMu);
+  if (!Partial[Class].empty()) {
+    Block *B = Partial[Class].back();
+    Partial[Class].pop_back();
+    return B;
+  }
+  Block *B;
+  if (!EmptyBlocks.empty()) {
+    B = EmptyBlocks.back();
+    EmptyBlocks.pop_back();
+  } else {
+    if (ChunkCursor == ChunkEnd) {
+      void *Mem = ::mmap(nullptr, ChunkBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      DCHM_CHECK(Mem != MAP_FAILED, "out of host memory for heap blocks");
+      ChunkCursor = static_cast<char *>(Mem);
+      ChunkEnd = ChunkCursor + ChunkBytes;
+      Chunks.push_back(ChunkCursor);
+    }
+    B = &Blocks.emplace_back();
+    B->Base = ChunkCursor;
+    ChunkCursor += BlockBytes;
+  }
+  B->Class = static_cast<uint8_t>(Class);
+  return B;
 }
 
 Object *Heap::allocateInstance(const ClassInfo &C, TIB *Tib, unsigned Ctx) {
@@ -187,7 +296,6 @@ void Heap::collect() {
 
 void Heap::collectStopped() {
   DCHM_CHECK(Roots, "collect() without a root provider");
-  foldBuffers();
   ++GcCount;
   uint64_t Marked = 0, Swept = 0;
 
@@ -215,24 +323,63 @@ void Heap::collectStopped() {
         mark(O->slots()[I].R, Work);
   }
 
-  size_t Freed = 0;
-  Object **Link = &AllObjects;
-  while (*Link) {
-    Object *O = *Link;
-    if (O->Mark) {
-      O->Mark = 0;
-      Link = &O->NextAlloc;
-      continue;
-    }
-    *Link = O->NextAlloc;
-    Freed += Object::allocBytes(O->NumSlots);
-    freeObject(O);
-    ++Swept;
-  }
-
+  size_t Freed = sweep(Swept);
   UsedBytes.fetch_sub(Freed, std::memory_order_relaxed);
   GcCycles += GcPauseCycles + GcMarkCyclesPerObject * Marked +
               GcSweepCyclesPerObject * Swept;
+}
+
+size_t Heap::sweep(uint64_t &Swept) {
+  size_t Freed = 0;
+  // Every block goes back to the shared lists; each context takes a
+  // current block again on its next allocation of each class.
+  for (Context &C : Contexts)
+    C.Current.fill(nullptr);
+  for (std::vector<Block *> &P : Partial)
+    P.clear();
+  EmptyBlocks.clear();
+  for (Block &B : Blocks) {
+    // Rebuild the free list in address order, old free slots included.
+    Object **Tail = &B.FreeList;
+    bool Live = false;
+    forEachSlot(B, [&](Object *O) {
+      if (O->Mark) {
+        O->Mark = 0;
+        Live = true;
+        return;
+      }
+      if (!O->Free) {
+        Freed += Object::allocBytes(O->NumSlots);
+        ++Swept;
+        O->Free = 1;
+        ASAN_POISON_MEMORY_REGION(O + 1, ClassBytes[B.Class] - sizeof(Object));
+      }
+      *Tail = O;
+      Tail = &O->NextFree;
+    });
+    *Tail = nullptr;
+    if (!Live)
+      B = Block{B.Base};
+    if (B.Class == NoClass)
+      EmptyBlocks.push_back(&B);
+    else if (B.FreeList || B.Top + ClassBytes[B.Class] <= BlockBytes)
+      Partial[B.Class].push_back(&B);
+  }
+  for (Context &C : Contexts) {
+    auto Kept = C.Large.begin();
+    for (Object *O : C.Large) {
+      if (O->Mark) {
+        O->Mark = 0;
+        *Kept++ = O;
+        continue;
+      }
+      Freed += Object::allocBytes(O->NumSlots);
+      ++Swept;
+      freeLargeObject(O);
+    }
+    C.Large.erase(Kept, C.Large.end());
+  }
+  return Freed;
 }
 
 } // namespace dchm

@@ -15,13 +15,24 @@
 /// simulated cycles, which is what gives the SPECjbb2005 variant its extra
 /// memory pressure relative to SPECjbb2000 (Figure 9's 1.9% vs 4.5%).
 ///
-/// Host memory is separate from the simulated budget. Small objects come
-/// from ::operator new and are zero-filled. An object of 16 KiB or more
-/// lives in its own anonymous mapping, like Jikes' large-object space: it
-/// is not zero-filled, and it is unmapped when swept. Its pages hold no
-/// host memory until the guest writes them, so host RSS follows the pages
-/// written, not the bytes the budget charges (Object::allocBytes either
-/// way).
+/// Host memory is separate from the simulated budget, which charges
+/// Object::allocBytes (a 24-byte header plus 8 bytes a slot) whatever the
+/// host layout. On the host an object is a 16-byte header plus its slots:
+///  - Under 16 KiB, it takes a slot of the smallest size class that fits,
+///    in a block: a 16 KiB run of a 1 MiB chunk mapping the Heap owns,
+///    cut into equal slots of one class (a segregated free-list space,
+///    like Jikes GenMS's mark-sweep space). Each mutator context has one
+///    current block per class and allocates from it without a lock. The
+///    sweep walks every block: an unmarked slot joins its block's free
+///    list, threaded through the slots themselves, and a block left with
+///    no live object returns to a pool any class can take. Slots are
+///    zero-filled on allocation.
+///  - At 16 KiB or more it gets its own anonymous mapping, like Jikes'
+///    large-object space: not zero-filled, unmapped when swept. Its pages
+///    hold no host memory until the guest writes them.
+/// Either way, untouched pages cost no host memory, so host RSS follows
+/// the bytes written, not the bytes the budget charges. ~Heap unmaps
+/// everything.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,10 +44,13 @@
 #include "runtime/TIB.h"
 #include "support/Error.h"
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <mutex>
 #include <vector>
 
 namespace dchm {
@@ -60,11 +74,14 @@ struct HeapStats {
   size_t PeakBytes = 0;
 };
 
-/// Bounded mark-sweep heap with one allocation buffer per mutator context.
+/// Bounded mark-sweep heap with per-mutator-context allocation state.
 class Heap {
 public:
-  /// Contexts is the number of mutator contexts, one allocation buffer
-  /// each; the VM passes its mutator thread count.
+  /// The number of size classes; see Heap.cpp for their byte sizes.
+  static constexpr unsigned NumSizeClasses = 38;
+
+  /// Contexts is the number of mutator contexts, each with its own current
+  /// blocks; the VM passes its mutator thread count.
   explicit Heap(size_t BudgetBytes, unsigned Contexts = 1);
   ~Heap();
   Heap(const Heap &) = delete;
@@ -107,18 +124,17 @@ public:
       std::function<void(const std::function<void()> &)>;
   void setSafepointExecutor(SafepointExecutor E) { SafeExec = std::move(E); }
 
-  /// Visits every allocated object (live or not-yet-collected garbage),
-  /// newest first within each buffer. Used by the online value profiler's
-  /// heap census; a stop-the-world walk, like a collection without the
-  /// sweep. With more than one mutator it is only safe at a safepoint (the
-  /// buffers are walked unsynchronized).
-  void forEachObject(const std::function<void(Object *)> &Fn) const {
-    for (const AllocBuffer &B : Buffers)
-      for (Object *O = B.Head; O; O = O->NextAlloc)
-        Fn(O);
-    for (Object *O = AllObjects; O; O = O->NextAlloc)
-      Fn(O);
-  }
+  /// Visits every allocated object (live or not-yet-collected garbage):
+  /// the blocks' occupied slots in block and address order, then the
+  /// large objects. The order follows host addresses, not allocation, so
+  /// a caller must not depend on it: each consumer (the value profiler's
+  /// census, plan install's migration, retirement, eviction, reclamation
+  /// and the consistency auditor) does per-object work that reads only
+  /// that object and sums or sets its results. Used as a stop-the-world
+  /// walk, like a collection without the sweep; with more than one
+  /// mutator it is only safe at a safepoint (the blocks are walked
+  /// unsynchronized).
+  void forEachObject(const std::function<void(Object *)> &Fn) const;
 
   /// A snapshot of the counters. Any thread may call it; a collection
   /// changes GcCount and GcCycles only with the world stopped.
@@ -134,32 +150,60 @@ public:
   void clearBudgetError() { BudgetErr = VMError(); }
 
 private:
-  /// One mutator context's allocation buffer: the objects it allocated
-  /// since the last collection (newest first) and its lifetime allocation
-  /// counts. Only its own context writes it; a collection splices the list
-  /// into AllObjects with the world stopped. The counters are atomics so
-  /// stats() can sum them from any thread; alignas keeps two contexts'
-  /// counters off one cache line.
-  struct alignas(64) AllocBuffer {
-    Object *Head = nullptr;
-    Object **TailLink = nullptr; ///< &oldest->NextAlloc, for O(1) splicing
+  /// A 16 KiB run of a chunk mapping, cut into equal slots of one size
+  /// class; Class is NoClass while it sits empty in the pool. Slots below
+  /// Top have held an object; a freed one has Object::Free set and links
+  /// the next free slot through Object::NextFree.
+  struct Block {
+    char *Base = nullptr;
+    uint32_t Top = 0;
+    uint8_t Class = NoClass;
+    Object *FreeList = nullptr; ///< in address order after a sweep
+  };
+  static constexpr uint8_t NoClass = 0xFF;
+
+  /// One mutator context's allocation state: its current block per size
+  /// class, its large objects, and its lifetime allocation counts. Only
+  /// its own context writes it, except a collection, which runs with the
+  /// world stopped. The counters are atomics so stats() can sum them from
+  /// any thread; alignas keeps two contexts' counters off one cache line.
+  struct alignas(64) Context {
+    std::array<Block *, NumSizeClasses> Current{};
+    std::vector<Object *> Large;
     std::atomic<uint64_t> BytesAllocated{0};
     std::atomic<uint64_t> ObjectsAllocated{0};
   };
 
   Object *allocateRaw(uint32_t NumSlots, unsigned Ctx);
+  /// A free slot of Class from Ctx's current block, refilling it if full.
+  Object *allocateSmall(unsigned Class, Context &Ctx);
+  /// A block of Class with a free slot for a context to make current: one
+  /// the last sweep left partly free, an empty one, or a fresh one.
+  Block *takeBlock(unsigned Class);
+  /// Calls Fn on every occupied slot of B.
+  template <typename F> static void forEachSlot(const Block &B, F &&Fn);
   /// The collection proper; the caller guarantees the world is stopped.
   void collectStopped();
-  /// Splices every buffer's list into AllObjects (world stopped).
-  void foldBuffers();
+  /// Frees every unmarked object and clears the survivors' marks (world
+  /// stopped). Returns the simulated bytes freed and adds to Swept.
+  size_t sweep(uint64_t &Swept);
   void recordBudgetError(size_t Used, size_t Requested);
   void mark(Object *O, std::vector<Object *> &Work);
 
   size_t Budget;
   RootProvider *Roots = nullptr;
   std::vector<RootProvider *> ExtraRoots;
-  std::vector<AllocBuffer> Buffers;
-  Object *AllObjects = nullptr; ///< objects older than the last collection
+  std::vector<Context> Contexts;
+  /// Guards the block bookkeeping below against concurrent refills; a
+  /// collection touches it with the world stopped.
+  std::mutex BlockMu;
+  std::deque<Block> Blocks; ///< every block, in carving order
+  /// Per class, the blocks with room that no context holds as current.
+  std::array<std::vector<Block *>, NumSizeClasses> Partial;
+  std::vector<Block *> EmptyBlocks; ///< reusable by any class
+  std::vector<char *> Chunks;       ///< the block mappings, for ~Heap
+  char *ChunkCursor = nullptr;      ///< the next uncarved block
+  char *ChunkEnd = nullptr;
   /// The live-bytes watermark the GC trigger reads: bumped by every
   /// allocation, lowered by each sweep. Exact at any mutator count.
   std::atomic<size_t> UsedBytes{0};

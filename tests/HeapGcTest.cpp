@@ -6,12 +6,23 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "core/VM.h"
 #include "runtime/Heap.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include <sys/mman.h>
 #include <unistd.h>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define DCHM_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DCHM_TEST_ASAN 1
+#endif
+#endif
 
 using namespace dchm;
 
@@ -39,6 +50,9 @@ struct HeapFixture : ::testing::Test {
     return H.allocateInstance(C, C.ClassTib);
   }
 };
+
+/// 4096 elements: 32 KiB of slots plus the header, nine pages.
+constexpr uint32_t LargeLen = 4096;
 
 TEST_F(HeapFixture, InstanceFieldsZeroInitialized) {
   Object *O = makeCounter();
@@ -139,11 +153,192 @@ TEST_F(HeapFixture, StatsAccumulate) {
 }
 
 //===----------------------------------------------------------------------===//
-// Large objects: 16 KiB or more, each in its own anonymous mapping
+// Small objects: size-class slots in heap-owned blocks
 //===----------------------------------------------------------------------===//
 
-/// 4096 elements: 32 KiB of slots plus the header, nine pages.
-constexpr uint32_t LargeLen = 4096;
+TEST_F(HeapFixture, HostHeaderIs16BytesWhileTheBudgetCharges24) {
+  static_assert(sizeof(Object) == 16);
+  for (uint32_t N : {0u, 1u, 2u, 7u, 2045u, 4096u})
+    EXPECT_EQ(Object::allocBytes(N), 24u + 8u * N) << N << " slots";
+  HeapStats S0 = H.stats();
+  makeCounter();
+  H.allocateArray(Type::Ref, 5);
+  HeapStats S1 = H.stats();
+  EXPECT_EQ(S1.UsedBytes - S0.UsedBytes,
+            Object::allocBytes(2) + Object::allocBytes(5));
+  EXPECT_EQ(S1.BytesAllocated - S0.BytesAllocated,
+            S1.UsedBytes - S0.UsedBytes);
+}
+
+/// Writes a non-zero pattern over every slot of O.
+void scribble(Object *O) {
+  for (uint32_t I = 0; I < O->NumSlots; ++I)
+    O->set(I, valueI(0x5A5A5A5A + I));
+}
+
+TEST_F(HeapFixture, SweptSlotIsReusedByItsClassAndReadsZero) {
+  // The live neighbour keeps the block in use, so the swept slot goes on
+  // the block's free list and the next allocation of its class takes it.
+  Object *Garbage = H.allocateArray(Type::I64, 5);
+  Object *Live = H.allocateArray(Type::I64, 5);
+  scribble(Garbage);
+  scribble(Live);
+  Roots.Objects.push_back(Live);
+  H.collect();
+  Object *Reused = H.allocateArray(Type::I64, 5);
+  EXPECT_EQ(Reused, Garbage);
+  EXPECT_FALSE(Reused->Free);
+  for (uint32_t I = 0; I < 5; ++I)
+    EXPECT_EQ(Reused->get(I).I, 0) << "slot " << I;
+  EXPECT_EQ(Live->get(4).I, 0x5A5A5A5A + 4);
+}
+
+TEST_F(HeapFixture, EmptiedBlockIsReusedByAnotherClassAndReadsZero) {
+  // The only block empties in the sweep; a larger class takes it, dirty.
+  Object *Garbage = H.allocateArray(Type::I64, 5);
+  scribble(Garbage);
+  H.collect();
+  Object *Reused = H.allocateArray(Type::Ref, 9);
+  EXPECT_EQ(Reused, Garbage);
+  for (uint32_t I = 0; I < 9; ++I)
+    EXPECT_EQ(Reused->get(I).R, nullptr) << "slot " << I;
+}
+
+TEST_F(HeapFixture, SweptSlotIsPoisonedUnderAddressSanitizer) {
+#ifdef DCHM_TEST_ASAN
+  // A stale pointer to a swept object faults at its first field read.
+  Object *Garbage = H.allocateArray(Type::I64, 5);
+  Object *Live = H.allocateArray(Type::I64, 5);
+  Roots.Objects.push_back(Live);
+  H.collect();
+  volatile int64_t *Field = &Garbage->slots()[0].I;
+  EXPECT_DEATH((void)*Field, "use-after-poison");
+  EXPECT_EQ(Live->get(4).I, 0); // the live neighbour stays addressable
+#else
+  GTEST_SKIP() << "checks AddressSanitizer poisoning";
+#endif
+}
+
+/// How many times forEachObject visits each object.
+std::map<Object *, int> visits(const Heap &H) {
+  std::map<Object *, int> Seen;
+  H.forEachObject([&](Object *O) { ++Seen[O]; });
+  return Seen;
+}
+
+TEST_F(HeapFixture, WalkVisitsExactlyTheUnsweptObjects) {
+  // Every shape: instances of three classes, I64 and Ref arrays from empty
+  // to the largest small size (host bytes just under 16 KiB) and one large
+  // array. Every third object is rooted.
+  std::vector<Object *> All;
+  for (int Round = 0; Round < 40; ++Round) {
+    for (ClassId Id : {Fx.Counter, Fx.SubCounter, Fx.Driver}) {
+      ClassInfo &C = Fx.P->cls(Id);
+      All.push_back(H.allocateInstance(C, C.ClassTib));
+    }
+    for (int64_t Len : {0, 1, 3, 17, 200})
+      All.push_back(H.allocateArray(Type::I64, Len + Round % 3));
+    All.push_back(H.allocateArray(Type::Ref, 6 + Round));
+  }
+  All.push_back(H.allocateArray(Type::I64, 2045));
+  All.push_back(H.allocateArray(Type::Ref, 2045));
+  All.push_back(H.allocateArray(Type::I64, LargeLen));
+  ASSERT_LT(Object::hostBytes(2045), 16u << 10);
+  ASSERT_FALSE(All[All.size() - 2]->Mapped);
+  ASSERT_TRUE(All.back()->Mapped);
+
+  std::map<Object *, int> Expected;
+  for (Object *O : All)
+    Expected[O] = 1;
+  EXPECT_EQ(visits(H), Expected);
+
+  size_t Kept = 0;
+  Expected.clear();
+  for (size_t I = 0; I < All.size(); I += 3) {
+    Roots.Objects.push_back(All[I]);
+    Expected[All[I]] = 1;
+    Kept += Object::allocBytes(All[I]->NumSlots);
+  }
+  // The last two are rooted too, whichever way the stride falls.
+  for (size_t I = All.size() - 2; I < All.size(); ++I)
+    if (!Expected.count(All[I])) {
+      Roots.Objects.push_back(All[I]);
+      Expected[All[I]] = 1;
+      Kept += Object::allocBytes(All[I]->NumSlots);
+    }
+  H.collect();
+  EXPECT_EQ(visits(H), Expected);
+  EXPECT_EQ(H.stats().UsedBytes, Kept);
+  // A second collection frees nothing more and keeps the same set.
+  H.collect();
+  EXPECT_EQ(visits(H), Expected);
+  EXPECT_EQ(H.stats().UsedBytes, Kept);
+}
+
+/// Root provider over one vector per mutator context; each context's
+/// thread writes only its own.
+class PerContextRoots : public RootProvider {
+public:
+  explicit PerContextRoots(unsigned N) : Objects(N) {}
+  std::vector<std::vector<Object *>> Objects;
+  void enumerateRoots(std::vector<Object *> &Roots) override {
+    for (const std::vector<Object *> &V : Objects)
+      Roots.insert(Roots.end(), V.begin(), V.end());
+  }
+};
+
+TEST(Heap, FourMutatorsAllocateThenACollectionKeepsExactlyTheRooted) {
+  // Four contexts allocate at once, each from its own current blocks, in
+  // a budget no allocation reaches; then one world-stopped collection
+  // must keep exactly the rooted objects, with their contents.
+  test::CounterFixture Fx;
+  constexpr unsigned N = 4;
+  constexpr int PerThread = 3000;
+  VMOptions Opts;
+  Opts.MutatorThreads = N;
+  Opts.HeapBytes = 64u << 20;
+  VirtualMachine VM(*Fx.P, Opts);
+  PerContextRoots Rooted(N);
+  VM.heap().addRootProvider(&Rooted);
+  ClassInfo &C = Fx.P->cls(Fx.Counter);
+  VM.runMutators([&](unsigned T) {
+    for (int I = 0; I < PerThread; ++I) {
+      Object *O = I % 2 ? VM.heap().allocateArray(Type::I64, I % 40, T)
+                        : VM.heap().allocateInstance(C, C.ClassTib, T);
+      if (O->NumSlots > 1)
+        O->set(1, valueI(int64_t(T) << 32 | I));
+      if (I % 5 == 0)
+        Rooted.Objects[T].push_back(O);
+    }
+  });
+  EXPECT_EQ(VM.heap().stats().ObjectsAllocated, uint64_t(N) * PerThread);
+  EXPECT_EQ(VM.heap().stats().GcCount, 0u);
+
+  VM.heap().collect();
+  std::map<Object *, int> Expected;
+  size_t Kept = 0;
+  for (unsigned T = 0; T < N; ++T)
+    for (Object *O : Rooted.Objects[T]) {
+      Expected[O] = 1;
+      Kept += Object::allocBytes(O->NumSlots);
+    }
+  EXPECT_EQ(Expected.size(), size_t(N) * (PerThread / 5));
+  EXPECT_EQ(visits(VM.heap()), Expected);
+  EXPECT_EQ(VM.heap().stats().UsedBytes, Kept);
+  for (unsigned T = 0; T < N; ++T)
+    for (size_t K = 0; K < Rooted.Objects[T].size(); ++K) {
+      Object *O = Rooted.Objects[T][K];
+      if (O->NumSlots > 1) {
+        ASSERT_EQ(O->get(1).I, int64_t(T) << 32 | int64_t(K * 5))
+            << "mutator " << T << " object " << K;
+      }
+    }
+  VM.heap().removeRootProvider(&Rooted);
+}
+
+//===----------------------------------------------------------------------===//
+// Large objects: 16 KiB or more, each in its own anonymous mapping
+//===----------------------------------------------------------------------===//
 
 TEST_F(HeapFixture, LargeArrayReadsZeroInEverySlot) {
   Object *Small = H.allocateArray(Type::F64, 8);
@@ -173,7 +368,7 @@ TEST_F(HeapFixture, LargeArrayPagesAreNotResidentUntilWritten) {
   Object *A = H.allocateArray(Type::F64, LargeLen);
   ASSERT_TRUE(A->Mapped);
   ASSERT_EQ(reinterpret_cast<uintptr_t>(A) % Page, 0u);
-  const size_t Pages = (Object::allocBytes(LargeLen) + Page - 1) / Page;
+  const size_t Pages = (Object::hostBytes(LargeLen) + Page - 1) / Page;
   ASSERT_GE(Pages, 4u);
   std::vector<unsigned char> Resident(Pages);
   ASSERT_EQ(::mincore(A, Pages * Page, Resident.data()), 0);

@@ -236,7 +236,7 @@ ChurnOutcome runChurn(const char *Src, unsigned N, int64_t Arg,
 
 TEST(MultiMutator, AllocatingMutatorsShareOneCollectingHeap) {
   // Every mutator runs the same allocating op in a heap small enough that
-  // collections, triggered from any context, fold every context's buffer
+  // collections, triggered from any context, sweep every context's blocks
   // mid-run. A ring of 16 arrays survives each collection and feeds the
   // checksum, so a lost or freed live object changes the output.
   const char *Src = R"(

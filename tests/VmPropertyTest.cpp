@@ -82,8 +82,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TibInvariant,
                          ::testing::Range<uint64_t>(1, 13));
 
 /// One random scenario executed with or without mutation; returns the
-/// final checksum over all objects.
-int64_t runScenario(uint64_t Seed, bool Mutation, uint64_t Opt1, uint64_t Opt2) {
+/// final checksum over all objects (unsigned, so the digest wraps).
+uint64_t runScenario(uint64_t Seed, bool Mutation, uint64_t Opt1,
+                     uint64_t Opt2) {
   CounterFixture Fx;
   VMOptions Opts;
   Opts.EnableMutation = Mutation;
@@ -108,9 +109,9 @@ int64_t runScenario(uint64_t Seed, bool Mutation, uint64_t Opt1, uint64_t Opt2) 
       break;
     }
   }
-  int64_t Sum = 0;
+  uint64_t Sum = 0;
   for (Object *O : Objs.objects())
-    Sum = Sum * 31 + VM.call(Fx.Get, {valueR(O)}).I;
+    Sum = Sum * 31 + static_cast<uint64_t>(VM.call(Fx.Get, {valueR(O)}).I);
   return Sum;
 }
 
