@@ -36,22 +36,6 @@ int main() {
   VM.call(Ids.method("TestDriver", "init"), {valueI(400)});
   MethodId RunBatch = Ids.method("TestDriver", "runBatch");
 
-  auto PhaseName = [](OnlineMutationController::Phase Ph) {
-    switch (Ph) {
-    case OnlineMutationController::Phase::HotProfiling:
-      return "hot-profiling";
-    case OnlineMutationController::Phase::ValueProfiling:
-      return "value-profiling";
-    case OnlineMutationController::Phase::Active:
-      return "ACTIVE";
-    case OnlineMutationController::Phase::Degrading:
-      return "DEGRADING";
-    case OnlineMutationController::Phase::Inert:
-      return "inert";
-    }
-    return "?";
-  };
-
   auto LastPhase = Ctl.phase();
   uint64_t WindowStart = VM.totalCycles();
   const int BatchesPerWindow = 40;
@@ -62,13 +46,13 @@ int main() {
       Ctl.poll();
       if (Ctl.phase() != LastPhase) {
         std::printf("   >>> phase transition: %s -> %s (cycle %llu)\n",
-                    PhaseName(LastPhase), PhaseName(Ctl.phase()),
+                    phaseName(LastPhase), phaseName(Ctl.phase()),
                     static_cast<unsigned long long>(VM.totalCycles()));
         LastPhase = Ctl.phase();
       }
     }
     uint64_t Now = VM.totalCycles();
-    std::printf("%-8d %-16s %llu\n", Window + 1, PhaseName(Ctl.phase()),
+    std::printf("%-8d %-16s %llu\n", Window + 1, phaseName(Ctl.phase()),
                 static_cast<unsigned long long>((Now - WindowStart) /
                                                 BatchesPerWindow));
     WindowStart = Now;

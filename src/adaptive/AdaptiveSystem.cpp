@@ -78,17 +78,12 @@ void AdaptiveSystem::recompile(MethodInfo &M, int Level) {
     for (CompiledMethod *OldSpecial : M.Specials)
       if (OldSpecial)
         OldSpecial->invalidate();
-    M.Specials.assign(CP->HotStates.size(), nullptr);
-    const ClassInfo &Owner = P.cls(CP->Cls);
-    for (size_t S = 0; S < CP->HotStates.size(); ++S) {
-      // A hot state evicted under the code budget has no special TIB left
-      // to dispatch through; compiling its special would only re-grow the
-      // footprint the eviction just reclaimed.
-      if (CP->dependsOnInstanceFields() && S < Owner.SpecialTibs.size() &&
-          !Owner.SpecialTibs[S])
-        continue;
-      M.Specials[S] = OC.compileSpecial(M, Level, *CP, S);
-    }
+    // Built aside and swapped in whole, so no slot is ever null while a
+    // plan is installed.
+    std::vector<CompiledMethod *> Fresh;
+    for (size_t S = 0; S < CP->HotStates.size(); ++S)
+      Fresh.push_back(OC.compileSpecial(M, Level, *CP, S));
+    M.Specials = std::move(Fresh);
     Listener.onMutableMethodRecompiled(M);
   }
   InRecompile = false;

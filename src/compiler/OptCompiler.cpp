@@ -50,9 +50,6 @@ CompiledMethod *OptCompiler::finish(MethodInfo &M, IRFunction Code, int Level,
   M.CompiledVersions.push_back(std::make_unique<CompiledMethod>(
       M, std::move(Code), std::move(*Decoded), Level, StateIdx, Cycles));
   CompiledMethod *CM = M.CompiledVersions.back().get();
-  // The budget charge is estimated from the pre-optimization unit size with
-  // the codeBytes() density model; eviction decisions rank on it.
-  CM->setBudgetBytes(32 + UnitSize * (Level == 0 ? 14 : 10));
 
   Stats.TotalCompileCycles += Cycles;
   Stats.TotalCodeBytes += CM->codeBytes();

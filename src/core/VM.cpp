@@ -26,7 +26,7 @@ VMOptions withAtLeastOneMutator(VMOptions O) {
 VirtualMachine::VirtualMachine(Program &P, const VMOptions &Options)
     : P(P), Opts(withAtLeastOneMutator(Options)),
       TheHeap(Opts.HeapBytes, Opts.MutatorThreads), Compiler(P, Opts.Inline),
-      Mutation(P, TheHeap, Opts.CodeBudgetBytes),
+      Mutation(P, TheHeap),
       Adaptive(P, Compiler, Opts.Adaptive, Mutation) {
   DCHM_CHECK(P.isLinked(), "VirtualMachine requires a linked program");
   // The plan lives on the Program, so a Program serves one mutating VM.
@@ -64,10 +64,9 @@ void VirtualMachine::setMutationPlan(const MutationPlan *Plan) {
     Mutation.installPlan(*Plan);
     // Installation is stop-the-world and includes re-classing objects that
     // already exist (mid-run activation or re-install after retirement). It
-    // must happen before the budget check and the recompilation refresh so
-    // their audit notifications never observe a half-installed heap.
+    // must happen before the recompilation refresh so part II's audit
+    // notifications never observe a half-installed heap.
     Mutation.migrateExistingObjects();
-    Mutation.enforceBudget();
     // Online installation: methods that got hot before the plan existed need
     // their specialized versions generated now.
     Adaptive.refreshMutableMethods();

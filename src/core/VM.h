@@ -52,10 +52,6 @@ struct VMOptions {
   size_t HeapBytes = 50u << 20; ///< Jikes' default 50 MB heap
   AdaptiveConfig Adaptive;
   InlinerConfig Inline;
-  /// Budget over specialized-code bytes + special-TIB bytes (graceful
-  /// degradation, docs/degradation.md); 0 = unlimited. Under pressure the
-  /// mutation engine demotes the coldest hot states to general code.
-  size_t CodeBudgetBytes = 0;
   /// Number of application (mutator) threads (docs/threads.md); 0 runs as
   /// 1. At 1 every code path is the single-mutator path — bit-identical
   /// output, cycle counters and fingerprints. At N>1 the safepoint
@@ -167,8 +163,8 @@ public:
   /// Runs Fn with every mutator stopped: a plain call at N=1, a safepoint
   /// rendezvous (leader = calling thread) at N>1. Re-entrant from inside a
   /// closure. This is how every stop-the-world operation — plan install and
-  /// retirement, budget eviction, GC, code reclamation, audits — is phrased
-  /// now that "the world" can be more than one thread.
+  /// retirement, GC, code reclamation, audits — is phrased now that "the
+  /// world" can be more than one thread.
   void atSafepoint(const std::function<void()> &Fn);
 
   SafepointManager &safepoints() { return Safepoints; }

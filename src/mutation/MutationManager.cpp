@@ -18,14 +18,12 @@ void MutationManager::installPlan(const MutationPlan &Plan) {
   DCHM_CHECK(!P.mutationPlan(), "mutation plan installed twice");
   DCHM_CHECK(P.isLinked(), "install plan after linking");
   P.setMutationPlan(&Plan);
-  SwingIns.assign(Plan.Classes.size(), {});
 
   for (size_t Idx = 0; Idx < Plan.Classes.size(); ++Idx) {
     const MutableClassPlan &CP = Plan.Classes[Idx];
     ClassInfo &C = P.cls(CP.Cls);
     DCHM_CHECK(C.MutableIndex < 0, "class appears twice in the plan");
     C.MutableIndex = static_cast<int>(Idx);
-    SwingIns[Idx].resize(CP.HotStates.size());
 
     for (FieldId F : CP.InstanceStateFields) {
       DCHM_CHECK(!P.field(F).IsStatic, "instance state field is static");
@@ -68,9 +66,6 @@ void MutationManager::installPlan(const MutationPlan &Plan) {
       }
     }
   }
-
-  // The caller enforces the code budget after existing objects migrate, so
-  // audit hooks never observe a half-installed heap.
 }
 
 int MutationManager::matchInstanceState(const MutableClassPlan &CP,
@@ -158,11 +153,7 @@ bool MutationManager::reclassify(Object *O, const MutableClassPlan &CP,
   int S = matchInstanceState(CP, O);
   if (S >= 0) {
     Stats.StateMatches++;
-    SwingIns[static_cast<size_t>(C.MutableIndex)][static_cast<size_t>(S)]++;
-    // A null slot means this hot state was evicted under code-budget
-    // pressure; the class TIB (general code) is its resting place.
-    if (TIB *ST = C.SpecialTibs[static_cast<size_t>(S)])
-      To = ST;
+    To = C.SpecialTibs[static_cast<size_t>(S)];
   } else if (CountMiss) {
     Stats.StateMisses++;
   }
@@ -210,11 +201,8 @@ void MutationManager::refreshMethodPointers(const MutableClassPlan &CP,
                                             MethodInfo &M) {
   if (M.Specials.empty())
     return; // not yet opt2-compiled; nothing to route
-  // The special code of hot state S when S >= 0 and its body exists (an
-  // evicted state has none), the general code otherwise.
   auto CodeFor = [&](int S) {
-    CompiledMethod *SP = S >= 0 ? M.Specials[static_cast<size_t>(S)] : nullptr;
-    return SP ? SP : M.General;
+    return S >= 0 ? M.Specials[static_cast<size_t>(S)] : M.General;
   };
 
   // A static method (its pointer lives in the JTOC; it can only read static
@@ -232,10 +220,9 @@ void MutationManager::refreshMethodPointers(const MutableClassPlan &CP,
   // the general code. The class TIB always holds general code.
   ClassInfo &C = P.cls(CP.Cls);
   for (size_t S = 0; S < CP.HotStates.size(); ++S)
-    if (TIB *ST = C.SpecialTibs[S]) // null: evicted, no TIB to route into
-      updateCodePointer(ST->Slots[M.VSlot],
-                        CodeFor(staticPartMatches(CP, S) ? static_cast<int>(S)
-                                                         : -1));
+    updateCodePointer(C.SpecialTibs[S]->Slots[M.VSlot],
+                      CodeFor(staticPartMatches(CP, S) ? static_cast<int>(S)
+                                                       : -1));
   updateCodePointer(homeSlot(M), M.General);
 }
 
@@ -272,9 +259,6 @@ void MutationManager::onMutableMethodRecompiled(MethodInfo &M) {
   // propagated to the sub classes"). Route the special code per Figure 5.
   refreshMethodPointers(*CP, M);
   noteTransition("part II: mutable method recompiled");
-  // Fresh specialized bodies grew the footprint; demote cold states if that
-  // pushed us over the code budget.
-  enforceBudget();
 }
 
 uint64_t MutationManager::retirePlan() {
@@ -303,8 +287,7 @@ uint64_t MutationManager::retirePlan() {
       if ((M.Flags.IsStatic || !CP.dependsOnInstanceFields()) && M.General)
         updateCodePointer(homeSlot(M), M.General);
       for (CompiledMethod *SP : M.Specials)
-        if (SP)
-          P.retireCompiledBody(SP);
+        P.retireCompiledBody(SP);
       M.Specials.clear();
       M.IsMutable = false;
     }
@@ -322,8 +305,7 @@ uint64_t MutationManager::retirePlan() {
         }
 
     for (TIB *ST : C.SpecialTibs)
-      if (ST)
-        P.retireSpecialTib(ST);
+      P.retireSpecialTib(ST);
     C.SpecialTibs.clear();
 
     for (FieldId F : CP.InstanceStateFields)
@@ -334,104 +316,9 @@ uint64_t MutationManager::retirePlan() {
   }
 
   P.setMutationPlan(nullptr);
-  SwingIns.clear();
   Stats.PlanRetirements++;
   noteTransition("retire: plan retired");
   return OnSpecial;
-}
-
-bool MutationManager::evictState(size_t Idx, size_t S) {
-  const MutableClassPlan &CP = P.mutationPlan()->Classes[Idx];
-  if (!CP.dependsOnInstanceFields())
-    return false; // static-only classes own no special TIBs to demote
-  ClassInfo &C = P.cls(CP.Cls);
-  TIB *ST = C.SpecialTibs[S];
-  if (!ST)
-    return false; // already evicted
-  // Swing residents home to the class TIB (general code) before the TIB
-  // goes on the reclamation list, so it is unreachable from the heap.
-  H.forEachObject([&](Object *O) {
-    if (!O->IsArray && O->Tib == ST)
-      swingObjectTib(O, C.ClassTib);
-  });
-  // Null the slot first (vector size is preserved so state indices stay
-  // stable); refreshMethodPointers then skips this state.
-  C.SpecialTibs[S] = nullptr;
-  for (MethodId MId : CP.MutableMethods) {
-    MethodInfo &M = P.method(MId);
-    if (S >= M.Specials.size() || !M.Specials[S])
-      continue;
-    CompiledMethod *SP = M.Specials[S];
-    M.Specials[S] = nullptr;
-    P.retireCompiledBody(SP);
-    // Re-route: a static method's JTOC entry may have pointed at the body
-    // we just dropped.
-    refreshMethodPointers(CP, M);
-  }
-  P.retireSpecialTib(ST);
-  Stats.StateEvictions++;
-  noteTransition("degrade: state evicted");
-  return true;
-}
-
-size_t MutationManager::specialFootprintBytes() const {
-  const MutationPlan *Plan = P.mutationPlan();
-  if (!Plan)
-    return 0;
-  size_t Bytes = 0;
-  for (const MutableClassPlan &CP : Plan->Classes) {
-    const ClassInfo &C = P.cls(CP.Cls);
-    for (const TIB *ST : C.SpecialTibs)
-      if (ST)
-        Bytes += ST->sizeBytes();
-    for (MethodId MId : CP.MutableMethods)
-      for (const CompiledMethod *SP : P.method(MId).Specials)
-        if (SP)
-          Bytes += SP->budgetBytes();
-  }
-  return Bytes;
-}
-
-uint64_t MutationManager::enforceBudget() {
-  if (!CodeBudgetBytes || !P.mutationPlan())
-    return 0;
-  uint64_t Evicted = 0;
-  while (specialFootprintBytes() > CodeBudgetBytes) {
-    if (!evictColdestState())
-      break; // nothing left to demote; the remainder is irreducible
-    ++Evicted;
-  }
-  return Evicted;
-}
-
-bool MutationManager::evictColdestState() {
-  const MutationPlan *Plan = P.mutationPlan();
-  if (!Plan)
-    return false;
-  // Benefit-ranked: the state with the fewest part I swing-ins bought the
-  // least specialization benefit. First-wins tie-break keeps the choice
-  // deterministic across hosts (SwingIns is simulated data).
-  size_t BestIdx = 0, BestS = 0;
-  uint64_t BestCount = 0;
-  bool Found = false;
-  for (size_t Idx = 0; Idx < Plan->Classes.size(); ++Idx) {
-    const MutableClassPlan &CP = Plan->Classes[Idx];
-    if (!CP.dependsOnInstanceFields())
-      continue;
-    const ClassInfo &C = P.cls(CP.Cls);
-    for (size_t S = 0; S < C.SpecialTibs.size(); ++S) {
-      if (!C.SpecialTibs[S])
-        continue;
-      uint64_t N = SwingIns[Idx][S];
-      if (!Found || N < BestCount) {
-        Found = true;
-        BestIdx = Idx;
-        BestS = S;
-        BestCount = N;
-      }
-    }
-  }
-  return Found && evictState(BestIdx, BestS);
 }
 
 } // namespace dchm

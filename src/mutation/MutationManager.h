@@ -72,7 +72,7 @@ struct MutationStats {
   SharedCounter StateMisses;        ///< part I checks that matched nothing
   SharedCounter ExtraCycles;        ///< simulated cost of all of the above
   SharedCounter PlanRetirements;    ///< retirePlan() runs
-  SharedCounter StateEvictions;     ///< hot states demoted to general code
+  SharedCounter StateEvictions;     ///< Kept for perfbench/: always 0.
 };
 
 /// Fault-injection switches for the consistency auditor's self-test: each
@@ -97,15 +97,11 @@ struct MutationDebugFlags {
 };
 
 /// Runtime engine for dynamic class hierarchy mutation. The installed plan
-/// lives on the Program (Program::mutationPlan); the engine keeps only the
-/// per-state swing-in counts its eviction ranking reads.
+/// lives on the Program (Program::mutationPlan); the engine keeps no copy.
 class MutationManager : public RecompileListener {
 public:
-  /// H is the heap whose objects part I re-classes; CodeBudgetBytes bounds
-  /// specialized-code bytes + special-TIB bytes (graceful degradation,
-  /// docs/degradation.md), 0 = unlimited.
-  MutationManager(Program &P, Heap &H, size_t CodeBudgetBytes)
-      : P(P), H(H), CodeBudgetBytes(CodeBudgetBytes) {}
+  /// H is the heap whose objects part I re-classes.
+  MutationManager(Program &P, Heap &H) : P(P), H(H) {}
 
   /// Installs the plan: records it on the Program, marks state fields and
   /// mutable methods, creates the special TIBs, and rewires mutable
@@ -123,17 +119,6 @@ public:
   /// TIBs (counted even when the SkipRetireSwing fault leaves them
   /// stranded).
   uint64_t retirePlan();
-
-  // --- Code/TIB budget (graceful degradation) ------------------------------
-  /// Current specialized footprint: live special-TIB bytes plus the
-  /// deterministic budget bytes of every specialized body.
-  size_t specialFootprintBytes() const;
-  /// Evicts benefit-ranked-coldest hot states until the footprint fits the
-  /// budget (no-op when unlimited). Returns the number of evictions.
-  uint64_t enforceBudget();
-  /// Evicts the single coldest evictable hot state (churn-triggered
-  /// degradation). Returns false when nothing is evictable.
-  bool evictColdestState();
 
   /// Attaches a consistency-audit hook notified after every part I/II
   /// transition (null detaches). See runtime/AuditHook.h.
@@ -171,8 +156,7 @@ private:
   /// Part I's one re-classing step (Figure 4): charges the state check,
   /// counts a match (and, with CountMiss, a miss), and points O at the
   /// special TIB of the matching hot state, or at the class TIB when none
-  /// matches or the state was evicted. Returns true when O's chosen TIB
-  /// is special.
+  /// matches. Returns true when O's chosen TIB is special.
   bool reclassify(Object *O, const MutableClassPlan &CP, bool CountMiss);
   /// Index of the hot state whose *instance* part matches O's current field
   /// values, or -1.
@@ -192,11 +176,6 @@ private:
   void swingObjectTib(Object *O, TIB *To);
   /// The one code-pointer write, for TIB slots and JTOC entries alike.
   void updateCodePointer(CompiledMethod *&SlotRef, CompiledMethod *To);
-  /// Demotes hot state S of plan entry Idx to general code: swings its
-  /// residents to the class TIB, retires its special TIB (slot goes null;
-  /// vector size is preserved so state indices stay stable) and its
-  /// no-longer-referenced specialized bodies, and re-routes method pointers.
-  bool evictState(size_t Idx, size_t S);
 
   /// Notifies the audit hook, if any, that one transition finished.
   void noteTransition(const char *Where) {
@@ -206,14 +185,9 @@ private:
 
   Program &P;
   Heap &H;
-  const size_t CodeBudgetBytes; ///< 0 = unlimited
   AuditHook *Audit = nullptr;
   MutationDebugFlags Debug;
   MutationStats Stats;
-  /// Benefit signal for eviction ranking: per (plan entry, hot state)
-  /// count of part I swings *into* the state. Simulated-deterministic at
-  /// N=1; concurrent mutators bump it in part I.
-  std::vector<std::vector<SharedCounter>> SwingIns;
 };
 
 } // namespace dchm

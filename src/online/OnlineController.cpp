@@ -13,15 +13,6 @@
 
 namespace dchm {
 
-namespace {
-/// Simulated cycles between graceful-degradation checks once Active.
-constexpr uint64_t DegradeCheckCycles = 500'000;
-/// Degrade when mutation bookkeeping exceeds this fraction of the simulated
-/// cycles spent in the check window (state churn: the plan's hot states no
-/// longer match the program's behavior).
-constexpr double ChurnFraction = 0.25;
-} // namespace
-
 OnlineMutationController::OnlineMutationController(VirtualMachine &VM,
                                                    Config Cfg)
     : VM(VM), Cfg(Cfg) {
@@ -43,38 +34,12 @@ void OnlineMutationController::poll() {
       activate();
     break;
   case Phase::Active:
-  case Phase::Degrading:
-    pollDegradation();
+    if (!VM.program().mutationPlan()) // retired out from under us
+      CurPhase = Phase::Inert;
     break;
   case Phase::Inert:
     break;
   }
-}
-
-void OnlineMutationController::pollDegradation() {
-  MutationManager &MM = VM.mutation();
-  if (!VM.program().mutationPlan()) { // retired out from under us
-    CurPhase = Phase::Inert;
-    return;
-  }
-  uint64_t Now = VM.totalCycles();
-  if (Now - LastDegradeCheck < DegradeCheckCycles)
-    return;
-  uint64_t WindowTotal = Now - LastDegradeCheck;
-  uint64_t Mut = MM.stats().ExtraCycles;
-  uint64_t WindowMut = Mut - LastMutationCycles;
-  LastDegradeCheck = Now;
-  LastMutationCycles = Mut;
-
-  // Churn: mutation bookkeeping dominating the window means objects are
-  // thrashing between states; demote the coldest state to stem the swings.
-  // (The code budget needs no poll: the specialized footprint grows only at
-  // plan install and part II recompiles, and both end in enforceBudget.)
-  bool Churn = WindowTotal > 0 &&
-               static_cast<double>(WindowMut) >
-                   ChurnFraction * static_cast<double>(WindowTotal);
-  CurPhase = Churn && MM.evictColdestState() ? Phase::Degrading
-                                             : Phase::Active;
 }
 
 void OnlineMutationController::finishHotProfiling() {
@@ -143,9 +108,21 @@ void OnlineMutationController::activate() {
   // (VirtualMachine::setMutationPlan handles all of it stop-the-world).
   VM.setMutationPlan(&Plan);
   ActivationCycle = VM.totalCycles();
-  LastDegradeCheck = ActivationCycle;
-  LastMutationCycles = VM.mutation().stats().ExtraCycles;
   CurPhase = Phase::Active;
+}
+
+const char *phaseName(OnlineMutationController::Phase Ph) {
+  switch (Ph) {
+  case OnlineMutationController::Phase::HotProfiling:
+    return "hot-profiling";
+  case OnlineMutationController::Phase::ValueProfiling:
+    return "value-profiling";
+  case OnlineMutationController::Phase::Active:
+    return "active";
+  case OnlineMutationController::Phase::Inert:
+    return "inert";
+  }
+  return "?";
 }
 
 } // namespace dchm

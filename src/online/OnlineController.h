@@ -24,9 +24,14 @@
 ///                      methods that are already at opt2 are recompiled to
 ///                      generate their specialized versions, the OLC
 ///                      database is computed, and execution continues with
-///                      the dynamically mutated hierarchy. Objects migrate
-///                      to special TIBs at their next state-field store or
-///                      construction.
+///                      the dynamically mutated hierarchy. Installation
+///                      migrates objects constructed earlier onto the
+///                      special TIBs matching their state. The plan then
+///                      stays as installed; if something retires it
+///                      (VirtualMachine::retireMutationPlan), the next
+///                      poll() moves to Inert.
+///   Inert            — nothing to do: no state field or hot state was
+///                      found, or the plan was retired.
 ///
 /// The driver calls poll() at convenient boundaries (e.g., between
 /// transaction batches); phase transitions happen there, so no extra thread
@@ -58,12 +63,7 @@ public:
     OfflineConfig Analysis;
   };
 
-  /// Degrading is Active under churn: mutation bookkeeping dominated the
-  /// last check window and the coldest hot state was demoted to general
-  /// code. The controller returns to Active when a check window passes
-  /// without an eviction. (The code/TIB budget is enforced where the
-  /// footprint grows: at plan install and at part II recompiles.)
-  enum class Phase { HotProfiling, ValueProfiling, Active, Degrading, Inert };
+  enum class Phase { HotProfiling, ValueProfiling, Active, Inert };
 
   /// The controller must outlive the VM's use of the derived plan.
   OnlineMutationController(VirtualMachine &VM, Config Cfg);
@@ -82,7 +82,6 @@ public:
 private:
   void finishHotProfiling();
   void activate();
-  void pollDegradation();
 
   VirtualMachine &VM;
   Config Cfg;
@@ -94,9 +93,10 @@ private:
   MutationPlan Plan;
   OlcDatabase Olc;
   uint64_t ActivationCycle = 0;
-  uint64_t LastDegradeCheck = 0;
-  uint64_t LastMutationCycles = 0;
 };
+
+/// Lower-case display name of a phase ("hot-profiling", "active", ...).
+const char *phaseName(OnlineMutationController::Phase Ph);
 
 } // namespace dchm
 

@@ -58,17 +58,11 @@ public:
   size_t codeBytes() const { return CodeBytes; }
   uint64_t compileCycles() const { return CompileCycles; }
 
-  /// Size charged against the code budget, estimated by the compiler from
-  /// the unit size before optimization. Budget eviction ranks on this
-  /// estimate, not on codeBytes().
-  size_t budgetBytes() const { return BudgetBytes; }
-  void setBudgetBytes(size_t N) { BudgetBytes = N; }
-
   /// Drops the body IR and dispatch form of a retired version (reclamation
-  /// at a quiescent point after plan retirement / budget eviction). The
-  /// object itself stays allocated forever, Jikes-style; CodeBytes is kept
-  /// so code-size metrics remain stable. Only legal once no dispatch structure or frame
-  /// can reach this version.
+  /// at a quiescent point after plan retirement). The object itself stays
+  /// allocated forever, Jikes-style; CodeBytes is kept so code-size metrics
+  /// remain stable. Only legal once no dispatch structure or frame can
+  /// reach this version.
   void releaseBody() {
     Code = IRFunction();
     Decoded = std::vector<DecodedInst>();
@@ -89,7 +83,6 @@ private:
   int StateIndex;
   uint64_t CompileCycles;
   size_t CodeBytes;
-  size_t BudgetBytes = 0;
   bool Invalidated = false;
   bool BodyReleased = false;
 };

@@ -465,8 +465,7 @@ void Program::installCode(MethodInfo &M, CompiledMethod *CM) {
   auto InstallInto = [&](ClassInfo &C) {
     C.ClassTib->Slots[M.VSlot] = CM;
     for (TIB *ST : C.SpecialTibs)
-      if (ST) // null = hot state evicted under code-budget pressure
-        ST->Slots[M.VSlot] = CM;
+      ST->Slots[M.VSlot] = CM;
     if (C.Imt) {
       for (ImtEntry &E : C.Imt->Slots)
         if (E.K == ImtEntry::Kind::Direct && E.DirectImpl == M.Id)

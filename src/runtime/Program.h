@@ -145,7 +145,7 @@ public:
   size_t classTibBytes() const;
   size_t specialTibBytes() const;
 
-  // --- Reclamation at a quiescent point (plan retirement / eviction) -------
+  // --- Reclamation at a quiescent point (after plan retirement) -----------
   /// Moves a special TIB created by createSpecialTib onto the retired list.
   /// The TIB stops counting toward specialTibBytes() immediately but stays
   /// allocated until drainReclaimList proves no stale reference can reach

@@ -62,14 +62,11 @@ ConsistencyAuditor::expectedMutableCode(const MutableClassPlan &CP,
   if (M.Specials.empty())
     return M.General; // not yet opt2-compiled; only general code exists
   if (S >= 0)
-    return (staticPartMatches(CP, static_cast<size_t>(S)) &&
-            M.Specials[static_cast<size_t>(S)])
+    return staticPartMatches(CP, static_cast<size_t>(S))
                ? M.Specials[static_cast<size_t>(S)]
                : M.General;
   int A = anyStaticMatch(CP);
-  return (A >= 0 && M.Specials[static_cast<size_t>(A)])
-             ? M.Specials[static_cast<size_t>(A)]
-             : M.General;
+  return A >= 0 ? M.Specials[static_cast<size_t>(A)] : M.General;
 }
 
 void ConsistencyAuditor::auditNow(const char *Trigger) {
@@ -132,12 +129,8 @@ void ConsistencyAuditor::auditHeap(const std::vector<Object *> &UnderCtor) {
       return;
     }
     int S = matchInstanceState(CP, O);
-    // A null special-TIB slot means the hot state was evicted under
-    // code-budget pressure; the class TIB is then the legitimate resting
-    // place for objects in that state.
-    TIB *Expected = C->ClassTib;
-    if (S >= 0 && C->SpecialTibs[static_cast<size_t>(S)])
-      Expected = C->SpecialTibs[static_cast<size_t>(S)];
+    TIB *Expected =
+        S >= 0 ? C->SpecialTibs[static_cast<size_t>(S)] : C->ClassTib;
     if (std::find(UnderCtor.begin(), UnderCtor.end(), O) != UnderCtor.end())
       return; // constructor still running; part I has not classified it yet
     if (!O->CtorDone) {
@@ -196,8 +189,12 @@ void ConsistencyAuditor::auditTibs() {
     // agree with the class TIB, mutable slots follow the static-part rule.
     for (size_t S = 0; S < C.SpecialTibs.size(); ++S) {
       TIB *ST = C.SpecialTibs[S];
-      if (!ST)
-        continue; // hot state evicted under budget pressure (slot retired)
+      if (!ST) {
+        addViolation("tib.special-null",
+                     C.Name + " special TIB " + std::to_string(S) +
+                         " is null under an installed plan");
+        continue;
+      }
       if (ST->Cls != &C || ST->Imt != C.Imt ||
           ST->StateIndex != static_cast<int>(S)) {
         addViolation("tib.special-identity",
@@ -324,10 +321,12 @@ void ConsistencyAuditor::auditSpecials() {
     const MethodInfo &M = P.method(static_cast<MethodId>(MId));
     for (size_t S = 0; S < M.Specials.size(); ++S) {
       const CompiledMethod *SP = M.Specials[S];
-      if (!SP)
-        continue; // state evicted under the code budget
       std::string Where = P.cls(M.Owner).Name + "." + M.Name +
                           " Specials[" + std::to_string(S) + "]";
+      if (!SP) {
+        addViolation("specials.null", Where + " holds no body");
+        continue;
+      }
       if (SP->stateIndex() != static_cast<int>(S))
         addViolation("specials.state-index",
                      Where + " holds a body compiled for state " +

@@ -23,7 +23,9 @@
 ///    would pick (mutable classes must have no Direct entries left);
 ///  - subclasses of mutable classes saw general-code propagation only;
 ///  - each specialized body sits in exactly one Specials slot, the one for
-///    the state it was compiled for, and is not invalidated there.
+///    the state it was compiled for, and is not invalidated there;
+///  - under an installed plan no special-TIB slot and no slot of a filled
+///    Specials vector is null (hot states are never removed one by one).
 ///
 /// The auditor is strictly read-only with respect to simulated state: it
 /// never charges cycles, never compiles, and never touches a TIB, so an

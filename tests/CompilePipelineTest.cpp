@@ -64,6 +64,50 @@ TEST(SpecialsOwnership, AuditorFlagsAliasedSlots) {
   EXPECT_TRUE(Aliased) << Auditor.report();
 }
 
+TEST(SpecialsOwnership, AuditorFlagsNullSlots) {
+  // Hot states are never removed one by one, so under an installed plan
+  // every special-TIB slot and every filled Specials slot is non-null. A
+  // slot nulled by hand must be reported.
+  CounterFixture Fx(/*WithStaticField=*/true);
+  VMOptions Opts;
+  Opts.Adaptive.AcceleratedMutableHotness = true;
+  VirtualMachine VM(*Fx.P, Opts);
+  VM.setMutationPlan(&Fx.Plan);
+  Object *O = Fx.makeCounter(VM, 0);
+  VM.call(Fx.Bump, {valueR(O)});
+  ClassInfo &C = Fx.P->cls(Fx.Counter);
+  MethodInfo &B = Fx.P->method(Fx.Bump);
+  ASSERT_EQ(C.SpecialTibs.size(), 2u);
+  ASSERT_EQ(B.Specials.size(), 2u);
+
+  ConsistencyAuditor Auditor(VM);
+  Auditor.auditNow("before nulling");
+  EXPECT_TRUE(Auditor.clean()) << Auditor.report();
+
+  auto Reported = [&](const char *Check) {
+    for (const AuditViolation &V : Auditor.violations())
+      if (V.Check == Check)
+        return true;
+    return false;
+  };
+  TIB *Tib = C.SpecialTibs[1];
+  C.SpecialTibs[1] = nullptr;
+  Auditor.auditNow("after nulling a special TIB");
+  C.SpecialTibs[1] = Tib;
+  EXPECT_TRUE(Reported("tib.special-null")) << Auditor.report();
+
+  Auditor.reset();
+  CompiledMethod *Body = B.Specials[1];
+  B.Specials[1] = nullptr;
+  Auditor.auditNow("after nulling a special body");
+  B.Specials[1] = Body;
+  EXPECT_TRUE(Reported("specials.null")) << Auditor.report();
+
+  Auditor.reset();
+  Auditor.auditNow("after restoring both");
+  EXPECT_TRUE(Auditor.clean()) << Auditor.report();
+}
+
 //===----------------------------------------------------------------------===//
 // Determinism across configurations
 //===----------------------------------------------------------------------===//

@@ -7,9 +7,8 @@
 ///
 /// Tests for the graceful-degradation subsystem (docs/degradation.md): plan
 /// retirement as the stop-the-world reverse of installation, reclamation at
-/// a quiescent point of retired special TIBs and specialized bodies, the
-/// code/TIB budget with benefit-ranked state eviction, and the recoverable
-/// VMError channel on input-validation and resource paths.
+/// a quiescent point of retired special TIBs and specialized bodies, and
+/// the recoverable VMError channel on input-validation and resource paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -316,68 +315,6 @@ TEST(Reclamation, StrandedObjectsBlockReclaimAndTripAuditor) {
   // --inject-partial-retire mode hunts for.
   Auditor.auditNow("after faulty retire");
   EXPECT_GT(Auditor.violationCount(), 0u);
-}
-
-// --- Code/TIB budget and benefit-ranked eviction -----------------------------
-
-TEST(Degradation, BudgetEvictsDownToFitAndStaysCorrect) {
-  CounterFixture Fx;
-  VMOptions Opts;
-  Opts.CodeBudgetBytes = 1; // below any special TIB: everything must go
-  VirtualMachine VM(*Fx.P, Opts);
-  ConsistencyAuditor Auditor(VM);
-  VM.setAuditHook(&Auditor);
-  VM.setMutationPlan(&Fx.Plan);
-  LocalRootScope Pin(VM.heap());
-  Object *O = Fx.makeCounter(VM, 0);
-  Pin.add(O);
-  makeHot(Fx, VM, O);
-  VM.call(Fx.DriveBump, {valueR(O), valueI(100)});
-
-  EXPECT_GE(VM.mutation().stats().StateEvictions, 2u);
-  EXPECT_LE(VM.mutation().specialFootprintBytes(), Opts.CodeBudgetBytes);
-  // Evicted states resolve through the class TIB; results are unchanged.
-  EXPECT_EQ(get(Fx, VM, O), 5100);
-  Auditor.auditNow("end of test");
-  EXPECT_TRUE(Auditor.clean()) << Auditor.report();
-}
-
-TEST(Degradation, UnlimitedBudgetNeverEvicts) {
-  CounterFixture Fx;
-  VirtualMachine VM(*Fx.P, {}); // CodeBudgetBytes default: unlimited
-  VM.setMutationPlan(&Fx.Plan);
-  LocalRootScope Pin(VM.heap());
-  Object *O = Fx.makeCounter(VM, 0);
-  Pin.add(O);
-  makeHot(Fx, VM, O);
-  EXPECT_EQ(VM.mutation().stats().StateEvictions, 0u);
-  EXPECT_GT(VM.mutation().specialFootprintBytes(), 0u);
-}
-
-TEST(Degradation, ColdestStateEvictedFirst) {
-  CounterFixture Fx;
-  VirtualMachine VM(*Fx.P, {});
-  VM.setMutationPlan(&Fx.Plan);
-  LocalRootScope Pin(VM.heap());
-  Object *O0 = Fx.makeCounter(VM, 0); // 1 swing-in for state 0
-  Pin.add(O0);
-  Object *O1 = Fx.makeCounter(VM, 1); // 1 swing-in for state 1
-  Pin.add(O1);
-  // Two more swing-ins for state 0: it is now the hotter state.
-  VM.call(Fx.SetMode, {valueR(O0), valueI(0)});
-  VM.call(Fx.SetMode, {valueR(O0), valueI(0)});
-
-  ASSERT_TRUE(VM.mutation().evictColdestState());
-  const ClassInfo &C = Fx.P->cls(Fx.Counter);
-  ASSERT_EQ(C.SpecialTibs.size(), 2u); // indices stay stable
-  EXPECT_NE(C.SpecialTibs[0], nullptr);
-  EXPECT_EQ(C.SpecialTibs[1], nullptr); // the cold one was demoted
-  EXPECT_EQ(O1->Tib, C.ClassTib);      // its resident came along
-  EXPECT_EQ(O0->Tib, C.SpecialTibs[0]);
-  // Part I now parks state-1 objects on the class TIB instead.
-  Object *O2 = Fx.makeCounter(VM, 1);
-  Pin.add(O2);
-  EXPECT_EQ(O2->Tib, C.ClassTib);
 }
 
 // --- Recoverable errors ------------------------------------------------------

@@ -127,10 +127,7 @@ int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
   }
   double WallSec = T.seconds();
   if (Ctl)
-    std::printf("final phase: %s\n",
-                Ctl->phase() == OnlineMutationController::Phase::Active
-                    ? "active"
-                    : "not activated");
+    std::printf("final phase: %s\n", phaseName(Ctl->phase()));
   printMetrics(VM.metrics(), WallSec);
   std::printf("  program output:    %s\n", VM.interp().output().c_str());
   return 0;
