@@ -6,12 +6,9 @@
 // Host-side benchmark of plan retirement (docs/degradation.md) on
 // SalaryDB: after a full mutated run the plan is retired with the heap
 // populated and every special compiled, and we record the stop-the-world
-// pause (host wall time), the simulated mutation cycles it charged, the
-// objects swung back to class TIBs, and what reclamation at a quiescent
-// point then recovered. That retirement is an exact inverse of
+// pause (host wall time), the simulated mutation cycles it charged and the
+// objects swung back to class TIBs. That retirement is an exact inverse of
 // installation is a tier-1 test (WorkloadParity.RetireRoundTrip).
-//
-// Results go to stdout and, machine-readable, to BENCH_degrade.json.
 //
 // Flags: --scale=F  (workload scale, default 1.0)
 //        --repeat=R (pause-timing repetitions, min taken; default 5)
@@ -39,8 +36,6 @@ struct RetireRun {
   double PauseSec = 0.0;
   uint64_t MutationCycles = 0; ///< simulated cycles charged by retire
   uint64_t ObjectsSwungBack = 0;
-  uint64_t ReclaimedTibs = 0;
-  uint64_t ReclaimedBodies = 0;
 };
 
 RetireRun runAndRetire(Workload &W, const MutationPlan &Plan, double Scale) {
@@ -56,9 +51,6 @@ RetireRun runAndRetire(Workload &W, const MutationPlan &Plan, double Scale) {
   R.PauseSec = Pause.seconds();
   R.ObjectsSwungBack = VM.mutation().stats().ObjectTibSwings - SwingsBefore;
   R.MutationCycles = VM.metrics().MutationCycles - R.M.MutationCycles;
-  VM.reclaimRetired();
-  R.ReclaimedTibs = Run.program().reclaimedTibCount();
-  R.ReclaimedBodies = Run.program().reclaimedBodyCount();
   return R;
 }
 
@@ -89,32 +81,9 @@ int main(int argc, char **argv) {
   }
   std::printf("SalaryDB, scale %.2f, warmed retirement (best of %d): "
               "pause %.1f us (%llu simulated mutation cycles), %llu objects "
-              "swung back, %llu TIBs + %llu bodies reclaimed\n",
+              "swung back\n",
               Scale, Repeat, Best.PauseSec * 1e6,
               static_cast<unsigned long long>(Best.MutationCycles),
-              static_cast<unsigned long long>(Best.ObjectsSwungBack),
-              static_cast<unsigned long long>(Best.ReclaimedTibs),
-              static_cast<unsigned long long>(Best.ReclaimedBodies));
-
-  JsonWriter J;
-  J.beginObject();
-  J.field("benchmark", "degradation");
-  J.field("scale", Scale);
-  J.field("repeat", static_cast<int64_t>(Repeat));
-  J.beginArray("retirement");
-  J.beginArrayObject();
-  J.field("workload", "SalaryDB");
-  J.field("retire_pause_ns", Best.PauseSec * 1e9);
-  J.field("retire_mutation_cycles", Best.MutationCycles);
-  J.field("objects_swung_back", Best.ObjectsSwungBack);
-  J.field("reclaimed_tibs", Best.ReclaimedTibs);
-  J.field("reclaimed_bodies", Best.ReclaimedBodies);
-  J.field("output_hash", Best.M.OutputHash);
-  J.field("total_cycles", Best.M.TotalCycles);
-  J.endObject();
-  J.endArray();
-  J.endObject();
-  J.writeFile("BENCH_degrade.json");
-  std::printf("BENCH_degrade.json written\n");
+              static_cast<unsigned long long>(Best.ObjectsSwungBack));
   return 0;
 }

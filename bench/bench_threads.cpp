@@ -13,16 +13,17 @@
 // a fixed per-warehouse transaction count and is timed as a whole. Each
 // point runs three times; the bench reports the median wall time with its
 // min-max, the wall-clock transactions per second at the median, and the
-// scaling factor over the single-mutator median. Weak scaling: every thread does the
-// same work, so ideal scaling is N on N cores. Every warehouse's output
-// hash must equal the single-mutator one: the throughput numbers are only
+// scaling factor over the single-mutator median. The sweep is interleaved:
+// timed run r of every point runs before run r+1 of any, so a burst of
+// other load on the host falls on both sides of a scaling ratio instead of
+// on one point's three runs. Weak scaling: every thread does the same
+// work, so ideal scaling is N on N cores. Every warehouse's output hash
+// must equal the single-mutator one: the throughput numbers are only
 // admissible because the work is the same work. The audited equivalence
 // check of the same program is ctest cli_exec_warehouses.
 //
-// Results go to stdout and, machine-readable, to BENCH_threads.json in the
-// working directory. The acceptance bar for the multi-mutator overhaul is
-// >1.5x at 4 mutators with mutation on, between medians: the bench exits 1
-// below it. It
+// The acceptance bar for the multi-mutator overhaul is >1.5x at 4 mutators
+// with mutation on, between medians: the bench exits 1 below it. It
 // asserts the bar only when the host has >= 4 hardware threads (scaling is
 // a property of the VM, not of a single-core CI container); on a smaller
 // host it exits 77 after reporting, which ctest's bench_threads_scaling
@@ -46,6 +47,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 using namespace dchm;
 using namespace dchm::bench;
@@ -93,72 +95,62 @@ int main(int Argc, char **Argv) {
   std::printf("%-10s %-9s %12s %17s %14s %9s\n", "mutators", "mutation",
               "wall (s)", "min-max (s)", "tx/sec", "scaling");
 
-  JsonWriter J;
-  J.beginObject();
-  J.field("bench", "threads");
-  J.field("txns_per_warehouse", (uint64_t)Txns);
-  J.field("hardware_threads", (uint64_t)HwThreads);
-  J.field("runs_per_point", (uint64_t)RunsPerPoint);
-  J.beginArray("runs");
+  // One sweep point: mutators N, mutation off/on, its timed runs.
+  struct Point {
+    unsigned N;
+    bool Mutation;
+    double Walls[RunsPerPoint];
+  };
+  std::vector<Point> Points;
+  for (bool Mutation : {false, true})
+    for (unsigned N : {1u, 2u, 4u, 8u})
+      Points.push_back({N, Mutation, {}});
 
-  double Scaling4On = 0.0;
-  for (bool Mutation : {false, true}) {
-    double Tps1 = 0.0;
-    std::optional<uint64_t> RefHash;
-    for (unsigned N : {1u, 2u, 4u, 8u}) {
+  std::optional<uint64_t> RefHash[2]; // per mutation off/on
+  for (int R = 0; R < RunsPerPoint; ++R)
+    for (Point &Pt : Points) {
       MvmRunConfig Cfg;
-      Cfg.Mutate = Mutation;
+      Cfg.Mutate = Pt.Mutation;
       Cfg.Args = {static_cast<int64_t>(Txns)};
-      Cfg.TmainMutators = N;
-      double Walls[RunsPerPoint];
-      for (double &WallSec : Walls) {
-        Timer Wall;
-        MvmRunResult Run = runMvm(Source, Cfg);
-        WallSec = Wall.seconds();
-        if (!Run.ok()) {
-          std::fprintf(stderr, "bench_threads: %s\n", Run.Error.c_str());
+      Cfg.TmainMutators = Pt.N;
+      Timer Wall;
+      MvmRunResult Run = runMvm(Source, Cfg);
+      Pt.Walls[R] = Wall.seconds();
+      if (!Run.ok()) {
+        std::fprintf(stderr, "bench_threads: %s\n", Run.Error.c_str());
+        return 1;
+      }
+      // Admissibility: every warehouse must have done the reference work.
+      std::optional<uint64_t> &Ref = RefHash[Pt.Mutation];
+      if (!Ref)
+        Ref = Run.ThreadHashes[0];
+      for (uint64_t H : Run.ThreadHashes)
+        if (H != *Ref) {
+          std::fprintf(stderr, "FAIL: warehouse hash diverged at N=%u\n",
+                       Pt.N);
           return 1;
         }
-        // Admissibility: every warehouse must have done the reference work.
-        if (!RefHash)
-          RefHash = Run.ThreadHashes[0];
-        for (uint64_t H : Run.ThreadHashes)
-          if (H != *RefHash) {
-            std::fprintf(stderr, "FAIL: warehouse hash diverged at N=%u\n",
-                         N);
-            return 1;
-          }
-      }
-      std::sort(std::begin(Walls), std::end(Walls));
-      double WallSec = Walls[RunsPerPoint / 2];
-      double Tps = static_cast<double>(N) * static_cast<double>(Txns) /
-                   WallSec;
-      if (N == 1)
-        Tps1 = Tps;
-      double Scaling = Tps / Tps1;
-      if (N == 4 && Mutation)
-        Scaling4On = Scaling;
-      std::printf("%-10u %-9s %12.3f %8.3f-%-8.3f %14.0f %8.2fx\n", N,
-                  Mutation ? "on" : "off", WallSec, Walls[0],
-                  Walls[RunsPerPoint - 1], Tps, Scaling);
-      J.beginArrayObject();
-      J.field("mutators", (uint64_t)N);
-      J.field("mutation", Mutation);
-      J.field("wall_sec", WallSec);
-      J.field("wall_sec_min", Walls[0]);
-      J.field("wall_sec_max", Walls[RunsPerPoint - 1]);
-      J.field("tx_per_sec", Tps);
-      J.field("scaling_vs_1", Scaling);
-      J.endObject();
     }
-  }
-  J.endArray();
-  J.field("scaling_at_4_mutation_on", Scaling4On);
-  bool ScalingMeasurable = HwThreads >= 4;
-  J.field("scaling_measurable", ScalingMeasurable);
-  J.endObject();
-  J.writeFile("BENCH_threads.json");
 
+  double Scaling4On = 0.0;
+  double Tps1 = 0.0;
+  for (Point &Pt : Points) {
+    double *Walls = Pt.Walls;
+    std::sort(Walls, Walls + RunsPerPoint);
+    double WallSec = Walls[RunsPerPoint / 2];
+    double Tps =
+        static_cast<double>(Pt.N) * static_cast<double>(Txns) / WallSec;
+    if (Pt.N == 1)
+      Tps1 = Tps;
+    double Scaling = Tps / Tps1;
+    if (Pt.N == 4 && Pt.Mutation)
+      Scaling4On = Scaling;
+    std::printf("%-10u %-9s %12.3f %8.3f-%-8.3f %14.0f %8.2fx\n", Pt.N,
+                Pt.Mutation ? "on" : "off", WallSec, Walls[0],
+                Walls[RunsPerPoint - 1], Tps, Scaling);
+  }
+
+  bool ScalingMeasurable = HwThreads >= 4;
   if (ScalingMeasurable) {
     std::printf("\nscaling at 4 mutators (mutation on): %.2fx (bar: >1.5x) — %s\n",
                 Scaling4On, Scaling4On > 1.5 ? "PASS" : "FAIL");
@@ -169,6 +161,5 @@ int main(int Argc, char **Argv) {
                 "host has %u hardware thread(s)\n",
                 Scaling4On, HwThreads);
   }
-  std::printf("(BENCH_threads.json written)\n");
   return ScalingMeasurable ? 0 : ExitScalingNotMeasured;
 }

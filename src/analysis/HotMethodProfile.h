@@ -28,8 +28,6 @@ namespace dchm {
 struct HotMethodProfile {
   /// Fraction of total application cycles per method id (sums to ~1).
   std::vector<double> Hotness;
-  /// Invocation counts per method id.
-  std::vector<uint64_t> Invocations;
   /// Method ids ranked by hotness, hottest first.
   std::vector<MethodId> Ranked;
 
@@ -42,7 +40,6 @@ struct HotMethodProfile {
                                           const Program &P) {
     HotMethodProfile Prof;
     const auto &Cycles = I.methodCycles();
-    Prof.Invocations = I.methodInvocations();
     uint64_t Total = 0;
     for (uint64_t C : Cycles)
       Total += C;

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <thread>
-#include <unordered_set>
 
 namespace dchm {
 
@@ -80,29 +79,8 @@ void VirtualMachine::setOlcDatabase(const OlcDatabase *Db) {
 bool VirtualMachine::retireMutationPlan() {
   if (!P.mutationPlan())
     return false;
-  atSafepoint([&] {
-    Mutation.retirePlan();
-    reclaimRetired(); // re-entrant atSafepoint: runs inline
-  });
+  atSafepoint([&] { Mutation.retirePlan(); });
   return true;
-}
-
-void VirtualMachine::reclaimRetired() {
-  atSafepoint([&] {
-    // Quiescence: with a live frame on any mutator, a return
-    // address may still point into a retired body; wait for the next
-    // quiescent call. A parked mutator mid-invocation keeps its frames, so
-    // this naturally defers until every context is at top level.
-    for (auto &I : Interps)
-      if (I->liveFrames() != 0)
-        return;
-    std::unordered_set<const TIB *> InUse;
-    TheHeap.forEachObject([&](Object *O) {
-      if (O->Tib)
-        InUse.insert(O->Tib);
-    });
-    P.drainReclaimList(InUse);
-  });
 }
 
 Value VirtualMachine::call(MethodId M, const std::vector<Value> &Args) {

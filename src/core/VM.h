@@ -124,17 +124,11 @@ public:
 
   /// Stop-the-world reverse of setMutationPlan: retires the installed plan
   /// (MutationManager::retirePlan, which clears Program::mutationPlan, the
-  /// one record of it every layer reads) and drains the reclamation list if
-  /// no interpreter frame is live. Afterwards setMutationPlan can install a new plan (or
-  /// the same one) again. Returns false when no plan is active.
+  /// one record of it every layer reads). Retired special TIBs and
+  /// specialized bodies stay allocated until the Program is destroyed, as
+  /// promoted-away bodies do. Afterwards setMutationPlan can install a new
+  /// plan (or the same one) again. Returns false when no plan is active.
   bool retireMutationPlan();
-
-  /// Drains the Program's reclamation list of retired special TIBs and
-  /// specialized bodies, but only at a quiescent point: no live interpreter
-  /// frames, and only TIBs no heap object references (stranded objects keep
-  /// their TIB alive rather than dangling). Safe to call any time; no-op
-  /// when unsafe.
-  void reclaimRetired();
 
   /// Invokes a method (receiver first for instance methods) on mutator
   /// context 0.

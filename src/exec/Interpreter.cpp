@@ -38,10 +38,8 @@ Interpreter::Interpreter(Program &P, Heap &H, VMCallbacks &CB, unsigned Ctx)
 
 void Interpreter::setProfiling(bool On) {
   Profiling = On;
-  if (On) {
+  if (On)
     MethodCycles.assign(P.numMethods(), 0);
-    MethodInvocations.assign(P.numMethods(), 0);
-  }
 }
 
 void Interpreter::clearOutput() {
@@ -228,7 +226,6 @@ Value Interpreter::executeLoop(CompiledMethod *CM, const Value *Args,
   // unaudited runs stay bit-identical in simulated state.
   if (Audit)
     Audit->onSafepoint();
-  DCHM_CHECK(!CM->bodyReleased(), "invoking a released compiled body");
   const IRFunction &Fn = CM->code();
   MethodInfo &M = CM->method();
   if (Depth >= MaxFrames)
@@ -266,8 +263,6 @@ Value Interpreter::executeLoop(CompiledMethod *CM, const Value *Args,
   Stats.Invocations++;
   if (TakesSample())
     CB.onMethodEntry(M);
-  if (Profiling)
-    MethodInvocations[M.Id]++;
 
   uint64_t C = 0;      // local cycle accumulator, flushed on return
   uint64_t NInsts = 0; // local instruction counter, flushed on return

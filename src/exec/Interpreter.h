@@ -64,11 +64,6 @@ public:
 
   const ExecStats &stats() const { return Stats; }
 
-  /// Number of live activation records. Zero means no return address can
-  /// point into compiled code — the quiescent point for draining the
-  /// reclamation list of retired TIBs and specialized bodies.
-  size_t liveFrames() const { return Depth; }
-
   /// Always true: the inner loop is computed-goto threaded dispatch. Kept
   /// for run manifests that record it.
   bool threadedDispatch() const { return true; }
@@ -106,9 +101,6 @@ public:
   /// Per-method cycle attribution for the offline hot-method profiler.
   void setProfiling(bool On);
   const std::vector<uint64_t> &methodCycles() const { return MethodCycles; }
-  const std::vector<uint64_t> &methodInvocations() const {
-    return MethodInvocations;
-  }
 
   /// Program output (Print opcode) and its FNV-1a hash; the hash is the
   /// semantic-equivalence witness for mutation-on vs mutation-off runs.
@@ -163,7 +155,6 @@ private:
   bool SkipTopTierSamples = false;
   bool Profiling = false;
   std::vector<uint64_t> MethodCycles;
-  std::vector<uint64_t> MethodInvocations;
   std::string Output;
   uint64_t OutHash = 1469598103934665603ull; // FNV-1a offset basis
 };

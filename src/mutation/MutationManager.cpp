@@ -287,7 +287,7 @@ uint64_t MutationManager::retirePlan() {
       if ((M.Flags.IsStatic || !CP.dependsOnInstanceFields()) && M.General)
         updateCodePointer(homeSlot(M), M.General);
       for (CompiledMethod *SP : M.Specials)
-        P.retireCompiledBody(SP);
+        SP->invalidate();
       M.Specials.clear();
       M.IsMutable = false;
     }
@@ -304,8 +304,6 @@ uint64_t MutationManager::retirePlan() {
           E.DirectCode = C.ClassTib->Slots[E.VSlot];
         }
 
-    for (TIB *ST : C.SpecialTibs)
-      P.retireSpecialTib(ST);
     C.SpecialTibs.clear();
 
     for (FieldId F : CP.InstanceStateFields)

@@ -58,20 +58,9 @@ public:
   size_t codeBytes() const { return CodeBytes; }
   uint64_t compileCycles() const { return CompileCycles; }
 
-  /// Drops the body IR and dispatch form of a retired version (reclamation
-  /// at a quiescent point after plan retirement). The object itself stays
-  /// allocated forever, Jikes-style; CodeBytes is kept so code-size metrics
-  /// remain stable. Only legal once no dispatch structure or frame can
-  /// reach this version.
-  void releaseBody() {
-    Code = IRFunction();
-    Decoded = std::vector<DecodedInst>();
-    BodyReleased = true;
-  }
-  bool bodyReleased() const { return BodyReleased; }
-
-  /// Invalidation marker (the replaced version stays allocated because
-  /// active frames may still execute it, as in Jikes).
+  /// Invalidation marker. A replaced or retired version stays allocated
+  /// until the Program is destroyed, as in Jikes: active frames, and
+  /// objects stranded on a retired TIB, may still execute it.
   bool isInvalidated() const { return Invalidated; }
   void invalidate() { Invalidated = true; }
 
@@ -84,7 +73,6 @@ private:
   uint64_t CompileCycles;
   size_t CodeBytes;
   bool Invalidated = false;
-  bool BodyReleased = false;
 };
 
 } // namespace dchm

@@ -515,53 +515,10 @@ size_t Program::classTibBytes() const {
 
 size_t Program::specialTibBytes() const {
   size_t Total = 0;
-  for (const auto &T : OwnedTibs)
-    if (T->isSpecial())
+  for (const ClassInfo &C : Classes)
+    for (const TIB *T : C.SpecialTibs)
       Total += T->sizeBytes();
   return Total;
-}
-
-void Program::retireSpecialTib(TIB *T) {
-  DCHM_CHECK(T && T->isSpecial(), "retireSpecialTib needs a special TIB");
-  for (auto It = OwnedTibs.begin(); It != OwnedTibs.end(); ++It) {
-    if (It->get() == T) {
-      RetiredTibs.push_back(std::move(*It));
-      OwnedTibs.erase(It);
-      return;
-    }
-  }
-  DCHM_UNREACHABLE("retired TIB not owned by this Program");
-}
-
-void Program::retireCompiledBody(CompiledMethod *CM) {
-  DCHM_CHECK(CM, "retireCompiledBody(null)");
-  CM->invalidate();
-  RetiredBodies.push_back(CM);
-}
-
-void Program::drainReclaimList(const std::unordered_set<const TIB *> &InUse) {
-  // A retired TIB is reclaimable once no heap object still points at it
-  // (partial-retire faults can strand objects on a retired TIB; freeing it
-  // then would leave dangling Object::Tib pointers). The retiring closure
-  // already rewrote every dispatch structure that routed to it.
-  for (size_t I = 0; I < RetiredTibs.size();) {
-    if (InUse.count(RetiredTibs[I].get())) {
-      ++I;
-      continue;
-    }
-    RetiredTibs[I] = std::move(RetiredTibs.back());
-    RetiredTibs.pop_back();
-    ++ReclaimedTibs;
-  }
-  // Bodies are only safe to release once no retired TIB is heap-referenced
-  // at all: a stranded object (partial-retire fault) can still dispatch
-  // through its retired TIB's slots straight into any retired body.
-  if (!RetiredTibs.empty())
-    return;
-  for (CompiledMethod *CM : RetiredBodies)
-    CM->releaseBody();
-  ReclaimedBodies += RetiredBodies.size();
-  RetiredBodies.clear();
 }
 
 } // namespace dchm

@@ -30,7 +30,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace dchm {
@@ -141,27 +140,12 @@ public:
   /// StateIndex and registers it on the class. Used by the mutation engine.
   TIB *createSpecialTib(ClassId Cls, int StateIndex);
 
-  /// Total bytes of all class TIBs / all special TIBs (Figure 12 metric).
+  /// Total bytes of all class TIBs / of the special TIBs the classes
+  /// currently hold (Figure 12 metric). A special TIB dropped by plan
+  /// retirement stops counting but stays allocated until the Program is
+  /// destroyed.
   size_t classTibBytes() const;
   size_t specialTibBytes() const;
-
-  // --- Reclamation at a quiescent point (after plan retirement) -----------
-  /// Moves a special TIB created by createSpecialTib onto the retired list.
-  /// The TIB stops counting toward specialTibBytes() immediately but stays
-  /// allocated until drainReclaimList proves no stale reference can reach
-  /// it.
-  void retireSpecialTib(TIB *T);
-  /// Invalidates a specialized compiled body and queues it for release (the
-  /// CompiledMethod object itself stays owned by its MethodInfo forever,
-  /// Jikes-style; only the body IR is dropped).
-  void retireCompiledBody(CompiledMethod *CM);
-  /// Frees retired TIBs that no live object still points at (InUse = TIBs
-  /// reachable from the heap), and releases retired bodies once no retired
-  /// TIB is left. Call only when no interpreter frame is live.
-  void drainReclaimList(const std::unordered_set<const TIB *> &InUse);
-  size_t retiredTibCount() const { return RetiredTibs.size(); }
-  size_t reclaimedTibCount() const { return ReclaimedTibs; }
-  size_t reclaimedBodyCount() const { return ReclaimedBodies; }
 
 private:
   VMError computeAncestry();
@@ -188,14 +172,9 @@ private:
   std::vector<CompiledMethod *> StaticEntries;
   const MutationPlan *Plan = nullptr;
 
+  /// Every TIB ever created, retired special TIBs included.
   std::vector<std::unique_ptr<TIB>> OwnedTibs;
   std::vector<std::unique_ptr<IMT>> OwnedImts;
-
-  /// Retired-but-not-yet-reclaimed special TIBs / specialized bodies.
-  std::vector<std::unique_ptr<TIB>> RetiredTibs;
-  std::vector<CompiledMethod *> RetiredBodies;
-  size_t ReclaimedTibs = 0;
-  size_t ReclaimedBodies = 0;
 
   bool Linked = false;
 };

@@ -70,7 +70,7 @@ protected:
   virtual void build(Program &P) = 0;
 
   /// Fraction of the full run used for offline profiling.
-  double ProfileScale = 0.2;
+  static constexpr double ProfileScale = 0.2;
   /// Heap budget of a run (vmOptions); profiling runs keep the VM default.
   size_t HeapBytes = VMOptions().HeapBytes;
 };

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Tests for the graceful-degradation subsystem (docs/degradation.md): plan
-/// retirement as the stop-the-world reverse of installation, reclamation at
-/// a quiescent point of retired special TIBs and specialized bodies, and
-/// the recoverable VMError channel on input-validation and resource paths.
+/// retirement as the stop-the-world reverse of installation, the lifetime
+/// of retired special TIBs and specialized bodies, and the recoverable
+/// VMError channel on input-validation and resource paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,10 +63,6 @@ TEST(Retirement, RestoresPristineHierarchy) {
     EXPECT_NE(E.K, ImtEntry::Kind::TibOffset); // un-rewired to Direct
   EXPECT_EQ(VM.mutation().stats().PlanRetirements, 1u);
   EXPECT_EQ(VM.program().mutationPlan(), nullptr);
-  // Nothing references the retired TIBs and no frame is live, so the
-  // reclamation list drained on the spot.
-  EXPECT_EQ(Fx.P->retiredTibCount(), 0u);
-  EXPECT_GE(Fx.P->reclaimedTibCount(), 2u);
   // Retiring twice is a recoverable no-op.
   EXPECT_FALSE(VM.retireMutationPlan());
 
@@ -278,9 +274,39 @@ TEST(Retirement, MidRunRetireReinstallKeepsOutput) {
   }
 }
 
-// --- Reclamation at a quiescent point ----------------------------------------
+TEST(Retirement, RepeatedRoundTripsKeepTibBytes) {
+  // Retired special TIBs stay allocated but stop counting toward the
+  // Figure 12 metric: after three mid-run retire/re-install cycles the TIB
+  // bytes and the output equal those of one install.
+  auto Run = [](int RoundTrips) {
+    CounterFixture Fx;
+    VirtualMachine VM(*Fx.P, {});
+    VM.setMutationPlan(&Fx.Plan);
+    LocalRootScope Pin(VM.heap());
+    Object *O0 = Fx.makeCounter(VM, 0);
+    Pin.add(O0);
+    Object *O1 = Fx.makeCounter(VM, 1);
+    Pin.add(O1);
+    makeHot(Fx, VM, O0);
+    for (int R = 0; R < RoundTrips; ++R) {
+      EXPECT_TRUE(VM.retireMutationPlan());
+      EXPECT_EQ(VM.metrics().SpecialTibBytes, 0u);
+      VM.setMutationPlan(&Fx.Plan);
+    }
+    VM.call(Fx.DriveBump, {valueR(O1), valueI(500)});
+    VM.call(Fx.Report, {valueR(O0)});
+    VM.call(Fx.Report, {valueR(O1)});
+    return std::make_pair(VM.metrics(), VM.interp().output());
+  };
+  auto [Once, OnceOut] = Run(0);
+  auto [Thrice, ThriceOut] = Run(3);
+  EXPECT_GT(Once.SpecialTibBytes, 0u);
+  EXPECT_EQ(Thrice.SpecialTibBytes, Once.SpecialTibBytes);
+  EXPECT_EQ(Thrice.ClassTibBytes, Once.ClassTibBytes);
+  EXPECT_EQ(ThriceOut, OnceOut);
+}
 
-TEST(Reclamation, StrandedObjectsBlockReclaimAndTripAuditor) {
+TEST(Retirement, StrandedObjectKeepsDispatchingAndTripsAuditor) {
   CounterFixture Fx;
   VirtualMachine VM(*Fx.P, {});
   ConsistencyAuditor Auditor(VM);
@@ -299,15 +325,8 @@ TEST(Reclamation, StrandedObjectsBlockReclaimAndTripAuditor) {
   ASSERT_TRUE(VM.retireMutationPlan());
   EXPECT_EQ(O->Tib, Special);
 
-  // The stranded object pins its TIB on the reclamation list, and while any
-  // retired TIB is heap-referenced no specialized body is released either
-  // (its code is still reachable through the stranded TIB's slots).
-  EXPECT_GE(Fx.P->retiredTibCount(), 1u);
-  EXPECT_EQ(Fx.P->reclaimedBodyCount(), 0u);
-  VM.reclaimRetired(); // still stranded: must stay a no-op for the TIB
-  EXPECT_GE(Fx.P->retiredTibCount(), 1u);
-
-  // The stranded TIB still dispatches correctly (bodies were not freed)...
+  // The retired TIB and the retired bodies its slots point at stay
+  // allocated, so the stranded object still dispatches correctly...
   int64_t Before = get(Fx, VM, O);
   VM.call(Fx.DriveBump, {valueR(O), valueI(10)});
   EXPECT_EQ(get(Fx, VM, O), Before + 10);
@@ -315,6 +334,16 @@ TEST(Reclamation, StrandedObjectsBlockReclaimAndTripAuditor) {
   // --inject-partial-retire mode hunts for.
   Auditor.auditNow("after faulty retire");
   EXPECT_GT(Auditor.violationCount(), 0u);
+
+  // Re-installing leaves O where it is (migration only re-classes objects
+  // on class TIBs), and it keeps dispatching through the retired TIB.
+  VM.mutation().debugFlags().SkipRetireSwing = false;
+  VM.setMutationPlan(&Fx.Plan);
+  EXPECT_EQ(O->Tib, Special);
+  Before = get(Fx, VM, O);
+  VM.call(Fx.DriveBump, {valueR(O), valueI(10)});
+  VM.call(Fx.DriveIface, {valueR(O), valueI(10)});
+  EXPECT_EQ(get(Fx, VM, O), Before + 20);
 }
 
 // --- Recoverable errors ------------------------------------------------------

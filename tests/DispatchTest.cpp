@@ -1086,7 +1086,7 @@ TEST(DecodedStream, RejectsBranchTargetOutsideBody) {
   EXPECT_FALSE(decodeBody(F));
 }
 
-TEST(DecodedStream, ReleaseBodyDropsDecodedArray) {
+TEST(DecodedStream, InvalidatedBodyKeepsDecodedArray) {
   Program P;
   ClassId K = P.defineClass("K");
   MethodId M = P.defineMethod(K, "f", Type::I64, {}, {.IsStatic = true});
@@ -1096,10 +1096,12 @@ TEST(DecodedStream, ReleaseBodyDropsDecodedArray) {
   CompiledMethod *CM = Compiler.compileGeneral(P.method(M), 0);
   ASSERT_EQ(CM->decoded().size(), CM->code().Insts.size());
   EXPECT_EQ(CM->decoded()[0].Handler, static_cast<uint8_t>(Opcode::ConstI));
-  CM->releaseBody();
-  EXPECT_TRUE(CM->code().Insts.empty());
-  EXPECT_TRUE(CM->decoded().empty());
-  EXPECT_EQ(CM->decoded().capacity(), 0u);
+  // A replaced or retired body stays runnable: frames and stranded objects
+  // may still execute it.
+  CM->invalidate();
+  EXPECT_TRUE(CM->isInvalidated());
+  ASSERT_EQ(CM->decoded().size(), CM->code().Insts.size());
+  EXPECT_EQ(CM->decoded()[0].Handler, static_cast<uint8_t>(Opcode::ConstI));
 }
 
 // Bodies are verified at link; these tamper with a linked method's bytecode
