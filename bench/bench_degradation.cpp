@@ -15,8 +15,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchHarness.h"
-
 #include "support/Parse.h"
 #include "support/Timer.h"
 #include "workloads/Workload.h"
@@ -26,7 +24,6 @@
 #include <cstring>
 
 using namespace dchm;
-using namespace dchm::bench;
 
 namespace {
 
@@ -70,7 +67,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  printHeader("degradation", "Plan retirement pause");
+  std::printf("=== DCHM: plan retirement pause (host wall clock) ===\n\n");
   auto Salary = makeSalaryDb();
   OfflineResult Off = runOfflinePipeline(*Salary, OfflineConfig{});
   RetireRun Best;

@@ -33,8 +33,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchHarness.h"
-
 #include "support/Parse.h"
 #include "support/Timer.h"
 #include "testing/MvmRun.h"
@@ -50,7 +48,6 @@
 #include <vector>
 
 using namespace dchm;
-using namespace dchm::bench;
 
 namespace {
 
@@ -88,7 +85,8 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  printHeader("threads", "Multi-mutator warehouse throughput (docs/threads.md)");
+  std::printf("=== DCHM: multi-mutator warehouse throughput (host wall clock; "
+              "docs/threads.md) ===\n\n");
   unsigned HwThreads = std::thread::hardware_concurrency();
   std::printf("host hardware threads: %u, transactions/warehouse: %llu\n\n",
               HwThreads, (unsigned long long)Txns);

@@ -16,8 +16,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchHarness.h"
-
 #include "workloads/Workload.h"
 
 #include <algorithm>
@@ -36,13 +34,17 @@ void require(bool Holds, const std::string &Claim) {
   Failed |= !Holds;
 }
 
-/// Starts a table or figure; sections after the first get a blank line.
+/// Starts a table or figure, naming it and its caption; sections after the
+/// first get a blank line.
 void section(const char *Figure, const char *Caption) {
   static bool First = true;
   if (!First)
     std::printf("\n");
   First = false;
-  bench::printHeader(Figure, Caption);
+  std::printf("=== DCHM reproduction: %s ===\n", Figure);
+  std::printf("%s\n", Caption);
+  std::printf("(simulated cycles; deterministic cost model; "
+              "paper values for comparison)\n\n");
 }
 
 /// How much larger New is than Old, in percent.

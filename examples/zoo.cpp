@@ -10,13 +10,14 @@
 // TIB pointer moves between special TIBs, and the overloaded openCage()
 // dispatches to code specialized for the current state with no value test.
 //
-// This example builds the hierarchy by hand (no offline pipeline) to show
-// the plan API, and inspects the TIBs as the state changes.
+// This example writes the hierarchy in MiniVM assembly and its mutation plan
+// by hand (no offline pipeline) to show the plan API, and inspects the TIBs
+// as the state changes.
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/VM.h"
-#include "ir/Builder.h"
+#include "asm/Assembler.h"
+#include "workloads/Workload.h"
 
 #include <cstdio>
 
@@ -26,65 +27,53 @@ int main() {
   std::printf("DCHM zoo example: the hungry polar bear (paper Figure 1)\n");
   std::printf("--------------------------------------------------------\n");
 
-  Program P;
   // ZooAnimal <- Bear <- Polar, with Polar's `hungry` as the state field.
-  ClassId ZooAnimal = P.defineClass("ZooAnimal");
-  MethodId AnimalCtor =
-      P.defineMethod(ZooAnimal, "<init>", Type::Void, {}, {.IsCtor = true});
-  {
-    FunctionBuilder B("ZooAnimal.<init>", Type::Void);
-    B.addArg(Type::Ref);
-    B.retVoid();
-    P.setBody(AnimalCtor, B.finalize());
-  }
-  ClassId Bear = P.defineClass("Bear", ZooAnimal);
-  ClassId Polar = P.defineClass("Polar", Bear);
-  FieldId Hungry =
-      P.defineField(Polar, "hungry", Type::I64, false, Access::Private);
-  MethodId PolarCtor = P.defineMethod(Polar, "<init>", Type::Void,
-                                      {Type::I64}, {.IsCtor = true});
-  {
-    FunctionBuilder B("Polar.<init>", Type::Void);
-    Reg This = B.addArg(Type::Ref);
-    Reg H = B.addArg(Type::I64);
-    B.callSpecial(AnimalCtor, {This}, Type::Void);
-    B.putField(This, Hungry, H);
-    B.retVoid();
-    P.setBody(PolarCtor, B.finalize());
-  }
-  // openCage(): returns 1 (door opens) for fed bears, 0 (refused) for
-  // hungry ones — the state-dependent method of the paper's story.
-  MethodId OpenCage = P.defineMethod(Polar, "openCage", Type::I64, {});
-  {
-    FunctionBuilder B("Polar.openCage", Type::I64);
-    Reg This = B.addArg(Type::Ref);
-    Reg H = B.getField(This, Hungry, Type::I64);
-    auto LHungry = B.makeLabel();
-    B.cbnz(H, LHungry);
-    B.ret(B.constI(1));
-    B.bind(LHungry);
-    B.ret(B.constI(0));
-    P.setBody(OpenCage, B.finalize());
-  }
-  MethodId Feed = P.defineMethod(Polar, "feed", Type::Void, {});
-  {
-    FunctionBuilder B("Polar.feed", Type::Void);
-    Reg This = B.addArg(Type::Ref);
-    Reg Zero = B.constI(0);
-    B.putField(This, Hungry, Zero);
-    B.retVoid();
-    P.setBody(Feed, B.finalize());
-  }
-  MethodId GetHungry = P.defineMethod(Polar, "getHungry", Type::Void, {});
-  {
-    FunctionBuilder B("Polar.getHungry", Type::Void);
-    Reg This = B.addArg(Type::Ref);
-    Reg One = B.constI(1);
-    B.putField(This, Hungry, One);
-    B.retVoid();
-    P.setBody(GetHungry, B.finalize());
-  }
-  P.link();
+  // openCage() returns 1 (door opens) for fed bears, 0 (refused) for
+  // hungry ones: the state-dependent method of the paper's story.
+  AssemblyResult Zoo = assembleProgram(R"(
+    class ZooAnimal {
+      ctor <init>() {
+        ret
+      }
+    }
+    class Bear extends ZooAnimal {
+    }
+    class Polar extends Bear {
+      field hungry: i64 private
+      ctor <init>(%h: i64) {
+        callspecial ZooAnimal.<init>(%this)
+        putfield %this, Polar.hungry, %h
+        ret
+      }
+      method openCage() -> i64 {
+        %h = getfield %this, Polar.hungry
+        cbnz %h, @refuse
+        %open = consti 1
+        ret %open
+      @refuse:
+        %shut = consti 0
+        ret %shut
+      }
+      method feed() {
+        %fed = consti 0
+        putfield %this, Polar.hungry, %fed
+        ret
+      }
+      method getHungry() {
+        %hungry = consti 1
+        putfield %this, Polar.hungry, %hungry
+        ret
+      }
+    }
+  )");
+  Program &P = *Zoo.P;
+  ProgramIds Ids(P);
+  ClassId Polar = Ids.cls("Polar");
+  FieldId Hungry = Ids.field("Polar", "hungry");
+  MethodId PolarCtor = Ids.method("Polar", "<init>");
+  MethodId OpenCage = Ids.method("Polar", "openCage");
+  MethodId Feed = Ids.method("Polar", "feed");
+  MethodId GetHungry = Ids.method("Polar", "getHungry");
 
   // Handwritten mutation plan: Polar is mutable on `hungry`, with two hot
   // states — fed (0) and hungry (1). The hungry state *is* the implicit

@@ -9,10 +9,13 @@
 
 #include "ir/Builder.h"
 
-#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <map>
+#include <limits>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace dchm {
@@ -20,6 +23,11 @@ namespace dchm {
 namespace {
 
 // --- Lexer -------------------------------------------------------------
+
+// ASCII classes; <cctype>'s go through the locale.
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isAlpha(char C) { return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z'); }
+bool isWordChar(char C) { return isAlpha(C) || isDigit(C) || C == '_'; }
 
 enum class Tok : uint8_t {
   Ident,   // class, field, foo, i64, ...
@@ -41,15 +49,17 @@ enum class Tok : uint8_t {
 
 struct Token {
   Tok K = Tok::End;
-  std::string Text;   // identifier / reg / label spelling
-  int64_t IntVal = 0;
-  double FloatVal = 0.0;
   int Line = 0;
+  std::string_view Text; // identifier / reg / label spelling, in the source
+  union {
+    int64_t IntVal = 0;
+    double FloatVal;
+  };
 };
 
 class Lexer {
 public:
-  explicit Lexer(const std::string &Src) : Src(Src) { advance(); }
+  explicit Lexer(std::string_view Src) : Src(Src) { advance(); }
 
   const Token &cur() const { return Cur; }
   Token take() {
@@ -99,22 +109,19 @@ private:
     }
     if (C == '%' || C == '@') {
       size_t Start = ++Pos;
-      while (Pos < Src.size() && (std::isalnum(static_cast<unsigned char>(Src[Pos])) || Src[Pos] == '_'))
+      while (Pos < Src.size() && isWordChar(Src[Pos]))
         ++Pos;
       Cur.K = C == '%' ? Tok::Reg : Tok::Label;
       Cur.Text = Src.substr(Start, Pos - Start);
       return;
     }
-    if (std::isdigit(static_cast<unsigned char>(C)) ||
-        (C == '-' && Pos + 1 < Src.size() &&
-         std::isdigit(static_cast<unsigned char>(Src[Pos + 1])))) {
+    if (isDigit(C) || (C == '-' && Pos + 1 < Src.size() && isDigit(Src[Pos + 1]))) {
       size_t Start = Pos;
       if (C == '-')
         ++Pos;
       bool IsFloat = false;
       while (Pos < Src.size() &&
-             (std::isdigit(static_cast<unsigned char>(Src[Pos])) ||
-              Src[Pos] == '.' || Src[Pos] == 'e' ||
+             (isDigit(Src[Pos]) || Src[Pos] == '.' || Src[Pos] == 'e' ||
               Src[Pos] == 'E' ||
               ((Src[Pos] == '+' || Src[Pos] == '-') &&
                (Src[Pos - 1] == 'e' || Src[Pos - 1] == 'E')))) {
@@ -122,22 +129,28 @@ private:
           IsFloat = true;
         ++Pos;
       }
-      std::string Num = Src.substr(Start, Pos - Start);
+      const char *B = Src.data() + Start, *E = Src.data() + Pos;
+      std::from_chars_result Res;
       if (IsFloat) {
         Cur.K = Tok::Float;
-        Cur.FloatVal = std::stod(Num);
+        Res = std::from_chars(B, E, Cur.FloatVal);
       } else {
         Cur.K = Tok::Int;
-        Cur.IntVal = std::stoll(Num);
+        Res = std::from_chars(B, E, Cur.IntVal);
+      }
+      if (Res.ec != std::errc() || Res.ptr != E) {
+        // Out of range or malformed: an identifier token, so the parser's
+        // "expected a number" names it.
+        Cur.K = Tok::Ident;
+        Cur.Text = Src.substr(Start, Pos - Start);
       }
       return;
     }
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_' || C == '<') {
+    if (isAlpha(C) || C == '_' || C == '<') {
       size_t Start = Pos;
       // Allow <init>-style names.
       while (Pos < Src.size() &&
-             (std::isalnum(static_cast<unsigned char>(Src[Pos])) ||
-              Src[Pos] == '_' || Src[Pos] == '<' || Src[Pos] == '>'))
+             (isWordChar(Src[Pos]) || Src[Pos] == '<' || Src[Pos] == '>'))
         ++Pos;
       Cur.K = Tok::Ident;
       Cur.Text = Src.substr(Start, Pos - Start);
@@ -146,7 +159,7 @@ private:
     // Unknown character: surface it as an identifier token so the parser's
     // error message names it.
     Cur.K = Tok::Ident;
-    Cur.Text = std::string(1, C);
+    Cur.Text = Src.substr(Pos, 1);
     ++Pos;
   }
 
@@ -156,7 +169,8 @@ private:
       if (C == '\n') {
         ++Line;
         ++Pos;
-      } else if (std::isspace(static_cast<unsigned char>(C))) {
+      } else if (C == ' ' || C == '\t' || C == '\r' || C == '\f' ||
+                 C == '\v') {
         ++Pos;
       } else if (C == '#') {
         while (Pos < Src.size() && Src[Pos] != '\n')
@@ -167,7 +181,7 @@ private:
     }
   }
 
-  const std::string &Src;
+  std::string_view Src;
   size_t Pos = 0;
   int Line = 1;
   Token Cur;
@@ -175,19 +189,26 @@ private:
 
 // --- Parser ---------------------------------------------------------------
 
-/// A method body captured as raw tokens during pass 1, assembled in pass 2.
+/// A method body found in pass 1 and assembled in pass 2.
 struct PendingBody {
   MethodId Method = NoMethodId;
-  std::vector<Token> Tokens; // body tokens, brace-balanced, without braces
+  std::vector<std::pair<std::string_view, Type>> Params;
+  size_t Begin = 0, End = 0; // its tokens, without the braces
 };
 
 class Parser {
 public:
-  explicit Parser(const std::string &Src) : Lex(Src) {}
+  explicit Parser(std::string_view Src) {
+    Lexer L(Src);
+    Toks.reserve(Src.size() / 4);
+    do
+      Toks.push_back(L.take());
+    while (Toks.back().K != Tok::End);
+  }
 
   AssemblyResult run() {
     P = std::make_unique<Program>();
-    while (Lex.cur().K != Tok::End && Err.empty())
+    while (cur().K != Tok::End && Err.empty())
       parseTopLevel();
     if (Err.empty() && P->numClasses() == 0) {
       Token T;
@@ -221,31 +242,38 @@ private:
   }
   bool failed() const { return !Err.empty(); }
 
+  static std::string str(std::string_view S) { return std::string(S); }
+
+  const Token &cur() const { return Toks[At]; }
+  Token take() {
+    Token T = Toks[At];
+    if (T.K != Tok::End)
+      ++At;
+    return T;
+  }
+
   Token expect(Tok K, const char *What) {
-    Token T = Lex.take();
+    Token T = take();
     if (T.K != K && Err.empty())
       error(T, std::string("expected ") + What);
     return T;
   }
   bool accept(Tok K) {
-    if (Lex.cur().K == K) {
-      Lex.take();
+    if (cur().K == K) {
+      take();
       return true;
     }
     return false;
   }
   bool acceptIdent(const char *S) {
-    if (Lex.cur().K == Tok::Ident && Lex.cur().Text == S) {
-      Lex.take();
+    if (cur().K == Tok::Ident && cur().Text == S) {
+      take();
       return true;
     }
     return false;
   }
 
-  std::optional<Type> parseType(bool AllowVoid) {
-    Token T = expect(Tok::Ident, "a type (i64/f64/ref)");
-    if (failed())
-      return std::nullopt;
+  std::optional<Type> typeOf(const Token &T, bool AllowVoid) {
     if (T.Text == "i64")
       return Type::I64;
     if (T.Text == "f64")
@@ -254,13 +282,20 @@ private:
       return Type::Ref;
     if (AllowVoid && T.Text == "void")
       return Type::Void;
-    error(T, "unknown type '" + T.Text + "'");
+    error(T, "unknown type '" + str(T.Text) + "'");
     return std::nullopt;
+  }
+
+  std::optional<Type> parseType(bool AllowVoid) {
+    Token T = expect(Tok::Ident, "a type (i64/f64/ref)");
+    if (failed())
+      return std::nullopt;
+    return typeOf(T, AllowVoid);
   }
 
   // --- Pass 1: declarations -------------------------------------------------
   void parseTopLevel() {
-    Token T = Lex.take();
+    Token T = take();
     if (T.K != Tok::Ident) {
       error(T, "expected 'class' or 'interface'");
       return;
@@ -270,7 +305,7 @@ private:
     else if (T.Text == "interface")
       parseClass(true);
     else
-      error(T, "expected 'class' or 'interface', got '" + T.Text + "'");
+      error(T, "expected 'class' or 'interface', got '" + str(T.Text) + "'");
   }
 
   void parseClass(bool IsInterface) {
@@ -278,23 +313,23 @@ private:
     if (failed())
       return;
     ClassId Super = NoClassId;
-    std::vector<std::string> Ifaces;
+    std::vector<Token> Ifaces;
     uint32_t Package = 0;
-    while (Lex.cur().K == Tok::Ident && Err.empty()) {
+    while (cur().K == Tok::Ident && Err.empty()) {
       if (acceptIdent("extends")) {
         Token S = expect(Tok::Ident, "a superclass name");
         if (failed())
           return;
-        Super = P->findClass(S.Text);
+        Super = P->findClass(str(S.Text));
         if (Super == NoClassId)
-          return error(S, "unknown superclass '" + S.Text +
+          return error(S, "unknown superclass '" + str(S.Text) +
                               "' (classes must be declared before use)");
       } else if (acceptIdent("implements")) {
         do {
           Token I = expect(Tok::Ident, "an interface name");
           if (failed())
             return;
-          Ifaces.push_back(I.Text);
+          Ifaces.push_back(I);
         } while (accept(Tok::Comma));
       } else if (acceptIdent("package")) {
         Token N = expect(Tok::Int, "a package number");
@@ -305,19 +340,20 @@ private:
         break;
       }
     }
-    if (P->findClass(Name.Text) != NoClassId)
-      return error(Name, "duplicate class '" + Name.Text + "'");
-    ClassId Cls = IsInterface ? P->defineInterface(Name.Text, Package)
-                              : P->defineClass(Name.Text, Super, Package);
-    for (const std::string &I : Ifaces) {
-      ClassId IC = P->findClass(I);
+    std::string ClsName = str(Name.Text);
+    if (P->findClass(ClsName) != NoClassId)
+      return error(Name, "duplicate class '" + ClsName + "'");
+    ClassId Cls = IsInterface ? P->defineInterface(ClsName, Package)
+                              : P->defineClass(ClsName, Super, Package);
+    for (const Token &I : Ifaces) {
+      ClassId IC = P->findClass(str(I.Text));
       if (IC == NoClassId)
-        return error(Name, "unknown interface '" + I + "'");
+        return error(Name, "unknown interface '" + str(I.Text) + "'");
       P->addInterface(Cls, IC);
     }
     expect(Tok::LBrace, "'{'");
     while (!failed() && !accept(Tok::RBrace)) {
-      Token M = Lex.take();
+      Token M = take();
       if (M.K != Tok::Ident)
         return error(M, "expected 'field', 'method', or 'ctor'");
       if (M.Text == "field")
@@ -328,7 +364,7 @@ private:
         parseMethod(Cls, /*IsCtor=*/true, IsInterface);
       else
         return error(M, "expected 'field', 'method', or 'ctor', got '" +
-                            M.Text + "'");
+                            str(M.Text) + "'");
     }
   }
 
@@ -340,7 +376,7 @@ private:
       return;
     bool IsStatic = false;
     Access Acc = Access::Public;
-    while (Lex.cur().K == Tok::Ident && Err.empty()) {
+    while (cur().K == Tok::Ident && Err.empty()) {
       if (acceptIdent("static"))
         IsStatic = true;
       else if (acceptIdent("private"))
@@ -352,13 +388,13 @@ private:
       else
         break;
     }
-    P->defineField(Cls, Name.Text, *Ty, IsStatic, Acc);
+    P->defineField(Cls, str(Name.Text), *Ty, IsStatic, Acc);
   }
 
   void parseMethod(ClassId Cls, bool IsCtor, bool IsInterface) {
     Token Name = expect(Tok::Ident, "a method name");
     expect(Tok::LParen, "'('");
-    std::vector<std::pair<std::string, Type>> Params;
+    PendingBody B;
     if (!accept(Tok::RParen)) {
       do {
         Token R = expect(Tok::Reg, "a parameter register (%name)");
@@ -366,7 +402,7 @@ private:
         auto Ty = parseType(false);
         if (failed())
           return;
-        Params.emplace_back(R.Text, *Ty);
+        B.Params.emplace_back(R.Text, *Ty);
       } while (accept(Tok::Comma));
       expect(Tok::RParen, "')'");
     }
@@ -379,7 +415,7 @@ private:
     }
     MethodFlags Flags;
     Flags.IsCtor = IsCtor;
-    while (Lex.cur().K == Tok::Ident && Err.empty()) {
+    while (cur().K == Tok::Ident && Err.empty()) {
       if (acceptIdent("static"))
         Flags.IsStatic = true;
       else if (acceptIdent("private"))
@@ -391,64 +427,64 @@ private:
       return error(Name, "constructors are instance methods returning void");
 
     std::vector<Type> ParamTys;
-    for (auto &[Nm, Ty] : Params)
+    for (auto &[Nm, Ty] : B.Params)
       ParamTys.push_back(Ty);
-    MethodId M = P->defineMethod(Cls, Name.Text, RetTy, ParamTys, Flags);
+    B.Method = P->defineMethod(Cls, str(Name.Text), RetTy, ParamTys, Flags);
 
     if (IsInterface) {
-      if (Lex.cur().K == Tok::LBrace)
-        error(Lex.cur(), "interface methods cannot have bodies");
+      if (cur().K == Tok::LBrace)
+        error(cur(), "interface methods cannot have bodies");
       return;
     }
     expect(Tok::LBrace, "'{'");
     if (failed())
       return;
-    // Capture the body tokens (brace-balanced) for pass 2.
-    PendingBody B;
-    B.Method = M;
-    for (auto &[Nm, Ty] : Params)
-      ParamNames[M].emplace_back(Nm, Ty);
-    int Depth = 1;
-    while (Depth > 0 && Err.empty()) {
-      Token T = Lex.take();
+    // Skip the body's tokens (brace-balanced); pass 2 assembles them.
+    B.Begin = At;
+    for (int Depth = 1; Depth > 0;) {
+      Token T = take();
       if (T.K == Tok::End)
         return error(T, "unterminated method body");
-      if (T.K == Tok::LBrace)
-        ++Depth;
-      else if (T.K == Tok::RBrace) {
-        if (--Depth == 0)
-          break;
-      }
-      if (Depth > 0)
-        B.Tokens.push_back(T);
+      Depth += T.K == Tok::LBrace ? 1 : T.K == Tok::RBrace ? -1 : 0;
     }
+    B.End = At - 1;
     Bodies.push_back(std::move(B));
   }
 
   // --- Pass 2: bodies -------------------------------------------------------
+  /// A register name: the register it binds, and whether assignments write
+  /// it in place (a `var`) or through a move.
+  struct RegName {
+    Reg R = 0;
+    bool InPlace = false;
+  };
+  struct LabelName {
+    FunctionBuilder::Label L = 0;
+    bool Bound = false;
+  };
   struct BodyCtx {
     FunctionBuilder *B = nullptr;
-    std::map<std::string, Reg> Regs;
-    std::map<std::string, FunctionBuilder::Label> Labels;
-    std::map<std::string, bool> LabelBound;
-    const std::vector<Token> *Toks = nullptr;
-    size_t Pos = 0;
+    std::unordered_map<std::string_view, RegName> Regs;
+    std::unordered_map<std::string_view, LabelName> Labels;
+    size_t Begin = 0, Pos = 0, End = 0; // the body's tokens
     bool LastWasTerminator = false;
   };
 
+  /// The line of a body's last token (0 for an empty body).
+  int lastLine(const BodyCtx &C) const {
+    return C.End > C.Begin ? Toks[C.End - 1].Line : 0;
+  }
   Token btake(BodyCtx &C) {
-    if (C.Pos >= C.Toks->size()) {
+    if (C.Pos >= C.End) {
       Token T;
-      T.K = Tok::End;
-      T.Line = C.Toks->empty() ? 0 : C.Toks->back().Line;
+      T.Line = lastLine(C);
       return T;
     }
-    return (*C.Toks)[C.Pos++];
+    return Toks[C.Pos++];
   }
   const Token &bpeek(BodyCtx &C) {
-    static Token EndTok;
-    EndTok.K = Tok::End;
-    return C.Pos < C.Toks->size() ? (*C.Toks)[C.Pos] : EndTok;
+    static const Token EndTok;
+    return C.Pos < C.End ? Toks[C.Pos] : EndTok;
   }
   bool baccept(BodyCtx &C, Tok K) {
     if (bpeek(C).K == K) {
@@ -467,10 +503,10 @@ private:
   Reg useReg(BodyCtx &C, const Token &T) {
     auto It = C.Regs.find(T.Text);
     if (It == C.Regs.end()) {
-      error(T, "use of undefined register %" + T.Text);
+      error(T, "use of undefined register %" + str(T.Text));
       return 0;
     }
-    return It->second;
+    return It->second.R;
   }
   Reg readReg(BodyCtx &C) {
     Token T = bexpect(C, Tok::Reg, "a register");
@@ -479,24 +515,23 @@ private:
     return useReg(C, T);
   }
   FunctionBuilder::Label useLabel(BodyCtx &C, const Token &T) {
-    auto It = C.Labels.find(T.Text);
-    if (It != C.Labels.end())
-      return It->second;
-    auto L = C.B->makeLabel();
-    C.Labels.emplace(T.Text, L);
-    C.LabelBound.emplace(T.Text, false);
-    return L;
+    auto [It, New] = C.Labels.try_emplace(T.Text);
+    if (New)
+      It->second.L = C.B->makeLabel();
+    return It->second.L;
   }
 
-  /// Binds the destination register: a fresh name binds the produced
-  /// register; an existing name gets a Move (so loop variables work).
+  /// Binds the destination of the instruction just emitted, which produced
+  /// register Produced. A fresh name binds Produced; a `var` gets the result
+  /// in place; any other existing name gets a move (so loop variables work).
   void bindDst(BodyCtx &C, const Token &DstTok, Reg Produced) {
-    auto It = C.Regs.find(DstTok.Text);
-    if (It == C.Regs.end()) {
-      C.Regs.emplace(DstTok.Text, Produced);
+    auto [It, Fresh] = C.Regs.try_emplace(DstTok.Text, RegName{Produced});
+    if (Fresh)
       return;
-    }
-    C.B->move(It->second, Produced);
+    if (!It->second.InPlace)
+      return C.B->move(It->second.R, Produced);
+    if (!C.B->writeInto(It->second.R))
+      error(DstTok, "type mismatch assigning %" + str(DstTok.Text));
   }
 
   std::optional<std::pair<ClassId, std::string>> readQualified(BodyCtx &C) {
@@ -505,12 +540,12 @@ private:
     Token Mem = bexpect(C, Tok::Ident, "a member name");
     if (failed())
       return std::nullopt;
-    ClassId CId = P->findClass(Cls.Text);
+    ClassId CId = P->findClass(str(Cls.Text));
     if (CId == NoClassId) {
-      error(Cls, "unknown class '" + Cls.Text + "'");
+      error(Cls, "unknown class '" + str(Cls.Text) + "'");
       return std::nullopt;
     }
-    return std::make_pair(CId, Mem.Text);
+    return std::make_pair(CId, str(Mem.Text));
   }
 
   std::optional<FieldId> readFieldRef(BodyCtx &C) {
@@ -543,9 +578,9 @@ private:
     Token T = bexpect(C, Tok::Ident, "a class name");
     if (failed())
       return std::nullopt;
-    ClassId Cls = P->findClass(T.Text);
+    ClassId Cls = P->findClass(str(T.Text));
     if (Cls == NoClassId) {
-      error(T, "unknown class '" + T.Text + "'");
+      error(T, "unknown class '" + str(T.Text) + "'");
       return std::nullopt;
     }
     return Cls;
@@ -558,17 +593,18 @@ private:
     FunctionBuilder B(P->cls(M.Owner).Name + "." + M.Name, M.RetTy);
     BodyCtx C;
     C.B = &B;
-    C.Toks = &Body.Tokens;
+    C.Begin = C.Pos = Body.Begin;
+    C.End = Body.End;
     if (!M.Flags.IsStatic)
-      C.Regs.emplace("this", B.addArg(Type::Ref));
-    for (auto &[Nm, Ty] : ParamNames[Body.Method]) {
+      C.Regs.emplace("this", RegName{B.addArg(Type::Ref)});
+    for (auto &[Nm, Ty] : Body.Params) {
       if (C.Regs.count(Nm)) {
         Token T;
-        T.Line = Body.Tokens.empty() ? 0 : Body.Tokens.front().Line;
-        error(T, "duplicate parameter %" + Nm);
+        T.Line = Toks[Body.Begin].Line;
+        error(T, "duplicate parameter %" + str(Nm));
         return;
       }
-      C.Regs.emplace(Nm, B.addArg(Ty));
+      C.Regs.emplace(Nm, RegName{B.addArg(Ty)});
     }
 
     while (bpeek(C).K != Tok::End && !failed())
@@ -576,11 +612,11 @@ private:
     if (failed())
       return;
     Token EndTok;
-    EndTok.Line = Body.Tokens.empty() ? 0 : Body.Tokens.back().Line;
-    for (auto &[Name, Bound] : C.LabelBound)
-      if (!Bound)
-        return error(EndTok, "label @" + Name + " is referenced but never "
-                                                "defined");
+    EndTok.Line = lastLine(C);
+    for (auto &[Name, L] : C.Labels)
+      if (!L.Bound)
+        return error(EndTok, "label @" + str(Name) +
+                                 " is referenced but never defined");
     if (B.size() == 0 || !C.LastWasTerminator)
       return error(EndTok, "method body must end with 'ret' or 'br'");
     P->setBody(Body.Method, B.finalize());
@@ -590,12 +626,13 @@ private:
     Token T = btake(C);
     if (T.K == Tok::Label) {
       bexpect(C, Tok::Colon, "':' after label");
-      if (C.LabelBound.count(T.Text) && C.LabelBound[T.Text]) {
-        error(T, "label @" + T.Text + " bound twice");
+      auto L = useLabel(C, T);
+      LabelName &LN = C.Labels[T.Text];
+      if (LN.Bound) {
+        error(T, "label @" + str(T.Text) + " bound twice");
         return;
       }
-      auto L = useLabel(C, T);
-      C.LabelBound[T.Text] = true;
+      LN.Bound = true;
       C.B->bind(L);
       C.LastWasTerminator = false;
       return;
@@ -608,6 +645,10 @@ private:
       assembleValueOp(C, T, Op);
       return;
     }
+    if (T.K == Tok::Ident && T.Text == "var") {
+      declareVars(C);
+      return;
+    }
     if (T.K == Tok::Ident) {
       assembleVoidOp(C, T);
       return;
@@ -615,62 +656,96 @@ private:
     error(T, "expected a statement");
   }
 
-  void assembleValueOp(BodyCtx &C, const Token &Dst, const Token &Op) {
-    const std::string &N = Op.Text;
+  /// `var %x: ty, ...`: fresh registers, zero until first written, that
+  /// every assignment writes in place. Emits nothing.
+  void declareVars(BodyCtx &C) {
+    do {
+      Token R = bexpect(C, Tok::Reg, "a register");
+      bexpect(C, Tok::Colon, "':'");
+      Token TyTok = bexpect(C, Tok::Ident, "a type (i64/f64/ref)");
+      if (failed())
+        return;
+      auto Ty = typeOf(TyTok, /*AllowVoid=*/false);
+      if (!Ty)
+        return;
+      if (C.Regs.count(R.Text))
+        return error(R, "register %" + str(R.Text) + " is already defined");
+      C.Regs.emplace(R.Text, RegName{C.B->newReg(*Ty), true});
+    } while (baccept(C, Tok::Comma));
+  }
+
+  /// The operand of `constf`: a number, or inf / nan with an optional '-'.
+  std::optional<double> readFloat(BodyCtx &C) {
+    Token V = btake(C);
+    if (V.K == Tok::Float)
+      return V.FloatVal;
+    if (V.K == Tok::Int)
+      return static_cast<double>(V.IntVal);
+    bool Neg = V.K == Tok::Ident && V.Text == "-";
+    if (Neg)
+      V = btake(C);
+    if (V.K == Tok::Ident && (V.Text == "inf" || V.Text == "nan")) {
+      double D = V.Text == "inf" ? std::numeric_limits<double>::infinity()
+                                 : std::numeric_limits<double>::quiet_NaN();
+      return Neg ? -D : D;
+    }
+    error(V, "expected a number");
+    return std::nullopt;
+  }
+
+  void assembleValueOp(BodyCtx &C, const Token &Dst, const Token &OpTok) {
     FunctionBuilder &B = *C.B;
     auto Bind = [&](Reg R) { bindDst(C, Dst, R); };
-
-    if (N == "consti") {
+    C.LastWasTerminator = false;
+    std::optional<Opcode> Op = opcodeFromMnemonic(OpTok.Text);
+    switch (Op ? *Op : Opcode::Print) {
+    case Opcode::ConstI: {
       Token V = bexpect(C, Tok::Int, "an integer");
       if (!failed())
         Bind(B.constI(V.IntVal));
-    } else if (N == "constf") {
-      Token V = btake(C);
-      if (V.K == Tok::Float)
-        Bind(B.constF(V.FloatVal));
-      else if (V.K == Tok::Int)
-        Bind(B.constF(static_cast<double>(V.IntVal)));
-      else
-        error(V, "expected a number");
-    } else if (N == "constnull") {
-      Bind(B.constNull());
-    } else if (auto TOp = opcodeFromMnemonic(N);
-               TOp && opcodeInfo(*TOp).Family != OpFamily::Other) {
-      // A binop, compare or unop: the opcode table spells it.
-      if (opcodeInfo(*TOp).Family == OpFamily::Unop) {
-        Bind(B.unop(*TOp, readReg(C)));
-      } else {
-        Reg A = readReg(C);
-        bexpect(C, Tok::Comma, "','");
-        Reg Bv = readReg(C);
-        if (!failed())
-          Bind(B.arith(*TOp, A, Bv));
-      }
-    } else if (N == "move") {
+      return;
+    }
+    case Opcode::ConstF:
+      if (auto V = readFloat(C))
+        Bind(B.constF(*V));
+      return;
+    case Opcode::ConstNull:
+      return Bind(B.constNull());
+    case Opcode::Move: {
+      // One move: into the named register, or into a fresh one.
       Reg Src = readReg(C);
-      if (!failed())
-        Bind(Src); // fresh name aliases; existing name gets a Move
-    } else if (N == "getfield") {
+      if (failed())
+        return;
+      auto [It, Fresh] = C.Regs.try_emplace(Dst.Text);
+      if (Fresh)
+        It->second.R = B.newReg(B.regType(Src));
+      return B.move(It->second.R, Src);
+    }
+    case Opcode::GetField: {
       Reg Obj = readReg(C);
       bexpect(C, Tok::Comma, "','");
       auto F = readFieldRef(C);
       if (F && !failed())
         Bind(B.getField(Obj, *F, P->field(*F).Ty));
-    } else if (N == "getstatic") {
-      auto F = readFieldRef(C);
-      if (F && !failed())
+      return;
+    }
+    case Opcode::GetStatic:
+      if (auto F = readFieldRef(C); F && !failed())
         Bind(B.getStatic(*F, P->field(*F).Ty));
-    } else if (N == "new") {
-      auto Cls = readClassRef(C);
-      if (Cls && !failed())
+      return;
+    case Opcode::New:
+      if (auto Cls = readClassRef(C); Cls && !failed())
         Bind(B.newObject(*Cls));
-    } else if (N == "newarray") {
+      return;
+    case Opcode::NewArray: {
       auto Ty = parseBodyType(C);
       bexpect(C, Tok::Comma, "','");
       Reg Len = readReg(C);
       if (Ty && !failed())
         Bind(B.newArray(*Ty, Len));
-    } else if (N == "aload") {
+      return;
+    }
+    case Opcode::ALoad: {
       auto Ty = parseBodyType(C);
       bexpect(C, Tok::Comma, "','");
       Reg Arr = readReg(C);
@@ -678,27 +753,61 @@ private:
       Reg Idx = readReg(C);
       if (Ty && !failed())
         Bind(B.aload(*Ty, Arr, Idx));
-    } else if (N == "alen") {
-      Bind(B.alen(readReg(C)));
-    } else if (N == "instanceof") {
+      return;
+    }
+    case Opcode::ALen: {
+      Reg Arr = readReg(C);
+      if (!failed())
+        Bind(B.alen(Arr));
+      return;
+    }
+    case Opcode::InstanceOf:
+    case Opcode::ClassEq: {
       Reg O = readReg(C);
       bexpect(C, Tok::Comma, "','");
       auto Cls = readClassRef(C);
       if (Cls && !failed())
-        Bind(B.instanceOf(O, *Cls));
-    } else if (N == "callvirtual" || N == "callstatic" ||
-               N == "callspecial" || N == "callinterface") {
-      assembleCall(C, N, &Dst);
-    } else {
-      error(Op, "unknown value-producing opcode '" + N + "'");
+        Bind(*Op == Opcode::ClassEq ? B.classEq(O, *Cls)
+                                    : B.instanceOf(O, *Cls));
+      return;
     }
-    C.LastWasTerminator = false;
+    case Opcode::CallStatic:
+    case Opcode::CallVirtual:
+    case Opcode::CallSpecial:
+    case Opcode::CallInterface:
+      return assembleCall(C, *Op, &Dst);
+    default:
+      break;
+    }
+    // A binop, compare or unop: the opcode table spells it.
+    OpFamily Fam = Op ? opcodeInfo(*Op).Family : OpFamily::Other;
+    if (Fam == OpFamily::Other)
+      return error(OpTok, "unknown value-producing opcode '" +
+                              str(OpTok.Text) + "'");
+    Reg A = readReg(C);
+    if (Fam == OpFamily::Unop) {
+      if (!failed())
+        Bind(B.unop(*Op, A));
+      return;
+    }
+    bexpect(C, Tok::Comma, "','");
+    Reg Bv = readReg(C);
+    if (!failed())
+      Bind(B.arith(*Op, A, Bv));
   }
 
-  void assembleVoidOp(BodyCtx &C, const Token &Op) {
-    const std::string &N = Op.Text;
+  void assembleVoidOp(BodyCtx &C, const Token &OpTok) {
     FunctionBuilder &B = *C.B;
-    if (N == "putfield") {
+    C.LastWasTerminator = false;
+    if (OpTok.Text == "printchar") {
+      Reg R = readReg(C);
+      if (!failed())
+        B.printChar(R);
+      return;
+    }
+    std::optional<Opcode> Op = opcodeFromMnemonic(OpTok.Text);
+    switch (Op ? *Op : Opcode::ConstI) {
+    case Opcode::PutField: {
       Reg Obj = readReg(C);
       bexpect(C, Tok::Comma, "','");
       auto F = readFieldRef(C);
@@ -706,13 +815,17 @@ private:
       Reg V = readReg(C);
       if (F && !failed())
         B.putField(Obj, *F, V);
-    } else if (N == "putstatic") {
+      return;
+    }
+    case Opcode::PutStatic: {
       auto F = readFieldRef(C);
       bexpect(C, Tok::Comma, "','");
       Reg V = readReg(C);
       if (F && !failed())
         B.putStatic(*F, V);
-    } else if (N == "astore") {
+      return;
+    }
+    case Opcode::AStore: {
       auto Ty = parseBodyType(C);
       bexpect(C, Tok::Comma, "','");
       Reg Arr = readReg(C);
@@ -722,59 +835,69 @@ private:
       Reg V = readReg(C);
       if (Ty && !failed())
         B.astore(*Ty, Arr, Idx, V);
-    } else if (N == "checkcast") {
+      return;
+    }
+    case Opcode::CheckCast: {
       Reg O = readReg(C);
       bexpect(C, Tok::Comma, "','");
       auto Cls = readClassRef(C);
       if (Cls && !failed())
         B.checkCast(O, *Cls);
-    } else if (N == "print") {
-      Token RT = bexpect(C, Tok::Reg, "a register");
-      if (!failed()) {
-        Reg R = useReg(C, RT);
-        // Print type follows the register's declared type.
-        B.printNum(R, regType(C, R));
-      }
-    } else if (N == "printchar") {
-      B.printChar(readReg(C));
-    } else if (N == "br") {
+      return;
+    }
+    case Opcode::Print: {
+      Reg R = readReg(C);
+      // Print type follows the register's declared type.
+      if (!failed())
+        B.printNum(R, B.regType(R));
+      return;
+    }
+    case Opcode::Br: {
       Token L = bexpect(C, Tok::Label, "a label");
       if (!failed())
         B.br(useLabel(C, L));
-    } else if (N == "cbnz") {
+      C.LastWasTerminator = true;
+      return;
+    }
+    case Opcode::Cbnz:
+    case Opcode::Cbz: {
       Reg R = readReg(C);
       bexpect(C, Tok::Comma, "','");
       Token L = bexpect(C, Tok::Label, "a label");
-      if (!failed())
+      if (failed())
+        return;
+      if (*Op == Opcode::Cbnz)
         B.cbnz(R, useLabel(C, L));
-    } else if (N == "cbz") {
-      Reg R = readReg(C);
-      bexpect(C, Tok::Comma, "','");
-      Token L = bexpect(C, Tok::Label, "a label");
-      if (!failed())
+      else
         B.cbz(R, useLabel(C, L));
-    } else if (N == "ret") {
+      return;
+    }
+    case Opcode::Ret:
+      C.LastWasTerminator = true;
       if (bpeek(C).K == Tok::Reg) {
         Reg V = readReg(C);
         if (B.retTy() == Type::Void)
-          error(Op, "value return from void method");
-        else
+          error(OpTok, "value return from void method");
+        else if (!failed())
           B.ret(V);
       } else if (B.retTy() != Type::Void) {
-        error(Op, "void return from non-void method");
+        error(OpTok, "void return from non-void method");
       } else {
         B.retVoid();
       }
-    } else if (N == "callvirtual" || N == "callstatic" ||
-               N == "callspecial" || N == "callinterface") {
-      assembleCall(C, N, nullptr);
-    } else {
-      error(Op, "unknown statement opcode '" + N + "'");
+      return;
+    case Opcode::CallStatic:
+    case Opcode::CallVirtual:
+    case Opcode::CallSpecial:
+    case Opcode::CallInterface:
+      return assembleCall(C, *Op, nullptr);
+    default:
+      return error(OpTok,
+                   "unknown statement opcode '" + str(OpTok.Text) + "'");
     }
-    C.LastWasTerminator = N == "ret" || N == "br";
   }
 
-  void assembleCall(BodyCtx &C, const std::string &Kind, const Token *Dst) {
+  void assembleCall(BodyCtx &C, Opcode Op, const Token *Dst) {
     auto M = readMethodRef(C);
     bexpect(C, Tok::LParen, "'('");
     std::vector<Reg> Args;
@@ -784,49 +907,35 @@ private:
       } while (baccept(C, Tok::Comma) && !failed());
       bexpect(C, Tok::RParen, "')'");
     }
+    bool NoInline = bpeek(C).K == Tok::Ident && bpeek(C).Text == "noinline";
+    if (NoInline)
+      ++C.Pos;
     if (!M || failed())
       return;
-    Opcode Op = Kind == "callvirtual"     ? Opcode::CallVirtual
-                : Kind == "callstatic"    ? Opcode::CallStatic
-                : Kind == "callspecial"   ? Opcode::CallSpecial
-                                          : Opcode::CallInterface;
     Type RetTy = P->method(*M).RetTy;
     if (Dst && RetTy == Type::Void) {
       error(*Dst, "void call cannot produce a value");
       return;
     }
     Reg R = C.B->call(Op, *M, Args, RetTy);
-    if (Dst) {
-      if (R == NoReg) {
-        error(*Dst, "void call cannot produce a value");
-        return;
-      }
+    if (NoInline)
+      C.B->setNoInline();
+    if (Dst)
       bindDst(C, *Dst, R);
-    }
   }
 
   std::optional<Type> parseBodyType(BodyCtx &C) {
     Token T = bexpect(C, Tok::Ident, "a type (i64/f64/ref)");
     if (failed())
       return std::nullopt;
-    if (T.Text == "i64")
-      return Type::I64;
-    if (T.Text == "f64")
-      return Type::F64;
-    if (T.Text == "ref")
-      return Type::Ref;
-    error(T, "unknown type '" + T.Text + "'");
-    return std::nullopt;
+    return typeOf(T, /*AllowVoid=*/false);
   }
 
-  /// Declared type of a register in the function being built.
-  Type regType(BodyCtx &C, Reg R) { return C.B->regType(R); }
-
-  Lexer Lex;
+  std::vector<Token> Toks; // the whole source, ending with one End token
+  size_t At = 0;           // pass 1's position in Toks
   std::unique_ptr<Program> P;
   std::string Err;
   std::vector<PendingBody> Bodies;
-  std::map<MethodId, std::vector<std::pair<std::string, Type>>> ParamNames;
 };
 
 } // namespace

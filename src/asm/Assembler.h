@@ -6,9 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A textual front end for MiniVM programs, so workloads and experiments can
-/// be authored without writing C++ builder code. The format mirrors the
-/// FunctionBuilder API one-to-one:
+/// The textual front end for MiniVM programs: the workloads
+/// (src/workloads/*.mvm) and experiments are written in it, and
+/// asm/Printer.h prints any Program or body back into it
+/// (docs/mvm-format.md). The format mirrors the FunctionBuilder API
+/// one-to-one:
 ///
 /// \code
 ///   # SalaryDB, abbreviated

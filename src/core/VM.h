@@ -157,8 +157,8 @@ public:
   /// Runs Fn with every mutator stopped: a plain call at N=1, a safepoint
   /// rendezvous (leader = calling thread) at N>1. Re-entrant from inside a
   /// closure. This is how every stop-the-world operation — plan install and
-  /// retirement, GC, code reclamation, audits — is phrased now that "the
-  /// world" can be more than one thread.
+  /// retirement, GC, audits — is phrased now that "the world" can be more
+  /// than one thread.
   void atSafepoint(const std::function<void()> &Fn);
 
   SafepointManager &safepoints() { return Safepoints; }

@@ -235,6 +235,15 @@ void FunctionBuilder::checkCast(Reg Obj, ClassId Cls) {
   I.Imm = Cls;
 }
 
+Reg FunctionBuilder::classEq(Reg Obj, ClassId Cls) {
+  Reg Dst = newReg(Type::I64);
+  Instruction &I = emit(Opcode::ClassEq);
+  I.Dst = Dst;
+  I.A = Obj;
+  I.Imm = Cls;
+  return Dst;
+}
+
 Reg FunctionBuilder::call(Opcode Kind, MethodId M,
                           const std::vector<Reg> &Args, Type RetTy) {
   DCHM_CHECK(isCall(Kind), "call() requires a call opcode");
@@ -252,6 +261,12 @@ Reg FunctionBuilder::call(Opcode Kind, MethodId M,
   return call(Kind, M, std::vector<Reg>(Args), RetTy);
 }
 
+void FunctionBuilder::setNoInline() {
+  DCHM_CHECK(!F.Insts.empty() && isCall(F.Insts.back().Op),
+             "setNoInline needs a call");
+  F.Insts.back().NoInline = true;
+}
+
 void FunctionBuilder::printNum(Reg V, Type Ty) {
   Instruction &I = emit(Opcode::Print);
   I.Ty = Ty;
@@ -264,6 +279,19 @@ void FunctionBuilder::printChar(Reg V) {
   I.Ty = Type::I64;
   I.A = V;
   I.Aux = 1;
+}
+
+bool FunctionBuilder::writeInto(Reg Dst) {
+  if (F.Insts.empty() || F.RegTypes.empty())
+    return false;
+  Instruction &I = F.Insts.back();
+  Reg Fresh = static_cast<Reg>(F.RegTypes.size() - 1);
+  if (I.Dst != Fresh || Fresh < F.NumArgs || Dst >= Fresh ||
+      F.RegTypes[Dst] != F.RegTypes[Fresh])
+    return false;
+  I.Dst = Dst;
+  F.RegTypes.pop_back();
+  return true;
 }
 
 IRFunction FunctionBuilder::finalize() {

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// FunctionBuilder is the public API for authoring MiniVM "bytecode": the
-/// workloads (Table 1 programs) and the tests express method bodies through
+/// FunctionBuilder is the C++ API for authoring MiniVM "bytecode": the
+/// assembler (asm/Assembler.h) and the tests express method bodies through
 /// it. It is a linear emitter with forward-referencable labels; finalize()
 /// patches branch targets and hands back an IRFunction.
 ///
@@ -59,19 +59,11 @@ public:
   Reg mul(Reg A, Reg B) { return arith(Opcode::Mul, A, B); }
   Reg div(Reg A, Reg B) { return arith(Opcode::Div, A, B); }
   Reg rem(Reg A, Reg B) { return arith(Opcode::Rem, A, B); }
-  Reg andI(Reg A, Reg B) { return arith(Opcode::And, A, B); }
-  Reg orI(Reg A, Reg B) { return arith(Opcode::Or, A, B); }
   Reg xorI(Reg A, Reg B) { return arith(Opcode::Xor, A, B); }
-  Reg shl(Reg A, Reg B) { return arith(Opcode::Shl, A, B); }
-  Reg shr(Reg A, Reg B) { return arith(Opcode::Shr, A, B); }
-  Reg fadd(Reg A, Reg B) { return arith(Opcode::FAdd, A, B); }
-  Reg fsub(Reg A, Reg B) { return arith(Opcode::FSub, A, B); }
   Reg fmul(Reg A, Reg B) { return arith(Opcode::FMul, A, B); }
-  Reg fdiv(Reg A, Reg B) { return arith(Opcode::FDiv, A, B); }
   /// Unop by opcode; the result type is the opcode table's.
   Reg unop(Opcode Op, Reg A);
   Reg neg(Reg A) { return unop(Opcode::Neg, A); }
-  Reg fneg(Reg A) { return unop(Opcode::FNeg, A); }
   Reg i2f(Reg A) { return unop(Opcode::I2F, A); }
   Reg f2i(Reg A) { return unop(Opcode::F2I, A); }
 
@@ -97,6 +89,8 @@ public:
   void putStatic(FieldId F, Reg Val);
   Reg instanceOf(Reg Obj, ClassId Cls);
   void checkCast(Reg Obj, ClassId Cls);
+  /// 1 when Obj's exact class is Cls, else 0 (the guarded inliner's guard).
+  Reg classEq(Reg Obj, ClassId Cls);
 
   // --- Calls ------------------------------------------------------------
   /// Emit a call; RetTy types the destination register (NoReg result for
@@ -117,9 +111,19 @@ public:
     return call(Opcode::CallInterface, M, Args, RetTy);
   }
 
+  /// Marks the call just emitted as never to be inlined (the guarded
+  /// inliner's slow path).
+  void setNoInline();
+
   // --- Output -----------------------------------------------------------
   void printNum(Reg V, Type Ty); ///< Append number to the VM output stream.
   void printChar(Reg V);         ///< Append (char)V to the VM output stream.
+
+  /// Makes the instruction just emitted write Dst in place of the fresh
+  /// register it allocated, and releases that register. Returns false,
+  /// changing nothing, when the instruction allocated no register or its
+  /// type differs from Dst's.
+  bool writeInto(Reg Dst);
 
   /// Number of instructions emitted so far.
   size_t size() const { return F.Insts.size(); }

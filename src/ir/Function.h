@@ -9,7 +9,8 @@
 /// IRFunction is the unit of compilation: the "bytecode" attached to a
 /// MethodInfo, and also the body of every CompiledMethod the optimizer
 /// produces (the MiniVM "machine code" is optimized IR executed by a
-/// costed interpreter; see exec/Interpreter.h).
+/// costed interpreter; see exec/Interpreter.h). asm/Printer.h prints one as
+/// `.mvm` text that re-assembles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +43,6 @@ struct IRFunction {
   std::vector<Instruction> Insts;
 
   uint16_t numRegs() const { return static_cast<uint16_t>(RegTypes.size()); }
-
-  /// Render the function as text for debugging and golden tests.
-  std::string toString() const;
 };
 
 /// Index of the only instruction in F that writes R; none when no

@@ -132,7 +132,7 @@ enum class OpFamily : uint8_t { Binop, Compare, Unop, Other };
   /* InstanceOf: Dst = (A instanceof class Imm) ? 1 : 0. CheckCast traps */    \
   /* unless A is null or an instance of class Imm. ClassEq: Dst = (A's */      \
   /* exact class == class Imm) ? 1 : 0; emitted by the guarded inliner */      \
-  /* (Jikes' class-test guard), never written by FunctionBuilder users. */     \
+  /* (Jikes' class-test guard); `.mvm` spells it so such bodies print.  */     \
   X(InstanceOf,    "instanceof",    4,  Other,   Void, Void, true)             \
   X(CheckCast,     "checkcast",     4,  Other,   Void, Void, false)            \
   /* ClassEq: TIB load + id compare (the guard of a guarded inline) */         \

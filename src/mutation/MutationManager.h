@@ -111,8 +111,9 @@ public:
   /// Stop-the-world reverse of installPlan: swings every object on a
   /// special TIB back to its class TIB, restores general code pointers in
   /// class TIBs and the JTOC, un-rewires IMT slots back to Direct entries,
-  /// unmarks state fields and mutable methods, hands the special TIBs and
-  /// specialized bodies to the Program's reclamation list, and clears the
+  /// unmarks state fields and mutable methods, invalidates the specialized
+  /// bodies and drops the classes' special TIBs (both stay allocated until
+  /// the Program is destroyed, like replaced code), and clears the
   /// Program's plan. After this the hierarchy is exactly as if no plan had
   /// ever been installed, and a new plan (or the same one) can be
   /// installed again. Returns the number of objects that sat on special

@@ -128,8 +128,8 @@ public:
   /// the blocks' occupied slots in block and address order, then the
   /// large objects. The order follows host addresses, not allocation, so
   /// a caller must not depend on it: each consumer (the value profiler's
-  /// census, plan install's migration, retirement, reclamation and the
-  /// consistency auditor) does per-object work that reads only that object
+  /// census, plan install's migration, retirement and the consistency
+  /// auditor) does per-object work that reads only that object
   /// and sums or sets its results. Used as a stop-the-world walk, like a
   /// collection without the sweep; with more than one mutator it is only
   /// safe at a safepoint (the blocks are walked unsynchronized).

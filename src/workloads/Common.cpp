@@ -8,9 +8,18 @@
 #include "workloads/Workload.h"
 
 #include "analysis/OlcAnalysis.h"
+#include "asm/Assembler.h"
 #include "support/Debug.h"
 
 namespace dchm {
+
+std::unique_ptr<Program> Workload::buildProgram() {
+  AssemblyResult R = assembleProgram(Source);
+  if (!R.ok())
+    reportFatalErrorf("workload %s does not assemble: %s", name().c_str(),
+                      R.Error.c_str());
+  return std::move(R.P);
+}
 
 WorkloadRun::WorkloadRun(Workload &W, const VMOptions &Opts,
                          const MutationPlan *Plan)

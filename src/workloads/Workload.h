@@ -7,9 +7,11 @@
 ///
 /// \file
 /// The seven benchmark programs of the paper's Table 1, re-expressed as
-/// MiniVM IR programs. Every workload can rebuild its Program from scratch
-/// deterministically (so profiling runs, baseline runs, and mutation runs
-/// never share compiled state) and can drive a run at a configurable scale.
+/// MiniVM programs: each is a `.mvm` text in this directory, compiled into
+/// the library, and its C++ driver. Every workload rebuilds its Program
+/// from scratch by assembling the text (so profiling runs, baseline runs,
+/// and mutation runs never share compiled state) and can drive a run at a
+/// configurable scale.
 /// WorkloadRun is the one recipe that deploys a workload: a fresh Program,
 /// a VM over it, and (with mutation on) the plan and its OLC database.
 ///
@@ -55,20 +57,15 @@ public:
   }
 
   // --- ProgramSource ---------------------------------------------------------
-  std::unique_ptr<Program> buildProgram() override {
-    auto P = std::make_unique<Program>();
-    build(*P);
-    P->link();
-    return P;
-  }
+  /// Assembles Source into a fresh linked Program.
+  std::unique_ptr<Program> buildProgram() override;
   void driveProfile(VirtualMachine &VM) override {
     driveScaled(VM, ProfileScale);
   }
 
 protected:
-  /// Defines the classes, fields, and methods (without linking).
-  virtual void build(Program &P) = 0;
-
+  /// The program as `.mvm` text (src/workloads/*.mvm, compiled in).
+  std::string Source;
   /// Fraction of the full run used for offline profiling.
   static constexpr double ProfileScale = 0.2;
   /// Heap budget of a run (vmOptions); profiling runs keep the VM default.

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 using namespace dchm;
 
 namespace {
@@ -369,6 +372,78 @@ TEST(AssemblerErrors, CtorWithReturnType) {
     }
   )");
   EXPECT_FALSE(R.ok());
+}
+
+TEST(Assembler, VarRegistersAreWrittenInPlace) {
+  // A var starts at zero and every assignment writes it directly: no moves,
+  // unlike the re-binding of %i and %sum in LoopsWithRegisterReassignment.
+  auto R = assembleProgram(R"(
+    class Main {
+      method main(%n: i64) -> i64 static {
+        var %i: i64, %sum: i64
+        %one = consti 1
+      @head:
+        %t = cmplt %i, %n
+        cbz %t, @done
+        %sum = add %sum, %i
+        %i = add %i, %one
+        br @head
+      @done:
+        ret %sum
+      }
+    }
+  )");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  const IRFunction &F = R.P->method(R.P->findMethod(0, "main")).Bytecode;
+  EXPECT_EQ(F.Insts.size(), 7u);
+  for (const Instruction &I : F.Insts)
+    EXPECT_NE(I.Op, Opcode::Move);
+  EXPECT_EQ(runMain(*R.P, {valueI(10)}), 45);
+}
+
+TEST(Assembler, ClassEqNoInlineAndNonFiniteConstants) {
+  // What an optimized body can hold beyond FunctionBuilder's usual API.
+  auto R = assembleProgram(R"(
+    class A {
+      method tag() -> i64 {
+        %v = consti 1
+        ret %v
+      }
+    }
+    class Main {
+      method main() -> i64 static {
+        %a = new A
+        %g = classeq %a, A
+        %t = callvirtual A.tag(%a) noinline
+        %x = constf -inf
+        %y = constf nan
+        %s = add %g, %t
+        ret %s
+      }
+    }
+  )");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  const IRFunction &F = R.P->method(R.P->findMethod(1, "main")).Bytecode;
+  EXPECT_EQ(F.Insts[1].Op, Opcode::ClassEq);
+  EXPECT_TRUE(F.Insts[2].NoInline);
+  EXPECT_EQ(F.Insts[3].FImm, -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(F.Insts[4].FImm));
+  EXPECT_EQ(runMain(*R.P), 2);
+}
+
+TEST(AssemblerErrors, VarTypeMismatch) {
+  auto R = assembleProgram(R"(
+    class Main {
+      method main() -> i64 static {
+        var %x: f64
+        %x = consti 1
+        %y = consti 2
+        ret %y
+      }
+    }
+  )");
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("type mismatch"), std::string::npos) << R.Error;
 }
 
 } // namespace

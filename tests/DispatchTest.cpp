@@ -30,102 +30,69 @@ namespace {
 /// A/B hierarchy with an interface; the driver calls through all four
 /// invoke flavors.
 struct DispatchFixture : ::testing::Test {
-  Program P;
-  ClassId Iface = NoClassId, A = NoClassId, B = NoClassId;
-  MethodId IfaceTag = NoMethodId, ATag = NoMethodId, BTag = NoMethodId;
-  MethodId ACtor = NoMethodId, BCtor = NoMethodId;
-  MethodId StaticTag = NoMethodId, PrivTag = NoMethodId, CallPriv = NoMethodId;
-  MethodId DrvVirtual = NoMethodId, DrvIface = NoMethodId,
-           DrvSuper = NoMethodId;
-
-  DispatchFixture() {
-    Iface = P.defineInterface("Tagged");
-    IfaceTag = P.defineMethod(Iface, "tag", Type::I64, {});
-
-    A = P.defineClass("A");
-    P.addInterface(A, Iface);
-    ACtor = P.defineMethod(A, "<init>", Type::Void, {}, {.IsCtor = true});
-    {
-      FunctionBuilder F("A.<init>", Type::Void);
-      F.addArg(Type::Ref);
-      F.retVoid();
-      P.setBody(ACtor, F.finalize());
-    }
-    ATag = P.defineMethod(A, "tag", Type::I64, {});
-    {
-      FunctionBuilder F("A.tag", Type::I64);
-      F.addArg(Type::Ref);
-      F.ret(F.constI(1));
-      P.setBody(ATag, F.finalize());
-    }
-    StaticTag = P.defineMethod(A, "staticTag", Type::I64, {},
-                               {.IsStatic = true});
-    {
-      FunctionBuilder F("A.staticTag", Type::I64);
-      F.ret(F.constI(77));
-      P.setBody(StaticTag, F.finalize());
-    }
-    PrivTag = P.defineMethod(A, "privTag", Type::I64, {}, {.IsPrivate = true});
-    {
-      FunctionBuilder F("A.privTag", Type::I64);
-      F.addArg(Type::Ref);
-      F.ret(F.constI(13));
-      P.setBody(PrivTag, F.finalize());
-    }
-    CallPriv = P.defineMethod(A, "callPriv", Type::I64, {});
-    {
-      FunctionBuilder F("A.callPriv", Type::I64);
-      Reg This = F.addArg(Type::Ref);
-      Reg V = F.callSpecial(PrivTag, {This}, Type::I64);
-      F.ret(V);
-      P.setBody(CallPriv, F.finalize());
-    }
-
-    B = P.defineClass("B", A);
-    BCtor = P.defineMethod(B, "<init>", Type::Void, {}, {.IsCtor = true});
-    {
-      FunctionBuilder F("B.<init>", Type::Void);
-      Reg This = F.addArg(Type::Ref);
-      F.callSpecial(ACtor, {This}, Type::Void);
-      F.retVoid();
-      P.setBody(BCtor, F.finalize());
-    }
-    BTag = P.defineMethod(B, "tag", Type::I64, {});
-    {
-      FunctionBuilder F("B.tag", Type::I64);
-      F.addArg(Type::Ref);
-      F.ret(F.constI(2));
-      P.setBody(BTag, F.finalize());
-    }
-    // B.superTag() invokes A.tag via invokespecial (a `super.tag()` call).
-    DrvSuper = P.defineMethod(B, "superTag", Type::I64, {});
-    {
-      FunctionBuilder F("B.superTag", Type::I64);
-      Reg This = F.addArg(Type::Ref);
-      Reg V = F.callSpecial(ATag, {This}, Type::I64);
-      F.ret(V);
-      P.setBody(DrvSuper, F.finalize());
-    }
-
-    ClassId Drv = P.defineClass("Drv");
-    DrvVirtual = P.defineMethod(Drv, "viaVirtual", Type::I64, {Type::Ref},
-                                {.IsStatic = true});
-    {
-      FunctionBuilder F("Drv.viaVirtual", Type::I64);
-      Reg O = F.addArg(Type::Ref);
-      F.ret(F.callVirtual(ATag, {O}, Type::I64));
-      P.setBody(DrvVirtual, F.finalize());
-    }
-    DrvIface = P.defineMethod(Drv, "viaInterface", Type::I64, {Type::Ref},
-                              {.IsStatic = true});
-    {
-      FunctionBuilder F("Drv.viaInterface", Type::I64);
-      Reg O = F.addArg(Type::Ref);
-      F.ret(F.callInterface(IfaceTag, {O}, Type::I64));
-      P.setBody(DrvIface, F.finalize());
-    }
-    P.link();
+  // B.superTag() invokes A.tag via invokespecial (a `super.tag()` call).
+  std::unique_ptr<Program> Prog = test::assemble(R"(
+interface Tagged {
+  method tag() -> i64
+}
+class A implements Tagged {
+  ctor <init>() {
+    ret
   }
+  method tag() -> i64 {
+    %1 = consti 1
+    ret %1
+  }
+  method staticTag() -> i64 static {
+    %0 = consti 77
+    ret %0
+  }
+  method privTag() -> i64 private {
+    %1 = consti 13
+    ret %1
+  }
+  method callPriv() -> i64 {
+    %1 = callspecial A.privTag(%this)
+    ret %1
+  }
+}
+class B extends A {
+  ctor <init>() {
+    callspecial A.<init>(%this)
+    ret
+  }
+  method tag() -> i64 {
+    %1 = consti 2
+    ret %1
+  }
+  method superTag() -> i64 {
+    %1 = callspecial A.tag(%this)
+    ret %1
+  }
+}
+class Drv {
+  method viaVirtual(%0: ref) -> i64 static {
+    %1 = callvirtual A.tag(%0)
+    ret %1
+  }
+  method viaInterface(%0: ref) -> i64 static {
+    %1 = callinterface Tagged.tag(%0)
+    ret %1
+  }
+}
+)");
+  Program &P = *Prog;
+  ProgramIds Ids{P};
+  ClassId Iface = Ids.cls("Tagged"), A = Ids.cls("A"), B = Ids.cls("B");
+  MethodId IfaceTag = Ids.method("Tagged", "tag"), ATag = Ids.method("A", "tag"),
+           BTag = Ids.method("B", "tag");
+  MethodId ACtor = Ids.method("A", "<init>"), BCtor = Ids.method("B", "<init>");
+  MethodId StaticTag = Ids.method("A", "staticTag"),
+           PrivTag = Ids.method("A", "privTag"),
+           CallPriv = Ids.method("A", "callPriv");
+  MethodId DrvVirtual = Ids.method("Drv", "viaVirtual"),
+           DrvIface = Ids.method("Drv", "viaInterface"),
+           DrvSuper = Ids.method("B", "superTag");
 
   Object *make(VirtualMachine &VM, ClassId C, MethodId Ctor) {
     ClassInfo &CI = P.cls(C);
@@ -242,112 +209,99 @@ TEST_F(DispatchFixture, RecompilationInvalidatesReplacedVersions) {
   EXPECT_EQ(VM.call(DrvVirtual, {valueR(OA)}).I, 1);
 }
 
-/// A dispatch-heavy kernel over its own Program: an interface, a two-class
-/// hierarchy with a field, a static helper, and a static driver whose outer
-/// loop exercises every invoke flavor plus a tight arithmetic inner loop.
-/// Unlike the fixture's drivers it runs loops, field traffic and Print, and
-/// it is hot enough to promote to optimized bodies. Returns Kernel.run(n).
-MethodId buildDispatchKernel(Program &P) {
-  ClassId Work = P.defineInterface("Work");
-  MethodId WorkStep = P.defineMethod(Work, "step", Type::Void, {});
-  ClassId A = P.defineClass("A");
-  P.addInterface(A, Work);
-  FieldId X = P.defineField(A, "x", Type::I64, false);
-  MethodId ACtor =
-      P.defineMethod(A, "<init>", Type::Void, {}, {.IsCtor = true});
-  {
-    FunctionBuilder B("A.<init>", Type::Void);
-    Reg This = B.addArg(Type::Ref);
-    B.putField(This, X, B.constI(0));
-    B.retVoid();
-    P.setBody(ACtor, B.finalize());
-  }
-  // step() adds Inc to x; A and B differ only in Inc.
-  auto DefineStep = [&](ClassId Owner, const char *Name, int64_t Inc) {
-    MethodId M = P.defineMethod(Owner, "step", Type::Void, {});
-    FunctionBuilder B(Name, Type::Void);
-    Reg This = B.addArg(Type::Ref);
-    Reg V = B.getField(This, X, Type::I64);
-    B.putField(This, X, B.add(V, B.constI(Inc)));
-    B.retVoid();
-    P.setBody(M, B.finalize());
-    return M;
-  };
-  MethodId AStep = DefineStep(A, "A.step", 1);
-  MethodId AGet = P.defineMethod(A, "get", Type::I64, {});
-  {
-    FunctionBuilder B("A.get", Type::I64);
-    Reg This = B.addArg(Type::Ref);
-    B.ret(B.getField(This, X, Type::I64));
-    P.setBody(AGet, B.finalize());
-  }
-  ClassId BCls = P.defineClass("B", A);
-  MethodId BCtor =
-      P.defineMethod(BCls, "<init>", Type::Void, {}, {.IsCtor = true});
-  {
-    FunctionBuilder B("B.<init>", Type::Void);
-    Reg This = B.addArg(Type::Ref);
-    B.callSpecial(ACtor, {This}, Type::Void);
-    B.retVoid();
-    P.setBody(BCtor, B.finalize());
-  }
-  DefineStep(BCls, "B.step", 2);
-  ClassId Helper = P.defineClass("Helper");
-  MethodId Scale = P.defineMethod(Helper, "scale", Type::I64, {Type::I64},
-                                  {.IsStatic = true});
-  {
-    FunctionBuilder B("Helper.scale", Type::I64);
-    Reg N = B.addArg(Type::I64);
-    Reg T = B.mul(N, B.constI(3));
-    B.ret(B.add(T, B.constI(1)));
-    P.setBody(Scale, B.finalize());
-  }
-  ClassId Kernel = P.defineClass("Kernel");
-  MethodId Run = P.defineMethod(Kernel, "run", Type::I64, {Type::I64},
-                                {.IsStatic = true});
-  FunctionBuilder B("Kernel.run", Type::I64);
-  Reg Iters = B.addArg(Type::I64);
-  Reg AObj = B.newObject(A);
-  B.callSpecial(ACtor, {AObj}, Type::Void);
-  Reg BObj = B.newObject(BCls);
-  B.callSpecial(BCtor, {BObj}, Type::Void);
-  Reg One = B.constI(1);
-  Reg InnerN = B.constI(64);
-  Reg I = B.newReg(Type::I64);
-  B.move(I, B.constI(0));
-  Reg Acc = B.newReg(Type::I64);
-  B.move(Acc, B.constI(0));
-  Reg K = B.newReg(Type::I64);
-  auto Head = B.makeLabel(), Exit = B.makeLabel();
-  auto Inner = B.makeLabel(), InnerExit = B.makeLabel();
-  B.bind(Head);
-  B.cbz(B.cmp(Opcode::CmpLT, I, Iters), Exit);
-  // Every invoke flavor, monomorphic per site.
-  B.callVirtual(AStep, {AObj}, Type::Void);
-  B.callVirtual(AStep, {BObj}, Type::Void);
-  B.callInterface(WorkStep, {AObj}, Type::Void);
-  B.move(Acc, B.add(Acc, B.callStatic(Scale, {I}, Type::I64)));
-  // Tight arithmetic inner loop: compare+branch and const+add groups.
-  B.move(K, B.constI(0));
-  B.bind(Inner);
-  B.cbz(B.cmp(Opcode::CmpLT, K, InnerN), InnerExit);
-  B.move(Acc, B.add(Acc, B.constI(3)));
-  B.move(Acc, B.xorI(Acc, K));
-  B.move(K, B.add(K, One));
-  B.br(Inner);
-  B.bind(InnerExit);
-  B.move(I, B.add(I, One));
-  B.br(Head);
-  B.bind(Exit);
-  Reg GA = B.callVirtual(AGet, {AObj}, Type::I64);
-  Reg GB = B.callVirtual(AGet, {BObj}, Type::I64);
-  B.move(Acc, B.add(Acc, B.add(GA, GB)));
-  B.printNum(Acc, Type::I64);
-  B.ret(Acc);
-  P.setBody(Run, B.finalize());
-  P.link();
-  return Run;
+/// A dispatch-heavy kernel: an interface, a two-class hierarchy whose step()
+/// adds 1 (A) or 2 (B) to field x, a static helper, and Kernel.run(n), whose
+/// outer loop exercises every invoke flavor plus a tight arithmetic inner
+/// loop. Unlike the fixture's drivers it runs loops, field traffic and
+/// Print, and it is hot enough to promote to optimized bodies.
+const char *DispatchKernelMvm = R"(
+interface Work {
+  method step()
 }
+class A implements Work {
+  field x: i64
+  ctor <init>() {
+    %1 = consti 0
+    putfield %this, A.x, %1
+    ret
+  }
+  method step() {
+    %1 = getfield %this, A.x
+    %2 = consti 1
+    %3 = add %1, %2
+    putfield %this, A.x, %3
+    ret
+  }
+  method get() -> i64 {
+    %1 = getfield %this, A.x
+    ret %1
+  }
+}
+class B extends A {
+  ctor <init>() {
+    callspecial A.<init>(%this)
+    ret
+  }
+  method step() {
+    %1 = getfield %this, A.x
+    %2 = consti 2
+    %3 = add %1, %2
+    putfield %this, A.x, %3
+    ret
+  }
+}
+class Helper {
+  method scale(%0: i64) -> i64 static {
+    %1 = consti 3
+    %2 = mul %0, %1
+    %3 = consti 1
+    %4 = add %2, %3
+    ret %4
+  }
+}
+class Kernel {
+  method run(%0: i64) -> i64 static {
+    %1 = new A
+    callspecial A.<init>(%1)
+    %2 = new B
+    callspecial B.<init>(%2)
+    %3 = consti 1
+    %4 = consti 64
+    %5 = consti 0
+    %6 = move %5
+    %7 = consti 0
+    %8 = move %7
+  @L1:
+    %9 = cmplt %6, %0
+    cbz %9, @L4
+    callvirtual A.step(%1)
+    callvirtual A.step(%2)
+    callinterface Work.step(%1)
+    %10 = callstatic Helper.scale(%6)
+    %8 = add %8, %10
+    %12 = consti 0
+    %13 = move %12
+  @L2:
+    %14 = cmplt %13, %4
+    cbz %14, @L3
+    %15 = consti 3
+    %8 = add %8, %15
+    %8 = xor %8, %13
+    %13 = add %13, %3
+    br @L2
+  @L3:
+    %6 = add %6, %3
+    br @L1
+  @L4:
+    %20 = callvirtual A.get(%1)
+    %21 = callvirtual A.get(%2)
+    %22 = add %20, %21
+    %8 = add %8, %22
+    print %8
+    ret %8
+  }
+}
+)";
 
 TEST_F(DispatchFixture, EveryInvokeFlavorChargesPinnedCost) {
   // Results and simulated accounting are pinned to the values the portable
@@ -375,9 +329,9 @@ TEST_F(DispatchFixture, EveryInvokeFlavorChargesPinnedCost) {
   }
   // The kernel with default thresholds: the first call runs opt0 code and
   // promotes it; the later calls run the optimized bodies.
-  Program KP;
-  MethodId Run = buildDispatchKernel(KP);
-  VirtualMachine VM(KP, {});
+  std::unique_ptr<Program> KP = test::assemble(DispatchKernelMvm);
+  MethodId Run = ProgramIds(*KP).method("Kernel", "run");
+  VirtualMachine VM(*KP, {});
   struct Pin {
     int64_t Result;
     uint64_t Insts, Cycles;
@@ -393,7 +347,7 @@ TEST_F(DispatchFixture, EveryInvokeFlavorChargesPinnedCost) {
     EXPECT_EQ(S.Insts - Insts0, Pins[Call].Insts);
     EXPECT_EQ(S.Cycles - Cycles0, Pins[Call].Cycles);
   }
-  EXPECT_GT(KP.method(Run).CurOptLevel, 0);
+  EXPECT_GT(KP->method(Run).CurOptLevel, 0);
   EXPECT_EQ(VM.interp().outputHash(), 7527804370047805353ull);
 }
 

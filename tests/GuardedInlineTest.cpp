@@ -26,54 +26,39 @@ namespace {
 /// A/B hierarchy where tag() is polymorphic (A returns 1, B returns 2),
 /// plus a static caller dispatching on an arbitrary receiver.
 struct PolyFixture {
-  Program P;
-  ClassId A, B;
-  MethodId ACtor, BCtor, ATag, BTag, Caller;
-
-  PolyFixture() {
-    A = P.defineClass("A");
-    ACtor = P.defineMethod(A, "<init>", Type::Void, {}, {.IsCtor = true});
-    {
-      FunctionBuilder F("A.<init>", Type::Void);
-      F.addArg(Type::Ref);
-      F.retVoid();
-      P.setBody(ACtor, F.finalize());
-    }
-    ATag = P.defineMethod(A, "tag", Type::I64, {});
-    {
-      FunctionBuilder F("A.tag", Type::I64);
-      F.addArg(Type::Ref);
-      F.ret(F.constI(1));
-      P.setBody(ATag, F.finalize());
-    }
-    B = P.defineClass("B", A);
-    BCtor = P.defineMethod(B, "<init>", Type::Void, {}, {.IsCtor = true});
-    {
-      FunctionBuilder F("B.<init>", Type::Void);
-      Reg This = F.addArg(Type::Ref);
-      F.callSpecial(ACtor, {This}, Type::Void);
-      F.retVoid();
-      P.setBody(BCtor, F.finalize());
-    }
-    BTag = P.defineMethod(B, "tag", Type::I64, {});
-    {
-      FunctionBuilder F("B.tag", Type::I64);
-      F.addArg(Type::Ref);
-      F.ret(F.constI(2));
-      P.setBody(BTag, F.finalize());
-    }
-    Caller = P.defineMethod(A, "go", Type::I64, {Type::Ref},
-                            {.IsStatic = true});
-    {
-      FunctionBuilder F("A.go", Type::I64);
-      Reg O = F.addArg(Type::Ref);
-      Reg V = F.callVirtual(ATag, {O}, Type::I64);
-      Reg Ten = F.constI(10);
-      F.ret(F.add(V, Ten));
-      P.setBody(Caller, F.finalize());
-    }
-    P.link();
+  std::unique_ptr<Program> Prog = test::assemble(R"(
+class A {
+  ctor <init>() {
+    ret
   }
+  method tag() -> i64 {
+    %1 = consti 1
+    ret %1
+  }
+  method go(%0: ref) -> i64 static {
+    %1 = callvirtual A.tag(%0)
+    %2 = consti 10
+    %3 = add %1, %2
+    ret %3
+  }
+}
+class B extends A {
+  ctor <init>() {
+    callspecial A.<init>(%this)
+    ret
+  }
+  method tag() -> i64 {
+    %1 = consti 2
+    ret %1
+  }
+}
+)");
+  Program &P = *Prog;
+  ProgramIds Ids{P};
+  ClassId A = Ids.cls("A"), B = Ids.cls("B");
+  MethodId ACtor = Ids.method("A", "<init>"), BCtor = Ids.method("B", "<init>"),
+           ATag = Ids.method("A", "tag"), BTag = Ids.method("B", "tag"),
+           Caller = Ids.method("A", "go");
 
   Object *make(VirtualMachine &VM, ClassId C, MethodId Ctor) {
     ClassInfo &CI = P.cls(C);

@@ -27,66 +27,47 @@ size_t countCalls(const IRFunction &F) {
 /// Program with a static helper, a virtual method with a single
 /// implementation (effectively final), and callers.
 struct InlineFixture : ::testing::Test {
-  Program P;
-  ClassId C = NoClassId;
-  MethodId Helper = NoMethodId, Twice = NoMethodId, CallerStatic = NoMethodId,
-           CallerVirtual = NoMethodId, Recurse = NoMethodId;
-
-  InlineFixture() {
-    C = P.defineClass("C");
-    Helper = P.defineMethod(C, "helper", Type::I64, {Type::I64},
-                            {.IsStatic = true});
-    {
-      FunctionBuilder B("C.helper", Type::I64);
-      Reg X = B.addArg(Type::I64);
-      Reg Three = B.constI(3);
-      B.ret(B.mul(X, Three));
-      P.setBody(Helper, B.finalize());
-    }
-    Twice = P.defineMethod(C, "twice", Type::I64, {Type::I64});
-    {
-      FunctionBuilder B("C.twice", Type::I64);
-      B.addArg(Type::Ref);
-      Reg X = B.addArg(Type::I64);
-      B.ret(B.add(X, X));
-      P.setBody(Twice, B.finalize());
-    }
-    CallerStatic = P.defineMethod(C, "callerStatic", Type::I64, {Type::I64},
-                                  {.IsStatic = true});
-    {
-      FunctionBuilder B("C.callerStatic", Type::I64);
-      Reg X = B.addArg(Type::I64);
-      Reg R = B.callStatic(Helper, {X}, Type::I64);
-      Reg One = B.constI(1);
-      B.ret(B.add(R, One));
-      P.setBody(CallerStatic, B.finalize());
-    }
-    CallerVirtual = P.defineMethod(C, "callerVirtual", Type::I64,
-                                   {Type::Ref, Type::I64}, {.IsStatic = true});
-    {
-      FunctionBuilder B("C.callerVirtual", Type::I64);
-      Reg O = B.addArg(Type::Ref);
-      Reg X = B.addArg(Type::I64);
-      B.ret(B.callVirtual(Twice, {O, X}, Type::I64));
-      P.setBody(CallerVirtual, B.finalize());
-    }
-    Recurse = P.defineMethod(C, "recurse", Type::I64, {Type::I64},
-                             {.IsStatic = true});
-    {
-      FunctionBuilder B("C.recurse", Type::I64);
-      Reg X = B.addArg(Type::I64);
-      auto LBase = B.makeLabel();
-      B.cbz(X, LBase);
-      Reg One = B.constI(1);
-      Reg R = B.callStatic(Recurse, {B.sub(X, One)}, Type::I64);
-      B.ret(B.add(R, One));
-      B.bind(LBase);
-      Reg Zero = B.constI(0);
-      B.ret(Zero);
-      P.setBody(Recurse, B.finalize());
-    }
-    P.link();
+  std::unique_ptr<Program> Prog = test::assemble(R"(
+class C {
+  method helper(%0: i64) -> i64 static {
+    %1 = consti 3
+    %2 = mul %0, %1
+    ret %2
   }
+  method twice(%1: i64) -> i64 {
+    %2 = add %1, %1
+    ret %2
+  }
+  method callerStatic(%0: i64) -> i64 static {
+    %1 = callstatic C.helper(%0)
+    %2 = consti 1
+    %3 = add %1, %2
+    ret %3
+  }
+  method callerVirtual(%0: ref, %1: i64) -> i64 static {
+    %2 = callvirtual C.twice(%0, %1)
+    ret %2
+  }
+  method recurse(%0: i64) -> i64 static {
+    cbz %0, @L1
+    %1 = consti 1
+    %2 = sub %0, %1
+    %3 = callstatic C.recurse(%2)
+    %4 = add %3, %1
+    ret %4
+  @L1:
+    %5 = consti 0
+    ret %5
+  }
+}
+)");
+  Program &P = *Prog;
+  ProgramIds Ids{P};
+  ClassId C = Ids.cls("C");
+  MethodId Helper = Ids.method("C", "helper"), Twice = Ids.method("C", "twice"),
+           CallerStatic = Ids.method("C", "callerStatic"),
+           CallerVirtual = Ids.method("C", "callerVirtual"),
+           Recurse = Ids.method("C", "recurse");
 
   InlineStats runInliner(MethodId Root, const InlinerConfig &Cfg = {},
                          const OlcDatabase *Olc = nullptr,

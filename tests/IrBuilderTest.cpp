@@ -5,6 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+#include "asm/Printer.h"
 #include "ir/Builder.h"
 #include "ir/Verifier.h"
 
@@ -122,11 +124,12 @@ TEST(IrBuilder, PrinterMentionsOpcodeAndRegs) {
   Reg A = B.addArg(Type::I64);
   Reg S = B.add(A, A);
   B.ret(S);
-  IRFunction F = B.finalize();
-  std::string Text = F.toString();
-  EXPECT_NE(Text.find("pretty"), std::string::npos);
-  EXPECT_NE(Text.find("add"), std::string::npos);
-  EXPECT_NE(Text.find("ret"), std::string::npos);
+  auto Prog = test::SingleFunctionProgram::create(B.finalize());
+  EXPECT_EQ(printMethod(*Prog.P, Prog.Main, Prog.P->method(Prog.Main).Bytecode),
+            "  method main(%0: i64) -> i64 static {\n"
+            "    %1 = add %0, %0\n"
+            "    ret %1\n"
+            "  }\n");
 }
 
 TEST(IrBuilderDeath, RetWithValueFromVoidFunction) {

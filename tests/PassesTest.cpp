@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "asm/Printer.h"
 #include "compiler/Passes.h"
 #include "ir/Verifier.h"
 #include "support/Random.h"
@@ -390,10 +391,11 @@ TEST(Pipeline, IsIdempotent) {
   Reg M = B.mul(S, C);
   B.ret(M);
   IRFunction F = B.finalize();
+  SingleFunctionProgram Prog = SingleFunctionProgram::create(F);
   runOptPipeline(F);
-  std::string Once = F.toString();
+  std::string Once = printMethod(*Prog.P, Prog.Main, F);
   runOptPipeline(F);
-  EXPECT_EQ(F.toString(), Once);
+  EXPECT_EQ(printMethod(*Prog.P, Prog.Main, F), Once);
 }
 
 // --- Property sweep: optimized code behaves exactly like the original ------

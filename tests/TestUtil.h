@@ -6,19 +6,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers for building small programs in tests: a SalaryDB-like mutable
-/// class ("Counter" with a mode state field), and utilities to run IR
-/// functions standalone through a VM.
+/// Helpers for building small programs in tests: assembling `.mvm` text, a
+/// SalaryDB-like mutable class ("Counter" with a mode state field), and
+/// utilities to run IR functions standalone through a VM.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DCHM_TESTS_TESTUTIL_H
 #define DCHM_TESTS_TESTUTIL_H
 
+#include "asm/Assembler.h"
 #include "core/VM.h"
 #include "ir/Builder.h"
 #include "mutation/MutationPlan.h"
 #include "runtime/Program.h"
+#include "workloads/Workload.h"
 
 #include <memory>
 
@@ -53,6 +55,136 @@ struct SingleFunctionProgram {
   }
 };
 
+/// Assembles a test program (docs/mvm-format.md); a text that does not
+/// assemble aborts with the assembler's diagnostic.
+inline std::unique_ptr<Program> assemble(const char *Source) {
+  AssemblyResult R = assembleProgram(Source);
+  if (!R.ok())
+    reportFatalErrorf("test program does not assemble: %s", R.Error.c_str());
+  return std::move(R.P);
+}
+
+/// CounterFixture's program: Counter.bump() adds 1, 10 or 100 to total by
+/// mode, SubCounter overrides get() (not bump()) to return -total,
+/// staticScale() returns globalMode * 7, and each TestDriver loop calls
+/// through one virtual, interface or static call site n times.
+inline constexpr const char *CounterMvm = R"(
+interface Bumpable {
+  method bump()
+}
+class Counter implements Bumpable {
+  field mode: i64 private
+  field total: i64
+  field globalMode: i64 static private
+  ctor <init>(%1: i64) {
+    putfield %this, Counter.mode, %1
+    %2 = consti 0
+    putfield %this, Counter.total, %2
+    ret
+  }
+  method bump() {
+    %1 = getfield %this, Counter.mode
+    %2 = getfield %this, Counter.total
+    %3 = consti 0
+    %4 = cmpne %1, %3
+    cbnz %4, @L1
+    %5 = consti 1
+    %6 = add %2, %5
+    putfield %this, Counter.total, %6
+    br @L3
+  @L1:
+    %7 = consti 1
+    %8 = cmpne %1, %7
+    cbnz %8, @L2
+    %9 = consti 10
+    %10 = add %2, %9
+    putfield %this, Counter.total, %10
+    br @L3
+  @L2:
+    %11 = consti 100
+    %12 = add %2, %11
+    putfield %this, Counter.total, %12
+    br @L3
+  @L3:
+    ret
+  }
+  method get() -> i64 {
+    %1 = getfield %this, Counter.total
+    ret %1
+  }
+  method setMode(%1: i64) {
+    putfield %this, Counter.mode, %1
+    ret
+  }
+  method staticScale() -> i64 static {
+    %0 = getstatic Counter.globalMode
+    %1 = consti 7
+    %2 = mul %0, %1
+    ret %2
+  }
+}
+class SubCounter extends Counter {
+  ctor <init>(%1: i64) {
+    callspecial Counter.<init>(%this, %1)
+    ret
+  }
+  method get() -> i64 {
+    %1 = getfield %this, Counter.total
+    %2 = neg %1
+    ret %2
+  }
+}
+class TestDriver {
+  method driveBump(%0: ref, %1: i64) static {
+    %2 = consti 0
+    %3 = move %2
+    %4 = consti 1
+  @L1:
+    %5 = cmplt %3, %1
+    cbz %5, @L2
+    callvirtual Counter.bump(%0)
+    %3 = add %3, %4
+    br @L1
+  @L2:
+    ret
+  }
+  method driveIface(%0: ref, %1: i64) static {
+    %2 = consti 0
+    %3 = move %2
+    %4 = consti 1
+  @L1:
+    %5 = cmplt %3, %1
+    cbz %5, @L2
+    callinterface Bumpable.bump(%0)
+    %3 = add %3, %4
+    br @L1
+  @L2:
+    ret
+  }
+  method driveStatic(%0: i64) -> i64 static {
+    %1 = consti 0
+    %2 = move %1
+    %3 = consti 0
+    %4 = move %3
+    %5 = consti 1
+  @L1:
+    %6 = cmplt %4, %0
+    cbz %6, @L2
+    %7 = callstatic Counter.staticScale()
+    %2 = add %2, %7
+    %4 = add %4, %5
+    br @L1
+  @L2:
+    ret %2
+  }
+  method report(%0: ref) static {
+    %1 = callvirtual Counter.get(%0)
+    print %1
+    ret
+  }
+}
+)";
+
 /// The canonical mutable-class fixture used across mutation tests: a
 /// Counter class whose bump() behavior depends on its `mode` state field
 /// (0: +1, 1: +10, otherwise +100), plus a subclass, an interface, and a
@@ -72,194 +204,26 @@ struct CounterFixture {
   /// (GlobalMode) to the plan, exercising the static branches of the
   /// distributed mutation algorithm.
   explicit CounterFixture(bool WithStaticField = false) {
-    P = std::make_unique<Program>();
-    Iface = P->defineInterface("Bumpable");
-    IfaceBump = P->defineMethod(Iface, "bump", Type::Void, {});
-
-    Counter = P->defineClass("Counter");
-    P->addInterface(Counter, Iface);
-    Mode = P->defineField(Counter, "mode", Type::I64, false, Access::Private);
-    Total = P->defineField(Counter, "total", Type::I64, false);
-    GlobalMode =
-        P->defineField(Counter, "globalMode", Type::I64, true, Access::Private);
-
-    CounterCtor = P->defineMethod(Counter, "<init>", Type::Void, {Type::I64},
-                                  {.IsCtor = true});
-    {
-      FunctionBuilder B("Counter.<init>", Type::Void);
-      Reg This = B.addArg(Type::Ref);
-      Reg M = B.addArg(Type::I64);
-      B.putField(This, Mode, M);
-      Reg Zero = B.constI(0);
-      B.putField(This, Total, Zero);
-      B.retVoid();
-      P->setBody(CounterCtor, B.finalize());
-    }
-
-    Bump = P->defineMethod(Counter, "bump", Type::Void, {});
-    {
-      FunctionBuilder B("Counter.bump", Type::Void);
-      Reg This = B.addArg(Type::Ref);
-      Reg M = B.getField(This, Mode, Type::I64);
-      Reg T = B.getField(This, Total, Type::I64);
-      auto L1 = B.makeLabel();
-      auto L2 = B.makeLabel();
-      auto LEnd = B.makeLabel();
-      Reg Zero = B.constI(0);
-      B.cbnz(B.cmp(Opcode::CmpNE, M, Zero), L1);
-      Reg One = B.constI(1);
-      B.putField(This, Total, B.add(T, One));
-      B.br(LEnd);
-      B.bind(L1);
-      Reg C1 = B.constI(1);
-      B.cbnz(B.cmp(Opcode::CmpNE, M, C1), L2);
-      Reg Ten = B.constI(10);
-      B.putField(This, Total, B.add(T, Ten));
-      B.br(LEnd);
-      B.bind(L2);
-      Reg Hundred = B.constI(100);
-      B.putField(This, Total, B.add(T, Hundred));
-      B.br(LEnd);
-      B.bind(LEnd);
-      B.retVoid();
-      P->setBody(Bump, B.finalize());
-    }
-
-    Get = P->defineMethod(Counter, "get", Type::I64, {});
-    {
-      FunctionBuilder B("Counter.get", Type::I64);
-      Reg This = B.addArg(Type::Ref);
-      B.ret(B.getField(This, Total, Type::I64));
-      P->setBody(Get, B.finalize());
-    }
-
-    SetMode = P->defineMethod(Counter, "setMode", Type::Void, {Type::I64});
-    {
-      FunctionBuilder B("Counter.setMode", Type::Void);
-      Reg This = B.addArg(Type::Ref);
-      Reg M = B.addArg(Type::I64);
-      B.putField(This, Mode, M);
-      B.retVoid();
-      P->setBody(SetMode, B.finalize());
-    }
-
-    // StaticScale: a static method reading only the static state field
-    // (JTOC mutation path): returns globalMode * 7.
-    StaticScale = P->defineMethod(Counter, "staticScale", Type::I64, {},
-                                  {.IsStatic = true});
-    {
-      FunctionBuilder B("Counter.staticScale", Type::I64);
-      Reg G = B.getStatic(GlobalMode, Type::I64);
-      Reg Seven = B.constI(7);
-      B.ret(B.mul(G, Seven));
-      P->setBody(StaticScale, B.finalize());
-    }
-
-    SubCounter = P->defineClass("SubCounter", Counter);
-    MethodId SubCtor = P->defineMethod(SubCounter, "<init>", Type::Void,
-                                       {Type::I64}, {.IsCtor = true});
-    {
-      FunctionBuilder B("SubCounter.<init>", Type::Void);
-      Reg This = B.addArg(Type::Ref);
-      Reg M = B.addArg(Type::I64);
-      B.callSpecial(CounterCtor, {This, M}, Type::Void);
-      B.retVoid();
-      P->setBody(SubCtor, B.finalize());
-    }
-    // SubCounter overrides get() (but not bump()).
-    SubBump = P->defineMethod(SubCounter, "get", Type::I64, {});
-    {
-      FunctionBuilder B("SubCounter.get", Type::I64);
-      Reg This = B.addArg(Type::Ref);
-      Reg T = B.getField(This, Total, Type::I64);
-      Reg Neg = B.neg(T);
-      B.ret(Neg);
-      P->setBody(SubBump, B.finalize());
-    }
-
-    Driver = P->defineClass("TestDriver");
-
-    // driveBump(o, n): n virtual bump() calls from one loop — a single
-    // CallVirtual site that keeps re-reading the receiver's current TIB.
-    DriveBump = P->defineMethod(Driver, "driveBump", Type::Void,
-                                {Type::Ref, Type::I64}, {.IsStatic = true});
-    {
-      FunctionBuilder B("TestDriver.driveBump", Type::Void);
-      Reg O = B.addArg(Type::Ref);
-      Reg N = B.addArg(Type::I64);
-      Reg I = B.newReg(Type::I64);
-      B.move(I, B.constI(0));
-      Reg One = B.constI(1);
-      auto Head = B.makeLabel();
-      auto Exit = B.makeLabel();
-      B.bind(Head);
-      B.cbz(B.cmp(Opcode::CmpLT, I, N), Exit);
-      B.callVirtual(Bump, {O}, Type::Void);
-      B.move(I, B.add(I, One));
-      B.br(Head);
-      B.bind(Exit);
-      B.retVoid();
-      P->setBody(DriveBump, B.finalize());
-    }
-
-    // driveIface(o, n): same loop through the interface (IMT dispatch).
-    DriveIface = P->defineMethod(Driver, "driveIface", Type::Void,
-                                 {Type::Ref, Type::I64}, {.IsStatic = true});
-    {
-      FunctionBuilder B("TestDriver.driveIface", Type::Void);
-      Reg O = B.addArg(Type::Ref);
-      Reg N = B.addArg(Type::I64);
-      Reg I = B.newReg(Type::I64);
-      B.move(I, B.constI(0));
-      Reg One = B.constI(1);
-      auto Head = B.makeLabel();
-      auto Exit = B.makeLabel();
-      B.bind(Head);
-      B.cbz(B.cmp(Opcode::CmpLT, I, N), Exit);
-      B.callInterface(IfaceBump, {O}, Type::Void);
-      B.move(I, B.add(I, One));
-      B.br(Head);
-      B.bind(Exit);
-      B.retVoid();
-      P->setBody(DriveIface, B.finalize());
-    }
-
-    // driveStatic(n): accumulates n staticScale() results through one
-    // CallStatic site (JTOC dispatch).
-    DriveStatic = P->defineMethod(Driver, "driveStatic", Type::I64,
-                                  {Type::I64}, {.IsStatic = true});
-    {
-      FunctionBuilder B("TestDriver.driveStatic", Type::I64);
-      Reg N = B.addArg(Type::I64);
-      Reg Acc = B.newReg(Type::I64);
-      B.move(Acc, B.constI(0));
-      Reg I = B.newReg(Type::I64);
-      B.move(I, B.constI(0));
-      Reg One = B.constI(1);
-      auto Head = B.makeLabel();
-      auto Exit = B.makeLabel();
-      B.bind(Head);
-      B.cbz(B.cmp(Opcode::CmpLT, I, N), Exit);
-      B.move(Acc, B.add(Acc, B.callStatic(StaticScale, {}, Type::I64)));
-      B.move(I, B.add(I, One));
-      B.br(Head);
-      B.bind(Exit);
-      B.ret(Acc);
-      P->setBody(DriveStatic, B.finalize());
-    }
-
-    // report(o): prints get(o), feeding the output hash (the semantic
-    // equivalence witness for mutation-on vs mutation-off runs).
-    Report = P->defineMethod(Driver, "report", Type::Void, {Type::Ref},
-                             {.IsStatic = true});
-    {
-      FunctionBuilder B("TestDriver.report", Type::Void);
-      Reg O = B.addArg(Type::Ref);
-      B.printNum(B.callVirtual(Get, {O}, Type::I64), Type::I64);
-      B.retVoid();
-      P->setBody(Report, B.finalize());
-    }
-    P->link();
+    P = assemble(CounterMvm);
+    ProgramIds Ids(*P);
+    Iface = Ids.cls("Bumpable");
+    Counter = Ids.cls("Counter");
+    SubCounter = Ids.cls("SubCounter");
+    Driver = Ids.cls("TestDriver");
+    Mode = Ids.field("Counter", "mode");
+    Total = Ids.field("Counter", "total");
+    GlobalMode = Ids.field("Counter", "globalMode");
+    IfaceBump = Ids.method("Bumpable", "bump");
+    CounterCtor = Ids.method("Counter", "<init>");
+    Bump = Ids.method("Counter", "bump");
+    Get = Ids.method("Counter", "get");
+    SetMode = Ids.method("Counter", "setMode");
+    StaticScale = Ids.method("Counter", "staticScale");
+    SubBump = Ids.method("SubCounter", "get");
+    DriveBump = Ids.method("TestDriver", "driveBump");
+    DriveIface = Ids.method("TestDriver", "driveIface");
+    DriveStatic = Ids.method("TestDriver", "driveStatic");
+    Report = Ids.method("TestDriver", "report");
 
     // The mutation plan: Counter is mutable on `mode` with hot states
     // {0, 1}; optionally also on the static globalMode (hot value 0).

@@ -5,8 +5,9 @@
 //
 // A command-line driver for the library: list the Table 1 workloads, run any
 // of them with mutation on/off/online, dump the derived mutation plan,
-// disassemble a method's bytecode and its compiled versions, or run a .mvm
-// file the way dchm_fuzz does.
+// print a method's bytecode, optimized and specialized bodies as .mvm
+// declarations that re-assemble in its class, or run a .mvm file the way
+// dchm_fuzz does.
 //
 //   dchm_run list
 //   dchm_run run <workload> [--no-mutation] [--online] [--scale=<f>]
@@ -19,6 +20,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/OlcAnalysis.h"
+#include "asm/Printer.h"
 #include "compiler/Passes.h"
 #include "compiler/Specializer.h"
 #include "online/OnlineController.h"
@@ -194,10 +196,10 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
     return 1;
   }
   const MethodInfo &MI = P->method(M);
-  std::printf("bytecode:\n%s\n", MI.Bytecode.toString().c_str());
+  std::printf("# bytecode\n%s", printMethod(*P, M, MI.Bytecode).c_str());
   IRFunction Opt = MI.Bytecode;
   runOptPipeline(Opt);
-  std::printf("after the opt pipeline:\n%s\n", Opt.toString().c_str());
+  std::printf("# after the opt pipeline\n%s", printMethod(*P, M, Opt).c_str());
   if (State >= 0) {
     OfflineResult R = runOfflinePipeline(W, OfflineConfig{});
     const MutableClassPlan *CP = R.Plan.planFor(MI.Owner);
@@ -208,8 +210,8 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
     IRFunction Spec2 = MI.Bytecode;
     specializeForState(Spec2, *CP, static_cast<size_t>(State));
     runOptPipeline(Spec2);
-    std::printf("specialized for hot state %d:\n%s\n", State,
-                Spec2.toString().c_str());
+    std::printf("# specialized for hot state %d\n%s", State,
+                printMethod(*P, M, Spec2).c_str());
   }
   return 0;
 }
