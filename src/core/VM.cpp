@@ -62,9 +62,9 @@ void VirtualMachine::setMutationPlan(const MutationPlan *Plan) {
   atSafepoint([&] {
     Mutation.installPlan(*Plan);
     // Installation is stop-the-world and includes re-classing objects that
-    // already exist (mid-run activation or re-install after retirement). It
-    // must happen before the recompilation refresh so part II's audit
-    // notifications never observe a half-installed heap.
+    // already exist (online activation, or any install after the first
+    // call). It must happen before the recompilation refresh so part II's
+    // audit notifications never observe a half-installed heap.
     Mutation.migrateExistingObjects();
     // Online installation: methods that got hot before the plan existed need
     // their specialized versions generated now.
@@ -74,13 +74,6 @@ void VirtualMachine::setMutationPlan(const MutationPlan *Plan) {
 
 void VirtualMachine::setOlcDatabase(const OlcDatabase *Db) {
   Compiler.setOlcDatabase(Db);
-}
-
-bool VirtualMachine::retireMutationPlan() {
-  if (!P.mutationPlan())
-    return false;
-  atSafepoint([&] { Mutation.retirePlan(); });
-  return true;
 }
 
 Value VirtualMachine::call(MethodId M, const std::vector<Value> &Args) {

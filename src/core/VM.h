@@ -100,8 +100,9 @@ public:
   VirtualMachine(Program &P, const VMOptions &Opts);
 
   /// Installs the mutation plan on the Program (records it, marks state
-  /// fields, creates special TIBs). Ignored when mutation is disabled. The
-  /// plan must outlive the VM.
+  /// fields, creates special TIBs, migrates existing objects). Ignored when
+  /// mutation is disabled. At most once per Program: the plan stays
+  /// installed and must outlive the VM.
   void setMutationPlan(const MutationPlan *Plan);
 
   /// Wires OLC analysis results into the compiler (specialization inlining).
@@ -121,14 +122,6 @@ public:
   /// Auditing never changes simulated cycles, instruction counts, or output
   /// — it is host-side work only. Pass null to detach.
   void setAuditHook(AuditHook *H);
-
-  /// Stop-the-world reverse of setMutationPlan: retires the installed plan
-  /// (MutationManager::retirePlan, which clears Program::mutationPlan, the
-  /// one record of it every layer reads). Retired special TIBs and
-  /// specialized bodies stay allocated until the Program is destroyed, as
-  /// promoted-away bodies do. Afterwards setMutationPlan can install a new
-  /// plan (or the same one) again. Returns false when no plan is active.
-  bool retireMutationPlan();
 
   /// Invokes a method (receiver first for instance methods) on mutator
   /// context 0.
@@ -156,9 +149,9 @@ public:
 
   /// Runs Fn with every mutator stopped: a plain call at N=1, a safepoint
   /// rendezvous (leader = calling thread) at N>1. Re-entrant from inside a
-  /// closure. This is how every stop-the-world operation — plan install and
-  /// retirement, GC, audits — is phrased now that "the world" can be more
-  /// than one thread.
+  /// closure. This is how every stop-the-world operation — plan install,
+  /// GC, audits — is phrased now that "the world" can be more than one
+  /// thread.
   void atSafepoint(const std::function<void()> &Fn);
 
   SafepointManager &safepoints() { return Safepoints; }

@@ -137,15 +137,8 @@ CompiledMethod *Interpreter::resolveAndEnsure(TIB *T, uint32_t Slot) {
     return CM;
   // Lazy compilation: resolve the method occupying this slot for the
   // receiver's class and ask the broker; installation fills the TIBs.
-  MethodInfo &Resolved = P.method(T->Cls->VTable[Slot]);
-  CompiledMethod *General = CB.ensureCompiled(Resolved);
+  CB.ensureCompiled(P.method(T->Cls->VTable[Slot]));
   CM = T->Slots[Slot];
-  if (!CM) {
-    // Installation only fills *live* TIBs. A receiver stranded on a retired
-    // special TIB (partial plan retirement) still dispatches; fall back to
-    // the general code the broker just produced rather than aborting.
-    CM = General;
-  }
   DCHM_CHECK(CM, "compile broker did not install code");
   return CM;
 }

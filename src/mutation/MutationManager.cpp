@@ -15,6 +15,8 @@
 namespace dchm {
 
 void MutationManager::installPlan(const MutationPlan &Plan) {
+  // Mutation is monotone: a Program carries at most one plan for its
+  // lifetime, installed at startup or mid-run and never taken back.
   DCHM_CHECK(!P.mutationPlan(), "mutation plan installed twice");
   DCHM_CHECK(P.isLinked(), "install plan after linking");
   P.setMutationPlan(&Plan);
@@ -259,64 +261,6 @@ void MutationManager::onMutableMethodRecompiled(MethodInfo &M) {
   // propagated to the sub classes"). Route the special code per Figure 5.
   refreshMethodPointers(*CP, M);
   noteTransition("part II: mutable method recompiled");
-}
-
-uint64_t MutationManager::retirePlan() {
-  const MutationPlan *Plan = P.mutationPlan();
-  DCHM_CHECK(Plan, "retirePlan without an installed plan");
-
-  // Stop-the-world phase 1: swing every object sitting on a special TIB
-  // back to its class TIB, so no dispatch can reach a retired structure.
-  uint64_t OnSpecial = 0;
-  H.forEachObject([&](Object *O) {
-    if (O->IsArray || !O->Tib || !O->Tib->isSpecial())
-      return;
-    ++OnSpecial;
-    if (Debug.SkipRetireSwing)
-      return; // injected fault: strand the object on its retired TIB
-    swingObjectTib(O, O->Tib->Cls->ClassTib);
-  });
-
-  // Phase 2: restore every dispatch structure to its pre-install shape.
-  for (const MutableClassPlan &CP : Plan->Classes) {
-    ClassInfo &C = P.cls(CP.Cls);
-    for (MethodId MId : CP.MutableMethods) {
-      MethodInfo &M = P.method(MId);
-      // The one pointer of a static method or of a static-only class's
-      // method may hold special code; put the general code back.
-      if ((M.Flags.IsStatic || !CP.dependsOnInstanceFields()) && M.General)
-        updateCodePointer(homeSlot(M), M.General);
-      for (CompiledMethod *SP : M.Specials)
-        SP->invalidate();
-      M.Specials.clear();
-      M.IsMutable = false;
-    }
-
-    // Un-rewire the IMT: TibOffset entries go back to Direct, rebound to
-    // the class TIB's (general) code — null when not yet compiled, exactly
-    // the lazy pre-install state. Not charged as a code-pointer update:
-    // installPlan's symmetric rewiring is uncharged structural work too, so
-    // an install/retire/re-install prologue round trip stays cycle-exact.
-    if (C.Imt)
-      for (ImtEntry &E : C.Imt->Slots)
-        if (E.K == ImtEntry::Kind::TibOffset) {
-          E.K = ImtEntry::Kind::Direct;
-          E.DirectCode = C.ClassTib->Slots[E.VSlot];
-        }
-
-    C.SpecialTibs.clear();
-
-    for (FieldId F : CP.InstanceStateFields)
-      P.field(F).IsStateField = false;
-    for (FieldId F : CP.StaticStateFields)
-      P.field(F).IsStateField = false;
-    C.MutableIndex = -1;
-  }
-
-  P.setMutationPlan(nullptr);
-  Stats.PlanRetirements++;
-  noteTransition("retire: plan retired");
-  return OnSpecial;
 }
 
 } // namespace dchm

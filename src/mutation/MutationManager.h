@@ -71,7 +71,6 @@ struct MutationStats {
   SharedCounter StateMatches;       ///< part I checks that matched a hot state
   SharedCounter StateMisses;        ///< part I checks that matched nothing
   SharedCounter ExtraCycles;        ///< simulated cost of all of the above
-  SharedCounter PlanRetirements;    ///< retirePlan() runs
   SharedCounter StateEvictions;     ///< Kept for perfbench/: always 0.
 };
 
@@ -90,10 +89,6 @@ struct MutationDebugFlags {
   /// state it was not compiled for — a correctness bug, not just an
   /// invariant break).
   bool SkipCodePointerUpdate = false;
-  /// retirePlan(): skip the heap pass that swings objects off their special
-  /// TIBs, stranding them on retired TIBs the dispatch structures no longer
-  /// know about (heap.tib-foreign for the auditor to catch).
-  bool SkipRetireSwing = false;
 };
 
 /// Runtime engine for dynamic class hierarchy mutation. The installed plan
@@ -105,21 +100,9 @@ public:
 
   /// Installs the plan: records it on the Program, marks state fields and
   /// mutable methods, creates the special TIBs, and rewires mutable
-  /// classes' IMT slots. The plan must outlive its installation.
+  /// classes' IMT slots. The plan must outlive its installation and stays
+  /// installed for the Program's lifetime; a second install is fatal.
   void installPlan(const MutationPlan &Plan);
-
-  /// Stop-the-world reverse of installPlan: swings every object on a
-  /// special TIB back to its class TIB, restores general code pointers in
-  /// class TIBs and the JTOC, un-rewires IMT slots back to Direct entries,
-  /// unmarks state fields and mutable methods, invalidates the specialized
-  /// bodies and drops the classes' special TIBs (both stay allocated until
-  /// the Program is destroyed, like replaced code), and clears the
-  /// Program's plan. After this the hierarchy is exactly as if no plan had
-  /// ever been installed, and a new plan (or the same one) can be
-  /// installed again. Returns the number of objects that sat on special
-  /// TIBs (counted even when the SkipRetireSwing fault leaves them
-  /// stranded).
-  uint64_t retirePlan();
 
   /// Attaches a consistency-audit hook notified after every part I/II
   /// transition (null detaches). See runtime/AuditHook.h.

@@ -33,10 +33,7 @@ void OnlineMutationController::poll() {
     if (VM.totalCycles() - PhaseStartCycles >= Cfg.ValueProfileCycles)
       activate();
     break;
-  case Phase::Active:
-    if (!VM.program().mutationPlan()) // retired out from under us
-      CurPhase = Phase::Inert;
-    break;
+  case Phase::Active: // the plan stays installed for the VM's lifetime
   case Phase::Inert:
     break;
   }

@@ -27,11 +27,9 @@
 ///                      the dynamically mutated hierarchy. Installation
 ///                      migrates objects constructed earlier onto the
 ///                      special TIBs matching their state. The plan then
-///                      stays as installed; if something retires it
-///                      (VirtualMachine::retireMutationPlan), the next
-///                      poll() moves to Inert.
-///   Inert            — nothing to do: no state field or hot state was
-///                      found, or the plan was retired.
+///                      stays installed for the VM's lifetime.
+///   Inert            — nothing to do: no state field was found, or the
+///                      mined plan is empty.
 ///
 /// The driver calls poll() at convenient boundaries (e.g., between
 /// transaction batches); phase transitions happen there, so no extra thread

@@ -58,9 +58,8 @@ public:
   size_t codeBytes() const { return CodeBytes; }
   uint64_t compileCycles() const { return CompileCycles; }
 
-  /// Invalidation marker. A replaced or retired version stays allocated
-  /// until the Program is destroyed, as in Jikes: active frames, and
-  /// objects stranded on a retired TIB, may still execute it.
+  /// Invalidation marker. A replaced version stays allocated until the
+  /// Program is destroyed, as in Jikes: active frames may still execute it.
   bool isInvalidated() const { return Invalidated; }
   void invalidate() { Invalidated = true; }
 

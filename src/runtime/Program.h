@@ -122,8 +122,8 @@ public:
 
   /// The installed mutation plan (null when none), the one record of it
   /// that every layer reads; its per-entity marks live on the entities
-  /// (IsStateField, IsMutable, MutableIndex, SpecialTibs). Written only by
-  /// MutationManager::installPlan and retirePlan.
+  /// (IsStateField, IsMutable, MutableIndex, SpecialTibs). Written once,
+  /// by MutationManager::installPlan.
   const MutationPlan *mutationPlan() const { return Plan; }
   void setMutationPlan(const MutationPlan *Pl) { Plan = Pl; }
 
@@ -141,9 +141,7 @@ public:
   TIB *createSpecialTib(ClassId Cls, int StateIndex);
 
   /// Total bytes of all class TIBs / of the special TIBs the classes
-  /// currently hold (Figure 12 metric). A special TIB dropped by plan
-  /// retirement stops counting but stays allocated until the Program is
-  /// destroyed.
+  /// hold (Figure 12 metric).
   size_t classTibBytes() const;
   size_t specialTibBytes() const;
 
@@ -172,7 +170,7 @@ private:
   std::vector<CompiledMethod *> StaticEntries;
   const MutationPlan *Plan = nullptr;
 
-  /// Every TIB ever created, retired special TIBs included.
+  /// Every TIB created, class and special.
   std::vector<std::unique_ptr<TIB>> OwnedTibs;
   std::vector<std::unique_ptr<IMT>> OwnedImts;
 

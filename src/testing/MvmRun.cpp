@@ -103,9 +103,12 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
     Auditor = std::make_unique<ConsistencyAuditor>(VM, Cfg.AuditStride);
     VM.setAuditHook(Auditor.get());
   }
-  if (Opts.EnableMutation)
+  auto Install = [&] {
     VM.setMutationPlan(&Gen.Plan);
-  VM.mutation().debugFlags() = Cfg.Faults; // the install itself runs clean
+    VM.mutation().debugFlags() = Cfg.Faults; // the install itself runs clean
+  };
+  if (Opts.EnableMutation && Segs.empty())
+    Install();
 
   auto Run = [&](MethodId M, const std::vector<Value> &A) {
     Expected<Value> V = VM.run(M, A);
@@ -125,17 +128,8 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
     // output-identical to main().
     if (!Run(Segs[K], {}))
       return Out;
-    if (!Opts.EnableMutation)
-      continue;
-    if (static_cast<int>(K) == Gen.RetireAfter) {
-      VM.heap().forEachObject([&](Object *O) {
-        if (!O->IsArray && O->Tib && O->Tib->isSpecial())
-          ++Out.OnSpecialAtRetire;
-      });
-      VM.retireMutationPlan();
-    }
-    if (static_cast<int>(K) == Gen.ReinstallAfter)
-      VM.setMutationPlan(&Gen.Plan); // re-install migrates live objects
+    if (K == 0 && Opts.EnableMutation)
+      Install(); // mid-run: migrates the objects seg0 made
   }
   if (TEntry != NoMethodId) {
     // Main.main ran on context 0 before any mutator thread existed; each

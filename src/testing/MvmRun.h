@@ -18,8 +18,9 @@
 ///
 ///  - the entry method once on context 0;
 ///  - for `Main.main` of a `#!segments` program, `Main.seg0..n-1` one at a
-///    time, retiring the plan and re-installing it at the directive's
-///    boundaries (mutation off drives the same segments);
+///    time; with mutation the plan is installed after seg0 instead of at
+///    startup, the online activation path (mutation off drives the same
+///    segments);
 ///  - `Main.main` on context 0, then `Main.tmain` on N concurrent mutators
 ///    (docs/threads.md).
 ///
@@ -69,9 +70,6 @@ struct MvmRunResult {
   RunMetrics Metrics;
   uint64_t Violations = 0;
   std::string AuditReport; ///< empty without an auditor
-  /// Objects on special TIBs when the segmented driver retired the plan
-  /// (0 when it never did). A skipped retirement swing strands only these.
-  uint64_t OnSpecialAtRetire = 0;
 
   bool ok() const { return Error.empty(); }
   /// Why this run fails an oracle's per-run checks (it stopped with an

@@ -7,7 +7,10 @@
 
 #include "testing/ProgramGen.h"
 
+#include "support/Parse.h"
+
 #include <algorithm>
+#include <climits>
 #include <limits>
 #include <sstream>
 
@@ -107,69 +110,15 @@ void ProgramGen::generateOps() {
   Push({GenOp::PrintAcc, 0, 0, false, 0, 1});
 
   size_t NumRandom = static_cast<size_t>(R.nextInRange(10, 30));
-  for (size_t I = 0; I < NumRandom; ++I) {
-    GenOp O;
-    int Fam = static_cast<int>(R.nextBelow(Model.Families.size()));
-    const GenFamily &F = Model.Families[static_cast<size_t>(Fam)];
-    O.Fam = Fam;
-    O.Var = Fam * VarsPerFamily +
-            static_cast<int>(R.nextBelow(VarsPerFamily));
-    // Bias mode values toward hot tuples so swings actually hit them.
-    auto ModeVal = [&]() -> int64_t {
-      if (!F.HotInstance.empty() && !F.HotInstance[0].empty() &&
-          R.nextBool(0.5)) {
-        const auto &T = F.HotInstance[R.nextBelow(F.HotInstance.size())];
-        if (!T.empty())
-          return T[0];
-      }
-      return R.nextInRange(0, 3);
-    };
-    uint64_t Roll = R.nextBelow(100);
-    if (Roll < 10) {
-      O.K = GenOp::New;
-      O.Sub = F.HasSub && R.nextBool(0.5);
-      O.Val = ModeVal();
-    } else if (Roll < 25) {
-      O.K = GenOp::SetMode;
-      O.Val = ModeVal();
-    } else if (Roll < 30) {
-      O.K = GenOp::SetMode2;
-      O.Val = R.nextInRange(0, 2);
-    } else if (Roll < 40) {
-      O.K = GenOp::SetStatic;
-      O.Val = R.nextBool(0.6) && !F.HotStatic.empty()
-                  ? F.HotStatic[R.nextBelow(F.HotStatic.size())]
-                  : R.nextInRange(0, 2);
-    } else if (Roll < 60) {
-      O.K = GenOp::CallTick;
-      O.Count = R.nextInRange(1, 50);
-    } else if (Roll < 68) {
-      O.K = GenOp::CallIface;
-      O.Count = R.nextInRange(1, 40);
-    } else if (Roll < 73) {
-      O.K = GenOp::CallWide;
-      O.Val = R.nextInRange(0, 8);
-      O.Count = R.nextInRange(1, 20);
-    } else if (Roll < 80) {
-      O.K = GenOp::CallStatic;
-      O.Count = R.nextInRange(1, 40);
-    } else if (Roll < 88) {
-      O.K = GenOp::CallGet;
-    } else if (Roll < 94) {
-      O.K = GenOp::TypeTest;
-    } else {
-      O.K = GenOp::PrintAcc;
-    }
-    Push(O);
-  }
+  for (size_t I = 0; I < NumRandom; ++I)
+    Push(sampleOp(/*AllowStatic=*/true));
   Push({GenOp::PrintAcc, 0, 0, false, 0, 1});
 }
 
 void ProgramGen::generateThreadOps() {
   // The tmain driver: thread-confined objects only, no static stores. Every
   // op kind except SetStatic is fair game — SetStatic would race other
-  // mutators under the guest threading contract (docs/threads.md), so its
-  // probability band re-rolls as extra tick calls.
+  // mutators under the guest threading contract (docs/threads.md).
   Model.TOps.clear();
   auto Push = [&](GenOp O) { Model.TOps.push_back(O); };
   for (size_t FI = 0; FI < Model.Families.size(); ++FI) {
@@ -188,56 +137,64 @@ void ProgramGen::generateThreadOps() {
     Push({GenOp::CallGet, Fam, Base, false, 0, 1});
   }
   size_t NumRandom = static_cast<size_t>(R.nextInRange(8, 20));
-  for (size_t I = 0; I < NumRandom; ++I) {
-    GenOp O;
-    int Fam = static_cast<int>(R.nextBelow(Model.Families.size()));
-    const GenFamily &F = Model.Families[static_cast<size_t>(Fam)];
-    O.Fam = Fam;
-    O.Var = Fam * VarsPerFamily +
-            static_cast<int>(R.nextBelow(VarsPerFamily));
-    auto ModeVal = [&]() -> int64_t {
-      if (!F.HotInstance.empty() && !F.HotInstance[0].empty() &&
-          R.nextBool(0.5)) {
-        const auto &T = F.HotInstance[R.nextBelow(F.HotInstance.size())];
-        if (!T.empty())
-          return T[0];
-      }
-      return R.nextInRange(0, 3);
-    };
-    uint64_t Roll = R.nextBelow(100);
-    if (Roll < 10) {
-      O.K = GenOp::New;
-      O.Sub = F.HasSub && R.nextBool(0.5);
-      O.Val = ModeVal();
-    } else if (Roll < 25) {
-      O.K = GenOp::SetMode;
-      O.Val = ModeVal();
-    } else if (Roll < 30) {
-      O.K = GenOp::SetMode2;
-      O.Val = R.nextInRange(0, 2);
-    } else if (Roll < 60) { // absorbs the SetStatic band
-      O.K = GenOp::CallTick;
-      O.Count = R.nextInRange(1, 50);
-    } else if (Roll < 68) {
-      O.K = GenOp::CallIface;
-      O.Count = R.nextInRange(1, 40);
-    } else if (Roll < 73) {
-      O.K = GenOp::CallWide;
-      O.Val = R.nextInRange(0, 8);
-      O.Count = R.nextInRange(1, 20);
-    } else if (Roll < 80) {
-      O.K = GenOp::CallStatic; // reads statics only: race-free
-      O.Count = R.nextInRange(1, 40);
-    } else if (Roll < 88) {
-      O.K = GenOp::CallGet;
-    } else if (Roll < 94) {
-      O.K = GenOp::TypeTest;
-    } else {
-      O.K = GenOp::PrintAcc;
-    }
-    Push(O);
-  }
+  for (size_t I = 0; I < NumRandom; ++I)
+    Push(sampleOp(/*AllowStatic=*/false));
   Push({GenOp::PrintAcc, 0, 0, false, 0, 1});
+}
+
+GenOp ProgramGen::sampleOp(bool AllowStatic) {
+  GenOp O;
+  int Fam = static_cast<int>(R.nextBelow(Model.Families.size()));
+  const GenFamily &F = Model.Families[static_cast<size_t>(Fam)];
+  O.Fam = Fam;
+  O.Var = Fam * VarsPerFamily + static_cast<int>(R.nextBelow(VarsPerFamily));
+  // Bias mode values toward hot tuples so swings actually hit them.
+  auto ModeVal = [&]() -> int64_t {
+    if (!F.HotInstance.empty() && !F.HotInstance[0].empty() &&
+        R.nextBool(0.5)) {
+      const auto &T = F.HotInstance[R.nextBelow(F.HotInstance.size())];
+      if (!T.empty())
+        return T[0];
+    }
+    return R.nextInRange(0, 3);
+  };
+  uint64_t Roll = R.nextBelow(100);
+  if (Roll < 10) {
+    O.K = GenOp::New;
+    O.Sub = F.HasSub && R.nextBool(0.5);
+    O.Val = ModeVal();
+  } else if (Roll < 25) {
+    O.K = GenOp::SetMode;
+    O.Val = ModeVal();
+  } else if (Roll < 30) {
+    O.K = GenOp::SetMode2;
+    O.Val = R.nextInRange(0, 2);
+  } else if (Roll < 40 && AllowStatic) {
+    O.K = GenOp::SetStatic;
+    O.Val = R.nextBool(0.6) && !F.HotStatic.empty()
+                ? F.HotStatic[R.nextBelow(F.HotStatic.size())]
+                : R.nextInRange(0, 2);
+  } else if (Roll < 60) { // without statics, absorbs the SetStatic band
+    O.K = GenOp::CallTick;
+    O.Count = R.nextInRange(1, 50);
+  } else if (Roll < 68) {
+    O.K = GenOp::CallIface;
+    O.Count = R.nextInRange(1, 40);
+  } else if (Roll < 73) {
+    O.K = GenOp::CallWide;
+    O.Val = R.nextInRange(0, 8);
+    O.Count = R.nextInRange(1, 20);
+  } else if (Roll < 80) {
+    O.K = GenOp::CallStatic; // reads statics only: race-free
+    O.Count = R.nextInRange(1, 40);
+  } else if (Roll < 88) {
+    O.K = GenOp::CallGet;
+  } else if (Roll < 94) {
+    O.K = GenOp::TypeTest;
+  } else {
+    O.K = GenOp::PrintAcc;
+  }
+  return O;
 }
 
 std::string ProgramGen::generate() {
@@ -245,15 +202,14 @@ std::string ProgramGen::generate() {
   Model.Opt1 = 30;
   Model.Opt2 = 120;
   Model.Segments = 1;
-  Model.RetireAfterSeg = 0;
-  Model.ReinstallAfterSeg = 1;
   size_t NumFam = R.nextBool(0.6) ? 2 : 1;
   Model.Families.resize(NumFam);
   for (GenFamily &F : Model.Families)
     generateFamily(F);
   generateOps();
   // Drawn last so the family/op stream for a given seed is unchanged from
-  // pre-segment corpora. Three segments = plan active, retired, re-installed.
+  // pre-segment corpora. Three segments: seg0 runs without the plan, which
+  // is installed before seg1 and seg2.
   if (R.nextBool(0.35))
     Model.Segments = 3;
   // Likewise drawn after everything else: a seed's main() is byte-identical
@@ -270,9 +226,7 @@ std::string ProgramGen::renderDirectives() const {
   S += "#!adaptive " + itos(static_cast<int64_t>(Model.Opt1)) + " " +
        itos(static_cast<int64_t>(Model.Opt2)) + "\n";
   if (Model.Segments > 1)
-    S += "#!segments " + itos(Model.Segments) + " retire=" +
-         itos(Model.RetireAfterSeg) + " reinstall=" +
-         itos(Model.ReinstallAfterSeg) + "\n";
+    S += "#!segments " + itos(Model.Segments) + "\n";
   for (size_t FI = 0; FI < Model.Families.size(); ++FI) {
     const GenFamily &F = Model.Families[FI];
     std::string CN = "C" + itos(static_cast<int64_t>(FI));
@@ -679,7 +633,7 @@ std::string ProgramGen::minimize(
   while (Changed && Rounds++ < 24) {
     Changed = false;
     // Collapse a segmented driver first: one method is far easier to read,
-    // and most failures do not need the retire/re-install cycle.
+    // and most failures do not need the mid-run install.
     if (Model.Segments > 1) {
       int Saved = Model.Segments;
       Model.Segments = 1;
@@ -777,50 +731,31 @@ bool ProgramGen::parsePlanDirectives(const std::string &Source, Program &P,
     if (Line.rfind("#!", 0) != 0 || Line == "#!threads")
       continue;
     std::istringstream LS(Line.substr(2));
-    std::string Kind;
-    LS >> Kind;
+    std::vector<std::string> Tok;
+    for (std::string T; LS >> T;)
+      Tok.push_back(T);
+    const std::string Kind = Tok.empty() ? "" : Tok[0];
     if (Kind == "adaptive") {
-      if (!(LS >> Out.Opt1 >> Out.Opt2))
-        return Fail("#!adaptive wants two thresholds: " + Line);
+      long long O1 = 0, O2 = 0;
+      if (Tok.size() != 3 || !parseInt(Tok[1].c_str(), 1, LLONG_MAX, O1) ||
+          !parseInt(Tok[2].c_str(), 1, LLONG_MAX, O2))
+        return Fail("#!adaptive wants two positive thresholds: " + Line);
+      Out.Opt1 = static_cast<uint64_t>(O1);
+      Out.Opt2 = static_cast<uint64_t>(O2);
     } else if (Kind == "segments") {
-      int Segs = 0;
-      if (!(LS >> Segs) || Segs < 2 || Segs > 64)
-        return Fail("#!segments wants a count in [2,64]: " + Line);
-      Out.Segments = Segs;
-      std::string KV;
-      while (LS >> KV) {
-        size_t Eq = KV.find('=');
-        if (Eq == std::string::npos)
-          return Fail("#!segments wants retire=<k> reinstall=<m>: " + KV);
-        std::string Key = KV.substr(0, Eq);
-        int V = -1;
-        try {
-          V = std::stoi(KV.substr(Eq + 1));
-        } catch (...) {
-          return Fail("#!segments wants integer values: " + KV);
-        }
-        if (V < 0 || V >= Segs)
-          return Fail("#!segments index out of range: " + KV);
-        if (Key == "retire")
-          Out.RetireAfter = V;
-        else if (Key == "reinstall")
-          Out.ReinstallAfter = V;
-        else
-          return Fail("#!segments key must be retire/reinstall: " + Key);
-      }
-      if (Out.RetireAfter >= 0 && Out.ReinstallAfter >= 0 &&
-          Out.ReinstallAfter <= Out.RetireAfter)
-        return Fail("#!segments reinstall must come after retire: " + Line);
+      long long Segs = 0;
+      if (Tok.size() != 2 || !parseInt(Tok[1].c_str(), 2, 64, Segs))
+        return Fail("#!segments wants one count in [2,64]: " + Line);
+      Out.Segments = static_cast<int>(Segs);
     } else if (Kind == "mutable") {
-      std::string ClsName;
-      LS >> ClsName;
+      std::string ClsName = Tok.size() > 1 ? Tok[1] : "";
       ClassId Cls = P.findClass(ClsName);
       if (Cls == NoClassId)
         return Fail("#!mutable names unknown class " + ClsName);
       MutableClassPlan CP;
       CP.Cls = Cls;
-      std::string KV;
-      while (LS >> KV) {
+      for (size_t I = 2; I < Tok.size(); ++I) {
+        const std::string &KV = Tok[I];
         size_t Eq = KV.find('=');
         if (Eq == std::string::npos)
           return Fail("#!mutable wants key=value pairs: " + KV);
@@ -847,9 +782,9 @@ bool ProgramGen::parsePlanDirectives(const std::string &Source, Program &P,
       }
       Out.Plan.Classes.push_back(std::move(CP));
     } else if (Kind == "hot") {
-      std::string ClsName, IPart, Colon, SPart;
-      if (!(LS >> ClsName >> IPart >> Colon >> SPart) || Colon != ":")
+      if (Tok.size() != 5 || Tok[3] != ":")
         return Fail("#!hot wants '<class> <ivals|-> : <svals|->': " + Line);
+      const std::string &ClsName = Tok[1];
       ClassId Cls = P.findClass(ClsName);
       if (Cls == NoClassId)
         return Fail("#!hot names unknown class " + ClsName);
@@ -859,15 +794,18 @@ bool ProgramGen::parsePlanDirectives(const std::string &Source, Program &P,
           CP = &C;
       if (!CP)
         return Fail("#!hot before #!mutable for " + ClsName);
+      auto Tuple = [&](const std::string &Csv, std::vector<Value> &Vals) {
+        for (const std::string &V : SplitCsv(Csv)) {
+          long long N = 0;
+          if (!parseInt(V.c_str(), LLONG_MIN, LLONG_MAX, N))
+            return false;
+          Vals.push_back(valueI(N));
+        }
+        return true;
+      };
       HotState HS;
-      try {
-        for (const std::string &V : SplitCsv(IPart))
-          HS.InstanceVals.push_back(valueI(std::stoll(V)));
-        for (const std::string &V : SplitCsv(SPart))
-          HS.StaticVals.push_back(valueI(std::stoll(V)));
-      } catch (...) {
+      if (!Tuple(Tok[2], HS.InstanceVals) || !Tuple(Tok[4], HS.StaticVals))
         return Fail("#!hot wants integer tuples: " + Line);
-      }
       if (HS.InstanceVals.size() != CP->InstanceStateFields.size() ||
           HS.StaticVals.size() != CP->StaticStateFields.size())
         return Fail("#!hot tuple sizes do not match the state fields: " +

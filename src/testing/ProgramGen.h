@@ -115,13 +115,10 @@ struct GenModel {
   /// With Segments > 1 the driver ops are split across `Main.seg<k>()`
   /// static methods communicating through static fields, and `Main.main()`
   /// calls them in order. A harness can instead invoke the segments one by
-  /// one and retire / re-install the mutation plan between them (the
-  /// `#!segments` directive says after which segment to do what) —
-  /// exercising plan retirement at a genuinely quiescent point. Output is
-  /// identical either way.
+  /// one (the `#!segments` directive) and install the mutation plan after
+  /// the first — a mid-run install into a heap that already holds objects,
+  /// as online activation does. Output is identical either way.
   int Segments = 1;
-  int RetireAfterSeg = 0;    ///< retire the plan after this segment
-  int ReinstallAfterSeg = 1; ///< re-install it after this (later) segment
   std::vector<GenFamily> Families;
   std::vector<GenOp> Ops;
   /// Ops of the thread-safe `Main.tmain` driver: same op language minus
@@ -135,12 +132,9 @@ struct GenModel {
 struct GenPlanInfo {
   MutationPlan Plan;
   uint64_t Opt1 = 0, Opt2 = 0; ///< 0 = directive absent, keep defaults
-  /// From `#!segments <n> retire=<k> reinstall=<m>`: drive Main.seg0..n-1
-  /// instead of Main.main, retiring the plan after segment k and
-  /// re-installing it after segment m. Segments == 1 means no directive.
+  /// From `#!segments <n>`: drive Main.seg0..n-1 instead of Main.main,
+  /// installing the plan after seg0. Segments == 1 means no directive.
   int Segments = 1;
-  int RetireAfter = -1;
-  int ReinstallAfter = -1;
 };
 
 /// Seeded random MVM program generator with greedy shrinking.
@@ -168,9 +162,10 @@ public:
   std::string renderDirectives() const;
 
   /// Parses the `#!adaptive` / `#!segments` / `#!threads` / `#!mutable` /
-  /// `#!hot` comment directives of Source against an assembled-and-linked Program, resolving class,
-  /// field, and method names. Returns false (with Err set) on malformed
-  /// directives or names the program does not define.
+  /// `#!hot` comment directives of Source against an assembled-and-linked
+  /// Program, resolving class, field, and method names. Every number is
+  /// parsed whole (support/Parse.h). Returns false (with Err set) on
+  /// malformed directives or names the program does not define.
   static bool parsePlanDirectives(const std::string &Source, Program &P,
                                   GenPlanInfo &Out, std::string &Err);
 
@@ -179,6 +174,9 @@ private:
   void generateArith(GenFamily &F);
   void generateOps();
   void generateThreadOps();
+  /// One op of a driver's random tail; without AllowStatic the SetStatic
+  /// band draws a CallTick instead.
+  GenOp sampleOp(bool AllowStatic);
   void renderFamily(std::string &S, size_t FamIdx) const;
   void renderDriver(std::string &S) const;
 

@@ -108,6 +108,38 @@ TEST(SpecialsOwnership, AuditorFlagsNullSlots) {
   EXPECT_TRUE(Auditor.clean()) << Auditor.report();
 }
 
+TEST(SpecialsOwnership, AuditorFlagsForeignTib) {
+  // Every TIB an object sits on is its class TIB or one of the class's
+  // special TIBs. A copy of the object's TIB describes the same class but
+  // is owned by nobody; moving the object onto it by hand must be reported.
+  CounterFixture Fx;
+  VirtualMachine VM(*Fx.P, {});
+  VM.setMutationPlan(&Fx.Plan);
+  LocalRootScope Pin(VM.heap());
+  Object *O = Fx.makeCounter(VM, 0);
+  Pin.add(O);
+  VM.call(Fx.Bump, {valueR(O)});
+  ASSERT_TRUE(O->Tib->isSpecial());
+
+  ConsistencyAuditor Auditor(VM);
+  Auditor.auditNow("before the move");
+  EXPECT_TRUE(Auditor.clean()) << Auditor.report();
+
+  TIB *Own = O->Tib;
+  TIB Foreign = *Own;
+  O->Tib = &Foreign;
+  Auditor.auditNow("on a foreign TIB");
+  O->Tib = Own;
+  bool Foreigner = false;
+  for (const AuditViolation &V : Auditor.violations())
+    Foreigner |= V.Check == "heap.tib-foreign";
+  EXPECT_TRUE(Foreigner) << Auditor.report();
+
+  Auditor.reset();
+  Auditor.auditNow("after moving back");
+  EXPECT_TRUE(Auditor.clean()) << Auditor.report();
+}
+
 //===----------------------------------------------------------------------===//
 // Determinism across configurations
 //===----------------------------------------------------------------------===//

@@ -1050,8 +1050,7 @@ TEST(DecodedStream, InvalidatedBodyKeepsDecodedArray) {
   CompiledMethod *CM = Compiler.compileGeneral(P.method(M), 0);
   ASSERT_EQ(CM->decoded().size(), CM->code().Insts.size());
   EXPECT_EQ(CM->decoded()[0].Handler, static_cast<uint8_t>(Opcode::ConstI));
-  // A replaced or retired body stays runnable: frames and stranded objects
-  // may still execute it.
+  // A replaced body stays runnable: active frames may still execute it.
   CM->invalidate();
   EXPECT_TRUE(CM->isInvalidated());
   ASSERT_EQ(CM->decoded().size(), CM->code().Insts.size());

@@ -144,37 +144,6 @@ TEST(OnlineController, StandsDownWhenNothingIsMutable) {
   EXPECT_EQ(VM.metrics().SpecialTibBytes, 0u);
 }
 
-TEST(OnlineController, RetiredPlanTurnsTheControllerInert) {
-  // Once Active the controller never changes the plan itself; a plan
-  // retired out from under it moves it to Inert at the next poll.
-  auto W = makeSalaryDb();
-  auto P = W->buildProgram();
-  VirtualMachine VM(*P, {});
-  OnlineMutationController Ctl(VM, {});
-  ProgramIds Ids(*P);
-  VM.call(Ids.method("TestDriver", "init"), {valueI(400)});
-  MethodId RunBatch = Ids.method("TestDriver", "runBatch");
-  for (int B = 0;
-       B < 500 && Ctl.phase() != OnlineMutationController::Phase::Active;
-       ++B) {
-    VM.call(RunBatch, {valueI(4)});
-    Ctl.poll();
-  }
-  ASSERT_EQ(Ctl.phase(), OnlineMutationController::Phase::Active);
-  VM.call(RunBatch, {valueI(4)});
-  Ctl.poll();
-  EXPECT_EQ(Ctl.phase(), OnlineMutationController::Phase::Active);
-
-  ASSERT_TRUE(VM.retireMutationPlan());
-  VM.call(RunBatch, {valueI(4)});
-  Ctl.poll();
-  EXPECT_EQ(Ctl.phase(), OnlineMutationController::Phase::Inert);
-  EXPECT_STREQ(phaseName(Ctl.phase()), "inert");
-  Ctl.poll();
-  EXPECT_EQ(Ctl.phase(), OnlineMutationController::Phase::Inert);
-  EXPECT_EQ(VM.program().mutationPlan(), nullptr);
-}
-
 TEST(OnlineController, PlanMatchesOfflinePipeline) {
   // The online-derived plan should agree with the offline pipeline on the
   // mutable class, its state field, and the hot-state set.

@@ -1,0 +1,161 @@
+//===-- tests/RecoverableErrorsTest.cpp - Recoverable errors --------------===//
+//
+// Part of DCHM, a reproduction of "Dynamic Class Hierarchy Mutation"
+// (Su & Lipasti, CGO 2006).
+//
+//===----------------------------------------------------------------------===//
+///
+/// Tests for the recoverable error channels (docs/degradation.md): the
+/// VMError values that input-validation and resource paths return instead
+/// of aborting, and the diagnostics runMvm returns for malformed `#!`
+/// directives.
+///
+//===----------------------------------------------------------------------===//
+
+#include "TestUtil.h"
+#include "testing/MvmRun.h"
+
+#include <gtest/gtest.h>
+
+using namespace dchm;
+using dchm::test::CounterFixture;
+
+namespace {
+
+TEST(RecoverableErrors, RunValidatesEntryAndArguments) {
+  CounterFixture Fx;
+  VirtualMachine VM(*Fx.P, {});
+  LocalRootScope Pin(VM.heap());
+  Object *O = Fx.makeCounter(VM, 0);
+  Pin.add(O);
+
+  Expected<Value> Bad = VM.run(static_cast<MethodId>(1u << 20), {});
+  ASSERT_FALSE(static_cast<bool>(Bad));
+  EXPECT_NE(Bad.takeError().message().find("no such method"),
+            std::string::npos);
+
+  Expected<Value> WrongArity = VM.run(Fx.Get, {}); // needs the receiver
+  ASSERT_FALSE(static_cast<bool>(WrongArity));
+  EXPECT_NE(WrongArity.takeError().message().find("argument"),
+            std::string::npos);
+
+  Expected<Value> Good = VM.run(Fx.Get, {valueR(O)});
+  ASSERT_TRUE(static_cast<bool>(Good));
+  EXPECT_EQ((*Good).I, 0);
+}
+
+TEST(RecoverableErrors, HeapBudgetOverrunSurfacesWithoutAborting) {
+  CounterFixture Fx;
+  VMOptions Opts;
+  Opts.HeapBytes = 4096; // the smallest soft budget the heap accepts
+  VirtualMachine VM(*Fx.P, Opts);
+  LocalRootScope Pin(VM.heap());
+  ClassInfo &C = Fx.P->cls(Fx.Counter);
+  // Pinned live objects: collection cannot free them, so allocation goes
+  // over budget — the soft allocator proceeds but records the overrun.
+  for (int I = 0; I < 256; ++I)
+    Pin.add(VM.heap().allocateInstance(C, C.ClassTib));
+  ASSERT_TRUE(static_cast<bool>(VM.heap().budgetError()));
+
+  Expected<Value> V = VM.run(Fx.Get, {valueR(Pin[0])});
+  ASSERT_FALSE(static_cast<bool>(V));
+  EXPECT_FALSE(V.takeError().message().empty());
+
+  // The error is sticky but clearable; afterwards run() succeeds again.
+  VM.heap().clearBudgetError();
+  Expected<Value> Ok = VM.run(Fx.Get, {valueR(Pin[0])});
+  EXPECT_TRUE(static_cast<bool>(Ok));
+}
+
+/// One mutable class and a three-segment driver; every `#!` directive
+/// comes from the test.
+const char *const DirectiveProgram = R"(
+class C0 {
+  field mode: i64
+  field mode2: i64
+  field acc: i64
+  ctor <init>(%m: i64) {
+    putfield %this, C0.mode, %m
+    %two = consti 2
+    putfield %this, C0.mode2, %two
+    ret
+  }
+  method tick() -> void {
+    %a = getfield %this, C0.acc
+    %m = getfield %this, C0.mode
+    %a = add %a, %m
+    putfield %this, C0.acc, %a
+    ret
+  }
+}
+
+class Main {
+  field o: ref static
+  method seg0() -> i64 static {
+    %one = consti 1
+    %o = new C0
+    callspecial C0.<init>(%o, %one)
+    putstatic Main.o, %o
+    callvirtual C0.tick(%o)
+    %r = getfield %o, C0.acc
+    ret %r
+  }
+  method seg1() -> i64 static {
+    %o = getstatic Main.o
+    callvirtual C0.tick(%o)
+    %r = getfield %o, C0.acc
+    ret %r
+  }
+  method seg2() -> i64 static {
+    %o = getstatic Main.o
+    callvirtual C0.tick(%o)
+    %r = getfield %o, C0.acc
+    print %r
+    ret %r
+  }
+  method main() -> i64 static {
+    %r0 = callstatic Main.seg0()
+    %r1 = callstatic Main.seg1()
+    %r2 = callstatic Main.seg2()
+    ret %r2
+  }
+}
+)";
+
+TEST(PlanDirectives, RejectsMalformedNumbers) {
+  // Every directive number is parsed whole: a trailing letter, a sign
+  // where none fits, or an extra token is a diagnostic, never a silently
+  // accepted prefix, a wrapped value or an ignored word.
+  const std::string Adaptive = "#!adaptive 30 120\n";
+  const std::string Plan = "#!mutable C0 instance=mode,mode2 static=- "
+                           "methods=tick\n";
+  const std::string Hot = "#!hot C0 1,2 : -\n";
+  MvmRunConfig Cfg;
+  Cfg.Mutate = true;
+  Cfg.AuditStride = 1;
+  auto Run = [&](const std::string &Directives) {
+    return runMvm(Directives + DirectiveProgram, Cfg);
+  };
+
+  MvmRunResult Good = Run(Adaptive + "#!segments 3\n" + Plan + Hot);
+  ASSERT_TRUE(Good.ok()) << Good.Error;
+  EXPECT_EQ(Good.Violations, 0u) << Good.AuditReport;
+  EXPECT_EQ(Good.Output, "3");
+
+  const std::string Bad[] = {
+      "#!adaptive 30 120x\n" + Plan + Hot,
+      "#!adaptive -5 120\n" + Plan + Hot,
+      "#!adaptive 30 120 7\n" + Plan + Hot,
+      Adaptive + Plan + "#!hot C0 1x,2 : -\n",
+      Adaptive + "#!segments 3 retire=0x reinstall=1\n" + Plan + Hot,
+      // `#!segments` takes the count alone; keys after it are rejected.
+      Adaptive + "#!segments 3 retire=0 reinstall=1\n" + Plan + Hot,
+  };
+  for (const std::string &Directives : Bad) {
+    MvmRunResult R = Run(Directives);
+    EXPECT_FALSE(R.ok()) << Directives;
+    EXPECT_NE(R.Error.find("#!"), std::string::npos) << R.Error;
+  }
+}
+
+} // namespace

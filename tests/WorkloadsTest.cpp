@@ -23,7 +23,17 @@ namespace {
 struct RunResult {
   RunMetrics Metrics;
   std::string Output;
+  size_t OnSpecial = 0; ///< objects on a special TIB after the drive
 };
+
+/// Objects of the run sitting on a special TIB.
+size_t objectsOnSpecialTibs(VirtualMachine &VM) {
+  size_t N = 0;
+  VM.heap().forEachObject([&](Object *O) {
+    N += !O->IsArray && O->Tib && O->Tib->isSpecial();
+  });
+  return N;
+}
 
 RunResult runOnce(Workload &W, bool Mutation, const MutationPlan *Plan,
                   double Scale = 0.3) {
@@ -31,7 +41,8 @@ RunResult runOnce(Workload &W, bool Mutation, const MutationPlan *Plan,
   Opts.EnableMutation = Mutation;
   WorkloadRun Run(W, Opts, Plan);
   W.driveScaled(Run.vm(), Scale);
-  return {Run.vm().metrics(), Run.vm().interp().output()};
+  return {Run.vm().metrics(), Run.vm().interp().output(),
+          objectsOnSpecialTibs(Run.vm())};
 }
 
 class WorkloadParity : public ::testing::TestWithParam<int> {};
@@ -46,6 +57,8 @@ TEST_P(WorkloadParity, MutationPreservesOutput) {
   EXPECT_EQ(Base.Output, Mut.Output) << W.name();
   EXPECT_EQ(Base.Metrics.OutputHash, Mut.Metrics.OutputHash);
   EXPECT_FALSE(Base.Output.empty()) << "workload produced no output";
+  // The plan is live, not vacuous: part I moved objects onto special TIBs.
+  EXPECT_GT(Mut.OnSpecial, 0u) << "no object sits on a special TIB";
 }
 
 TEST_P(WorkloadParity, MutationFindsAPlan) {
@@ -76,50 +89,6 @@ TEST_P(WorkloadParity, DeterministicAcrossRuns) {
   EXPECT_EQ(MA.Metrics.TotalCycles, MB.Metrics.TotalCycles);
   EXPECT_EQ(MA.Metrics.Insts, MB.Metrics.Insts);
   EXPECT_EQ(MA.Metrics.CodeBytes, MB.Metrics.CodeBytes);
-}
-
-/// Objects of the run sitting on a special TIB.
-size_t objectsOnSpecialTibs(VirtualMachine &VM) {
-  size_t N = 0;
-  VM.heap().forEachObject([&](Object *O) {
-    N += !O->IsArray && O->Tib && O->Tib->isSpecial();
-  });
-  return N;
-}
-
-TEST_P(WorkloadParity, RetireRoundTrip) {
-  // Retirement is the exact inverse of installation. An install -> retire
-  // -> re-install prologue runs bit-identically to plain installation, and
-  // retiring after the drive swings every object off its special TIB.
-  auto All = makeAllWorkloads();
-  Workload &W = *All[static_cast<size_t>(GetParam())];
-  OfflineConfig Cfg;
-  OfflineResult R = runOfflinePipeline(W, Cfg);
-  WorkloadRun Plain(W, W.vmOptions(), &R.Plan);
-  W.driveScaled(Plain.vm(), 0.3);
-  WorkloadRun Trip(W, W.vmOptions(), &R.Plan);
-  ASSERT_TRUE(Trip.vm().retireMutationPlan());
-  Trip.vm().setMutationPlan(&R.Plan);
-  W.driveScaled(Trip.vm(), 0.3);
-
-  RunMetrics A = Plain.vm().metrics(), B = Trip.vm().metrics();
-  EXPECT_EQ(A.OutputHash, B.OutputHash);
-  EXPECT_EQ(A.Insts, B.Insts);
-  EXPECT_EQ(A.Invocations, B.Invocations);
-  EXPECT_EQ(A.ExecCycles, B.ExecCycles);
-  EXPECT_EQ(A.CompileCycles, B.CompileCycles);
-  EXPECT_EQ(A.SpecialCompileCycles, B.SpecialCompileCycles);
-  EXPECT_EQ(A.GcCycles, B.GcCycles);
-  EXPECT_EQ(A.MutationCycles, B.MutationCycles);
-  EXPECT_EQ(A.TotalCycles, B.TotalCycles);
-
-  VirtualMachine &VM = Plain.vm();
-  size_t OnSpecial = objectsOnSpecialTibs(VM);
-  EXPECT_GT(OnSpecial, 0u) << "nothing for retirement to swing back";
-  uint64_t SwingsBefore = VM.mutation().stats().ObjectTibSwings;
-  ASSERT_TRUE(VM.retireMutationPlan());
-  EXPECT_EQ(objectsOnSpecialTibs(VM), 0u);
-  EXPECT_EQ(VM.mutation().stats().ObjectTibSwings - SwingsBefore, OnSpecial);
 }
 
 const char *const WorkloadNames[] = {"SalaryDB",   "SimLogic", "CSVToXML",

@@ -11,21 +11,21 @@
 //  - zero consistency-auditor violations in every run.
 //
 // Segmented programs (#!segments directive) are driven one segment at a
-// time, retiring the mutation plan and later re-installing it at the
-// directive-specified boundaries; output must still match the mutation-off
-// run and the straight-line main() rendering.
+// time, with the mutation plan installed after the first segment, into a
+// heap that already holds objects; output must still match the
+// mutation-off run and the straight-line main() rendering.
 //
 // Every run goes through testing/MvmRun, the harness `dchm_run exec`
 // replays with. Failures serialize the offending program to
 // fuzz-fail-<seed>.mvm, shrink it with the greedy delta-minimizer, and
 // print a `dchm_run exec` replay line (a --threads artifact carries a
 // `#!threads` directive, so exec replays it through the threads oracle).
-// Injection modes (--inject-skip-tib / --inject-skip-code /
-// --inject-partial-retire) flip one MutationDebugFlags fault on and require
-// the auditor to catch the break, replaying from the serialized artifact to
-// prove reproduction. --malformed=<n> corrupts each generated program
-// deterministically and asserts the toolchain returns diagnostics instead
-// of aborting the process.
+// Injection modes (--inject-skip-tib / --inject-skip-code) flip one
+// MutationDebugFlags fault on and require the auditor to catch the break,
+// replaying from the serialized artifact to prove reproduction (segmented
+// programs run as one Main.main there). --malformed=<n> corrupts each
+// generated program deterministically and asserts the toolchain returns
+// diagnostics instead of aborting the process.
 //
 // --threads switches to the multi-mutator dimension: each program's
 // Main.main runs once on context 0 (the classic phase), then Main.tmain —
@@ -36,7 +36,7 @@
 //
 //   dchm_fuzz [--n=<programs>] [--seed=<base>] [--stride=<k>]
 //             [--threads] [--inject-skip-tib] [--inject-skip-code]
-//             [--inject-partial-retire] [--malformed=<n>]
+//             [--malformed=<n>]
 //
 // Counts must be positive integers; a malformed value, like an unknown
 // flag, exits 1 with a diagnostic naming it.
@@ -220,8 +220,6 @@ int main(int Argc, char **Argv) {
       Faults.SkipTibSwing = true;
     else if (A == "--inject-skip-code")
       Faults.SkipCodePointerUpdate = true;
-    else if (A == "--inject-partial-retire")
-      Faults.SkipRetireSwing = true;
     else {
       std::fprintf(stderr, "unknown flag %s\n", A.c_str());
       return 1;
@@ -232,9 +230,8 @@ int main(int Argc, char **Argv) {
     return runMalformed(Malformed, SeedBase);
 
   // --threads ignores the injection flags.
-  const bool Inject = !ThreadsDim && (Faults.SkipTibSwing ||
-                                      Faults.SkipCodePointerUpdate ||
-                                      Faults.SkipRetireSwing);
+  const bool Inject =
+      !ThreadsDim && (Faults.SkipTibSwing || Faults.SkipCodePointerUpdate);
   MvmRunConfig Cfg;
   Cfg.Mutate = true;
   Cfg.AuditStride = Stride;
@@ -247,13 +244,15 @@ int main(int Argc, char **Argv) {
     if (Inject) {
       // Fault injection needs part I swings to actually happen, so skip
       // the static-only flavor for family 0 (no object ever swings there).
-      if ((Faults.SkipTibSwing || Faults.SkipRetireSwing) &&
-          G.model().Families[0].StaticOnlyPlan)
+      if (Faults.SkipTibSwing && G.model().Families[0].StaticOnlyPlan)
         continue;
-      // A skipped retirement swing only strands something when the program
-      // actually retires mid-run, i.e. is segmented.
-      if (Faults.SkipRetireSwing && G.model().Segments <= 1)
-        continue;
+      // A segmented driver installs the plan (and arms the fault) only
+      // after seg0, which holds the prelude's swings into hot states; run
+      // the program as one Main.main so the fault covers the whole drive.
+      if (G.model().Segments > 1) {
+        G.model().Segments = 1;
+        Source = G.render();
+      }
       // Prove the auditor catches the break *from the serialized artifact*:
       // write the program out, read it back, and run that byte stream.
       std::string Path = "fuzz-inject-" + std::to_string(Seed) + ".mvm";
@@ -270,12 +269,6 @@ int main(int Argc, char **Argv) {
                      static_cast<unsigned long long>(Seed),
                      Broken.Error.c_str());
         return 1;
-      }
-      if (Faults.SkipRetireSwing && Broken.OnSpecialAtRetire == 0) {
-        // Nothing was on a special TIB when the plan retired, so the
-        // skipped swing had nothing to strand: no violation expected.
-        std::remove(Path.c_str());
-        continue;
       }
       if (Broken.Violations == 0) {
         std::fprintf(stderr,
