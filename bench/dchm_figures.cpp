@@ -101,7 +101,7 @@ RunMetrics runFull(Workload &W, const MutationPlan &Plan, const RunConfig &A,
                    size_t *OlcFields = nullptr) {
   RunMetrics M;
   size_t N = runWith(W, Plan, A, 1, [&](VirtualMachine &VM) {
-    W.drive(VM);
+    W.driveScaled(VM, 1.0);
     M = VM.metrics();
   });
   if (OlcFields)

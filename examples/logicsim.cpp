@@ -55,7 +55,7 @@ int main() {
     VMOptions Opts = W->vmOptions();
     Opts.EnableMutation = Mutation;
     WorkloadRun Sim(*W, Opts, &R.Plan);
-    W->drive(Sim.vm());
+    W->driveScaled(Sim.vm(), 1.0);
     uint64_t Cycles = Sim.vm().metrics().TotalCycles;
     std::printf("  %-9s %12llu cycles, net checksum %s\n",
                 Mutation ? "mutated:" : "baseline:",

@@ -51,7 +51,7 @@ int main() {
     VMOptions Opts = W->vmOptions();
     Opts.EnableMutation = false;
     WorkloadRun Run(*W, Opts);
-    W->drive(Run.vm());
+    W->driveScaled(Run.vm(), 1.0);
     Base = Run.vm().metrics();
     std::printf("\nbaseline:  %12llu cycles (output: %s)\n",
                 static_cast<unsigned long long>(Base.TotalCycles),
@@ -64,7 +64,7 @@ int main() {
   {
     WorkloadRun Run(*W, W->vmOptions(), &Offline.Plan);
     VirtualMachine &VM = Run.vm();
-    W->drive(VM);
+    W->driveScaled(VM, 1.0);
     Mut = VM.metrics();
     std::printf("mutated:   %12llu cycles (output: %s)\n",
                 static_cast<unsigned long long>(Mut.TotalCycles),

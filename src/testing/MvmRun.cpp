@@ -9,7 +9,6 @@
 
 #include "asm/Assembler.h"
 #include "testing/ConsistencyAuditor.h"
-#include "testing/ProgramGen.h"
 
 #include <memory>
 #include <sstream>
@@ -40,33 +39,34 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
     return Out;
   }
   Program &P = *R.P;
-  GenPlanInfo Gen;
-  if (!ProgramGen::parsePlanDirectives(Source, P, Gen, Out.Error))
+  RunDirectives Dirs;
+  if (!parseRunDirectives(Source, P, Dirs, Out.Error))
     return Out;
 
-  MethodId Entry = findEntry(P, Cfg.Entry);
-  if (Entry == NoMethodId) {
-    Out.Error = "no entry method '" + Cfg.Entry + "'";
-    return Out;
-  }
-  const MethodInfo &EntryInfo = P.method(Entry);
-  if (!EntryInfo.Flags.IsStatic) {
+  // No explicit entry: the file's `#!drive`, else `main`.
+  const bool Drive = Cfg.Entry.empty() && Dirs.Drive.Init != NoMethodId;
+  const std::string EntryName = Cfg.Entry.empty() ? "main" : Cfg.Entry;
+  MethodId Entry = Drive ? NoMethodId : findEntry(P, EntryName);
+  if (!Drive && Entry == NoMethodId)
+    Out.Error = "no entry method '" + EntryName + "'";
+  else if (!Drive && !P.method(Entry).Flags.IsStatic)
     Out.Error = "entry method must be static";
+  else if (size_t N = Drive ? 0 : P.method(Entry).ParamTys.size();
+           Cfg.Args.size() != N)
+    Out.Error = std::string(Drive ? "#!drive" : "entry") + " expects " +
+                std::to_string(N) + " argument(s), got " +
+                std::to_string(Cfg.Args.size());
+  else if (!Drive)
+    Out.ResultType = P.method(Entry).RetTy;
+  if (!Out.ok())
     return Out;
-  }
-  if (Cfg.Args.size() != EntryInfo.ParamTys.size()) {
-    Out.Error = "entry expects " + std::to_string(EntryInfo.ParamTys.size()) +
-                " argument(s), got " + std::to_string(Cfg.Args.size());
-    return Out;
-  }
-  Out.ResultType = EntryInfo.RetTy;
   std::vector<Value> Args;
   for (int64_t A : Cfg.Args)
     Args.push_back(valueI(A));
 
-  // The driver: Entry alone, Main.main's segments, or Main.main then
-  // Main.tmain. Resolved before the VM exists so a missing method is a
-  // diagnostic, not a half-run.
+  // The driver: the `#!drive`, Entry alone, Main.main's segments, or
+  // the drive or Entry then Main.tmain. Resolved before the VM exists so a
+  // missing method is a diagnostic, not a half-run.
   ClassId MainCls = P.findClass("Main");
   auto MainMethod = [&](const std::string &Name) {
     return MainCls != NoClassId ? P.findMethod(MainCls, Name) : NoMethodId;
@@ -79,8 +79,8 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
       Out.Error = "no Main.tmain";
       return Out;
     }
-  } else if (Gen.Segments > 1 && Entry == MainMethod("main")) {
-    for (int K = 0; K < Gen.Segments; ++K) {
+  } else if (!Drive && Dirs.Segments > 1 && Entry == MainMethod("main")) {
+    for (int K = 0; K < Dirs.Segments; ++K) {
       Segs.push_back(MainMethod("seg" + std::to_string(K)));
       if (Segs.back() == NoMethodId) {
         Out.Error = "no Main.seg" + std::to_string(K) +
@@ -91,11 +91,11 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
   }
 
   VMOptions Opts;
-  Opts.EnableMutation = Cfg.Mutate && !Gen.Plan.empty();
-  if (Gen.Opt1)
-    Opts.Adaptive.Opt1Threshold = Gen.Opt1;
-  if (Gen.Opt2)
-    Opts.Adaptive.Opt2Threshold = Gen.Opt2;
+  Opts.EnableMutation = Cfg.Mutate && !Dirs.Plan.empty();
+  if (Dirs.Opt1)
+    Opts.Adaptive.Opt1Threshold = Dirs.Opt1;
+  if (Dirs.Opt2)
+    Opts.Adaptive.Opt2Threshold = Dirs.Opt2;
   Opts.MutatorThreads = Cfg.TmainMutators ? Cfg.TmainMutators : 1;
   VirtualMachine VM(P, Opts);
   std::unique_ptr<ConsistencyAuditor> Auditor;
@@ -104,7 +104,7 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
     VM.setAuditHook(Auditor.get());
   }
   auto Install = [&] {
-    VM.setMutationPlan(&Gen.Plan);
+    VM.setMutationPlan(&Dirs.Plan);
     VM.mutation().debugFlags() = Cfg.Faults; // the install itself runs clean
   };
   if (Opts.EnableMutation && Segs.empty())
@@ -119,7 +119,9 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
     Out.Result = *V;
     return true;
   };
-  if (Segs.empty()) {
+  if (Drive) {
+    runDrive(VM, Dirs.Drive, 1.0);
+  } else if (Segs.empty()) {
     if (!Run(Entry, Args))
       return Out;
   }
@@ -137,12 +139,12 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
     for (unsigned T = 0; T < Cfg.TmainMutators; ++T)
       VM.interp(T).clearOutput();
     VM.runMutators([&](unsigned T) { VM.callOn(T, TEntry, {}); });
-    if (VM.heap().budgetError()) {
-      Out.Error = VM.heap().budgetError().message();
-      return Out;
-    }
     for (unsigned T = 0; T < Cfg.TmainMutators; ++T)
       Out.ThreadHashes.push_back(VM.interp(T).outputHash());
+  }
+  if (VM.heap().budgetError()) { // the drive's and the mutators' calls
+    Out.Error = VM.heap().budgetError().message();
+    return Out;
   }
 
   if (Auditor) {

@@ -7,12 +7,7 @@
 
 #include "testing/ProgramGen.h"
 
-#include "support/Parse.h"
-
-#include <algorithm>
-#include <climits>
 #include <limits>
-#include <sstream>
 
 namespace dchm {
 
@@ -700,125 +695,5 @@ std::string ProgramGen::minimize(
   return render();
 }
 
-bool ProgramGen::parsePlanDirectives(const std::string &Source, Program &P,
-                                     GenPlanInfo &Out, std::string &Err) {
-  auto Fail = [&](const std::string &E) {
-    Err = E;
-    return false;
-  };
-  auto SplitCsv = [](const std::string &S) {
-    std::vector<std::string> Parts;
-    if (S == "-" || S.empty())
-      return Parts;
-    std::string Cur;
-    for (char C : S) {
-      if (C == ',') {
-        Parts.push_back(Cur);
-        Cur.clear();
-      } else {
-        Cur += C;
-      }
-    }
-    Parts.push_back(Cur);
-    return Parts;
-  };
-
-  std::istringstream In(Source);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    // `#!threads` selects `dchm_run exec`'s replay mode (see
-    // hasThreadsDirective in testing/MvmRun.h); it carries no plan data.
-    if (Line.rfind("#!", 0) != 0 || Line == "#!threads")
-      continue;
-    std::istringstream LS(Line.substr(2));
-    std::vector<std::string> Tok;
-    for (std::string T; LS >> T;)
-      Tok.push_back(T);
-    const std::string Kind = Tok.empty() ? "" : Tok[0];
-    if (Kind == "adaptive") {
-      long long O1 = 0, O2 = 0;
-      if (Tok.size() != 3 || !parseInt(Tok[1].c_str(), 1, LLONG_MAX, O1) ||
-          !parseInt(Tok[2].c_str(), 1, LLONG_MAX, O2))
-        return Fail("#!adaptive wants two positive thresholds: " + Line);
-      Out.Opt1 = static_cast<uint64_t>(O1);
-      Out.Opt2 = static_cast<uint64_t>(O2);
-    } else if (Kind == "segments") {
-      long long Segs = 0;
-      if (Tok.size() != 2 || !parseInt(Tok[1].c_str(), 2, 64, Segs))
-        return Fail("#!segments wants one count in [2,64]: " + Line);
-      Out.Segments = static_cast<int>(Segs);
-    } else if (Kind == "mutable") {
-      std::string ClsName = Tok.size() > 1 ? Tok[1] : "";
-      ClassId Cls = P.findClass(ClsName);
-      if (Cls == NoClassId)
-        return Fail("#!mutable names unknown class " + ClsName);
-      MutableClassPlan CP;
-      CP.Cls = Cls;
-      for (size_t I = 2; I < Tok.size(); ++I) {
-        const std::string &KV = Tok[I];
-        size_t Eq = KV.find('=');
-        if (Eq == std::string::npos)
-          return Fail("#!mutable wants key=value pairs: " + KV);
-        std::string Key = KV.substr(0, Eq);
-        std::vector<std::string> Names = SplitCsv(KV.substr(Eq + 1));
-        for (const std::string &Nm : Names) {
-          if (Key == "instance" || Key == "static") {
-            FieldId F = P.findField(Cls, Nm);
-            if (F == NoFieldId)
-              return Fail(ClsName + " has no field " + Nm);
-            (Key == "instance" ? CP.InstanceStateFields
-                               : CP.StaticStateFields)
-                .push_back(F);
-          } else if (Key == "methods") {
-            MethodId M = P.findMethod(Cls, Nm);
-            if (M == NoMethodId)
-              return Fail(ClsName + " has no method " + Nm);
-            CP.MutableMethods.push_back(M);
-          } else {
-            return Fail("#!mutable key must be instance/static/methods: " +
-                        Key);
-          }
-        }
-      }
-      Out.Plan.Classes.push_back(std::move(CP));
-    } else if (Kind == "hot") {
-      if (Tok.size() != 5 || Tok[3] != ":")
-        return Fail("#!hot wants '<class> <ivals|-> : <svals|->': " + Line);
-      const std::string &ClsName = Tok[1];
-      ClassId Cls = P.findClass(ClsName);
-      if (Cls == NoClassId)
-        return Fail("#!hot names unknown class " + ClsName);
-      MutableClassPlan *CP = nullptr;
-      for (MutableClassPlan &C : Out.Plan.Classes)
-        if (C.Cls == Cls)
-          CP = &C;
-      if (!CP)
-        return Fail("#!hot before #!mutable for " + ClsName);
-      auto Tuple = [&](const std::string &Csv, std::vector<Value> &Vals) {
-        for (const std::string &V : SplitCsv(Csv)) {
-          long long N = 0;
-          if (!parseInt(V.c_str(), LLONG_MIN, LLONG_MAX, N))
-            return false;
-          Vals.push_back(valueI(N));
-        }
-        return true;
-      };
-      HotState HS;
-      if (!Tuple(Tok[2], HS.InstanceVals) || !Tuple(Tok[4], HS.StaticVals))
-        return Fail("#!hot wants integer tuples: " + Line);
-      if (HS.InstanceVals.size() != CP->InstanceStateFields.size() ||
-          HS.StaticVals.size() != CP->StaticStateFields.size())
-        return Fail("#!hot tuple sizes do not match the state fields: " +
-                    Line);
-      CP->HotStates.push_back(std::move(HS));
-    } else {
-      return Fail("unknown directive #!" + Kind);
-    }
-  }
-  for (const MutableClassPlan &CP : Out.Plan.Classes)
-    if (CP.HotStates.empty())
-      return Fail("#!mutable class has no #!hot states");
-  return true;
-}
 
 } // namespace dchm

@@ -33,8 +33,6 @@
 #ifndef DCHM_TESTING_PROGRAMGEN_H
 #define DCHM_TESTING_PROGRAMGEN_H
 
-#include "mutation/MutationPlan.h"
-#include "runtime/Program.h"
 #include "support/Random.h"
 
 #include <cstdint>
@@ -127,16 +125,6 @@ struct GenModel {
   std::vector<GenOp> TOps;
 };
 
-/// Plan directives parsed back out of a generated (or hand-edited) `.mvm`
-/// file: the mutation plan plus adaptive thresholds.
-struct GenPlanInfo {
-  MutationPlan Plan;
-  uint64_t Opt1 = 0, Opt2 = 0; ///< 0 = directive absent, keep defaults
-  /// From `#!segments <n>`: drive Main.seg0..n-1 instead of Main.main,
-  /// installing the plan after seg0. Segments == 1 means no directive.
-  int Segments = 1;
-};
-
 /// Seeded random MVM program generator with greedy shrinking.
 class ProgramGen {
 public:
@@ -160,14 +148,6 @@ public:
 
   /// Renders just the `#!` plan directives for the current model.
   std::string renderDirectives() const;
-
-  /// Parses the `#!adaptive` / `#!segments` / `#!threads` / `#!mutable` /
-  /// `#!hot` comment directives of Source against an assembled-and-linked
-  /// Program, resolving class, field, and method names. Every number is
-  /// parsed whole (support/Parse.h). Returns false (with Err set) on
-  /// malformed directives or names the program does not define.
-  static bool parsePlanDirectives(const std::string &Source, Program &P,
-                                  GenPlanInfo &Out, std::string &Err);
 
 private:
   void generateFamily(GenFamily &F);

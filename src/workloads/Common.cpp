@@ -13,12 +13,25 @@
 
 namespace dchm {
 
+// The five single-run programs, compiled in; each workload is its text.
+extern const char SalaryDbMvm[], SimLogicMvm[], CsvToXmlMvm[],
+    Java2XhtmlMvm[], WekaMiniMvm[];
+
 std::unique_ptr<Program> Workload::buildProgram() {
   AssemblyResult R = assembleProgram(Source);
   if (!R.ok())
-    reportFatalErrorf("workload %s does not assemble: %s", name().c_str(),
+    reportFatalErrorf("workload %s does not assemble: %s", Name.c_str(),
                       R.Error.c_str());
   return std::move(R.P);
+}
+
+DriveDirective Workload::driveOf(const Program &P) const {
+  RunDirectives D;
+  std::string Err;
+  if (!parseRunDirectives(Source, P, D, Err) || D.Drive.Init == NoMethodId)
+    reportFatalErrorf("workload %s has no valid #!drive line: %s",
+                      Name.c_str(), Err.c_str());
+  return D.Drive;
 }
 
 WorkloadRun::WorkloadRun(Workload &W, const VMOptions &Opts,
@@ -49,6 +62,35 @@ FieldId ProgramIds::field(const std::string &Cls,
   FieldId F = P.findField(cls(Cls), Name);
   DCHM_CHECK(F != NoFieldId, "unknown field name");
   return F;
+}
+
+std::unique_ptr<Workload> makeSalaryDb() {
+  return std::make_unique<Workload>(
+      "SalaryDB", "Microbenchmark: grade-state employee salary raises",
+      SalaryDbMvm);
+}
+
+std::unique_ptr<Workload> makeSimLogic() {
+  return std::make_unique<Workload>(
+      "SimLogic", "Simple logic simulator with state-kind gates", SimLogicMvm);
+}
+
+std::unique_ptr<Workload> makeCsvToXml() {
+  return std::make_unique<Workload>(
+      "CSVToXML", "CSV to XML conversion with configuration-state converter",
+      CsvToXmlMvm);
+}
+
+std::unique_ptr<Workload> makeJava2Xhtml() {
+  return std::make_unique<Workload>(
+      "Java2XHTML", "Java to XHTML conversion with style-state formatter",
+      Java2XhtmlMvm);
+}
+
+std::unique_ptr<Workload> makeWekaMini() {
+  return std::make_unique<Workload>(
+      "Weka", "Data mining algorithm tool set (classifier evaluation)",
+      WekaMiniMvm);
 }
 
 std::vector<std::unique_ptr<Workload>> makeAllWorkloads() {

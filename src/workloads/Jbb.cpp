@@ -5,10 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The SPECjbb2000 and SPECjbb2005 drivers. The program is Jbb.mvm in this
-/// directory, with the variant's NewOrderTx class spliced in from
-/// JbbNewOrder2000.mvm or JbbNewOrder2005.mvm; the variants also differ in
-/// heap budget and in the mix TxManager.init selects.
+/// SPECjbb2000 and SPECjbb2005: Jbb.mvm in this directory, with the
+/// variant's NewOrderTx class and `#!drive` line spliced in from
+/// JbbNewOrder2000.mvm or JbbNewOrder2005.mvm, and the variant's heap.
 ///
 /// Measurement: runWarehouseWindows() executes back-to-back "warehouses"
 /// (fixed simulated-cycle windows) and reports each window's throughput in
@@ -35,48 +34,24 @@ namespace {
 constexpr std::string_view NewOrderSlot =
     "# NewOrderTx: JbbNewOrder2000.mvm or JbbNewOrder2005.mvm.\n";
 
-class JbbImpl final : public JbbWorkload {
-public:
-  explicit JbbImpl(JbbVariant V) : Variant(V) {
-    HeapBytes = V == JbbVariant::Jbb2000 ? 8u << 20 : 24u << 20;
-    Source = JbbMvm;
-    size_t Slot = Source.find(NewOrderSlot);
-    DCHM_CHECK(Slot != std::string::npos, "Jbb.mvm lost its NewOrderTx slot");
-    Source.replace(Slot, NewOrderSlot.size(),
-                   V == JbbVariant::Jbb2000 ? JbbNewOrder2000Mvm
-                                            : JbbNewOrder2005Mvm);
-  }
-
-  std::string name() const override {
-    return Variant == JbbVariant::Jbb2000 ? "SPECjbb2000" : "SPECjbb2005";
-  }
-  std::string description() const override {
-    return "SPEC transaction processing benchmark (warehouse model)";
-  }
-
-  void driveScaled(VirtualMachine &VM, double Scale) override;
-
-  void initVm(VirtualMachine &VM) override;
-  uint64_t runTransactions(VirtualMachine &VM, uint64_t Count) override;
-  std::vector<JbbWindow>
-  runWarehouseWindows(VirtualMachine &VM, int NumWindows,
-                      uint64_t WindowCycles, uint64_t WarmupCycles) override;
-
-private:
-  JbbVariant Variant;
-};
-
-void JbbImpl::initVm(VirtualMachine &VM) {
-  ProgramIds Ids(VM.program());
-  VM.program().setStaticSlot(
-      VM.program().field(Ids.field("TxManager", "seed")).Slot,
-      valueI(0x5EC5EC5EC5ll));
-  int64_t Var = Variant == JbbVariant::Jbb2005 ? 1 : 0;
-  VM.call(Ids.method("TxManager", "init"),
-          {valueI(Var), valueI(200), valueI(10), valueI(300)});
+std::string jbbSource(JbbVariant V) {
+  std::string Source = JbbMvm;
+  size_t Slot = Source.find(NewOrderSlot);
+  DCHM_CHECK(Slot != std::string::npos, "Jbb.mvm lost its NewOrderTx slot");
+  return Source.replace(Slot, NewOrderSlot.size(),
+                        V == JbbVariant::Jbb2000 ? JbbNewOrder2000Mvm
+                                                 : JbbNewOrder2005Mvm);
 }
 
-uint64_t JbbImpl::runTransactions(VirtualMachine &VM, uint64_t Count) {
+} // namespace
+
+JbbWorkload::JbbWorkload(JbbVariant V)
+    : Workload(V == JbbVariant::Jbb2000 ? "SPECjbb2000" : "SPECjbb2005",
+               "SPEC transaction processing benchmark (warehouse model)",
+               jbbSource(V),
+               V == JbbVariant::Jbb2000 ? 8u << 20 : 24u << 20) {}
+
+uint64_t JbbWorkload::runTransactions(VirtualMachine &VM, uint64_t Count) {
   ProgramIds Ids(VM.program());
   MethodId RunBatch = Ids.method("TxManager", "runBatch");
   constexpr uint64_t Batch = 50;
@@ -89,10 +64,10 @@ uint64_t JbbImpl::runTransactions(VirtualMachine &VM, uint64_t Count) {
   return Done;
 }
 
-std::vector<JbbWindow> JbbImpl::runWarehouseWindows(VirtualMachine &VM,
-                                                    int NumWindows,
-                                                    uint64_t WindowCycles,
-                                                    uint64_t WarmupCycles) {
+std::vector<JbbWindow> JbbWorkload::runWarehouseWindows(VirtualMachine &VM,
+                                                        int NumWindows,
+                                                        uint64_t WindowCycles,
+                                                        uint64_t WarmupCycles) {
   ProgramIds Ids(VM.program());
   MethodId RunBatch = Ids.method("TxManager", "runBatch");
   std::vector<JbbWindow> Out;
@@ -119,20 +94,8 @@ std::vector<JbbWindow> JbbImpl::runWarehouseWindows(VirtualMachine &VM,
   return Out;
 }
 
-void JbbImpl::driveScaled(VirtualMachine &VM, double Scale) {
-  initVm(VM);
-  uint64_t Tx = static_cast<uint64_t>(16000 * Scale);
-  if (Tx < 800)
-    Tx = 800;
-  runTransactions(VM, Tx);
-  ProgramIds Ids(VM.program());
-  VM.call(Ids.method("TxManager", "checkSum"), {});
-}
-
-} // namespace
-
 std::unique_ptr<JbbWorkload> makeJbb(JbbVariant V) {
-  return std::make_unique<JbbImpl>(V);
+  return std::make_unique<JbbWorkload>(V);
 }
 
 } // namespace dchm

@@ -8,10 +8,12 @@
 /// \file
 /// The seven benchmark programs of the paper's Table 1, re-expressed as
 /// MiniVM programs: each is a `.mvm` text in this directory, compiled into
-/// the library, and its C++ driver. Every workload rebuilds its Program
+/// the library, whose `#!drive` line is its run (docs/mvm-format.md). A
+/// Workload is that text, a name and a heap budget. It rebuilds its Program
 /// from scratch by assembling the text (so profiling runs, baseline runs,
-/// and mutation runs never share compiled state) and can drive a run at a
-/// configurable scale.
+/// and mutation runs never share compiled state) and drives a run at a
+/// configurable scale through runDrive (testing/MvmRun.h), as `dchm_run
+/// exec` runs the file.
 /// WorkloadRun is the one recipe that deploys a workload: a fresh Program,
 /// a VM over it, and (with mutation on) the plan and its OLC database.
 ///
@@ -21,7 +23,7 @@
 #define DCHM_WORKLOADS_WORKLOAD_H
 
 #include "analysis/OfflinePipeline.h"
-#include "core/VM.h"
+#include "testing/MvmRun.h"
 
 #include <memory>
 #include <string>
@@ -32,18 +34,20 @@ namespace dchm {
 /// One benchmark program.
 class Workload : public ProgramSource {
 public:
-  ~Workload() override = default;
+  Workload(std::string Name, std::string Description, std::string Source,
+           size_t HeapBytes = VMOptions().HeapBytes)
+      : Name(std::move(Name)), Description(std::move(Description)),
+        Source(std::move(Source)), HeapBytes(HeapBytes) {}
 
-  virtual std::string name() const = 0;
-  virtual std::string description() const = 0;
+  const std::string &name() const { return Name; }
+  const std::string &description() const { return Description; }
 
-  /// Drives a run at the given scale (1.0 = the full benchmark; profiling
-  /// runs use a fraction). The driver resolves entity ids by name from
+  /// Runs the text's `#!drive` at the given scale (1.0 = the full
+  /// benchmark; profiling runs use a fraction). Its names resolve against
   /// VM.program(), so it works on any Program built by this workload.
-  virtual void driveScaled(VirtualMachine &VM, double Scale) = 0;
-
-  /// Full-scale run.
-  void drive(VirtualMachine &VM) { driveScaled(VM, 1.0); }
+  void driveScaled(VirtualMachine &VM, double Scale) {
+    runDrive(VM, driveOf(VM.program()), Scale);
+  }
 
   /// The options a run of this workload starts from: the VM defaults with
   /// the workload's heap budget. The budgets follow the paper's heaps,
@@ -57,19 +61,25 @@ public:
   }
 
   // --- ProgramSource ---------------------------------------------------------
-  /// Assembles Source into a fresh linked Program.
+  /// Assembles the text into a fresh linked Program.
   std::unique_ptr<Program> buildProgram() override;
   void driveProfile(VirtualMachine &VM) override {
     driveScaled(VM, ProfileScale);
   }
 
 protected:
+  /// The text's `#!drive`, resolved against P (aborts if the text has no
+  /// valid one: the texts are compiled in, so that is a bug).
+  DriveDirective driveOf(const Program &P) const;
+
+private:
+  std::string Name, Description;
   /// The program as `.mvm` text (src/workloads/*.mvm, compiled in).
   std::string Source;
+  /// Heap budget of a run (vmOptions); profiling runs keep the VM default.
+  size_t HeapBytes;
   /// Fraction of the full run used for offline profiling.
   static constexpr double ProfileScale = 0.2;
-  /// Heap budget of a run (vmOptions); profiling runs keep the VM default.
-  size_t HeapBytes = VMOptions().HeapBytes;
 };
 
 /// One deployment of a workload, the paper's Figure 3 recipe: a fresh
@@ -123,20 +133,22 @@ struct JbbWindow {
   uint64_t Transactions = 0;
 };
 
-/// Extended driver API for the SPECjbb-like workloads: Figures 13-15 need
-/// per-warehouse throughput, not just end-to-end cycles.
-class JbbWorkload : public Workload {
+/// The SPECjbb-like workloads, with the drivers Figures 13-15 need besides
+/// the `#!drive` run: per-warehouse throughput, not just end-to-end cycles.
+class JbbWorkload final : public Workload {
 public:
-  /// Builds the warehouse database on a fresh VM (seeds, init transaction).
-  virtual void initVm(VirtualMachine &VM) = 0;
+  explicit JbbWorkload(JbbVariant V);
+  /// Builds the warehouse database on a fresh VM: the `#!drive` line's seed
+  /// and init call.
+  void initVm(VirtualMachine &VM) { startDrive(VM, driveOf(VM.program())); }
   /// Runs Count transactions; returns the number actually run.
-  virtual uint64_t runTransactions(VirtualMachine &VM, uint64_t Count) = 0;
+  uint64_t runTransactions(VirtualMachine &VM, uint64_t Count);
   /// Runs NumWindows back-to-back measurement windows of WindowCycles
   /// simulated cycles each, after a WarmupCycles ramp.
-  virtual std::vector<JbbWindow> runWarehouseWindows(VirtualMachine &VM,
-                                                     int NumWindows,
-                                                     uint64_t WindowCycles,
-                                                     uint64_t WarmupCycles) = 0;
+  std::vector<JbbWindow> runWarehouseWindows(VirtualMachine &VM,
+                                             int NumWindows,
+                                             uint64_t WindowCycles,
+                                             uint64_t WarmupCycles);
 };
 
 std::unique_ptr<JbbWorkload> makeJbb(JbbVariant V);

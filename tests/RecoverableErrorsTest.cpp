@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "asm/Assembler.h"
 #include "testing/MvmRun.h"
 
 #include <gtest/gtest.h>
@@ -155,6 +156,101 @@ TEST(PlanDirectives, RejectsMalformedNumbers) {
     MvmRunResult R = Run(Directives);
     EXPECT_FALSE(R.ok()) << Directives;
     EXPECT_NE(R.Error.find("#!"), std::string::npos) << R.Error;
+  }
+}
+
+const char *const DriveProgram = R"(
+class Main {
+  field seed: i64 static
+  field acc: i64 static
+  method init(%n: i64) static {
+    %s = getstatic Main.seed
+    %a = add %s, %n
+    putstatic Main.acc, %a
+    ret
+  }
+  method step(%k: i64) static {
+    %a = getstatic Main.acc
+    %a = add %a, %k
+    putstatic Main.acc, %a
+    ret
+  }
+  method check() static {
+    %a = getstatic Main.acc
+    print %a
+    ret
+  }
+  method main() -> i64 static {
+    %r = consti 7
+    ret %r
+  }
+}
+)";
+
+TEST(PlanDirectives, DriveRunsUnlessAnEntryIsGiven) {
+  const std::string Drive = "#!drive seed=Main.seed:100 init=Main.init(5) "
+                            "batch=Main.step(2)x10 min=3 check=Main.check\n";
+  MvmRunConfig Cfg;
+  MvmRunResult R = runMvm(Drive + DriveProgram, Cfg);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.Output, "125"); // 100 + 5 + 10 batches of 2
+  EXPECT_EQ(R.ResultType, Type::Void);
+
+  // An explicit entry wins over the drive.
+  Cfg.Entry = "Main.main";
+  R = runMvm(Drive + DriveProgram, Cfg);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.Output, "");
+  EXPECT_EQ(R.Result.I, 7);
+
+  // A drive takes no entry arguments.
+  Cfg.Entry.clear();
+  Cfg.Args = {1};
+  EXPECT_NE(runMvm(Drive + DriveProgram, Cfg).Error.find("#!drive"),
+            std::string::npos);
+
+  // The batch count scales down (rounding toward zero) to the min floor.
+  AssemblyResult A = assembleProgram(Drive + DriveProgram);
+  ASSERT_TRUE(A.ok()) << A.Error;
+  RunDirectives D;
+  std::string Err;
+  ASSERT_TRUE(parseRunDirectives(Drive + DriveProgram, *A.P, D, Err)) << Err;
+  for (auto [Scale, Want] : {std::pair{0.59, "115"}, std::pair{0.1, "111"}}) {
+    auto P = assembleProgram(DriveProgram).P;
+    VirtualMachine VM(*P, VMOptions());
+    runDrive(VM, D.Drive, Scale);
+    EXPECT_EQ(VM.interp().output(), Want) << Scale;
+  }
+}
+
+TEST(PlanDirectives, DriveRejectsMalformedLines) {
+  const std::string Bad[] = {
+      "#!drive init=Main.init(5) batch=Main.step(2)x10\n", // no check
+      "#!drive init=Main.init(5) batch=Main.step(2) check=Main.check\n",
+      "#!drive init=Main.init(5) batch=Main.step(2)x0 check=Main.check\n",
+      "#!drive init=Main.init(5) batch=Main.step(2)x10x check=Main.check\n",
+      "#!drive init=Main.init(5x) batch=Main.step(2)x1 check=Main.check\n",
+      "#!drive init=Main.init(5,) batch=Main.step(2)x1 check=Main.check\n",
+      "#!drive init=Main.init batch=Main.step(2)x1 check=Main.check\n",
+      "#!drive init=Main.nope(5) batch=Main.step(2)x1 check=Main.check\n",
+      "#!drive init=Main.init(5) batch=Main.step(2)x1 min=-1 "
+      "check=Main.check\n",
+      "#!drive seed=Main.nope:1 init=Main.init(5) batch=Main.step(2)x1 "
+      "check=Main.check\n",
+      "#!drive seed=Main.seed:1x init=Main.init(5) batch=Main.step(2)x1 "
+      "check=Main.check\n",
+      "#!drive init=Main.init(5) init=Main.init(6) batch=Main.step(2)x1 "
+      "check=Main.check\n",
+      "#!drive init=Main.init(5) batch=Main.step(2)x1 check=Main.check "
+      "extra=1\n",
+      "#!drive init=Main.init(5) batch=Main.step(2)x1 check=Main.check\n"
+      "#!drive init=Main.init(5) batch=Main.step(2)x1 check=Main.check\n",
+  };
+  MvmRunConfig Cfg;
+  for (const std::string &Directives : Bad) {
+    MvmRunResult R = runMvm(Directives + DriveProgram, Cfg);
+    EXPECT_FALSE(R.ok()) << Directives;
+    EXPECT_NE(R.Error.find("#!drive"), std::string::npos) << R.Error;
   }
 }
 

@@ -12,6 +12,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "analysis/OlcAnalysis.h"
+#include "online/OnlineController.h"
+#include "testing/ConsistencyAuditor.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -89,6 +92,47 @@ TEST_P(WorkloadParity, DeterministicAcrossRuns) {
   EXPECT_EQ(MA.Metrics.TotalCycles, MB.Metrics.TotalCycles);
   EXPECT_EQ(MA.Metrics.Insts, MB.Metrics.Insts);
   EXPECT_EQ(MA.Metrics.CodeBytes, MB.Metrics.CodeBytes);
+}
+
+TEST_P(WorkloadParity, AuditedRunIsClean) {
+  // The paper's own programs under the consistency auditor, attached before
+  // the plan install: the offline plan with its OLC database installed at
+  // startup, and the online controller polled between ten slices as
+  // `dchm_run run --online` does. Each deployment is WorkloadRun's recipe
+  // by hand, so the auditor sees the install.
+  auto All = makeAllWorkloads();
+  Workload &W = *All[static_cast<size_t>(GetParam())];
+  MutationPlan Plan = runOfflinePipeline(W, OfflineConfig{}).Plan;
+  for (bool Online : {false, true}) {
+    auto P = W.buildProgram();
+    OlcDatabase Olc;
+    std::unique_ptr<OnlineMutationController> Ctl; // outlives the VM
+    VMOptions Opts = W.vmOptions();
+    Opts.EnableMutation = true;
+    VirtualMachine VM(*P, Opts);
+    ConsistencyAuditor Auditor(VM, 64);
+    VM.setAuditHook(&Auditor);
+    if (Online) {
+      Ctl = std::make_unique<OnlineMutationController>(
+          VM, OnlineMutationController::Config{});
+    } else {
+      VM.setMutationPlan(&Plan);
+      Olc = analyzeObjectLifetimeConstants(*P, Plan);
+      VM.setOlcDatabase(&Olc);
+    }
+    for (int Slice = 0; Slice < 10; ++Slice) {
+      W.driveScaled(VM, 0.03);
+      if (Ctl)
+        Ctl->poll();
+    }
+    Auditor.auditNow("end of run");
+    EXPECT_EQ(Auditor.violationCount(), 0u)
+        << (Online ? "online: " : "offline: ") << Auditor.report();
+    EXPECT_GT(Auditor.auditsRun(), 1u);
+    // The audits covered live mutation, not an idle plan.
+    EXPECT_GT(VM.metrics().Mutation.ObjectTibSwings, 0u)
+        << (Online ? "online" : "offline");
+  }
 }
 
 const char *const WorkloadNames[] = {"SalaryDB",   "SimLogic", "CSVToXML",

@@ -136,9 +136,9 @@ int runMalformed(uint64_t N, uint64_t SeedBase) {
       continue;
     }
     // Still assembled — the directive parser must also stay recoverable.
-    GenPlanInfo Gen;
+    RunDirectives Dirs;
     std::string Err;
-    ProgramGen::parsePlanDirectives(Corrupt, *AR.P, Gen, Err);
+    parseRunDirectives(Corrupt, *AR.P, Dirs, Err);
     ++Accepted;
   }
   std::printf("fuzz: %llu corrupted programs, %llu rejected with "

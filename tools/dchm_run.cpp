@@ -220,11 +220,11 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
 
 /// exec: run a .mvm file through the harness dchm_fuzz uses
 /// (testing/MvmRun), so fuzzer artifacts replay byte-for-byte
-/// (docs/fuzzing.md): `#!adaptive` and `#!segments` always apply, --mutate
-/// installs the `#!` plan, and --audit attaches a ConsistencyAuditor and
-/// fails the run on any invariant violation. A file carrying `#!threads`
-/// runs the fuzzer's threads oracle instead (Main.tmain on 1, 2 and 4
-/// mutators must agree) and prints its 1-mutator run. All failure paths
+/// (docs/fuzzing.md): without --entry its `#!drive` runs, else `main`;
+/// `#!adaptive` and `#!segments` always apply, --mutate installs the `#!`
+/// plan, --audit fails the run on any ConsistencyAuditor violation, and a
+/// `#!threads` file runs the threads oracle instead (Main.tmain on 1, 2 and
+/// 4 mutators must agree), printing its 1-mutator run. All failure paths
 /// are recoverable diagnostics (exit 1), never aborts.
 int cmdExec(const std::string &Path, const MvmRunConfig &Cfg) {
   std::ifstream In(Path);
@@ -280,7 +280,6 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     MvmRunConfig Cfg;
-    Cfg.Entry = "main";
     for (int I = 3; I < Argc; ++I) {
       std::string A = Argv[I];
       if (A.rfind("--entry=", 0) == 0)
