@@ -48,7 +48,7 @@ CompiledMethod *OptCompiler::finish(MethodInfo &M, IRFunction Code, int Level,
   if (!Decoded)
     Fail(Decoded.takeError().message());
   M.CompiledVersions.push_back(std::make_unique<CompiledMethod>(
-      M, std::move(Code), std::move(*Decoded), Level, StateIdx, Cycles));
+      M, std::move(Code), std::move(*Decoded), Level, StateIdx));
   CompiledMethod *CM = M.CompiledVersions.back().get();
 
   Stats.TotalCompileCycles += Cycles;

@@ -14,7 +14,9 @@
 // IR, so a branch into the middle of a group lands on that instruction's
 // own entry. Decoding checked once that the body ends in Br/Ret and that
 // every branch target is in range, so the loop has no per-dispatch bound
-// check. See docs/dispatch.md.
+// check. A guest call pushes a frame and jumps back to the loop's entry, and
+// Ret pops it and resumes the caller, so one host activation of executeLoop
+// runs a whole invoke(). See docs/dispatch.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,10 +33,7 @@
 namespace dchm {
 
 Interpreter::Interpreter(Program &P, Heap &H, VMCallbacks &CB, unsigned Ctx)
-    : P(P), H(H), CB(CB), Ctx(Ctx) {
-  Frames.resize(MaxFrames);
-  RegArena.resize(InitialArenaSlots);
-}
+    : P(P), H(H), CB(CB), Ctx(Ctx) {}
 
 void Interpreter::setProfiling(bool On) {
   Profiling = On;
@@ -71,33 +70,23 @@ void Interpreter::printValue(const Instruction &I, Value V) {
 }
 
 void Interpreter::enumerateRoots(std::vector<Object *> &Roots) {
-  for (size_t D = 0; D < Depth; ++D) {
-    const Frame &F = Frames[D];
-    if (!F.Fn)
-      continue;
-    const auto &Types = F.Fn->RegTypes;
+  for (const Frame &F : Frames) {
+    const auto &Types = F.CM->code().RegTypes;
     const Value *Regs = RegArena.data() + F.RegBase;
-    for (uint32_t R = 0; R < F.NumRegs; ++R)
+    for (size_t R = 0; R < Types.size(); ++R)
       if (Types[R] == Type::Ref && Regs[R].R)
         Roots.push_back(Regs[R].R);
   }
 }
 
 void Interpreter::collectActiveCtorReceivers(std::vector<Object *> &Out) const {
-  for (size_t D = 0; D < Depth; ++D) {
-    const Frame &F = Frames[D];
-    if (!F.Fn || !F.M || !F.M->Flags.IsCtor || F.NumRegs == 0)
+  for (const Frame &F : Frames) {
+    if (!F.CM->method().Flags.IsCtor || F.CM->code().RegTypes.empty())
       continue;
     const Value *Regs = RegArena.data() + F.RegBase;
     if (Regs[0].R)
       Out.push_back(Regs[0].R);
   }
-}
-
-CompiledMethod *Interpreter::resolveInterface(TIB *T, MethodId IfaceMethod) {
-  uint64_t Ignored = 0;
-  return resolveInterfaceSite(T, IfaceMethod % NumImtSlots, IfaceMethod,
-                              Ignored);
 }
 
 CompiledMethod *Interpreter::resolveInterfaceSite(TIB *T, uint32_t ImtSlot,
@@ -155,7 +144,8 @@ Value Interpreter::invoke(MethodId Mid, const std::vector<Value> &Args) {
     Object *Recv = Args[0].R;
     DCHM_CHECK(Recv && Recv->Tib, "invoke on null/invalid receiver");
     if (P.cls(M.Owner).IsInterface) {
-      CM = resolveInterface(Recv->Tib, M.Id);
+      uint64_t Uncharged = 0; // a host call pays no dispatch cost
+      CM = resolveInterfaceSite(Recv->Tib, Mid % NumImtSlots, Mid, Uncharged);
     } else if (M.isVirtualDispatch()) {
       CM = resolveAndEnsure(Recv->Tib, M.VSlot);
     } else {
@@ -167,10 +157,40 @@ Value Interpreter::invoke(MethodId Mid, const std::vector<Value> &Args) {
       }
     }
   }
-  Value Result = executeLoop(CM, Args.data(), Args.size());
-  if (M.Flags.IsCtor && !Args.empty())
-    CB.onConstructorExit(Args[0].R, M);
-  return Result;
+  std::copy(Args.begin(), Args.end(),
+            pushFrame(CM, Args.size(), nullptr, nullptr, 0));
+  return executeLoop();
+}
+
+// Forced inline: GCC's estimate puts the loop's call path among its cold
+// blocks and would leave every guest call an out-of-line host call.
+[[gnu::always_inline]] inline Value *
+Interpreter::pushFrame(CompiledMethod *CM, size_t NumArgs,
+                       const Instruction *RetIp, const DecodedInst *RetD,
+                       uint64_t RetC) {
+  // Consistency-audit checkpoint at the invocation boundary: dispatch
+  // structures are quiescent here. The hook is read-only
+  // (runtime/AuditHook.h), so audited and unaudited runs stay bit-identical
+  // in simulated state.
+  if (Audit)
+    Audit->onSafepoint();
+  const IRFunction &Fn = CM->code();
+  if (Frames.size() >= MaxFrames)
+    reportFatalErrorf("VM stack overflow invoking '%s': frame depth %zu "
+                      "reached the MaxFrames limit (%zu)",
+                      Fn.Name.c_str(), Frames.size(), MaxFrames);
+  DCHM_CHECK(NumArgs == Fn.NumArgs, "execute arg count mismatch");
+  // Carve the frame's register window out of the contiguous arena, which
+  // grows on demand and so may move: the loop takes its register pointer
+  // from each push and re-derives it from RegBase on each return.
+  const size_t NumRegs = Fn.RegTypes.size();
+  if (ArenaTop + NumRegs > RegArena.size())
+    RegArena.resize(std::max(RegArena.size() * 2, ArenaTop + NumRegs));
+  Frames.push_back({CM, ArenaTop, RetIp, RetD, RetC});
+  Value *R = RegArena.data() + ArenaTop;
+  ArenaTop += NumRegs;
+  std::fill_n(R + NumArgs, NumRegs - NumArgs, zeroValue());
+  return R;
 }
 
 /// Charges the group at D and jumps to its handler.
@@ -210,39 +230,18 @@ Value Interpreter::invoke(MethodId Mid, const std::vector<Value> &Args) {
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((optimize("no-crossjumping", "no-gcse")))
 #endif
-Value Interpreter::executeLoop(CompiledMethod *CM, const Value *Args,
-                               size_t NumArgs) {
-  // Consistency-audit checkpoint at the invocation boundary: dispatch
-  // structures are quiescent here. Nested calls enter here directly (not
-  // via invoke()), which is why the check lives at the top of the loop
-  // body. The hook is read-only (runtime/AuditHook.h), so audited and
-  // unaudited runs stay bit-identical in simulated state.
-  if (Audit)
-    Audit->onSafepoint();
-  const IRFunction &Fn = CM->code();
-  MethodInfo &M = CM->method();
-  if (Depth >= MaxFrames)
-    reportFatalErrorf("VM stack overflow invoking '%s': frame depth %zu "
-                      "reached the MaxFrames limit (%zu)",
-                      Fn.Name.c_str(), Depth, MaxFrames);
-  Frame &F = Frames[Depth++];
-  F.Fn = &Fn;
-  F.M = &M;
-  const uint32_t NumRegs = static_cast<uint32_t>(Fn.RegTypes.size());
-  F.NumRegs = NumRegs;
-  // Carve this frame's register window out of the contiguous arena. The
-  // slab only ever grows here, so raw register pointers stay valid for the
-  // whole handler run and are re-derived after nested invocations.
-  F.RegBase = ArenaTop;
-  if (ArenaTop + NumRegs > RegArena.size())
-    RegArena.resize(std::max(RegArena.size() * 2, ArenaTop + NumRegs));
-  ArenaTop += NumRegs;
-  Value *R = RegArena.data() + F.RegBase;
-  DCHM_CHECK(NumArgs == Fn.NumArgs, "execute arg count mismatch");
-  // Args never alias the arena: callers pass host-stack or std::vector
-  // storage (ArgBufCall's Buf, invoke()'s argument vector).
-  std::copy_n(Args, NumArgs, R);
-  std::fill_n(R + NumArgs, NumRegs - NumArgs, zeroValue());
+Value Interpreter::executeLoop() {
+  // The running frame's method, body and registers, set on every call and
+  // return. No lambda captures R: a by-reference capture would keep it, and
+  // so every handler's register access, in memory.
+  MethodInfo *M = nullptr;
+  const Instruction *Insts = nullptr, *Ip = nullptr;
+  const DecodedInst *Dec = nullptr, *D = nullptr;
+  Value *R = RegArena.data() + Frames.back().RegBase;
+  uint64_t C = 0;      // the running frame's cycles, flushed on its return
+  uint64_t NInsts = 0; // instructions of every frame, flushed on exit
+  // The body being entered: the frame invoke() pushed, then each callee.
+  CompiledMethod *Target = Frames.back().CM;
 
   /// A method at the top of the ladder takes no hotness sample when every
   /// event counts (see setSkipTopTierSamples()): nothing reads its count
@@ -250,38 +249,7 @@ Value Interpreter::executeLoop(CompiledMethod *CM, const Value *Args,
   /// re-read per event because a back edge may promote mid-invocation.
   auto TakesSample = [&] {
     return !SkipTopTierSamples ||
-           M.CurOptLevel.load(std::memory_order_relaxed) < TopOptLevel;
-  };
-
-  Stats.Invocations++;
-  if (TakesSample())
-    CB.onMethodEntry(M);
-
-  uint64_t C = 0;      // local cycle accumulator, flushed on return
-  uint64_t NInsts = 0; // local instruction counter, flushed on return
-  Value Ret = zeroValue();
-  const Instruction *const Insts = Fn.Insts.data();
-  const Instruction *Ip = Insts;
-  const DecodedInst *const Dec = CM->decoded().data();
-  const DecodedInst *D = Dec;
-
-  /// Calls Target with the arguments of call instruction I, read from the
-  /// registers at Regs. The register base is a parameter, not a capture,
-  /// so R can live in a host register across the whole loop; every caller
-  /// re-derives R afterwards, since the nested invocation may have grown
-  /// the arena.
-  auto ArgBufCall = [this](const Value *Regs, const Instruction &I,
-                           CompiledMethod *Target) {
-    Value Buf[MaxCallArgs];
-    DCHM_CHECK(I.Args.size() <= MaxCallArgs, "too many call arguments");
-    for (size_t A = 0; A < I.Args.size(); ++A)
-      Buf[A] = Regs[I.Args[A]];
-    Value RV = executeLoop(Target, Buf, I.Args.size());
-    // "At the end of the constructors for a mutable class" (Figure 4): the
-    // ctor-exit trigger of the distributed mutation algorithm.
-    if (Target->method().Flags.IsCtor)
-      CB.onConstructorExit(Buf[0].R, Target->method());
-    return RV;
+           M->CurOptLevel.load(std::memory_order_relaxed) < TopOptLevel;
   };
 
   /// Hotness sample on a loop back edge. A top-tier method takes none, which
@@ -293,7 +261,7 @@ Value Interpreter::executeLoop(CompiledMethod *CM, const Value *Args,
     if (Sp)
       Sp->poll();
     if (TakesSample())
-      CB.onBackedge(M);
+      CB.onBackedge(*M);
   };
 
   // Label-address table in HandlerId order: first one handler per opcode,
@@ -319,20 +287,28 @@ Value Interpreter::executeLoop(CompiledMethod *CM, const Value *Args,
 #define DCHM_X(OP) &&L_##OP##_Cbz,
       DCHM_BRANCH_CMPS(DCHM_X)
 #undef DCHM_X
-      &&L_GetField_GetField,
   };
   static_assert(sizeof(JumpTab) / sizeof(JumpTab[0]) ==
                     static_cast<unsigned>(HandlerId::NumHandlers),
                 "jump table out of sync with HandlerId");
 
+  // Entry to Target, whose frame was just pushed with its arguments copied
+  // into R.
+enter:
+  M = &Target->method();
+  Ip = Insts = Target->code().Insts.data();
+  D = Dec = Target->decoded().data();
+  C = 0;
+  Stats.Invocations++;
+  if (TakesSample())
+    CB.onMethodEntry(*M);
   // Multi-mutator rendezvous poll at the invocation boundary. It sits
   // *after* the frame push and argument copy — a parked thread's arguments
   // are then rooted through its frame registers, so a leader's GC closure
-  // cannot sweep them — and covers nested calls, which enter this loop body
-  // directly. Null slot (single-mutator mode) costs one predictable branch.
+  // cannot sweep them. Null slot (single-mutator mode) costs one
+  // predictable branch.
   if (Sp)
     Sp->poll();
-
   VM_DISPATCH();
 
 L_ConstI: {
@@ -426,15 +402,6 @@ L_Rem: {
   R[Ip->Dst] = evalBinop(Opcode::Rem, R[Ip->A], R[Ip->B]);
   VM_NEXT();
 }
-// Back-to-back field loads off the receiver (method prologues reading
-// several fields of `this`). The call null-checked the receiver, and no
-// instruction writes an argument register, so neither load can trap.
-L_GetField_GetField: {
-  Object *This = R[0].R;
-  R[Ip->Dst] = This->get(Ip->Aux);
-  R[Ip[1].Dst] = This->get(Ip[1].Aux);
-  VM_SKIP(2);
-}
 L_Neg:
 L_FNeg:
 L_I2F:
@@ -457,9 +424,35 @@ L_Cbz: {
   VM_NEXT();
 }
 L_Ret: {
-  if (Ip->A != NoReg)
-    Ret = R[Ip->A];
-  goto done;
+  const Value RV = Ip->A != NoReg ? R[Ip->A] : zeroValue();
+  Stats.Cycles += C;
+  if (Profiling)
+    MethodCycles[M->Id] += C;
+  MethodInfo &Callee = *M;
+  // Argument registers are never written, so R[0] is still the receiver.
+  Object *Recv = Callee.Flags.IsCtor ? R[0].R : nullptr;
+  const Frame F = Frames.back();
+  Frames.pop_back();
+  ArenaTop = F.RegBase;
+  // "At the end of the constructors for a mutable class" (Figure 4): the
+  // ctor-exit trigger of the distributed mutation algorithm.
+  if (Callee.Flags.IsCtor)
+    CB.onConstructorExit(Recv, Callee);
+  if (!F.RetIp) { // the frame invoke() pushed
+    Stats.Insts += NInsts;
+    return RV;
+  }
+  const Frame &Top = Frames.back();
+  M = &Top.CM->method();
+  Insts = Top.CM->code().Insts.data();
+  Dec = Top.CM->decoded().data();
+  R = RegArena.data() + Top.RegBase;
+  Ip = F.RetIp;
+  D = F.RetD;
+  C = F.RetC;
+  if (Ip->Dst != NoReg)
+    R[Ip->Dst] = RV;
+  VM_NEXT();
 }
 
 L_New: {
@@ -510,7 +503,7 @@ L_PutField: {
     // Stores a constructor makes to its own object are deferred to the
     // constructor-exit action (Figure 4 patches "assignments in a
     // non-constructor method" plus the end of constructors).
-    bool DuringCtor = M.Flags.IsCtor && O == R[0].R;
+    bool DuringCtor = M->Flags.IsCtor && O == R[0].R;
     if (!DuringCtor) {
       C += DispatchCost::StateFieldPatchBase;
       Stats.StatePatchHits++;
@@ -518,7 +511,7 @@ L_PutField: {
     CB.onInstanceStateStore(O, Fld, DuringCtor);
   } else if (Fld.IsObserved) {
     // Value profiling only: reported like a state store, charged nothing.
-    CB.onInstanceStateStore(O, Fld, M.Flags.IsCtor && O == R[0].R);
+    CB.onInstanceStateStore(O, Fld, M->Flags.IsCtor && O == R[0].R);
   }
   VM_NEXT();
 }
@@ -542,28 +535,20 @@ L_PutStatic: {
 L_CallStatic: {
   C += DispatchCost::StaticCall;
   MethodInfo &Callee = P.method(static_cast<MethodId>(Ip->Imm));
-  CompiledMethod *Target = P.staticEntry(Callee.Id);
+  Target = P.staticEntry(Callee.Id);
   if (!Target)
     Target = CB.ensureCompiled(Callee);
-  Value RV = ArgBufCall(R, *Ip, Target);
-  R = RegArena.data() + F.RegBase;
-  if (Ip->Dst != NoReg)
-    R[Ip->Dst] = RV;
-  VM_NEXT();
+  goto call;
 }
 L_CallVirtual: {
   C += DispatchCost::VirtualCall;
   Stats.VirtualCalls++;
   Object *Recv = R[Ip->Args[0]].R;
   DCHM_CHECK(Recv && Recv->Tib, "null receiver in callvirtual");
-  CompiledMethod *Target = Recv->Tib->Slots[Ip->Aux];
+  Target = Recv->Tib->Slots[Ip->Aux];
   if (!Target)
     Target = resolveAndEnsure(Recv->Tib, Ip->Aux);
-  Value RV = ArgBufCall(R, *Ip, Target);
-  R = RegArena.data() + F.RegBase;
-  if (Ip->Dst != NoReg)
-    R[Ip->Dst] = RV;
-  VM_NEXT();
+  goto call;
 }
 L_CallSpecial: {
   // Static binding through the *declaring class* TIB (invokespecial):
@@ -573,17 +558,13 @@ L_CallSpecial: {
   DCHM_CHECK(R[Ip->Args[0]].R, "null receiver in callspecial");
   MethodInfo &Callee = P.method(static_cast<MethodId>(Ip->Imm));
   TIB *DeclTib = P.cls(Callee.Owner).ClassTib;
-  CompiledMethod *Target = DeclTib->Slots[Ip->Aux];
+  Target = DeclTib->Slots[Ip->Aux];
   if (!Target) {
     CB.ensureCompiled(Callee);
     Target = DeclTib->Slots[Ip->Aux];
     DCHM_CHECK(Target, "compile broker did not install code");
   }
-  Value RV = ArgBufCall(R, *Ip, Target);
-  R = RegArena.data() + F.RegBase;
-  if (Ip->Dst != NoReg)
-    R[Ip->Dst] = RV;
-  VM_NEXT();
+  goto call;
 }
 L_CallInterface: {
   C += DispatchCost::InterfaceCall;
@@ -591,15 +572,11 @@ L_CallInterface: {
   Object *Recv = R[Ip->Args[0]].R;
   DCHM_CHECK(Recv && Recv->Tib, "null receiver in callinterface");
   uint64_t Extra = 0;
-  CompiledMethod *Target = resolveInterfaceSite(
+  Target = resolveInterfaceSite(
       Recv->Tib, Ip->Aux, static_cast<MethodId>(Ip->Imm), Extra);
   C += Extra;
   DCHM_CHECK(Target, "interface dispatch found no code");
-  Value RV = ArgBufCall(R, *Ip, Target);
-  R = RegArena.data() + F.RegBase;
-  if (Ip->Dst != NoReg)
-    R[Ip->Dst] = RV;
-  VM_NEXT();
+  goto call;
 }
 
 L_InstanceOf: {
@@ -634,15 +611,19 @@ L_Print: {
   VM_NEXT();
 }
 
-done:
-  Stats.Cycles += C;
-  Stats.Insts += NInsts;
-  if (Profiling)
-    MethodCycles[M.Id] += C;
-  ArenaTop = F.RegBase;
-  F.Fn = nullptr;
-  --Depth;
-  return Ret;
+// Every call: arguments go straight from the caller's register window into
+// the callee's. The push may grow (and so move) the arena, so the caller's
+// window is found again by its offset.
+call: {
+  const size_t CallerBase = static_cast<size_t>(R - RegArena.data());
+  const size_t NumArgs = Ip->Args.size();
+  Value *Callee = pushFrame(Target, NumArgs, Ip, D, C);
+  const Value *Caller = RegArena.data() + CallerBase;
+  for (size_t A = 0; A < NumArgs; ++A)
+    Callee[A] = Caller[Ip->Args[A]];
+  R = Callee;
+  goto enter;
+}
 }
 
 #undef VM_DISPATCH

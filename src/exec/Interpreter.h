@@ -22,8 +22,9 @@
 /// per compiled method, where fused groups of dominant instruction
 /// sequences have their own handlers and are charged on dispatch. It
 /// changes only real wall time, never simulated cycles or program output.
-/// Registers live in one contiguous bump-allocated arena shared by all
-/// frames.
+/// A guest call pushes a Frame and keeps dispatching in the same loop, so
+/// guest depth costs no host stack; registers live in one contiguous
+/// bump-allocated arena shared by all frames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +41,8 @@
 #include <vector>
 
 namespace dchm {
+
+struct DecodedInst;
 
 /// Execution statistics for one interpreter lifetime.
 struct ExecStats {
@@ -113,23 +116,29 @@ public:
 
 private:
   static constexpr size_t MaxFrames = 512;
-  static constexpr size_t InitialArenaSlots = 4096;
 
-  /// One activation record. Registers live in the shared arena window
-  /// [RegBase, RegBase + NumRegs).
+  /// One activation record. Registers live in the shared arena window that
+  /// starts at RegBase; the Ret fields resume the caller.
   struct Frame {
-    const IRFunction *Fn = nullptr;
-    const MethodInfo *M = nullptr;
-    size_t RegBase = 0;
-    uint32_t NumRegs = 0;
+    CompiledMethod *CM;
+    size_t RegBase;
+    /// The caller's call instruction and its dispatch entry; null in the
+    /// frame invoke() pushed.
+    const Instruction *RetIp;
+    const DecodedInst *RetD;
+    uint64_t RetC; ///< the caller's cycle accumulator
   };
 
-  /// The inner loop: runs CM on a fresh frame and returns its result.
-  /// Nested calls re-enter it directly.
-  Value executeLoop(CompiledMethod *CM, const Value *Args, size_t NumArgs);
+  /// Pushes a frame running CM that returns to RetIp/RetD/RetC, and returns
+  /// its register window, zeroed past the NumArgs arguments the caller then
+  /// copies in.
+  Value *pushFrame(CompiledMethod *CM, size_t NumArgs,
+                   const Instruction *RetIp, const DecodedInst *RetD,
+                   uint64_t RetC);
+  /// The inner loop: runs the frame invoke() pushed, and every frame it
+  /// calls, until it returns, and returns its result.
+  Value executeLoop();
   CompiledMethod *resolveAndEnsure(TIB *T, uint32_t Slot);
-  /// Resolves an interface method against T's IMT (for external invoke()).
-  CompiledMethod *resolveInterface(TIB *T, MethodId IfaceMethod);
   /// IMT resolution for a CallInterface site; adds the entry
   /// kind's extra simulated cycles to ExtraCost.
   CompiledMethod *resolveInterfaceSite(TIB *T, uint32_t ImtSlot,
@@ -143,11 +152,9 @@ private:
   VMCallbacks &CB;
   unsigned Ctx;
   ExecStats Stats;
-  std::vector<Frame> Frames; ///< pooled frame stack; Depth frames live
-  size_t Depth = 0;
+  std::vector<Frame> Frames; ///< the live frames, grown on demand
   /// Contiguous register stack: one slab, frame windows bump-allocated on
-  /// invoke and released on return. Grows geometrically; raw register
-  /// pointers are re-derived after any nested invocation (see executeLoop).
+  /// call and released on return. Grows geometrically on demand.
   std::vector<Value> RegArena;
   size_t ArenaTop = 0;
   AuditHook *Audit = nullptr;

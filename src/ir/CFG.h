@@ -50,9 +50,6 @@ public:
   /// True if block A dominates block B.
   bool dominates(uint32_t A, uint32_t B) const;
 
-  /// Loop nesting depth of a block (0 = not in any loop).
-  uint32_t loopDepth(uint32_t B) const { return LoopDepthOfBlock[B]; }
-
   /// Loop nesting depth of an instruction.
   uint32_t loopDepthOfInst(uint32_t InstIdx) const {
     return LoopDepthOfBlock[InstToBlock[InstIdx]];

@@ -41,8 +41,6 @@ struct IRFunction {
   /// Types of all registers, arguments included.
   std::vector<Type> RegTypes;
   std::vector<Instruction> Insts;
-
-  uint16_t numRegs() const { return static_cast<uint16_t>(RegTypes.size()); }
 };
 
 /// Index of the only instruction in F that writes R; none when no

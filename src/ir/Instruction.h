@@ -34,8 +34,7 @@ using Reg = uint16_t;
 constexpr Reg NoReg = std::numeric_limits<Reg>::max();
 
 /// Most arguments one call instruction may pass, receiver included. Link
-/// rejects a longer call; the interpreter passes arguments in a buffer of
-/// this size.
+/// rejects a longer call.
 constexpr size_t MaxCallArgs = 16;
 
 /// One MiniVM IR instruction.

@@ -36,10 +36,9 @@ class CompiledMethod {
 public:
   CompiledMethod(MethodInfo &M, IRFunction CodeIn,
                  std::vector<DecodedInst> DecodedIn, int OptLevel,
-                 int StateIndex, uint64_t CompileCycles)
+                 int StateIndex)
       : Method(&M), Code(std::move(CodeIn)), Decoded(std::move(DecodedIn)),
         OptLevel(OptLevel), StateIndex(StateIndex),
-        CompileCycles(CompileCycles),
         // Modeled machine-code footprint: a fixed header plus bytes per
         // emitted instruction. The baseline-ish opt0 translation is less
         // dense than optimized code, mirroring Jikes' baseline-vs-opt code
@@ -56,7 +55,6 @@ public:
   int stateIndex() const { return StateIndex; }
   bool isSpecialized() const { return StateIndex >= 0; }
   size_t codeBytes() const { return CodeBytes; }
-  uint64_t compileCycles() const { return CompileCycles; }
 
   /// Invalidation marker. A replaced version stays allocated until the
   /// Program is destroyed, as in Jikes: active frames may still execute it.
@@ -69,7 +67,6 @@ private:
   std::vector<DecodedInst> Decoded;
   int OptLevel;
   int StateIndex;
-  uint64_t CompileCycles;
   size_t CodeBytes;
   bool Invalidated = false;
 };

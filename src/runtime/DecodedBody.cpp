@@ -56,10 +56,6 @@ std::pair<uint8_t, uint8_t> classify(const IRFunction &F, size_t I) {
   auto Uses = [](const Instruction *Use, Opcode Op, const Instruction &Def) {
     return Use && Use->Op == Op && Use->A == Def.Dst;
   };
-  // A field load off the receiver, which the call has null-checked.
-  auto ReceiverLoad = [&F](const Instruction &Ld) {
-    return Ld.Op == Opcode::GetField && F.HasReceiver && Ld.A == 0;
-  };
 
   if (In.Op == Opcode::ConstI) {
     // A constant feeding an integer binop (which need not read it).
@@ -85,9 +81,6 @@ std::pair<uint8_t, uint8_t> classify(const IRFunction &F, size_t I) {
       return {plus(HandlerId::CmpEQ_Cbz, K), 2};
     return Single;
   }
-  // Method prologues loading several fields of `this`.
-  if (ReceiverLoad(In) && ReceiverLoad(*Nx))
-    return {static_cast<uint8_t>(HandlerId::GetField_GetField), 2};
   return Single;
 }
 

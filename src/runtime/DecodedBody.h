@@ -63,7 +63,6 @@ enum class HandlerId : uint8_t {
 #define DCHM_X(OP) OP##_Cbz,
   DCHM_BRANCH_CMPS(DCHM_X)
 #undef DCHM_X
-  GetField_GetField, ///< two loads off the receiver, which is never null
   NumHandlers
 };
 

@@ -138,7 +138,6 @@ public:
   /// A snapshot of the counters. Any thread may call it; a collection
   /// changes GcCount and GcCycles only with the world stopped.
   HeapStats stats() const;
-  size_t budgetBytes() const { return Budget; }
 
   /// Sticky recoverable error recorded the first time an allocation is
   /// still over budget after a collection (the allocator is soft: it

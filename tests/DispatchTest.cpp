@@ -720,18 +720,15 @@ struct EntryPath {
   uint64_t Insts, Cycles, Samples;
 };
 
-/// A body with one fused group at GroupStart. Arguments are (S1, S2, X, Y),
-/// or (Obj, S1, S2) for the field-load group, an instance method on Obj
-/// that reads its fields f = 11 and g = 4. S1 != 0 branches to the group's
-/// second instruction, S2 != 0 to its third. Paths[k] is the expectation
-/// when entering at member k.
+/// A body with one fused group at GroupStart. Arguments are (S1, S2, X, Y).
+/// S1 != 0 branches to the group's second instruction, S2 != 0 to its
+/// third. Paths[k] is the expectation when entering at member k.
 struct MidGroupCase {
   IRFunction Body;
   size_t GroupStart;
   HandlerId Group;
   std::vector<EntryPath> Paths;
-  Value X, Y; ///< unused by the field-load group
-  bool OnReceiver = false; ///< the field-load group's instance method
+  Value X, Y;
 };
 
 /// The handler K places after Base in its HandlerId block.
@@ -741,7 +738,7 @@ HandlerId nth(HandlerId Base, size_t K) {
 
 /// Registers skipped by a mid-group entry stay zero, so paths that enter
 /// past the constant see 0 in its place.
-std::vector<MidGroupCase> buildMidGroupCases(FieldId FF, FieldId FG) {
+std::vector<MidGroupCase> buildMidGroupCases() {
   std::vector<MidGroupCase> Cases;
   const Value IX = valueI(5), IY = valueI(3);
   const Value FX = valueF(1.5), FY = valueF(2.25);
@@ -861,40 +858,19 @@ std::vector<MidGroupCase> buildMidGroupCases(FieldId FF, FieldId FG) {
            {{Taken ? 20 : 10, 5, 6, 1}, {TakenAtBranch ? 20 : 10, 4, 5, 1}},
            IX, IY});
     }
-
-  {
-    // Both loads read the receiver, which the call null-checked; the same
-    // pair off any other register would not fuse.
-    FunctionBuilder B("GetField_GetField", Type::I64);
-    Reg This = B.addArg(Type::Ref);
-    Reg S1 = B.addArg(Type::I64);
-    B.addArg(Type::I64);
-    auto L1 = B.makeLabel();
-    B.cbnz(S1, L1);
-    Reg A = B.getField(This, FF, Type::I64);
-    B.bind(L1);
-    Reg G = B.getField(This, FG, Type::I64);
-    B.ret(B.add(A, G));
-    Cases.push_back({B.finalize(), 1, HandlerId::GetField_GetField,
-                     {{11 + 4, 5, 8, 1}, {4, 4, 6, 1}}, {}, {}, true});
-  }
   return Cases;
 }
 
 TEST(DecodedStream, BranchIntoEveryFusedGroupMatchesPins) {
   Program P;
   ClassId K = P.defineClass("K");
-  FieldId FF = P.defineField(K, "f", Type::I64, false);
-  FieldId FG = P.defineField(K, "g", Type::I64, false);
-  std::vector<MidGroupCase> Cases = buildMidGroupCases(FF, FG);
+  std::vector<MidGroupCase> Cases = buildMidGroupCases();
   std::vector<MethodId> Ids;
   for (MidGroupCase &C : Cases) {
-    // The receiver is not among a method's declared parameters.
-    std::vector<Type> Params(C.Body.RegTypes.begin() + C.OnReceiver,
+    std::vector<Type> Params(C.Body.RegTypes.begin(),
                              C.Body.RegTypes.begin() + C.Body.NumArgs);
     MethodId M = P.defineMethod(K, C.Body.Name, C.Body.RetTy, Params,
-                                {.IsStatic = !C.OnReceiver,
-                                 .IsPrivate = C.OnReceiver});
+                                {.IsStatic = true});
     P.setBody(M, C.Body);
     Ids.push_back(M);
   }
@@ -903,21 +879,12 @@ TEST(DecodedStream, BranchIntoEveryFusedGroupMatchesPins) {
   VMOptions Opts;
   Opts.Adaptive.Opt1Threshold = 1u << 30; // every case runs its opt0 body
   VirtualMachine VM(P, Opts);
-  ClassInfo &CI = P.cls(K);
-  Object *O = VM.heap().allocateInstance(CI, CI.ClassTib);
-  O->set(P.field(FF).Slot, valueI(11));
-  O->set(P.field(FG).Slot, valueI(4));
   for (size_t I = 0; I < Cases.size(); ++I) {
     const MidGroupCase &C = Cases[I];
     for (size_t Entry = 0; Entry < C.Paths.size(); ++Entry) {
       SCOPED_TRACE(C.Body.Name + " entered at member " + std::to_string(Entry));
-      std::vector<Value> Args = {valueI(Entry == 1), valueI(Entry == 2)};
-      if (C.OnReceiver) {
-        Args.insert(Args.begin(), valueR(O));
-      } else {
-        Args.push_back(C.X);
-        Args.push_back(C.Y);
-      }
+      std::vector<Value> Args = {valueI(Entry == 1), valueI(Entry == 2), C.X,
+                                 C.Y};
       ExecStats Before = VM.interp().stats();
       uint64_t Samples0 = P.method(Ids[I]).SampleCount;
       Value R = VM.call(Ids[I], Args);
@@ -939,15 +906,11 @@ TEST(DecodedStream, BranchIntoEveryFusedGroupMatchesPins) {
 }
 
 /// True when In may sit in a fused group, last or not: no member may trap
-/// or return, and only the last may branch. A field load off the receiver
-/// of an instance method cannot trap (the call null-checked the receiver,
-/// and no instruction writes an argument register); every other opcode the
-/// opcode table does not mark removable-when-dead can trap or return.
-bool mayJoinGroup(const IRFunction &F, const Instruction &In, bool Last) {
+/// or return, and only the last may branch. Every opcode the opcode table
+/// does not mark removable-when-dead can trap or return.
+bool mayJoinGroup(const Instruction &In, bool Last) {
   if (isBranch(In.Op))
     return Last;
-  if (In.Op == Opcode::GetField)
-    return F.HasReceiver && In.A == 0;
   return isRemovableWhenDead(In.Op);
 }
 
@@ -988,7 +951,7 @@ TEST(DecodedStream, NoGroupCanTrapReturnOrBranchBeforeItsEnd) {
               continue;
             ++Groups;
             for (size_t J = I; J < I + Count; ++J)
-              if (!mayJoinGroup(F, F.Insts[J], J + 1 == I + Count) &&
+              if (!mayJoinGroup(F.Insts[J], J + 1 == I + Count) &&
                   ++Bad <= 10)
                 ADD_FAILURE() << opcodeName(F.Insts[0].Op) << ";"
                               << opcodeName(F.Insts[1].Op) << ";"

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 using namespace dchm;
 using dchm::test::SingleFunctionProgram;
 
@@ -309,6 +311,49 @@ TEST(Interp, DeepRecursionNearFrameLimitSucceeds) {
   P.link();
   VirtualMachine VM(P, {});
   EXPECT_EQ(VM.call(M, {valueI(500)}).I, 500 * 501 / 2);
+}
+
+TEST(InterpDeath, GuestRecursionTakesNoHostStack) {
+  // A guest call pushes a frame and keeps dispatching in the same loop, so
+  // the 500-deep sum(n) = n + sum(n - 1) runs on a 128 KiB host thread,
+  // which cannot hold 500 nested host activations of the loop.
+  Program P;
+  ClassId C = P.defineClass("C");
+  MethodId M = P.defineMethod(C, "sum", Type::I64, {Type::I64},
+                              {.IsStatic = true});
+  FunctionBuilder B("C.sum", Type::I64);
+  Reg N = B.addArg(Type::I64);
+  auto Rec = B.makeLabel();
+  B.cbnz(N, Rec);
+  B.ret(B.constI(0));
+  B.bind(Rec);
+  Reg Rest = B.callStatic(M, {B.sub(N, B.constI(1))}, Type::I64);
+  B.ret(B.add(N, Rest));
+  P.setBody(M, B.finalize());
+  P.link();
+  VirtualMachine VM(P, {});
+  struct Call {
+    VirtualMachine *VM;
+    MethodId M;
+    int64_t Result;
+  } Work{&VM, M, 0};
+  auto RunOnSmallStack = [&Work] {
+    pthread_attr_t Attr;
+    pthread_attr_init(&Attr);
+    pthread_attr_setstacksize(&Attr, 128 * 1024);
+    pthread_t T;
+    auto Body = [](void *Arg) -> void * {
+      auto *W = static_cast<Call *>(Arg);
+      W->Result = W->VM->call(W->M, {valueI(500)}).I;
+      return nullptr;
+    };
+    if (pthread_create(&T, &Attr, Body, &Work) != 0 ||
+        pthread_join(T, nullptr) != 0)
+      std::exit(2);
+    std::exit(Work.Result == 500 * 501 / 2 ? 0 : 1);
+  };
+  // A host stack overflow kills the child with a signal.
+  EXPECT_EXIT(RunOnSmallStack(), testing::ExitedWithCode(0), "");
 }
 
 } // namespace

@@ -216,6 +216,19 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
   return 0;
 }
 
+/// True when Source has a `#!mutable` line. The directive parser rejects a
+/// mutable class without `#!hot` states, so such a text carries a plan.
+bool hasMutableDirective(const std::string &Source) {
+  std::istringstream In(Source);
+  for (std::string Line; std::getline(In, Line);) {
+    std::istringstream Ls(Line);
+    std::string Kind;
+    if (Line.rfind("#!", 0) == 0 && Ls.ignore(2) >> Kind && Kind == "mutable")
+      return true;
+  }
+  return false;
+}
+
 } // namespace
 
 /// exec: run a .mvm file through the harness dchm_fuzz uses
@@ -224,8 +237,9 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
 /// `#!adaptive` and `#!segments` always apply, --mutate installs the `#!`
 /// plan, --audit fails the run on any ConsistencyAuditor violation, and a
 /// `#!threads` file runs the threads oracle instead (Main.tmain on 1, 2 and
-/// 4 mutators must agree), printing its 1-mutator run. All failure paths
-/// are recoverable diagnostics (exit 1), never aborts.
+/// 4 mutators must agree), printing its 1-mutator run. --mutate on a text
+/// with no `#!mutable` plan is an error, not a silently unmutated run. All
+/// failure paths are recoverable diagnostics (exit 1), never aborts.
 int cmdExec(const std::string &Path, const MvmRunConfig &Cfg) {
   std::ifstream In(Path);
   if (!In) {
@@ -234,6 +248,13 @@ int cmdExec(const std::string &Path, const MvmRunConfig &Cfg) {
   }
   std::stringstream Ss;
   Ss << In.rdbuf();
+  if (Cfg.Mutate && !hasMutableDirective(Ss.str())) {
+    std::fprintf(stderr,
+                 "%s: --mutate needs a #!mutable/#!hot plan, and the text "
+                 "has none\n",
+                 Path.c_str());
+    return 1;
+  }
   std::vector<MvmRunResult> Runs;
   std::string Why;
   if (hasThreadsDirective(Ss.str())) {
