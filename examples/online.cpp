@@ -5,9 +5,9 @@
 //
 // The paper's section 9 future work, running: no offline profiling step at
 // all. A single VM starts cold, profiles itself, derives state fields and
-// hot states in-flight, and flips mutation on mid-run. The example prints
-// the phase timeline and the cycles-per-batch curve, which visibly drops
-// after activation.
+// hot states in-flight, and flips mutation on mid-run (the VM steps the
+// controller after each call). It prints the phase timeline and the
+// cycles-per-batch curve, which visibly drops after activation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +43,6 @@ int main() {
   for (int Window = 0; Window < 12; ++Window) {
     for (int B = 0; B < BatchesPerWindow; ++B) {
       VM.call(RunBatch, {valueI(4)});
-      Ctl.poll();
       if (Ctl.phase() != LastPhase) {
         std::printf("   >>> phase transition: %s -> %s (cycle %llu)\n",
                     phaseName(LastPhase), phaseName(Ctl.phase()),

@@ -77,7 +77,10 @@ void VirtualMachine::setOlcDatabase(const OlcDatabase *Db) {
 }
 
 Value VirtualMachine::call(MethodId M, const std::vector<Value> &Args) {
-  return Interps[0]->invoke(M, Args);
+  Value V = Interps[0]->invoke(M, Args);
+  if (AfterCall)
+    AfterCall();
+  return V;
 }
 
 Value VirtualMachine::callOn(unsigned T, MethodId M,

@@ -124,8 +124,10 @@ public:
   void setAuditHook(AuditHook *H);
 
   /// Invokes a method (receiver first for instance methods) on mutator
-  /// context 0.
+  /// context 0, then runs the after-call step (the online controller's).
   Value call(MethodId M, const std::vector<Value> &Args);
+  /// Fn must stay callable for every later call(); callOn() never runs it.
+  void setAfterCall(std::function<void()> Fn) { AfterCall = std::move(Fn); }
 
   // --- Multi-mutator mode (docs/threads.md) --------------------------------
   /// Mutator thread count (>= 1).
@@ -203,6 +205,7 @@ private:
   std::vector<std::unique_ptr<Interpreter>> Interps;
   SafepointManager Safepoints;
   StateObserver *Observer = nullptr;
+  std::function<void()> AfterCall;
 };
 
 } // namespace dchm

@@ -21,6 +21,7 @@ OnlineMutationController::OnlineMutationController(VirtualMachine &VM,
   // Phase 1 begins immediately: per-method cycle attribution on.
   VM.interp().setProfiling(true);
   PhaseStartCycles = VM.totalCycles();
+  VM.setAfterCall([this] { poll(); });
 }
 
 void OnlineMutationController::poll() {

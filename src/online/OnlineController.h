@@ -31,10 +31,10 @@
 ///   Inert            — nothing to do: no state field was found, or the
 ///                      mined plan is empty.
 ///
-/// The driver calls poll() at convenient boundaries (e.g., between
-/// transaction batches); phase transitions happen there, so no extra thread
-/// is needed — mirroring how Jikes' adaptive system piggybacks on yield
-/// points.
+/// The VM steps the controller each time a host call() returns (after a
+/// drive's init, every batch and its check); phase transitions happen
+/// there, so neither an extra thread nor a host poll loop is needed, as
+/// Jikes' adaptive system is driven from inside the VM.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,11 +63,15 @@ public:
 
   enum class Phase { HotProfiling, ValueProfiling, Active, Inert };
 
-  /// The controller must outlive the VM's use of the derived plan.
+  /// Takes VM's after-call step; must outlive every later VM.call() and
+  /// the VM's use of the plan. It never detaches, so the VM may die first.
   OnlineMutationController(VirtualMachine &VM, Config Cfg);
+  OnlineMutationController(const OnlineMutationController &) = delete;
+  OnlineMutationController &operator=(const OnlineMutationController &) =
+      delete;
 
-  /// Advances the phase machine; call between units of application work.
-  /// Cheap when no phase boundary has been reached.
+  /// Advances the phase machine (the VM's after-call step). With non-zero
+  /// windows it is idempotent at one cycle count; cheap between phases.
   void poll();
 
   Phase phase() const { return CurPhase; }

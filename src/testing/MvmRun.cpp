@@ -42,6 +42,10 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
   RunDirectives Dirs;
   if (!parseRunDirectives(Source, P, Dirs, Out.Error))
     return Out;
+  if (Cfg.Mutate && Dirs.Plan.empty()) {
+    Out.Error = "--mutate needs a #!mutable/#!hot plan, and the text has none";
+    return Out;
+  }
 
   // No explicit entry: the file's `#!drive`, else `main`.
   const bool Drive = Cfg.Entry.empty() && Dirs.Drive.Init != NoMethodId;
@@ -91,7 +95,7 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
   }
 
   VMOptions Opts;
-  Opts.EnableMutation = Cfg.Mutate && !Dirs.Plan.empty();
+  Opts.EnableMutation = Cfg.Mutate;
   if (Dirs.Opt1)
     Opts.Adaptive.Opt1Threshold = Dirs.Opt1;
   if (Dirs.Opt2)

@@ -79,7 +79,8 @@ void startDrive(VirtualMachine &VM, const DriveDirective &D);
 
 /// The choices a caller makes about one run.
 struct MvmRunConfig {
-  /// Install the file's `#!mutable` / `#!hot` plan (when it is non-empty).
+  /// Install the file's `#!mutable` / `#!hot` plan. A text without one
+  /// is then an error, not a silently unmutated run.
   bool Mutate = false;
   /// Static entry method: `Class.method`, or a bare name resolved to the
   /// first class defining it. Empty: the file's `#!drive`, else `main`.

@@ -15,8 +15,8 @@ using namespace dchm;
 
 namespace {
 
-/// Drives SalaryDB batch by batch with the controller polled in between —
-/// the intended usage pattern (poll at yield-point-like boundaries).
+/// Drives SalaryDB batch by batch; nothing polls, so every expectation
+/// below also checks that the VM steps the controller itself.
 struct OnlineRun {
   RunMetrics Metrics;
   std::string Output;
@@ -34,10 +34,8 @@ OnlineRun runSalaryDbOnline(OnlineMutationController::Config Cfg,
   ProgramIds Ids(*P);
   VM.call(Ids.method("TestDriver", "init"), {valueI(400)});
   MethodId RunBatch = Ids.method("TestDriver", "runBatch");
-  for (int B = 0; B < Batches; ++B) {
+  for (int B = 0; B < Batches; ++B)
     VM.call(RunBatch, {valueI(4)});
-    Ctl.poll();
-  }
   VM.call(Ids.method("TestDriver", "checkSum"), {});
   return {VM.metrics(), VM.interp().output(), Ctl.plan(), Ctl.phase(),
           Ctl.activationCycle()};
@@ -60,6 +58,26 @@ TEST(OnlineController, MutationGoesLiveMidRun) {
   EXPECT_GT(R.Metrics.SpecialCodeBytes, 0u);
   EXPECT_GT(R.Metrics.SpecialTibBytes, 0u);
   EXPECT_GT(R.Metrics.Mutation.ObjectTibSwings, 0u);
+}
+
+TEST(OnlineController, StepsOnlyWhenAHostCallReturns) {
+  // callOn() is the mutator entry; only call() steps the controller, once
+  // per return, however far past a window the clock has run.
+  auto W = makeSalaryDb();
+  auto P = W->buildProgram();
+  VirtualMachine VM(*P, {});
+  OnlineMutationController::Config Cfg;
+  Cfg.HotProfileCycles = 100'000;
+  OnlineMutationController Ctl(VM, Cfg);
+  ProgramIds Ids(*P);
+  MethodId RunBatch = Ids.method("TestDriver", "runBatch");
+  VM.callOn(0, Ids.method("TestDriver", "init"), {valueI(400)});
+  for (int B = 0; B < 20; ++B)
+    VM.callOn(0, RunBatch, {valueI(4)});
+  EXPECT_GT(VM.totalCycles(), Cfg.HotProfileCycles);
+  EXPECT_EQ(Ctl.phase(), OnlineMutationController::Phase::HotProfiling);
+  VM.call(RunBatch, {valueI(4)});
+  EXPECT_EQ(Ctl.phase(), OnlineMutationController::Phase::ValueProfiling);
 }
 
 TEST(OnlineController, OutputMatchesOfflineAndBaseline) {
@@ -135,10 +153,8 @@ TEST(OnlineController, StandsDownWhenNothingIsMutable) {
   Cfg.HotProfileCycles = 100'000;
   Cfg.ValueProfileCycles = 100'000;
   OnlineMutationController Ctl(VM, Cfg);
-  for (int I = 0; I < 200; ++I) {
+  for (int I = 0; I < 200; ++I)
     VM.call(Work, {valueI(200)});
-    Ctl.poll();
-  }
   EXPECT_EQ(Ctl.phase(), OnlineMutationController::Phase::Inert);
   EXPECT_TRUE(Ctl.plan().empty());
   EXPECT_EQ(VM.metrics().SpecialTibBytes, 0u);

@@ -97,9 +97,9 @@ TEST_P(WorkloadParity, DeterministicAcrossRuns) {
 TEST_P(WorkloadParity, AuditedRunIsClean) {
   // The paper's own programs under the consistency auditor, attached before
   // the plan install: the offline plan with its OLC database installed at
-  // startup, and the online controller polled between ten slices as
-  // `dchm_run run --online` does. Each deployment is WorkloadRun's recipe
-  // by hand, so the auditor sees the install.
+  // startup, and the online controller, which the VM steps after every
+  // call of the drive as in `dchm_run run --online`. Each deployment is
+  // WorkloadRun's recipe by hand, so the auditor sees the install.
   auto All = makeAllWorkloads();
   Workload &W = *All[static_cast<size_t>(GetParam())];
   MutationPlan Plan = runOfflinePipeline(W, OfflineConfig{}).Plan;
@@ -120,11 +120,7 @@ TEST_P(WorkloadParity, AuditedRunIsClean) {
       Olc = analyzeObjectLifetimeConstants(*P, Plan);
       VM.setOlcDatabase(&Olc);
     }
-    for (int Slice = 0; Slice < 10; ++Slice) {
-      W.driveScaled(VM, 0.03);
-      if (Ctl)
-        Ctl->poll();
-    }
+    W.driveScaled(VM, 0.3);
     Auditor.auditNow("end of run");
     EXPECT_EQ(Auditor.violationCount(), 0u)
         << (Online ? "online: " : "offline: ") << Auditor.report();

@@ -104,7 +104,7 @@ int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
   if (Mutation && Online) {
     Ctl = std::make_unique<OnlineMutationController>(
         VM, OnlineMutationController::Config{});
-    std::printf("running %s with ONLINE mutation (poll-driven)...\n",
+    std::printf("running %s with ONLINE mutation (VM-stepped)...\n",
                 W.name().c_str());
   } else if (Mutation) {
     std::printf("running %s with mutation (plan: %zu classes, %zu hot "
@@ -115,21 +115,13 @@ int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
     std::printf("running %s without mutation...\n", W.name().c_str());
   }
   Timer T;
-  if (Online) {
-    // The generic driver has no poll points; emulate them by splitting the
-    // run into profile-scale slices, with or without a controller to poll,
-    // so --online output compares across --no-mutation.
-    for (int Slice = 0; Slice < 10; ++Slice) {
-      W.driveScaled(VM, Scale / 10.0);
-      if (Ctl)
-        Ctl->poll();
-    }
-  } else {
-    W.driveScaled(VM, Scale);
-  }
+  W.driveScaled(VM, Scale);
   double WallSec = T.seconds();
-  if (Ctl)
+  if (Ctl) {
     std::printf("final phase: %s\n", phaseName(Ctl->phase()));
+    std::printf("activation cycle: %llu\n",
+                static_cast<unsigned long long>(Ctl->activationCycle()));
+  }
   printMetrics(VM.metrics(), WallSec);
   std::printf("  program output:    %s\n", VM.interp().output().c_str());
   return 0;
@@ -216,19 +208,6 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
   return 0;
 }
 
-/// True when Source has a `#!mutable` line. The directive parser rejects a
-/// mutable class without `#!hot` states, so such a text carries a plan.
-bool hasMutableDirective(const std::string &Source) {
-  std::istringstream In(Source);
-  for (std::string Line; std::getline(In, Line);) {
-    std::istringstream Ls(Line);
-    std::string Kind;
-    if (Line.rfind("#!", 0) == 0 && Ls.ignore(2) >> Kind && Kind == "mutable")
-      return true;
-  }
-  return false;
-}
-
 } // namespace
 
 /// exec: run a .mvm file through the harness dchm_fuzz uses
@@ -248,13 +227,6 @@ int cmdExec(const std::string &Path, const MvmRunConfig &Cfg) {
   }
   std::stringstream Ss;
   Ss << In.rdbuf();
-  if (Cfg.Mutate && !hasMutableDirective(Ss.str())) {
-    std::fprintf(stderr,
-                 "%s: --mutate needs a #!mutable/#!hot plan, and the text "
-                 "has none\n",
-                 Path.c_str());
-    return 1;
-  }
   std::vector<MvmRunResult> Runs;
   std::string Why;
   if (hasThreadsDirective(Ss.str())) {
