@@ -100,7 +100,7 @@ RunMetrics runFull(Workload &W, const MutationPlan &Plan, const RunConfig &A,
   auto Run = deploy(W, Plan, A, 1);
   W.driveScaled(Run->vm(), 1.0);
   if (OlcFields)
-    *OlcFields = Run->olc().Entries.size();
+    *OlcFields = Run->vm().olc().Entries.size();
   return Run->vm().metrics();
 }
 

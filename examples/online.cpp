@@ -60,7 +60,7 @@ int main() {
   std::printf("\nderived plan: %zu mutable class(es), %zu hot states; "
               "OLC entries: %zu\n",
               Ctl.plan().Classes.size(), Ctl.plan().numHotStates(),
-              Ctl.olc().Entries.size());
+              VM.olc().Entries.size());
   std::printf("objects migrated to special TIBs: %llu\n",
               static_cast<unsigned long long>(
                   VM.mutation().stats().ObjectTibSwings));

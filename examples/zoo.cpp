@@ -11,8 +11,8 @@
 // dispatches to code specialized for the current state with no value test.
 //
 // This example writes the hierarchy in MiniVM assembly and its mutation plan
-// by hand (no offline pipeline) to show the plan API, and inspects the TIBs
-// as the state changes.
+// by hand as `#!mutable`/`#!hot` lines (no offline pipeline), and inspects
+// the TIBs as the state changes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +29,14 @@ int main() {
 
   // ZooAnimal <- Bear <- Polar, with Polar's `hungry` as the state field.
   // openCage() returns 1 (door opens) for fed bears, 0 (refused) for
-  // hungry ones: the state-dependent method of the paper's story.
+  // hungry ones: the state-dependent method of the paper's story. The plan
+  // makes Polar mutable on `hungry`, with two hot states: fed (0) and
+  // hungry (1). The hungry state *is* the implicit "Hungry Polar Bear"
+  // class of Figure 1.
   AssemblyResult Zoo = assembleProgram(R"(
+#!mutable Polar instance=hungry static=- methods=openCage
+#!hot Polar 0 : -
+#!hot Polar 1 : -
     class ZooAnimal {
       ctor <init>() {
         ret
@@ -69,30 +75,15 @@ int main() {
   Program &P = *Zoo.P;
   ProgramIds Ids(P);
   ClassId Polar = Ids.cls("Polar");
-  FieldId Hungry = Ids.field("Polar", "hungry");
   MethodId PolarCtor = Ids.method("Polar", "<init>");
   MethodId OpenCage = Ids.method("Polar", "openCage");
   MethodId Feed = Ids.method("Polar", "feed");
   MethodId GetHungry = Ids.method("Polar", "getHungry");
 
-  // Handwritten mutation plan: Polar is mutable on `hungry`, with two hot
-  // states — fed (0) and hungry (1). The hungry state *is* the implicit
-  // "Hungry Polar Bear" class of Figure 1.
-  MutationPlan Plan;
-  MutableClassPlan CP;
-  CP.Cls = Polar;
-  CP.InstanceStateFields = {Hungry};
-  HotState Fed, HungryState;
-  Fed.InstanceVals = {valueI(0)};
-  HungryState.InstanceVals = {valueI(1)};
-  CP.HotStates = {Fed, HungryState};
-  CP.MutableMethods = {OpenCage};
-  Plan.Classes.push_back(CP);
-
   VMOptions Opts;
   Opts.Adaptive.AcceleratedMutableHotness = true; // specialize right away
   VirtualMachine VM(P, Opts);
-  VM.setMutationPlan(&Plan);
+  VM.setMutationPlan(&Zoo.Directives.Plan);
 
   // Quinn is born fed.
   ClassInfo &PolarCls = P.cls(Polar);

@@ -43,8 +43,10 @@
 /// \endcode
 ///
 /// Declarations are processed in a first pass (so forward references
-/// between classes work), bodies in a second. Errors are reported with
-/// line numbers; the assembler never aborts on bad input.
+/// between classes work), bodies in a second. After link, the `#!` lines
+/// (runtime/RunDirectives.h) are parsed against the linked Program: the
+/// assembler is their one reader. Errors, a bad directive's included, are
+/// reported with line numbers; the assembler never aborts on bad input.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +54,7 @@
 #define DCHM_ASM_ASSEMBLER_H
 
 #include "runtime/Program.h"
+#include "runtime/RunDirectives.h"
 
 #include <memory>
 #include <string>
@@ -62,13 +65,18 @@ namespace dchm {
 struct AssemblyResult {
   /// The linked program, or null on error.
   std::unique_ptr<Program> P;
+  /// Its `#!` lines, resolved against P.
+  RunDirectives Directives;
   /// First error, with a 1-based line number prefix ("line 12: ...").
   std::string Error;
 
   bool ok() const { return P != nullptr; }
 };
 
-/// Assembles MiniVM assembly source into a linked Program.
+/// Assembles MiniVM assembly source into a linked Program and parses its
+/// `#!` lines. Every number is parsed whole (support/Parse.h). A malformed
+/// directive, a second `#!drive`, a name P does not define or a `#!mutable`
+/// class without `#!hot` states fails like any other error.
 AssemblyResult assembleProgram(const std::string &Source);
 
 } // namespace dchm

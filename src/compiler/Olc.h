@@ -11,9 +11,9 @@
 /// private exact-type reference field (e.g. DeliveryTransaction's
 /// `deliveryScreen`), the fields of the referenced object that are provably
 /// constant for the object's whole lifetime (e.g. DisplayScreen's
-/// rows == 24, cols == 80), with their values. The analysis itself lives in
-/// analysis/OlcAnalysis; this header only defines the database so the
-/// compiler does not depend on the analysis module.
+/// rows == 24, cols == 80), with their values. The analysis that fills it
+/// in is declared in analysis/OlcAnalysis.h; the VM runs it at each plan
+/// install (VirtualMachine::setMutationPlan).
 ///
 //===----------------------------------------------------------------------===//
 

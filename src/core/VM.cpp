@@ -7,6 +7,7 @@
 
 #include "core/VM.h"
 
+#include "analysis/OlcAnalysis.h"
 #include "support/Debug.h"
 
 #include <algorithm>
@@ -66,14 +67,12 @@ void VirtualMachine::setMutationPlan(const MutationPlan *Plan) {
     // call). It must happen before the recompilation refresh so part II's
     // audit notifications never observe a half-installed heap.
     Mutation.migrateExistingObjects();
+    Olc = analyzeObjectLifetimeConstants(P, *Plan);
+    Compiler.setOlcDatabase(&Olc);
     // Online installation: methods that got hot before the plan existed need
     // their specialized versions generated now.
     Adaptive.refreshMutableMethods();
   });
-}
-
-void VirtualMachine::setOlcDatabase(const OlcDatabase *Db) {
-  Compiler.setOlcDatabase(Db);
 }
 
 Value VirtualMachine::call(MethodId M, const std::vector<Value> &Args) {
@@ -252,6 +251,22 @@ void VirtualMachine::enumerateRoots(std::vector<Object *> &Roots) {
   for (uint32_t S = 0; S < P.numStaticSlots(); ++S)
     if (P.staticSlotType(S) == Type::Ref && P.getStaticSlot(S).R)
       Roots.push_back(P.getStaticSlot(S).R);
+}
+
+void startDrive(VirtualMachine &VM, const DriveDirective &D) {
+  DCHM_CHECK(D.Init != NoMethodId, "driving a text without a #!drive line");
+  Program &P = VM.program();
+  if (D.SeedField != NoFieldId)
+    P.setStaticSlot(P.field(D.SeedField).Slot, valueI(D.Seed));
+  VM.call(D.Init, D.InitArgs);
+}
+
+void runDrive(VirtualMachine &VM, const DriveDirective &D, double Scale) {
+  startDrive(VM, D);
+  long Batches = std::max(static_cast<long>(D.Batches * Scale), D.MinBatches);
+  for (long B = 0; B < Batches; ++B)
+    VM.call(D.Batch, D.BatchArgs);
+  VM.call(D.Check, D.CheckArgs);
 }
 
 } // namespace dchm

@@ -34,6 +34,7 @@
 #include "mutation/MutationManager.h"
 #include "runtime/Heap.h"
 #include "runtime/Program.h"
+#include "runtime/RunDirectives.h"
 #include "runtime/Safepoint.h"
 #include "support/Error.h"
 
@@ -100,13 +101,15 @@ public:
   VirtualMachine(Program &P, const VMOptions &Opts);
 
   /// Installs the mutation plan on the Program (records it, marks state
-  /// fields, creates special TIBs, migrates existing objects). Ignored when
-  /// mutation is disabled. At most once per Program: the plan stays
-  /// installed and must outlive the VM.
+  /// fields, creates special TIBs, migrates existing objects, attaches its
+  /// OLC database for specialization inlining). Ignored when mutation is
+  /// disabled. At most once per Program: the plan stays installed and must
+  /// outlive the VM.
   void setMutationPlan(const MutationPlan *Plan);
-
-  /// Wires OLC analysis results into the compiler (specialization inlining).
-  void setOlcDatabase(const OlcDatabase *Db);
+  /// The installed plan's object-lifetime constants (empty without one).
+  const OlcDatabase &olc() const { return Olc; }
+  /// Kept for perfbench/, which re-attaches a copy of olc() after install.
+  void setOlcDatabase(const OlcDatabase *Db) { Compiler.setOlcDatabase(Db); }
 
   /// Attaches a value-profiling observer. The interpreter reports stores
   /// only to fields marked IsStateField (charged as patch code: the online
@@ -206,7 +209,15 @@ private:
   SafepointManager Safepoints;
   StateObserver *Observer = nullptr;
   std::function<void()> AfterCall;
+  OlcDatabase Olc;
 };
+
+/// Runs D on VM's context 0: stores the seed, calls init once, the batch
+/// max(⌊D.Batches × Scale⌋, D.MinBatches) times and the check once, each
+/// through VM.call (the heap budget is the caller's to check).
+void runDrive(VirtualMachine &VM, const DriveDirective &D, double Scale);
+/// The seed store and the init call of runDrive alone.
+void startDrive(VirtualMachine &VM, const DriveDirective &D);
 
 } // namespace dchm
 

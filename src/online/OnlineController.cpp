@@ -95,15 +95,12 @@ void OnlineMutationController::activate() {
     CurPhase = Phase::Inert;
     return;
   }
-  // The OLC database enables specialization inlining for methods compiled
-  // from here on.
-  Olc = analyzeObjectLifetimeConstants(P, Plan);
-  VM.setOlcDatabase(&Olc);
   // Mid-run installation: creates the special TIBs, marks mutable methods,
   // rewires IMT slots, migrates objects constructed before activation onto
-  // the special TIBs matching their current state, and recompiles
-  // already-hot mutable methods so their specialized versions exist
-  // (VirtualMachine::setMutationPlan handles all of it stop-the-world).
+  // the special TIBs matching their current state, attaches the OLC
+  // database, and recompiles already-hot mutable methods so their
+  // specialized versions exist (VirtualMachine::setMutationPlan handles all
+  // of it stop-the-world).
   VM.setMutationPlan(&Plan);
   ActivationCycle = VM.totalCycles();
   CurPhase = Phase::Active;

@@ -42,7 +42,6 @@
 #define DCHM_ONLINE_ONLINECONTROLLER_H
 
 #include "analysis/OfflinePipeline.h"
-#include "analysis/OlcAnalysis.h"
 #include "core/VM.h"
 
 #include <memory>
@@ -77,7 +76,6 @@ public:
   Phase phase() const { return CurPhase; }
   /// The derived plan (empty until Active).
   const MutationPlan &plan() const { return Plan; }
-  const OlcDatabase &olc() const { return Olc; }
   /// Cycle stamp at which mutation went live (0 until Active).
   uint64_t activationCycle() const { return ActivationCycle; }
 
@@ -93,7 +91,6 @@ private:
   std::vector<ClassStateFields> Candidates;
   std::unique_ptr<ValueProfiler> VP;
   MutationPlan Plan;
-  OlcDatabase Olc;
   uint64_t ActivationCycle = 0;
 };
 

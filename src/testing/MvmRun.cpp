@@ -11,7 +11,6 @@
 #include "testing/ConsistencyAuditor.h"
 
 #include <memory>
-#include <sstream>
 
 namespace dchm {
 
@@ -39,9 +38,7 @@ MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg) {
     return Out;
   }
   Program &P = *R.P;
-  RunDirectives Dirs;
-  if (!parseRunDirectives(Source, P, Dirs, Out.Error))
-    return Out;
+  const RunDirectives &Dirs = R.Directives;
   if (Cfg.Mutate && Dirs.Plan.empty()) {
     Out.Error = "--mutate needs a #!mutable/#!hot plan, and the text has none";
     return Out;
@@ -167,14 +164,6 @@ std::string MvmRunResult::failure(const std::string &What) const {
   if (Violations)
     return "auditor violations (" + What + "):\n" + AuditReport;
   return "";
-}
-
-bool hasThreadsDirective(const std::string &Source) {
-  std::istringstream In(Source);
-  for (std::string Line; std::getline(In, Line);)
-    if (Line == "#!threads")
-      return true;
-  return false;
 }
 
 std::string threadsFailure(const std::string &Source, MvmRunConfig Cfg,

@@ -12,12 +12,12 @@
 /// runMvm, and the multi-mutator oracle (threadsFailure) lives here too, so
 /// a replay runs exactly what the failing run ran.
 ///
-/// A run assembles the source, parses its `#!` directives whether or not
-/// it mutates, applies `#!adaptive`, attaches the consistency auditor
+/// A run assembles the source (which parses its `#!` directives whether or
+/// not it mutates), applies `#!adaptive`, attaches the consistency auditor
 /// before the plan install, and then drives one of:
 ///
 ///  - with no explicit entry, the file's `#!drive` at scale 1 through
-///    runDrive, which drives the Table 1 workloads (src/workloads) too;
+///    runDrive (core/VM.h), which drives the Table 1 workloads too;
 ///  - the entry method once on context 0;
 ///  - for `Main.main` of a `#!segments` program, `Main.seg0..n-1` one at a
 ///    time; with mutation the plan is installed after seg0 instead of at
@@ -40,42 +40,6 @@
 #include <vector>
 
 namespace dchm {
-
-/// `#!drive [seed=C.f:<n>] init=<call> batch=<call>x<count> [min=<n>]
-/// check=<call>`, each call a static `C.m(<n>,...)` (docs/mvm-format.md).
-struct DriveDirective {
-  FieldId SeedField = NoFieldId; ///< NoFieldId: no seed store
-  int64_t Seed = 0;
-  /// Init is NoMethodId when the text has no `#!drive`.
-  MethodId Init = NoMethodId, Batch = NoMethodId, Check = NoMethodId;
-  std::vector<Value> InitArgs, BatchArgs, CheckArgs;
-  long Batches = 0, MinBatches = 0; ///< at scale 1; at any scale
-};
-
-/// The directives of one text, resolved against its Program.
-struct RunDirectives {
-  MutationPlan Plan;
-  uint64_t Opt1 = 0, Opt2 = 0; ///< 0 = `#!adaptive` absent, keep defaults
-  /// From `#!segments <n>`: drive Main.seg0..n-1 instead of Main.main,
-  /// installing the plan after seg0. Segments == 1 means no directive.
-  int Segments = 1;
-  DriveDirective Drive;
-};
-
-/// The one parser of the `#!` lines: parses every one of Source against P,
-/// the Program assembled from it, resolving class, field and method names. Every number is parsed
-/// whole (support/Parse.h). Returns false (with Err set) on a malformed
-/// directive, a second `#!drive`, or a name P does not define. `#!threads`
-/// carries no data here (see hasThreadsDirective).
-bool parseRunDirectives(const std::string &Source, const Program &P,
-                        RunDirectives &Out, std::string &Err);
-
-/// Runs D on VM's context 0: stores the seed, calls init once, the batch
-/// max(⌊D.Batches × Scale⌋, D.MinBatches) times and the check once, each
-/// through VM.call (the heap budget is the caller's to check).
-void runDrive(VirtualMachine &VM, const DriveDirective &D, double Scale);
-/// The seed store and the init call of runDrive alone.
-void startDrive(VirtualMachine &VM, const DriveDirective &D);
 
 /// The choices a caller makes about one run.
 struct MvmRunConfig {
@@ -118,11 +82,6 @@ struct MvmRunResult {
 
 /// Runs one `.mvm` program as Cfg says.
 MvmRunResult runMvm(const std::string &Source, const MvmRunConfig &Cfg);
-
-/// True when Source carries a `#!threads` line, the mark `dchm_fuzz
-/// --threads` puts on its artifacts: such a file replays through
-/// threadsFailure.
-bool hasThreadsDirective(const std::string &Source);
 
 /// The multi-mutator oracle: runs Cfg with `Main.tmain` on 1, 2 and 4
 /// mutators. Every run must pass its per-run checks, and every mutator's

@@ -7,7 +7,6 @@
 
 #include "workloads/Workload.h"
 
-#include "analysis/OlcAnalysis.h"
 #include "asm/Assembler.h"
 #include "support/Debug.h"
 
@@ -22,26 +21,16 @@ std::unique_ptr<Program> Workload::buildProgram() {
   if (!R.ok())
     reportFatalErrorf("workload %s does not assemble: %s", Name.c_str(),
                       R.Error.c_str());
+  if (R.Directives.Drive.Init == NoMethodId)
+    reportFatalErrorf("workload %s has no #!drive line", Name.c_str());
+  Drive = std::move(R.Directives.Drive);
   return std::move(R.P);
-}
-
-DriveDirective Workload::driveOf(const Program &P) const {
-  RunDirectives D;
-  std::string Err;
-  if (!parseRunDirectives(Source, P, D, Err) || D.Drive.Init == NoMethodId)
-    reportFatalErrorf("workload %s has no valid #!drive line: %s",
-                      Name.c_str(), Err.c_str());
-  return D.Drive;
 }
 
 WorkloadRun::WorkloadRun(Workload &W, const VMOptions &Opts,
                          const MutationPlan *Plan)
     : P(W.buildProgram()), VM(*P, Opts) {
-  if (!Opts.EnableMutation || !Plan)
-    return;
-  VM.setMutationPlan(Plan);
-  Olc = analyzeObjectLifetimeConstants(*P, *Plan);
-  VM.setOlcDatabase(&Olc);
+  VM.setMutationPlan(Plan); // ignored without mutation or a plan
 }
 
 ClassId ProgramIds::cls(const std::string &Name) const {

@@ -12,10 +12,10 @@
 /// Workload is that text, a name and a heap budget. It rebuilds its Program
 /// from scratch by assembling the text (so profiling runs, baseline runs,
 /// and mutation runs never share compiled state) and drives a run at a
-/// configurable scale through runDrive (testing/MvmRun.h), as `dchm_run
-/// exec` runs the file.
+/// configurable scale through runDrive (core/VM.h), as `dchm_run exec`
+/// runs the file.
 /// WorkloadRun is the one recipe that deploys a workload: a fresh Program,
-/// a VM over it, and (with mutation on) the plan and its OLC database.
+/// a VM over it, and (with mutation on) the plan.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +23,6 @@
 #define DCHM_WORKLOADS_WORKLOAD_H
 
 #include "analysis/OfflinePipeline.h"
-#include "testing/MvmRun.h"
 
 #include <memory>
 #include <string>
@@ -43,10 +42,10 @@ public:
   const std::string &description() const { return Description; }
 
   /// Runs the text's `#!drive` at the given scale (1.0 = the full
-  /// benchmark; profiling runs use a fraction). Its names resolve against
-  /// VM.program(), so it works on any Program built by this workload.
+  /// benchmark; profiling runs use a fraction) on a VM over any Program
+  /// this workload built: entity ids are the same in every build.
   void driveScaled(VirtualMachine &VM, double Scale) {
-    runDrive(VM, driveOf(VM.program()), Scale);
+    runDrive(VM, Drive, Scale);
   }
 
   /// The options a run of this workload starts from: the VM defaults with
@@ -61,16 +60,16 @@ public:
   }
 
   // --- ProgramSource ---------------------------------------------------------
-  /// Assembles the text into a fresh linked Program.
+  /// Assembles the text into a fresh linked Program and keeps its `#!drive`
+  /// (the texts are compiled in, so a text without one aborts).
   std::unique_ptr<Program> buildProgram() override;
   void driveProfile(VirtualMachine &VM) override {
     driveScaled(VM, ProfileScale);
   }
 
 protected:
-  /// The text's `#!drive`, resolved against P (aborts if the text has no
-  /// valid one: the texts are compiled in, so that is a bug).
-  DriveDirective driveOf(const Program &P) const;
+  /// The `#!drive` of the last build (none before the first).
+  DriveDirective Drive;
 
 private:
   std::string Name, Description;
@@ -84,9 +83,9 @@ private:
 
 /// One deployment of a workload, the paper's Figure 3 recipe: a fresh
 /// Program of W and a VM over it with Opts; with Opts.EnableMutation and a
-/// non-null Plan, the plan is installed and its object-lifetime-constant
-/// database attached. The run owns Program, OLC database and VM and
-/// destroys the VM first; Plan must outlive it. The caller drives the VM.
+/// non-null Plan, the plan is installed (with its OLC database). The run
+/// owns Program and VM and destroys the VM first; Plan must outlive it. The
+/// caller drives the VM.
 class WorkloadRun {
 public:
   WorkloadRun(Workload &W, const VMOptions &Opts,
@@ -94,12 +93,9 @@ public:
 
   VirtualMachine &vm() { return VM; }
   Program &program() { return *P; }
-  /// The attached OLC database (empty without an installed plan).
-  const OlcDatabase &olc() const { return Olc; }
 
 private:
   std::unique_ptr<Program> P;
-  OlcDatabase Olc;
   VirtualMachine VM; // declared last: destroyed first
 };
 
@@ -140,7 +136,7 @@ public:
   explicit JbbWorkload(JbbVariant V);
   /// Builds the warehouse database on a fresh VM: the `#!drive` line's seed
   /// and init call.
-  void initVm(VirtualMachine &VM) { startDrive(VM, driveOf(VM.program())); }
+  void initVm(VirtualMachine &VM) { startDrive(VM, Drive); }
   /// Runs Count transactions; returns the number actually run.
   uint64_t runTransactions(VirtualMachine &VM, uint64_t Count);
   /// Runs NumWindows back-to-back measurement windows of WindowCycles

@@ -10,9 +10,13 @@
 #include "analysis/OlcAnalysis.h"
 #include "analysis/StateFieldAnalysis.h"
 #include "analysis/ValueProfiler.h"
+#include "testing/MvmRun.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <iterator>
 
 using namespace dchm;
 using dchm::test::CounterFixture;
@@ -351,14 +355,6 @@ struct OlcProgram {
       B.callVirtual(Use, {S}, Type::I64); // receiver use: always fine
       if (K == EscapeViaStore)
         B.putField(This, Leak, S);
-      if (K == EscapeViaArgument) {
-        // pass S as a non-receiver argument of a helper
-        MethodId Helper = NoMethodId;
-        (void)Helper; // helper declared below; emit call after link? No —
-        // instead call Use with S as non-receiver arg is impossible (arity),
-        // so store-to-self models the argument escape equivalently... use
-        // the static helper declared before this method instead.
-      }
       if (K == EscapeViaReturn) {
         B.ret(S);
       } else {
@@ -368,7 +364,7 @@ struct OlcProgram {
       P->setBody(Consume, B.finalize());
     }
     if (K == EscapeViaArgument) {
-      // Rebuild consume with a real non-receiver argument escape.
+      // A second consumer passes the field as a non-receiver argument.
       MethodId Helper = P->defineMethod(Tx, "helper", Type::Void,
                                         {Type::Ref}, {.IsStatic = true});
       {
@@ -466,6 +462,25 @@ TEST(OlcAnalysis, ScopedToMutableClasses) {
   MutationPlan Empty;
   OlcDatabase Db = analyzeObjectLifetimeConstants(*Pr.P, Empty);
   EXPECT_TRUE(Db.Entries.empty());
+}
+
+TEST(OlcAnalysis, PlanInstallReachesSpecializationInlining) {
+  // runMvm attaches no database itself: installing the text's plan does,
+  // so Tx.run's optimized body inlines Screen.area through Tx.screen with
+  // rows and cols substituted, and prints what the unmutated run prints.
+  std::ifstream In(DCHM_TEST_DATA "/olc.mvm");
+  const std::string Source(std::istreambuf_iterator<char>(In), {});
+  MvmRunConfig Cfg;
+  MvmRunResult Off = runMvm(Source, Cfg);
+  Cfg.Mutate = true;
+  Cfg.AuditStride = 1;
+  MvmRunResult On = runMvm(Source, Cfg);
+  ASSERT_TRUE(Off.ok()) << Off.Error;
+  ASSERT_EQ(On.failure("mutation on"), "");
+  EXPECT_EQ(Off.Metrics.Inlining.SpecializationInlines, 0u);
+  EXPECT_GT(On.Metrics.Inlining.SpecializationInlines, 0u);
+  EXPECT_EQ(On.Output, Off.Output);
+  EXPECT_EQ(On.Output, "3840000"); // 2000 runs of 24 * 80
 }
 
 // --- Offline pipeline end-to-end ---------------------------------------------

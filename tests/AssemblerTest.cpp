@@ -204,8 +204,11 @@ TEST(Assembler, InstanceOfAndPrint) {
 }
 
 TEST(Assembler, AssembledMutableClassWorksWithMutation) {
-  // The whole point: author a mutable class in text and mutate it.
+  // The whole point: author a mutable class and its plan in text and
+  // mutate it.
   auto R = assembleProgram(R"(
+#!mutable Counter instance=mode static=- methods=bump
+#!hot Counter 0 : -
     class Counter {
       field mode: i64 private
       field total: i64
@@ -236,18 +239,8 @@ TEST(Assembler, AssembledMutableClassWorksWithMutation) {
   ASSERT_TRUE(R.ok()) << R.Error;
   Program &P = *R.P;
   ClassId C = P.findClass("Counter");
-  MutationPlan Plan;
-  MutableClassPlan CP;
-  CP.Cls = C;
-  CP.InstanceStateFields = {P.findField(C, "mode")};
-  HotState S0;
-  S0.InstanceVals = {valueI(0)};
-  CP.HotStates = {S0};
-  CP.MutableMethods = {P.findMethod(C, "bump")};
-  Plan.Classes.push_back(CP);
-
   VirtualMachine VM(P, {});
-  VM.setMutationPlan(&Plan);
+  VM.setMutationPlan(&R.Directives.Plan);
   ClassInfo &CI = P.cls(C);
   Object *O = VM.heap().allocateInstance(CI, CI.ClassTib);
   VM.call(P.findMethod(C, "<init>"), {valueR(O), valueI(0)});

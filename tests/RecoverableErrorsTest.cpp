@@ -7,8 +7,8 @@
 ///
 /// Tests for the recoverable error channels (docs/degradation.md): the
 /// VMError values that input-validation and resource paths return instead
-/// of aborting, and the diagnostics runMvm returns for malformed `#!`
-/// directives.
+/// of aborting, and the diagnostics the assembler returns (through runMvm)
+/// for malformed `#!` directives.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -155,8 +155,29 @@ TEST(PlanDirectives, RejectsMalformedNumbers) {
   for (const std::string &Directives : Bad) {
     MvmRunResult R = Run(Directives);
     EXPECT_FALSE(R.ok()) << Directives;
+    EXPECT_EQ(R.Error.rfind("line ", 0), 0u) << R.Error;
     EXPECT_NE(R.Error.find("#!"), std::string::npos) << R.Error;
   }
+}
+
+TEST(PlanDirectives, DiagnosticNamesItsLine) {
+  // The assembler parses the `#!` lines after link, and a bad one fails
+  // the assembly with its line like any other diagnostic.
+  const std::string Plan = "#!mutable C0 instance=mode,mode2 static=- "
+                           "methods=tick\n";
+  AssemblyResult A = assembleProgram("#!adaptive 30 120\n" + Plan +
+                                     "#!hot C0 1,2x : -\n" + DirectiveProgram);
+  EXPECT_FALSE(A.ok());
+  EXPECT_EQ(A.Error.rfind("line 3: ", 0), 0u) << A.Error;
+  EXPECT_NE(A.Error.find("#!hot"), std::string::npos) << A.Error;
+  // A plan class without hot states names its `#!mutable` line.
+  A = assembleProgram("# no hot states\n" + Plan + DirectiveProgram);
+  EXPECT_EQ(A.Error, "line 2: #!mutable class has no #!hot states");
+  // A `#!` that does not open its line is a comment.
+  A = assembleProgram(" #!hot C0 1,2x : -\n" + Plan + "#!hot C0 1,2 : -\n" +
+                      DirectiveProgram);
+  ASSERT_TRUE(A.ok()) << A.Error;
+  EXPECT_EQ(A.Directives.Plan.numHotStates(), 1u);
 }
 
 const char *const DriveProgram = R"(
@@ -212,13 +233,10 @@ TEST(PlanDirectives, DriveRunsUnlessAnEntryIsGiven) {
   // The batch count scales down (rounding toward zero) to the min floor.
   AssemblyResult A = assembleProgram(Drive + DriveProgram);
   ASSERT_TRUE(A.ok()) << A.Error;
-  RunDirectives D;
-  std::string Err;
-  ASSERT_TRUE(parseRunDirectives(Drive + DriveProgram, *A.P, D, Err)) << Err;
   for (auto [Scale, Want] : {std::pair{0.59, "115"}, std::pair{0.1, "111"}}) {
     auto P = assembleProgram(DriveProgram).P;
     VirtualMachine VM(*P, VMOptions());
-    runDrive(VM, D.Drive, Scale);
+    runDrive(VM, A.Directives.Drive, Scale);
     EXPECT_EQ(VM.interp().output(), Want) << Scale;
   }
 }
@@ -250,6 +268,7 @@ TEST(PlanDirectives, DriveRejectsMalformedLines) {
   for (const std::string &Directives : Bad) {
     MvmRunResult R = runMvm(Directives + DriveProgram, Cfg);
     EXPECT_FALSE(R.ok()) << Directives;
+    EXPECT_EQ(R.Error.rfind("line ", 0), 0u) << R.Error;
     EXPECT_NE(R.Error.find("#!drive"), std::string::npos) << R.Error;
   }
 }

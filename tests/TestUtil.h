@@ -55,12 +55,16 @@ struct SingleFunctionProgram {
   }
 };
 
-/// Assembles a test program (docs/mvm-format.md); a text that does not
-/// assemble aborts with the assembler's diagnostic.
-inline std::unique_ptr<Program> assemble(const char *Source) {
+/// Assembles a test program (docs/mvm-format.md) and, with Plan, takes its
+/// `#!mutable`/`#!hot` plan; a text that does not assemble aborts with the
+/// assembler's diagnostic.
+inline std::unique_ptr<Program> assemble(const std::string &Source,
+                                         MutationPlan *Plan = nullptr) {
   AssemblyResult R = assembleProgram(Source);
   if (!R.ok())
     reportFatalErrorf("test program does not assemble: %s", R.Error.c_str());
+  if (Plan)
+    *Plan = std::move(R.Directives.Plan);
   return std::move(R.P);
 }
 
@@ -204,7 +208,16 @@ struct CounterFixture {
   /// (GlobalMode) to the plan, exercising the static branches of the
   /// distributed mutation algorithm.
   explicit CounterFixture(bool WithStaticField = false) {
-    P = assemble(CounterMvm);
+    // The mutation plan: Counter is mutable on `mode` with hot states
+    // {0, 1}; optionally also on the static globalMode (hot value 0).
+    const char *PlanMvm =
+        WithStaticField ? "#!mutable Counter instance=mode static=globalMode "
+                          "methods=bump,staticScale\n"
+                          "#!hot Counter 0 : 0\n#!hot Counter 1 : 0\n"
+                        : "#!mutable Counter instance=mode static=- "
+                          "methods=bump\n"
+                          "#!hot Counter 0 : -\n#!hot Counter 1 : -\n";
+    P = assemble(PlanMvm + std::string(CounterMvm), &Plan);
     ProgramIds Ids(*P);
     Iface = Ids.cls("Bumpable");
     Counter = Ids.cls("Counter");
@@ -224,26 +237,6 @@ struct CounterFixture {
     DriveIface = Ids.method("TestDriver", "driveIface");
     DriveStatic = Ids.method("TestDriver", "driveStatic");
     Report = Ids.method("TestDriver", "report");
-
-    // The mutation plan: Counter is mutable on `mode` with hot states
-    // {0, 1}; optionally also on the static globalMode (hot value 0).
-    MutableClassPlan CP;
-    CP.Cls = Counter;
-    CP.InstanceStateFields = {Mode};
-    if (WithStaticField)
-      CP.StaticStateFields = {GlobalMode};
-    HotState S0, S1;
-    S0.InstanceVals = {valueI(0)};
-    S1.InstanceVals = {valueI(1)};
-    if (WithStaticField) {
-      S0.StaticVals = {valueI(0)};
-      S1.StaticVals = {valueI(0)};
-    }
-    CP.HotStates = {S0, S1};
-    CP.MutableMethods = {Bump};
-    if (WithStaticField)
-      CP.MutableMethods.push_back(StaticScale);
-    Plan.Classes.push_back(CP);
   }
 
   /// Creates a Counter instance with the given mode on VM's heap, running

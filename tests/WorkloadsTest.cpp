@@ -12,7 +12,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "analysis/OlcAnalysis.h"
 #include "online/OnlineController.h"
 #include "testing/ConsistencyAuditor.h"
 #include "workloads/Workload.h"
@@ -105,7 +104,6 @@ TEST_P(WorkloadParity, AuditedRunIsClean) {
   MutationPlan Plan = runOfflinePipeline(W, OfflineConfig{}).Plan;
   for (bool Online : {false, true}) {
     auto P = W.buildProgram();
-    OlcDatabase Olc;
     std::unique_ptr<OnlineMutationController> Ctl; // outlives the VM
     VMOptions Opts = W.vmOptions();
     Opts.EnableMutation = true;
@@ -117,8 +115,6 @@ TEST_P(WorkloadParity, AuditedRunIsClean) {
           VM, OnlineMutationController::Config{});
     } else {
       VM.setMutationPlan(&Plan);
-      Olc = analyzeObjectLifetimeConstants(*P, Plan);
-      VM.setOlcDatabase(&Olc);
     }
     W.driveScaled(VM, 0.3);
     Auditor.auditNow("end of run");

@@ -98,7 +98,7 @@ std::string corruptSource(const std::string &Source, Rng &R) {
       S.replace(P, 3, "i6F");
     break;
   }
-  case 4: { // garble a plan directive (assembles; directive parse must fail)
+  case 4: { // garble a plan directive (assembly must fail on its line)
     size_t P = S.find("#!");
     if (P != std::string::npos)
       S.insert(P + 2, "zz-");
@@ -114,8 +114,9 @@ std::string corruptSource(const std::string &Source, Rng &R) {
 }
 
 /// --malformed mode: corrupt N generated programs and require the
-/// assembler / directive parser to reject or accept them gracefully.
-/// Surviving the loop without SIGABRT *is* the property under test.
+/// assembler, which also parses the `#!` lines, to reject or accept them
+/// gracefully. Surviving the loop without SIGABRT *is* the property under
+/// test.
 int runMalformed(uint64_t N, uint64_t SeedBase) {
   uint64_t Rejected = 0, Accepted = 0;
   for (uint64_t I = 0; I < N; ++I) {
@@ -123,23 +124,13 @@ int runMalformed(uint64_t N, uint64_t SeedBase) {
     ProgramGen G(Seed);
     std::string Source = G.generate();
     Rng R(Seed * 2654435761ull + 17);
-    std::string Corrupt = corruptSource(Source, R);
-    AssemblyResult AR = assembleProgram(Corrupt);
-    if (!AR.ok()) {
-      if (AR.Error.empty()) {
-        std::fprintf(stderr,
-                     "FAIL seed=%llu: rejection carried no diagnostic\n",
-                     static_cast<unsigned long long>(Seed));
-        return 1;
-      }
-      ++Rejected;
-      continue;
+    AssemblyResult AR = assembleProgram(corruptSource(Source, R));
+    if (!AR.ok() && AR.Error.empty()) {
+      std::fprintf(stderr, "FAIL seed=%llu: rejection carried no diagnostic\n",
+                   static_cast<unsigned long long>(Seed));
+      return 1;
     }
-    // Still assembled — the directive parser must also stay recoverable.
-    RunDirectives Dirs;
-    std::string Err;
-    parseRunDirectives(Corrupt, *AR.P, Dirs, Err);
-    ++Accepted;
+    ++(AR.ok() ? Accepted : Rejected);
   }
   std::printf("fuzz: %llu corrupted programs, %llu rejected with "
               "diagnostics, %llu still well-formed; no aborts\n",

@@ -19,10 +19,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/OlcAnalysis.h"
+#include "asm/Assembler.h"
 #include "asm/Printer.h"
-#include "compiler/Passes.h"
-#include "compiler/Specializer.h"
 #include "online/OnlineController.h"
 #include "support/Parse.h"
 #include "support/Timer.h"
@@ -110,7 +108,7 @@ int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
     std::printf("running %s with mutation (plan: %zu classes, %zu hot "
                 "states, %zu OLC entries)...\n",
                 W.name().c_str(), Plan.Classes.size(), Plan.numHotStates(),
-                Run.olc().Entries.size());
+                VM.olc().Entries.size());
   } else {
     std::printf("running %s without mutation...\n", W.name().c_str());
   }
@@ -129,7 +127,8 @@ int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
 
 int cmdPlan(Workload &W) {
   OfflineResult R = runOfflinePipeline(W, OfflineConfig{});
-  auto P = W.buildProgram();
+  WorkloadRun Run(W, W.vmOptions(), &R.Plan); // attaches the OLC database
+  Program *P = &Run.program();
   std::printf("mutation plan for %s:\n", W.name().c_str());
   for (const MutableClassPlan &CP : R.Plan.Classes) {
     std::printf("  mutable class %s\n", P->cls(CP.Cls).Name.c_str());
@@ -156,9 +155,8 @@ int cmdPlan(Workload &W) {
       std::printf("\n");
     }
   }
-  OlcDatabase Db = analyzeObjectLifetimeConstants(*P, R.Plan);
   std::printf("object lifetime constants:\n");
-  for (const OlcEntry &E : Db.Entries) {
+  for (const OlcEntry &E : Run.vm().olc().Entries) {
     std::printf("  via %s.%s:",
                 P->cls(P->field(E.RefField).Owner).Name.c_str(),
                 P->field(E.RefField).Name.c_str());
@@ -176,35 +174,38 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
     std::fprintf(stderr, "disasm expects Class.method\n");
     return 1;
   }
-  auto P = W.buildProgram();
-  ClassId C = P->findClass(Spec.substr(0, Dot));
+  // The bodies the VM compiles at the top of the ladder, in the deployment
+  // `run` makes: the offline plan installed, its OLC database attached.
+  MutationPlan Plan = runOfflinePipeline(W, OfflineConfig{}).Plan;
+  WorkloadRun Run(W, W.vmOptions(), &Plan);
+  Program &P = Run.program();
+  ClassId C = P.findClass(Spec.substr(0, Dot));
   if (C == NoClassId) {
     std::fprintf(stderr, "no class named %s\n", Spec.substr(0, Dot).c_str());
     return 1;
   }
-  MethodId M = P->findMethod(C, Spec.substr(Dot + 1));
+  MethodId M = P.findMethod(C, Spec.substr(Dot + 1));
   if (M == NoMethodId) {
     std::fprintf(stderr, "no method named %s\n", Spec.substr(Dot + 1).c_str());
     return 1;
   }
-  const MethodInfo &MI = P->method(M);
-  std::printf("# bytecode\n%s", printMethod(*P, M, MI.Bytecode).c_str());
-  IRFunction Opt = MI.Bytecode;
-  runOptPipeline(Opt);
-  std::printf("# after the opt pipeline\n%s", printMethod(*P, M, Opt).c_str());
-  if (State >= 0) {
-    OfflineResult R = runOfflinePipeline(W, OfflineConfig{});
-    const MutableClassPlan *CP = R.Plan.planFor(MI.Owner);
-    if (!CP || static_cast<size_t>(State) >= CP->HotStates.size()) {
-      std::fprintf(stderr, "no hot state %d for this class\n", State);
-      return 1;
-    }
-    IRFunction Spec2 = MI.Bytecode;
-    specializeForState(Spec2, *CP, static_cast<size_t>(State));
-    runOptPipeline(Spec2);
-    std::printf("# specialized for hot state %d\n%s", State,
-                printMethod(*P, M, Spec2).c_str());
+  MethodInfo &MI = P.method(M);
+  const MutableClassPlan *CP = Plan.planFor(MI.Owner);
+  if (State >= 0 &&
+      (!CP || static_cast<size_t>(State) >= CP->HotStates.size())) {
+    std::fprintf(stderr, "no hot state %d for this class\n", State);
+    return 1;
   }
+  OptCompiler &Compiler = Run.vm().compiler();
+  auto Print = [&](const std::string &Title, const IRFunction &Body) {
+    std::printf("# %s\n%s", Title.c_str(), printMethod(P, M, Body).c_str());
+  };
+  const std::string Opt = ", opt" + std::to_string(TopOptLevel);
+  Print("bytecode", MI.Bytecode);
+  Print("general" + Opt, Compiler.compileGeneral(MI, TopOptLevel)->code());
+  if (State >= 0)
+    Print("specialized for hot state " + std::to_string(State) + Opt,
+          Compiler.compileSpecial(MI, TopOptLevel, *CP, State)->code());
   return 0;
 }
 
@@ -227,12 +228,13 @@ int cmdExec(const std::string &Path, const MvmRunConfig &Cfg) {
   }
   std::stringstream Ss;
   Ss << In.rdbuf();
+  const std::string Source = Ss.str();
   std::vector<MvmRunResult> Runs;
   std::string Why;
-  if (hasThreadsDirective(Ss.str())) {
-    Why = threadsFailure(Ss.str(), Cfg, Runs);
+  if (assembleProgram(Source).Directives.Threads) {
+    Why = threadsFailure(Source, Cfg, Runs);
   } else {
-    Runs.push_back(runMvm(Ss.str(), Cfg));
+    Runs.push_back(runMvm(Source, Cfg));
     Why = Runs[0].Error;
   }
   if (!Why.empty()) {
