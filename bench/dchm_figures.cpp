@@ -17,6 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "online/Deployment.h"
 #include "workloads/Workload.h"
 
 #include <algorithm>
@@ -78,12 +79,12 @@ const RunConfig &Baseline = Configs[0];
 const RunConfig &FullSystem = Configs[1];
 const RunConfig &Accelerated = Configs[3];
 
-/// A WorkloadRun of W configured by A, with Plan installed when A mutates.
+/// A deployment of W configured by A, with Plan installed when A mutates.
 /// SampleInterval > 1 is the sparse, Jikes-timer-like sampling of the
 /// warehouse figures, which lets hotness detection span warehouses.
-std::unique_ptr<WorkloadRun> deploy(Workload &W, const MutationPlan &Plan,
-                                    const RunConfig &A,
-                                    uint64_t SampleInterval) {
+std::unique_ptr<Deployment> deploy(Workload &W, const MutationPlan &Plan,
+                                   const RunConfig &A,
+                                   uint64_t SampleInterval) {
   VMOptions Opts = W.vmOptions();
   Opts.EnableMutation = A.Mutation;
   Opts.Inline.EnableSpecializationInlining = A.SpecInlining;
@@ -91,14 +92,14 @@ std::unique_ptr<WorkloadRun> deploy(Workload &W, const MutationPlan &Plan,
   Opts.Inline.EnableGuardedInlining = A.GuardedInlining;
   Opts.Adaptive.AcceleratedMutableHotness = A.Accelerated;
   Opts.Adaptive.SampleInterval = SampleInterval;
-  return std::make_unique<WorkloadRun>(W, Opts, &Plan);
+  return std::make_unique<Deployment>(W.assemble(), Opts, Plan);
 }
 
 /// A full-scale run of W under A.
 RunMetrics runFull(Workload &W, const MutationPlan &Plan, const RunConfig &A,
                    size_t *OlcFields = nullptr) {
   auto Run = deploy(W, Plan, A, 1);
-  W.driveScaled(Run->vm(), 1.0);
+  Run->drive(1.0);
   if (OlcFields)
     *OlcFields = Run->vm().olc().Entries.size();
   return Run->vm().metrics();
@@ -156,7 +157,7 @@ struct WarehouseFigure {
 /// the run can be topped up and checked once the other runs of its
 /// variant have finished.
 struct WarehouseRun {
-  std::unique_ptr<WorkloadRun> Run;
+  std::unique_ptr<Deployment> Run;
   std::vector<JbbWindow> Windows;
 };
 

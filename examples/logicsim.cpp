@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "online/Deployment.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
@@ -54,8 +55,8 @@ int main() {
   auto Run = [&](bool Mutation) {
     VMOptions Opts = W->vmOptions();
     Opts.EnableMutation = Mutation;
-    WorkloadRun Sim(*W, Opts, &R.Plan);
-    W->driveScaled(Sim.vm(), 1.0);
+    Deployment Sim(W->assemble(), Opts, R.Plan);
+    Sim.drive(1.0);
     uint64_t Cycles = Sim.vm().metrics().TotalCycles;
     std::printf("  %-9s %12llu cycles, net checksum %s\n",
                 Mutation ? "mutated:" : "baseline:",

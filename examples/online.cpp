@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "online/OnlineController.h"
+#include "online/Deployment.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
@@ -23,16 +23,14 @@ int main() {
               "solution'\n");
   std::printf("----------------------------------------------------------\n");
 
-  auto W = makeSalaryDb();
-  auto P = W->buildProgram();
-  VirtualMachine VM(*P, {});
-
   OnlineMutationController::Config Cfg;
   Cfg.HotProfileCycles = 1'500'000;
   Cfg.ValueProfileCycles = 1'500'000;
-  OnlineMutationController Ctl(VM, Cfg);
+  Deployment Run(makeSalaryDb()->assemble(), {}, Cfg);
+  VirtualMachine &VM = Run.vm();
+  const OnlineMutationController &Ctl = *Run.controller();
 
-  ProgramIds Ids(*P);
+  ProgramIds Ids(Run.program());
   VM.call(Ids.method("TestDriver", "init"), {valueI(400)});
   MethodId RunBatch = Ids.method("TestDriver", "runBatch");
 

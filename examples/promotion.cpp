@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "online/Deployment.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
@@ -32,7 +33,7 @@ int main() {
 
   VMOptions Opts = W->vmOptions();
   Opts.Adaptive.AcceleratedMutableHotness = true;
-  WorkloadRun Run(*W, Opts, &R.Plan);
+  Deployment Run(W->assemble(), Opts, R.Plan);
   VirtualMachine &VM = Run.vm();
   Program &P = Run.program();
 
@@ -77,16 +78,11 @@ int main() {
       VM.call(Raise, {valueR(E)});
     // Promote a third of the staff by one grade (state transition!).
     for (size_t I = 0; I < Staff.size(); I += 3) {
+      // SalaryDB has no setter: store `emp.grade = g + 1` and fire part I
+      // of the distributed mutation algorithm, as the interpreter would.
       int64_t G = Staff[I]->get(P.field(Grade).Slot).I;
-      // Writing the state field through the interpreter fires part I of
-      // the distributed mutation algorithm.
-      MethodId SetG = P.findMethod(SalaryEmp, "setGrade");
-      if (SetG == NoMethodId) {
-        // SalaryDB has no setter; emulate the store + hook like the
-        // interpreter would for `emp.grade = g + 1`.
-        Staff[I]->set(P.field(Grade).Slot, valueI(G + 1));
-        VM.mutation().onInstanceStateStore(Staff[I], P.field(Grade));
-      }
+      Staff[I]->set(P.field(Grade).Slot, valueI(G + 1));
+      VM.mutation().onInstanceStateStore(Staff[I], P.field(Grade));
     }
     char Label[64];
     std::snprintf(Label, sizeof(Label), "after year %d:", Year);

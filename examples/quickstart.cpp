@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "online/Deployment.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
@@ -50,8 +51,8 @@ int main() {
   {
     VMOptions Opts = W->vmOptions();
     Opts.EnableMutation = false;
-    WorkloadRun Run(*W, Opts);
-    W->driveScaled(Run.vm(), 1.0);
+    Deployment Run(W->assemble(), Opts);
+    Run.drive(1.0);
     Base = Run.vm().metrics();
     std::printf("\nbaseline:  %12llu cycles (output: %s)\n",
                 static_cast<unsigned long long>(Base.TotalCycles),
@@ -62,9 +63,9 @@ int main() {
   //    object-lifetime constants attached).
   RunMetrics Mut;
   {
-    WorkloadRun Run(*W, W->vmOptions(), &Offline.Plan);
+    Deployment Run(W->assemble(), W->vmOptions(), Offline.Plan);
     VirtualMachine &VM = Run.vm();
-    W->driveScaled(VM, 1.0);
+    Run.drive(1.0);
     Mut = VM.metrics();
     std::printf("mutated:   %12llu cycles (output: %s)\n",
                 static_cast<unsigned long long>(Mut.TotalCycles),

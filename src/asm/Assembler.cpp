@@ -14,7 +14,6 @@
 #include <charconv>
 #include <climits>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <set>
@@ -437,9 +436,7 @@ private:
   void error(const Token &At, const std::string &Msg) {
     if (!Err.empty())
       return;
-    char Buf[256];
-    std::snprintf(Buf, sizeof(Buf), "line %d: %s", At.Line, Msg.c_str());
-    Err = Buf;
+    Err = "line " + std::to_string(At.Line) + ": " + Msg;
   }
   bool failed() const { return !Err.empty(); }
 

@@ -11,17 +11,8 @@
 /// the adaptive system compiles lazily and recompiles hot methods; the
 /// mutation engine (when enabled and given a plan) maintains the dynamically
 /// mutated class hierarchy; the heap collects with roots from the frames and
-/// the JTOC. This is the primary public entry point of the library:
-///
-/// \code
-///   Program P;            // build classes/methods with FunctionBuilder
-///   ...
-///   P.link();
-///   VirtualMachine VM(P, Options);
-///   VM.setMutationPlan(&Plan);            // from OfflinePipeline or by hand
-///   VM.call(MainMethod, {});
-///   RunMetrics M = VM.metrics();          // cycles, code bytes, TIB bytes
-/// \endcode
+/// the JTOC. A run builds one through Deployment (online/Deployment.h),
+/// which also installs the plan and attaches any audit hook in order.
 ///
 //===----------------------------------------------------------------------===//
 

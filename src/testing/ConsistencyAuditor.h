@@ -55,8 +55,8 @@ struct AuditViolation {
 };
 
 /// Walks heap + dispatch structures at safepoints and after mutation
-/// transitions, recording invariant violations. Attach with
-/// VM.setAuditHook(&Auditor) before the first call or plan install.
+/// transitions, recording invariant violations. A Deployment attaches it
+/// before the plan install (DeployHarness::Audit, online/Deployment.h).
 ///
 /// Thread safety (multi-mutator mode): the tick/audit/violation counters are
 /// atomic so any mutator may hit onSafepoint concurrently, and the audit walk

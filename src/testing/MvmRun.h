@@ -13,8 +13,9 @@
 /// a replay runs exactly what the failing run ran.
 ///
 /// A run assembles the source (which parses its `#!` directives whether or
-/// not it mutates), applies `#!adaptive`, attaches the consistency auditor
-/// before the plan install, and then drives one of:
+/// not it mutates), deploys it with the text's own plan through Deployment
+/// (online/Deployment.h), which applies `#!adaptive` and attaches the
+/// consistency auditor before the install, and then drives one of:
 ///
 ///  - with no explicit entry, the file's `#!drive` at scale 1 through
 ///    runDrive (core/VM.h), which drives the Table 1 workloads too;

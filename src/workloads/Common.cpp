@@ -7,7 +7,6 @@
 
 #include "workloads/Workload.h"
 
-#include "asm/Assembler.h"
 #include "support/Debug.h"
 
 namespace dchm {
@@ -16,21 +15,15 @@ namespace dchm {
 extern const char SalaryDbMvm[], SimLogicMvm[], CsvToXmlMvm[],
     Java2XhtmlMvm[], WekaMiniMvm[];
 
-std::unique_ptr<Program> Workload::buildProgram() {
+AssemblyResult Workload::assemble() {
   AssemblyResult R = assembleProgram(Source);
   if (!R.ok())
     reportFatalErrorf("workload %s does not assemble: %s", Name.c_str(),
                       R.Error.c_str());
   if (R.Directives.Drive.Init == NoMethodId)
     reportFatalErrorf("workload %s has no #!drive line", Name.c_str());
-  Drive = std::move(R.Directives.Drive);
-  return std::move(R.P);
-}
-
-WorkloadRun::WorkloadRun(Workload &W, const VMOptions &Opts,
-                         const MutationPlan *Plan)
-    : P(W.buildProgram()), VM(*P, Opts) {
-  VM.setMutationPlan(Plan); // ignored without mutation or a plan
+  Drive = R.Directives.Drive;
+  return R;
 }
 
 ClassId ProgramIds::cls(const std::string &Name) const {

@@ -11,11 +11,9 @@
 /// the library, whose `#!drive` line is its run (docs/mvm-format.md). A
 /// Workload is that text, a name and a heap budget. It rebuilds its Program
 /// from scratch by assembling the text (so profiling runs, baseline runs,
-/// and mutation runs never share compiled state) and drives a run at a
-/// configurable scale through runDrive (core/VM.h), as `dchm_run exec`
-/// runs the file.
-/// WorkloadRun is the one recipe that deploys a workload: a fresh Program,
-/// a VM over it, and (with mutation on) the plan.
+/// and mutation runs never share compiled state). A run deploys the text
+/// through Deployment (online/Deployment.h), as `dchm_run exec` runs the
+/// file: `Deployment D(W.assemble(), W.vmOptions(), Plan)`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +21,7 @@
 #define DCHM_WORKLOADS_WORKLOAD_H
 
 #include "analysis/OfflinePipeline.h"
+#include "asm/Assembler.h"
 
 #include <memory>
 #include <string>
@@ -41,13 +40,6 @@ public:
   const std::string &name() const { return Name; }
   const std::string &description() const { return Description; }
 
-  /// Runs the text's `#!drive` at the given scale (1.0 = the full
-  /// benchmark; profiling runs use a fraction) on a VM over any Program
-  /// this workload built: entity ids are the same in every build.
-  void driveScaled(VirtualMachine &VM, double Scale) {
-    runDrive(VM, Drive, Scale);
-  }
-
   /// The options a run of this workload starts from: the VM defaults with
   /// the workload's heap budget. The budgets follow the paper's heaps,
   /// scaled 1:16 for the SPECjbb pair with the scaled-down programs
@@ -59,12 +51,19 @@ public:
     return O;
   }
 
+  /// Assembles the text into a fresh linked Program and its directives,
+  /// and keeps its `#!drive` (the texts are compiled in, so a text that
+  /// fails to assemble or has no `#!drive` aborts).
+  AssemblyResult assemble();
+
   // --- ProgramSource ---------------------------------------------------------
-  /// Assembles the text into a fresh linked Program and keeps its `#!drive`
-  /// (the texts are compiled in, so a text without one aborts).
-  std::unique_ptr<Program> buildProgram() override;
+  std::unique_ptr<Program> buildProgram() override {
+    return std::move(assemble().P);
+  }
+  /// Runs the `#!drive` at ProfileScale on a VM over any Program this
+  /// workload built: entity ids are the same in every build.
   void driveProfile(VirtualMachine &VM) override {
-    driveScaled(VM, ProfileScale);
+    runDrive(VM, Drive, ProfileScale);
   }
 
 protected:
@@ -79,24 +78,6 @@ private:
   size_t HeapBytes;
   /// Fraction of the full run used for offline profiling.
   static constexpr double ProfileScale = 0.2;
-};
-
-/// One deployment of a workload, the paper's Figure 3 recipe: a fresh
-/// Program of W and a VM over it with Opts; with Opts.EnableMutation and a
-/// non-null Plan, the plan is installed (with its OLC database). The run
-/// owns Program and VM and destroys the VM first; Plan must outlive it. The
-/// caller drives the VM.
-class WorkloadRun {
-public:
-  WorkloadRun(Workload &W, const VMOptions &Opts,
-              const MutationPlan *Plan = nullptr);
-
-  VirtualMachine &vm() { return VM; }
-  Program &program() { return *P; }
-
-private:
-  std::unique_ptr<Program> P;
-  VirtualMachine VM; // declared last: destroyed first
 };
 
 /// Convenience name-based resolution for drivers and tests (aborts on
@@ -134,8 +115,8 @@ struct JbbWindow {
 class JbbWorkload final : public Workload {
 public:
   explicit JbbWorkload(JbbVariant V);
-  /// Builds the warehouse database on a fresh VM: the `#!drive` line's seed
-  /// and init call.
+  /// Builds the warehouse database on a fresh VM over any Program this
+  /// workload built: the `#!drive` line's seed and init call.
   void initVm(VirtualMachine &VM) { startDrive(VM, Drive); }
   /// Runs Count transactions; returns the number actually run.
   uint64_t runTransactions(VirtualMachine &VM, uint64_t Count);

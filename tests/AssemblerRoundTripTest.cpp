@@ -17,6 +17,7 @@
 #include "analysis/OfflinePipeline.h"
 #include "asm/Assembler.h"
 #include "asm/Printer.h"
+#include "online/Deployment.h"
 #include "testing/ProgramGen.h"
 #include "workloads/Workload.h"
 
@@ -150,8 +151,8 @@ TEST(AssemblerRoundTrip, EveryCompiledBodyReassemblesInItsClass) {
     VMOptions Opts = W->vmOptions();
     Opts.EnableMutation = true;
     Opts.Inline.EnableGuardedInlining = true;
-    WorkloadRun Run(*W, Opts, &Off.Plan);
-    W->driveScaled(Run.vm(), 0.05);
+    Deployment Run(W->assemble(), Opts, Off.Plan);
+    Run.drive(0.05);
     const Program &P = Run.program();
     for (MethodId M = 0; M < P.numMethods(); ++M) {
       for (const auto &CM : P.method(M).CompiledVersions) {

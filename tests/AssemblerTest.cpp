@@ -285,6 +285,20 @@ TEST(AssemblerErrors, UnknownClassInExtends) {
   EXPECT_NE(R.Error.find("Ghost"), std::string::npos);
 }
 
+TEST(AssemblerErrors, LongDiagnosticIsWhole) {
+  // A diagnostic is not cut to a fixed buffer: it names a 301-character
+  // class in full, closing quote included.
+  const std::string Ghost = "G" + std::string(300, 'x');
+  auto R = assembleProgram("class Main {\n"
+                           "  method main() -> void static {\n"
+                           "    %o = new " + Ghost + "\n"
+                           "    ret\n"
+                           "  }\n"
+                           "}\n");
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "line 3: unknown class '" + Ghost + "'");
+}
+
 TEST(AssemblerErrors, UnknownField) {
   auto R = assembleProgram(R"(
     class Main {

@@ -12,7 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "online/OnlineController.h"
+#include "online/Deployment.h"
 #include "testing/ConsistencyAuditor.h"
 #include "workloads/Workload.h"
 
@@ -41,8 +41,8 @@ RunResult runOnce(Workload &W, bool Mutation, const MutationPlan *Plan,
                   double Scale = 0.3) {
   VMOptions Opts = W.vmOptions();
   Opts.EnableMutation = Mutation;
-  WorkloadRun Run(W, Opts, Plan);
-  W.driveScaled(Run.vm(), Scale);
+  Deployment Run(W.assemble(), Opts, Plan ? *Plan : MutationPlan{});
+  Run.drive(Scale);
   return {Run.vm().metrics(), Run.vm().interp().output(),
           objectsOnSpecialTibs(Run.vm())};
 }
@@ -94,29 +94,25 @@ TEST_P(WorkloadParity, DeterministicAcrossRuns) {
 }
 
 TEST_P(WorkloadParity, AuditedRunIsClean) {
-  // The paper's own programs under the consistency auditor, attached before
-  // the plan install: the offline plan with its OLC database installed at
-  // startup, and the online controller, which the VM steps after every
-  // call of the drive as in `dchm_run run --online`. Each deployment is
-  // WorkloadRun's recipe by hand, so the auditor sees the install.
+  // The paper's own programs under the consistency auditor, which the
+  // deployment attaches before the plan install: the offline plan with its
+  // OLC database installed at startup, and the online controller, which the
+  // VM steps after every call of the drive as in `dchm_run run --online`.
   auto All = makeAllWorkloads();
   Workload &W = *All[static_cast<size_t>(GetParam())];
   MutationPlan Plan = runOfflinePipeline(W, OfflineConfig{}).Plan;
   for (bool Online : {false, true}) {
-    auto P = W.buildProgram();
-    std::unique_ptr<OnlineMutationController> Ctl; // outlives the VM
-    VMOptions Opts = W.vmOptions();
-    Opts.EnableMutation = true;
-    VirtualMachine VM(*P, Opts);
-    ConsistencyAuditor Auditor(VM, 64);
-    VM.setAuditHook(&Auditor);
-    if (Online) {
-      Ctl = std::make_unique<OnlineMutationController>(
-          VM, OnlineMutationController::Config{});
-    } else {
-      VM.setMutationPlan(&Plan);
-    }
-    W.driveScaled(VM, 0.3);
+    DeployHarness H;
+    H.Audit = [](VirtualMachine &VM) {
+      return std::make_unique<ConsistencyAuditor>(VM, 64);
+    };
+    Deployment D(W.assemble(), W.vmOptions(),
+                 Online ? PlanSource(OnlineMutationController::Config{})
+                        : PlanSource(Plan),
+                 std::move(H));
+    auto &Auditor = static_cast<ConsistencyAuditor &>(*D.audit());
+    VirtualMachine &VM = D.vm();
+    D.drive(0.3);
     Auditor.auditNow("end of run");
     EXPECT_EQ(Auditor.violationCount(), 0u)
         << (Online ? "online: " : "offline: ") << Auditor.report();
@@ -203,7 +199,7 @@ TEST(JbbWindows, MutationGainGrowsIntoSteadyState) {
     VMOptions Opts = W->vmOptions();
     Opts.EnableMutation = Mutation;
     Opts.Adaptive.SampleInterval = 70; // sparse, Jikes-timer-like sampling
-    WorkloadRun Jbb(*W, Opts, &R.Plan);
+    Deployment Jbb(W->assemble(), Opts, R.Plan);
     W->initVm(Jbb.vm());
     return W->runWarehouseWindows(Jbb.vm(), 6, 3'000'000, 0);
   };
@@ -225,10 +221,9 @@ TEST(JbbWindows, MutationGainGrowsIntoSteadyState) {
 TEST(JbbWindows, DeterministicThroughput) {
   auto W = makeJbb(JbbVariant::Jbb2005);
   auto Run = [&] {
-    auto P = W->buildProgram();
-    VirtualMachine VM(*P, {});
-    W->initVm(VM);
-    return W->runWarehouseWindows(VM, 3, 2'000'000, 500'000);
+    Deployment Jbb(W->assemble(), VMOptions());
+    W->initVm(Jbb.vm());
+    return W->runWarehouseWindows(Jbb.vm(), 3, 2'000'000, 500'000);
   };
   auto A = Run();
   auto B = Run();

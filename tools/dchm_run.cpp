@@ -21,7 +21,7 @@
 
 #include "asm/Assembler.h"
 #include "asm/Printer.h"
-#include "online/OnlineController.h"
+#include "online/Deployment.h"
 #include "support/Parse.h"
 #include "support/Timer.h"
 #include "testing/MvmRun.h"
@@ -31,7 +31,6 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <cstring>
 #include <string>
 
 #include <sys/resource.h>
@@ -92,28 +91,27 @@ int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
   if (HeapMb)
     Opts.HeapBytes = HeapMb << 20;
   Opts.Adaptive.AcceleratedMutableHotness = Accelerated;
-  MutationPlan Plan;
-  if (Mutation && !Online)
+  PlanSource Plan;
+  if (Online)
+    Plan = OnlineMutationController::Config{};
+  else if (Mutation)
     Plan = runOfflinePipeline(W, OfflineConfig{}).Plan;
-  WorkloadRun Run(W, Opts, Online ? nullptr : &Plan);
-  VirtualMachine &VM = Run.vm();
-
-  std::unique_ptr<OnlineMutationController> Ctl;
-  if (Mutation && Online) {
-    Ctl = std::make_unique<OnlineMutationController>(
-        VM, OnlineMutationController::Config{});
+  Deployment D(W.assemble(), Opts, std::move(Plan));
+  VirtualMachine &VM = D.vm();
+  const OnlineMutationController *Ctl = D.controller();
+  if (Ctl) {
     std::printf("running %s with ONLINE mutation (VM-stepped)...\n",
                 W.name().c_str());
   } else if (Mutation) {
     std::printf("running %s with mutation (plan: %zu classes, %zu hot "
                 "states, %zu OLC entries)...\n",
-                W.name().c_str(), Plan.Classes.size(), Plan.numHotStates(),
-                VM.olc().Entries.size());
+                W.name().c_str(), D.plan().Classes.size(),
+                D.plan().numHotStates(), VM.olc().Entries.size());
   } else {
     std::printf("running %s without mutation...\n", W.name().c_str());
   }
   Timer T;
-  W.driveScaled(VM, Scale);
+  D.drive(Scale);
   double WallSec = T.seconds();
   if (Ctl) {
     std::printf("final phase: %s\n", phaseName(Ctl->phase()));
@@ -127,8 +125,9 @@ int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
 
 int cmdPlan(Workload &W) {
   OfflineResult R = runOfflinePipeline(W, OfflineConfig{});
-  WorkloadRun Run(W, W.vmOptions(), &R.Plan); // attaches the OLC database
-  Program *P = &Run.program();
+  // The install attaches the plan's OLC database.
+  Deployment D(W.assemble(), W.vmOptions(), R.Plan);
+  Program *P = &D.program();
   std::printf("mutation plan for %s:\n", W.name().c_str());
   for (const MutableClassPlan &CP : R.Plan.Classes) {
     std::printf("  mutable class %s\n", P->cls(CP.Cls).Name.c_str());
@@ -156,7 +155,7 @@ int cmdPlan(Workload &W) {
     }
   }
   std::printf("object lifetime constants:\n");
-  for (const OlcEntry &E : Run.vm().olc().Entries) {
+  for (const OlcEntry &E : D.vm().olc().Entries) {
     std::printf("  via %s.%s:",
                 P->cls(P->field(E.RefField).Owner).Name.c_str(),
                 P->field(E.RefField).Name.c_str());
@@ -177,8 +176,8 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
   // The bodies the VM compiles at the top of the ladder, in the deployment
   // `run` makes: the offline plan installed, its OLC database attached.
   MutationPlan Plan = runOfflinePipeline(W, OfflineConfig{}).Plan;
-  WorkloadRun Run(W, W.vmOptions(), &Plan);
-  Program &P = Run.program();
+  Deployment D(W.assemble(), W.vmOptions(), std::move(Plan));
+  Program &P = D.program();
   ClassId C = P.findClass(Spec.substr(0, Dot));
   if (C == NoClassId) {
     std::fprintf(stderr, "no class named %s\n", Spec.substr(0, Dot).c_str());
@@ -190,13 +189,13 @@ int cmdDisasm(Workload &W, const std::string &Spec, int State) {
     return 1;
   }
   MethodInfo &MI = P.method(M);
-  const MutableClassPlan *CP = Plan.planFor(MI.Owner);
+  const MutableClassPlan *CP = D.plan().planFor(MI.Owner);
   if (State >= 0 &&
       (!CP || static_cast<size_t>(State) >= CP->HotStates.size())) {
     std::fprintf(stderr, "no hot state %d for this class\n", State);
     return 1;
   }
-  OptCompiler &Compiler = Run.vm().compiler();
+  OptCompiler &Compiler = D.vm().compiler();
   auto Print = [&](const std::string &Title, const IRFunction &Body) {
     std::printf("# %s\n%s", Title.c_str(), printMethod(P, M, Body).c_str());
   };
