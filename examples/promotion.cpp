@@ -54,7 +54,7 @@ int main() {
   auto Census = [&](const char *When) {
     std::map<int, int> ByState; // -1 = class TIB (cold state)
     for (Object *E : Staff)
-      ByState[E->Tib->StateIndex]++;
+      ByState[E->tib()->StateIndex]++;
     std::printf("%-26s dynamic hierarchy:", When);
     for (auto [State, Count] : ByState) {
       if (State < 0)

@@ -91,7 +91,7 @@ int main() {
   VM.call(PolarCtor, {valueR(Quinn), valueI(0)});
 
   auto Describe = [&](const char *Event) {
-    const TIB *T = Quinn->Tib;
+    const TIB *T = Quinn->tib();
     const char *Klass =
         !T->isSpecial()
             ? "Polar (class TIB)"

@@ -90,7 +90,7 @@ ValueProfiler::ValueProfiler(const Program &P,
 void ValueProfiler::record(Object *O, int64_t Code) {
   // Logged against the object's *exact* class: mutation never applies to
   // subclasses of a mutable class.
-  int L = LogOf[O->Tib->Cls->Id];
+  int L = LogOf[O->tib()->Cls->Id];
   if (L < 0)
     return;
   ClassLog &Log = Logs[static_cast<size_t>(L)];
@@ -126,7 +126,7 @@ void ValueProfiler::observeConstructorExit(Object *O, MethodInfo &) {
 
 void ValueProfiler::censusHeap(const Heap &H) {
   H.forEachObject([&](Object *O) {
-    if (!O->IsArray && O->Tib)
+    if (!O->isArray())
       record(O, Snapshot);
   });
 }

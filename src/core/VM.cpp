@@ -238,7 +238,7 @@ void VirtualMachine::onConstructorExit(Object *O, MethodInfo &Ctor) {
   // Stamp before the mutation engine runs (and audits): once part I has
   // classified the object, the strict TIB-matches-state invariant applies.
   if (O)
-    O->CtorDone = true;
+    O->setCtorDone();
   if (P.mutationPlan())
     Mutation.onConstructorExit(O, Ctor);
   if (Observer)

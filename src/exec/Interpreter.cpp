@@ -142,12 +142,13 @@ Value Interpreter::invoke(MethodId Mid, const std::vector<Value> &Args) {
       CM = CB.ensureCompiled(M);
   } else {
     Object *Recv = Args[0].R;
-    DCHM_CHECK(Recv && Recv->Tib, "invoke on null/invalid receiver");
+    TIB *RecvTib = Recv ? Recv->tib() : nullptr;
+    DCHM_CHECK(RecvTib, "invoke on null/invalid receiver");
     if (P.cls(M.Owner).IsInterface) {
       uint64_t Uncharged = 0; // a host call pays no dispatch cost
-      CM = resolveInterfaceSite(Recv->Tib, Mid % NumImtSlots, Mid, Uncharged);
+      CM = resolveInterfaceSite(RecvTib, Mid % NumImtSlots, Mid, Uncharged);
     } else if (M.isVirtualDispatch()) {
-      CM = resolveAndEnsure(Recv->Tib, M.VSlot);
+      CM = resolveAndEnsure(RecvTib, M.VSlot);
     } else {
       TIB *DeclTib = P.cls(M.Owner).ClassTib;
       CM = DeclTib->Slots[M.VSlot];
@@ -466,24 +467,24 @@ L_NewArray: {
 }
 L_ALoad: {
   Object *Arr = R[Ip->A].R;
-  DCHM_CHECK(Arr && Arr->IsArray, "aload on non-array");
+  DCHM_CHECK(Arr && Arr->isArray(), "aload on non-array");
   int64_t Idx = R[Ip->B].I;
-  DCHM_CHECK(Idx >= 0 && Idx < Arr->NumSlots, "array index out of bounds");
+  DCHM_CHECK(Idx >= 0 && Idx < Arr->length(), "array index out of bounds");
   R[Ip->Dst] = Arr->get(static_cast<uint32_t>(Idx));
   VM_NEXT();
 }
 L_AStore: {
   Object *Arr = R[Ip->A].R;
-  DCHM_CHECK(Arr && Arr->IsArray, "astore on non-array");
+  DCHM_CHECK(Arr && Arr->isArray(), "astore on non-array");
   int64_t Idx = R[Ip->B].I;
-  DCHM_CHECK(Idx >= 0 && Idx < Arr->NumSlots, "array index out of bounds");
+  DCHM_CHECK(Idx >= 0 && Idx < Arr->length(), "array index out of bounds");
   Arr->set(static_cast<uint32_t>(Idx), R[Ip->C]);
   VM_NEXT();
 }
 L_ALen: {
   Object *Arr = R[Ip->A].R;
-  DCHM_CHECK(Arr && Arr->IsArray, "alen on non-array");
-  R[Ip->Dst] = valueI(Arr->NumSlots);
+  DCHM_CHECK(Arr && Arr->isArray(), "alen on non-array");
+  R[Ip->Dst] = valueI(Arr->length());
   VM_NEXT();
 }
 
@@ -544,10 +545,11 @@ L_CallVirtual: {
   C += DispatchCost::VirtualCall;
   Stats.VirtualCalls++;
   Object *Recv = R[Ip->Args[0]].R;
-  DCHM_CHECK(Recv && Recv->Tib, "null receiver in callvirtual");
-  Target = Recv->Tib->Slots[Ip->Aux];
+  TIB *RecvTib = Recv ? Recv->tib() : nullptr;
+  DCHM_CHECK(RecvTib, "null receiver in callvirtual");
+  Target = RecvTib->Slots[Ip->Aux];
   if (!Target)
-    Target = resolveAndEnsure(Recv->Tib, Ip->Aux);
+    Target = resolveAndEnsure(RecvTib, Ip->Aux);
   goto call;
 }
 L_CallSpecial: {
@@ -570,10 +572,11 @@ L_CallInterface: {
   C += DispatchCost::InterfaceCall;
   Stats.InterfaceCalls++;
   Object *Recv = R[Ip->Args[0]].R;
-  DCHM_CHECK(Recv && Recv->Tib, "null receiver in callinterface");
+  TIB *RecvTib = Recv ? Recv->tib() : nullptr;
+  DCHM_CHECK(RecvTib, "null receiver in callinterface");
   uint64_t Extra = 0;
   Target = resolveInterfaceSite(
-      Recv->Tib, Ip->Aux, static_cast<MethodId>(Ip->Imm), Extra);
+      RecvTib, Ip->Aux, static_cast<MethodId>(Ip->Imm), Extra);
   C += Extra;
   DCHM_CHECK(Target, "interface dispatch found no code");
   goto call;
@@ -583,8 +586,8 @@ L_InstanceOf: {
   // Type test via the TIB's type-information entry, never TIB identity
   // (special TIBs share the class's type info; paper section 3.2.3).
   Object *O = R[Ip->A].R;
-  bool Is = O && !O->IsArray &&
-            P.isSubtype(O->Tib->Cls->Id, static_cast<ClassId>(Ip->Imm));
+  bool Is = O && !O->isArray() &&
+            P.isSubtype(O->tib()->Cls->Id, static_cast<ClassId>(Ip->Imm));
   R[Ip->Dst] = valueI(Is);
   VM_NEXT();
 }
@@ -592,15 +595,15 @@ L_ClassEq: {
   // Exact-class guard (guarded inlining): type-information entry, so
   // special TIBs compare equal to their class.
   Object *O = R[Ip->A].R;
-  R[Ip->Dst] = valueI(O && !O->IsArray &&
-                      O->Tib->Cls->Id == static_cast<ClassId>(Ip->Imm));
+  R[Ip->Dst] = valueI(O && !O->isArray() &&
+                      O->tib()->Cls->Id == static_cast<ClassId>(Ip->Imm));
   VM_NEXT();
 }
 L_CheckCast: {
   Object *O = R[Ip->A].R;
   if (O) {
-    DCHM_CHECK(!O->IsArray, "checkcast on array");
-    DCHM_CHECK(P.isSubtype(O->Tib->Cls->Id, static_cast<ClassId>(Ip->Imm)),
+    DCHM_CHECK(!O->isArray(), "checkcast on array");
+    DCHM_CHECK(P.isSubtype(O->tib()->Cls->Id, static_cast<ClassId>(Ip->Imm)),
                "ClassCastException");
   }
   VM_NEXT();

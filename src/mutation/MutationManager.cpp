@@ -113,9 +113,9 @@ int MutationManager::anyStaticMatch(const MutableClassPlan &CP) const {
 void MutationManager::swingObjectTib(Object *O, TIB *To) {
   if (Debug.SkipTibSwing)
     return; // injected fault: leave the stale TIB for the auditor to find
-  if (O->Tib == To)
+  if (O->tib() == To)
     return;
-  O->Tib = To;
+  O->setTib(To);
   Stats.ObjectTibSwings++;
   Stats.ExtraCycles += DispatchCost::PointerSwing;
 }
@@ -141,7 +141,7 @@ MutationManager::instancePlanOf(const Object *O) const {
   // The object's *actual* class decides mutability: only instances of the
   // mutable class itself mutate (special code never propagates to
   // subclasses; Figure 6).
-  const ClassInfo *C = O->Tib->Cls;
+  const ClassInfo *C = O->tib()->Cls;
   if (C->MutableIndex < 0)
     return nullptr;
   const MutableClassPlan &CP = P.mutationPlan()->Classes[C->MutableIndex];
@@ -150,7 +150,7 @@ MutationManager::instancePlanOf(const Object *O) const {
 
 bool MutationManager::reclassify(Object *O, const MutableClassPlan &CP,
                                  bool CountMiss) {
-  ClassInfo &C = *O->Tib->Cls;
+  ClassInfo &C = *O->tib()->Cls;
   TIB *To = C.ClassTib;
   int S = matchInstanceState(CP, O);
   if (S >= 0) {
@@ -188,7 +188,7 @@ uint64_t MutationManager::migrateExistingObjects() {
   DCHM_CHECK(P.mutationPlan(), "migrate without a plan");
   uint64_t Migrated = 0;
   H.forEachObject([&](Object *O) {
-    if (O->IsArray || !O->Tib || O->Tib->isSpecial())
+    if (O->isArray() || O->tib()->isSpecial())
       return;
     // A miss leaves the object where it is, on its class TIB, and is not
     // counted: no state field was stored.

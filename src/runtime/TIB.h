@@ -68,8 +68,10 @@ struct IMT {
 };
 
 /// A virtual function table: the class TIB (StateIndex == -1) or a special
-/// TIB corresponding to one hot state of a mutable class.
-struct TIB {
+/// TIB corresponding to one hot state of a mutable class. Aligned to 64
+/// bytes so an object's header word keeps its flag bits below the TIB
+/// pointer (runtime/Object.h).
+struct alignas(64) TIB {
   /// Type-information entry: the class this TIB describes. Identical across
   /// a class TIB and all of its special TIBs.
   ClassInfo *Cls = nullptr;

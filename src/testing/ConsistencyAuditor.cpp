@@ -99,30 +99,31 @@ void ConsistencyAuditor::auditStopped(const char *Trigger) {
 void ConsistencyAuditor::auditHeap(const std::vector<Object *> &UnderCtor) {
   const MutationPlan *Plan = VM.program().mutationPlan();
   VM.heap().forEachObject([&](Object *O) {
-    if (O->IsArray)
+    if (O->isArray())
       return;
-    if (!O->Tib) {
+    TIB *T = O->tib();
+    if (!T) {
       addViolation("heap.tib-null", "non-array object with null TIB");
       return;
     }
-    ClassInfo *C = O->Tib->Cls;
+    ClassInfo *C = T->Cls;
     // Membership: the TIB must be the class TIB or one of its special TIBs.
-    if (O->Tib != C->ClassTib &&
-        std::find(C->SpecialTibs.begin(), C->SpecialTibs.end(), O->Tib) ==
+    if (T != C->ClassTib &&
+        std::find(C->SpecialTibs.begin(), C->SpecialTibs.end(), T) ==
             C->SpecialTibs.end()) {
       addViolation("heap.tib-foreign",
                    "object of " + C->Name + " on a TIB the class does not own");
       return;
     }
     if (C->MutableIndex < 0 || !Plan) {
-      if (O->Tib->isSpecial())
+      if (T->isSpecial())
         addViolation("heap.special-non-mutable",
                      "object of non-mutable " + C->Name + " on a special TIB");
       return;
     }
     const MutableClassPlan &CP = Plan->Classes[C->MutableIndex];
     if (!CP.dependsOnInstanceFields()) {
-      if (O->Tib->isSpecial())
+      if (T->isSpecial())
         addViolation("heap.special-static-only",
                      "object of static-only mutable " + C->Name +
                          " on a special TIB");
@@ -133,21 +134,21 @@ void ConsistencyAuditor::auditHeap(const std::vector<Object *> &UnderCtor) {
         S >= 0 ? C->SpecialTibs[static_cast<size_t>(S)] : C->ClassTib;
     if (std::find(UnderCtor.begin(), UnderCtor.end(), O) != UnderCtor.end())
       return; // constructor still running; part I has not classified it yet
-    if (!O->CtorDone) {
+    if (!O->ctorDone()) {
       // Unclassified object: class TIB is the normal resting place, but an
       // online migration pass may already have swung it to its match.
-      if (O->Tib != C->ClassTib && O->Tib != Expected)
+      if (T != C->ClassTib && T != Expected)
         addViolation("heap.preclass-tib",
                      "unclassified object of " + C->Name +
                          " on a TIB matching neither class nor state");
       return;
     }
-    if (O->Tib != Expected)
+    if (T != Expected)
       addViolation(
           "heap.tib-state",
           "object of " + C->Name + " on " +
-              (O->Tib->isSpecial()
-                   ? "special TIB " + std::to_string(O->Tib->StateIndex)
+              (T->isSpecial()
+                   ? "special TIB " + std::to_string(T->StateIndex)
                    : std::string("class TIB")) +
               " but state matches " +
               (S >= 0 ? "hot state " + std::to_string(S)

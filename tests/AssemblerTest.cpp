@@ -244,7 +244,7 @@ TEST(Assembler, AssembledMutableClassWorksWithMutation) {
   ClassInfo &CI = P.cls(C);
   Object *O = VM.heap().allocateInstance(CI, CI.ClassTib);
   VM.call(P.findMethod(C, "<init>"), {valueR(O), valueI(0)});
-  EXPECT_EQ(O->Tib, CI.SpecialTibs[0]);
+  EXPECT_EQ(O->tib(), CI.SpecialTibs[0]);
   for (int I = 0; I < 5000; ++I)
     VM.call(P.findMethod(C, "bump"), {valueR(O)});
   EXPECT_FALSE(P.method(P.findMethod(C, "bump")).Specials.empty());

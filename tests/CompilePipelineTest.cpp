@@ -119,17 +119,17 @@ TEST(SpecialsOwnership, AuditorFlagsForeignTib) {
   Object *O = Fx.makeCounter(VM, 0);
   Pin.add(O);
   VM.call(Fx.Bump, {valueR(O)});
-  ASSERT_TRUE(O->Tib->isSpecial());
+  ASSERT_TRUE(O->tib()->isSpecial());
 
   ConsistencyAuditor Auditor(VM);
   Auditor.auditNow("before the move");
   EXPECT_TRUE(Auditor.clean()) << Auditor.report();
 
-  TIB *Own = O->Tib;
+  TIB *Own = O->tib();
   TIB Foreign = *Own;
-  O->Tib = &Foreign;
+  O->setTib(&Foreign);
   Auditor.auditNow("on a foreign TIB");
-  O->Tib = Own;
+  O->setTib(Own);
   bool Foreigner = false;
   for (const AuditViolation &V : Auditor.violations())
     Foreigner |= V.Check == "heap.tib-foreign";

@@ -377,8 +377,8 @@ TEST_F(DispatchFixture, SampleCountSharedAcrossVersions) {
   EXPECT_EQ(Calls, Opts.Adaptive.Opt2Threshold);
   ASSERT_EQ(M.Specials.size(), 2u);
   for (unsigned S = 0; S < 2; ++S)
-    ASSERT_EQ(Objs[S]->Tib->Slots[M.VSlot], M.Specials[S]);
-  EXPECT_EQ(Objs[2]->Tib->Slots[M.VSlot], M.General);
+    ASSERT_EQ(Objs[S]->tib()->Slots[M.VSlot], M.Specials[S]);
+  EXPECT_EQ(Objs[2]->tib()->Slots[M.VSlot], M.General);
   for (int I = 0; I < 90; ++I)
     VM.call(Fx.Bump, {valueR(Objs[I % 3])});
   EXPECT_EQ(M.SampleCount, Calls);

@@ -140,11 +140,11 @@ TEST(GuardedInline, GuardSeesThroughSpecialTibs) {
   VirtualMachine VM(*Fx.P, {});
   VM.setMutationPlan(&Fx.Plan);
   Object *O = Fx.makeCounter(VM, 0);
-  ASSERT_TRUE(O->Tib->isSpecial());
+  ASSERT_TRUE(O->tib()->isSpecial());
   // Execute a ClassEq through a fresh single-method program sharing the
   // object: hand-check via the mutation fixture's program.
   // (ClassEq is interpreter-level; emulate its semantics check directly.)
-  EXPECT_EQ(O->Tib->Cls->Id, Fx.Counter);
+  EXPECT_EQ(O->tib()->Cls->Id, Fx.Counter);
 }
 
 TEST(GuardedInline, PipelineKeepsGuardIntact) {

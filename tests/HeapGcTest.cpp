@@ -58,14 +58,14 @@ TEST_F(HeapFixture, InstanceFieldsZeroInitialized) {
   Object *O = makeCounter();
   EXPECT_EQ(O->get(0).I, 0);
   EXPECT_EQ(O->get(1).I, 0);
-  EXPECT_FALSE(O->IsArray);
-  EXPECT_EQ(O->Tib, Fx.P->cls(Fx.Counter).ClassTib);
+  EXPECT_FALSE(O->isArray());
+  EXPECT_EQ(O->tib(), Fx.P->cls(Fx.Counter).ClassTib);
 }
 
 TEST_F(HeapFixture, ArrayAllocationAndLength) {
   Object *A = H.allocateArray(Type::I64, 17);
-  EXPECT_TRUE(A->IsArray);
-  EXPECT_EQ(A->NumSlots, 17u);
+  EXPECT_TRUE(A->isArray());
+  EXPECT_EQ(A->numSlots(), 17u);
   for (uint32_t I = 0; I < 17; ++I)
     EXPECT_EQ(A->get(I).I, 0);
 }
@@ -117,7 +117,7 @@ TEST_F(HeapFixture, MarkBitsAreResetBetweenCollections) {
   // the second sweep would free a marked-looking-but-unmarked object or
   // keep garbage alive).
   EXPECT_EQ(H.stats().GcCount, 2u);
-  EXPECT_EQ(Live->Mark, 0);
+  EXPECT_FALSE(Live->isMarked());
 }
 
 TEST_F(HeapFixture, AllocationTriggersCollection) {
@@ -134,13 +134,13 @@ TEST_F(HeapFixture, SpecialTibPointerSurvivesCollection) {
   // (mutation state is not lost to collection).
   TIB *Special = Fx.P->createSpecialTib(Fx.Counter, 0);
   Object *O = makeCounter();
-  O->Tib = Special;
+  O->setTib(Special);
   Roots.Objects.push_back(O);
   for (int I = 0; I < 20; ++I)
     makeCounter();
   H.collect();
-  EXPECT_EQ(O->Tib, Special);
-  EXPECT_EQ(O->Tib->Cls->Id, Fx.Counter);
+  EXPECT_EQ(O->tib(), Special);
+  EXPECT_EQ(O->tib()->Cls->Id, Fx.Counter);
 }
 
 TEST_F(HeapFixture, StatsAccumulate) {
@@ -156,8 +156,8 @@ TEST_F(HeapFixture, StatsAccumulate) {
 // Small objects: size-class slots in heap-owned blocks
 //===----------------------------------------------------------------------===//
 
-TEST_F(HeapFixture, HostHeaderIs16BytesWhileTheBudgetCharges24) {
-  static_assert(sizeof(Object) == 16);
+TEST_F(HeapFixture, HostHeaderIs8BytesWhileTheBudgetCharges24) {
+  static_assert(sizeof(Object) == 8);
   for (uint32_t N : {0u, 1u, 2u, 7u, 2045u, 4096u})
     EXPECT_EQ(Object::allocBytes(N), 24u + 8u * N) << N << " slots";
   HeapStats S0 = H.stats();
@@ -170,9 +170,88 @@ TEST_F(HeapFixture, HostHeaderIs16BytesWhileTheBudgetCharges24) {
             S1.UsedBytes - S0.UsedBytes);
 }
 
+/// Re-points O's TIB to To with its Mark and CtorDone bits set, and checks
+/// that the swing keeps them and its Mapped bit.
+void expectSwingKeepsFlags(Object *O, TIB *To) {
+  const bool Mapped = O->isMapped();
+  O->setMarked();
+  O->setCtorDone();
+  O->setTib(To);
+  EXPECT_EQ(O->tib(), To);
+  EXPECT_TRUE(O->isMarked());
+  EXPECT_TRUE(O->ctorDone());
+  EXPECT_EQ(O->isMapped(), Mapped);
+  EXPECT_FALSE(O->isArray());
+  EXPECT_FALSE(O->isFree());
+  O->clearMarked();
+  EXPECT_EQ(O->tib(), To);
+  EXPECT_TRUE(O->ctorDone());
+}
+
+TEST_F(HeapFixture, TibSwingKeepsTheSmallInstancesFlags) {
+  TIB *Special = Fx.P->createSpecialTib(Fx.Counter, 0);
+  Object *O = makeCounter();
+  ASSERT_FALSE(O->isMapped());
+  expectSwingKeepsFlags(O, Special);
+  EXPECT_EQ(O->numSlots(), 2u);
+  expectSwingKeepsFlags(O, Fx.P->cls(Fx.Counter).ClassTib);
+}
+
+TEST_F(HeapFixture, TibSwingKeepsTheMappedInstancesFlags) {
+  // A class of 2,047 fields: 16 KiB of host bytes, a large object. Its
+  // Program outlives the heap that holds its instance.
+  Program P;
+  ClassId Wide = P.defineClass("Wide");
+  for (int I = 0; I < 2047; ++I)
+    P.defineField(Wide, "f" + std::to_string(I), Type::I64, false);
+  P.link();
+  TIB *Special = P.createSpecialTib(Wide, 0);
+  Heap WideHeap(1 << 20);
+  ClassInfo &C = P.cls(Wide);
+  Object *O = WideHeap.allocateInstance(C, C.ClassTib);
+  ASSERT_TRUE(O->isMapped());
+  expectSwingKeepsFlags(O, Special);
+  EXPECT_EQ(O->numSlots(), 2047u);
+  expectSwingKeepsFlags(O, C.ClassTib);
+}
+
+TEST_F(HeapFixture, ArrayHeaderRoundTripsEveryElementTypeAndTheLargestLength) {
+  for (Type Ty : {Type::Void, Type::I64, Type::F64, Type::Ref})
+    for (uint32_t Len : {0u, 1u, 0x7FFFFFFFu}) {
+      Object A(Object::arrayHeader(Ty, Len)); // a header only, no slots
+      EXPECT_TRUE(A.isArray());
+      EXPECT_EQ(A.elemTy(), Ty);
+      EXPECT_EQ(A.length(), Len);
+      EXPECT_EQ(A.numSlots(), Len);
+      EXPECT_EQ(A.tib(), nullptr);
+      EXPECT_FALSE(A.isMarked() || A.isMapped() || A.isFree() || A.ctorDone());
+      A.setMarked();
+      EXPECT_TRUE(A.isMarked());
+      EXPECT_EQ(A.elemTy(), Ty);
+      EXPECT_EQ(A.length(), Len);
+      A.clearMarked();
+      EXPECT_FALSE(A.isMarked());
+      EXPECT_EQ(A.length(), Len);
+    }
+}
+
+TEST_F(HeapFixture, LargeObjectBoundaryIsBetween2046And2047Slots) {
+  EXPECT_EQ(Object::hostBytes(2046), (16u << 10) - 8);
+  EXPECT_EQ(Object::hostBytes(2047), 16u << 10);
+  HeapStats S0 = H.stats();
+  Object *Small = H.allocateArray(Type::I64, 2046);
+  Object *Large = H.allocateArray(Type::I64, 2047);
+  EXPECT_FALSE(Small->isMapped());
+  EXPECT_TRUE(Large->isMapped());
+  EXPECT_EQ(Small->length(), 2046u);
+  EXPECT_EQ(Large->length(), 2047u);
+  EXPECT_EQ(H.stats().UsedBytes - S0.UsedBytes,
+            Object::allocBytes(2046) + Object::allocBytes(2047));
+}
+
 /// Writes a non-zero pattern over every slot of O.
 void scribble(Object *O) {
-  for (uint32_t I = 0; I < O->NumSlots; ++I)
+  for (uint32_t I = 0; I < O->numSlots(); ++I)
     O->set(I, valueI(0x5A5A5A5A + I));
 }
 
@@ -187,7 +266,7 @@ TEST_F(HeapFixture, SweptSlotIsReusedByItsClassAndReadsZero) {
   H.collect();
   Object *Reused = H.allocateArray(Type::I64, 5);
   EXPECT_EQ(Reused, Garbage);
-  EXPECT_FALSE(Reused->Free);
+  EXPECT_FALSE(Reused->isFree());
   for (uint32_t I = 0; I < 5; ++I)
     EXPECT_EQ(Reused->get(I).I, 0) << "slot " << I;
   EXPECT_EQ(Live->get(4).I, 0x5A5A5A5A + 4);
@@ -240,12 +319,12 @@ TEST_F(HeapFixture, WalkVisitsExactlyTheUnsweptObjects) {
       All.push_back(H.allocateArray(Type::I64, Len + Round % 3));
     All.push_back(H.allocateArray(Type::Ref, 6 + Round));
   }
-  All.push_back(H.allocateArray(Type::I64, 2045));
-  All.push_back(H.allocateArray(Type::Ref, 2045));
+  All.push_back(H.allocateArray(Type::I64, 2046));
+  All.push_back(H.allocateArray(Type::Ref, 2046));
   All.push_back(H.allocateArray(Type::I64, LargeLen));
-  ASSERT_LT(Object::hostBytes(2045), 16u << 10);
-  ASSERT_FALSE(All[All.size() - 2]->Mapped);
-  ASSERT_TRUE(All.back()->Mapped);
+  ASSERT_LT(Object::hostBytes(2046), 16u << 10);
+  ASSERT_FALSE(All[All.size() - 2]->isMapped());
+  ASSERT_TRUE(All.back()->isMapped());
 
   std::map<Object *, int> Expected;
   for (Object *O : All)
@@ -257,14 +336,14 @@ TEST_F(HeapFixture, WalkVisitsExactlyTheUnsweptObjects) {
   for (size_t I = 0; I < All.size(); I += 3) {
     Roots.Objects.push_back(All[I]);
     Expected[All[I]] = 1;
-    Kept += Object::allocBytes(All[I]->NumSlots);
+    Kept += Object::allocBytes(All[I]->numSlots());
   }
   // The last two are rooted too, whichever way the stride falls.
   for (size_t I = All.size() - 2; I < All.size(); ++I)
     if (!Expected.count(All[I])) {
       Roots.Objects.push_back(All[I]);
       Expected[All[I]] = 1;
-      Kept += Object::allocBytes(All[I]->NumSlots);
+      Kept += Object::allocBytes(All[I]->numSlots());
     }
   H.collect();
   EXPECT_EQ(visits(H), Expected);
@@ -305,7 +384,7 @@ TEST(Heap, FourMutatorsAllocateThenACollectionKeepsExactlyTheRooted) {
     for (int I = 0; I < PerThread; ++I) {
       Object *O = I % 2 ? VM.heap().allocateArray(Type::I64, I % 40, T)
                         : VM.heap().allocateInstance(C, C.ClassTib, T);
-      if (O->NumSlots > 1)
+      if (O->numSlots() > 1)
         O->set(1, valueI(int64_t(T) << 32 | I));
       if (I % 5 == 0)
         Rooted.Objects[T].push_back(O);
@@ -320,7 +399,7 @@ TEST(Heap, FourMutatorsAllocateThenACollectionKeepsExactlyTheRooted) {
   for (unsigned T = 0; T < N; ++T)
     for (Object *O : Rooted.Objects[T]) {
       Expected[O] = 1;
-      Kept += Object::allocBytes(O->NumSlots);
+      Kept += Object::allocBytes(O->numSlots());
     }
   EXPECT_EQ(Expected.size(), size_t(N) * (PerThread / 5));
   EXPECT_EQ(visits(VM.heap()), Expected);
@@ -328,7 +407,7 @@ TEST(Heap, FourMutatorsAllocateThenACollectionKeepsExactlyTheRooted) {
   for (unsigned T = 0; T < N; ++T)
     for (size_t K = 0; K < Rooted.Objects[T].size(); ++K) {
       Object *O = Rooted.Objects[T][K];
-      if (O->NumSlots > 1) {
+      if (O->numSlots() > 1) {
         ASSERT_EQ(O->get(1).I, int64_t(T) << 32 | int64_t(K * 5))
             << "mutator " << T << " object " << K;
       }
@@ -343,10 +422,10 @@ TEST(Heap, FourMutatorsAllocateThenACollectionKeepsExactlyTheRooted) {
 TEST_F(HeapFixture, LargeArrayReadsZeroInEverySlot) {
   Object *Small = H.allocateArray(Type::F64, 8);
   Object *A = H.allocateArray(Type::F64, LargeLen);
-  EXPECT_FALSE(Small->Mapped);
-  EXPECT_TRUE(A->Mapped);
-  EXPECT_TRUE(A->IsArray);
-  EXPECT_EQ(A->NumSlots, LargeLen);
+  EXPECT_FALSE(Small->isMapped());
+  EXPECT_TRUE(A->isMapped());
+  EXPECT_TRUE(A->isArray());
+  EXPECT_EQ(A->numSlots(), LargeLen);
   for (uint32_t I = 0; I < LargeLen; ++I)
     ASSERT_EQ(A->get(I).I, 0) << "slot " << I;
 }
@@ -366,7 +445,7 @@ TEST_F(HeapFixture, LargeArrayReadsZeroAfterCollectionFreedAWrittenOne) {
 TEST_F(HeapFixture, LargeArrayPagesAreNotResidentUntilWritten) {
   const size_t Page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
   Object *A = H.allocateArray(Type::F64, LargeLen);
-  ASSERT_TRUE(A->Mapped);
+  ASSERT_TRUE(A->isMapped());
   ASSERT_EQ(reinterpret_cast<uintptr_t>(A) % Page, 0u);
   const size_t Pages = (Object::hostBytes(LargeLen) + Page - 1) / Page;
   ASSERT_GE(Pages, 4u);
@@ -385,7 +464,7 @@ TEST_F(HeapFixture, LargeArrayPagesAreNotResidentUntilWritten) {
 TEST_F(HeapFixture, LargeRefArrayIsTracedAndFreedWhenUnreachable) {
   size_t Before = H.stats().UsedBytes;
   Object *Arr = H.allocateArray(Type::Ref, LargeLen);
-  ASSERT_TRUE(Arr->Mapped);
+  ASSERT_TRUE(Arr->isMapped());
   Roots.Objects.push_back(Arr);
   Object *First = makeCounter();
   Object *Last = makeCounter();

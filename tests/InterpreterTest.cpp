@@ -230,7 +230,7 @@ TEST(Interp, InstanceOfUsesTypeInfoNotTibIdentity) {
   FieldInfo &ModeF = P.field(Mode);
   O->set(ModeF.Slot, valueI(0));
   VM.mutation().onInstanceStateStore(O, ModeF);
-  ASSERT_TRUE(O->Tib->isSpecial());
+  ASSERT_TRUE(O->tib()->isSpecial());
   // instanceOf A: yes; instanceOf I: yes; instanceOf Sub: no => 1+2+0 = 3.
   EXPECT_EQ(VM.call(Isa, {valueR(O)}).I, 3);
 }

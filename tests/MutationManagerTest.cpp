@@ -100,8 +100,8 @@ TEST(MutationPartI, ConstructorExitMutatesMatchingObject) {
   Object *O0 = Fx.makeCounter(VM, 0);
   Object *O1 = Fx.makeCounter(VM, 1);
   const ClassInfo &C = Fx.P->cls(Fx.Counter);
-  EXPECT_EQ(O0->Tib, C.SpecialTibs[0]);
-  EXPECT_EQ(O1->Tib, C.SpecialTibs[1]);
+  EXPECT_EQ(O0->tib(), C.SpecialTibs[0]);
+  EXPECT_EQ(O1->tib(), C.SpecialTibs[1]);
 }
 
 TEST(MutationPartI, NonHotStateKeepsClassTib) {
@@ -109,7 +109,7 @@ TEST(MutationPartI, NonHotStateKeepsClassTib) {
   VirtualMachine VM(*Fx.P, {});
   VM.setMutationPlan(&Fx.Plan);
   Object *O = Fx.makeCounter(VM, 42); // not a hot state
-  EXPECT_EQ(O->Tib, Fx.P->cls(Fx.Counter).ClassTib);
+  EXPECT_EQ(O->tib(), Fx.P->cls(Fx.Counter).ClassTib);
   EXPECT_GE(VM.mutation().stats().StateMisses, 1u);
 }
 
@@ -119,16 +119,16 @@ TEST(MutationPartI, StateTransitionRetargetsTib) {
   VM.setMutationPlan(&Fx.Plan);
   Object *O = Fx.makeCounter(VM, 0);
   const ClassInfo &C = Fx.P->cls(Fx.Counter);
-  ASSERT_EQ(O->Tib, C.SpecialTibs[0]);
+  ASSERT_EQ(O->tib(), C.SpecialTibs[0]);
   // setMode(1): hot -> hot transition.
   VM.call(Fx.SetMode, {valueR(O), valueI(1)});
-  EXPECT_EQ(O->Tib, C.SpecialTibs[1]);
+  EXPECT_EQ(O->tib(), C.SpecialTibs[1]);
   // setMode(9): hot -> cold falls back to the class TIB.
   VM.call(Fx.SetMode, {valueR(O), valueI(9)});
-  EXPECT_EQ(O->Tib, C.ClassTib);
+  EXPECT_EQ(O->tib(), C.ClassTib);
   // setMode(0): cold -> hot again.
   VM.call(Fx.SetMode, {valueR(O), valueI(0)});
-  EXPECT_EQ(O->Tib, C.SpecialTibs[0]);
+  EXPECT_EQ(O->tib(), C.SpecialTibs[0]);
   EXPECT_GE(VM.mutation().stats().ObjectTibSwings, 3u);
 }
 
@@ -138,10 +138,10 @@ TEST(MutationPartI, SubclassInstancesNeverMutate) {
   VM.setMutationPlan(&Fx.Plan);
   Object *O = makeSubCounter(Fx, VM, 0); // mode 0 = hot for Counter
   const ClassInfo &Sub = Fx.P->cls(Fx.SubCounter);
-  EXPECT_EQ(O->Tib, Sub.ClassTib);
+  EXPECT_EQ(O->tib(), Sub.ClassTib);
   // Writing the state field on the subclass instance also does nothing.
   VM.call(Fx.SetMode, {valueR(O), valueI(1)});
-  EXPECT_EQ(O->Tib, Sub.ClassTib);
+  EXPECT_EQ(O->tib(), Sub.ClassTib);
 }
 
 // --- Part II: recompilation routes special code -------------------------------
@@ -285,7 +285,7 @@ TEST_F(StaticStateFixture, SpecialTibsHoldGeneralCodeWhenStaticMismatch) {
   VM.mutation().onStaticStateStore(GF);
   EXPECT_EQ(C.SpecialTibs[0]->Slots[M.VSlot], M.General);
   EXPECT_EQ(C.SpecialTibs[1]->Slots[M.VSlot], M.General);
-  EXPECT_EQ(O->Tib, C.SpecialTibs[0]);
+  EXPECT_EQ(O->tib(), C.SpecialTibs[0]);
   // Behavior stays correct through the fallback.
   int64_t T0 = VM.call(Fx.Get, {valueR(O)}).I;
   VM.call(Fx.Bump, {valueR(O)});
@@ -488,8 +488,8 @@ TEST(MutationCostModel, SpecialTibVirtualCallCostsTheSameAsClassTib) {
     VM.call(Fx.DriveIface, {valueR(O), valueI(6000)});
   }
   const ClassInfo &C = Fx.P->cls(Fx.Counter);
-  ASSERT_EQ(Hot->Tib, C.SpecialTibs[1]);
-  ASSERT_EQ(Cold->Tib, C.ClassTib);
+  ASSERT_EQ(Hot->tib(), C.SpecialTibs[1]);
+  ASSERT_EQ(Cold->tib(), C.ClassTib);
 
   uint64_t HotSite = callSiteCycles(Fx, VM, Fx.DriveBump, Hot);
   EXPECT_EQ(HotSite, callSiteCycles(Fx, VM, Fx.DriveBump, Cold));

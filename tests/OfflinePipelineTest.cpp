@@ -336,7 +336,7 @@ private:
 
   PerClass *classOf(Object *O) {
     for (PerClass &PC : Classes)
-      if (PC.Cls == O->Tib->Cls->Id)
+      if (PC.Cls == O->tib()->Cls->Id)
         return &PC;
     return nullptr;
   }

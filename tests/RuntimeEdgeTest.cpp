@@ -369,14 +369,14 @@ TEST(MultiFieldStates, JointTupleMatchingIsExact) {
   Object *Exact1 = Make(25, 132);
   Object *PartialA = Make(24, 132); // a matches state 0, b matches state 1
   Object *Neither = Make(1, 2);
-  EXPECT_EQ(Exact0->Tib, CI.SpecialTibs[0]);
-  EXPECT_EQ(Exact1->Tib, CI.SpecialTibs[1]);
-  EXPECT_EQ(PartialA->Tib, CI.ClassTib);
-  EXPECT_EQ(Neither->Tib, CI.ClassTib);
+  EXPECT_EQ(Exact0->tib(), CI.SpecialTibs[0]);
+  EXPECT_EQ(Exact1->tib(), CI.SpecialTibs[1]);
+  EXPECT_EQ(PartialA->tib(), CI.ClassTib);
+  EXPECT_EQ(Neither->tib(), CI.ClassTib);
 
   // Transition: completing the partial tuple mutates the object.
   VM.call(SetA, {valueR(PartialA), valueI(25)});
-  EXPECT_EQ(PartialA->Tib, CI.SpecialTibs[1]);
+  EXPECT_EQ(PartialA->tib(), CI.SpecialTibs[1]);
   // Behavior stays correct through every shape.
   EXPECT_EQ(VM.call(Use, {valueR(Exact0)}).I, 104);
   EXPECT_EQ(VM.call(Use, {valueR(PartialA)}).I, 157);
@@ -391,7 +391,7 @@ TEST(HeapCensus, VisitsAllAllocatedObjects) {
     Fx.makeCounter(VM, I % 2);
   size_t Instances = 0, Arrays = 0;
   VM.heap().forEachObject([&](Object *O) {
-    if (O->IsArray)
+    if (O->isArray())
       ++Arrays;
     else
       ++Instances;

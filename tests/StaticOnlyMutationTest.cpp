@@ -136,7 +136,7 @@ TEST_F(StaticOnlyFixture, ClassTibItselfIsSpecialized) {
   // mode == 0 matches the hot state: the CLASS TIB holds special code.
   EXPECT_EQ(P.cls(C).ClassTib->Slots[M.VSlot], M.Specials[0]);
   // Objects keep the class TIB; no per-object state exists.
-  EXPECT_EQ(O->Tib, P.cls(C).ClassTib);
+  EXPECT_EQ(O->tib(), P.cls(C).ClassTib);
   EXPECT_EQ(VM.call(Pub, {valueR(O)}).I, 10);
 }
 
@@ -299,7 +299,7 @@ TEST(ImtConflictMutation, ConflictStubRoutesThroughSpecialTib) {
   ClassInfo &CI = P.cls(C);
   Object *O = VM.heap().allocateInstance(CI, CI.ClassTib);
   VM.call(Ctor, {valueR(O), valueI(0)});
-  ASSERT_TRUE(O->Tib->isSpecial());
+  ASSERT_TRUE(O->tib()->isSpecial());
   for (int I = 0; I < 6000; ++I)
     VM.call(Driver, {valueR(O)});
   // f1/f2 got specialized; dispatch through the conflict stub still lands

@@ -41,7 +41,7 @@ void expectTibInvariant(CounterFixture &Fx, Object *O) {
   for (size_t S = 0; S < Fx.Plan.Classes[0].HotStates.size(); ++S)
     if (Fx.Plan.Classes[0].HotStates[S].InstanceVals[0].I == Mode)
       Expected = C.SpecialTibs[S];
-  EXPECT_EQ(O->Tib, Expected) << "mode=" << Mode;
+  EXPECT_EQ(O->tib(), Expected) << "mode=" << Mode;
 }
 
 class TibInvariant : public ::testing::TestWithParam<uint64_t> {};

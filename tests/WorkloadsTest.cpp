@@ -32,7 +32,7 @@ struct RunResult {
 size_t objectsOnSpecialTibs(VirtualMachine &VM) {
   size_t N = 0;
   VM.heap().forEachObject([&](Object *O) {
-    N += !O->IsArray && O->Tib && O->Tib->isSpecial();
+    N += !O->isArray() && O->tib() && O->tib()->isSpecial();
   });
   return N;
 }
