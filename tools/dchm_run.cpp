@@ -29,11 +29,10 @@
 
 #include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
-
-#include <sys/resource.h>
 
 using namespace dchm;
 
@@ -51,6 +50,18 @@ int cmdList() {
   for (auto &W : makeAllWorkloads())
     std::printf("%-12s  %s\n", W->name().c_str(), W->description().c_str());
   return 0;
+}
+
+/// Peak resident set of this process image (VmHWM, in kB). getrusage's
+/// ru_maxrss would also count the launching process's peak, which survives
+/// exec.
+double peakRssMb() {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("VmHWM:", 0) == 0)
+      return std::strtod(Line.c_str() + 6, nullptr) / 1024.0;
+  return 0.0;
 }
 
 void printMetrics(const RunMetrics &M, double WallSec) {
@@ -76,12 +87,7 @@ void printMetrics(const RunMetrics &M, double WallSec) {
               static_cast<unsigned long long>(M.Insts),
               static_cast<unsigned long long>(M.Invocations));
   std::printf("  wall time:         %.3f s\n", WallSec);
-  // ru_maxrss is in kB on Linux. It also counts the launching process's
-  // resident set at fork, which survives exec; a shell adds little.
-  rusage Usage{};
-  getrusage(RUSAGE_SELF, &Usage);
-  std::printf("  peak host RSS:     %.1f MB\n",
-              static_cast<double>(Usage.ru_maxrss) / 1024.0);
+  std::printf("  peak host RSS:     %.1f MB\n", peakRssMb());
 }
 
 int cmdRun(Workload &W, bool Mutation, bool Online, double Scale,
