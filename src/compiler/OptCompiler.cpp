@@ -11,6 +11,7 @@
 #include "compiler/Specializer.h"
 #include "ir/Verifier.h"
 #include "runtime/CostModel.h"
+#include "runtime/DecodedBody.h"
 #include "support/Debug.h"
 
 #include <cstdio>
@@ -44,11 +45,10 @@ CompiledMethod *OptCompiler::finish(MethodInfo &M, IRFunction Code, int Level,
   if (VerifyBodies)
     if (std::string Err = verifyFunction(Code); !Err.empty())
       Fail(Err);
-  Expected<std::vector<DecodedInst>> Decoded = decodeBody(Code);
-  if (!Decoded)
-    Fail(Decoded.takeError().message());
-  M.CompiledVersions.push_back(std::make_unique<CompiledMethod>(
-      M, std::move(Code), std::move(*Decoded), Level, StateIdx));
+  if (VMError Err = decodeBody(Code))
+    Fail(Err.message());
+  M.CompiledVersions.push_back(
+      std::make_unique<CompiledMethod>(M, std::move(Code), Level, StateIdx));
   CompiledMethod *CM = M.CompiledVersions.back().get();
 
   Stats.TotalCompileCycles += Cycles;

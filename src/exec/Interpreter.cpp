@@ -3,20 +3,20 @@
 // Part of DCHM, a reproduction of "Dynamic Class Hierarchy Mutation"
 // (Su & Lipasti, CGO 2006).
 //
-// The inner loop, executeLoop, dispatches with computed goto over each
-// body's decoded form (runtime/DecodedBody.h): one indirect branch per
-// handler, fused groups decided once per compiled body and charged on
-// dispatch. Each entry names a handler for one instruction or for a fused
-// group of two or three, and carries the group's instruction count and
-// summed cycles. No member of a group can trap or return and only the last
-// may branch, so a group that starts runs all of its members and charging
-// it up front is exact by construction; entries stay index-parallel to the
-// IR, so a branch into the middle of a group lands on that instruction's
-// own entry. Decoding checked once that the body ends in Br/Ret and that
-// every branch target is in range, so the loop has no per-dispatch bound
-// check. A guest call pushes a frame and jumps back to the loop's entry, and
-// Ret pops it and resumes the caller, so one host activation of executeLoop
-// runs a whole invoke(). See docs/dispatch.md.
+// The inner loop, executeLoop, dispatches with computed goto on the entry
+// each instruction of a compiled body carries (runtime/DecodedBody.h): one
+// indirect branch per handler, fused groups decided once per compiled body
+// and charged on dispatch. Each entry names a handler for one instruction
+// or for a fused group of two or three, and carries the group's
+// instruction count and summed cycles. No member of a group can trap or
+// return and only the last may branch, so a group that starts runs all of
+// its members and charging it up front is exact by construction; every
+// instruction has its own entry, so a branch into the middle of a group
+// lands on that instruction's. Decoding checked once that the body ends in
+// Br/Ret and that every branch target is in range, so the loop has no
+// per-dispatch bound check. A guest call pushes a frame and jumps back to
+// the loop's entry, and Ret pops it and resumes the caller, so one host
+// activation of executeLoop runs a whole invoke(). See docs/dispatch.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -159,7 +159,7 @@ Value Interpreter::invoke(MethodId Mid, const std::vector<Value> &Args) {
     }
   }
   std::copy(Args.begin(), Args.end(),
-            pushFrame(CM, Args.size(), nullptr, nullptr, 0));
+            pushFrame(CM, Args.size(), nullptr, 0));
   return executeLoop();
 }
 
@@ -167,8 +167,7 @@ Value Interpreter::invoke(MethodId Mid, const std::vector<Value> &Args) {
 // blocks and would leave every guest call an out-of-line host call.
 [[gnu::always_inline]] inline Value *
 Interpreter::pushFrame(CompiledMethod *CM, size_t NumArgs,
-                       const Instruction *RetIp, const DecodedInst *RetD,
-                       uint64_t RetC) {
+                       const Instruction *RetIp, uint64_t RetC) {
   // Consistency-audit checkpoint at the invocation boundary: dispatch
   // structures are quiescent here. The hook is read-only
   // (runtime/AuditHook.h), so audited and unaudited runs stay bit-identical
@@ -187,26 +186,25 @@ Interpreter::pushFrame(CompiledMethod *CM, size_t NumArgs,
   const size_t NumRegs = Fn.RegTypes.size();
   if (ArenaTop + NumRegs > RegArena.size())
     RegArena.resize(std::max(RegArena.size() * 2, ArenaTop + NumRegs));
-  Frames.push_back({CM, ArenaTop, RetIp, RetD, RetC});
+  Frames.push_back({CM, ArenaTop, RetIp, RetC});
   Value *R = RegArena.data() + ArenaTop;
   ArenaTop += NumRegs;
   std::fill_n(R + NumArgs, NumRegs - NumArgs, zeroValue());
   return R;
 }
 
-/// Charges the group at D and jumps to its handler.
+/// Charges the group at Ip and jumps to its handler.
 #define VM_DISPATCH()                                                          \
   do {                                                                         \
-    NInsts += D->Count;                                                        \
-    C += D->Cycles;                                                            \
-    goto *JumpTab[D->Handler];                                                 \
+    NInsts += Ip->Count;                                                       \
+    C += Ip->Cycles;                                                           \
+    goto *JumpTab[Ip->Handler];                                                \
   } while (0)
 
 /// Advances past a group of K instructions and dispatches the next entry.
 #define VM_SKIP(K)                                                             \
   do {                                                                         \
     Ip += (K);                                                                 \
-    D += (K);                                                                  \
     VM_DISPATCH();                                                             \
   } while (0)
 
@@ -220,7 +218,6 @@ Interpreter::pushFrame(CompiledMethod *CM, size_t NumArgs,
     if (Insts + Tgt_ <= &(BI))                                                 \
       NoteBackedge();                                                          \
     Ip = Insts + Tgt_;                                                         \
-    D = Dec + Tgt_;                                                            \
     VM_DISPATCH();                                                             \
   } while (0)
 
@@ -237,7 +234,6 @@ Value Interpreter::executeLoop() {
   // so every handler's register access, in memory.
   MethodInfo *M = nullptr;
   const Instruction *Insts = nullptr, *Ip = nullptr;
-  const DecodedInst *Dec = nullptr, *D = nullptr;
   Value *R = RegArena.data() + Frames.back().RegBase;
   uint64_t C = 0;      // the running frame's cycles, flushed on its return
   uint64_t NInsts = 0; // instructions of every frame, flushed on exit
@@ -298,7 +294,6 @@ Value Interpreter::executeLoop() {
 enter:
   M = &Target->method();
   Ip = Insts = Target->code().Insts.data();
-  D = Dec = Target->decoded().data();
   C = 0;
   Stats.Invocations++;
   if (TakesSample())
@@ -446,10 +441,8 @@ L_Ret: {
   const Frame &Top = Frames.back();
   M = &Top.CM->method();
   Insts = Top.CM->code().Insts.data();
-  Dec = Top.CM->decoded().data();
   R = RegArena.data() + Top.RegBase;
   Ip = F.RetIp;
-  D = F.RetD;
   C = F.RetC;
   if (Ip->Dst != NoReg)
     R[Ip->Dst] = RV;
@@ -620,7 +613,7 @@ L_Print: {
 call: {
   const size_t CallerBase = static_cast<size_t>(R - RegArena.data());
   const size_t NumArgs = Ip->Args.size();
-  Value *Callee = pushFrame(Target, NumArgs, Ip, D, C);
+  Value *Callee = pushFrame(Target, NumArgs, Ip, C);
   const Value *Caller = RegArena.data() + CallerBase;
   for (size_t A = 0; A < NumArgs; ++A)
     Callee[A] = Caller[Ip->Args[A]];

@@ -18,13 +18,14 @@
 ///
 /// The host-side fast path (docs/dispatch.md) is independent of the
 /// simulated cost accounting: the one inner loop dispatches with computed
-/// goto over each body's decoded form (runtime/DecodedBody.h), built once
-/// per compiled method, where fused groups of dominant instruction
-/// sequences have their own handlers and are charged on dispatch. It
-/// changes only real wall time, never simulated cycles or program output.
-/// A guest call pushes a Frame and keeps dispatching in the same loop, so
-/// guest depth costs no host stack; registers live in one contiguous
-/// bump-allocated arena shared by all frames.
+/// goto on the dispatch entry each instruction of a compiled body carries
+/// (runtime/DecodedBody.h), stamped once per compiled method, where fused
+/// groups of dominant instruction sequences have their own handlers and
+/// are charged on dispatch. It changes only real wall time, never
+/// simulated cycles or program output. A guest call pushes a Frame and
+/// keeps dispatching in the same loop, so guest depth costs no host stack;
+/// registers live in one contiguous bump-allocated arena shared by all
+/// frames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +42,6 @@
 #include <vector>
 
 namespace dchm {
-
-struct DecodedInst;
 
 /// Execution statistics for one interpreter lifetime.
 struct ExecStats {
@@ -122,19 +121,16 @@ private:
   struct Frame {
     CompiledMethod *CM;
     size_t RegBase;
-    /// The caller's call instruction and its dispatch entry; null in the
-    /// frame invoke() pushed.
+    /// The caller's call instruction; null in the frame invoke() pushed.
     const Instruction *RetIp;
-    const DecodedInst *RetD;
     uint64_t RetC; ///< the caller's cycle accumulator
   };
 
-  /// Pushes a frame running CM that returns to RetIp/RetD/RetC, and returns
-  /// its register window, zeroed past the NumArgs arguments the caller then
+  /// Pushes a frame running CM that returns to RetIp/RetC, and returns its
+  /// register window, zeroed past the NumArgs arguments the caller then
   /// copies in.
   Value *pushFrame(CompiledMethod *CM, size_t NumArgs,
-                   const Instruction *RetIp, const DecodedInst *RetD,
-                   uint64_t RetC);
+                   const Instruction *RetIp, uint64_t RetC);
   /// The inner loop: runs the frame invoke() pushed, and every frame it
   /// calls, until it returns, and returns its result.
   Value executeLoop();

@@ -55,6 +55,12 @@ struct Instruction {
   Reg A = NoReg;
   Reg B = NoReg;
   Reg C = NoReg;
+  /// The threaded loop's dispatch entry (runtime/DecodedBody.h), stamped by
+  /// decodeBody into a compiled body only; zero elsewhere. It sits in what
+  /// would be padding before Imm, so it costs no bytes.
+  uint8_t Handler = 0; ///< HandlerId of the group starting here
+  uint8_t Count = 0;   ///< IR instructions that handler executes (1-3)
+  uint16_t Cycles = 0; ///< sum of their opcodeCycles
   int64_t Imm = 0;
   double FImm = 0.0;
   uint32_t Aux = 0;
@@ -66,6 +72,8 @@ struct Instruction {
   /// True if this instruction writes a register.
   bool hasDst() const { return Dst != NoReg; }
 };
+static_assert(sizeof(Instruction) == 64,
+              "the dispatch entry must stay inside an Instruction's padding");
 
 } // namespace dchm
 

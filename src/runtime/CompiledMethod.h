@@ -13,6 +13,8 @@
 /// A mutable method has one *general* compiled method plus one *special*
 /// compiled method per hot state (StateIndex >= 0), generated together when
 /// the method is recompiled at a high optimization level (paper Figure 5).
+/// Each instruction of the body carries its own dispatch entry, stamped by
+/// decodeBody (runtime/DecodedBody.h) before the body is handed over.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,24 +23,21 @@
 
 #include "ir/Function.h"
 #include "ir/Ids.h"
-#include "runtime/DecodedBody.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace dchm {
 
 struct MethodInfo;
 
-/// One compiled version of a method, constructed with its finished body and
-/// that body's dispatch form (runtime/DecodedBody.h).
+/// One compiled version of a method, constructed with its finished,
+/// stamped body.
 class CompiledMethod {
 public:
-  CompiledMethod(MethodInfo &M, IRFunction CodeIn,
-                 std::vector<DecodedInst> DecodedIn, int OptLevel,
+  CompiledMethod(MethodInfo &M, IRFunction CodeIn, int OptLevel,
                  int StateIndex)
-      : Method(&M), Code(std::move(CodeIn)), Decoded(std::move(DecodedIn)),
-        OptLevel(OptLevel), StateIndex(StateIndex),
+      : Method(&M), Code(std::move(CodeIn)), OptLevel(OptLevel),
+        StateIndex(StateIndex),
         // Modeled machine-code footprint: a fixed header plus bytes per
         // emitted instruction. The baseline-ish opt0 translation is less
         // dense than optimized code, mirroring Jikes' baseline-vs-opt code
@@ -47,8 +46,6 @@ public:
 
   MethodInfo &method() const { return *Method; }
   const IRFunction &code() const { return Code; }
-  /// Dispatch entries, index-parallel to code().Insts.
-  const std::vector<DecodedInst> &decoded() const { return Decoded; }
   int optLevel() const { return OptLevel; }
   /// Hot state this code is specialized for, or -1 for the general version.
   /// A specialized version sits in exactly one slot, Specials[stateIndex()].
@@ -64,7 +61,6 @@ public:
 private:
   MethodInfo *Method;
   IRFunction Code;
-  std::vector<DecodedInst> Decoded;
   int OptLevel;
   int StateIndex;
   size_t CodeBytes;

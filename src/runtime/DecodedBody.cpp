@@ -19,8 +19,8 @@ namespace {
 
 // A group is at most three instructions; its cycle sum must fit the entry.
 static_assert(3 * std::numeric_limits<decltype(OpcodeInfo::Cycles)>::max() <=
-                  std::numeric_limits<decltype(DecodedInst::Cycles)>::max(),
-              "a fused group's cycles must fit DecodedInst::Cycles");
+                  std::numeric_limits<decltype(Instruction::Cycles)>::max(),
+              "a fused group's cycles must fit Instruction::Cycles");
 
 #define DCHM_X(OP) Opcode::OP,
 constexpr Opcode ConstArithOps[] = {DCHM_CONST_ARITH_OPS(DCHM_X)};
@@ -86,8 +86,8 @@ std::pair<uint8_t, uint8_t> classify(const IRFunction &F, size_t I) {
 
 } // namespace
 
-Expected<std::vector<DecodedInst>> decodeBody(const IRFunction &F) {
-  const std::vector<Instruction> &Insts = F.Insts;
+VMError decodeBody(IRFunction &F) {
+  std::vector<Instruction> &Insts = F.Insts;
   if (Insts.empty())
     return VMError::error(F.Name + ": empty body");
   if (!isTerminator(Insts.back().Op))
@@ -101,15 +101,16 @@ Expected<std::vector<DecodedInst>> decodeBody(const IRFunction &F) {
                             ", outside the body of " +
                             std::to_string(Insts.size()));
 
-  std::vector<DecodedInst> Out(Insts.size());
   for (size_t I = 0; I < Insts.size(); ++I) {
     auto [Handler, Count] = classify(F, I);
     uint64_t Cycles = 0;
     for (size_t J = I; J < I + Count; ++J)
       Cycles += opcodeCycles(Insts[J].Op);
-    Out[I] = {Handler, Count, static_cast<uint16_t>(Cycles)};
+    Insts[I].Handler = Handler;
+    Insts[I].Count = Count;
+    Insts[I].Cycles = static_cast<uint16_t>(Cycles);
   }
-  return Out;
+  return VMError::success();
 }
 
 } // namespace dchm

@@ -7,14 +7,14 @@
 ///
 /// \file
 /// The form in which the threaded interpreter loop walks a compiled body,
-/// decoded once when the CompiledMethod is built. It is an array of 4-byte
-/// entries, index-parallel to IRFunction::Insts: entry I names the handler
-/// that runs when dispatch lands on instruction I, how many IR instructions
-/// that handler executes (a fused group of 1-3), and the sum of their
-/// per-opcode simulated cycles. The loop charges a whole group on dispatch.
-/// That is exact by construction: no member of a group can trap or return,
-/// and only the last may branch, so a group that starts always runs all of
-/// its members. See docs/dispatch.md §1.
+/// stamped once when the CompiledMethod is built. Each Instruction of the
+/// body carries its own dispatch entry (Instruction::Handler, Count,
+/// Cycles): the handler that runs when dispatch lands on it, how many IR
+/// instructions that handler executes (a fused group of 1-3), and the sum
+/// of their per-opcode simulated cycles. The loop charges a whole group on
+/// dispatch. That is exact by construction: no member of a group can trap
+/// or return, and only the last may branch, so a group that starts always
+/// runs all of its members. See docs/dispatch.md §1.
 ///
 /// Handler ids below NumOpcodes are the single-instruction handlers (the id
 /// is the opcode). The fused forms follow, expanded from the opcode lists
@@ -29,7 +29,6 @@
 #include "support/Error.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace dchm {
 
@@ -66,18 +65,11 @@ enum class HandlerId : uint8_t {
   NumHandlers
 };
 
-/// One dispatch entry.
-struct DecodedInst {
-  uint8_t Handler; ///< HandlerId
-  uint8_t Count;   ///< IR instructions the handler executes (1-3)
-  uint16_t Cycles; ///< sum of their opcodeCycles
-};
-static_assert(sizeof(DecodedInst) == 4, "dispatch entries must stay compact");
-
-/// Decodes F into its dispatch form. Fails when F is empty, does not end in
-/// Br or Ret, or has a branch target outside the body: those checks are what
-/// let the threaded loop dispatch with no per-instruction bound check.
-Expected<std::vector<DecodedInst>> decodeBody(const IRFunction &F);
+/// Stamps every instruction of F with its dispatch entry. Fails when F is
+/// empty, does not end in Br or Ret, or has a branch target outside the
+/// body: those checks are what let the threaded loop dispatch with no
+/// per-instruction bound check.
+VMError decodeBody(IRFunction &F);
 
 } // namespace dchm
 

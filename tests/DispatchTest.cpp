@@ -705,13 +705,13 @@ TEST(ThreadedHandlers, EveryBinopAndCompareMatchesEvalInEveryShape) {
     size_t At = CM->code().Insts.size() - 1;
     while (CM->code().Insts[At].Op != C.Op)
       --At;
-    EXPECT_EQ(CM->decoded()[At].Count,
+    EXPECT_EQ(CM->code().Insts[At].Count,
               C.Separated ? 1 : groupSize(C.Op, C.S))
         << P.method(C.M).Name;
   }
 }
 
-// --- The decoded stream (runtime/DecodedBody.h) -----------------------------
+// --- The stamped dispatch entries (runtime/DecodedBody.h) -------------------
 
 /// One way into a body whose fused group may be entered at any member: the
 /// expected result bits and per-call accounting.
@@ -896,12 +896,10 @@ TEST(DecodedStream, BranchIntoEveryFusedGroupMatchesPins) {
       EXPECT_EQ(P.method(Ids[I]).SampleCount - Samples0, Want.Samples);
     }
     // The paths above ran the fused handler under test.
-    const CompiledMethod *CM = P.method(Ids[I]).General;
-    EXPECT_EQ(CM->decoded()[C.GroupStart].Handler,
-              static_cast<uint8_t>(C.Group))
-        << C.Body.Name;
-    EXPECT_EQ(CM->decoded()[C.GroupStart].Count, C.Paths.size())
-        << C.Body.Name;
+    const Instruction &Start =
+        P.method(Ids[I]).General->code().Insts[C.GroupStart];
+    EXPECT_EQ(Start.Handler, static_cast<uint8_t>(C.Group)) << C.Body.Name;
+    EXPECT_EQ(Start.Count, C.Paths.size()) << C.Body.Name;
   }
 }
 
@@ -943,10 +941,9 @@ TEST(DecodedStream, NoGroupCanTrapReturnOrBranchBeforeItsEnd) {
           Ret.Op = Opcode::Ret;
           Ret.A = 3;
           F.Insts.push_back(Ret);
-          Expected<std::vector<DecodedInst>> Dec = decodeBody(F);
-          ASSERT_TRUE(Dec);
+          ASSERT_FALSE(decodeBody(F));
           for (size_t I = 0; I < F.Insts.size(); ++I) {
-            size_t Count = (*Dec)[I].Count;
+            size_t Count = F.Insts[I].Count;
             if (Count == 1)
               continue;
             ++Groups;
@@ -975,14 +972,14 @@ IRFunction retZero() {
 
 TEST(DecodedStream, RejectsBodyNotEndingInBrOrRet) {
   IRFunction F = retZero();
-  ASSERT_TRUE(decodeBody(F));
+  ASSERT_FALSE(decodeBody(F));
   F.Insts.pop_back(); // ends in ConstI now
-  Expected<std::vector<DecodedInst>> D = decodeBody(F);
-  ASSERT_FALSE(D);
-  EXPECT_NE(D.takeError().message().find("does not end in br or ret"),
+  VMError Err = decodeBody(F);
+  ASSERT_TRUE(Err);
+  EXPECT_NE(Err.message().find("does not end in br or ret"),
             std::string::npos);
   F.Insts.clear();
-  EXPECT_FALSE(decodeBody(F));
+  EXPECT_TRUE(decodeBody(F));
 }
 
 TEST(DecodedStream, RejectsBranchTargetOutsideBody) {
@@ -993,17 +990,16 @@ TEST(DecodedStream, RejectsBranchTargetOutsideBody) {
   B.bind(L);
   B.ret(X);
   IRFunction F = B.finalize();
-  ASSERT_TRUE(decodeBody(F));
+  ASSERT_FALSE(decodeBody(F));
   F.Insts[0].Imm = static_cast<int64_t>(F.Insts.size()); // one past the end
-  Expected<std::vector<DecodedInst>> D = decodeBody(F);
-  ASSERT_FALSE(D);
-  EXPECT_NE(D.takeError().message().find("outside the body"),
-            std::string::npos);
+  VMError Err = decodeBody(F);
+  ASSERT_TRUE(Err);
+  EXPECT_NE(Err.message().find("outside the body"), std::string::npos);
   F.Insts[0].Imm = -1;
-  EXPECT_FALSE(decodeBody(F));
+  EXPECT_TRUE(decodeBody(F));
 }
 
-TEST(DecodedStream, InvalidatedBodyKeepsDecodedArray) {
+TEST(DecodedStream, InvalidatedBodyKeepsItsDispatchEntries) {
   Program P;
   ClassId K = P.defineClass("K");
   MethodId M = P.defineMethod(K, "f", Type::I64, {}, {.IsStatic = true});
@@ -1011,13 +1007,16 @@ TEST(DecodedStream, InvalidatedBodyKeepsDecodedArray) {
   P.link();
   OptCompiler Compiler(P);
   CompiledMethod *CM = Compiler.compileGeneral(P.method(M), 0);
-  ASSERT_EQ(CM->decoded().size(), CM->code().Insts.size());
-  EXPECT_EQ(CM->decoded()[0].Handler, static_cast<uint8_t>(Opcode::ConstI));
+  const Instruction &First = CM->code().Insts[0];
+  EXPECT_EQ(First.Handler, static_cast<uint8_t>(Opcode::ConstI));
+  EXPECT_EQ(First.Count, 1u);
+  // The bytecode the body was compiled from stays unstamped.
+  EXPECT_EQ(P.method(M).Bytecode.Insts[0].Count, 0u);
   // A replaced body stays runnable: active frames may still execute it.
   CM->invalidate();
   EXPECT_TRUE(CM->isInvalidated());
-  ASSERT_EQ(CM->decoded().size(), CM->code().Insts.size());
-  EXPECT_EQ(CM->decoded()[0].Handler, static_cast<uint8_t>(Opcode::ConstI));
+  EXPECT_EQ(First.Handler, static_cast<uint8_t>(Opcode::ConstI));
+  EXPECT_EQ(First.Count, 1u);
 }
 
 // Bodies are verified at link; these tamper with a linked method's bytecode

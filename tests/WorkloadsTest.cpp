@@ -13,10 +13,13 @@
 
 #include "TestUtil.h"
 #include "online/Deployment.h"
+#include "runtime/CostModel.h"
 #include "testing/ConsistencyAuditor.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace dchm;
 
@@ -45,6 +48,37 @@ RunResult runOnce(Workload &W, bool Mutation, const MutationPlan *Plan,
   Run.drive(Scale);
   return {Run.vm().metrics(), Run.vm().interp().output(),
           objectsOnSpecialTibs(Run.vm())};
+}
+
+/// Every compiled body of P, replaced ones included, carries a well-formed
+/// dispatch entry at each instruction: a group of 1-3 inside the body,
+/// charged the sum of its members' cycles. The bytecode is never stamped.
+void expectStampedBodies(const Program &P, const char *Tag) {
+  size_t Bad = 0;
+  for (size_t Id = 0; Id < P.numMethods(); ++Id) {
+    const MethodInfo &M = P.method(static_cast<MethodId>(Id));
+    if (std::any_of(M.Bytecode.Insts.begin(), M.Bytecode.Insts.end(),
+                    [](const Instruction &In) { return In.Count != 0; }) &&
+        ++Bad <= 5)
+      ADD_FAILURE() << Tag << ": bytecode of " << M.Name << " is stamped";
+    for (const auto &CM : M.CompiledVersions) {
+      const std::vector<Instruction> &Insts = CM->code().Insts;
+      for (size_t I = 0; I < Insts.size(); ++I) {
+        const size_t Count = Insts[I].Count;
+        uint64_t Cycles = 0;
+        for (size_t J = I; J < I + Count && J < Insts.size(); ++J)
+          Cycles += opcodeCycles(Insts[J].Op);
+        if ((Count < 1 || Count > 3 || I + Count > Insts.size() ||
+             Insts[I].Cycles != Cycles) &&
+            ++Bad <= 5)
+          ADD_FAILURE() << Tag << ": " << M.Name << " opt" << CM->optLevel()
+                        << " state " << CM->stateIndex() << " at " << I
+                        << ": count " << Count << ", cycles "
+                        << Insts[I].Cycles << " (want " << Cycles << ")";
+      }
+    }
+  }
+  EXPECT_EQ(Bad, 0u) << Tag;
 }
 
 class WorkloadParity : public ::testing::TestWithParam<int> {};
@@ -120,6 +154,7 @@ TEST_P(WorkloadParity, AuditedRunIsClean) {
     // The audits covered live mutation, not an idle plan.
     EXPECT_GT(VM.metrics().Mutation.ObjectTibSwings, 0u)
         << (Online ? "online" : "offline");
+    expectStampedBodies(VM.program(), Online ? "online" : "offline");
   }
 }
 

@@ -294,6 +294,11 @@ int main(int Argc, char **Argv) {
     }
     return cmdExec(Argv[2], Cfg);
   }
+  const bool IsRun = Cmd == "run", IsDisasm = Cmd == "disasm";
+  if (!IsRun && !IsDisasm && Cmd != "plan") {
+    std::fprintf(stderr, "unknown command '%s'\n", Cmd.c_str());
+    return 1;
+  }
   if (Argc < 3) {
     std::fprintf(stderr, "%s needs a workload name (try 'list')\n",
                  Cmd.c_str());
@@ -305,6 +310,7 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  // Each subcommand accepts only what it reads: plan takes nothing.
   bool Mutation = true, Online = false, Accelerated = false;
   double Scale = 1.0;
   size_t HeapMb = 0; // the workload's own heap budget
@@ -312,33 +318,30 @@ int main(int Argc, char **Argv) {
   std::string Spec;
   for (int I = 3; I < Argc; ++I) {
     std::string A = Argv[I];
-    if (A == "--no-mutation")
+    if (IsRun && A == "--no-mutation")
       Mutation = false;
-    else if (A == "--online")
+    else if (IsRun && A == "--online")
       Online = true;
-    else if (A == "--accelerated")
+    else if (IsRun && A == "--accelerated")
       Accelerated = true;
-    else if (A.rfind("--scale=", 0) == 0)
+    else if (IsRun && A.rfind("--scale=", 0) == 0)
       Scale = positiveRealFlag("--scale", Argv[I] + 8, 1e6);
-    else if (A.rfind("--heap-mb=", 0) == 0)
+    else if (IsRun && A.rfind("--heap-mb=", 0) == 0)
       HeapMb = static_cast<size_t>(intFlag("--heap-mb", Argv[I] + 10, 1,
                                            1ll << 20));
-    else if (A.rfind("--state=", 0) == 0)
+    else if (IsDisasm && A.rfind("--state=", 0) == 0)
       State = static_cast<int>(intFlag("--state", Argv[I] + 8, 0, INT_MAX));
-    else if (A[0] != '-')
+    else if (IsDisasm && Spec.empty() && A[0] != '-')
       Spec = A;
     else {
-      std::fprintf(stderr, "unknown flag %s\n", A.c_str());
+      std::fprintf(stderr, "%s does not take '%s'\n", Cmd.c_str(), A.c_str());
       return 1;
     }
   }
 
-  if (Cmd == "run")
+  if (IsRun)
     return cmdRun(*W, Mutation, Online, Scale, HeapMb, Accelerated);
-  if (Cmd == "plan")
-    return cmdPlan(*W);
-  if (Cmd == "disasm")
+  if (IsDisasm)
     return cmdDisasm(*W, Spec, State);
-  std::fprintf(stderr, "unknown command '%s'\n", Cmd.c_str());
-  return 1;
+  return cmdPlan(*W);
 }
