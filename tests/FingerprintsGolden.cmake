@@ -1,7 +1,8 @@
 # Prints the simulated fingerprint of every deployment the tools and
 # examples make and compares it byte for byte with the golden file:
 #  - `dchm_run run` of each Table 1 workload with mutation on, with
-#    --no-mutation, with --online and with --online --no-mutation;
+#    --no-mutation, with --online, with --online --no-mutation and with
+#    --accelerated;
 #  - `dchm_run plan` of each workload;
 #  - the stdout of each example;
 #  - `dchm_run exec` of every tests/data and examples/mvm text that runs to
@@ -41,7 +42,8 @@ function(fingerprint Title)
 endfunction()
 
 foreach(W ${Workloads})
-  foreach(Mode "" "--no-mutation" "--online" "--online;--no-mutation")
+  foreach(Mode "" "--no-mutation" "--online" "--online;--no-mutation"
+          "--accelerated")
     string(REPLACE ";" " " Title "run ${W} ${Mode}")
     string(STRIP "${Title}" Title)
     fingerprint("${Title}" ${RUN} run ${W} ${Mode})
