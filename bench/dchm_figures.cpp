@@ -59,7 +59,6 @@ struct RunConfig {
   const char *Label;
   bool Mutation, SpecInlining, Accelerated;
   int TradeoffK;
-  bool GuardedInlining = false;
 };
 
 /// The ablation rows. Row 0 is every figure's baseline and row 1 every
@@ -73,7 +72,6 @@ const RunConfig Configs[] = {
     {"accelerated hotness", true, true, true, 0},
     {"trade-off k = -2 (inline-happy)", true, true, false, -2},
     {"trade-off k = +8 (specialize-happy)", true, true, false, 8},
-    {"with guarded inlining", true, true, false, 0, true},
 };
 const RunConfig &Baseline = Configs[0];
 const RunConfig &FullSystem = Configs[1];
@@ -89,7 +87,6 @@ std::unique_ptr<Deployment> deploy(Workload &W, const MutationPlan &Plan,
   Opts.EnableMutation = A.Mutation;
   Opts.Inline.EnableSpecializationInlining = A.SpecInlining;
   Opts.Inline.TradeoffK = A.TradeoffK;
-  Opts.Inline.EnableGuardedInlining = A.GuardedInlining;
   Opts.Adaptive.AcceleratedMutableHotness = A.Accelerated;
   Opts.Adaptive.SampleInterval = SampleInterval;
   return std::make_unique<Deployment>(W.assemble(), Opts, Plan);

@@ -959,14 +959,12 @@ private:
         Bind(B.alen(Arr));
       return;
     }
-    case Opcode::InstanceOf:
-    case Opcode::ClassEq: {
+    case Opcode::InstanceOf: {
       Reg O = readReg(C);
       bexpect(C, Tok::Comma, "','");
       auto Cls = readClassRef(C);
       if (Cls && !failed())
-        Bind(*Op == Opcode::ClassEq ? B.classEq(O, *Cls)
-                                    : B.instanceOf(O, *Cls));
+        Bind(B.instanceOf(O, *Cls));
       return;
     }
     case Opcode::CallStatic:
@@ -1105,9 +1103,6 @@ private:
       } while (baccept(C, Tok::Comma) && !failed());
       bexpect(C, Tok::RParen, "')'");
     }
-    bool NoInline = bpeek(C).K == Tok::Ident && bpeek(C).Text == "noinline";
-    if (NoInline)
-      ++C.Pos;
     if (!M || failed())
       return;
     Type RetTy = P->method(*M).RetTy;
@@ -1116,8 +1111,6 @@ private:
       return;
     }
     Reg R = C.B->call(Op, *M, Args, RetTy);
-    if (NoInline)
-      C.B->setNoInline();
     if (Dst)
       bindDst(C, *Dst, R);
   }

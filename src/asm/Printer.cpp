@@ -195,12 +195,11 @@ private:
       Out += Op + " " + P.cls(M.Owner).Name + "." + M.Name + "(";
       for (size_t J = 0; J < I.Args.size(); ++J)
         Out += (J ? ", " : "") + reg(I.Args[J]);
-      Out += I.NoInline ? ") noinline" : ")";
+      Out += ")";
       return;
     }
     case Opcode::InstanceOf:
     case Opcode::CheckCast:
-    case Opcode::ClassEq:
       Out += Op + " " + reg(I.A) + ", " + className(I.Imm);
       return;
     case Opcode::Print:

@@ -190,8 +190,7 @@ bool Inliner::shouldInline(const IRFunction &F, const Instruction &Call,
 }
 
 unsigned Inliner::spliceCall(IRFunction &F, size_t CallIdx,
-                             const MethodInfo &Callee, const OlcEntry *OlcE,
-                             bool Guarded) {
+                             const MethodInfo &Callee, const OlcEntry *OlcE) {
   const Instruction Call = F.Insts[CallIdx]; // copy; we rebuild F.Insts
   const IRFunction &CB = Callee.Bytecode;
   DCHM_CHECK(Call.Args.size() == CB.NumArgs, "inline arg count mismatch");
@@ -209,27 +208,9 @@ unsigned Inliner::spliceCall(IRFunction &F, size_t CallIdx,
 
   std::vector<bool> NeedsInit = regsNeedingInit(CB);
 
-  // Build the replacement sequence: [guard], local inits, the remapped
-  // body, and (when guarded) the original call as the slow path.
+  // Build the replacement sequence: local inits, then the remapped body.
   std::vector<Instruction> Splice;
   Splice.reserve(CB.Insts.size() + 6);
-  if (Guarded) {
-    // GuardTmp = (recv's exact class == Callee.Owner); if not, slow path.
-    DCHM_CHECK(F.RegTypes.size() < NoReg, "register overflow while inlining");
-    F.RegTypes.push_back(Type::I64);
-    Reg GuardTmp = static_cast<Reg>(F.RegTypes.size() - 1);
-    Instruction Test{};
-    Test.Op = Opcode::ClassEq;
-    Test.Dst = GuardTmp;
-    Test.A = Call.Args[0];
-    Test.Imm = Callee.Owner;
-    Splice.push_back(Test);
-    Instruction Br{};
-    Br.Op = Opcode::Cbz;
-    Br.A = GuardTmp;
-    Br.Imm = -2; // patched below to the slow-path call
-    Splice.push_back(Br);
-  }
   for (size_t R = CB.NumArgs; R < CB.RegTypes.size(); ++R) {
     if (!NeedsInit[R])
       continue;
@@ -309,18 +290,9 @@ unsigned Inliner::spliceCall(IRFunction &F, size_t CallIdx,
     Splice.push_back(Inst);
   }
 
-  if (Guarded) {
-    // Slow path: the original virtual call (re-executed only when the
-    // guard fails). Return jumps skip it; it must never be re-inlined.
-    Instruction Slow = Call;
-    Slow.NoInline = true;
-    Splice.push_back(Slow);
-  }
-
   // Rebuild the caller around the splice.
   const size_t OldN = F.Insts.size();
   const size_t SpliceLen = Splice.size();
-  const size_t SlowIdx = SpliceLen - 1; // only meaningful when Guarded
   std::vector<Instruction> Out;
   Out.reserve(OldN - 1 + SpliceLen);
   // Old caller index -> new index.
@@ -337,14 +309,8 @@ unsigned Inliner::spliceCall(IRFunction &F, size_t CallIdx,
   const uint32_t AfterCall = CallerPos[CallIdx + 1];
   for (size_t I = 0; I < SpliceLen; ++I) {
     Instruction Inst = std::move(Splice[I]);
-    if (Guarded && I == SlowIdx) {
-      Out.push_back(std::move(Inst)); // the slow-path call; no fixup
-      continue;
-    }
     if (isBranch(Inst.Op)) {
-      if (Inst.Imm == -2) // guard failure -> slow-path call
-        Inst.Imm = SpliceBase + static_cast<int64_t>(SlowIdx);
-      else if (Inst.Imm < 0) // return jump
+      if (Inst.Imm < 0) // return jump
         Inst.Imm = AfterCall;
       else // body-internal target (body indices start after the inits)
         Inst.Imm = SpliceBase + BodyPos[static_cast<size_t>(Inst.Imm)];
@@ -382,22 +348,10 @@ InlineStats Inliner::run(IRFunction &F, const MethodInfo &Root) {
   for (unsigned Depth = 0; Depth < MaxDepth; ++Depth) {
     bool AnyThisRound = false;
     for (size_t I = 0; I < F.Insts.size(); ++I) {
-      if (!isCall(F.Insts[I].Op) || F.Insts[I].NoInline)
+      if (!isCall(F.Insts[I].Op))
         continue;
       const OlcEntry *OlcE = nullptr;
       const MethodInfo *Target = resolveExactTarget(F, F.Insts[I], Root, &OlcE);
-      bool Guarded = false;
-      if (!Target && Cfg.EnableGuardedInlining &&
-          F.Insts[I].Op == Opcode::CallVirtual) {
-        // Polymorphic site: predict the statically-named target and inline
-        // it under an exact-class test (Jikes' guarded inlining).
-        const MethodInfo &Named =
-            P.method(static_cast<MethodId>(F.Insts[I].Imm));
-        if (Named.HasBody && !Named.Flags.IsAbstract) {
-          Target = &Named;
-          Guarded = true;
-        }
-      }
       if (!Target || Target->Id == Root.Id) // no self-inlining
         continue;
       if (Target->Flags.IsCtor)
@@ -405,14 +359,12 @@ InlineStats Inliner::run(IRFunction &F, const MethodInfo &Root) {
                   // constructor-exit hook fires on their return
       if (!shouldInline(F, F.Insts[I], *Target, OlcE, Budget, Stats))
         continue;
-      unsigned Added = spliceCall(F, I, *Target, OlcE, Guarded);
+      unsigned Added = spliceCall(F, I, *Target, OlcE);
       Budget = Added > Budget ? 0 : Budget - Added;
       Stats.SitesInlined++;
       Stats.InstsAdded += Added;
       if (OlcE)
         Stats.SpecializationInlines++;
-      if (Guarded)
-        Stats.GuardedInlines++;
       AnyThisRound = true;
     }
     if (!AnyThisRound)

@@ -23,6 +23,10 @@
 ///     leave the virtual dispatch in place so the special-TIB mechanism can
 ///     bind the call to specialized code.
 ///
+/// A call whose target cannot be proven stays a call: there is no guarded
+/// (class-test) inlining, since special TIBs reach specialized code with no
+/// guard that could mispredict.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DCHM_COMPILER_INLINER_H
@@ -38,25 +42,18 @@ namespace dchm {
 struct InlinerConfig {
   int TradeoffK = 0; ///< k of the N > M + k heuristic
   bool EnableSpecializationInlining = true;
-  /// Jikes-style guarded inlining for polymorphic virtual calls: inline the
-  /// statically-named target under an exact-class test, with the original
-  /// virtual call as the slow path. Off by default (the paper's system
-  /// relies on specialization instead; this exists for the ablation study).
-  bool EnableGuardedInlining = false;
 };
 
 /// Per-run inlining statistics (Figure 10/11 inputs).
 struct InlineStats {
   unsigned SitesInlined = 0;
   unsigned SpecializationInlines = 0; ///< OLC-substituting inlines
-  unsigned GuardedInlines = 0;        ///< class-test-guarded inlines
   unsigned TradeoffRejections = 0;    ///< sites left to specialization
   unsigned InstsAdded = 0;
 
   InlineStats &operator+=(const InlineStats &O) {
     SitesInlined += O.SitesInlined;
     SpecializationInlines += O.SpecializationInlines;
-    GuardedInlines += O.GuardedInlines;
     TradeoffRejections += O.TradeoffRejections;
     InstsAdded += O.InstsAdded;
     return *this;
@@ -95,11 +92,10 @@ private:
                     const MethodInfo &Callee, const OlcEntry *Olc,
                     unsigned Budget, InlineStats &Stats) const;
 
-  /// Splices Callee's bytecode over the call at CallIdx. When Guarded, the
-  /// body runs under an exact-class test with the original virtual call as
-  /// the slow path. Returns the number of instructions the function grew by.
+  /// Splices Callee's bytecode over the call at CallIdx. Returns the number
+  /// of instructions the function grew by.
   unsigned spliceCall(IRFunction &F, size_t CallIdx, const MethodInfo &Callee,
-                      const OlcEntry *Olc, bool Guarded = false);
+                      const OlcEntry *Olc);
 
   Program &P;
   InlinerConfig Cfg;

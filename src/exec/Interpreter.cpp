@@ -584,14 +584,6 @@ L_InstanceOf: {
   R[Ip->Dst] = valueI(Is);
   VM_NEXT();
 }
-L_ClassEq: {
-  // Exact-class guard (guarded inlining): type-information entry, so
-  // special TIBs compare equal to their class.
-  Object *O = R[Ip->A].R;
-  R[Ip->Dst] = valueI(O && !O->isArray() &&
-                      O->tib()->Cls->Id == static_cast<ClassId>(Ip->Imm));
-  VM_NEXT();
-}
 L_CheckCast: {
   Object *O = R[Ip->A].R;
   if (O) {

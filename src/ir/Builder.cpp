@@ -235,15 +235,6 @@ void FunctionBuilder::checkCast(Reg Obj, ClassId Cls) {
   I.Imm = Cls;
 }
 
-Reg FunctionBuilder::classEq(Reg Obj, ClassId Cls) {
-  Reg Dst = newReg(Type::I64);
-  Instruction &I = emit(Opcode::ClassEq);
-  I.Dst = Dst;
-  I.A = Obj;
-  I.Imm = Cls;
-  return Dst;
-}
-
 Reg FunctionBuilder::call(Opcode Kind, MethodId M,
                           const std::vector<Reg> &Args, Type RetTy) {
   DCHM_CHECK(isCall(Kind), "call() requires a call opcode");
@@ -259,12 +250,6 @@ Reg FunctionBuilder::call(Opcode Kind, MethodId M,
 Reg FunctionBuilder::call(Opcode Kind, MethodId M,
                           std::initializer_list<Reg> Args, Type RetTy) {
   return call(Kind, M, std::vector<Reg>(Args), RetTy);
-}
-
-void FunctionBuilder::setNoInline() {
-  DCHM_CHECK(!F.Insts.empty() && isCall(F.Insts.back().Op),
-             "setNoInline needs a call");
-  F.Insts.back().NoInline = true;
 }
 
 void FunctionBuilder::printNum(Reg V, Type Ty) {

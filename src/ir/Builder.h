@@ -89,8 +89,6 @@ public:
   void putStatic(FieldId F, Reg Val);
   Reg instanceOf(Reg Obj, ClassId Cls);
   void checkCast(Reg Obj, ClassId Cls);
-  /// 1 when Obj's exact class is Cls, else 0 (the guarded inliner's guard).
-  Reg classEq(Reg Obj, ClassId Cls);
 
   // --- Calls ------------------------------------------------------------
   /// Emit a call; RetTy types the destination register (NoReg result for
@@ -110,10 +108,6 @@ public:
   Reg callInterface(MethodId M, std::initializer_list<Reg> Args, Type RetTy) {
     return call(Opcode::CallInterface, M, Args, RetTy);
   }
-
-  /// Marks the call just emitted as never to be inlined (the guarded
-  /// inliner's slow path).
-  void setNoInline();
 
   // --- Output -----------------------------------------------------------
   void printNum(Reg V, Type Ty); ///< Append number to the VM output stream.

@@ -64,9 +64,6 @@ struct Instruction {
   int64_t Imm = 0;
   double FImm = 0.0;
   uint32_t Aux = 0;
-  /// Set by the guarded inliner on its slow-path call: this site must never
-  /// be considered for inlining again (it would be re-guarded forever).
-  bool NoInline = false;
   std::vector<Reg> Args; ///< Call arguments; empty for non-calls.
 
   /// True if this instruction writes a register.

@@ -130,13 +130,9 @@ enum class OpFamily : uint8_t { Binop, Compare, Unop, Other };
   X(CallInterface, "callinterface", 0,  Other,   Void, Void, false)            \
   /* Type tests against class Imm, via the TIB type-information entry. */      \
   /* InstanceOf: Dst = (A instanceof class Imm) ? 1 : 0. CheckCast traps */    \
-  /* unless A is null or an instance of class Imm. ClassEq: Dst = (A's */      \
-  /* exact class == class Imm) ? 1 : 0; emitted by the guarded inliner */      \
-  /* (Jikes' class-test guard); `.mvm` spells it so such bodies print.  */     \
+  /* unless A is null or an instance of class Imm. */                          \
   X(InstanceOf,    "instanceof",    4,  Other,   Void, Void, true)             \
   X(CheckCast,     "checkcast",     4,  Other,   Void, Void, false)            \
-  /* ClassEq: TIB load + id compare (the guard of a guarded inline) */         \
-  X(ClassEq,       "classeq",       2,  Other,   Void, Void, true)             \
   /* Program output (models System.out): appends to the VM output stream. */   \
   /* Aux == 0 prints the number, Aux == 1 prints A as a character. */          \
   X(Print,         "print",         10, Other,   Void, Void, false)

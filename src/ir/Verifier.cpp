@@ -159,7 +159,6 @@ std::string verifyFunction(const IRFunction &F) {
         C.fail(I, "instance call receiver must be a reference");
       break;
     case Opcode::InstanceOf:
-    case Opcode::ClassEq:
       C.reg(I, Inst.Dst, Type::I64, "dst");
       C.reg(I, Inst.A, Type::Ref, "object");
       break;

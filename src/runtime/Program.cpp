@@ -419,7 +419,6 @@ VMError Program::resolveBodies() {
       }
       case Opcode::InstanceOf:
       case Opcode::CheckCast:
-      case Opcode::ClassEq:
         if (static_cast<size_t>(I.Imm) >= Classes.size())
           return linkError(Q(M) + ": bad class id in type test");
         break;

@@ -58,9 +58,9 @@ std::string bodyDifference(const IRFunction &A, const IRFunction &B) {
     bool Ok = X.Op == Y.Op && X.Ty == Y.Ty && X.Imm == Y.Imm &&
               std::bit_cast<int64_t>(X.FImm) ==
                   std::bit_cast<int64_t>(Y.FImm) &&
-              X.Aux == Y.Aux && X.NoInline == Y.NoInline &&
-              X.Args.size() == Y.Args.size() && Same(X.Dst, Y.Dst) &&
-              Same(X.A, Y.A) && Same(X.B, Y.B) && Same(X.C, Y.C);
+              X.Aux == Y.Aux && X.Args.size() == Y.Args.size() &&
+              Same(X.Dst, Y.Dst) && Same(X.A, Y.A) && Same(X.B, Y.B) &&
+              Same(X.C, Y.C);
     for (size_t J = 0; Ok && J < X.Args.size(); ++J)
       Ok = Same(X.Args[J], Y.Args[J]);
     if (!Ok)
@@ -142,15 +142,13 @@ std::string withBody(const Program &P, MethodId M, const IRFunction &Body) {
 }
 
 TEST(AssemblerRoundTrip, EveryCompiledBodyReassemblesInItsClass) {
-  // Optimized, inlined (with class-test guards and no-inline slow paths)
-  // and specialized bodies, as a short mutated run of each workload with
-  // guarded inlining on compiles them.
-  size_t Bodies = 0, Guards = 0, NoInline = 0;
+  // Optimized, inlined and specialized bodies, as a short mutated run of
+  // each workload compiles them.
+  size_t Bodies = 0;
   for (auto &W : makeAllWorkloads()) {
     OfflineResult Off = runOfflinePipeline(*W, OfflineConfig{});
     VMOptions Opts = W->vmOptions();
     Opts.EnableMutation = true;
-    Opts.Inline.EnableGuardedInlining = true;
     Deployment Run(W->assemble(), Opts, Off.Plan);
     Run.drive(0.05);
     const Program &P = Run.program();
@@ -163,16 +161,10 @@ TEST(AssemblerRoundTrip, EveryCompiledBodyReassemblesInItsClass) {
         EXPECT_EQ(bodyDifference(Body, R.P->method(M).Bytecode), "")
             << W->name() << " " << Body.Name;
         ++Bodies;
-        for (const Instruction &I : Body.Insts) {
-          Guards += I.Op == Opcode::ClassEq;
-          NoInline += I.NoInline;
-        }
       }
     }
   }
   EXPECT_GT(Bodies, 100u);
-  EXPECT_GT(Guards, 0u);
-  EXPECT_GT(NoInline, 0u);
 }
 
 } // namespace

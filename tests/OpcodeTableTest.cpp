@@ -86,7 +86,6 @@ constexpr PinnedRow Pinned[] = {
     {Opcode::CallInterface, "callinterface", 0, false, OpFamily::Other},
     {Opcode::InstanceOf, "instanceof", 4, true, OpFamily::Other},
     {Opcode::CheckCast, "checkcast", 4, false, OpFamily::Other},
-    {Opcode::ClassEq, "classeq", 2, true, OpFamily::Other},
     {Opcode::Print, "print", 10, false, OpFamily::Other},
 };
 

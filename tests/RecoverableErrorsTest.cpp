@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Tests for the recoverable error channels (docs/degradation.md): the
+/// Tests for the recoverable error channels (docs/errors.md): the
 /// VMError values that input-validation and resource paths return instead
 /// of aborting, and the diagnostics the assembler returns (through runMvm)
 /// for malformed `#!` directives.

@@ -35,11 +35,14 @@
 // consistency auditor must stay clean in every run (docs/threads.md).
 //
 //   dchm_fuzz [--n=<programs>] [--seed=<base>] [--stride=<k>]
-//             [--threads] [--inject-skip-tib] [--inject-skip-code]
-//             [--malformed=<n>]
+//   dchm_fuzz --threads [--n=<programs>] [--seed=<base>] [--stride=<k>]
+//   dchm_fuzz (--inject-skip-tib | --inject-skip-code)...
+//             [--n=<programs>] [--seed=<base>] [--stride=<k>]
+//   dchm_fuzz --malformed=<n> [--seed=<base>]
 //
 // Counts must be positive integers; a malformed value, like an unknown
-// flag, exits 1 with a diagnostic naming it.
+// flag or a flag the selected mode does not read, exits 1 with a
+// diagnostic naming it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -217,12 +220,24 @@ int main(int Argc, char **Argv) {
     }
   }
 
+  // Each mode takes only the flags it reads: --malformed reads --seed,
+  // --threads everything but the injection flags, the others everything.
+  for (int I = 1; I < Argc; ++I) {
+    std::string A = Argv[I], Flag = A.substr(0, A.find('='));
+    bool Reads = Malformed    ? Flag == "--malformed" || Flag == "--seed"
+                 : ThreadsDim ? Flag.rfind("--inject-", 0) != 0
+                              : true;
+    if (!Reads) {
+      std::fprintf(stderr, "the %s mode does not take '%s'\n",
+                   Malformed ? "--malformed" : "--threads", A.c_str());
+      return 1;
+    }
+  }
+
   if (Malformed)
     return runMalformed(Malformed, SeedBase);
 
-  // --threads ignores the injection flags.
-  const bool Inject =
-      !ThreadsDim && (Faults.SkipTibSwing || Faults.SkipCodePointerUpdate);
+  const bool Inject = Faults.SkipTibSwing || Faults.SkipCodePointerUpdate;
   MvmRunConfig Cfg;
   Cfg.Mutate = true;
   Cfg.AuditStride = Stride;
